@@ -30,6 +30,7 @@ Interrupted runs are resumable: ``checkpoint`` captures the full model
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import logging
@@ -144,7 +145,16 @@ class Relation:
 
 
 class Model:
-    """A deployment model bound to a charm store and a provider inventory."""
+    """A deployment model bound to a charm store and a provider inventory.
+
+    Units are created only by ``_create_unit`` and removed only by
+    ``remove_unit`` (or by the rollback of a failed command).  Those paths
+    keep two pieces of derived state, which are never serialized and which
+    ``load_checkpoint`` rebuilds: each application's unit ids in index
+    order, which ``unit_ids_of`` reads, and the applications that may have
+    lost their leader, which the next ``step`` re-elects.  ``units`` stays
+    the source of truth: an indexed id whose unit is gone is skipped.
+    """
 
     def __init__(
         self,
@@ -168,6 +178,8 @@ class Model:
         self.shadow_check = False
         self.shadow_deltas = 0
         self.trace: list[dict] | None = None
+        self._unit_index: dict[str, list[str]] = {}
+        self._leader_check: set[str] = set()
 
     @property
     def converged(self) -> bool:
@@ -176,10 +188,8 @@ class Model:
     # -- small helpers -------------------------------------------------
 
     def unit_ids_of(self, app: str) -> list[str]:
-        return sorted(
-            (u.id for u in self.units.values() if u.app == app),
-            key=_unit_sort_key,
-        )
+        units = self.units
+        return [unit_id for unit_id in self._unit_index.get(app, ()) if unit_id in units]
 
     def relations_of(self, app: str, endpoint: str | None = None) -> list[Relation]:
         found = []
@@ -256,19 +266,16 @@ def deploy_bundle(model: Model, bundle: Bundle) -> DeploymentResult:
     charge = _bundle_charge(bundle)
     _quota_charge(model, charge)
 
-    acquired: list[str] = []
-    created_containers: list[str] = []
+    acquired: list[tuple[str, str]] = []
     machine_map: dict[str, str] = {}
     new_units: list[tuple[Unit, CharmSpec]] = []
     try:
         for bundle_id in sorted(bundle.machines, key=int):
             spec = bundle.machines[bundle_id]
-            record = model.inventory.acquire(spec.constraints)
-            record.series = spec.series
-            machine_map[bundle_id] = record.id
-            acquired.append(record.id)
+            machine_id = _acquire(model, spec.constraints, spec.series, acquired)
+            machine_map[bundle_id] = machine_id
             # owned even when no unit lands on it directly (container hosts)
-            model.machines.add(record.id)
+            model.machines.add(machine_id)
 
         for name in sorted(bundle.applications):
             app_spec = bundle.applications[name]
@@ -292,23 +299,16 @@ def deploy_bundle(model: Model, bundle: Bundle) -> DeploymentResult:
                     if index < len(app_spec.placements)
                     else Placement.fresh()
                 )
-                machine_id = _place_unit(
-                    model, placement, machine_map, series, charm,
-                    acquired, created_containers,
-                )
+                machine_id = _place_unit(model, placement, machine_map, series, charm, acquired)
                 unit = _create_unit(model, app, machine_id)
                 new_units.append((unit, charm))
     except FedweaveError:
-        for container_id in reversed(created_containers):
-            model.inventory.release(container_id)
-            model.machines.discard(container_id)
-        for machine_id in reversed(acquired):
-            model.inventory.release(machine_id)
-            model.machines.discard(machine_id)
+        _release_acquired(model, acquired)
         for unit, _ in new_units:
             model.units.pop(unit.id, None)
         for name in bundle.applications:
             model.applications.pop(name, None)
+            model._unit_index.pop(name, None)
         _quota_release(model, charge)
         raise
 
@@ -337,28 +337,50 @@ def _app_series(bundle: Bundle, app_spec, charm: CharmSpec) -> str:
     return sorted(charm.series)[0]
 
 
+def _acquire(
+    model: Model, constraints: Constraints, series: str, acquired: list[tuple[str, str]]
+) -> str:
+    """Acquire a best-fit machine for ``series``, logging it for rollback."""
+    record = model.inventory.acquire(constraints)
+    acquired.append((record.id, record.series))
+    record.series = series
+    return record.id
+
+
+def _create_container(
+    model: Model, host_id: str, kind: str, acquired: list[tuple[str, str]]
+) -> str:
+    container = model.inventory.create_container(host_id, kind)
+    acquired.append((container.id, container.series))
+    model.machines.add(container.id)
+    return container.id
+
+
+def _release_acquired(model: Model, acquired: list[tuple[str, str]]) -> None:
+    """Undo the acquisitions of a failed command, newest first: each
+    machine gets back the series it had and returns to the pool, each
+    container is destroyed."""
+    for machine_id, series in reversed(acquired):
+        model.inventory.machines[machine_id].series = series
+        model.inventory.release(machine_id)
+        model.machines.discard(machine_id)
+
+
 def _place_unit(
     model: Model,
     placement: Placement,
     machine_map: dict[str, str],
     series: str,
     charm: CharmSpec,
-    acquired: list[str],
-    created_containers: list[str],
+    acquired: list[tuple[str, str]],
 ) -> str:
     if placement.kind == "machine":
         machine_id = machine_map[placement.machine]
     elif placement.kind == "container":
         host_id = machine_map[placement.machine]
-        container = model.inventory.create_container(host_id, placement.container_kind)
-        created_containers.append(container.id)
-        model.machines.add(container.id)
-        machine_id = container.id
+        machine_id = _create_container(model, host_id, placement.container_kind, acquired)
     else:
-        record = model.inventory.acquire(Constraints())
-        record.series = series
-        acquired.append(record.id)
-        machine_id = record.id
+        machine_id = _acquire(model, Constraints(), series, acquired)
     record = model.inventory.machines[machine_id]
     if record.series not in charm.series:
         raise DeploymentError(
@@ -373,8 +395,17 @@ def _create_unit(model: Model, app: Application, machine_id: str) -> Unit:
     unit = Unit(id=f"{app.name}/{app.unit_counter}", app=app.name, machine=machine_id)
     app.unit_counter += 1
     model.units[unit.id] = unit
+    bisect.insort(model._unit_index.setdefault(app.name, []), unit.id, key=_unit_sort_key)
     for relation in model.relations_of(app.name):
         relation.data.setdefault(unit.id, {})
+    return unit
+
+
+def _discard_unit(model: Model, unit_id: str) -> Unit:
+    """Take a unit out of the model and the unit index; relation data
+    bags are the caller's to drop."""
+    unit = model.units.pop(unit_id)
+    model._unit_index[unit.app].remove(unit_id)
     return unit
 
 
@@ -394,16 +425,22 @@ def add_unit(model: Model, app_name: str, count: int = 1, placement: Placement |
     if count < 1:
         raise EngineError(f"add_unit count must be positive, got {count}")
     _quota_charge(model, {"instances": count})
+    unit_counter = app.unit_counter
+    acquired: list[tuple[str, str]] = []
     new_ids: list[str] = []
     try:
         for _ in range(count):
-            machine_id = _place_added_unit(model, app, placement)
+            machine_id = _place_added_unit(model, app, placement, acquired)
             unit = _create_unit(model, app, machine_id)
             new_ids.append(unit.id)
     except FedweaveError:
+        for unit_id in reversed(new_ids):
+            _discard_unit(model, unit_id)
+            for relation in model.relations_of(app_name):
+                relation.data.pop(unit_id, None)
+        _release_acquired(model, acquired)
+        app.unit_counter = unit_counter
         _quota_release(model, {"instances": count})
-        for unit_id in new_ids:
-            model.units.pop(unit_id, None)
         raise
     for unit_id in new_ids:
         model.event_queue.append(Event(EventKind.install(), unit_id))
@@ -412,26 +449,29 @@ def add_unit(model: Model, app_name: str, count: int = 1, placement: Placement |
     return new_ids
 
 
-def _place_added_unit(model: Model, app: Application, placement: Placement | None) -> str:
+def _place_added_unit(
+    model: Model,
+    app: Application,
+    placement: Placement | None,
+    acquired: list[tuple[str, str]],
+) -> str:
     if placement is None or placement.kind == "fresh":
-        record = model.inventory.acquire(Constraints())
-        record.series = app.series
-        model.machines.add(record.id)
-        return record.id
+        machine_id = _acquire(model, Constraints(), app.series, acquired)
+        model.machines.add(machine_id)
+        return machine_id
     if placement.kind == "machine":
         record = model.inventory.machines.get(placement.machine)
         if record is None:
             raise UnknownEntityError(f"unknown machine {placement.machine!r}")
         if record.state == "ready":
             model.inventory.acquire(Constraints(), machine=record.id)
+            acquired.append((record.id, record.series))
         model.machines.add(record.id)
         return record.id
     host = placement.machine
     if host not in model.inventory.machines:
         raise UnknownEntityError(f"unknown machine {host!r}")
-    container = model.inventory.create_container(host, placement.container_kind)
-    model.machines.add(container.id)
-    return container.id
+    return _create_container(model, host, placement.container_kind, acquired)
 
 
 def _join_existing_relations(model: Model, app: Application, unit_id: str) -> None:
@@ -567,7 +607,9 @@ def remove_unit(model: Model, unit_id: str) -> None:
             model.event_queue.append(
                 Event(EventKind.relation_departed(other_endpoint), remote_id, relation.id, unit_id)
             )
-    del model.units[unit_id]
+    _discard_unit(model, unit_id)
+    if unit.leader:
+        model._leader_check.add(app.name)
     _quota_release(model, {"instances": 1})
     machine_id = unit.machine
     still_used = any(u.machine == machine_id for u in model.units.values())
@@ -680,11 +722,13 @@ def step(model: Model, rng_seed: int | None = None, _rng: random.Random | None =
     """Process one event from the queue.
 
     Leader maintenance runs first (an application left leaderless by a
-    removal gets a new leader).  An empty queue is a no-op.  Events whose
-    target unit no longer exists are dropped with a notice.
+    removal or restored from a checkpoint gets a new leader).  An empty
+    queue is a no-op.  Events whose target unit no longer exists are
+    dropped with a notice.
     """
-    for app_name in sorted(model.applications):
+    for app_name in sorted(model._leader_check):
         _ensure_leader(model, app_name)
+    model._leader_check.clear()
     if not model.event_queue:
         return StepReport(event=None)
     rng = _rng if _rng is not None else random.Random(DEFAULT_SEED if rng_seed is None else rng_seed)
@@ -1098,6 +1142,9 @@ def load_checkpoint(
                 EventKind(kind, name), unit_id, payload, remote
             )
         model.units[unit_id] = unit
+    for unit_id in sorted(model.units, key=_unit_sort_key):
+        model._unit_index.setdefault(model.units[unit_id].app, []).append(unit_id)
+    model._leader_check.update(model.applications)
     for relation_id, body in (doc.get("relations") or {}).items():
         model.relations[relation_id] = Relation(
             id=relation_id,

@@ -15,6 +15,7 @@ released hop are instantaneous here); containers are destroyed on release.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 import yaml
@@ -95,6 +96,21 @@ class Inventory:
         self.machines: dict[str, MachineRecord] = {}
         self.zones: set[tuple[str, str]] = set()
         self._next_id = 0
+        # Ready top-level machines in best-fit order: sorted entries
+        # (free mem, free disk, natural id key, id), and each id's entry.
+        self._ready: list[tuple] = []
+        self._ready_entries: dict[str, tuple] = {}
+
+    def _index_ready(self, record: MachineRecord) -> None:
+        self._unindex(record.id)
+        entry = (record.free_mem(), record.free_disk(), machine_sort_key(record.id), record.id)
+        self._ready_entries[record.id] = entry
+        bisect.insort(self._ready, entry)
+
+    def _unindex(self, machine_id: str) -> None:
+        entry = self._ready_entries.pop(machine_id, None)
+        if entry is not None:
+            del self._ready[bisect.bisect_left(self._ready, entry)]
 
     # -- zones ---------------------------------------------------------
 
@@ -135,6 +151,7 @@ class Inventory:
         )
         self._next_id += 1
         self.machines[record.id] = record
+        self._index_ready(record)
         return record
 
     # -- acquisition ---------------------------------------------------
@@ -151,30 +168,31 @@ class Inventory:
         Candidates are ready top-level machines within the scope.  The
         winner minimises (mem slack, disk slack, id) lexicographically,
         where slack is free capacity minus the requested amount.
+
+        Slack subtracts the same two constants from every candidate, so
+        ordering candidates by slack is ordering them by (free mem, free
+        disk, id), whatever the request.  Free capacity changes only when
+        a container is created, which needs an acquired host, or released,
+        which re-sorts a ready host; so that order is kept once, in the
+        ready index, and the winner is its first entry that passes the
+        filters.  ``state`` is re-checked because callers may set it on a
+        record directly.
         """
-        want_mem = constraints.mem or 0
-        want_disk = constraints.root_disk or 0
-        best: MachineRecord | None = None
-        best_key = None
-        for record in self.machines.values():
+        if machine is not None:
+            record = self.machines.get(machine)
+            candidates = [record] if record is not None else []
+        else:
+            candidates = (self.machines[entry[3]] for entry in self._ready)
+        for record in candidates:
             if record.is_container() or record.state != "ready":
                 continue
             if region is not None and record.region != region:
                 continue
             if az is not None and record.az != az:
                 continue
-            if machine is not None and record.id != machine:
-                continue
-            if not record.satisfies(constraints):
-                continue
-            key = (
-                record.free_mem() - want_mem,
-                record.free_disk() - want_disk,
-                machine_sort_key(record.id),
-            )
-            if best_key is None or key < best_key:
-                best, best_key = record, key
-        return best
+            if record.satisfies(constraints):
+                return record
+        return None
 
     def acquire(
         self,
@@ -193,6 +211,7 @@ class Inventory:
                 + (f" machine {machine!r}" if machine else "")
             )
         record.state = "acquired"
+        self._unindex(record.id)
         return record
 
     # -- containers ----------------------------------------------------
@@ -272,6 +291,8 @@ class Inventory:
             host.reserved_mem -= record.reserved_mem
             host.reserved_disk -= record.reserved_disk
             host.containers.remove(record.id)
+            if host.state == "ready":  # only a hand-written inventory gets here
+                self._index_ready(host)
             record.state = "released"
             del self.machines[record.id]
             return
@@ -281,6 +302,7 @@ class Inventory:
             )
         record.state = "released"
         record.state = "ready"  # the released hop is instantaneous
+        self._index_ready(record)
 
     # -- serialization -------------------------------------------------
 
@@ -395,6 +417,9 @@ class Inventory:
                 record.reserved_disk = sum(
                     inv.machines[c].reserved_disk for c in record.containers
                 )
+        for record in inv.machines.values():
+            if not record.is_container() and record.state == "ready":
+                inv._index_ready(record)
         return inv
 
     def dump_yaml(self) -> str:

@@ -14,7 +14,14 @@ import yaml
 
 from fedweave import builtin
 from fedweave.cli import run_command
-from fedweave.engine import Model, deploy_bundle, run_to_convergence, state_hash
+from fedweave.engine import (
+    Model,
+    add_unit,
+    deploy_bundle,
+    remove_unit,
+    run_to_convergence,
+    state_hash,
+)
 from fedweave.plan import compile_plan
 
 
@@ -251,6 +258,30 @@ class TestMutations:
         units = json.loads(status_out)["units"]
         assert "moodle/1" not in units
         assert {"moodle/0", "moodle/2", "postgresql/0"} <= set(units)
+
+    def test_leader_removed_then_converged_separately(
+        self, demo, tmp_path, store, make_inventory, moodle_bundle
+    ):
+        demo("deploy", str(tmp_path / "moodle-bundle.yaml"))
+        demo("add-unit", "moodle", "-n", "2")
+        code, _, err = demo("remove-unit", "moodle/0", "--no-converge")
+        assert code == 0, err
+        # The converge runs in a fresh model loaded from the workspace.
+        code, out, err = demo("converge")
+        assert code == 0, err
+        _, status_out, _ = demo("status", "--format", "json")
+        units = json.loads(status_out)["units"]
+        leaders = [u for u, body in units.items() if body["leader"]]
+        assert sorted(leaders) == ["moodle/1", "postgresql/0"]
+
+        expected = Model(store, make_inventory())
+        deploy_bundle(expected, moodle_bundle)
+        run_to_convergence(expected)
+        add_unit(expected, "moodle", count=2)
+        run_to_convergence(expected)
+        remove_unit(expected, "moodle/0")
+        run_to_convergence(expected)
+        assert reported_hash(out) == state_hash(expected)
 
     def test_add_unit_with_container_placement(self, demo, tmp_path):
         demo("deploy", str(tmp_path / "moodle-bundle.yaml"))

@@ -29,7 +29,7 @@ from fedweave.engine import (
     step,
     update_status,
 )
-from fedweave.provider import Inventory
+from fedweave.provider import Inventory, UnsatisfiableError
 from fedweave.quota import ProjectTree, QuotaExceededError, QuotaSet
 
 REL_ID = "postgresql:db moodle:database"
@@ -283,6 +283,20 @@ class TestScaling:
         assert machine not in owned_before
         assert model.inventory.machines[machine].state == "acquired"
         assert model.inventory.machines[machine].series == "xenial"
+
+    def test_failed_add_unit_rolls_back(self, deploy_fixture):
+        # Machine 0 hosts the bundle; 1 and 2 are acquired before the pool
+        # runs dry on the third of five fresh machines.
+        model, _ = deploy_fixture(MOODLE_BUNDLE, machines=3)
+        hash_before = state_hash(model)
+        inventory_before = model.inventory.dump()
+        with pytest.raises(UnsatisfiableError):
+            add_unit(model, "moodle", count=5)
+        assert state_hash(model) == hash_before
+        assert model.inventory.dump() == inventory_before
+        assert model.applications["moodle"].unit_counter == 1
+        assert model.unit_ids_of("moodle") == ["moodle/0"]
+        assert add_unit(model, "moodle") == ["moodle/1"]
 
     def test_add_unit_unknown_app(self, deploy_fixture):
         model, _ = deploy_fixture(MOODLE_BUNDLE)

@@ -142,6 +142,19 @@ class TestAcquisition:
         assert first is second
         assert first.state == "ready"
 
+    def test_container_release_resorts_a_ready_host(self):
+        # A hand-written inventory may hold a container on a ready host.
+        inv = Inventory.load({"machines": [
+            {"id": "0", "region": "r", "az": "a", "cores": 4, "mem": 8192, "disk": 40960},
+            {"id": "1", "region": "r", "az": "a", "cores": 4, "mem": 4096, "disk": 40960},
+            {"id": "0/lxd/0", "region": "r", "az": "a", "cores": 1, "mem": 6144,
+             "disk": 40960, "parent": "0", "kind": "lxd", "state": "acquired",
+             "reserved": {"mem": 6144}},
+        ]})
+        assert inv.select_machine(Constraints()).id == "0"  # 2048 MiB free
+        inv.release("0/lxd/0")
+        assert inv.select_machine(Constraints()).id == "1"  # 4096 < 8192
+
     def test_unsatisfiable_message_names_constraints(self):
         inv = _zone()
         with pytest.raises(UnsatisfiableError, match="mem=999999"):
