@@ -40,8 +40,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-import yaml
-
+from . import statefile
 from .errors import FedweaveError
 
 LIFECYCLE_EVENTS = ("install", "leader-elected", "config-changed", "start", "update-status")
@@ -435,8 +434,8 @@ def parse_charm_ref(ref: str) -> tuple[str | None, str]:
 def load_charm(text: str) -> tuple[CharmSpec, str | None]:
     """Parse a charm definition document; returns (spec, owner)."""
     try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+        doc = statefile.load(text)
+    except statefile.DecodeError as exc:
         raise CharmError(f"malformed charm document: {exc}") from exc
     if not isinstance(doc, dict):
         raise CharmError("charm document must be a mapping")

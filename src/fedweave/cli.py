@@ -9,8 +9,18 @@ State lives in a workspace directory (``--workspace`` / ``-w``, or the
     federation.yaml   regions, catalog, identity mappings
     projects.yaml     project tree with quotas and usage
 
-A lock marker (``.fedweave-lock``) guards each invocation; a second
-concurrent invocation fails rather than interleaving writes.
+The four state files are compact JSON (see ``statefile``): every command
+loads them and every write saves them, and JSON parses far faster than
+YAML.  They keep their ``.yaml`` names because JSON is valid YAML, so
+scripts, docs and tools that read those paths keep working.  Workspaces
+written as YAML by earlier versions, and hand-written inventories, are
+still read, and are rewritten as JSON by the next command that saves.
+Each file is replaced atomically, so a crash mid-save leaves every file
+whole (old or new); the four are not committed together.
+
+A lock file (``.fedweave-lock``, holding the pid and start time of the
+invocation that took it) guards each invocation; a second concurrent
+invocation fails, naming the holder, rather than interleaving writes.
 
 Exit codes: 0 success, 1 operational error (printed as ``module:
 message`` on stderr), 2 usage error.
@@ -23,11 +33,10 @@ import contextlib
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
-import yaml
-
-from . import builtin
+from . import builtin, statefile
 from .bundle import parse_bundle, parse_placement, validate_bundle
 from .charms import CharmStore, load_charm
 from .engine import (
@@ -93,7 +102,7 @@ class Workspace:
         return Inventory()
 
     def save_inventory(self, inventory: Inventory) -> None:
-        self.inventory_path.write_text(inventory.dump_yaml())
+        statefile.write(self.inventory_path, inventory.dump_yaml())
 
     def federation(self) -> Federation:
         if self.federation_path.exists():
@@ -101,7 +110,7 @@ class Workspace:
         return Federation()
 
     def save_federation(self, federation: Federation) -> None:
-        self.federation_path.write_text(federation.dump_yaml())
+        statefile.write(self.federation_path, federation.dump_yaml())
 
     def projects(self) -> ProjectTree:
         if self.projects_path.exists():
@@ -109,14 +118,17 @@ class Workspace:
         return ProjectTree()
 
     def save_projects(self, tree: ProjectTree) -> None:
-        self.projects_path.write_text(tree.dump_yaml())
+        statefile.write(self.projects_path, tree.dump_yaml())
 
     # -- the model and the provider behind it ---------------------------
 
     def load_model(self) -> tuple[Model, str, Federation | None]:
         if not self.model_path.exists():
             raise CliError("no model in this workspace (deploy a bundle first)")
-        doc = yaml.safe_load(self.model_path.read_text())
+        try:
+            doc = statefile.load(self.model_path.read_text())
+        except statefile.DecodeError as exc:
+            raise CliError(f"malformed model document: {exc}") from exc
         provider_ref = doc.get("provider_ref", "local")
         federation = None
         if provider_ref == "local":
@@ -139,7 +151,7 @@ class Workspace:
             "provider_ref": provider_ref,
             "model": checkpoint(model, include_inventory=False),
         }
-        self.model_path.write_text(yaml.safe_dump(doc, sort_keys=False))
+        statefile.write(self.model_path, statefile.dump(doc))
         if provider_ref == "local":
             self.save_inventory(model.inventory)
         else:
@@ -155,18 +167,39 @@ def _locked(root: Path):
     try:
         fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
-        raise CliError(
-            f"workspace {root} is locked by another invocation "
-            f"(remove {LOCK_FILE} if stale)"
-        ) from None
+        raise CliError(_lock_holder(root, lock)) from None
     except FileNotFoundError:
         raise CliError(f"workspace directory {root} does not exist") from None
-    os.close(fd)
+    started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(f"{os.getpid()} {started}\n")
         yield
     finally:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(lock)
+
+
+def _lock_holder(root: Path, lock: Path) -> str:
+    """Why the lock is held, naming the holder when the lock file does.
+    The lock is never removed here: only the user can tell that a live
+    process with that pid is not a fedweave invocation."""
+    message = f"workspace {root} is locked by another invocation"
+    try:
+        pid_text, started = lock.read_text().split()
+        pid = int(pid_text)
+        if pid <= 0:
+            raise ValueError(pid)
+    except (OSError, ValueError):
+        return f"{message} (remove {LOCK_FILE} if stale)"
+    holder = f"{message}: pid {pid}, started {started},"
+    try:
+        os.kill(pid, 0)  # signal 0 only checks that the process exists
+    except (ProcessLookupError, OverflowError):
+        return f"{holder} is no longer running (the lock is stale: remove {LOCK_FILE})"
+    except PermissionError:
+        pass  # it exists, but belongs to another user
+    return f"{holder} is still running (remove {LOCK_FILE} only if it is not fedweave)"
 
 
 # ---------------------------------------------------------------------------

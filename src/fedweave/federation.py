@@ -23,8 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from urllib.parse import urlparse
 
-import yaml
-
+from . import statefile
 from .errors import FedweaveError
 from .provider import Inventory
 
@@ -298,13 +297,14 @@ class Federation:
         return fed
 
     def dump_yaml(self) -> str:
-        return yaml.safe_dump(self.dump(), sort_keys=False)
+        """The state-file text: compact JSON, which YAML readers also read."""
+        return statefile.dump(self.dump())
 
     @classmethod
     def load_yaml(cls, text: str) -> "Federation":
         try:
-            doc = yaml.safe_load(text)
-        except yaml.YAMLError as exc:
+            doc = statefile.load(text)
+        except statefile.DecodeError as exc:
             raise FederationError(f"malformed federation document: {exc}") from exc
         return cls.load(doc or {})
 

@@ -18,8 +18,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 
-import yaml
-
+from . import statefile
 from .bundle import CONTAINER_KINDS, Constraints, parse_constraints, render_constraints
 from .errors import FedweaveError
 
@@ -423,12 +422,13 @@ class Inventory:
         return inv
 
     def dump_yaml(self) -> str:
-        return yaml.safe_dump(self.dump(), sort_keys=False)
+        """The state-file text: compact JSON, which YAML readers also read."""
+        return statefile.dump(self.dump())
 
     @classmethod
     def load_yaml(cls, text: str) -> "Inventory":
         try:
-            doc = yaml.safe_load(text)
-        except yaml.YAMLError as exc:
+            doc = statefile.load(text)
+        except statefile.DecodeError as exc:
             raise ProviderError(f"malformed inventory document: {exc}") from exc
         return cls.load(doc or {})

@@ -24,8 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import yaml
-
+from . import statefile
 from .errors import FedweaveError
 
 COMPONENTS = ("vcpus", "ram", "disk", "instances")
@@ -293,13 +292,14 @@ class ProjectTree:
         return tree
 
     def dump_yaml(self) -> str:
-        return yaml.safe_dump(self.dump(), sort_keys=False)
+        """The state-file text: compact JSON, which YAML readers also read."""
+        return statefile.dump(self.dump())
 
     @classmethod
     def load_yaml(cls, text: str) -> "ProjectTree":
         try:
-            doc = yaml.safe_load(text)
-        except yaml.YAMLError as exc:
+            doc = statefile.load(text)
+        except statefile.DecodeError as exc:
             raise QuotaError(f"malformed project document: {exc}") from exc
         return cls.load(doc or {})
 

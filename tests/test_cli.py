@@ -8,12 +8,16 @@ that state survives from one invocation to the next.
 from __future__ import annotations
 
 import json
+import os
+import re
+import subprocess
+import sys
 
 import pytest
 import yaml
 
 from fedweave import builtin
-from fedweave.cli import run_command
+from fedweave.cli import _locked, run_command
 from fedweave.engine import (
     Model,
     add_unit,
@@ -100,6 +104,28 @@ class TestWorkspace:
         code, _, err = invoke("machine", "list")
         assert code == 1
         assert "locked by another invocation" in err
+
+    def test_lock_names_its_holder(self, invoke, tmp_path):
+        invoke("init")
+        lock = tmp_path / ".fedweave-lock"
+        with _locked(tmp_path):
+            pid, started = lock.read_text().split()
+        assert int(pid) == os.getpid()
+        assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", started)
+
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()
+        for holder, state in (
+            (child.pid, "is no longer running"),
+            (os.getpid(), "is still running"),
+        ):
+            lock.write_text(f"{holder} 2017-05-04T10:00:00Z\n")
+            code, _, err = invoke("machine", "list")
+            assert code == 1
+            assert "locked by another invocation" in err
+            assert f"pid {holder}, started 2017-05-04T10:00:00Z, {state}" in err
+            # Never removed automatically, stale or not.
+            assert lock.read_text() == f"{holder} 2017-05-04T10:00:00Z\n"
 
     def test_lock_removed_after_run(self, invoke, tmp_path):
         invoke("init")

@@ -345,6 +345,8 @@ class TestSerialization:
     def test_load_yaml_rejects_garbage(self):
         with pytest.raises(ProviderError, match="malformed inventory"):
             Inventory.load_yaml("machines: [unclosed\n")
+        with pytest.raises(ProviderError, match="malformed inventory"):
+            Inventory.load_yaml('{"machines": [')
 
 
 class TestBestFitAgainstOracle:
