@@ -904,19 +904,57 @@ def _redeliver(model: Model, unit: Unit, flags_before: frozenset[str]) -> int:
 
 
 def _shadow_delta(model: Model, unit: Unit, event: Event, handler: HookHandler) -> int:
-    """Re-apply a handler's actions to a copy of the post-state and count
-    observable differences; idempotent handlers produce zero."""
-    baseline = checkpoint(model, include_inventory=True)
-    twin = load_checkpoint(baseline, model.store)
-    twin_unit = twin.units[unit.id]
+    """Re-apply a handler's actions to the post-state and report whether
+    anything observable changed: 0 for an idempotent handler, else 1.
+
+    The check covers exactly what an action can write.  ``_apply_action``
+    writes the target unit's ``status``, ``message``, ``states`` and
+    ``open_ports``, and, for ``set-relation-data``, that unit's own bag in
+    the relations ``_data_targets`` returns, all of them relations of the
+    unit's application.  It never writes the inventory, the queue,
+    ``seen``, ``generation``, another unit's bag or a machine.  So only
+    those fields are snapshotted (each bag copied, ``None`` where the unit
+    has no bag yet), the actions are re-applied in place, and the
+    snapshots are compared.  On a difference exactly what the handler left
+    is restored: sets and bags in place, a bag the re-application created
+    removed.  The model ends as the handler left it either way.
+    """
+    relations: dict[str, Relation] = {}
+    for action in handler.actions:
+        if isinstance(action, SetRelationData):
+            for relation in _data_targets(model, unit, event, action.endpoint):
+                relations[relation.id] = relation
+
+    def snapshot() -> tuple:
+        bags = []
+        for relation in relations.values():
+            bag = relation.data.get(unit.id)
+            bags.append(None if bag is None else dict(bag))
+        return (unit.status, unit.message, set(unit.states), set(unit.open_ports), bags)
+
+    before = snapshot()
     tracker = _ConflictTracker(strict=False)
     try:
         for action in handler.actions:
-            _apply_action(twin, twin_unit, event, 0, action, tracker, set())
+            _apply_action(model, unit, event, 0, action, tracker, set())
     except _HandlerFailed:
         pass
-    after = checkpoint(twin, include_inventory=True)
-    return 0 if after == baseline else 1
+    if snapshot() == before:
+        return 0
+
+    unit.status, unit.message, states, open_ports, bags = before
+    unit.states.clear()
+    unit.states.update(states)
+    unit.open_ports.clear()
+    unit.open_ports.update(open_ports)
+    for relation, bag in zip(relations.values(), bags):
+        if bag is None:
+            relation.data.pop(unit.id, None)
+        else:
+            live = relation.data[unit.id]
+            live.clear()
+            live.update(bag)
+    return 1
 
 
 def run_to_convergence(

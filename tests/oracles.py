@@ -9,7 +9,15 @@ from __future__ import annotations
 
 import json
 
-from fedweave.engine import checkpoint, load_checkpoint, state_hash, step
+from fedweave.engine import (
+    _apply_action,
+    _ConflictTracker,
+    _HandlerFailed,
+    checkpoint,
+    load_checkpoint,
+    state_hash,
+    step,
+)
 
 # ---------------------------------------------------------------------------
 # Best-fit placement, by brute force
@@ -269,3 +277,31 @@ def explore_interleavings(model, branch_limit: int = 8, max_states: int = 250_00
         sys.setrecursionlimit(old_limit)
     n_states = len(children) + len(terminal_hash)
     return set(terminal_hash.values()), n_states, n_paths
+
+
+# ---------------------------------------------------------------------------
+# Idempotence (C04), by whole-model checkpoints
+
+
+def shadow_delta_oracle(model, unit, event, handler) -> int:
+    """Re-apply a handler's actions to a full copy of the model and compare.
+
+    The copy is rebuilt from a checkpoint with its inventory, so this sees
+    a difference anywhere in the model, not only where an action is known
+    to write; the model passed in is never touched.  It reuses the
+    engine's action semantics (``_apply_action``) because idempotence is
+    a property of those semantics: what it checks independently is the
+    scope of the comparison and the restore.  Returns 0 when the copy's
+    checkpoint is unchanged, else 1.
+    """
+    baseline = checkpoint(model, include_inventory=True)
+    twin = load_checkpoint(baseline, model.store)
+    twin_unit = twin.units[unit.id]
+    tracker = _ConflictTracker(strict=False)
+    try:
+        for action in handler.actions:
+            _apply_action(twin, twin_unit, event, 0, action, tracker, set())
+    except _HandlerFailed:
+        pass
+    after = checkpoint(twin, include_inventory=True)
+    return 0 if after == baseline else 1

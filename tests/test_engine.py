@@ -150,6 +150,20 @@ class TestIdempotence:
             assert run_to_convergence(model).converged
             assert model.shadow_deltas == 0
 
+    @pytest.mark.parametrize(
+        "bundle_text", [MOODLE_BUNDLE, SCALED_BUNDLE], ids=["moodle", "scaled"]
+    )
+    def test_shadow_check_does_not_perturb_the_run(self, store, make_inventory, bundle_text):
+        runs = []
+        for shadow in (False, True):
+            model = Model(store, make_inventory())
+            model.shadow_check = shadow
+            model.trace = []
+            deploy_bundle(model, parse_bundle(bundle_text))
+            assert run_to_convergence(model).converged
+            runs.append((model.trace, state_hash(model)))
+        assert runs[0] == runs[1]
+
     def test_converging_a_converged_model_is_free(self, deploy_fixture):
         model, _ = deploy_fixture(MOODLE_BUNDLE)
         result = run_to_convergence(model)
