@@ -22,6 +22,10 @@ A lock file (``.fedweave-lock``, holding the pid and start time of the
 invocation that took it) guards each invocation; a second concurrent
 invocation fails, naming the holder, rather than interleaving writes.
 
+Each invocation builds only its own command's argument parser, from the
+one ``COMMANDS`` table; ``--help`` and usage errors are answered by the
+full command tree, so their output is the same whichever command is named.
+
 Exit codes: 0 success, 1 operational error (printed as ``module:
 message`` on stderr), 2 usage error.
 """
@@ -751,8 +755,190 @@ def _add_machine_spec_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-n", "--count", type=int, default=1)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def _add_format_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--format", choices=("text", "json"), default="text")
+
+
+def _init_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--demo", action="store_true", help="include demo charms and bundles")
+
+
+def _bundle_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("bundle")
+
+
+def _deploy_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("bundle")
+    p.add_argument("--project", help="project charged for the footprint")
+    p.add_argument("--region", help="place on this production region instead of locally")
+    p.add_argument("--lax-conflicts", action="store_true",
+                   help="resolve write conflicts last-writer-wins instead of failing")
+    _add_mutation_flags(p)
+
+
+def _add_unit_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("application")
+    p.add_argument("-n", "--num-units", type=int, default=1)
+    p.add_argument("--to", help="placement (machine id or kind:id)")
+    _add_mutation_flags(p)
+
+
+def _remove_unit_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("unit")
+    _add_mutation_flags(p)
+
+
+def _config_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("application")
+    p.add_argument("options", nargs="+", metavar="KEY=VALUE")
+    _add_mutation_flags(p)
+
+
+def _add_relation_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("left", metavar="APP:ENDPOINT")
+    p.add_argument("right", metavar="APP:ENDPOINT")
+    _add_mutation_flags(p)
+
+
+def _plan_compile_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("bundle")
+    p.add_argument("-o", "--output", help="write the plan here instead of stdout")
+
+
+def _plan_execute_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("plan")
+    p.add_argument("--project")
+    _add_converge_flags(p)
+
+
+def _plan_dot_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("bundle", nargs="?", help="bundle to compile (default: current model)")
+
+
+def _add_zone_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("region")
+    p.add_argument("az")
+
+
+def _machine_enlist_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--zone", required=True, metavar="REGION/AZ")
+    _add_machine_spec_flags(p)
+
+
+def _machine_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("machine")
+
+
+def _name_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("name")
+
+
+def _optional_name_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("name", nargs="?")
+
+
+def _region_register_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("name")
+    p.add_argument("endpoints", nargs="+", metavar="SERVICE=URL")
+
+
+def _region_enlist_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("name")
+    p.add_argument("--az", default="default")
+    _add_machine_spec_flags(p)
+
+
+def _identity_map_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("eppn", nargs="+")
+
+
+def _quota_create_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("path", metavar="DOMAIN[/PROJECT...]")
+
+
+def _quota_amount_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("project")
+    p.add_argument("amounts", nargs="+", metavar="COMPONENT=N")
+
+
+def _quota_show_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("project", nargs="?")
+    _add_format_flag(p)
+
+
+def _quota_role_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("project")
+    p.add_argument("user")
+    p.add_argument("role", nargs="?")
+
+
+# The whole command grammar, in help order: (words, help, add arguments,
+# handler).  Two words name a command inside one of the GROUPS.
+COMMANDS = (
+    (("init",), "initialise a workspace", _init_args, cmd_init),
+    (("validate",), "check a bundle against the charm store", _bundle_args, cmd_validate),
+    (("deploy",), "deploy a bundle and converge", _deploy_args, cmd_deploy),
+    (("add-unit",), "scale an application", _add_unit_args, cmd_add_unit),
+    (("remove-unit",), "remove one unit", _remove_unit_args, cmd_remove_unit),
+    (("config",), "change application options", _config_args, cmd_config),
+    (("add-relation",), "relate two applications", _add_relation_args, cmd_add_relation),
+    (("converge",), "process pending events", _add_converge_flags, cmd_converge),
+    (("status",), "show the model", _add_format_flag, cmd_status),
+    (("plan", "compile"), "compile a bundle to a step list", _plan_compile_args,
+     cmd_plan_compile),
+    (("plan", "execute"), "replay a compiled plan", _plan_execute_args, cmd_plan_execute),
+    (("plan", "dot"), "export topology as DOT", _plan_dot_args, cmd_plan_dot),
+    (("machine", "add-zone"), "register an availability zone", _add_zone_args,
+     cmd_machine_add_zone),
+    (("machine", "enlist"), "enlist machines", _machine_enlist_args, cmd_machine_enlist),
+    (("machine", "list"), "list machines", _add_format_flag, cmd_machine_list),
+    (("machine", "release"), "release an acquired machine", _machine_args,
+     cmd_machine_release),
+    (("region", "register"), "register a candidate region", _region_register_args,
+     cmd_region_register),
+    (("region", "validate"), "run validation; promote on success", _name_args,
+     cmd_region_validate),
+    (("region", "reject"), "reject a candidate region", _name_args, cmd_region_reject),
+    (("region", "enlist"), "enlist machines into a region", _region_enlist_args,
+     cmd_region_enlist),
+    (("region", "list"), "list regions", _add_format_flag, cmd_region_list),
+    (("region", "sync"), "sync a region's catalog replica", _name_args, cmd_region_sync),
+    (("region", "catalog"), "show master (or a replica) catalog", _optional_name_args,
+     cmd_region_catalog),
+    (("identity", "map"), "map external principals to local users", _identity_map_args,
+     cmd_identity_map),
+    (("quota", "create"), "create a domain or nested project", _quota_create_args,
+     cmd_quota_create),
+    (("quota", "set"), "set a project's quota", _quota_amount_args, cmd_quota_set),
+    (("quota", "charge"), "charge usage against a project", _quota_amount_args,
+     cmd_quota_charge),
+    (("quota", "release"), "release previously charged usage", _quota_amount_args,
+     cmd_quota_release),
+    (("quota", "show"), "show the project tree", _quota_show_args, cmd_quota_show),
+    (("quota", "role"), "assign or inspect a user's roles", _quota_role_args,
+     cmd_quota_role),
+)
+
+GROUPS = {
+    "plan": "imperative plans",
+    "machine": "local inventory",
+    "region": "federated regions",
+    "identity": "identity federation",
+    "quota": "project quotas",
+}
+
+
+def build_parser(
+    words: tuple[str, ...] | None = None,
+    parser_class: type[argparse.ArgumentParser] = argparse.ArgumentParser,
+) -> argparse.ArgumentParser:
+    """The parser for the commands named ``words``, or for all of them.
+
+    Every parser shares the root options and builds each command from its
+    one ``COMMANDS`` entry, so the parser for one command accepts a subset
+    of what the full tree accepts and gives the same result when it does.
+    """
+    parser = parser_class(
         prog="fedweave",
         description="Model-driven service deployment across federated regions.",
     )
@@ -762,160 +948,81 @@ def build_parser() -> argparse.ArgumentParser:
         help="workspace directory (default: $FEDWEAVE_WORKSPACE or .)",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    p = commands.add_parser("init", help="initialise a workspace")
-    p.add_argument("--demo", action="store_true", help="include demo charms and bundles")
-    p.set_defaults(func=cmd_init)
-
-    p = commands.add_parser("validate", help="check a bundle against the charm store")
-    p.add_argument("bundle")
-    p.set_defaults(func=cmd_validate)
-
-    p = commands.add_parser("deploy", help="deploy a bundle and converge")
-    p.add_argument("bundle")
-    p.add_argument("--project", help="project charged for the footprint")
-    p.add_argument("--region", help="place on this production region instead of locally")
-    p.add_argument("--lax-conflicts", action="store_true",
-                   help="resolve write conflicts last-writer-wins instead of failing")
-    _add_mutation_flags(p)
-    p.set_defaults(func=cmd_deploy)
-
-    p = commands.add_parser("add-unit", help="scale an application")
-    p.add_argument("application")
-    p.add_argument("-n", "--num-units", type=int, default=1)
-    p.add_argument("--to", help="placement (machine id or kind:id)")
-    _add_mutation_flags(p)
-    p.set_defaults(func=cmd_add_unit)
-
-    p = commands.add_parser("remove-unit", help="remove one unit")
-    p.add_argument("unit")
-    _add_mutation_flags(p)
-    p.set_defaults(func=cmd_remove_unit)
-
-    p = commands.add_parser("config", help="change application options")
-    p.add_argument("application")
-    p.add_argument("options", nargs="+", metavar="KEY=VALUE")
-    _add_mutation_flags(p)
-    p.set_defaults(func=cmd_config)
-
-    p = commands.add_parser("add-relation", help="relate two applications")
-    p.add_argument("left", metavar="APP:ENDPOINT")
-    p.add_argument("right", metavar="APP:ENDPOINT")
-    _add_mutation_flags(p)
-    p.set_defaults(func=cmd_add_relation)
-
-    p = commands.add_parser("converge", help="process pending events")
-    _add_converge_flags(p)
-    p.set_defaults(func=cmd_converge)
-
-    p = commands.add_parser("status", help="show the model")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_status)
-
-    plan = commands.add_parser("plan", help="imperative plans").add_subparsers(
-        dest="plan_command", required=True
-    )
-    p = plan.add_parser("compile", help="compile a bundle to a step list")
-    p.add_argument("bundle")
-    p.add_argument("-o", "--output", help="write the plan here instead of stdout")
-    p.set_defaults(func=cmd_plan_compile)
-    p = plan.add_parser("execute", help="replay a compiled plan")
-    p.add_argument("plan")
-    p.add_argument("--project")
-    _add_converge_flags(p)
-    p.set_defaults(func=cmd_plan_execute)
-    p = plan.add_parser("dot", help="export topology as DOT")
-    p.add_argument("bundle", nargs="?", help="bundle to compile (default: current model)")
-    p.set_defaults(func=cmd_plan_dot)
-
-    machine = commands.add_parser("machine", help="local inventory").add_subparsers(
-        dest="machine_command", required=True
-    )
-    p = machine.add_parser("add-zone", help="register an availability zone")
-    p.add_argument("region")
-    p.add_argument("az")
-    p.set_defaults(func=cmd_machine_add_zone)
-    p = machine.add_parser("enlist", help="enlist machines")
-    p.add_argument("--zone", required=True, metavar="REGION/AZ")
-    _add_machine_spec_flags(p)
-    p.set_defaults(func=cmd_machine_enlist)
-    p = machine.add_parser("list", help="list machines")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_machine_list)
-    p = machine.add_parser("release", help="release an acquired machine")
-    p.add_argument("machine")
-    p.set_defaults(func=cmd_machine_release)
-
-    region = commands.add_parser("region", help="federated regions").add_subparsers(
-        dest="region_command", required=True
-    )
-    p = region.add_parser("register", help="register a candidate region")
-    p.add_argument("name")
-    p.add_argument("endpoints", nargs="+", metavar="SERVICE=URL")
-    p.set_defaults(func=cmd_region_register)
-    p = region.add_parser("validate", help="run validation; promote on success")
-    p.add_argument("name")
-    p.set_defaults(func=cmd_region_validate)
-    p = region.add_parser("reject", help="reject a candidate region")
-    p.add_argument("name")
-    p.set_defaults(func=cmd_region_reject)
-    p = region.add_parser("enlist", help="enlist machines into a region")
-    p.add_argument("name")
-    p.add_argument("--az", default="default")
-    _add_machine_spec_flags(p)
-    p.set_defaults(func=cmd_region_enlist)
-    p = region.add_parser("list", help="list regions")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_region_list)
-    p = region.add_parser("sync", help="sync a region's catalog replica")
-    p.add_argument("name")
-    p.set_defaults(func=cmd_region_sync)
-    p = region.add_parser("catalog", help="show master (or a replica) catalog")
-    p.add_argument("name", nargs="?")
-    p.set_defaults(func=cmd_region_catalog)
-
-    identity = commands.add_parser("identity", help="identity federation").add_subparsers(
-        dest="identity_command", required=True
-    )
-    p = identity.add_parser("map", help="map external principals to local users")
-    p.add_argument("eppn", nargs="+")
-    p.set_defaults(func=cmd_identity_map)
-
-    quota = commands.add_parser("quota", help="project quotas").add_subparsers(
-        dest="quota_command", required=True
-    )
-    p = quota.add_parser("create", help="create a domain or nested project")
-    p.add_argument("path", metavar="DOMAIN[/PROJECT...]")
-    p.set_defaults(func=cmd_quota_create)
-    p = quota.add_parser("set", help="set a project's quota")
-    p.add_argument("project")
-    p.add_argument("amounts", nargs="+", metavar="COMPONENT=N")
-    p.set_defaults(func=cmd_quota_set)
-    p = quota.add_parser("charge", help="charge usage against a project")
-    p.add_argument("project")
-    p.add_argument("amounts", nargs="+", metavar="COMPONENT=N")
-    p.set_defaults(func=cmd_quota_charge)
-    p = quota.add_parser("release", help="release previously charged usage")
-    p.add_argument("project")
-    p.add_argument("amounts", nargs="+", metavar="COMPONENT=N")
-    p.set_defaults(func=cmd_quota_release)
-    p = quota.add_parser("show", help="show the project tree")
-    p.add_argument("project", nargs="?")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_quota_show)
-    p = quota.add_parser("role", help="assign or inspect a user's roles")
-    p.add_argument("project")
-    p.add_argument("user")
-    p.add_argument("role", nargs="?")
-    p.set_defaults(func=cmd_quota_role)
-
+    groups = {}
+    for entry_words, help_text, add_arguments, handler in COMMANDS:
+        if words is not None and entry_words != words:
+            continue
+        parent = commands
+        if len(entry_words) == 2:
+            group = entry_words[0]
+            if group not in groups:
+                groups[group] = commands.add_parser(
+                    group, help=GROUPS[group]
+                ).add_subparsers(dest=f"{group}_command", required=True)
+            parent = groups[group]
+        p = parent.add_parser(entry_words[-1], help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
 
 
+class _BranchMiss(Exception):
+    """The one-command parser could not parse argv on its own."""
+
+
+class _BranchParser(argparse.ArgumentParser):
+    """A parser that raises instead of printing help or usage or exiting,
+    so that the full tree can give the user its own answer."""
+
+    def error(self, message):
+        raise _BranchMiss
+
+    def exit(self, status=0, message=None):
+        raise _BranchMiss
+
+    def print_help(self, file=None):
+        raise _BranchMiss
+
+    def print_usage(self, file=None):
+        raise _BranchMiss
+
+
+def _command_words(argv: list[str]) -> tuple[str, ...] | None:
+    """The words of the ``COMMANDS`` entry argv seems to invoke, or None
+    when it asks for help or names no entry."""
+    if "-h" in argv or "--help" in argv:
+        return None
+    words: list[str] = []
+    tokens = iter(argv)
+    for token in tokens:
+        # -w X, --workspace X or an abbreviation (--work X); -wX and
+        # --workspace=X are single tokens, skipped as options below.
+        if token == "-w" or (len(token) > 2 and "--workspace".startswith(token)):
+            next(tokens, None)
+        elif not token.startswith("-"):
+            words.append(token)
+            if len(words) == 2 or token not in GROUPS:
+                break
+    found = tuple(words)
+    return found if any(entry[0] == found for entry in COMMANDS) else None
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse with only the invoked command's parser when that succeeds;
+    otherwise (help, usage errors) with the full tree, which prints and
+    exits exactly as ``build_parser().parse_args`` does."""
+    words = _command_words(argv)
+    if words is not None:
+        try:
+            return build_parser(words, _BranchParser).parse_args(argv)
+        except _BranchMiss:
+            pass
+    return build_parser().parse_args(argv)
+
+
 def run_command(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     root = Path(args.workspace or os.environ.get("FEDWEAVE_WORKSPACE") or ".")

@@ -991,8 +991,9 @@ def status_snapshot(model: Model) -> dict:
     """An immutable point-in-time view: applications, units, machines,
     relations, pending event count, and the canonical state hash."""
     doc = _canonical_state(model)
+    digest = _digest(doc)
     doc["generation"] = model.generation
-    doc["state_hash"] = state_hash(model)
+    doc["state_hash"] = digest
     return doc
 
 
@@ -1064,8 +1065,13 @@ def state_hash(model: Model) -> str:
     different event histories (e.g. a compiled plan versus a reactive
     deploy) must hash identically.
     """
-    canonical = json.dumps(_canonical_state(model), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return _digest(_canonical_state(model))
+
+
+def _digest(canonical: dict) -> str:
+    """The state hash of a document built by ``_canonical_state``."""
+    text = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedweave import engine
 from fedweave.builtin import MOODLE_BUNDLE, SCALED_BUNDLE, builtin_store
 from fedweave.bundle import Placement, parse_bundle
 from fedweave.charms import load_charm
@@ -572,6 +573,24 @@ class TestStatusSnapshot:
         assert snap["applications"]["postgresql"]["units"] == ["postgresql/0"]
         machine = model.units["moodle/0"].machine
         assert snap["machines"][machine]["state"] == "acquired"
+
+    @pytest.mark.parametrize("bundle_text", [MOODLE_BUNDLE, SCALED_BUNDLE])
+    def test_snapshot_builds_the_canonical_state_once(
+        self, deploy_fixture, monkeypatch, bundle_text
+    ):
+        model, _ = deploy_fixture(bundle_text, machines=8)
+        builds = []
+        build = engine._canonical_state
+
+        def counting_build(model):
+            builds.append(model)
+            return build(model)
+
+        monkeypatch.setattr(engine, "_canonical_state", counting_build)
+        snap = status_snapshot(model)
+        assert len(builds) == 1
+        assert snap["state_hash"] == state_hash(model)
+        assert snap["generation"] == model.generation
 
 
 class TestDeploymentErrors:
