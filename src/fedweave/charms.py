@@ -292,6 +292,16 @@ class OptionSchema:
 
 @dataclass(frozen=True)
 class CharmSpec:
+    """A charm: endpoints, config schema, storage pools and handlers.
+
+    Construction also compiles the handlers into two lookup tables the
+    engine reads on every step.  ``dispatch`` maps an event kind to its
+    ``(index, handler)`` pairs in declaration order; ``guarded_kinds``
+    maps a flag to the event kinds whose handlers name it in their guard.
+    The spec is immutable, so the tables never go stale; they take no
+    part in equality or ``repr`` and are never serialized.
+    """
+
     name: str
     series: frozenset[str]
     provides: dict[str, str] = field(default_factory=dict)
@@ -299,6 +309,26 @@ class CharmSpec:
     config: dict[str, OptionSchema] = field(default_factory=dict)
     handlers: tuple[HookHandler, ...] = ()
     storage_pools: tuple[str, ...] = ()
+    dispatch: dict[EventKind, tuple[tuple[int, HookHandler], ...]] = field(
+        init=False, compare=False, repr=False
+    )
+    guarded_kinds: dict[str, frozenset[EventKind]] = field(
+        init=False, compare=False, repr=False
+    )
+
+    def __post_init__(self) -> None:
+        dispatch: dict[EventKind, list[tuple[int, HookHandler]]] = {}
+        guarded: dict[str, set[EventKind]] = {}
+        for index, handler in enumerate(self.handlers):
+            dispatch.setdefault(handler.on, []).append((index, handler))
+            for flag in handler.when_states:
+                guarded.setdefault(flag, set()).add(handler.on)
+        object.__setattr__(
+            self, "dispatch", {kind: tuple(pairs) for kind, pairs in dispatch.items()}
+        )
+        object.__setattr__(
+            self, "guarded_kinds", {flag: frozenset(kinds) for flag, kinds in guarded.items()}
+        )
 
     def endpoints(self) -> dict[str, str]:
         merged = dict(self.provides)

@@ -3,11 +3,11 @@
 A model holds applications, units, relations and a FIFO event queue.
 Commands (deploy, add-unit, config, add-relation) mutate structure and
 enqueue events; they never run handlers.  ``step`` dequeues one event,
-collects every handler of the target unit whose event kind matches and
-whose state-flag guard is satisfied, runs them in a seed-determined
-pseudo-random order, applies their actions, and enqueues follow-on
-events.  ``run_to_convergence`` steps until the queue drains or a budget
-is exhausted.
+looks its kind up in the charm's dispatch table (``CharmSpec.dispatch``),
+keeps the handlers whose state-flag guard is satisfied, runs them in a
+seed-determined pseudo-random order, applies their actions, and enqueues
+follow-on events.  ``run_to_convergence`` steps until the queue drains or
+a budget is exhausted.
 
 Three rules make convergence insensitive to ordering:
 
@@ -16,9 +16,12 @@ Three rules make convergence insensitive to ordering:
 * relation-data writes only propagate ``relation-changed`` events when the
   value actually changed, and templates read live state rather than event
   payloads;
-* when a step changes a unit's state flags, events the unit has already
+* when a step sets new state flags on a unit, events the unit has already
   seen are re-delivered if some handler's guard newly became satisfiable,
-  so a handler can never be lost to an unlucky arrival order.
+  so a handler can never be lost to an unlucky arrival order.  Only a
+  newly set flag can complete a guard, so redelivery looks only at the
+  event kinds the charm guards with those flags
+  (``CharmSpec.guarded_kinds``).
 
 Two handlers triggered by one event that write different values to the
 same location are a charm bug; in strict mode (the default) the step
@@ -442,10 +445,11 @@ def add_unit(model: Model, app_name: str, count: int = 1, placement: Placement |
         app.unit_counter = unit_counter
         _quota_release(model, {"instances": count})
         raise
+    remote_ids: dict[str, list[str]] = {}
     for unit_id in new_ids:
         model.event_queue.append(Event(EventKind.install(), unit_id))
         _ensure_leader(model, app_name)
-        _join_existing_relations(model, app, unit_id)
+        _join_existing_relations(model, app, unit_id, remote_ids)
     return new_ids
 
 
@@ -474,13 +478,21 @@ def _place_added_unit(
     return _create_container(model, host, placement.container_kind, acquired)
 
 
-def _join_existing_relations(model: Model, app: Application, unit_id: str) -> None:
+def _join_existing_relations(
+    model: Model, app: Application, unit_id: str, remote_ids: dict[str, list[str]]
+) -> None:
+    """Join a new unit to every relation of its application.  ``remote_ids``
+    caches each remote application's unit ids for the whole command: new
+    units join only their own application, never the remote side."""
     for relation in model.relations_of(app.name):
         own_endpoint = relation.endpoint_of(app.name)
         other_app = next(a for a in relation.apps() if a != app.name)
         other_endpoint = relation.endpoint_of(other_app)
         relation.data.setdefault(unit_id, {})
-        for remote_id in model.unit_ids_of(other_app):
+        remotes = remote_ids.get(other_app)
+        if remotes is None:
+            remotes = remote_ids[other_app] = model.unit_ids_of(other_app)
+        for remote_id in remotes:
             model.event_queue.append(
                 Event(EventKind.relation_joined(own_endpoint), unit_id, relation.id, remote_id)
             )
@@ -591,8 +603,9 @@ def _orient(model, left_app, left_ep, right_app, right_ep):
 
 def remove_unit(model: Model, unit_id: str) -> None:
     """Remove a unit.  Remote units get relation-departed events; the
-    unit's machine is released when nothing else occupies it.  If the unit
-    led its application, the next step re-elects a leader."""
+    unit's machine is released when nothing else occupies it, and so is a
+    released container's host.  If the unit led its application, the next
+    step re-elects a leader."""
     unit = model.units.get(unit_id)
     if unit is None:
         raise UnknownEntityError(f"unknown unit {unit_id!r}")
@@ -611,14 +624,22 @@ def remove_unit(model: Model, unit_id: str) -> None:
     if unit.leader:
         model._leader_check.add(app.name)
     _quota_release(model, {"instances": 1})
-    machine_id = unit.machine
-    still_used = any(u.machine == machine_id for u in model.units.values())
+    _release_if_idle(model, unit.machine)
+
+
+def _release_if_idle(model: Model, machine_id: str) -> None:
+    """Release a machine no unit sits on and that hosts no container.  A
+    released container's host is checked in turn when the model owns it,
+    so the order units are removed in does not decide what stays held."""
     record = model.inventory.machines.get(machine_id)
-    if record is not None and not still_used:
-        hosts_containers = bool(record.containers)
-        if not hosts_containers:
-            model.inventory.release(machine_id)
-            model.machines.discard(machine_id)
+    if record is None or record.containers:
+        return
+    if any(u.machine == machine_id for u in model.units.values()):
+        return
+    model.inventory.release(machine_id)
+    model.machines.discard(machine_id)
+    if record.parent is not None and record.parent in model.machines:
+        _release_if_idle(model, record.parent)
 
 
 def elect_leader(model: Model, app_name: str) -> str:
@@ -637,9 +658,26 @@ def elect_leader(model: Model, app_name: str) -> str:
     return leader_id
 
 
+def _needs_leader(model: Model, app_name: str) -> bool:
+    """Whether the application has a live unit and none of them leads.
+
+    The walk goes up the unit index, skipping ids whose unit is gone, and
+    stops at the first leader.  The leader is the lowest live index, so
+    it normally stops at once: the cost does not grow with the application.
+    """
+    units = model.units
+    live = False
+    for unit_id in model._unit_index.get(app_name, ()):
+        unit = units.get(unit_id)
+        if unit is not None:
+            if unit.leader:
+                return False
+            live = True
+    return live
+
+
 def _ensure_leader(model: Model, app_name: str) -> None:
-    unit_ids = model.unit_ids_of(app_name)
-    if unit_ids and not any(model.units[u].leader for u in unit_ids):
+    if _needs_leader(model, app_name):
         elect_leader(model, app_name)
 
 
@@ -740,12 +778,12 @@ def step(model: Model, rng_seed: int | None = None, _rng: random.Random | None =
         return StepReport(event=event.render(), dropped=True)
 
     unit.seen[event.key()] = event
-    flags_before = frozenset(unit.states)
-    app = model.applications[unit.app]
+    states = unit.states
+    flags_before = frozenset(states)
     matching = [
         (index, handler)
-        for index, handler in enumerate(app.charm.handlers)
-        if handler.matches(event.kind) and handler.guard_satisfied(unit.states)
+        for index, handler in model.applications[unit.app].charm.dispatch.get(event.kind, ())
+        if handler.when_states <= states
     ]
     rng.shuffle(matching)
 
@@ -886,17 +924,28 @@ def _emit_changed(model: Model, changed_bags: set[tuple[str, str]]) -> int:
 
 def _redeliver(model: Model, unit: Unit, flags_before: frozenset[str]) -> int:
     """Re-enqueue seen events whose handlers' guards newly became
-    satisfiable after this step's flag changes."""
-    if frozenset(unit.states) == flags_before:
+    satisfiable after this step's flag changes.
+
+    A guard that holds now and did not before names a flag this step
+    added, so only the seen events of the kinds the charm guards with an
+    added flag are visited, in key order, each against its own handlers.
+    """
+    states = unit.states
+    added = states - flags_before
+    if not added:
         return 0
-    app = model.applications[unit.app]
+    charm = model.applications[unit.app].charm
+    wanted = {
+        (kind.kind, kind.name)
+        for flag in added
+        for kind in charm.guarded_kinds.get(flag, ())
+    }
     redelivered = 0
-    for key in sorted(unit.seen):
+    for key in sorted(key for key in unit.seen if key[:2] in wanted):
         event = unit.seen[key]
-        for handler in app.charm.handlers:
-            if not handler.matches(event.kind):
-                continue
-            if handler.guard_satisfied(unit.states) and not handler.guard_satisfied(flags_before):
+        for _, handler in charm.dispatch[event.kind]:
+            guard = handler.when_states
+            if guard <= states and not guard <= flags_before:
                 model.event_queue.append(event)
                 redelivered += 1
                 break
@@ -976,11 +1025,7 @@ def run_to_convergence(
 
 
 def _maintenance_pending(model: Model) -> bool:
-    for app_name in model.applications:
-        unit_ids = model.unit_ids_of(app_name)
-        if unit_ids and not any(model.units[u].leader for u in unit_ids):
-            return True
-    return False
+    return any(_needs_leader(model, app_name) for app_name in model.applications)
 
 
 # ---------------------------------------------------------------------------

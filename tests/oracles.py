@@ -305,3 +305,35 @@ def shadow_delta_oracle(model, unit, event, handler) -> int:
         pass
     after = checkpoint(twin, include_inventory=True)
     return 0 if after == baseline else 1
+
+
+# ---------------------------------------------------------------------------
+# Handler dispatch and redelivery, by linear scan
+
+
+def matching_oracle(charm, kind, states) -> list:
+    """Every ``(index, handler)`` of the charm that fires on ``kind`` while
+    ``states`` are set, in declaration order: a scan of all its handlers."""
+    return [
+        (index, handler)
+        for index, handler in enumerate(charm.handlers)
+        if handler.matches(kind) and handler.guard_satisfied(states)
+    ]
+
+
+def redeliver_oracle(charm, seen: dict, states, flags_before: frozenset) -> list:
+    """The seen events, in key order, that a handler of the charm accepts
+    under ``states`` and did not accept under ``flags_before``: a scan of
+    every seen event against every handler."""
+    if frozenset(states) == flags_before:
+        return []
+    events = []
+    for key in sorted(seen):
+        event = seen[key]
+        for handler in charm.handlers:
+            if not handler.matches(event.kind):
+                continue
+            if handler.guard_satisfied(states) and not handler.guard_satisfied(flags_before):
+                events.append(event)
+                break
+    return events

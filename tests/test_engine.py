@@ -7,13 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedweave import engine
+from fedweave import plan as plan_module
 from fedweave.builtin import MOODLE_BUNDLE, SCALED_BUNDLE, builtin_store
 from fedweave.bundle import Placement, parse_bundle
-from fedweave.charms import load_charm
+from fedweave.charms import EventKind, load_charm
 from fedweave.engine import (
     CharmConflictError,
     DeploymentError,
     EngineError,
+    Event,
     Model,
     UnknownEntityError,
     add_relation,
@@ -30,6 +32,7 @@ from fedweave.engine import (
     step,
     update_status,
 )
+from fedweave.plan import compile_plan, execute_plan
 from fedweave.provider import Inventory, UnsatisfiableError
 from fedweave.quota import ProjectTree, QuotaExceededError, QuotaSet
 
@@ -369,6 +372,169 @@ class TestRemoveUnit:
         model, _ = deploy_fixture(MOODLE_BUNDLE)
         with pytest.raises(UnknownEntityError, match="unknown unit"):
             remove_unit(model, "moodle/9")
+
+
+class TestRemovalOrder:
+    """MOODLE puts moodle/0 on machine 0 and postgresql/0 in a container
+    on it.  Removing both, in either order, must hand machine 0 back."""
+
+    def _removed(self, store, make_inventory, order):
+        model = Model(store, make_inventory())
+        deploy_bundle(model, parse_bundle(MOODLE_BUNDLE))
+        assert run_to_convergence(model).converged
+        for unit_id in order:
+            remove_unit(model, unit_id)
+        assert run_to_convergence(model).converged
+        return model
+
+    def test_both_orders_release_the_host(self, store, make_inventory):
+        container_last = self._removed(store, make_inventory, ("moodle/0", "postgresql/0"))
+        host_last = self._removed(store, make_inventory, ("postgresql/0", "moodle/0"))
+        assert state_hash(container_last) == state_hash(host_last)
+        assert container_last.inventory.dump() == host_last.inventory.dump()
+        assert container_last.machines == host_last.machines == set()
+        assert all(r.state == "ready" for r in container_last.inventory.machines.values())
+
+    def test_host_with_a_unit_is_kept_when_its_container_goes(self, deploy_fixture):
+        model, result = deploy_fixture(MOODLE_BUNDLE)
+        host = result.machine_map["0"]
+        remove_unit(model, "postgresql/0")
+        assert model.inventory.machines[host].state == "acquired"
+        assert host in model.machines
+
+
+def _fleet_bundle(moodle_units: int) -> str:
+    return f"""\
+series: xenial
+applications:
+  moodle:
+    charm: "cs:~csd-garr/moodle"
+    num_units: {moodle_units}
+  postgresql:
+    charm: "cs:postgresql"
+    num_units: 2
+relations:
+  - ["postgresql:db", "moodle:database"]
+"""
+
+
+def _leader_calls(monkeypatch) -> dict:
+    """Count ``Model.unit_ids_of`` and ``elect_leader`` calls."""
+    calls = {"unit_ids_of": 0, "elect_leader": 0}
+    unit_ids_of = Model.unit_ids_of
+    elect = engine.elect_leader
+
+    def counted_unit_ids_of(model, app):
+        calls["unit_ids_of"] += 1
+        return unit_ids_of(model, app)
+
+    def counted_elect(model, app):
+        calls["elect_leader"] += 1
+        return elect(model, app)
+
+    monkeypatch.setattr(Model, "unit_ids_of", counted_unit_ids_of)
+    monkeypatch.setattr(engine, "elect_leader", counted_elect)
+    return calls
+
+
+def _assert_leader_after_first_install(events) -> None:
+    """Each application's leader-elected comes right after its first
+    install event, once."""
+    events = list(events)
+    apps = {e.target.partition("/")[0] for e in events if e.kind == EventKind.install()}
+    assert apps
+    for app in apps:
+        first = next(
+            i for i, e in enumerate(events)
+            if e.kind == EventKind.install() and e.target.startswith(app + "/")
+        )
+        assert events[first + 1] == Event(EventKind.leader_elected(), events[first].target)
+        elected = [
+            e for e in events
+            if e.kind == EventKind.leader_elected() and e.target.startswith(app + "/")
+        ]
+        assert len(elected) == 1
+
+
+class TestLeaderUpkeep:
+    """Keeping a leader costs the same per command whatever the size of
+    the application: the calls counted do not grow with the unit count."""
+
+    def _deploy_calls(self, monkeypatch, store, make_inventory, moodle_units):
+        model = Model(store, make_inventory(moodle_units + 2))
+        bundle = parse_bundle(_fleet_bundle(moodle_units))
+        with monkeypatch.context() as patch:
+            calls = _leader_calls(patch)
+            deploy_bundle(model, bundle)
+        return calls
+
+    def test_deploy_bundle(self, monkeypatch, store, make_inventory):
+        small = self._deploy_calls(monkeypatch, store, make_inventory, 50)
+        large = self._deploy_calls(monkeypatch, store, make_inventory, 800)
+        assert small == large
+        assert small["elect_leader"] == 2
+
+    def _add_unit_calls(self, monkeypatch, store, make_inventory, count):
+        model = Model(store, make_inventory(4 + count))
+        deploy_bundle(model, parse_bundle(_fleet_bundle(2)))
+        assert run_to_convergence(model).converged
+        with monkeypatch.context() as patch:
+            calls = _leader_calls(patch)
+            add_unit(model, "moodle", count=count)
+        return calls
+
+    def test_add_unit(self, monkeypatch, store, make_inventory):
+        one = self._add_unit_calls(monkeypatch, store, make_inventory, 1)
+        twenty = self._add_unit_calls(monkeypatch, store, make_inventory, 20)
+        assert one == twenty
+        assert one["elect_leader"] == 0
+
+    def _execute_plan(self, monkeypatch, store, bundle_text, inventory):
+        """Execute a compiled plan without converging it; returns the
+        calls its steps made and the queue they left."""
+        plan = compile_plan(parse_bundle(bundle_text), store)
+        queued: list = []
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                plan_module, "run_to_convergence",
+                lambda model, **_: queued.extend(model.event_queue),
+            )
+            calls = _leader_calls(patch)
+            execute_plan(plan, inventory, store)
+        return calls, queued
+
+    def test_execute_plan(self, monkeypatch, store, make_inventory):
+        small, small_queue = self._execute_plan(
+            monkeypatch, store, _fleet_bundle(50), make_inventory(52)
+        )
+        large, large_queue = self._execute_plan(
+            monkeypatch, store, _fleet_bundle(800), make_inventory(802)
+        )
+        assert small == large
+        assert small["elect_leader"] == 2
+        _assert_leader_after_first_install(small_queue)
+        _assert_leader_after_first_install(large_queue)
+
+    @pytest.mark.parametrize("bundle_text", [MOODLE_BUNDLE, SCALED_BUNDLE])
+    def test_leader_elected_follows_first_install(self, deploy_fixture, bundle_text):
+        model, _ = deploy_fixture(bundle_text, converge=False)
+        _assert_leader_after_first_install(model.event_queue)
+
+    def test_scaled_plan_keeps_the_queue_order(self, monkeypatch, store, make_inventory):
+        _, queued = self._execute_plan(monkeypatch, store, SCALED_BUNDLE, make_inventory(8))
+        _assert_leader_after_first_install(queued)
+
+    def test_add_unit_after_every_unit_was_removed(self, deploy_fixture):
+        model, _ = deploy_fixture(SCALED_BUNDLE)
+        for unit_id in model.unit_ids_of("moodle"):
+            remove_unit(model, unit_id)
+        assert run_to_convergence(model).converged
+        (new_id,) = add_unit(model, "moodle")
+        events = list(model.event_queue)
+        start = events.index(Event(EventKind.install(), new_id))
+        assert events[start + 1] == Event(EventKind.leader_elected(), new_id)
+        assert run_to_convergence(model).converged
+        assert model.units[new_id].leader
 
 
 class TestLeaderElection:
