@@ -38,6 +38,7 @@ Charm definition files are YAML documents::
 from __future__ import annotations
 
 import re
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 from . import statefile
@@ -409,29 +410,49 @@ class CharmStore:
     References are ``cs:name`` or ``cs:~owner/name``.  Registration
     validates the whole spec; resolution is a plain lookup.  The store is
     designed for single-writer use; readers see whole specs only.
+
+    A store may be given a ``loader``: a callable yielding ``(spec,
+    owner)`` pairs, which are registered, in order, the first time the
+    store is used (``resolve_charm``, ``register_charm``, ``refs`` or
+    ``len``).  So a command that never reads a charm never runs it.  A
+    loader that raises, or yields a spec that does not register, leaves
+    the store as it was, unloaded, and the next use fails the same way.
     """
 
-    def __init__(self) -> None:
+    def __init__(
+        self, loader: Callable[[], Iterable[tuple[CharmSpec, str | None]]] | None = None
+    ) -> None:
         self._charms: dict[str, CharmSpec] = {}
+        self._loader = loader
+
+    def _specs(self) -> dict[str, CharmSpec]:
+        if self._loader is not None:
+            staged = CharmStore()
+            for spec, owner in self._loader():
+                staged.register_charm(spec, owner=owner)
+            self._charms, self._loader = staged._charms, None
+        return self._charms
 
     def __len__(self) -> int:
-        return len(self._charms)
+        return len(self._specs())
 
     def refs(self) -> list[str]:
-        return sorted(self._charms)
+        return sorted(self._specs())
 
     def register_charm(self, spec: CharmSpec, owner: str | None = None) -> str:
+        charms = self._specs()
         _check_spec(spec)
         ref = charm_ref(spec.name, owner)
-        if ref in self._charms:
+        if ref in charms:
             raise CharmError(f"charm {ref!r} is already registered")
-        self._charms[ref] = spec
+        charms[ref] = spec
         return ref
 
     def resolve_charm(self, ref: str) -> CharmSpec:
+        charms = self._specs()
         parse_charm_ref(ref)  # validate shape first, for a clearer error
         try:
-            return self._charms[ref]
+            return charms[ref]
         except KeyError:
             raise CharmNotFoundError(f"unknown charm reference {ref!r}") from None
 

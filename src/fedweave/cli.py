@@ -18,6 +18,11 @@ still read, and are rewritten as JSON by the next command that saves.
 Each file is replaced atomically, so a crash mid-save leaves every file
 whole (old or new); the four are not committed together.
 
+Charm files are parsed on first use: all of them, once, by the first
+part of a command that needs a charm (a handler to run, an option schema,
+an endpoint).  A read such as ``status`` parses none, and a charm file
+that is malformed or missing fails only the commands that need a charm.
+
 A lock file (``.fedweave-lock``, holding the pid and start time of the
 invocation that took it) guards each invocation; a second concurrent
 invocation fails, naming the holder, rather than interleaving writes.
@@ -38,11 +43,12 @@ import json
 import os
 import sys
 import time
+from collections.abc import Iterator
 from pathlib import Path
 
 from . import builtin, statefile
 from .bundle import parse_bundle, parse_placement, validate_bundle
-from .charms import CharmStore, load_charm
+from .charms import CharmSpec, CharmStore, load_charm
 from .engine import (
     DEFAULT_BUDGET,
     DEFAULT_SEED,
@@ -61,7 +67,7 @@ from .engine import (
 from .errors import FedweaveError
 from .federation import Federation
 from .plan import compile_plan, execute_plan, export_dot, parse_plan
-from .provider import Inventory
+from .provider import Inventory, machine_sort_key
 from .quota import COMPONENTS, ProjectTree, QuotaSet
 
 LOCK_FILE = ".fedweave-lock"
@@ -93,12 +99,13 @@ class Workspace:
             )
 
     def store(self) -> CharmStore:
-        store = CharmStore()
+        """The charm store of ``charms/*.yaml``, parsed on first use."""
+        return CharmStore(self._charm_files)
+
+    def _charm_files(self) -> Iterator[tuple[CharmSpec, str | None]]:
         if self.charms_dir.is_dir():
             for path in sorted(self.charms_dir.glob("*.yaml")):
-                spec, owner = load_charm(path.read_text())
-                store.register_charm(spec, owner=owner)
-        return store
+                yield load_charm(path.read_text())
 
     def inventory(self) -> Inventory:
         if self.inventory_path.exists():
@@ -538,8 +545,6 @@ def cmd_machine_list(ws: Workspace, args) -> int:
         print("no machines")
         return 0
     rows = [("MACHINE", "STATE", "ZONE", "ARCH", "CORES", "MEM", "DISK", "SERIES", "TAGS")]
-    from .provider import machine_sort_key
-
     for machine_id in sorted(inventory.machines, key=machine_sort_key):
         rec = inventory.machines[machine_id]
         rows.append(

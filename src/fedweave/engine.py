@@ -40,10 +40,12 @@ import logging
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .bundle import Bundle, Constraints, Placement, render_constraints
 from .charms import (
     CharmSpec,
+    CharmStore,
     ClearState,
     EventKind,
     Fail,
@@ -104,13 +106,22 @@ class Event:
 
 @dataclass
 class Application:
+    """A deployed application.  Its ``charm`` is resolved from ``store``
+    by ``charm_ref`` the first time it is read, and kept, so a model
+    restored from a checkpoint parses no charm until a command uses one.
+    A command that has already resolved the spec assigns it."""
+
     name: str
     charm_ref: str
-    charm: CharmSpec
     series: str
+    store: CharmStore = field(repr=False, compare=False)
     config: dict = field(default_factory=dict)
     exposed: bool = False
     unit_counter: int = 0
+
+    @cached_property
+    def charm(self) -> CharmSpec:
+        return self.store.resolve_charm(self.charm_ref)
 
 
 @dataclass
@@ -123,8 +134,9 @@ class Unit:
     leader: bool = False
     states: set[str] = field(default_factory=set)
     open_ports: set[int] = field(default_factory=set)
-    # Events this unit has processed, for guard-triggered re-delivery.
-    seen: dict[tuple[str, str, str, str], Event] = field(default_factory=dict)
+    # Keys (``Event.key()``) of the events this unit has processed, for
+    # guard-triggered re-delivery; the event targets the unit itself.
+    seen: set[tuple[str, str, str, str]] = field(default_factory=set)
 
 
 @dataclass
@@ -290,11 +302,12 @@ def deploy_bundle(model: Model, bundle: Bundle) -> DeploymentResult:
             app = Application(
                 name=name,
                 charm_ref=app_spec.charm,
-                charm=charm,
                 series=series,
+                store=model.store,
                 config=config,
                 exposed=app_spec.expose,
             )
+            app.charm = charm
             model.applications[name] = app
             for index in range(app_spec.num_units):
                 placement = (
@@ -767,22 +780,26 @@ def step(model: Model, rng_seed: int | None = None, _rng: random.Random | None =
     for app_name in sorted(model._leader_check):
         _ensure_leader(model, app_name)
     model._leader_check.clear()
-    if not model.event_queue:
+    queue = model.event_queue
+    if not queue:
         return StepReport(event=None)
     rng = _rng if _rng is not None else random.Random(DEFAULT_SEED if rng_seed is None else rng_seed)
-    event = model.event_queue.popleft()
+    # The charm is read before the event is taken: a charm that fails to
+    # resolve on first use leaves the queue and the model as they were.
+    unit = model.units.get(queue[0].target)
+    charm = model.applications[unit.app].charm if unit is not None else None
+    event = queue.popleft()
     model.generation += 1
-    unit = model.units.get(event.target)
     if unit is None:
         logger.info("dropping %s: target unit no longer exists", event.render())
         return StepReport(event=event.render(), dropped=True)
 
-    unit.seen[event.key()] = event
+    unit.seen.add(event.key())
     states = unit.states
     flags_before = frozenset(states)
     matching = [
         (index, handler)
-        for index, handler in model.applications[unit.app].charm.dispatch.get(event.kind, ())
+        for index, handler in charm.dispatch.get(event.kind, ())
         if handler.when_states <= states
     ]
     rng.shuffle(matching)
@@ -798,7 +815,7 @@ def step(model: Model, rng_seed: int | None = None, _rng: random.Random | None =
     emitted = _emit_changed(model, changed_bags)
     if event.kind == EventKind.install():
         model.event_queue.append(Event(EventKind.start(), unit.id))
-    redelivered = _redeliver(model, unit, flags_before)
+    redelivered = _redeliver(model, unit, charm, flags_before)
 
     if model.trace is not None:
         model.trace.append(
@@ -922,31 +939,31 @@ def _emit_changed(model: Model, changed_bags: set[tuple[str, str]]) -> int:
     return emitted
 
 
-def _redeliver(model: Model, unit: Unit, flags_before: frozenset[str]) -> int:
+def _redeliver(model: Model, unit: Unit, charm: CharmSpec, flags_before: frozenset[str]) -> int:
     """Re-enqueue seen events whose handlers' guards newly became
     satisfiable after this step's flag changes.
 
     A guard that holds now and did not before names a flag this step
     added, so only the seen events of the kinds the charm guards with an
     added flag are visited, in key order, each against its own handlers.
+    An event is rebuilt from its key only when it is re-enqueued.
     """
     states = unit.states
     added = states - flags_before
     if not added:
         return 0
-    charm = model.applications[unit.app].charm
     wanted = {
-        (kind.kind, kind.name)
+        (kind.kind, kind.name): kind
         for flag in added
         for kind in charm.guarded_kinds.get(flag, ())
     }
     redelivered = 0
     for key in sorted(key for key in unit.seen if key[:2] in wanted):
-        event = unit.seen[key]
-        for _, handler in charm.dispatch[event.kind]:
+        kind = wanted[key[:2]]
+        for _, handler in charm.dispatch[kind]:
             guard = handler.when_states
             if guard <= states and not guard <= flags_before:
-                model.event_queue.append(event)
+                model.event_queue.append(Event(kind, unit.id, key[2], key[3]))
                 redelivered += 1
                 break
     return redelivered
@@ -1125,7 +1142,7 @@ def _digest(canonical: dict) -> str:
 
 def checkpoint(model: Model, include_inventory: bool = True) -> dict:
     """Serialize the model for resumption.  Charm bodies are not embedded;
-    restoring resolves references against a store."""
+    a restored application resolves its reference against the store."""
     doc: dict = {
         "generation": model.generation,
         "project": model.project,
@@ -1189,7 +1206,9 @@ def load_checkpoint(
     quota_tree=None,
 ) -> Model:
     """Rebuild a model from a checkpoint.  The inventory is taken from the
-    checkpoint when embedded, else it must be supplied."""
+    checkpoint when embedded, else it must be supplied.  No charm is
+    resolved here: each application resolves its own on first use, so an
+    unknown reference fails the first command or step that needs it."""
     if inventory is None:
         embedded = doc.get("inventory")
         if embedded is None:
@@ -1204,12 +1223,11 @@ def load_checkpoint(
     )
     model.generation = int(doc.get("generation", 0))
     for name, body in (doc.get("applications") or {}).items():
-        charm = store.resolve_charm(body["charm"])
         model.applications[name] = Application(
             name=name,
             charm_ref=body["charm"],
-            charm=charm,
             series=body["series"],
+            store=store,
             exposed=bool(body.get("exposed", False)),
             unit_counter=int(body.get("unit_counter", 0)),
             config=dict(body.get("config") or {}),
@@ -1224,12 +1242,8 @@ def load_checkpoint(
             leader=bool(body.get("leader", False)),
             states=set(body.get("states") or ()),
             open_ports=set(body.get("open_ports") or ()),
+            seen=set(map(tuple, body.get("seen") or ())),
         )
-        for key in body.get("seen") or []:
-            kind, name, payload, remote = key
-            unit.seen[(kind, name, payload, remote)] = Event(
-                EventKind(kind, name), unit_id, payload, remote
-            )
         model.units[unit_id] = unit
     for unit_id in sorted(model.units, key=_unit_sort_key):
         model._unit_index.setdefault(model.units[unit_id].app, []).append(unit_id)

@@ -35,6 +35,7 @@ from .engine import (
     Application,
     Event,
     Model,
+    _app_series,
     _create_unit,
     _ensure_leader,
     _quota_charge,
@@ -43,7 +44,7 @@ from .engine import (
     set_config,
 )
 from .errors import FedweaveError
-from .provider import Inventory
+from .provider import Inventory, machine_sort_key
 
 logger = logging.getLogger(__name__)
 
@@ -180,7 +181,7 @@ def compile_plan(bundle: Bundle, store) -> ImperativePlan:
         app_spec = bundle.applications[name]
         charm = store.resolve_charm(app_spec.charm)
         charm_refs.add(app_spec.charm)
-        series = _series_for(bundle, app_spec, charm)
+        series = _app_series(bundle, app_spec, charm)
         for index in range(app_spec.num_units):
             unit_id = f"{name}/{index}"
             if index < len(app_spec.placements):
@@ -241,15 +242,6 @@ def compile_plan(bundle: Bundle, store) -> ImperativePlan:
         bundle_digest=bundle_digest(bundle),
         charm_digest=charm_digest(store, sorted(charm_refs)),
     )
-
-
-def _series_for(bundle: Bundle, app_spec, charm) -> str:
-    for placement in app_spec.placements:
-        if placement.machine is not None:
-            return bundle.machines[placement.machine].series
-    if bundle.default_series:
-        return bundle.default_series
-    return sorted(charm.series)[0]
 
 
 def _orient_endpoints(bundle: Bundle, store, left, right) -> tuple[str, str, str]:
@@ -384,10 +376,11 @@ def _execute_step(
             app = Application(
                 name=app_name,
                 charm_ref=planned.charm,
-                charm=charm,
                 series=model.inventory.machines[machine_id].series,
+                store=model.store,
                 config=charm.default_config(),
             )
+            app.charm = charm
             model.applications[app_name] = app
         machine_id = machine_map[planned.machine]
         record = model.inventory.machines[machine_id]
@@ -505,12 +498,12 @@ def export_dot(source) -> str:
         lines.append("  rankdir=LR;")
     for app in sorted(apps):
         lines.append(f'  "app:{app}" [label="{app}", shape=ellipse];')
-    for machine in sorted(machines, key=_dot_machine_key):
+    for machine in sorted(machines, key=machine_sort_key):
         lines.append(f'  subgraph "cluster_{machine}" {{')
         lines.append(f'    label="machine {machine}";')
         for unit in sorted(units.get(machine, ())):
             lines.append(f'    "unit:{unit}" [label="{unit}", shape=box];')
-        for container in sorted(containers.get(machine, ()), key=_dot_machine_key):
+        for container in sorted(containers.get(machine, ()), key=machine_sort_key):
             lines.append(f'    subgraph "cluster_{container}" {{')
             lines.append(f'      label="{container}";')
             for unit in sorted(units.get(container, ())):
@@ -523,10 +516,6 @@ def export_dot(source) -> str:
         )
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def _dot_machine_key(machine_id: str):
-    return tuple(int(p) if p.isdigit() else p for p in machine_id.split("/"))
 
 
 def _topology_of_model(model: Model):

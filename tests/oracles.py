@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import json
 
+from fedweave.charms import EventKind
 from fedweave.engine import (
+    Event,
     _apply_action,
     _ConflictTracker,
     _HandlerFailed,
@@ -321,15 +323,16 @@ def matching_oracle(charm, kind, states) -> list:
     ]
 
 
-def redeliver_oracle(charm, seen: dict, states, flags_before: frozenset) -> list:
-    """The seen events, in key order, that a handler of the charm accepts
-    under ``states`` and did not accept under ``flags_before``: a scan of
-    every seen event against every handler."""
+def redeliver_oracle(charm, unit_id: str, seen, states, flags_before: frozenset) -> list:
+    """The events, in key order, that a handler of the charm accepts under
+    ``states`` and did not accept under ``flags_before``: each seen key of
+    unit ``unit_id`` rebuilt as the event it was, targeting that unit, and
+    scanned against every handler."""
     if frozenset(states) == flags_before:
         return []
     events = []
-    for key in sorted(seen):
-        event = seen[key]
+    for kind, name, payload, remote in sorted(seen):
+        event = Event(EventKind(kind, name), unit_id, payload, remote)
         for handler in charm.handlers:
             if not handler.matches(event.kind):
                 continue

@@ -421,6 +421,45 @@ class TestCharmStore:
         assert store.register_charm(spec, owner="csd") == "cs:~csd/app"
         assert store.resolve_charm("cs:~csd/app") is spec
 
+    @pytest.mark.parametrize(
+        "use",
+        [
+            len,
+            CharmStore.refs,
+            lambda store: store.resolve_charm("cs:postgresql"),
+            lambda store: store.register_charm(load_charm(MOODLE_CHARM)[0], owner="csd"),
+        ],
+        ids=["len", "refs", "resolve", "register"],
+    )
+    def test_loader_runs_once_on_first_use(self, use):
+        runs = []
+
+        def loader():
+            runs.append(1)
+            yield load_charm(POSTGRESQL_CHARM)
+
+        store = CharmStore(loader)
+        assert runs == []
+        use(store)
+        assert runs == [1]
+        assert "cs:postgresql" in store.refs()
+        assert store.resolve_charm("cs:postgresql").name == "postgresql"
+        assert runs == [1]
+
+    def test_failed_load_leaves_the_store_unloaded(self):
+        runs = []
+
+        def loader():
+            runs.append(1)
+            yield load_charm(POSTGRESQL_CHARM)
+            yield load_charm("name: [unclosed")
+
+        store = CharmStore(loader)
+        for expected_runs in (1, 2):
+            with pytest.raises(CharmError, match="malformed charm document"):
+                store.resolve_charm("cs:postgresql")
+            assert len(runs) == expected_runs
+
     def test_register_validates(self):
         with pytest.raises(CharmError):
             CharmStore().register_charm(CharmSpec(name="app", series=frozenset()))

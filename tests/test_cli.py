@@ -16,7 +16,8 @@ import sys
 import pytest
 import yaml
 
-from fedweave import builtin
+from fedweave import builtin, cli
+from fedweave.charms import CharmError, CharmStore, load_charm
 from fedweave.cli import _locked, run_command
 from fedweave.engine import (
     Model,
@@ -348,6 +349,92 @@ class TestMutations:
             code, _, err = demo(*argv)
             assert code == 1
             assert "no model in this workspace" in err
+
+
+def _spy_charm_parses(monkeypatch, module=cli) -> list[str]:
+    """Record the text of every charm document ``module.load_charm`` parses."""
+    parsed: list[str] = []
+    real = module.load_charm
+
+    def spy(text):
+        parsed.append(text)
+        return real(text)
+
+    monkeypatch.setattr(module, "load_charm", spy)
+    return parsed
+
+
+def _state_files(root) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in root.iterdir() if path.is_file()}
+
+
+class TestCharmFilesParsedOnFirstUse:
+    """The workspace's charm files are parsed when a command first needs a
+    charm, all of them once; a command that needs none parses none."""
+
+    @pytest.fixture
+    def pending(self, demo, tmp_path):
+        """The scaled stack deployed without converging, so that converge
+        has events to process; returns the deploy's state hash."""
+        code, out, err = demo("deploy", "--no-converge", str(tmp_path / "scaled-bundle.yaml"))
+        assert code == 0, err
+        return reported_hash(out)
+
+    @pytest.mark.parametrize(
+        "argv", [("status",), ("status", "--format", "json"), ("plan", "dot")]
+    )
+    def test_reads_parse_no_charm(self, pending, demo, monkeypatch, argv):
+        parsed = _spy_charm_parses(monkeypatch)
+        code, _, err = demo(*argv)
+        assert code == 0, err
+        assert parsed == []
+
+    @pytest.mark.parametrize(
+        "argv", [("config", "haproxy", "default_timeout=45"), ("converge",)]
+    )
+    def test_writes_parse_each_charm_file_once(self, pending, demo, tmp_path, monkeypatch, argv):
+        parsed = _spy_charm_parses(monkeypatch)
+        code, out, err = demo(*argv)
+        assert code == 0, err
+        assert "converged after" in out
+        files = sorted(path.read_text() for path in (tmp_path / "charms").glob("*.yaml"))
+        assert len(files) == 3
+        assert sorted(parsed) == files
+
+    def test_builtin_and_plain_stores_are_unchanged(self, monkeypatch):
+        parsed = _spy_charm_parses(monkeypatch, builtin)
+        store = builtin.builtin_store()
+        assert len(parsed) == 3  # when it is built
+        assert store.refs() == ["cs:haproxy", "cs:postgresql", "cs:~csd-garr/moodle"]
+        assert len(parsed) == 3
+        plain = CharmStore()
+        assert len(plain) == 0
+        assert plain.refs() == []
+
+    @pytest.mark.parametrize("breakage", ["malformed", "missing"])
+    def test_broken_charm_fails_only_the_commands_that_use_it(
+        self, pending, demo, tmp_path, breakage
+    ):
+        _, status_before, _ = demo("status", "--format", "json")
+        assert json.loads(status_before)["state_hash"] == pending
+        charm_file = tmp_path / "charms" / "haproxy.yaml"
+        if breakage == "malformed":
+            charm_file.write_text("name: [unclosed\n")
+            with pytest.raises(CharmError) as parse_error:
+                load_charm(charm_file.read_text())
+            expected = f"charm-store: {parse_error.value}\n"
+        else:
+            charm_file.unlink()
+            expected = "charm-store: unknown charm reference 'cs:haproxy'\n"
+        files = _state_files(tmp_path)
+
+        code, out, err = demo("status", "--format", "json")
+        assert (code, out, err) == (0, status_before, "")
+        for argv in (("converge",), ("config", "haproxy", "default_timeout=45")):
+            code, out, err = demo(*argv)
+            assert (code, err) == (1, expected), argv
+            assert out == ""
+        assert _state_files(tmp_path) == files
 
 
 class TestStatusText:

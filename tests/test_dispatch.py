@@ -133,7 +133,7 @@ def _checked_step(stats: dict):
             queue = model.event_queue
             appended = list(islice(queue, len(queue) - report.redelivered, None))
             expected = redeliver_oracle(
-                shuffled["charm"], unit.seen, unit.states, shuffled["before"]
+                shuffled["charm"], unit.id, unit.seen, unit.states, shuffled["before"]
             )
             assert appended == expected, report.event
             stats["redelivered"] += len(expected)

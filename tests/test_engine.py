@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedweave import engine
+from fedweave import engine, statefile
 from fedweave import plan as plan_module
 from fedweave.builtin import MOODLE_BUNDLE, SCALED_BUNDLE, builtin_store
 from fedweave.bundle import Placement, parse_bundle
-from fedweave.charms import EventKind, load_charm
+from fedweave.charms import CharmNotFoundError, CharmStore, EventKind, load_charm
 from fedweave.engine import (
     CharmConflictError,
     DeploymentError,
@@ -718,6 +718,34 @@ class TestCheckpoint:
         assert ("start", "", "", "") in restored.units["moodle/0"].seen
         run_to_convergence(restored)
         assert restored.units["moodle/0"].status == "active"
+
+    def test_seen_keys_load_straight_from_the_document(self, store, make_inventory):
+        model = Model(store, make_inventory())
+        deploy_bundle(model, parse_bundle(SCALED_BUNDLE))
+        for _ in range(12):
+            step(model)
+        text = statefile.dump(checkpoint(model))
+        doc = statefile.load(text)
+        restored = load_checkpoint(doc, store)
+        for unit_id, body in doc["units"].items():
+            assert body["seen"]
+            assert restored.units[unit_id].seen == {tuple(key) for key in body["seen"]}
+        assert statefile.dump(checkpoint(restored)) == text
+
+    def test_restoring_resolves_no_charm(self, store, make_inventory):
+        model = Model(store, make_inventory())
+        deploy_bundle(model, parse_bundle(MOODLE_BUNDLE))
+        lacking = CharmStore()
+        lacking.register_charm(store.resolve_charm("cs:postgresql"))
+        restored = load_checkpoint(checkpoint(model), lacking)
+        assert state_hash(restored) == state_hash(model)
+        before = checkpoint(restored)
+        assert restored.event_queue[0].target == "moodle/0"
+        with pytest.raises(CharmNotFoundError, match="cs:~csd-garr/moodle"):
+            step(restored)
+        assert checkpoint(restored) == before
+        postgresql = restored.applications["postgresql"]
+        assert postgresql.charm is lacking.resolve_charm("cs:postgresql")
 
     def test_external_inventory(self, deploy_fixture, store):
         model, _ = deploy_fixture(MOODLE_BUNDLE)
