@@ -52,6 +52,7 @@ from .charms import CharmSpec, CharmStore, load_charm
 from .engine import (
     DEFAULT_BUDGET,
     DEFAULT_SEED,
+    ConvergenceResult,
     Model,
     add_relation,
     add_unit,
@@ -326,78 +327,70 @@ def cmd_deploy(ws: Workspace, args) -> int:
             strict_conflicts=not args.lax_conflicts,
         )
     result = deploy_bundle(model, bundle)
-    for bundle_id, provider_id in sorted(result.machine_map.items(), key=lambda i: int(i[0])):
-        print(f"machine {bundle_id} -> {provider_id}")
-    for unit_id in result.units:
-        print(f"unit {unit_id} on {model.units[unit_id].machine}")
-    for relation_id in result.relations:
-        print(f"relation {relation_id}")
-    if not args.no_converge:
-        outcome = run_to_convergence(model, budget=args.budget, rng_seed=args.seed)
-        print(f"{outcome.outcome} after {outcome.events_processed} events")
-    ws.save_model(model, provider_ref, federation)
-    print(f"state hash: {state_hash(model)}")
+    lines = [
+        f"machine {bundle_id} -> {provider_id}"
+        for bundle_id, provider_id in sorted(result.machine_map.items(), key=lambda i: int(i[0]))
+    ]
+    lines += [f"unit {unit_id} on {model.units[unit_id].machine}" for unit_id in result.units]
+    lines += [f"relation {relation_id}" for relation_id in result.relations]
+    _finish(ws, args, model, provider_ref, federation, lines)
     return 0
+
+
+def _finish(
+    ws: Workspace, args, model: Model, provider_ref: str, federation: Federation | None,
+    lines: list[str],
+) -> ConvergenceResult | None:
+    """The tail of every command that changes the model: converge unless
+    ``--no-converge``, save, and only then print the command's ``lines``,
+    the outcome and the state hash, so that a command that fails prints
+    no result for a change it never saved.  Returns the outcome, or None
+    when the command did not converge."""
+    outcome = None
+    if not getattr(args, "no_converge", False):
+        outcome = run_to_convergence(model, budget=args.budget, rng_seed=args.seed)
+        lines.append(f"{outcome.outcome} after {outcome.events_processed} events")
+    ws.save_model(model, provider_ref, federation)
+    lines.append(f"state hash: {state_hash(model)}")
+    print("\n".join(lines))
+    return outcome
 
 
 def cmd_add_unit(ws: Workspace, args) -> int:
     model, provider_ref, federation = ws.load_model()
     placement = parse_placement(args.to) if args.to is not None else None
     new_ids = add_unit(model, args.application, count=args.num_units, placement=placement)
-    for unit_id in new_ids:
-        print(f"unit {unit_id} on {model.units[unit_id].machine}")
-    if not args.no_converge:
-        outcome = run_to_convergence(model, budget=args.budget, rng_seed=args.seed)
-        print(f"{outcome.outcome} after {outcome.events_processed} events")
-    ws.save_model(model, provider_ref, federation)
-    print(f"state hash: {state_hash(model)}")
+    lines = [f"unit {unit_id} on {model.units[unit_id].machine}" for unit_id in new_ids]
+    _finish(ws, args, model, provider_ref, federation, lines)
     return 0
 
 
 def cmd_remove_unit(ws: Workspace, args) -> int:
     model, provider_ref, federation = ws.load_model()
     remove_unit(model, args.unit)
-    if not args.no_converge:
-        outcome = run_to_convergence(model, budget=args.budget, rng_seed=args.seed)
-        print(f"{outcome.outcome} after {outcome.events_processed} events")
-    ws.save_model(model, provider_ref, federation)
-    print(f"state hash: {state_hash(model)}")
+    _finish(ws, args, model, provider_ref, federation, [])
     return 0
 
 
 def cmd_config(ws: Workspace, args) -> int:
     model, provider_ref, federation = ws.load_model()
     changed = set_config(model, args.application, _parse_pairs(args.options, "option"))
-    if changed:
-        print(f"changed: {', '.join(changed)}")
-    else:
-        print("no changes")
-    if not args.no_converge:
-        outcome = run_to_convergence(model, budget=args.budget, rng_seed=args.seed)
-        print(f"{outcome.outcome} after {outcome.events_processed} events")
-    ws.save_model(model, provider_ref, federation)
-    print(f"state hash: {state_hash(model)}")
+    line = f"changed: {', '.join(changed)}" if changed else "no changes"
+    _finish(ws, args, model, provider_ref, federation, [line])
     return 0
 
 
 def cmd_add_relation(ws: Workspace, args) -> int:
     model, provider_ref, federation = ws.load_model()
     relation = add_relation(model, args.left, args.right)
-    print(f"relation {relation.id} ({relation.interface})")
-    if not args.no_converge:
-        outcome = run_to_convergence(model, budget=args.budget, rng_seed=args.seed)
-        print(f"{outcome.outcome} after {outcome.events_processed} events")
-    ws.save_model(model, provider_ref, federation)
-    print(f"state hash: {state_hash(model)}")
+    lines = [f"relation {relation.id} ({relation.interface})"]
+    _finish(ws, args, model, provider_ref, federation, lines)
     return 0
 
 
 def cmd_converge(ws: Workspace, args) -> int:
     model, provider_ref, federation = ws.load_model()
-    outcome = run_to_convergence(model, budget=args.budget, rng_seed=args.seed)
-    print(f"{outcome.outcome} after {outcome.events_processed} events")
-    ws.save_model(model, provider_ref, federation)
-    print(f"state hash: {state_hash(model)}")
+    outcome = _finish(ws, args, model, provider_ref, federation, [])
     return 0 if outcome.converged else 1
 
 

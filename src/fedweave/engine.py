@@ -39,8 +39,10 @@ import json
 import logging
 import random
 from collections import deque
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 from .bundle import Bundle, Constraints, Placement, render_constraints
 from .charms import (
@@ -58,6 +60,7 @@ from .charms import (
 )
 from .errors import FedweaveError
 from .provider import Inventory, machine_sort_key
+from .quota import ZERO, QuotaSet
 
 logger = logging.getLogger(__name__)
 
@@ -169,6 +172,10 @@ class Model:
     order, which ``unit_ids_of`` reads, and the applications that may have
     lost their leader, which the next ``step`` re-elects.  ``units`` stays
     the source of truth: an indexed id whose unit is gone is skipped.
+
+    ``machine_charges`` holds, for each held machine acquired with
+    constraints, what its acquisition charged the project; releasing the
+    machine releases exactly that.
     """
 
     def __init__(
@@ -190,6 +197,7 @@ class Model:
         self.event_queue: deque[Event] = deque()
         self.generation = 0
         self.machines: set[str] = set()  # provider machine ids this model owns
+        self.machine_charges: dict[str, QuotaSet] = {}
         self.shadow_check = False
         self.shadow_deltas = 0
         self.trace: list[dict] | None = None
@@ -260,12 +268,15 @@ class DeploymentResult:
 
 
 def deploy_bundle(model: Model, bundle: Bundle) -> DeploymentResult:
-    """Apply a bundle to the model: admit against quota, acquire machines,
-    create containers, applications and units, and add relations.
+    """Apply a bundle to the model: acquire its machines, create
+    containers, applications and units, and add relations.
 
     Enqueues install (and leader-elected / relation-joined) events; it does
-    not run the engine.  On placement failure everything acquired so far is
-    rolled back, including the quota charge.
+    not run the engine.  Quota follows the accounting rule of
+    ``_undo_on_failure``: a machine's declared constraints are charged
+    when it is acquired and released when it is released, instances are
+    charged one per unit, and a deploy that fails at any point rolls back
+    completely.
     """
     from .bundle import validate_bundle
 
@@ -278,70 +289,38 @@ def deploy_bundle(model: Model, bundle: Bundle) -> DeploymentResult:
         if name in model.applications:
             raise DeploymentError(f"application {name!r} already deployed")
 
-    charge = _bundle_charge(bundle)
-    _quota_charge(model, charge)
-
-    acquired: list[tuple[str, str]] = []
-    machine_map: dict[str, str] = {}
-    new_units: list[tuple[Unit, CharmSpec]] = []
-    try:
-        for bundle_id in sorted(bundle.machines, key=int):
-            spec = bundle.machines[bundle_id]
-            machine_id = _acquire(model, spec.constraints, spec.series, acquired)
-            machine_map[bundle_id] = machine_id
-            # owned even when no unit lands on it directly (container hosts)
-            model.machines.add(machine_id)
-
+    with _undo_on_failure(model) as log:
+        units = sum(app_spec.num_units for app_spec in bundle.applications.values())
+        _charge(model, log, QuotaSet(instances=units))
+        machine_map = {
+            bundle_id: _acquire(model, log, spec.constraints, spec.series)
+            for bundle_id, spec in sorted(bundle.machines.items(), key=lambda i: int(i[0]))
+        }
+        new_units: list[Unit] = []
         for name in sorted(bundle.applications):
             app_spec = bundle.applications[name]
             charm = model.store.resolve_charm(app_spec.charm)
             series = _app_series(bundle, app_spec, charm)
-            config = charm.default_config()
-            for opt_name, raw in app_spec.options.items():
-                config[opt_name] = charm.config[opt_name].coerce(raw)
-            app = Application(
-                name=name,
-                charm_ref=app_spec.charm,
-                series=series,
-                store=model.store,
-                config=config,
-                exposed=app_spec.expose,
+            app = _create_application(
+                model, log, name, app_spec.charm, charm, series, app_spec.options, app_spec.expose
             )
-            app.charm = charm
-            model.applications[name] = app
             for index in range(app_spec.num_units):
-                placement = (
-                    app_spec.placements[index]
-                    if index < len(app_spec.placements)
-                    else Placement.fresh()
-                )
-                machine_id = _place_unit(model, placement, machine_map, series, charm, acquired)
-                unit = _create_unit(model, app, machine_id)
-                new_units.append((unit, charm))
-    except FedweaveError:
-        _release_acquired(model, acquired)
-        for unit, _ in new_units:
-            model.units.pop(unit.id, None)
-        for name in bundle.applications:
-            model.applications.pop(name, None)
-            model._unit_index.pop(name, None)
-        _quota_release(model, charge)
-        raise
+                placement = app_spec.placements[index] if index < len(app_spec.placements) else None
+                machine_id = _place(model, log, placement, series, machine_map)
+                _check_series(model, machine_id, charm)
+                new_units.append(_create_unit(model, log, app, machine_id))
 
-    for unit, _ in new_units:
-        model.event_queue.append(Event(EventKind.install(), unit.id))
-        _ensure_leader(model, unit.app)
+        for unit in new_units:
+            model.event_queue.append(Event(EventKind.install(), unit.id))
+            _ensure_leader(model, unit.app)
 
-    relation_ids = []
-    for left, right in bundle.relations:
-        relation = add_relation(model, left.render(), right.render())
-        relation_ids.append(relation.id)
+        relation_ids = []
+        for left, right in bundle.relations:
+            relation = add_relation(model, left.render(), right.render())
+            log.append(partial(model.relations.pop, relation.id))
+            relation_ids.append(relation.id)
 
-    return DeploymentResult(
-        machine_map=machine_map,
-        units=tuple(unit.id for unit, _ in new_units),
-        relations=tuple(relation_ids),
-    )
+    return DeploymentResult(machine_map, tuple(unit.id for unit in new_units), tuple(relation_ids))
 
 
 def _app_series(bundle: Bundle, app_spec, charm: CharmSpec) -> str:
@@ -353,67 +332,170 @@ def _app_series(bundle: Bundle, app_spec, charm: CharmSpec) -> str:
     return sorted(charm.series)[0]
 
 
-def _acquire(
-    model: Model, constraints: Constraints, series: str, acquired: list[tuple[str, str]]
-) -> str:
-    """Acquire a best-fit machine for ``series``, logging it for rollback."""
-    record = model.inventory.acquire(constraints)
-    acquired.append((record.id, record.series))
-    record.series = series
-    return record.id
+# ---------------------------------------------------------------------------
+# Materialising applications: machines, containers and units, with quota
+# and undo.  ``deploy_bundle``, ``add_unit`` and ``plan.execute_plan``
+# create machines, containers, applications and units only through these
+# helpers, and each helper logs how to undo what it did.
+
+UndoLog = list[Callable[[], None]]
 
 
-def _create_container(
-    model: Model, host_id: str, kind: str, acquired: list[tuple[str, str]]
-) -> str:
-    container = model.inventory.create_container(host_id, kind)
-    acquired.append((container.id, container.series))
-    model.machines.add(container.id)
-    return container.id
+@contextmanager
+def _undo_on_failure(model: Model) -> Iterator[UndoLog]:
+    """Run one command with an undo log.  On a ``FedweaveError`` the log is
+    replayed newest first and the event queue restored, then the error
+    propagates.  The accounting rule the helpers keep:
+
+    * acquiring a machine charges its declared constraints (cpu-cores as
+      vcpus, mem as ram, root-disk as disk in GiB, rounded up), and
+      releasing the machine releases exactly that charge;
+    * instances are charged per unit: once per command for the units it
+      creates, and released one per removed unit;
+    * a failed command rolls back completely, so the model, its inventory
+      and the quota tree are left exactly as they were.
+    """
+    log: UndoLog = []
+    queue = list(model.event_queue)
+    try:
+        yield log
+    except FedweaveError:
+        for undo in reversed(log):
+            undo()
+        model.event_queue.clear()
+        model.event_queue.extend(queue)
+        raise
 
 
-def _release_acquired(model: Model, acquired: list[tuple[str, str]]) -> None:
-    """Undo the acquisitions of a failed command, newest first: each
-    machine gets back the series it had and returns to the pool, each
-    container is destroyed."""
-    for machine_id, series in reversed(acquired):
-        model.inventory.machines[machine_id].series = series
-        model.inventory.release(machine_id)
-        model.machines.discard(machine_id)
+def _charge(model: Model, log: UndoLog, amount: QuotaSet) -> bool:
+    """Charge the model's project, if it has one; True when charged."""
+    if model.project is None or model.quota_tree is None or amount == ZERO:
+        return False
+    model.quota_tree.charge(model.project, amount)
+    log.append(partial(_quota_release, model, amount))
+    return True
 
 
-def _place_unit(
-    model: Model,
-    placement: Placement,
-    machine_map: dict[str, str],
-    series: str,
-    charm: CharmSpec,
-    acquired: list[tuple[str, str]],
-) -> str:
-    if placement.kind == "machine":
-        machine_id = machine_map[placement.machine]
-    elif placement.kind == "container":
-        host_id = machine_map[placement.machine]
-        machine_id = _create_container(model, host_id, placement.container_kind, acquired)
-    else:
-        machine_id = _acquire(model, Constraints(), series, acquired)
-    record = model.inventory.machines[machine_id]
-    if record.series not in charm.series:
-        raise DeploymentError(
-            f"charm {charm.name!r} does not support series {record.series!r} "
-            f"of machine {machine_id!r}"
-        )
-    model.machines.add(machine_id)
+def _quota_release(model: Model, amount: QuotaSet) -> None:
+    if model.project is not None and model.quota_tree is not None:
+        model.quota_tree.release(model.project, amount)
+
+
+def _hold(model: Model, log: UndoLog, machine_id: str) -> str:
+    if machine_id not in model.machines:
+        model.machines.add(machine_id)
+        log.append(partial(model.machines.discard, machine_id))
     return machine_id
 
 
-def _create_unit(model: Model, app: Application, machine_id: str) -> Unit:
+def _acquire(
+    model: Model, log: UndoLog, constraints: Constraints, series: str | None = None,
+    machine: str | None = None,
+) -> str:
+    """Acquire a best-fit machine (or the named one), give it ``series``
+    when one is given, and charge its declared constraints."""
+    record = model.inventory.acquire(constraints, machine=machine)
+    previous = record.series
+
+    def undo() -> None:
+        record.series = previous
+        model.inventory.release(record.id)
+
+    log.append(undo)
+    if series is not None:
+        record.series = series
+    _hold(model, log, record.id)
+    # Constraints are MiB; quota disk is GiB.  Partial GiB rounds up.
+    vcpus, ram, disk = constraints.cpu_cores, constraints.mem, -(-(constraints.root_disk or 0) // 1024)
+    charge = QuotaSet(vcpus=vcpus or 0, ram=ram or 0, disk=disk) if vcpus or ram or disk else ZERO
+    if _charge(model, log, charge):
+        model.machine_charges[record.id] = charge
+        log.append(partial(model.machine_charges.pop, record.id))
+    return record.id
+
+
+def _create_container(model: Model, log: UndoLog, host_id: str, kind: str) -> str:
+    host = model.inventory.machines.get(host_id)
+    counters = dict(host.container_counters) if host is not None else {}
+    container = model.inventory.create_container(host_id, kind)
+
+    def undo() -> None:  # release does not rewind the counter, which the dump shows
+        model.inventory.release(container.id)
+        host.container_counters = counters
+
+    log.append(undo)
+    return _hold(model, log, container.id)
+
+
+def _place(
+    model: Model, log: UndoLog, placement: Placement | None, series: str,
+    machine_map: dict[str, str] | None = None,
+) -> str:
+    """The machine a new unit goes on.  A bundle's placements name its own
+    machines, which ``machine_map`` maps to provider ids; other placements
+    name provider machines.  Without a placement the unit gets a fresh
+    unconstrained machine."""
+    if placement is None or placement.kind == "fresh":
+        return _acquire(model, log, Constraints(), series)
+    if machine_map is not None:
+        target = machine_map[placement.machine]
+    elif placement.machine in model.inventory.machines:
+        target = placement.machine
+    else:
+        raise UnknownEntityError(f"unknown machine {placement.machine!r}")
+    if placement.kind == "container":
+        return _create_container(model, log, target, placement.container_kind)
+    if model.inventory.machines[target].state == "ready":
+        return _acquire(model, log, Constraints(), machine=target)
+    return _hold(model, log, target)
+
+
+def _check_series(model: Model, machine_id: str, charm: CharmSpec) -> None:
+    series = model.inventory.machines[machine_id].series
+    if series not in charm.series:
+        raise DeploymentError(
+            f"charm {charm.name!r} does not support series {series!r} "
+            f"of machine {machine_id!r}"
+        )
+
+
+def _create_application(
+    model: Model, log: UndoLog, name: str, charm_ref: str, charm: CharmSpec, series: str,
+    options: dict, exposed: bool = False,
+) -> Application:
+    """Add an application with the charm's default config, overridden by
+    ``options`` coerced against the charm schema."""
+    config = charm.default_config()
+    for opt_name, raw in options.items():
+        config[opt_name] = charm.config[opt_name].coerce(raw)
+    app = Application(name=name, charm_ref=charm_ref, series=series, store=model.store,
+                      config=config, exposed=exposed)
+    app.charm = charm
+    model.applications[name] = app
+
+    def undo() -> None:
+        del model.applications[name]
+        model._unit_index.pop(name, None)
+
+    log.append(undo)
+    return app
+
+
+def _create_unit(model: Model, log: UndoLog, app: Application, machine_id: str) -> Unit:
     unit = Unit(id=f"{app.name}/{app.unit_counter}", app=app.name, machine=machine_id)
     app.unit_counter += 1
     model.units[unit.id] = unit
     bisect.insort(model._unit_index.setdefault(app.name, []), unit.id, key=_unit_sort_key)
     for relation in model.relations_of(app.name):
         relation.data.setdefault(unit.id, {})
+
+    def undo() -> None:
+        _discard_unit(model, unit.id)
+        for relation in model.relations_of(app.name):
+            relation.data.pop(unit.id, None)
+        app.unit_counter -= 1
+
+    log.append(undo)
     return unit
 
 
@@ -434,61 +516,30 @@ def add_unit(model: Model, app_name: str, count: int = 1, placement: Placement |
     relation of the application gains relation-joined events on both
     sides; data already published by remote units is re-delivered to the
     newcomers as relation-changed events.
+
+    Quota follows the accounting rule of ``_undo_on_failure``: a
+    machine's declared constraints are charged when it is acquired and
+    released when it is released (fresh machines declare none), instances
+    are charged one per unit, and an add-unit that fails at any point
+    rolls back completely.
     """
     app = model.applications.get(app_name)
     if app is None:
         raise UnknownEntityError(f"unknown application {app_name!r}")
     if count < 1:
         raise EngineError(f"add_unit count must be positive, got {count}")
-    _quota_charge(model, {"instances": count})
-    unit_counter = app.unit_counter
-    acquired: list[tuple[str, str]] = []
-    new_ids: list[str] = []
-    try:
-        for _ in range(count):
-            machine_id = _place_added_unit(model, app, placement, acquired)
-            unit = _create_unit(model, app, machine_id)
-            new_ids.append(unit.id)
-    except FedweaveError:
-        for unit_id in reversed(new_ids):
-            _discard_unit(model, unit_id)
-            for relation in model.relations_of(app_name):
-                relation.data.pop(unit_id, None)
-        _release_acquired(model, acquired)
-        app.unit_counter = unit_counter
-        _quota_release(model, {"instances": count})
-        raise
+    with _undo_on_failure(model) as log:
+        _charge(model, log, QuotaSet(instances=count))
+        new_ids = [
+            _create_unit(model, log, app, _place(model, log, placement, app.series)).id
+            for _ in range(count)
+        ]
     remote_ids: dict[str, list[str]] = {}
     for unit_id in new_ids:
         model.event_queue.append(Event(EventKind.install(), unit_id))
         _ensure_leader(model, app_name)
         _join_existing_relations(model, app, unit_id, remote_ids)
     return new_ids
-
-
-def _place_added_unit(
-    model: Model,
-    app: Application,
-    placement: Placement | None,
-    acquired: list[tuple[str, str]],
-) -> str:
-    if placement is None or placement.kind == "fresh":
-        machine_id = _acquire(model, Constraints(), app.series, acquired)
-        model.machines.add(machine_id)
-        return machine_id
-    if placement.kind == "machine":
-        record = model.inventory.machines.get(placement.machine)
-        if record is None:
-            raise UnknownEntityError(f"unknown machine {placement.machine!r}")
-        if record.state == "ready":
-            model.inventory.acquire(Constraints(), machine=record.id)
-            acquired.append((record.id, record.series))
-        model.machines.add(record.id)
-        return record.id
-    host = placement.machine
-    if host not in model.inventory.machines:
-        raise UnknownEntityError(f"unknown machine {host!r}")
-    return _create_container(model, host, placement.container_kind, acquired)
 
 
 def _join_existing_relations(
@@ -617,8 +668,9 @@ def _orient(model, left_app, left_ep, right_app, right_ep):
 def remove_unit(model: Model, unit_id: str) -> None:
     """Remove a unit.  Remote units get relation-departed events; the
     unit's machine is released when nothing else occupies it, and so is a
-    released container's host.  If the unit led its application, the next
-    step re-elects a leader."""
+    released container's host, with the charge it was acquired with.  The
+    unit's instance is released.  If the unit led its application, the
+    next step re-elects a leader."""
     unit = model.units.get(unit_id)
     if unit is None:
         raise UnknownEntityError(f"unknown unit {unit_id!r}")
@@ -636,14 +688,15 @@ def remove_unit(model: Model, unit_id: str) -> None:
     _discard_unit(model, unit_id)
     if unit.leader:
         model._leader_check.add(app.name)
-    _quota_release(model, {"instances": 1})
+    _quota_release(model, QuotaSet(instances=1))
     _release_if_idle(model, unit.machine)
 
 
 def _release_if_idle(model: Model, machine_id: str) -> None:
-    """Release a machine no unit sits on and that hosts no container.  A
-    released container's host is checked in turn when the model owns it,
-    so the order units are removed in does not decide what stays held."""
+    """Release a machine no unit sits on and that hosts no container, and
+    the charge its acquisition made.  A released container's host is
+    checked in turn when the model owns it, so the order units are removed
+    in does not decide what stays held."""
     record = model.inventory.machines.get(machine_id)
     if record is None or record.containers:
         return
@@ -651,6 +704,9 @@ def _release_if_idle(model: Model, machine_id: str) -> None:
         return
     model.inventory.release(machine_id)
     model.machines.discard(machine_id)
+    charge = model.machine_charges.pop(machine_id, None)
+    if charge is not None:
+        _quota_release(model, charge)
     if record.parent is not None and record.parent in model.machines:
         _release_if_idle(model, record.parent)
 
@@ -705,40 +761,6 @@ def update_status(model: Model, app_name: str | None = None) -> int:
     for unit_id in unit_ids:
         model.event_queue.append(Event(EventKind.update_status(), unit_id))
     return len(unit_ids)
-
-
-# ---------------------------------------------------------------------------
-# Quota plumbing
-
-
-def _bundle_charge(bundle: Bundle) -> dict:
-    vcpus = sum(m.constraints.cpu_cores or 0 for m in bundle.machines.values())
-    ram = sum(m.constraints.mem or 0 for m in bundle.machines.values())
-    disk_mib = sum(m.constraints.root_disk or 0 for m in bundle.machines.values())
-    instances = sum(a.num_units for a in bundle.applications.values())
-    # Constraints are MiB; quota disk is GiB.  Partial GiB rounds up.
-    return {
-        "vcpus": vcpus,
-        "ram": ram,
-        "disk": -(-disk_mib // 1024),
-        "instances": instances,
-    }
-
-
-def _quota_charge(model: Model, amounts: dict) -> None:
-    if model.project is None or model.quota_tree is None:
-        return
-    from .quota import QuotaSet
-
-    model.quota_tree.charge(model.project, QuotaSet(**amounts))
-
-
-def _quota_release(model: Model, amounts: dict) -> None:
-    if model.project is None or model.quota_tree is None:
-        return
-    from .quota import QuotaSet
-
-    model.quota_tree.release(model.project, QuotaSet(**amounts))
 
 
 # ---------------------------------------------------------------------------
@@ -1070,18 +1092,10 @@ def _canonical_state(model: Model) -> dict:
             "config": {k: app.config[k] for k in sorted(app.config)},
             "units": model.unit_ids_of(name),
         }
-    units = {}
-    for unit_id in sorted(model.units, key=_unit_sort_key):
-        unit = model.units[unit_id]
-        units[unit_id] = {
-            "application": unit.app,
-            "machine": unit.machine,
-            "status": unit.status,
-            "message": unit.message,
-            "leader": unit.leader,
-            "states": sorted(unit.states),
-            "open_ports": sorted(unit.open_ports),
-        }
+    units = {
+        unit_id: _unit_doc(model.units[unit_id])
+        for unit_id in sorted(model.units, key=_unit_sort_key)
+    }
     machines = {}
     for machine_id in sorted(model.machines, key=machine_sort_key):
         record = model.inventory.machines.get(machine_id)
@@ -1099,10 +1113,31 @@ def _canonical_state(model: Model) -> dict:
             "properties": sorted(record.properties),
             "containers": sorted(record.containers, key=machine_sort_key),
         }
-    relations = {}
-    for relation_id in sorted(model.relations):
-        relation = model.relations[relation_id]
-        relations[relation_id] = {
+    return {
+        "applications": applications,
+        "units": units,
+        "machines": machines,
+        "relations": _relation_docs(model),
+        "pending_events": len(model.event_queue),
+    }
+
+
+def _unit_doc(unit: Unit) -> dict:
+    """A unit's observable state, as the state hash and checkpoints see it."""
+    return {
+        "application": unit.app,
+        "machine": unit.machine,
+        "status": unit.status,
+        "message": unit.message,
+        "leader": unit.leader,
+        "states": sorted(unit.states),
+        "open_ports": sorted(unit.open_ports),
+    }
+
+
+def _relation_docs(model: Model) -> dict:
+    return {
+        relation_id: {
             "provider": relation.provider,
             "requirer": relation.requirer,
             "interface": relation.interface,
@@ -1111,12 +1146,7 @@ def _canonical_state(model: Model) -> dict:
                 for unit_id, bag in sorted(relation.data.items())
             },
         }
-    return {
-        "applications": applications,
-        "units": units,
-        "machines": machines,
-        "relations": relations,
-        "pending_events": len(model.event_queue),
+        for relation_id, relation in sorted(model.relations.items())
     }
 
 
@@ -1141,8 +1171,15 @@ def _digest(canonical: dict) -> str:
 
 
 def checkpoint(model: Model, include_inventory: bool = True) -> dict:
-    """Serialize the model for resumption.  Charm bodies are not embedded;
-    a restored application resolves its reference against the store."""
+    """Serialize the model for resumption: the observable state of units
+    and relations that the state hash covers, plus what resuming needs
+    (``seen``, ``unit_counter``, the queue, the machine list and any
+    machine charges).  Charm bodies are not embedded; a restored
+    application resolves its reference against the store."""
+    units = {}
+    for unit_id, unit in sorted(model.units.items()):
+        units[unit_id] = body = _unit_doc(unit)
+        body["seen"] = [list(key) for key in sorted(unit.seen)]
     doc: dict = {
         "generation": model.generation,
         "project": model.project,
@@ -1157,31 +1194,8 @@ def checkpoint(model: Model, include_inventory: bool = True) -> dict:
             }
             for name, app in sorted(model.applications.items())
         },
-        "units": {
-            unit.id: {
-                "application": unit.app,
-                "machine": unit.machine,
-                "status": unit.status,
-                "message": unit.message,
-                "leader": unit.leader,
-                "states": sorted(unit.states),
-                "open_ports": sorted(unit.open_ports),
-                "seen": [list(key) for key in sorted(unit.seen)],
-            }
-            for unit_id, unit in sorted(model.units.items())
-        },
-        "relations": {
-            relation.id: {
-                "provider": relation.provider,
-                "requirer": relation.requirer,
-                "interface": relation.interface,
-                "data": {
-                    unit_id: {k: bag[k] for k in sorted(bag)}
-                    for unit_id, bag in sorted(relation.data.items())
-                },
-            }
-            for relation_id, relation in sorted(model.relations.items())
-        },
+        "units": units,
+        "relations": _relation_docs(model),
         "queue": [
             {
                 "kind": event.kind.kind,
@@ -1194,6 +1208,11 @@ def checkpoint(model: Model, include_inventory: bool = True) -> dict:
         ],
         "machines": sorted(model.machines, key=machine_sort_key),
     }
+    if model.machine_charges:
+        doc["machine_charges"] = {
+            machine_id: {k: v for k, v in model.machine_charges[machine_id].as_dict().items() if v}
+            for machine_id in sorted(model.machine_charges, key=machine_sort_key)
+        }
     if include_inventory:
         doc["inventory"] = model.inventory.dump()
     return doc
@@ -1268,4 +1287,8 @@ def load_checkpoint(
             )
         )
     model.machines = set(doc.get("machines") or ())
+    model.machine_charges = {
+        machine_id: QuotaSet.from_dict(body)
+        for machine_id, body in (doc.get("machine_charges") or {}).items()
+    }
     return model

@@ -26,25 +26,32 @@ import json
 import logging
 import shlex
 from dataclasses import dataclass, field
+from functools import partial
 
 from .bundle import Bundle, Constraints, parse_constraints, render_bundle, render_constraints
 from .charms import EventKind
 from .engine import (
     DEFAULT_BUDGET,
     DEFAULT_SEED,
-    Application,
     Event,
     Model,
+    UndoLog,
+    _acquire,
     _app_series,
+    _charge,
+    _check_series,
+    _create_application,
+    _create_container,
     _create_unit,
     _ensure_leader,
-    _quota_charge,
+    _undo_on_failure,
     add_relation,
     run_to_convergence,
     set_config,
 )
 from .errors import FedweaveError
 from .provider import Inventory, machine_sort_key
+from .quota import QuotaSet
 
 logger = logging.getLogger(__name__)
 
@@ -309,7 +316,13 @@ def execute_plan(
     """Replay a plan against a fresh inventory and converge the result.
 
     Raises PlanExecutionError naming the failing step on placement or
-    quota problems.  When the store's charms no longer match the digest
+    quota problems, and QuotaExceededError when the plan's units do not
+    fit the project's instance quota.  Quota follows the engine's
+    accounting rule: a machine's declared constraints are charged when it
+    is acquired and released when it is released, instances are charged
+    one per unit, and a failed execution, convergence included, rolls back
+    completely, leaving the inventory and the quota tree as they were.
+    When the store's charms no longer match the digest
     recorded at compile time, a divergence warning is logged and the stale
     steps are executed as written.
     """
@@ -324,72 +337,35 @@ def execute_plan(
         )
 
     model = Model(store, inventory, project=project, quota_tree=quota_tree)
-    _admit_plan(model, plan)
     machine_map: dict[str, str] = {}
-    new_unit_ids: list[str] = []
-    for index, planned in enumerate(plan.steps):
-        try:
-            _execute_step(model, planned, machine_map, new_unit_ids)
-        except FedweaveError as exc:
-            raise PlanExecutionError(index, planned, exc) from exc
-    run_to_convergence(model, budget=budget, rng_seed=rng_seed)
+    with _undo_on_failure(model) as log:
+        units = sum(isinstance(planned, InstallUnit) for planned in plan.steps)
+        _charge(model, log, QuotaSet(instances=units))
+        for index, planned in enumerate(plan.steps):
+            try:
+                _execute_step(model, log, planned, machine_map)
+            except FedweaveError as exc:
+                raise PlanExecutionError(index, planned, exc) from exc
+        run_to_convergence(model, budget=budget, rng_seed=rng_seed)
     return model
 
 
-def _admit_plan(model: Model, plan: ImperativePlan) -> None:
-    if model.project is None or model.quota_tree is None:
-        return
-    vcpus = ram = disk_mib = instances = 0
-    for planned in plan.steps:
-        if isinstance(planned, AcquireMachine):
-            vcpus += planned.constraints.cpu_cores or 0
-            ram += planned.constraints.mem or 0
-            disk_mib += planned.constraints.root_disk or 0
-        elif isinstance(planned, InstallUnit):
-            instances += 1
-    # Constraints are MiB; quota disk is GiB.  Partial GiB rounds up.
-    _quota_charge(
-        model,
-        {"vcpus": vcpus, "ram": ram, "disk": -(-disk_mib // 1024), "instances": instances},
-    )
-
-
-def _execute_step(
-    model: Model, planned: PlanStep, machine_map: dict[str, str], new_unit_ids: list[str]
-) -> None:
+def _execute_step(model: Model, log: UndoLog, planned: PlanStep, machine_map: dict[str, str]) -> None:
     if isinstance(planned, AcquireMachine):
-        record = model.inventory.acquire(planned.constraints)
-        record.series = planned.series
-        machine_map[planned.machine] = record.id
-        model.machines.add(record.id)
+        machine_map[planned.machine] = _acquire(model, log, planned.constraints, planned.series)
     elif isinstance(planned, CreateContainer):
         host = machine_map[planned.host]
-        container = model.inventory.create_container(host, planned.kind)
-        machine_map[planned.alias] = container.id
-        model.machines.add(container.id)
+        machine_map[planned.alias] = _create_container(model, log, host, planned.kind)
     elif isinstance(planned, InstallUnit):
         app_name = planned.unit.partition("/")[0]
+        machine_id = machine_map[planned.machine]
         app = model.applications.get(app_name)
         if app is None:
             charm = model.store.resolve_charm(planned.charm)
-            machine_id = machine_map[planned.machine]
-            app = Application(
-                name=app_name,
-                charm_ref=planned.charm,
-                series=model.inventory.machines[machine_id].series,
-                store=model.store,
-                config=charm.default_config(),
-            )
-            app.charm = charm
-            model.applications[app_name] = app
-        machine_id = machine_map[planned.machine]
-        record = model.inventory.machines[machine_id]
-        if record.series not in app.charm.series:
-            raise PlanError(
-                f"charm {app.charm.name!r} does not support series {record.series!r}"
-            )
-        unit = _create_unit(model, app, machine_id)
-        new_unit_ids.append(unit.id)
+            series = model.inventory.machines[machine_id].series
+            app = _create_application(model, log, app_name, planned.charm, charm, series, {})
+        _check_series(model, machine_id, app.charm)
+        unit = _create_unit(model, log, app, machine_id)
         model.event_queue.append(Event(EventKind.install(), unit.id))
         _ensure_leader(model, app_name)
     elif isinstance(planned, Configure):
@@ -398,7 +374,8 @@ def _execute_step(
         if planned.expose:
             model.applications[planned.application].exposed = True
     elif isinstance(planned, JoinRelation):
-        add_relation(model, planned.provider, planned.requirer)
+        relation = add_relation(model, planned.provider, planned.requirer)
+        log.append(partial(model.relations.pop, relation.id))
     elif isinstance(planned, StartUnit):
         model.event_queue.append(Event(EventKind.start(), planned.unit))
     else:  # pragma: no cover - the step language is closed

@@ -436,6 +436,19 @@ class TestCharmFilesParsedOnFirstUse:
             assert out == ""
         assert _state_files(tmp_path) == files
 
+    def test_failed_add_unit_prints_no_result(self, demo, tmp_path):
+        """The placement is made in memory, then convergence fails on the
+        charm: nothing is saved, so no ``unit ... on ...`` line is printed."""
+        code, _, err = demo("deploy", str(tmp_path / "scaled-bundle.yaml"))
+        assert code == 0, err
+        (tmp_path / "charms" / "haproxy.yaml").write_text("name: [unclosed\n")
+        files = _state_files(tmp_path)
+        code, out, err = demo("add-unit", "haproxy")
+        assert code == 1
+        assert err.startswith("charm-store: malformed charm document")
+        assert out == ""
+        assert _state_files(tmp_path) == files
+
 
 class TestStatusText:
     def test_tables(self, demo, tmp_path):
@@ -798,6 +811,11 @@ class TestQuotaCommands:
         demo("remove-unit", "postgresql/0")
         code, out, _ = demo("quota", "show", "cloud")
         assert "usage[vcpus=1 ram=2048 disk=20 instances=1]" in out
+
+        # the last unit releases machine 0, and with it the machine's charge
+        demo("remove-unit", "moodle/0")
+        code, out, _ = demo("quota", "show", "cloud")
+        assert "usage[vcpus=0 ram=0 disk=0 instances=0]" in out
 
     def test_deploy_denied_by_quota(self, demo, tmp_path):
         self._tree(demo)

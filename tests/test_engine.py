@@ -883,6 +883,36 @@ class TestQuotaIntegration:
             add_unit(model, "moodle")
         assert model.unit_ids_of("moodle") == ["moodle/0"]
 
+    def test_machine_charge_is_checkpointed_and_released(self, store, make_inventory):
+        tree, project = self._tree(vcpus=8, ram=16384, disk=100, instances=10)
+        model = Model(store, make_inventory(), project=project, quota_tree=tree)
+        result = deploy_bundle(model, parse_bundle(MOODLE_BUNDLE))
+        run_to_convergence(model)
+        host = result.machine_map["0"]
+        doc = statefile.load(statefile.dump(checkpoint(model, include_inventory=True)))
+        assert doc["machine_charges"] == {host: {"vcpus": 1, "ram": 2048, "disk": 20}}
+
+        restored = load_checkpoint(doc, store, quota_tree=tree)
+        for unit_id in ("postgresql/0", "moodle/0"):
+            remove_unit(restored, unit_id)
+        assert restored.inventory.machines[host].state == "ready"
+        assert restored.machine_charges == {}
+        assert tree.find(project).usage == QuotaSet()
+
+    def test_uncharged_and_older_checkpoints_hold_no_charge(self, store, make_inventory):
+        # No project: nothing is charged, so nothing is recorded.
+        model = Model(store, make_inventory())
+        deploy_bundle(model, parse_bundle(MOODLE_BUNDLE))
+        assert model.machine_charges == {}
+        assert "machine_charges" not in checkpoint(model)
+        # A checkpoint written before charges were recorded holds none.
+        tree, project = self._tree(vcpus=8, ram=16384, disk=100, instances=10)
+        charged = Model(store, make_inventory(), project=project, quota_tree=tree)
+        deploy_bundle(charged, parse_bundle(MOODLE_BUNDLE))
+        doc = checkpoint(charged)
+        del doc["machine_charges"]
+        assert load_checkpoint(doc, store, quota_tree=tree).machine_charges == {}
+
 
 class TestEventHygiene:
     def test_events_for_dead_units_are_dropped(self, deploy_fixture):

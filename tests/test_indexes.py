@@ -1,5 +1,5 @@
-"""The engine's unit index and the inventory's ready index, checked against
-brute force over generated command sequences.
+"""The engine's unit index, the inventory's ready index and the quota
+accounting, checked against brute force over generated command sequences.
 
 ``Model.unit_ids_of`` reads a per-application index and
 ``Inventory.select_machine`` walks a sorted index of ready machines; both
@@ -7,6 +7,14 @@ are derived state.  After every command the first must equal a sorted
 scan of ``model.units``, the second must agree with the brute-force
 ``best_fit_oracle``, and one step must leave every application that has
 units with exactly one leader.
+
+The model charges a project, so after every command the project's usage
+must equal the constraints declared for the machines the model holds,
+plus one instance per unit, and every machine the model holds must be
+acquired.  Commands fail on purpose (a full pool, a spent quota, an
+unknown machine, a plan larger than the pool); a failed command must
+leave the state hash, the inventory and the quota tree exactly as they
+were.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 from oracles import best_fit_oracle, machines_doc
 
 from fedweave.builtin import SCALED_BUNDLE, builtin_store
-from fedweave.bundle import Constraints, Placement, parse_bundle
+from fedweave.bundle import Bundle, Constraints, Placement, parse_bundle
 from fedweave.engine import (
     Model,
     add_unit,
@@ -33,7 +41,9 @@ from fedweave.engine import (
     step,
 )
 from fedweave.errors import FedweaveError
+from fedweave.plan import compile_plan, execute_plan
 from fedweave.provider import Inventory
+from fedweave.quota import ProjectTree, QuotaSet
 
 APPS = ("haproxy", "moodle", "postgresql")
 
@@ -52,6 +62,62 @@ REQUESTS = (
 )
 
 
+# Both bundles fit, with vcpus to spare for neither: once both are
+# deployed, a plan's constrained machine fails on quota as it is acquired.
+# Generated scale-outs and plans run out of instances now and then.
+QUOTA = QuotaSet(vcpus=3, ram=20480, disk=120, instances=16)
+
+# A second bundle: a constrained host whose disk is a partial GiB (30000
+# MiB charges 30 GiB), a container on it, a host only a few pool machines
+# satisfy, and a fresh machine.
+SECOND_BUNDLE = """\
+series: xenial
+applications:
+  campus:
+    charm: "cs:~csd-garr/moodle"
+    num_units: 3
+    to: ["0", "lxd:1"]
+  campusdb:
+    charm: "cs:postgresql"
+    num_units: 1
+    to: ["lxd:0"]
+relations:
+  - ["campusdb:db", "campus:database"]
+machines:
+  "0":
+    constraints: "cpu-cores=2 mem=4096 root-disk=30000"
+  "1":
+    constraints: "mem=8192"
+"""
+
+
+def _plan_bundle(fresh: int) -> str:
+    """A bundle needing a constrained machine and ``fresh`` more: with
+    ``fresh`` at least the pool size it can never be placed."""
+    return (
+        "series: xenial\n"
+        "applications:\n"
+        "  mirror:\n"
+        '    charm: "cs:haproxy"\n'
+        f"    num_units: {fresh + 1}\n"
+        '    to: ["0"]\n'
+        "machines:\n"
+        '  "0":\n'
+        '    constraints: "cpu-cores=1 mem=2048 root-disk=20480"\n'
+    )
+
+
+def _declared(constraints: Constraints) -> QuotaSet:
+    """What holding a machine acquired with ``constraints`` costs: MiB of
+    disk become GiB, a partial GiB rounding up."""
+    disk_mib = constraints.root_disk or 0
+    return QuotaSet(
+        vcpus=constraints.cpu_cores or 0,
+        ram=constraints.mem or 0,
+        disk=(disk_mib + 1023) // 1024,
+    )
+
+
 def _unit_key(unit_id: str):
     app, _, index = unit_id.partition("/")
     return (app, int(index))
@@ -66,16 +132,36 @@ class UnitAndReadyIndexes(RuleBasedStateMachine):
         for mem, disk in POOL:
             inventory.enlist(region="garr-01", az="az1", arch="amd64", cores=4,
                              mem=mem, disk=disk, series="xenial")
-        self.model = Model(self.store, inventory)
-        deploy_bundle(self.model, parse_bundle(SCALED_BUNDLE))
+        self.tree = ProjectTree()
+        self.tree.add_domain("garr")
+        self.project = self.tree.create_project("cloud", "garr")
+        for node in ("garr", self.project):
+            self.tree.set_quota(node, QUOTA)
+        self.model = Model(self.store, inventory, project=self.project, quota_tree=self.tree)
+        # provider machine id -> the charge its bundle declared
+        self.declared: dict[str, QuotaSet] = {}
+        self._deploy(parse_bundle(SCALED_BUNDLE))
+
+    def _snapshot(self) -> tuple:
+        return (state_hash(self.model), self.model.inventory.dump(), self.tree.dump())
+
+    def _deploy(self, bundle: Bundle) -> None:
+        before = self._snapshot()
+        try:
+            result = deploy_bundle(self.model, bundle)
+        except FedweaveError:
+            assert self._snapshot() == before
+            return
+        for bundle_id, machine_id in result.machine_map.items():
+            self.declared[machine_id] = _declared(bundle.machines[bundle_id].constraints)
 
     def _add(self, app: str, count: int, placement: Placement | None) -> None:
         counter = self.model.applications[app].unit_counter
-        before = (state_hash(self.model), self.model.inventory.dump())
+        before = self._snapshot()
         try:
             add_unit(self.model, app, count=count, placement=placement)
         except FedweaveError:
-            assert (state_hash(self.model), self.model.inventory.dump()) == before
+            assert self._snapshot() == before
             assert self.model.applications[app].unit_counter == counter
 
     @rule(app=st.sampled_from(APPS), count=st.integers(1, 4))
@@ -93,9 +179,26 @@ class UnitAndReadyIndexes(RuleBasedStateMachine):
         )
         self._add(app, count, placement)
 
+    @rule()
+    def deploy_second_bundle(self):
+        # Fails up front once deployed, and on a full pool or spent quota.
+        self._deploy(parse_bundle(SECOND_BUNDLE))
+
+    @rule(fresh=st.integers(len(POOL), len(POOL) + 4))
+    def execute_oversized_plan(self, fresh):
+        plan = compile_plan(parse_bundle(_plan_bundle(fresh)), self.store)
+        before = self._snapshot()
+        try:
+            execute_plan(plan, self.model.inventory, self.store,
+                         project=self.project, quota_tree=self.tree)
+        except FedweaveError:
+            assert self._snapshot() == before
+        else:
+            raise AssertionError("a plan larger than the pool was placed")
+
     def _round_trip(self) -> None:
         doc = json.loads(json.dumps(checkpoint(self.model, include_inventory=True)))
-        restored = load_checkpoint(doc, self.store)
+        restored = load_checkpoint(doc, self.store, quota_tree=self.tree)
         assert state_hash(restored) == state_hash(self.model)
         self.model = restored
 
@@ -138,6 +241,17 @@ class UnitAndReadyIndexes(RuleBasedStateMachine):
             )
             expected = best_fit_oracle(machines_doc(inventory), want)
             assert (chosen.id if chosen else None) == expected
+
+    @invariant()
+    def usage_is_what_the_model_holds(self):
+        held = self.model.machines
+        assert all(self.model.inventory.machines[m].state == "acquired" for m in held)
+        # A released machine's declared charge goes with it.
+        self.declared = {m: c for m, c in self.declared.items() if m in held}
+        expected = QuotaSet(instances=len(self.model.units))
+        for charge in self.declared.values():
+            expected = expected.add(charge)
+        assert self.tree.nodes[self.project].usage == expected
 
     @invariant()
     def one_step_leaves_one_leader(self):

@@ -226,9 +226,29 @@ class TestExecution:
         tree.set_quota("garr", QuotaSet(instances=1))
         tree.set_quota(project, QuotaSet(instances=1))
         plan = compile_plan(moodle_bundle, store)
+        inventory = make_inventory()
+        before = inventory.dump()
         with pytest.raises(QuotaExceededError):
-            execute_plan(plan, make_inventory(), store, project=project, quota_tree=tree)
+            execute_plan(plan, inventory, store, project=project, quota_tree=tree)
         assert tree.find(project).usage == QuotaSet()
+        assert inventory.dump() == before
+
+    def test_failed_step_releases_what_earlier_steps_held(self, store, make_inventory):
+        tree = ProjectTree()
+        tree.add_domain("garr")
+        project = tree.create_project("cloud", "garr")
+        tree.set_quota("garr", QuotaSet(vcpus=8, ram=16384, disk=100, instances=10))
+        tree.set_quota(project, QuotaSet(vcpus=8, ram=16384, disk=100, instances=10))
+        # A second moodle unit needs a fresh machine the one-machine pool lacks.
+        bundle = parse_bundle(MOODLE_BUNDLE.replace("num_units: 1\n    to:\n      - 0",
+                                                    "num_units: 2\n    to:\n      - 0"))
+        plan = compile_plan(bundle, store)
+        inventory = make_inventory(count=1)
+        before = inventory.dump()
+        with pytest.raises(PlanExecutionError, match=r"step 1 \(acquire-machine fresh:moodle/1"):
+            execute_plan(plan, inventory, store, project=project, quota_tree=tree)
+        assert tree.find(project).usage == QuotaSet()
+        assert inventory.dump() == before
 
 
 class TestDotExport:
