@@ -23,6 +23,14 @@ Three rules make convergence insensitive to ordering:
   event kinds the charm guards with those flags
   (``CharmSpec.guarded_kinds``).
 
+Besides the ``start`` that follows every ``install``, a step enqueues
+follow-on events for two reasons only: a relation-data bag it changed
+(relation-changed for the remote units) and a flag it added
+(redelivery).  Both are written by a handler's actions, so an event that
+matches no handler, about half the events of a large deploy, can neither
+emit nor re-deliver: its step records the event and returns without
+looking for either.
+
 Two handlers triggered by one event that write different values to the
 same location are a charm bug; in strict mode (the default) the step
 raises a conflict error instead of letting the last writer win.
@@ -43,6 +51,7 @@ from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from typing import NamedTuple
 
 from .bundle import Bundle, Constraints, Placement, render_constraints
 from .charms import (
@@ -68,6 +77,11 @@ DEFAULT_BUDGET = 10_000
 DEFAULT_SEED = 1
 
 UNIT_STATUSES = ("allocating", "installing", "active", "blocked", "error")
+
+# The kind ``step`` compares every event with, and the kind it enqueues
+# after each install: built once, not per event.
+_INSTALL = EventKind.install()
+_START = EventKind.start()
 
 
 class EngineError(FedweaveError):
@@ -236,8 +250,10 @@ def _unit_sort_key(unit_id: str):
 # Results
 
 
-@dataclass(frozen=True)
-class StepReport:
+class StepReport(NamedTuple):
+    """What one ``step`` did.  A named tuple: it is built once per event,
+    and costs about half what a frozen dataclass does."""
+
     event: str | None
     handlers_run: int = 0
     actions_applied: int = 0
@@ -311,7 +327,7 @@ def deploy_bundle(model: Model, bundle: Bundle) -> DeploymentResult:
                 new_units.append(_create_unit(model, log, app, machine_id))
 
         for unit in new_units:
-            model.event_queue.append(Event(EventKind.install(), unit.id))
+            model.event_queue.append(Event(_INSTALL, unit.id))
             _ensure_leader(model, unit.app)
 
         relation_ids = []
@@ -372,13 +388,17 @@ def _charge(model: Model, log: UndoLog, amount: QuotaSet) -> bool:
     if model.project is None or model.quota_tree is None or amount == ZERO:
         return False
     model.quota_tree.charge(model.project, amount)
-    log.append(partial(_quota_release, model, amount))
+    log.append(partial(model.quota_tree.release, model.project, amount))
     return True
 
 
-def _quota_release(model: Model, amount: QuotaSet) -> None:
-    if model.project is not None and model.quota_tree is not None:
-        model.quota_tree.release(model.project, amount)
+def _release(model: Model, log: UndoLog, amount: QuotaSet) -> None:
+    """Release from the model's project, if it has one; the undo charges
+    the amount back, which always fits where it was held before."""
+    if model.project is None or model.quota_tree is None:
+        return
+    model.quota_tree.release(model.project, amount)
+    log.append(partial(model.quota_tree.charge, model.project, amount))
 
 
 def _hold(model: Model, log: UndoLog, machine_id: str) -> str:
@@ -536,7 +556,7 @@ def add_unit(model: Model, app_name: str, count: int = 1, placement: Placement |
         ]
     remote_ids: dict[str, list[str]] = {}
     for unit_id in new_ids:
-        model.event_queue.append(Event(EventKind.install(), unit_id))
+        model.event_queue.append(Event(_INSTALL, unit_id))
         _ensure_leader(model, app_name)
         _join_existing_relations(model, app, unit_id, remote_ids)
     return new_ids
@@ -548,25 +568,22 @@ def _join_existing_relations(
     """Join a new unit to every relation of its application.  ``remote_ids``
     caches each remote application's unit ids for the whole command: new
     units join only their own application, never the remote side."""
+    queue = model.event_queue
     for relation in model.relations_of(app.name):
         own_endpoint = relation.endpoint_of(app.name)
         other_app = next(a for a in relation.apps() if a != app.name)
-        other_endpoint = relation.endpoint_of(other_app)
+        joined = EventKind.relation_joined(own_endpoint)
+        remote_joined = EventKind.relation_joined(relation.endpoint_of(other_app))
+        changed = EventKind.relation_changed(own_endpoint)
         relation.data.setdefault(unit_id, {})
         remotes = remote_ids.get(other_app)
         if remotes is None:
             remotes = remote_ids[other_app] = model.unit_ids_of(other_app)
         for remote_id in remotes:
-            model.event_queue.append(
-                Event(EventKind.relation_joined(own_endpoint), unit_id, relation.id, remote_id)
-            )
-            model.event_queue.append(
-                Event(EventKind.relation_joined(other_endpoint), remote_id, relation.id, unit_id)
-            )
+            queue.append(Event(joined, unit_id, relation.id, remote_id))
+            queue.append(Event(remote_joined, remote_id, relation.id, unit_id))
             if relation.data.get(remote_id):
-                model.event_queue.append(
-                    Event(EventKind.relation_changed(own_endpoint), unit_id, relation.id, remote_id)
-                )
+                queue.append(Event(changed, unit_id, relation.id, remote_id))
 
 
 def set_config(model: Model, app_name: str, options: dict) -> list[str]:
@@ -587,8 +604,9 @@ def set_config(model: Model, app_name: str, options: dict) -> list[str]:
     if not changed:
         return []
     app.config.update(coerced)
+    kind = EventKind.config_changed()
     for unit_id in model.unit_ids_of(app_name):
-        model.event_queue.append(Event(EventKind.config_changed(), unit_id))
+        model.event_queue.append(Event(kind, unit_id))
     return sorted(changed)
 
 
@@ -616,16 +634,15 @@ def add_relation(model: Model, left: str, right: str) -> Relation:
     requirer_units = model.unit_ids_of(requirer[0])
     for unit_id in provider_units + requirer_units:
         relation.data.setdefault(unit_id, {})
-    for unit_id in provider_units:
-        for remote_id in requirer_units:
-            model.event_queue.append(
-                Event(EventKind.relation_joined(provider[1]), unit_id, relation_id, remote_id)
-            )
-    for unit_id in requirer_units:
-        for remote_id in provider_units:
-            model.event_queue.append(
-                Event(EventKind.relation_joined(requirer[1]), unit_id, relation_id, remote_id)
-            )
+    queue = model.event_queue
+    for (_, endpoint), units, remotes in (
+        (provider, provider_units, requirer_units),
+        (requirer, requirer_units, provider_units),
+    ):
+        kind = EventKind.relation_joined(endpoint)
+        for unit_id in units:
+            for remote_id in remotes:
+                queue.append(Event(kind, unit_id, relation_id, remote_id))
     return relation
 
 
@@ -670,45 +687,58 @@ def remove_unit(model: Model, unit_id: str) -> None:
     unit's machine is released when nothing else occupies it, and so is a
     released container's host, with the charge it was acquired with.  The
     unit's instance is released.  If the unit led its application, the
-    next step re-elects a leader."""
+    next step re-elects a leader.
+
+    Only the quota releases can fail (an operator may have released the
+    usage by hand), so they run first, under an undo log: a removal that
+    fails leaves the model, its queue, the inventory and the quota tree as
+    they were."""
     unit = model.units.get(unit_id)
     if unit is None:
         raise UnknownEntityError(f"unknown unit {unit_id!r}")
+    freed = _freed_machines(model, unit)
+    with _undo_on_failure(model) as log:
+        _release(model, log, QuotaSet(instances=1))
+        for machine_id in freed:
+            charge = model.machine_charges.get(machine_id)
+            if charge is not None:
+                _release(model, log, charge)
     app = model.applications[unit.app]
     for relation in model.relations_of(app.name):
         other_app = next(a for a in relation.apps() if a != app.name)
-        other_endpoint = relation.endpoint_of(other_app)
+        kind = EventKind.relation_departed(relation.endpoint_of(other_app))
         relation.data.pop(unit_id, None)
         for remote_id in model.unit_ids_of(other_app):
             if remote_id == unit_id:
                 continue
-            model.event_queue.append(
-                Event(EventKind.relation_departed(other_endpoint), remote_id, relation.id, unit_id)
-            )
+            model.event_queue.append(Event(kind, remote_id, relation.id, unit_id))
     _discard_unit(model, unit_id)
     if unit.leader:
         model._leader_check.add(app.name)
-    _quota_release(model, QuotaSet(instances=1))
-    _release_if_idle(model, unit.machine)
+    for machine_id in freed:
+        model.inventory.release(machine_id)
+        model.machines.discard(machine_id)
+        model.machine_charges.pop(machine_id, None)
 
 
-def _release_if_idle(model: Model, machine_id: str) -> None:
-    """Release a machine no unit sits on and that hosts no container, and
-    the charge its acquisition made.  A released container's host is
-    checked in turn when the model owns it, so the order units are removed
-    in does not decide what stays held."""
-    record = model.inventory.machines.get(machine_id)
-    if record is None or record.containers:
-        return
-    if any(u.machine == machine_id for u in model.units.values()):
-        return
-    model.inventory.release(machine_id)
-    model.machines.discard(machine_id)
-    charge = model.machine_charges.pop(machine_id, None)
-    if charge is not None:
-        _quota_release(model, charge)
-    if record.parent is not None and record.parent in model.machines:
-        _release_if_idle(model, record.parent)
+def _freed_machines(model: Model, unit: Unit) -> list[str]:
+    """The machines removing ``unit`` leaves idle, in release order: its
+    machine when no other unit sits on it and it hosts no container, then,
+    when that is a container, its host if the model owns it and nothing
+    else occupies it.  So the order units are removed in does not decide
+    what stays held."""
+    freed: list[str] = []
+    machine_id = unit.machine
+    while True:
+        record = model.inventory.machines.get(machine_id)
+        if record is None or any(c not in freed for c in record.containers):
+            return freed
+        if any(u.machine == machine_id and u is not unit for u in model.units.values()):
+            return freed
+        freed.append(machine_id)
+        if record.parent is None or record.parent not in model.machines:
+            return freed
+        machine_id = record.parent
 
 
 def elect_leader(model: Model, app_name: str) -> str:
@@ -758,8 +788,9 @@ def update_status(model: Model, app_name: str | None = None) -> int:
     unit_ids = sorted(model.units, key=_unit_sort_key)
     if app_name is not None:
         unit_ids = [u for u in unit_ids if model.units[u].app == app_name]
+    kind = EventKind.update_status()
     for unit_id in unit_ids:
-        model.event_queue.append(Event(EventKind.update_status(), unit_id))
+        model.event_queue.append(Event(kind, unit_id))
     return len(unit_ids)
 
 
@@ -798,13 +829,22 @@ def step(model: Model, rng_seed: int | None = None, _rng: random.Random | None =
     removal or restored from a checkpoint gets a new leader).  An empty
     queue is a no-op.  Events whose target unit no longer exists are
     dropped with a notice.
+
+    A step pays only for what its event causes.  An event that matches no
+    handler runs no action, so it sets no flag and writes no bag: it can
+    emit no relation-changed event (those follow a changed bag) and
+    re-deliver nothing (redelivery follows an added flag).  Such a step
+    records the event as seen, seeds ``start`` after ``install`` and
+    traces the event, and does nothing else.  The seeded shuffle is still
+    called on its empty handler list, which draws no random number.
     """
-    for app_name in sorted(model._leader_check):
-        _ensure_leader(model, app_name)
-    model._leader_check.clear()
+    if model._leader_check:
+        for app_name in sorted(model._leader_check):
+            _ensure_leader(model, app_name)
+        model._leader_check.clear()
     queue = model.event_queue
     if not queue:
-        return StepReport(event=None)
+        return StepReport(None)
     rng = _rng if _rng is not None else random.Random(DEFAULT_SEED if rng_seed is None else rng_seed)
     # The charm is read before the event is taken: a charm that fails to
     # resolve on first use leaves the queue and the model as they were.
@@ -814,18 +854,24 @@ def step(model: Model, rng_seed: int | None = None, _rng: random.Random | None =
     model.generation += 1
     if unit is None:
         logger.info("dropping %s: target unit no longer exists", event.render())
-        return StepReport(event=event.render(), dropped=True)
+        return StepReport(event.render(), 0, 0, True)
 
     unit.seen.add(event.key())
     states = unit.states
-    flags_before = frozenset(states)
     matching = [
         (index, handler)
         for index, handler in charm.dispatch.get(event.kind, ())
         if handler.when_states <= states
     ]
     rng.shuffle(matching)
+    if not matching:
+        if event.kind == _INSTALL:
+            queue.append(Event(_START, unit.id))
+        if model.trace is not None:
+            _trace_step(model, event, unit, 0, ())
+        return StepReport(event.render())
 
+    flags_before = frozenset(states)
     tracker = _ConflictTracker(model.strict_conflicts)
     changed_bags: set[tuple[str, str]] = set()  # (relation id, writer unit id)
     actions_applied = 0
@@ -834,27 +880,25 @@ def step(model: Model, rng_seed: int | None = None, _rng: random.Random | None =
         if model.shadow_check:
             model.shadow_deltas += _shadow_delta(model, unit, event, handler)
 
-    emitted = _emit_changed(model, changed_bags)
-    if event.kind == EventKind.install():
-        model.event_queue.append(Event(EventKind.start(), unit.id))
-    redelivered = _redeliver(model, unit, charm, flags_before)
-
+    emitted = _emit_changed(model, changed_bags) if changed_bags else 0
+    if event.kind == _INSTALL:
+        queue.append(Event(_START, unit.id))
+    added = states - flags_before
+    redelivered = _redeliver(model, unit, charm, added, flags_before) if added else 0
     if model.trace is not None:
-        model.trace.append(
-            {
-                "generation": model.generation,
-                "event": event.key(),
-                "target": unit.id,
-                "handlers": len(matching),
-                "writes": sorted(changed_bags),
-            }
-        )
-    return StepReport(
-        event=event.render(),
-        handlers_run=len(matching),
-        actions_applied=actions_applied,
-        emitted=emitted,
-        redelivered=redelivered,
+        _trace_step(model, event, unit, len(matching), changed_bags)
+    return StepReport(event.render(), len(matching), actions_applied, False, emitted, redelivered)
+
+
+def _trace_step(model: Model, event: Event, unit: Unit, handlers: int, changed_bags) -> None:
+    model.trace.append(
+        {
+            "generation": model.generation,
+            "event": event.key(),
+            "target": unit.id,
+            "handlers": handlers,
+            "writes": sorted(changed_bags),
+        }
     )
 
 
@@ -886,7 +930,6 @@ def _apply_action(
     tracker: _ConflictTracker,
     changed_bags: set[tuple[str, str]],
 ) -> None:
-    app = model.applications[unit.app]
     if isinstance(action, SetUnitStatus):
         tracker.record(handler_index, ("status", unit.id), action.status)
         unit.status = action.status
@@ -910,7 +953,8 @@ def _apply_action(
             relation = model.relations.get(event.payload)
             if relation is not None:
                 remote_bag = relation.data.get(event.remote)
-        value = resolve_template(action.value, app.config, remote_bag)
+        config = model.applications[unit.app].config
+        value = resolve_template(action.value, config, remote_bag)
         targets = _data_targets(model, unit, event, action.endpoint)
         for relation in targets:
             tracker.record(
@@ -945,25 +989,20 @@ def _emit_changed(model: Model, changed_bags: set[tuple[str, str]]) -> int:
         relation = model.relations[relation_id]
         writer_app = model.units[writer_id].app
         other_app = next(a for a in relation.apps() if a != writer_app)
-        other_endpoint = relation.endpoint_of(other_app)
+        kind = EventKind.relation_changed(relation.endpoint_of(other_app))
         for remote_unit in model.unit_ids_of(other_app):
             if remote_unit == writer_id:
                 continue
-            model.event_queue.append(
-                Event(
-                    EventKind.relation_changed(other_endpoint),
-                    remote_unit,
-                    relation_id,
-                    writer_id,
-                )
-            )
+            model.event_queue.append(Event(kind, remote_unit, relation_id, writer_id))
             emitted += 1
     return emitted
 
 
-def _redeliver(model: Model, unit: Unit, charm: CharmSpec, flags_before: frozenset[str]) -> int:
+def _redeliver(
+    model: Model, unit: Unit, charm: CharmSpec, added: set[str], flags_before: frozenset[str]
+) -> int:
     """Re-enqueue seen events whose handlers' guards newly became
-    satisfiable after this step's flag changes.
+    satisfiable after this step added the flags ``added``.
 
     A guard that holds now and did not before names a flag this step
     added, so only the seen events of the kinds the charm guards with an
@@ -971,9 +1010,6 @@ def _redeliver(model: Model, unit: Unit, charm: CharmSpec, flags_before: frozens
     An event is rebuilt from its key only when it is re-enqueued.
     """
     states = unit.states
-    added = states - flags_before
-    if not added:
-        return 0
     wanted = {
         (kind.kind, kind.name): kind
         for flag in added

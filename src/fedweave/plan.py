@@ -36,6 +36,7 @@ from .engine import (
     Event,
     Model,
     UndoLog,
+    UnknownEntityError,
     _acquire,
     _app_series,
     _charge,
@@ -354,11 +355,11 @@ def _execute_step(model: Model, log: UndoLog, planned: PlanStep, machine_map: di
     if isinstance(planned, AcquireMachine):
         machine_map[planned.machine] = _acquire(model, log, planned.constraints, planned.series)
     elif isinstance(planned, CreateContainer):
-        host = machine_map[planned.host]
+        host = _machine(machine_map, planned.host)
         machine_map[planned.alias] = _create_container(model, log, host, planned.kind)
     elif isinstance(planned, InstallUnit):
         app_name = planned.unit.partition("/")[0]
-        machine_id = machine_map[planned.machine]
+        machine_id = _machine(machine_map, planned.machine)
         app = model.applications.get(app_name)
         if app is None:
             charm = model.store.resolve_charm(planned.charm)
@@ -369,10 +370,13 @@ def _execute_step(model: Model, log: UndoLog, planned: PlanStep, machine_map: di
         model.event_queue.append(Event(EventKind.install(), unit.id))
         _ensure_leader(model, app_name)
     elif isinstance(planned, Configure):
+        app = model.applications.get(planned.application)
+        if app is None:
+            raise UnknownEntityError(f"unknown application {planned.application!r}")
         if planned.options:
             set_config(model, planned.application, dict(planned.options))
         if planned.expose:
-            model.applications[planned.application].exposed = True
+            app.exposed = True
     elif isinstance(planned, JoinRelation):
         relation = add_relation(model, planned.provider, planned.requirer)
         log.append(partial(model.relations.pop, relation.id))
@@ -380,6 +384,14 @@ def _execute_step(model: Model, log: UndoLog, planned: PlanStep, machine_map: di
         model.event_queue.append(Event(EventKind.start(), planned.unit))
     else:  # pragma: no cover - the step language is closed
         raise PlanError(f"unknown step {planned!r}")
+
+
+def _machine(machine_map: dict[str, str], alias: str) -> str:
+    """The provider machine an earlier step made under ``alias``."""
+    machine_id = machine_map.get(alias)
+    if machine_id is None:
+        raise PlanError(f"unknown machine {alias!r}: no earlier step acquires or creates it")
+    return machine_id
 
 
 # ---------------------------------------------------------------------------

@@ -8,15 +8,24 @@ code under test, so an implementation bug cannot hide in its own oracle.
 from __future__ import annotations
 
 import json
+import random
 
-from fedweave.charms import EventKind
+from fedweave.charms import CharmSpec, EventKind
 from fedweave.engine import (
+    DEFAULT_SEED,
     Event,
+    Model,
+    StepReport,
+    Unit,
     _apply_action,
     _ConflictTracker,
+    _ensure_leader,
     _HandlerFailed,
+    _run_handler,
+    _shadow_delta,
     checkpoint,
     load_checkpoint,
+    logger,
     state_hash,
     step,
 )
@@ -340,3 +349,131 @@ def redeliver_oracle(charm, unit_id: str, seen, states, flags_before: frozenset)
                 events.append(event)
                 break
     return events
+
+
+# ---------------------------------------------------------------------------
+# The reference step: ``engine.step`` as it was before events that match no
+# handler skipped the conflict tracker, the flag snapshot, emission and
+# redelivery, kept verbatim with the two helpers whose text has changed
+# since.  Every step pays for every part here, so the two agreeing after
+# every event shows that the skipped work never did anything.
+
+
+def step_oracle(model: Model, rng_seed: int | None = None, _rng: random.Random | None = None) -> StepReport:
+    """Process one event from the queue.
+
+    Leader maintenance runs first (an application left leaderless by a
+    removal or restored from a checkpoint gets a new leader).  An empty
+    queue is a no-op.  Events whose target unit no longer exists are
+    dropped with a notice.
+    """
+    for app_name in sorted(model._leader_check):
+        _ensure_leader(model, app_name)
+    model._leader_check.clear()
+    queue = model.event_queue
+    if not queue:
+        return StepReport(event=None)
+    rng = _rng if _rng is not None else random.Random(DEFAULT_SEED if rng_seed is None else rng_seed)
+    # The charm is read before the event is taken: a charm that fails to
+    # resolve on first use leaves the queue and the model as they were.
+    unit = model.units.get(queue[0].target)
+    charm = model.applications[unit.app].charm if unit is not None else None
+    event = queue.popleft()
+    model.generation += 1
+    if unit is None:
+        logger.info("dropping %s: target unit no longer exists", event.render())
+        return StepReport(event=event.render(), dropped=True)
+
+    unit.seen.add(event.key())
+    states = unit.states
+    flags_before = frozenset(states)
+    matching = [
+        (index, handler)
+        for index, handler in charm.dispatch.get(event.kind, ())
+        if handler.when_states <= states
+    ]
+    rng.shuffle(matching)
+
+    tracker = _ConflictTracker(model.strict_conflicts)
+    changed_bags: set[tuple[str, str]] = set()  # (relation id, writer unit id)
+    actions_applied = 0
+    for index, handler in matching:
+        actions_applied += _run_handler(model, unit, event, index, handler, tracker, changed_bags)
+        if model.shadow_check:
+            model.shadow_deltas += _shadow_delta(model, unit, event, handler)
+
+    emitted = _emit_changed(model, changed_bags)
+    if event.kind == EventKind.install():
+        model.event_queue.append(Event(EventKind.start(), unit.id))
+    redelivered = _redeliver(model, unit, charm, flags_before)
+
+    if model.trace is not None:
+        model.trace.append(
+            {
+                "generation": model.generation,
+                "event": event.key(),
+                "target": unit.id,
+                "handlers": len(matching),
+                "writes": sorted(changed_bags),
+            }
+        )
+    return StepReport(
+        event=event.render(),
+        handlers_run=len(matching),
+        actions_applied=actions_applied,
+        emitted=emitted,
+        redelivered=redelivered,
+    )
+
+
+def _emit_changed(model: Model, changed_bags: set[tuple[str, str]]) -> int:
+    """One relation-changed event per remote unit per changed bag."""
+    emitted = 0
+    for relation_id, writer_id in sorted(changed_bags):
+        relation = model.relations[relation_id]
+        writer_app = model.units[writer_id].app
+        other_app = next(a for a in relation.apps() if a != writer_app)
+        other_endpoint = relation.endpoint_of(other_app)
+        for remote_unit in model.unit_ids_of(other_app):
+            if remote_unit == writer_id:
+                continue
+            model.event_queue.append(
+                Event(
+                    EventKind.relation_changed(other_endpoint),
+                    remote_unit,
+                    relation_id,
+                    writer_id,
+                )
+            )
+            emitted += 1
+    return emitted
+
+
+def _redeliver(model: Model, unit: Unit, charm: CharmSpec, flags_before: frozenset[str]) -> int:
+    """Re-enqueue seen events whose handlers' guards newly became
+    satisfiable after this step's flag changes.
+
+    A guard that holds now and did not before names a flag this step
+    added, so only the seen events of the kinds the charm guards with an
+    added flag are visited, in key order, each against its own handlers.
+    An event is rebuilt from its key only when it is re-enqueued.
+    """
+    states = unit.states
+    added = states - flags_before
+    if not added:
+        return 0
+    wanted = {
+        (kind.kind, kind.name): kind
+        for flag in added
+        for kind in charm.guarded_kinds.get(flag, ())
+    }
+    redelivered = 0
+    for key in sorted(key for key in unit.seen if key[:2] in wanted):
+        kind = wanted[key[:2]]
+        for _, handler in charm.dispatch[kind]:
+            guard = handler.when_states
+            if guard <= states and not guard <= flags_before:
+                model.event_queue.append(Event(kind, unit.id, key[2], key[3]))
+                redelivered += 1
+                break
+    return redelivered

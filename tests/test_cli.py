@@ -499,6 +499,19 @@ class TestPlanCommands:
         assert code == 1
         assert "model already exists" in err
 
+    def test_execute_unknown_machine_is_a_one_line_error(self, demo, tmp_path):
+        target = tmp_path / "bad.plan"
+        target.write_text("acquire-machine 0 series=xenial\ninstall-unit haproxy/0 cs:haproxy 7\n")
+        files = _state_files(tmp_path)
+        code, out, err = demo("plan", "execute", str(target))
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "plan: step 1 (install-unit haproxy/0 cs:haproxy 7): unknown machine '7': "
+            "no earlier step acquires or creates it\n"
+        )
+        assert _state_files(tmp_path) == files
+
     def test_execute_missing_plan_file(self, demo):
         code, _, err = demo("plan", "execute", "nowhere.plan")
         assert code == 1

@@ -128,6 +128,9 @@ def _checked_step(stats: dict):
                 rng.shuffle(matching)
 
         report = real_step(model, _rng=Spy())
+        # Every event that reached a unit went through the spy, even with
+        # no handler to shuffle.
+        assert bool(shuffled) == (report.event is not None and not report.dropped), report
         if shuffled:
             unit = shuffled["unit"]
             queue = model.event_queue

@@ -34,7 +34,7 @@ from fedweave.engine import (
 )
 from fedweave.plan import compile_plan, execute_plan
 from fedweave.provider import Inventory, UnsatisfiableError
-from fedweave.quota import ProjectTree, QuotaExceededError, QuotaSet
+from fedweave.quota import ProjectTree, QuotaExceededError, QuotaSet, ReleaseExceedsUsageError
 
 REL_ID = "postgresql:db moodle:database"
 
@@ -898,6 +898,38 @@ class TestQuotaIntegration:
         assert restored.inventory.machines[host].state == "ready"
         assert restored.machine_charges == {}
         assert tree.find(project).usage == QuotaSet()
+
+    @pytest.mark.parametrize(
+        ("removed_first", "taken"),
+        [
+            # The instance release fails before anything is released.
+            ((), QuotaSet(instances=2)),
+            # The instance release succeeds, then the freed host's charge fails.
+            (("postgresql/0",), QuotaSet(vcpus=1)),
+        ],
+        ids=["instances", "machine-charge"],
+    )
+    def test_failed_removal_changes_nothing(self, store, make_inventory,
+                                            removed_first, taken):
+        tree, project = self._tree(vcpus=8, ram=16384, disk=100, instances=10)
+        model = Model(store, make_inventory(), project=project, quota_tree=tree)
+        deploy_bundle(model, parse_bundle(MOODLE_BUNDLE))
+        run_to_convergence(model)
+        for first in removed_first:
+            remove_unit(model, first)
+        run_to_convergence(model)
+        update_status(model)
+        tree.release(project, taken)  # an operator takes the usage back by hand
+
+        def observed():
+            return (state_hash(model), checkpoint(model), model.inventory.dump(),
+                    tree.dump(), list(model.event_queue))
+
+        before = observed()
+        with pytest.raises(ReleaseExceedsUsageError):
+            remove_unit(model, "moodle/0")
+        assert observed() == before
+        assert run_to_convergence(model).converged
 
     def test_uncharged_and_older_checkpoints_hold_no_charge(self, store, make_inventory):
         # No project: nothing is charged, so nothing is recorded.

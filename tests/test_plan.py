@@ -250,6 +250,34 @@ class TestExecution:
         assert tree.find(project).usage == QuotaSet()
         assert inventory.dump() == before
 
+    @pytest.mark.parametrize(
+        ("bad_step", "message"),
+        [
+            ("install-unit haproxy/0 cs:haproxy 7", r"step 1 \(install-unit haproxy/0 cs:haproxy 7\): "
+             r"unknown machine '7'"),
+            ("create-container 7 lxd 7/lxd/0", r"step 1 \(create-container 7 lxd 7/lxd/0\): "
+             r"unknown machine '7'"),
+            ("configure nosuch expose=true", r"step 1 \(configure nosuch expose=true\): "
+             r"unknown application 'nosuch'"),
+        ],
+        ids=["install-unit", "create-container", "configure"],
+    )
+    def test_unknown_name_fails_its_step_and_rolls_back(self, store, make_inventory,
+                                                       bad_step, message):
+        tree = ProjectTree()
+        tree.add_domain("garr")
+        project = tree.create_project("cloud", "garr")
+        tree.set_quota("garr", QuotaSet(vcpus=8, ram=16384, disk=100, instances=10))
+        tree.set_quota(project, QuotaSet(vcpus=8, ram=16384, disk=100, instances=10))
+        plan = parse_plan(f"acquire-machine 0 series=xenial constraints='cpu-cores=1'\n{bad_step}\n")
+        inventory = make_inventory()
+        before = inventory.dump()
+        with pytest.raises(PlanExecutionError, match=message) as err:
+            execute_plan(plan, inventory, store, project=project, quota_tree=tree)
+        assert err.value.index == 1
+        assert inventory.dump() == before
+        assert tree.find(project).usage == QuotaSet()
+
 
 class TestDotExport:
     def test_empty_model(self, store, make_inventory):

@@ -1,0 +1,153 @@
+"""The engine step against the reference step, and the tracer's hook on it.
+
+``engine.step`` skips the work an event cannot cause: a step whose event
+matches no handler builds no conflict tracker or flag snapshot and looks
+for neither relation-changed emission nor redelivery, and leader upkeep,
+emission and redelivery run only when there is something for them to do.
+``oracles.step_oracle`` does all of it on every step.  Two copies of a
+model, one stepped by each, must agree after every event: the report, the
+queue, the trace, the random state and the whole checkpoint.
+
+The benchmark's tracer wraps the module global ``engine.step``, which
+``run_to_convergence`` must therefore call once per event.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+from oracles import step_oracle
+from test_acceptance import FIXTURES
+from test_dispatch import TWIN_BUNDLE, TWIN_CHARM
+
+from fedweave import engine
+from fedweave.builtin import MOODLE_BUNDLE, SCALED_BUNDLE, builtin_store
+from fedweave.bundle import parse_bundle
+from fedweave.charms import load_charm
+from fedweave.engine import (
+    Model,
+    StepReport,
+    add_unit,
+    checkpoint,
+    deploy_bundle,
+    remove_unit,
+    run_to_convergence,
+    set_config,
+)
+
+# No handler on install, so every install takes the short path and must
+# still be followed by start.
+LAZY_CHARM = """\
+name: lazy
+series: [xenial]
+requires:
+  database: pgsql
+handlers:
+  - on: start
+    do:
+      - set-status: active
+  - on: database-relation-changed
+    do:
+      - set-state: ready
+"""
+
+LAZY_BUNDLE = TWIN_BUNDLE.replace("cs:twin", "cs:lazy")
+
+CORPUS = list(dict.fromkeys((MOODLE_BUNDLE, SCALED_BUNDLE, *FIXTURES, TWIN_BUNDLE, LAZY_BUNDLE)))
+
+
+@pytest.fixture
+def charm_store():
+    store = builtin_store()
+    for text in (TWIN_CHARM, LAZY_CHARM):
+        spec, owner = load_charm(text)
+        store.register_charm(spec, owner)
+    return store
+
+
+def _commands(bundle_text: str):
+    """Deploy, then scale, reconfigure and shrink; each is converged."""
+    return (
+        lambda model: deploy_bundle(model, parse_bundle(bundle_text)),
+        lambda model: add_unit(model, "moodle", count=2),
+        lambda model: set_config(model, "postgresql", {"listen_port": 5433}),
+        lambda model: remove_unit(model, "moodle/0"),
+    )
+
+
+class TestStepMatchesReference:
+    @pytest.mark.parametrize(
+        "bundle_text", CORPUS, ids=[f"bundle{i}" for i in range(len(CORPUS))]
+    )
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_every_step_agrees(self, charm_store, make_inventory, bundle_text, seed):
+        lean, reference = (Model(charm_store, make_inventory(8)) for _ in range(2))
+        lean.trace, reference.trace = [], []
+        lean_rng, reference_rng = random.Random(seed), random.Random(seed)
+        steps = skipped = 0
+        for command in _commands(bundle_text):
+            command(lean)
+            command(reference)
+            while True:
+                got = engine.step(lean, _rng=lean_rng)
+                want = step_oracle(reference, _rng=reference_rng)
+                assert got._asdict() == want._asdict()
+                assert list(lean.event_queue) == list(reference.event_queue), got.event
+                assert lean.trace == reference.trace, got.event
+                assert lean_rng.getstate() == reference_rng.getstate(), got.event
+                assert checkpoint(lean) == checkpoint(reference), got.event
+                if got.event is None:
+                    break
+                steps += 1
+                skipped += got.handlers_run == 0
+        assert 0 < skipped < steps
+
+    def test_report_keeps_its_fields_and_immutability(self):
+        report = StepReport("install@moodle/0", handlers_run=2)
+        assert report._asdict() == {
+            "event": "install@moodle/0", "handlers_run": 2, "actions_applied": 0,
+            "dropped": False, "emitted": 0, "redelivered": 0,
+        }
+        with pytest.raises(AttributeError):
+            report.handlers_run = 3
+
+
+class TestTracerHook:
+    """``run_to_convergence`` looks ``step`` up as a module global on every
+    event, so wrapping ``engine.step`` sees each event and the final empty
+    step of a converged run."""
+
+    @staticmethod
+    def _spy(monkeypatch) -> list:
+        calls = []
+        real_step = engine.step
+
+        def spy(*args, **kwargs):
+            report = real_step(*args, **kwargs)
+            calls.append(report)
+            return report
+
+        monkeypatch.setattr(engine, "step", spy)
+        return calls
+
+    @pytest.mark.parametrize("bundle_text", [MOODLE_BUNDLE, SCALED_BUNDLE], ids=["moodle", "scaled"])
+    def test_one_call_per_event_plus_the_last(self, monkeypatch, store, make_inventory,
+                                              bundle_text):
+        calls = self._spy(monkeypatch)
+        model = Model(store, make_inventory(8))
+        for command in _commands(bundle_text):
+            command(model)
+            calls.clear()
+            result = run_to_convergence(model)
+            assert result.converged
+            assert len(calls) == result.events_processed + 1
+            assert [report.event is None for report in calls] == [False] * (len(calls) - 1) + [True]
+
+    def test_an_exhausted_budget_calls_once_per_event(self, monkeypatch, store, make_inventory):
+        calls = self._spy(monkeypatch)
+        model = Model(store, make_inventory())
+        deploy_bundle(model, parse_bundle(MOODLE_BUNDLE))
+        result = run_to_convergence(model, budget=5)
+        assert result.outcome == "budget-exhausted"
+        assert len(calls) == result.events_processed == 5
