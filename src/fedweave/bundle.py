@@ -313,7 +313,12 @@ def parse_endpoint(text: str) -> EndpointRef:
 
 class _StrictLoader(yaml.SafeLoader):
     """SafeLoader that rejects duplicate mapping keys instead of silently
-    keeping the last one."""
+    keeping the last one.
+
+    This pure-Python loader is the reference: what it accepts, the value it
+    builds and the error it raises define how a bundle reads.  ``_load_yaml``
+    parses with libyaml when PyYAML was built with it, and falls back to this
+    loader wherever the two could differ."""
 
 
 def _construct_mapping(loader: _StrictLoader, node, deep: bool = False):
@@ -333,8 +338,40 @@ _StrictLoader.add_constructor(
     yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, _construct_mapping
 )
 
+if yaml.__with_libyaml__:
+
+    class _CStrictLoader(yaml.CSafeLoader):
+        """``_StrictLoader`` with libyaml's scanner and parser."""
+
+    _CStrictLoader.add_constructor(
+        yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, _construct_mapping
+    )
+else:
+    _CStrictLoader = None
+
+#: Text outside the subset where libyaml and the pure-Python parser were seen
+#: to agree: anything but printable ASCII and newline (tabs, CR, BOM,
+#: non-ASCII line breaks), and the indicators of tags, anchors, aliases,
+#: complex keys, block scalars, directives and reserved characters.
+_LIBYAML_UNSAFE = re.compile(r"[^\n -~]|[!&*?|>%@`]")
+
 
 def _load_yaml(text: str):
+    """Parse one YAML document, rejecting duplicate keys.
+
+    libyaml parses text inside the safe subset.  Anything outside it, and
+    anything libyaml rejects, is parsed again by ``_load_reference``, so
+    every result and every error message is the reference loader's."""
+    if _CStrictLoader is not None and not _LIBYAML_UNSAFE.search(text):
+        try:
+            return yaml.load(text, Loader=_CStrictLoader)
+        except (yaml.YAMLError, BundleParseError):
+            pass  # the reference loader words the rejection
+    return _load_reference(text)
+
+
+def _load_reference(text: str):
+    """Parse one YAML document with the pure-Python ``_StrictLoader``."""
     try:
         return yaml.load(text, Loader=_StrictLoader)
     except BundleParseError:
@@ -496,6 +533,12 @@ def _parse_relations(raw, applications: dict[str, ApplicationSpec]):
 def render_bundle(bundle: Bundle) -> str:
     """Render a bundle back to YAML.  The output parses to a structurally
     equal Bundle (canonical ordering, not byte-identical to the input)."""
+    return yaml.safe_dump(_canonical_document(bundle), sort_keys=False, default_flow_style=False)
+
+
+def _canonical_document(bundle: Bundle) -> dict:
+    """The bundle as plain data in canonical order: applications by name,
+    machines by numeric id, options by name, constraints rendered."""
     doc: dict = {}
     if bundle.default_series is not None:
         doc["series"] = bundle.default_series
@@ -523,7 +566,7 @@ def render_bundle(bundle: Bundle) -> str:
         doc["machines"] = machines
     if bundle.relations:
         doc["relations"] = [[a.render(), b.render()] for a, b in bundle.relations]
-    return yaml.safe_dump(doc, sort_keys=False, default_flow_style=False)
+    return doc
 
 
 # ---------------------------------------------------------------------------

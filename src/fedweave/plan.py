@@ -17,6 +17,13 @@ charm specs it compiled against.  Executing it against a store whose
 charms have since changed logs a divergence warning — the plan replays its
 stale steps regardless, which is exactly the failure mode that makes the
 reactive path preferable for long-lived deployments.
+
+The bundle digest is the SHA-256 of the bundle's canonical document (the
+document ``render_bundle`` writes as YAML: applications by name, machines
+by numeric id, options by name, constraints rendered) serialized as compact
+JSON.  It names the source a plan came from; nothing verifies it.  The
+charm digest is the SHA-256 of the named charm specs as sorted compact
+JSON, and execution compares it with the store's.
 """
 
 from __future__ import annotations
@@ -24,11 +31,12 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import re
 import shlex
 from dataclasses import dataclass, field
 from functools import partial
 
-from .bundle import Bundle, Constraints, parse_constraints, render_bundle, render_constraints
+from .bundle import Bundle, Constraints, _canonical_document, parse_constraints, render_constraints
 from .charms import EventKind
 from .engine import (
     DEFAULT_BUDGET,
@@ -267,7 +275,17 @@ def _scalar_str(value) -> str:
 
 
 def bundle_digest(bundle: Bundle) -> str:
-    return hashlib.sha256(render_bundle(bundle).encode("utf-8")).hexdigest()
+    """SHA-256 of the bundle's canonical document as compact JSON.
+
+    An option value JSON has no type for (a YAML date, timestamp or binary)
+    is written as a one-key object naming its type, so it never digests
+    like a string."""
+    blob = json.dumps(
+        _canonical_document(bundle),
+        separators=(",", ":"),
+        default=lambda value: {type(value).__name__: str(value)},
+    )
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def charm_digest(store, refs) -> str:
@@ -317,8 +335,11 @@ def execute_plan(
     """Replay a plan against a fresh inventory and converge the result.
 
     Raises PlanExecutionError naming the failing step on placement or
-    quota problems, and QuotaExceededError when the plan's units do not
-    fit the project's instance quota.  Quota follows the engine's
+    quota problems, on a machine, application or unit no earlier step
+    made, and on an ``install-unit`` that names any unit but its
+    application's next one (``app/0``, then ``app/1``, ...).  Raises
+    QuotaExceededError when the plan's units do not fit the project's
+    instance quota.  Quota follows the engine's
     accounting rule: a machine's declared constraints are charged when it
     is acquired and released when it is released, instances are charged
     one per unit, and a failed execution, convergence included, rolls back
@@ -361,6 +382,12 @@ def _execute_step(model: Model, log: UndoLog, planned: PlanStep, machine_map: di
         app_name = planned.unit.partition("/")[0]
         machine_id = _machine(machine_map, planned.machine)
         app = model.applications.get(app_name)
+        next_unit = f"{app_name}/{app.unit_counter if app is not None else 0}"
+        if planned.unit != next_unit:
+            raise PlanError(
+                f"unit {planned.unit!r} is out of order: "
+                f"the next unit of {app_name!r} is {next_unit!r}"
+            )
         if app is None:
             charm = model.store.resolve_charm(planned.charm)
             series = model.inventory.machines[machine_id].series
@@ -381,6 +408,8 @@ def _execute_step(model: Model, log: UndoLog, planned: PlanStep, machine_map: di
         relation = add_relation(model, planned.provider, planned.requirer)
         log.append(partial(model.relations.pop, relation.id))
     elif isinstance(planned, StartUnit):
+        if planned.unit not in model.units:
+            raise UnknownEntityError(f"unknown unit {planned.unit!r}")
         model.event_queue.append(Event(EventKind.start(), planned.unit))
     else:  # pragma: no cover - the step language is closed
         raise PlanError(f"unknown step {planned!r}")
@@ -422,10 +451,23 @@ def parse_plan(text: str) -> ImperativePlan:
     return ImperativePlan(steps=tuple(steps), bundle_digest=bundle_dig, charm_digest=charm_dig)
 
 
+#: A quote, a backslash, or whitespace that ``str.split`` splits on and
+#: ``shlex.split`` does not; a line without any is split alike by both.
+_NEEDS_SHLEX = re.compile(r"['\"\\]|[^\S \t\r\n]")
+
+
+def _split_line(line: str) -> list[str]:
+    """``shlex.split(line)``, by ``str.split`` where that gives the same."""
+    return shlex.split(line) if _NEEDS_SHLEX.search(line) else line.split()
+
+
 def _parse_step_line(line: str) -> PlanStep:
-    tokens = shlex.split(line)
-    verb, args = tokens[0], tokens[1:]
     try:
+        tokens = _split_line(line)
+    except ValueError as exc:  # an unbalanced quote or a trailing backslash
+        raise PlanError(f"malformed plan line {line!r}") from exc
+    try:
+        verb, args = tokens[0], tokens[1:]
         if verb == "acquire-machine":
             machine = args[0]
             fields = _kv(args[1:])

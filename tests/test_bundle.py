@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedweave import bundle as bundle_module
 from fedweave.builtin import MOODLE_BUNDLE, SCALED_BUNDLE
 from fedweave.bundle import (
     BundleError,
@@ -21,6 +23,7 @@ from fedweave.bundle import (
     render_constraints,
     validate_bundle,
 )
+from fedweave.bundle import _load_reference, _load_yaml
 
 MOODLE_CONSTRAINTS = "arch=amd64 cpu-cores=1 mem=2048 root-disk=20480"
 
@@ -195,6 +198,214 @@ class TestParseBundle:
         bundle = parse_bundle(SCALED_BUNDLE)
         once = render_bundle(bundle)
         assert render_bundle(parse_bundle(once)) == once
+
+
+#: Every malformed bundle the tests feed the parser, with the exact error it
+#: gets; the YAML syntax errors carry the pure-Python parser's wording.
+MALFORMED_BUNDLES = [
+    pytest.param(
+        "applications:\n  a:\n    charm: cs:x\n  a:\n    charm: cs:y\n",
+        BundleParseError, "duplicate key 'a' (line 4, column 3)", id="duplicate-key",
+    ),
+    pytest.param(
+        "serie: xenial\napplications: {}\n",
+        BundleError, "unknown top-level key 'serie'", id="unknown-top-level-key",
+    ),
+    pytest.param(
+        "applications:\n  a:\n    charm: cs:x\n    units: 2\n",
+        BundleError, "unknown application key 'units' on 'a'", id="unknown-application-key",
+    ),
+    pytest.param(
+        "applications:\n  a:\n    charm: cs:x\n    num_units: 1\n    to: [0, 1]\n"
+        "machines:\n  '0': {series: xenial}\n  '1': {series: xenial}\n",
+        BundleError, "application 'a' places 2 units but num_units is 1",
+        id="too-many-placements",
+    ),
+    pytest.param(
+        "applications:\n  a:\n    charm: cs:x\n    to: [7]\n",
+        BundleError, "application 'a' placed on undeclared machine '7'",
+        id="undeclared-machine",
+    ),
+    pytest.param(
+        "applications: {}\nmachines:\n  zero: {series: xenial}\n",
+        BundleError, "machine id 'zero' is not numeric", id="non-numeric-machine",
+    ),
+    pytest.param(
+        "applications: {}\nmachines:\n  '0': {}\n",
+        BundleError, "machine '0' has no series and the bundle declares no default",
+        id="no-series",
+    ),
+    pytest.param(
+        "applications:\n  a:\n    charm: cs:x\nrelations:\n  - [\"a:db\", \"b:db\"]\n",
+        BundleError, "relations[0] references unknown application 'b'",
+        id="unknown-relation-application",
+    ),
+    pytest.param(
+        "applications:\n  a:\n    charm: cs:x\n  b:\n    charm: cs:y\n"
+        "relations:\n  - [\"a:db\", \"b:db\"]\n  - [\"b:db\", \"a:db\"]\n",
+        BundleError, "relations[1] duplicates an earlier relation", id="duplicate-relation",
+    ),
+    pytest.param(
+        "applications:\n  a:\n    charm: cs:x\n    options:\n      bad: [1, 2]\n",
+        BundleError, "application 'a' option 'bad' must be a scalar", id="non-scalar-option",
+    ),
+    pytest.param(
+        "machines:\n  '0':\n    series: xenial\n    constraints: mem=2G\n",
+        ConstraintError, "non-numeric value '2G' for constraint key 'mem'",
+        id="bad-constraint",
+    ),
+    pytest.param(
+        "applications:\n  a:\n    charm: cs:x\n    to: ['kvm:0']\n",
+        PlacementError, "unknown container kind 'kvm'", id="bad-container-kind",
+    ),
+    pytest.param(
+        "- just\n- a list\n",
+        BundleParseError, "bundle document must be a mapping", id="not-a-mapping",
+    ),
+    pytest.param(
+        "applications:\n  a: [unclosed\n",
+        BundleParseError, "expected ',' or ']', but got '<stream end>' (line 3, column 1)",
+        id="unclosed-flow-sequence",
+    ),
+    pytest.param(
+        "applications:\n  a:\n    charm: cs:x\n   num_units: 1\n",
+        BundleParseError,
+        "expected <block end>, but found '<block mapping start>' (line 4, column 4)",
+        id="bad-indentation",
+    ),
+    pytest.param(
+        "applications: a: b\n",
+        BundleParseError, "mapping values are not allowed here (line 1, column 16)",
+        id="nested-mapping-value",
+    ),
+    pytest.param(
+        "applications:\n\tweb: {}\n",
+        BundleParseError, "found character '\\t' that cannot start any token (line 2, column 1)",
+        id="tab-indentation",
+    ),
+    pytest.param(
+        "a: 1\n---\nb: 2\n",
+        BundleParseError, "but found another document (line 2, column 1)", id="two-documents",
+    ),
+    pytest.param(
+        "applications: {a: {charm: 'cs:x}}\n",
+        BundleParseError, "found unexpected end of stream (line 2, column 1)",
+        id="unclosed-quote",
+    ),
+    pytest.param(
+        "applications:\n  a:\n    charm: \"cs:x\\q\"\n",
+        BundleParseError, "found unknown escape character 'q' (line 3, column 18)",
+        id="unknown-escape",
+    ),
+]
+
+#: YAML indicators, characters outside the subset libyaml parses (tab, CR,
+#: BOM, non-ASCII line breaks and letters), escapes and bundle words.
+YAML_PIECES = [
+    " ", "  ", "\n", "\n  ", "\n    ", ": ", "- ", "\n- ", ":", "-", ",", "[", "]", "{", "}",
+    "#", "'", '"', "\\", "\\n", "\\x41", "\\u00e9", "!", "!!str ", "&a ", "*a", "? ", "|",
+    ">", "|-\n  x", "%", "@", "`", "~", "---", "...", "\t", "\r", "\r\n", "\ufeff", "\x85",
+    "\u2028", "\xa0", "é", "ß", "a", "b0", "0", "1.5", "0x1F", "yes", "null", "2020-01-01",
+    "applications", "machines", "relations", "series", "charm", "cs:x", "num_units", "to",
+    "options", "lxd:0",
+]
+
+
+def _outcome(load, text: str) -> tuple[str, str]:
+    """What a loader makes of ``text``: its value, or its exception's type and message."""
+    try:
+        return "value", repr(load(text))
+    except Exception as exc:  # a crash must match too
+        return type(exc).__name__, str(exc)
+
+
+_free_text = st.lists(st.sampled_from(YAML_PIECES), max_size=24).map("".join)
+_scalar = (
+    st.none() | st.booleans() | st.integers(-5, 5000) | st.floats(allow_nan=False)
+    | st.text(st.sampled_from("ab 0:-#'\"\\\t\r\né\x85\u2028!&*?|>%@`"), max_size=8)
+)
+
+
+@st.composite
+def _bundle_text(draw) -> str:
+    """A bundle-shaped document in one of PyYAML's styles, with pieces spliced in."""
+    names = st.sampled_from(["moodle", "haproxy", "pg", "web", "a b", "é"])
+    application = st.fixed_dictionaries(
+        {"charm": st.sampled_from(["cs:x", "cs:~o/y", "cs:é"]), "num_units": st.integers(0, 3)},
+        optional={
+            "to": st.lists(st.sampled_from([0, "0", "lxd:0", None, ""]), max_size=2),
+            "options": st.dictionaries(st.sampled_from(["opt", "n", "1"]), _scalar, max_size=3),
+            "expose": st.booleans(),
+        },
+    )
+    doc = draw(st.fixed_dictionaries(
+        {"applications": st.dictionaries(names, application, max_size=3)},
+        optional={
+            "series": st.sampled_from(["xenial", "bionic"]),
+            "machines": st.dictionaries(
+                st.sampled_from(["0", "1"]),
+                st.fixed_dictionaries({"series": st.just("xenial")},
+                                      optional={"constraints": st.just("mem=2048 arch=amd64")}),
+                max_size=2,
+            ),
+            "relations": st.lists(st.lists(st.sampled_from(["moodle:db", "pg:db"]),
+                                           min_size=2, max_size=2), max_size=2),
+        },
+    ))
+    text = yaml.safe_dump(doc, sort_keys=draw(st.booleans()),
+                          default_flow_style=draw(st.sampled_from([False, True, None])),
+                          allow_unicode=draw(st.booleans()))
+    for position, piece in draw(st.lists(st.tuples(st.integers(0, len(text)), _free_text),
+                                         max_size=3)):
+        text = text[:position] + piece + text[position:]
+    return text
+
+
+class TestLoader:
+    """Bundles parse with libyaml where it reads like the pure-Python
+    reference loader, and with the reference loader everywhere else."""
+
+    @given(st.one_of(_free_text, _bundle_text()))
+    @settings(deadline=None, max_examples=400)
+    def test_load_yaml_matches_the_reference_loader(self, text):
+        assert _outcome(_load_yaml, text) == _outcome(_load_reference, text)
+
+    @pytest.mark.skipif(bundle_module._CStrictLoader is None,
+                        reason="PyYAML is built without libyaml")
+    @pytest.mark.parametrize("text", [MOODLE_BUNDLE, SCALED_BUNDLE], ids=["moodle", "scaled"])
+    def test_fixtures_take_the_libyaml_path(self, monkeypatch, text):
+        expected = parse_bundle(text)
+
+        def refuse(_text):
+            raise AssertionError("the reference loader ran")
+
+        monkeypatch.setattr(bundle_module, "_load_reference", refuse)
+        assert parse_bundle(text) == expected
+
+    @pytest.mark.parametrize(
+        "text",
+        [MOODLE_BUNDLE, SCALED_BUNDLE, render_bundle(parse_bundle(SCALED_BUNDLE)),
+         "series: xenial\napplications:\n  web: {charm: cs:haproxy, num_units: 2,"
+         " options: {n: 3, ratio: 0.5, enabled: yes, day: 2020-01-01, none: ~}}\n"],
+        ids=["moodle", "scaled", "scaled-rendered", "typed-options"],
+    )
+    def test_fixtures_parse_alike_without_libyaml(self, monkeypatch, text):
+        fast = parse_bundle(text)
+        monkeypatch.setattr(bundle_module, "_CStrictLoader", None)
+        reference = parse_bundle(text)
+        assert repr(reference) == repr(fast)
+        assert render_bundle(reference) == render_bundle(fast)
+
+    @pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "reference"])
+    @pytest.mark.parametrize(("text", "error", "message"), MALFORMED_BUNDLES)
+    def test_malformed_bundles_keep_their_messages(self, monkeypatch, libyaml, text, error,
+                                                   message):
+        if not libyaml:
+            monkeypatch.setattr(bundle_module, "_CStrictLoader", None)
+        with pytest.raises(BundleError) as err:
+            parse_bundle(text)
+        assert type(err.value) is error
+        assert str(err.value) == message
 
 
 class TestValidateBundle:

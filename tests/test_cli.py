@@ -178,6 +178,23 @@ class TestValidate:
         assert "error:" in out
         assert "bundle is deployable" not in out
 
+    @pytest.mark.parametrize(
+        ("text", "message"),
+        [
+            ("applications: a: b\n", "mapping values are not allowed here (line 1, column 16)"),
+            ("applications:\n  a: {charm: cs:x}\n  a: {charm: cs:y}\n",
+             "duplicate key 'a' (line 3, column 3)"),
+            ("applications:\n\tweb: {}\n",
+             "found character '\\t' that cannot start any token (line 2, column 1)"),
+        ],
+        ids=["syntax", "duplicate-key", "tab"],
+    )
+    def test_malformed_bundle_is_a_one_line_error(self, demo, tmp_path, text, message):
+        path = tmp_path / "malformed.yaml"
+        path.write_text(text)
+        code, out, err = demo("validate", str(path))
+        assert (code, out, err) == (1, "", f"bundle: {message}\n")
+
     def test_missing_bundle_file(self, demo):
         code, _, err = demo("validate", "nowhere.yaml")
         assert code == 1
@@ -510,6 +527,16 @@ class TestPlanCommands:
             "plan: step 1 (install-unit haproxy/0 cs:haproxy 7): unknown machine '7': "
             "no earlier step acquires or creates it\n"
         )
+        assert _state_files(tmp_path) == files
+
+    def test_execute_unbalanced_quote_is_a_one_line_error(self, demo, tmp_path):
+        target = tmp_path / "bad.plan"
+        target.write_text("acquire-machine 0 series=xenial constraints='mem=1\n")
+        files = _state_files(tmp_path)
+        code, out, err = demo("plan", "execute", str(target))
+        assert (code, out) == (1, "")
+        assert err == ("plan: malformed plan line "
+                       "\"acquire-machine 0 series=xenial constraints='mem=1\"\n")
         assert _state_files(tmp_path) == files
 
     def test_execute_missing_plan_file(self, demo):

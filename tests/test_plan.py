@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import logging
+import shlex
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedweave.builtin import (
     HAPROXY_CHARM,
@@ -14,7 +17,7 @@ from fedweave.builtin import (
     SCALED_BUNDLE,
     builtin_store,
 )
-from fedweave.bundle import parse_bundle
+from fedweave.bundle import parse_bundle, render_bundle
 from fedweave.charms import CharmStore, load_charm
 from fedweave.engine import Model, deploy_bundle, run_to_convergence, state_hash
 from fedweave.plan import (
@@ -27,6 +30,8 @@ from fedweave.plan import (
     PlanError,
     PlanExecutionError,
     StartUnit,
+    _split_line,
+    bundle_digest,
     compile_plan,
     execute_plan,
     export_dot,
@@ -125,6 +130,37 @@ class TestCompilation:
         assert plan_a.bundle_digest != plan_b.bundle_digest
         assert plan_a.charm_digest == plan_b.charm_digest
 
+    def test_equal_bundles_digest_equally(self, moodle_bundle):
+        reordered = parse_bundle(
+            "machines:\n  0: {constraints: 'mem=2048 root-disk=20480 cpu-cores=1 arch=amd64',"
+            " series: xenial}\n"
+            "relations: [[postgresql:db, moodle:database]]\n"
+            "applications:\n"
+            "  postgresql:\n    options: {extra_pg_auth: host moodle juju_moodle 10.0.0.1/24 md5}\n"
+            "    to: lxd:0\n    charm: cs:postgresql\n"
+            "  moodle: {charm: 'cs:~csd-garr/moodle', to: [0]}\n"
+        )
+        assert reordered == moodle_bundle
+        assert bundle_digest(reordered) == bundle_digest(moodle_bundle)
+        rendered = parse_bundle(render_bundle(moodle_bundle))
+        assert bundle_digest(rendered) == bundle_digest(moodle_bundle)
+
+    def test_an_edited_option_changes_the_digest(self, store, moodle_bundle):
+        source = "extra_pg_auth: host moodle juju_moodle 10.0.0.1/24 md5"
+        edits = [
+            "extra_pg_auth: host moodle juju_moodle 10.0.0.2/24 md5",
+            "extra_pg_auth: 1",
+            "extra_pg_auth: '1'",
+            "extra_pg_auth: 2020-01-01",       # a YAML date, which JSON has no type for
+            "extra_pg_auth: '2020-01-01'",
+            source + "\n      extra: x",
+        ]
+        bundles = [moodle_bundle] + [parse_bundle(MOODLE_BUNDLE.replace(source, edit))
+                                     for edit in edits]
+        digests = [bundle_digest(bundle) for bundle in bundles]
+        assert len(set(digests)) == len(digests)
+        assert compile_plan(bundles[4], store).bundle_digest == digests[4]
+
 
 class TestRoundTrip:
     def test_parse_render_identity(self, store, moodle_bundle, scaled_bundle):
@@ -144,11 +180,27 @@ class TestRoundTrip:
             ("acquire-machine 0 series", "malformed field"),     # field without '='
             ("teleport-unit web/0", "unknown plan step"),        # unknown verb
             ("join-relation a:x b:y", "malformed plan line"),    # missing interface
+            ("acquire-machine 0 series=xenial constraints='mem=1", "malformed plan line"),
+            ("start-unit web/0\\", "malformed plan line"),      # nothing to escape
         ],
     )
     def test_malformed_lines(self, line, match):
         with pytest.raises(PlanError, match=match):
             parse_plan(line + "\n")
+
+    @given(st.lists(st.sampled_from([
+        "start-unit", "configure", "web/0", "a", "=", "mem=1", "#", "é", "'", '"', "\\",
+        " ", "  ", "\t", "\r", "\n", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028", "\u3000",
+    ]), max_size=16).map("".join))
+    @settings(deadline=None, max_examples=500)
+    def test_split_line_matches_shlex(self, line):
+        try:
+            expected = shlex.split(line)
+        except ValueError:
+            with pytest.raises(ValueError):
+                _split_line(line)
+        else:
+            assert _split_line(line) == expected
 
 
 class TestExecution:
@@ -259,8 +311,12 @@ class TestExecution:
              r"unknown machine '7'"),
             ("configure nosuch expose=true", r"step 1 \(configure nosuch expose=true\): "
              r"unknown application 'nosuch'"),
+            ("install-unit haproxy/5 cs:haproxy 0",
+             r"step 1 \(install-unit haproxy/5 cs:haproxy 0\): unit 'haproxy/5' is out of order: "
+             r"the next unit of 'haproxy' is 'haproxy/0'"),
+            ("start-unit nosuch/0", r"step 1 \(start-unit nosuch/0\): unknown unit 'nosuch/0'"),
         ],
-        ids=["install-unit", "create-container", "configure"],
+        ids=["install-unit", "create-container", "configure", "install-unit-name", "start-unit"],
     )
     def test_unknown_name_fails_its_step_and_rolls_back(self, store, make_inventory,
                                                        bad_step, message):
