@@ -324,9 +324,13 @@ class _StrictLoader(yaml.SafeLoader):
 def _construct_mapping(loader: _StrictLoader, node, deep: bool = False):
     mapping = {}
     for key_node, value_node in node.value:
+        mark = key_node.start_mark
+        if not isinstance(key_node, yaml.ScalarNode):
+            raise BundleParseError(
+                "mapping key must be a scalar", line=mark.line + 1, column=mark.column + 1
+            )
         key = loader.construct_object(key_node, deep=deep)
         if key in mapping:
-            mark = key_node.start_mark
             raise BundleParseError(
                 f"duplicate key {key!r}", line=mark.line + 1, column=mark.column + 1
             )
@@ -550,7 +554,7 @@ def _canonical_document(bundle: Bundle) -> dict:
             if spec.placements:
                 body["to"] = [p.render() for p in spec.placements]
             if spec.options:
-                body["options"] = {k: spec.options[k] for k in sorted(spec.options)}
+                body["options"] = {k: spec.options[k] for k in sorted(spec.options, key=str)}
             if spec.expose:
                 body["expose"] = True
             apps[name] = body
@@ -577,7 +581,9 @@ def validate_bundle(bundle: Bundle, store) -> list[Diagnostic]:
     """Semantic validation against a charm store.
 
     Error diagnostics cover unresolvable charms, incompatible or unknown
-    relation endpoints, unknown option names and uncoercible option values.
+    relation endpoints, unknown option names, uncoercible option values,
+    and placements on a machine (or in a container on a host) whose series
+    the charm does not support.
     A warning is flagged when an application declares fewer placements than
     num_units while placing some units explicitly; the extras fall back to
     fresh machines.
@@ -602,6 +608,15 @@ def validate_bundle(bundle: Bundle, store) -> list[Diagnostic]:
                 schema.coerce(app.options[opt_name])
             except FedweaveError as exc:
                 diagnostics.append(Diagnostic("error", path, str(exc)))
+        for index, placement in enumerate(app.placements):
+            machine = bundle.machines.get(placement.machine)
+            if machine is not None and machine.series not in spec.series:
+                diagnostics.append(Diagnostic(
+                    "error",
+                    f"applications.{name}.to[{index}]",
+                    f"charm {spec.name!r} does not support series {machine.series!r} "
+                    f"of machine {placement.machine!r}",
+                ))
         if app.placements and len(app.placements) < app.num_units:
             diagnostics.append(
                 Diagnostic(

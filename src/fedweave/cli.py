@@ -9,14 +9,22 @@ State lives in a workspace directory (``--workspace`` / ``-w``, or the
     federation.yaml   regions, catalog, identity mappings
     projects.yaml     project tree with quotas and usage
 
-The four state files are compact JSON (see ``statefile``): every command
-loads them and every write saves them, and JSON parses far faster than
-YAML.  They keep their ``.yaml`` names because JSON is valid YAML, so
-scripts, docs and tools that read those paths keep working.  Workspaces
-written as YAML by earlier versions, and hand-written inventories, are
-still read, and are rewritten as JSON by the next command that saves.
-Each file is replaced atomically, so a crash mid-save leaves every file
-whole (old or new); the four are not committed together.
+The four state files are compact JSON (see ``statefile``), which parses
+far faster than YAML.  They keep their ``.yaml`` names because JSON is
+valid YAML, so scripts, docs and tools that read those paths keep
+working.  Workspaces written as YAML by earlier versions, and
+hand-written inventories, are still read, and are rewritten as JSON by
+the next command that changes state.
+
+A ``Workspace`` loads each file at most once per invocation.  A command
+that changes state ends in one ``commit``, which rewrites only the files
+whose text changed (a ``config`` on a model placed on a region rewrites
+``model.yaml`` alone) and rewrites them as one set: a commit of several
+files is recorded in ``.fedweave-commit`` before any of them is
+replaced.  Every invocation, under the lock and before it loads
+anything, finishes a commit an earlier one recorded but did not finish
+and deletes temporary files that no record names, so after a crash the
+files are all old or all new.  Read commands write nothing.
 
 Charm files are parsed on first use: all of them, once, by the first
 part of a command that needs a charm (a handler to run, an option schema,
@@ -39,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -72,6 +81,7 @@ from .provider import Inventory, machine_sort_key
 from .quota import COMPONENTS, ProjectTree, QuotaSet
 
 LOCK_FILE = ".fedweave-lock"
+STATE_FILES = ("model.yaml", "inventory.yaml", "federation.yaml", "projects.yaml")
 
 
 class CliError(FedweaveError):
@@ -83,7 +93,17 @@ class CliError(FedweaveError):
 
 
 class Workspace:
-    """Loads and saves the state files of one workspace directory."""
+    """The state of one workspace directory during one command.
+
+    Each state file is loaded at most once, and the object loaded from it
+    is the one every part of the command reads and changes: a model placed
+    on a region acquires machines from the inventory inside the loaded
+    ``Federation``.  ``commit`` writes back, as one all-or-nothing set,
+    every loaded document whose text differs from its file's.  The lock
+    keeps each file as it was read, so the file is read again to compare
+    rather than held through the command: for a 600-unit fleet that text
+    is most of a megabyte.
+    """
 
     def __init__(self, root: Path) -> None:
         self.root = root
@@ -92,6 +112,9 @@ class Workspace:
         self.federation_path = root / "federation.yaml"
         self.projects_path = root / "projects.yaml"
         self.charms_dir = root / "charms"
+        self.model: Model | None = None
+        self.provider_ref = "local"
+        self._documents: dict[Path, Inventory | Federation | ProjectTree] = {}
 
     def require_init(self) -> None:
         if not self.inventory_path.exists():
@@ -101,76 +124,109 @@ class Workspace:
 
     def store(self) -> CharmStore:
         """The charm store of ``charms/*.yaml``, parsed on first use."""
-        return CharmStore(self._charm_files)
+        # Not a bound method: the model holds its store, and a store that
+        # held the workspace would keep the model alive until the next
+        # garbage collection.
+        return CharmStore(functools.partial(_charm_files, self.charms_dir))
 
-    def _charm_files(self) -> Iterator[tuple[CharmSpec, str | None]]:
-        if self.charms_dir.is_dir():
-            for path in sorted(self.charms_dir.glob("*.yaml")):
-                yield load_charm(path.read_text())
+    def _document(self, path: Path, kind):
+        """The ``kind`` loaded from ``path`` on first use; empty when the
+        file does not exist, and then created by the commit."""
+        if path not in self._documents:
+            text = _read(path)
+            self._documents[path] = kind() if text is None else kind.load_yaml(text)
+        return self._documents[path]
 
     def inventory(self) -> Inventory:
-        if self.inventory_path.exists():
-            return Inventory.load_yaml(self.inventory_path.read_text())
-        return Inventory()
-
-    def save_inventory(self, inventory: Inventory) -> None:
-        statefile.write(self.inventory_path, inventory.dump_yaml())
+        return self._document(self.inventory_path, Inventory)
 
     def federation(self) -> Federation:
-        if self.federation_path.exists():
-            return Federation.load_yaml(self.federation_path.read_text())
-        return Federation()
-
-    def save_federation(self, federation: Federation) -> None:
-        statefile.write(self.federation_path, federation.dump_yaml())
+        return self._document(self.federation_path, Federation)
 
     def projects(self) -> ProjectTree:
-        if self.projects_path.exists():
-            return ProjectTree.load_yaml(self.projects_path.read_text())
-        return ProjectTree()
-
-    def save_projects(self, tree: ProjectTree) -> None:
-        statefile.write(self.projects_path, tree.dump_yaml())
+        return self._document(self.projects_path, ProjectTree)
 
     # -- the model and the provider behind it ---------------------------
 
-    def load_model(self) -> tuple[Model, str, Federation | None]:
+    def load_model(self) -> Model:
+        if self.model is not None:
+            return self.model
         if not self.model_path.exists():
             raise CliError("no model in this workspace (deploy a bundle first)")
         try:
             doc = statefile.load(self.model_path.read_text())
         except statefile.DecodeError as exc:
             raise CliError(f"malformed model document: {exc}") from exc
-        provider_ref = doc.get("provider_ref", "local")
-        federation = None
-        if provider_ref == "local":
+        if not isinstance(doc, dict):
+            raise CliError("malformed model document: not a mapping")
+        self.provider_ref = doc.get("provider_ref", "local")
+        if self.provider_ref == "local":
             inventory = self.inventory()
         else:
-            federation = self.federation()
-            region = federation.regions.get(provider_ref)
+            region = self.federation().regions.get(self.provider_ref)
             if region is None:
-                raise CliError(f"model references unknown region {provider_ref!r}")
+                raise CliError(f"model references unknown region {self.provider_ref!r}")
             inventory = region.inventory
         body = doc.get("model") or {}
         tree = self.projects() if body.get("project") else None
-        model = load_checkpoint(body, self.store(), inventory=inventory, quota_tree=tree)
-        return model, provider_ref, federation
+        self.model = load_checkpoint(body, self.store(), inventory=inventory, quota_tree=tree)
+        return self.model
 
-    def save_model(
-        self, model: Model, provider_ref: str, federation: Federation | None = None
-    ) -> None:
-        doc = {
-            "provider_ref": provider_ref,
-            "model": checkpoint(model, include_inventory=False),
-        }
-        statefile.write(self.model_path, statefile.dump(doc))
-        if provider_ref == "local":
-            self.save_inventory(model.inventory)
+    def new_model(self, region: str | None, project: str | None, strict_conflicts: bool) -> Model:
+        """Start the workspace's model on a production region, or locally,
+        charging ``project`` when one is named."""
+        if region is None:
+            inventory = self.inventory()
         else:
-            assert federation is not None
-            self.save_federation(federation)
-        if model.project is not None and model.quota_tree is not None:
-            self.save_projects(model.quota_tree)
+            inventory = self.federation().production_region(region).inventory
+            self.provider_ref = region
+        tree = self.projects() if project else None
+        self.model = Model(
+            self.store(),
+            inventory,
+            project=tree.find(project).id if project else None,
+            quota_tree=tree,
+            strict_conflicts=strict_conflicts,
+        )
+        return self.model
+
+    def save_model(self) -> str:
+        """The text of ``model.yaml`` for the model as it is now."""
+        return statefile.dump(
+            {"provider_ref": self.provider_ref,
+             "model": checkpoint(self.model, include_inventory=False)}
+        )
+
+    def commit(self) -> None:
+        """Write back every loaded document whose text changed, all or
+        nothing."""
+        statefile.commit(self.root, self._changed_texts())
+
+    def _changed_texts(self) -> Iterator[tuple[str, str]]:
+        """The file name and new text of each loaded document whose text
+        differs from its file's.  A file read as YAML counts as changed,
+        so it is rewritten as JSON."""
+        renders = [(path, document.dump_yaml) for path, document in self._documents.items()]
+        if self.model is not None:
+            renders.append((self.model_path, self.save_model))
+        for path, render in renders:
+            text = render()
+            if text != _read(path):
+                yield path.name, text
+
+
+def _charm_files(charms_dir: Path) -> Iterator[tuple[CharmSpec, str | None]]:
+    if charms_dir.is_dir():
+        for path in sorted(charms_dir.glob("*.yaml")):
+            yield load_charm(path.read_text())
+
+
+def _read(path: Path) -> str | None:
+    """The text of ``path``, or None when it does not exist."""
+    try:
+        return path.read_text()
+    except FileNotFoundError:
+        return None
 
 
 @contextlib.contextmanager
@@ -263,20 +319,18 @@ def cmd_init(ws: Workspace, args) -> int:
     if ws.inventory_path.exists():
         raise CliError(f"workspace {ws.root} is already initialised")
     ws.charms_dir.mkdir(parents=True, exist_ok=True)
-    ws.save_inventory(Inventory())
-    if args.demo:
-        for text, name in (
-            (builtin.MOODLE_CHARM, "moodle"),
-            (builtin.POSTGRESQL_CHARM, "postgresql"),
-            (builtin.HAPROXY_CHARM, "haproxy"),
-        ):
-            (ws.charms_dir / f"{name}.yaml").write_text(text)
-        (ws.root / "moodle-bundle.yaml").write_text(builtin.MOODLE_BUNDLE)
-        (ws.root / "scaled-bundle.yaml").write_text(builtin.SCALED_BUNDLE)
-        print(f"initialised {ws.root} with demo charms and bundles")
-    else:
-        print(f"initialised {ws.root}")
-    return 0
+    ws.inventory()  # empty, so the commit writes it
+    if not args.demo:
+        return _commit(ws, [f"initialised {ws.root}"])
+    for text, name in (
+        (builtin.MOODLE_CHARM, "moodle"),
+        (builtin.POSTGRESQL_CHARM, "postgresql"),
+        (builtin.HAPROXY_CHARM, "haproxy"),
+    ):
+        (ws.charms_dir / f"{name}.yaml").write_text(text)
+    (ws.root / "moodle-bundle.yaml").write_text(builtin.MOODLE_BUNDLE)
+    (ws.root / "scaled-bundle.yaml").write_text(builtin.SCALED_BUNDLE)
+    return _commit(ws, [f"initialised {ws.root} with demo charms and bundles"])
 
 
 def cmd_validate(ws: Workspace, args) -> int:
@@ -290,23 +344,13 @@ def cmd_validate(ws: Workspace, args) -> int:
     return 0
 
 
-def _provider_for(ws: Workspace, region_name: str | None):
-    """The inventory to place on, its reference marker, and (for regions)
-    the federation object that owns it."""
-    if region_name is None:
-        return ws.inventory(), "local", None
-    federation = ws.federation()
-    region = federation.production_region(region_name)
-    return region.inventory, region_name, federation
-
-
 def cmd_deploy(ws: Workspace, args) -> int:
     bundle = _read_bundle(args.bundle)
     if ws.model_path.exists():
-        model, provider_ref, federation = ws.load_model()
-        if args.region is not None and args.region != provider_ref:
+        model = ws.load_model()
+        if args.region is not None and args.region != ws.provider_ref:
             raise CliError(
-                f"model already placed on {provider_ref!r}; cannot deploy to {args.region!r}"
+                f"model already placed on {ws.provider_ref!r}; cannot deploy to {args.region!r}"
             )
         if args.project is not None and args.project != model.project:
             raise CliError(
@@ -314,18 +358,7 @@ def cmd_deploy(ws: Workspace, args) -> int:
                 f"cannot switch to {args.project!r}"
             )
     else:
-        inventory, provider_ref, federation = _provider_for(ws, args.region)
-        tree = ws.projects() if args.project else None
-        project_id = None
-        if args.project:
-            project_id = tree.find(args.project).id
-        model = Model(
-            ws.store(),
-            inventory,
-            project=project_id,
-            quota_tree=tree,
-            strict_conflicts=not args.lax_conflicts,
-        )
+        model = ws.new_model(args.region, args.project, strict_conflicts=not args.lax_conflicts)
     result = deploy_bundle(model, bundle)
     lines = [
         f"machine {bundle_id} -> {provider_id}"
@@ -333,70 +366,72 @@ def cmd_deploy(ws: Workspace, args) -> int:
     ]
     lines += [f"unit {unit_id} on {model.units[unit_id].machine}" for unit_id in result.units]
     lines += [f"relation {relation_id}" for relation_id in result.relations]
-    _finish(ws, args, model, provider_ref, federation, lines)
+    _finish(ws, args, lines)
+    return 0
+
+
+def _commit(ws: Workspace, lines: list[str]) -> int:
+    """The tail of a command that changes workspace files but not the
+    model: commit, and only then print the command's ``lines``, so that a
+    command that fails prints no result for a change it never committed."""
+    ws.commit()
+    if lines:
+        print("\n".join(lines))
     return 0
 
 
 def _finish(
-    ws: Workspace, args, model: Model, provider_ref: str, federation: Federation | None,
-    lines: list[str],
+    ws: Workspace, args, lines: list[str], converge: bool = True
 ) -> ConvergenceResult | None:
     """The tail of every command that changes the model: converge unless
-    ``--no-converge``, save, and only then print the command's ``lines``,
-    the outcome and the state hash, so that a command that fails prints
-    no result for a change it never saved.  Returns the outcome, or None
-    when the command did not converge."""
+    the command already has or ``--no-converge`` says not to, commit, and
+    only then print the command's ``lines``, the outcome and the state
+    hash.  Returns the outcome, or None when the command did not converge."""
     outcome = None
-    if not getattr(args, "no_converge", False):
-        outcome = run_to_convergence(model, budget=args.budget, rng_seed=args.seed)
+    if converge and not getattr(args, "no_converge", False):
+        outcome = run_to_convergence(ws.model, budget=args.budget, rng_seed=args.seed)
         lines.append(f"{outcome.outcome} after {outcome.events_processed} events")
-    ws.save_model(model, provider_ref, federation)
-    lines.append(f"state hash: {state_hash(model)}")
+    ws.commit()
+    # Hash after the commit, so that the hash reuses memory the commit freed:
+    # hashing first raised a 600-unit deploy's peak RSS by about 0.5 MB.
+    lines.append(f"state hash: {state_hash(ws.model)}")
     print("\n".join(lines))
     return outcome
 
 
 def cmd_add_unit(ws: Workspace, args) -> int:
-    model, provider_ref, federation = ws.load_model()
+    model = ws.load_model()
     placement = parse_placement(args.to) if args.to is not None else None
     new_ids = add_unit(model, args.application, count=args.num_units, placement=placement)
-    lines = [f"unit {unit_id} on {model.units[unit_id].machine}" for unit_id in new_ids]
-    _finish(ws, args, model, provider_ref, federation, lines)
+    _finish(ws, args, [f"unit {unit_id} on {model.units[unit_id].machine}" for unit_id in new_ids])
     return 0
 
 
 def cmd_remove_unit(ws: Workspace, args) -> int:
-    model, provider_ref, federation = ws.load_model()
-    remove_unit(model, args.unit)
-    _finish(ws, args, model, provider_ref, federation, [])
+    remove_unit(ws.load_model(), args.unit)
+    _finish(ws, args, [])
     return 0
 
 
 def cmd_config(ws: Workspace, args) -> int:
-    model, provider_ref, federation = ws.load_model()
-    changed = set_config(model, args.application, _parse_pairs(args.options, "option"))
-    line = f"changed: {', '.join(changed)}" if changed else "no changes"
-    _finish(ws, args, model, provider_ref, federation, [line])
+    changed = set_config(ws.load_model(), args.application, _parse_pairs(args.options, "option"))
+    _finish(ws, args, [f"changed: {', '.join(changed)}" if changed else "no changes"])
     return 0
 
 
 def cmd_add_relation(ws: Workspace, args) -> int:
-    model, provider_ref, federation = ws.load_model()
-    relation = add_relation(model, args.left, args.right)
-    lines = [f"relation {relation.id} ({relation.interface})"]
-    _finish(ws, args, model, provider_ref, federation, lines)
+    relation = add_relation(ws.load_model(), args.left, args.right)
+    _finish(ws, args, [f"relation {relation.id} ({relation.interface})"])
     return 0
 
 
 def cmd_converge(ws: Workspace, args) -> int:
-    model, provider_ref, federation = ws.load_model()
-    outcome = _finish(ws, args, model, provider_ref, federation, [])
-    return 0 if outcome.converged else 1
+    ws.load_model()
+    return 0 if _finish(ws, args, []).converged else 1
 
 
 def cmd_status(ws: Workspace, args) -> int:
-    model, _, _ = ws.load_model()
-    snapshot = status_snapshot(model)
+    snapshot = status_snapshot(ws.load_model())
     if args.format == "json":
         print(json.dumps(snapshot, indent=2, sort_keys=True))
         return 0
@@ -469,7 +504,7 @@ def cmd_plan_execute(ws: Workspace, args) -> int:
     plan = parse_plan(path.read_text())
     tree = ws.projects() if args.project else None
     project_id = tree.find(args.project).id if args.project else None
-    model = execute_plan(
+    ws.model = execute_plan(
         plan,
         ws.inventory(),
         ws.store(),
@@ -478,9 +513,7 @@ def cmd_plan_execute(ws: Workspace, args) -> int:
         budget=args.budget,
         rng_seed=args.seed,
     )
-    ws.save_model(model, "local")
-    print(f"executed {len(plan.steps)} steps")
-    print(f"state hash: {state_hash(model)}")
+    _finish(ws, args, [f"executed {len(plan.steps)} steps"], converge=False)
     return 0
 
 
@@ -489,8 +522,7 @@ def cmd_plan_dot(ws: Workspace, args) -> int:
         bundle = _read_bundle(args.bundle)
         print(export_dot(compile_plan(bundle, ws.store())), end="")
     else:
-        model, _, _ = ws.load_model()
-        print(export_dot(model), end="")
+        print(export_dot(ws.load_model()), end="")
     return 0
 
 
@@ -498,11 +530,8 @@ def cmd_plan_dot(ws: Workspace, args) -> int:
 
 
 def cmd_machine_add_zone(ws: Workspace, args) -> int:
-    inventory = ws.inventory()
-    inventory.add_zone(args.region, args.az)
-    ws.save_inventory(inventory)
-    print(f"zone {args.region}/{args.az}")
-    return 0
+    ws.inventory().add_zone(args.region, args.az)
+    return _commit(ws, [f"zone {args.region}/{args.az}"])
 
 
 def _machine_spec(args) -> dict:
@@ -522,11 +551,8 @@ def cmd_machine_enlist(ws: Workspace, args) -> int:
         raise CliError(f"malformed zone {args.zone!r} (expected region/az)")
     inventory = ws.inventory()
     spec = _machine_spec(args)
-    for _ in range(args.count):
-        record = inventory.enlist(region=region, az=az, **spec)
-        print(f"machine {record.id} ({record.state})")
-    ws.save_inventory(inventory)
-    return 0
+    records = [inventory.enlist(region=region, az=az, **spec) for _ in range(args.count)]
+    return _commit(ws, [f"machine {record.id} ({record.state})" for record in records])
 
 
 def cmd_machine_list(ws: Workspace, args) -> int:
@@ -549,48 +575,36 @@ def cmd_machine_list(ws: Workspace, args) -> int:
 
 
 def cmd_machine_release(ws: Workspace, args) -> int:
-    inventory = ws.inventory()
-    inventory.release(args.machine)
-    ws.save_inventory(inventory)
-    print(f"released {args.machine}")
-    return 0
+    ws.inventory().release(args.machine)
+    return _commit(ws, [f"released {args.machine}"])
 
 
 # -- federation ---------------------------------------------------------------
 
 
 def cmd_region_register(ws: Workspace, args) -> int:
-    federation = ws.federation()
-    region = federation.register_region(args.name, _parse_pairs(args.endpoints, "endpoint"))
-    ws.save_federation(federation)
-    print(f"region {region.name} registered ({region.status})")
-    return 0
+    region = ws.federation().register_region(args.name, _parse_pairs(args.endpoints, "endpoint"))
+    return _commit(ws, [f"region {region.name} registered ({region.status})"])
 
 
 def cmd_region_validate(ws: Workspace, args) -> int:
-    federation = ws.federation()
-    report = federation.validate_region(args.name)
-    ws.save_federation(federation)
-    print(report.render())
+    report = ws.federation().validate_region(args.name)
+    _commit(ws, [report.render()])
     return 0 if report.promoted else 1
 
 
 def cmd_region_reject(ws: Workspace, args) -> int:
-    federation = ws.federation()
-    federation.reject_region(args.name)
-    ws.save_federation(federation)
-    print(f"region {args.name} rejected")
-    return 0
+    ws.federation().reject_region(args.name)
+    return _commit(ws, [f"region {args.name} rejected"])
 
 
 def cmd_region_enlist(ws: Workspace, args) -> int:
     federation = ws.federation()
     spec = _machine_spec(args)
-    for _ in range(args.count):
-        machine_id = federation.enlist_machine(args.name, az=args.az, **spec)
-        print(f"machine {machine_id} in {args.name}/{args.az}")
-    ws.save_federation(federation)
-    return 0
+    machine_ids = [federation.enlist_machine(args.name, az=args.az, **spec)
+                   for _ in range(args.count)]
+    return _commit(ws, [f"machine {machine_id} in {args.name}/{args.az}"
+                        for machine_id in machine_ids])
 
 
 def cmd_region_list(ws: Workspace, args) -> int:
@@ -613,11 +627,8 @@ def cmd_region_list(ws: Workspace, args) -> int:
 
 
 def cmd_region_sync(ws: Workspace, args) -> int:
-    federation = ws.federation()
-    generation = federation.sync_catalog(args.name)
-    ws.save_federation(federation)
-    print(f"replica of {args.name} at generation {generation}")
-    return 0
+    generation = ws.federation().sync_catalog(args.name)
+    return _commit(ws, [f"replica of {args.name} at generation {generation}"])
 
 
 def cmd_region_catalog(ws: Workspace, args) -> int:
@@ -635,11 +646,7 @@ def cmd_region_catalog(ws: Workspace, args) -> int:
 
 def cmd_identity_map(ws: Workspace, args) -> int:
     federation = ws.federation()
-    for eppn in args.eppn:
-        user_id = federation.map_identity(eppn)
-        print(f"{eppn} -> {user_id}")
-    ws.save_federation(federation)
-    return 0
+    return _commit(ws, [f"{eppn} -> {federation.map_identity(eppn)}" for eppn in args.eppn])
 
 
 # -- quota --------------------------------------------------------------------
@@ -652,36 +659,28 @@ def cmd_quota_create(ws: Workspace, args) -> int:
         project_id = tree.create_project(name, parent)
     else:
         project_id = tree.add_domain(args.path)
-    ws.save_projects(tree)
-    print(f"created {project_id}")
-    return 0
+    return _commit(ws, [f"created {project_id}"])
 
 
 def cmd_quota_set(ws: Workspace, args) -> int:
     tree = ws.projects()
     node = tree.find(args.project)
     tree.set_quota(node.id, _quota_amounts(args.amounts))
-    ws.save_projects(tree)
-    print(f"{node.id} quota {_render_quota(node.quota)}")
-    return 0
+    return _commit(ws, [f"{node.id} quota {_render_quota(node.quota)}"])
 
 
 def cmd_quota_charge(ws: Workspace, args) -> int:
     tree = ws.projects()
     node = tree.find(args.project)
     tree.charge(node.id, _quota_amounts(args.amounts))
-    ws.save_projects(tree)
-    print(f"{node.id} usage {_render_quota(node.usage)}")
-    return 0
+    return _commit(ws, [f"{node.id} usage {_render_quota(node.usage)}"])
 
 
 def cmd_quota_release(ws: Workspace, args) -> int:
     tree = ws.projects()
     node = tree.find(args.project)
     tree.release(node.id, _quota_amounts(args.amounts))
-    ws.save_projects(tree)
-    print(f"{node.id} usage {_render_quota(node.usage)}")
-    return 0
+    return _commit(ws, [f"{node.id} usage {_render_quota(node.usage)}"])
 
 
 def _render_quota(amounts: QuotaSet) -> str:
@@ -720,7 +719,7 @@ def cmd_quota_role(ws: Workspace, args) -> int:
     node = tree.find(args.project)
     if args.role:
         tree.assign_role(node.id, args.user, args.role)
-        ws.save_projects(tree)
+        ws.commit()
     roles = tree.effective_roles(node.id, args.user)
     print(f"{args.user}@{node.id}: {', '.join(sorted(roles)) or '(none)'}")
     return 0
@@ -730,191 +729,99 @@ def cmd_quota_role(ws: Workspace, args) -> int:
 # Parser
 
 
-def _add_converge_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                        help="maximum events to process while converging")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="seed for handler-order shuffling")
+def _arg(*flags: str, **options) -> tuple[tuple[str, ...], dict]:
+    """One ``add_argument`` call, as data."""
+    return flags, options
 
 
-def _add_mutation_flags(parser: argparse.ArgumentParser) -> None:
-    _add_converge_flags(parser)
-    parser.add_argument("--no-converge", action="store_true",
-                        help="enqueue events but do not process them")
+_CONVERGE = (
+    _arg("--budget", type=int, default=DEFAULT_BUDGET,
+         help="maximum events to process while converging"),
+    _arg("--seed", type=int, default=DEFAULT_SEED, help="seed for handler-order shuffling"),
+)
+_MUTATION = (
+    *_CONVERGE,
+    _arg("--no-converge", action="store_true", help="enqueue events but do not process them"),
+)
+_MACHINE_SPEC = (
+    _arg("--arch", default="amd64"),
+    _arg("--cores", type=int, required=True),
+    _arg("--mem", type=int, required=True, help="MiB"),
+    _arg("--disk", type=int, required=True, help="MiB"),
+    _arg("--series", default="xenial"),
+    _arg("--tags", default="", help="comma-separated host tags"),
+    _arg("-n", "--count", type=int, default=1),
+)
+_FORMAT = (_arg("--format", choices=("text", "json"), default="text"),)
+_NAME = (_arg("name"),)
+_QUOTA_AMOUNTS = (_arg("project"), _arg("amounts", nargs="+", metavar="COMPONENT=N"))
 
-
-def _add_machine_spec_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--arch", default="amd64")
-    parser.add_argument("--cores", type=int, required=True)
-    parser.add_argument("--mem", type=int, required=True, help="MiB")
-    parser.add_argument("--disk", type=int, required=True, help="MiB")
-    parser.add_argument("--series", default="xenial")
-    parser.add_argument("--tags", default="", help="comma-separated host tags")
-    parser.add_argument("-n", "--count", type=int, default=1)
-
-
-def _add_format_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-
-
-def _init_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--demo", action="store_true", help="include demo charms and bundles")
-
-
-def _bundle_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("bundle")
-
-
-def _deploy_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("bundle")
-    p.add_argument("--project", help="project charged for the footprint")
-    p.add_argument("--region", help="place on this production region instead of locally")
-    p.add_argument("--lax-conflicts", action="store_true",
-                   help="resolve write conflicts last-writer-wins instead of failing")
-    _add_mutation_flags(p)
-
-
-def _add_unit_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("application")
-    p.add_argument("-n", "--num-units", type=int, default=1)
-    p.add_argument("--to", help="placement (machine id or kind:id)")
-    _add_mutation_flags(p)
-
-
-def _remove_unit_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("unit")
-    _add_mutation_flags(p)
-
-
-def _config_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("application")
-    p.add_argument("options", nargs="+", metavar="KEY=VALUE")
-    _add_mutation_flags(p)
-
-
-def _add_relation_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("left", metavar="APP:ENDPOINT")
-    p.add_argument("right", metavar="APP:ENDPOINT")
-    _add_mutation_flags(p)
-
-
-def _plan_compile_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("bundle")
-    p.add_argument("-o", "--output", help="write the plan here instead of stdout")
-
-
-def _plan_execute_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("plan")
-    p.add_argument("--project")
-    _add_converge_flags(p)
-
-
-def _plan_dot_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("bundle", nargs="?", help="bundle to compile (default: current model)")
-
-
-def _add_zone_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("region")
-    p.add_argument("az")
-
-
-def _machine_enlist_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--zone", required=True, metavar="REGION/AZ")
-    _add_machine_spec_flags(p)
-
-
-def _machine_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("machine")
-
-
-def _name_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("name")
-
-
-def _optional_name_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("name", nargs="?")
-
-
-def _region_register_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("name")
-    p.add_argument("endpoints", nargs="+", metavar="SERVICE=URL")
-
-
-def _region_enlist_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("name")
-    p.add_argument("--az", default="default")
-    _add_machine_spec_flags(p)
-
-
-def _identity_map_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("eppn", nargs="+")
-
-
-def _quota_create_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("path", metavar="DOMAIN[/PROJECT...]")
-
-
-def _quota_amount_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("project")
-    p.add_argument("amounts", nargs="+", metavar="COMPONENT=N")
-
-
-def _quota_show_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("project", nargs="?")
-    _add_format_flag(p)
-
-
-def _quota_role_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("project")
-    p.add_argument("user")
-    p.add_argument("role", nargs="?")
-
-
-# The whole command grammar, in help order: (words, help, add arguments,
+# The whole command grammar, in help order: (words, help, arguments,
 # handler).  Two words name a command inside one of the GROUPS.
 COMMANDS = (
-    (("init",), "initialise a workspace", _init_args, cmd_init),
-    (("validate",), "check a bundle against the charm store", _bundle_args, cmd_validate),
-    (("deploy",), "deploy a bundle and converge", _deploy_args, cmd_deploy),
-    (("add-unit",), "scale an application", _add_unit_args, cmd_add_unit),
-    (("remove-unit",), "remove one unit", _remove_unit_args, cmd_remove_unit),
-    (("config",), "change application options", _config_args, cmd_config),
-    (("add-relation",), "relate two applications", _add_relation_args, cmd_add_relation),
-    (("converge",), "process pending events", _add_converge_flags, cmd_converge),
-    (("status",), "show the model", _add_format_flag, cmd_status),
-    (("plan", "compile"), "compile a bundle to a step list", _plan_compile_args,
-     cmd_plan_compile),
-    (("plan", "execute"), "replay a compiled plan", _plan_execute_args, cmd_plan_execute),
-    (("plan", "dot"), "export topology as DOT", _plan_dot_args, cmd_plan_dot),
-    (("machine", "add-zone"), "register an availability zone", _add_zone_args,
-     cmd_machine_add_zone),
-    (("machine", "enlist"), "enlist machines", _machine_enlist_args, cmd_machine_enlist),
-    (("machine", "list"), "list machines", _add_format_flag, cmd_machine_list),
-    (("machine", "release"), "release an acquired machine", _machine_args,
+    (("init",), "initialise a workspace",
+     (_arg("--demo", action="store_true", help="include demo charms and bundles"),), cmd_init),
+    (("validate",), "check a bundle against the charm store", (_arg("bundle"),), cmd_validate),
+    (("deploy",), "deploy a bundle and converge", (
+        _arg("bundle"),
+        _arg("--project", help="project charged for the footprint"),
+        _arg("--region", help="place on this production region instead of locally"),
+        _arg("--lax-conflicts", action="store_true",
+             help="resolve write conflicts last-writer-wins instead of failing"),
+        *_MUTATION,
+    ), cmd_deploy),
+    (("add-unit",), "scale an application", (
+        _arg("application"),
+        _arg("-n", "--num-units", type=int, default=1),
+        _arg("--to", help="placement (machine id or kind:id)"),
+        *_MUTATION,
+    ), cmd_add_unit),
+    (("remove-unit",), "remove one unit", (_arg("unit"), *_MUTATION), cmd_remove_unit),
+    (("config",), "change application options", (
+        _arg("application"), _arg("options", nargs="+", metavar="KEY=VALUE"), *_MUTATION,
+    ), cmd_config),
+    (("add-relation",), "relate two applications", (
+        _arg("left", metavar="APP:ENDPOINT"), _arg("right", metavar="APP:ENDPOINT"), *_MUTATION,
+    ), cmd_add_relation),
+    (("converge",), "process pending events", _CONVERGE, cmd_converge),
+    (("status",), "show the model", _FORMAT, cmd_status),
+    (("plan", "compile"), "compile a bundle to a step list", (
+        _arg("bundle"), _arg("-o", "--output", help="write the plan here instead of stdout"),
+    ), cmd_plan_compile),
+    (("plan", "execute"), "replay a compiled plan",
+     (_arg("plan"), _arg("--project"), *_CONVERGE), cmd_plan_execute),
+    (("plan", "dot"), "export topology as DOT",
+     (_arg("bundle", nargs="?", help="bundle to compile (default: current model)"),),
+     cmd_plan_dot),
+    (("machine", "add-zone"), "register an availability zone",
+     (_arg("region"), _arg("az")), cmd_machine_add_zone),
+    (("machine", "enlist"), "enlist machines",
+     (_arg("--zone", required=True, metavar="REGION/AZ"), *_MACHINE_SPEC), cmd_machine_enlist),
+    (("machine", "list"), "list machines", _FORMAT, cmd_machine_list),
+    (("machine", "release"), "release an acquired machine", (_arg("machine"),),
      cmd_machine_release),
-    (("region", "register"), "register a candidate region", _region_register_args,
-     cmd_region_register),
-    (("region", "validate"), "run validation; promote on success", _name_args,
-     cmd_region_validate),
-    (("region", "reject"), "reject a candidate region", _name_args, cmd_region_reject),
-    (("region", "enlist"), "enlist machines into a region", _region_enlist_args,
-     cmd_region_enlist),
-    (("region", "list"), "list regions", _add_format_flag, cmd_region_list),
-    (("region", "sync"), "sync a region's catalog replica", _name_args, cmd_region_sync),
-    (("region", "catalog"), "show master (or a replica) catalog", _optional_name_args,
+    (("region", "register"), "register a candidate region",
+     (*_NAME, _arg("endpoints", nargs="+", metavar="SERVICE=URL")), cmd_region_register),
+    (("region", "validate"), "run validation; promote on success", _NAME, cmd_region_validate),
+    (("region", "reject"), "reject a candidate region", _NAME, cmd_region_reject),
+    (("region", "enlist"), "enlist machines into a region",
+     (*_NAME, _arg("--az", default="default"), *_MACHINE_SPEC), cmd_region_enlist),
+    (("region", "list"), "list regions", _FORMAT, cmd_region_list),
+    (("region", "sync"), "sync a region's catalog replica", _NAME, cmd_region_sync),
+    (("region", "catalog"), "show master (or a replica) catalog", (_arg("name", nargs="?"),),
      cmd_region_catalog),
-    (("identity", "map"), "map external principals to local users", _identity_map_args,
-     cmd_identity_map),
-    (("quota", "create"), "create a domain or nested project", _quota_create_args,
-     cmd_quota_create),
-    (("quota", "set"), "set a project's quota", _quota_amount_args, cmd_quota_set),
-    (("quota", "charge"), "charge usage against a project", _quota_amount_args,
-     cmd_quota_charge),
-    (("quota", "release"), "release previously charged usage", _quota_amount_args,
+    (("identity", "map"), "map external principals to local users",
+     (_arg("eppn", nargs="+"),), cmd_identity_map),
+    (("quota", "create"), "create a domain or nested project",
+     (_arg("path", metavar="DOMAIN[/PROJECT...]"),), cmd_quota_create),
+    (("quota", "set"), "set a project's quota", _QUOTA_AMOUNTS, cmd_quota_set),
+    (("quota", "charge"), "charge usage against a project", _QUOTA_AMOUNTS, cmd_quota_charge),
+    (("quota", "release"), "release previously charged usage", _QUOTA_AMOUNTS,
      cmd_quota_release),
-    (("quota", "show"), "show the project tree", _quota_show_args, cmd_quota_show),
-    (("quota", "role"), "assign or inspect a user's roles", _quota_role_args,
-     cmd_quota_role),
+    (("quota", "show"), "show the project tree", (_arg("project", nargs="?"), *_FORMAT),
+     cmd_quota_show),
+    (("quota", "role"), "assign or inspect a user's roles",
+     (_arg("project"), _arg("user"), _arg("role", nargs="?")), cmd_quota_role),
 )
 
 GROUPS = {
@@ -947,7 +854,7 @@ def build_parser(
     )
     commands = parser.add_subparsers(dest="command", required=True)
     groups = {}
-    for entry_words, help_text, add_arguments, handler in COMMANDS:
+    for entry_words, help_text, arguments, handler in COMMANDS:
         if words is not None and entry_words != words:
             continue
         parent = commands
@@ -959,7 +866,8 @@ def build_parser(
                 ).add_subparsers(dest=f"{group}_command", required=True)
             parent = groups[group]
         p = parent.add_parser(entry_words[-1], help=help_text)
-        add_arguments(p)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
         p.set_defaults(func=handler)
     return parser
 
@@ -1028,6 +936,7 @@ def run_command(argv: list[str] | None = None) -> int:
         if args.func is cmd_init:
             root.mkdir(parents=True, exist_ok=True)
         with _locked(root):
+            statefile.recover(root, STATE_FILES)
             ws = Workspace(root)
             if args.func is not cmd_init:
                 ws.require_init()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedweave import bundle as bundle_module
@@ -284,6 +284,16 @@ MALFORMED_BUNDLES = [
         id="tab-indentation",
     ),
     pytest.param(
+        "{[a]: b}\n",
+        BundleParseError, "mapping key must be a scalar (line 1, column 2)",
+        id="sequence-key",
+    ),
+    pytest.param(
+        "applications:\n  {charm: cs:x}: {}\n",
+        BundleParseError, "mapping key must be a scalar (line 2, column 3)",
+        id="mapping-key-under-applications",
+    ),
+    pytest.param(
         "a: 1\n---\nb: 2\n",
         BundleParseError, "but found another document (line 2, column 1)", id="two-documents",
     ),
@@ -366,6 +376,9 @@ class TestLoader:
     reference loader, and with the reference loader everywhere else."""
 
     @given(st.one_of(_free_text, _bundle_text()))
+    @example("{[a]: b}")
+    @example("applications: {[a]: b}\n")
+    @example("applications:\n  {x: 1}: b\n")
     @settings(deadline=None, max_examples=400)
     def test_load_yaml_matches_the_reference_loader(self, text):
         assert _outcome(_load_yaml, text) == _outcome(_load_reference, text)
@@ -434,6 +447,19 @@ class TestValidateBundle:
         )
         diags = validate_bundle(parse_bundle(text), store)
         assert any(d.severity == "error" for d in diags)
+
+    def test_placement_on_unsupported_series(self, store):
+        text = (
+            "series: xenial\n"
+            "machines: {\"0\": {series: bionic}}\n"
+            "applications:\n"
+            "  postgresql: {charm: \"cs:postgresql\", num_units: 1, to: [\"lxd:0\"]}\n"
+        )
+        diags = validate_bundle(parse_bundle(text), store)
+        assert [d.render() for d in diags] == [
+            "error: applications.postgresql.to[0]: "
+            "charm 'postgresql' does not support series 'bionic' of machine '0'"
+        ]
 
     def test_partial_placement_warns(self, store):
         text = (

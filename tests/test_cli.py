@@ -186,8 +186,9 @@ class TestValidate:
              "duplicate key 'a' (line 3, column 3)"),
             ("applications:\n\tweb: {}\n",
              "found character '\\t' that cannot start any token (line 2, column 1)"),
+            ("{[a]: b}\n", "mapping key must be a scalar (line 1, column 2)"),
         ],
-        ids=["syntax", "duplicate-key", "tab"],
+        ids=["syntax", "duplicate-key", "tab", "sequence-key"],
     )
     def test_malformed_bundle_is_a_one_line_error(self, demo, tmp_path, text, message):
         path = tmp_path / "malformed.yaml"

@@ -51,6 +51,35 @@ GOLDEN_MOODLE_STEPS = [
     "start-unit postgresql/0",
 ]
 
+#: A bundle shaped like the benchmark's plan-audit corpus: constrained
+#: hosts, machine, ``lxd:`` and fresh placements, options and expose.
+AUDIT_STYLE_BUNDLE = """\
+series: xenial
+applications:
+  moodle:
+    charm: cs:~csd-garr/moodle
+    num_units: 5
+    to: ['1', lxd:0, '0', lxd:1]
+    options: {site_name: Audit 7}
+  postgresql:
+    charm: cs:postgresql
+    num_units: 2
+    to: [lxd:1]
+    options: {listen_port: 5432}
+  haproxy:
+    charm: cs:haproxy
+    num_units: 1
+    to: ['0']
+    expose: true
+    options: {default_timeout: 30}
+machines:
+  '0': {constraints: arch=amd64 cpu-cores=4 mem=8192 root-disk=40960}
+  '1': {constraints: cpu-cores=2 mem=4096 root-disk=20480 tags=ssd}
+relations:
+  - [moodle:database, postgresql:db]
+  - [haproxy:reverseproxy, moodle:website]
+"""
+
 
 class TestCompilation:
     def test_golden_moodle_plan(self, store, moodle_bundle):
@@ -160,6 +189,27 @@ class TestCompilation:
         digests = [bundle_digest(bundle) for bundle in bundles]
         assert len(set(digests)) == len(digests)
         assert compile_plan(bundles[4], store).bundle_digest == digests[4]
+
+    @pytest.mark.parametrize(
+        ("text", "digest"),
+        [(MOODLE_BUNDLE, "1b00b157a94e290e727f0decfcc59fd72762720bfdf9824f022c18503dad5415"),
+         (SCALED_BUNDLE, "02f42628c382bccf240b43d11aad9d22668a7254c26abf730d4df68a6681cfab"),
+         (AUDIT_STYLE_BUNDLE, "377c7a39ef9d20cb86b9ced4d2600b84c5734616a260657ba81c3054f9e21aaf")],
+        ids=["moodle", "scaled", "audit-style"],
+    )
+    def test_digests_are_pinned(self, text, digest):
+        assert bundle_digest(parse_bundle(text)) == digest
+
+    def test_option_names_of_mixed_types(self):
+        # YAML reads the option name ``on`` as the boolean true.
+        bundle = parse_bundle(
+            "series: xenial\napplications:\n"
+            "  haproxy: {charm: cs:haproxy, num_units: 1, options: {n: 3, on: yes}}\n"
+        )
+        assert bundle.applications["haproxy"].options == {"n": 3, True: True}
+        rendered = parse_bundle(render_bundle(bundle))
+        assert rendered == bundle
+        assert bundle_digest(rendered) == bundle_digest(bundle)
 
 
 class TestRoundTrip:

@@ -1,13 +1,16 @@
 """The workspace state format and how it reaches disk.
 
 State files are compact JSON under their historic ``.yaml`` names;
-workspaces written as YAML still load, and every file is replaced
-atomically, so a save that fails part-way leaves each file whole.
+workspaces written as YAML still load, and a command commits the files it
+changed as one set, so a commit that fails or crashes part-way leaves
+every file old or every file new, and no file it did not change is
+rewritten.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import shutil
 
@@ -103,6 +106,11 @@ class TestFormat:
         assert code == 1
         assert err.startswith("cli: malformed model document")
 
+    @pytest.mark.parametrize("text", ["", "[1]"], ids=["empty", "list"])
+    def test_model_that_is_not_a_mapping_is_an_operational_error(self, deployed, tmp_path, text):
+        (tmp_path / "model.yaml").write_text(text)
+        assert deployed("status") == (1, "", "cli: malformed model document: not a mapping\n")
+
     def test_load_rejects_text_that_is_neither(self):
         with pytest.raises(statefile.DecodeError):
             statefile.load('{"machines": [')
@@ -140,10 +148,126 @@ class TestAtomicSave:
         assert "No space left on device" in err
         assert len(calls) == 2
 
-        after = _docs(tmp_path)
-        for name in STATE_FILES:
-            assert after[name] in (old[name], new[name]), name
-        # The first file was replaced, the second one (which failed) was not.
-        assert after["model.yaml"] == new["model.yaml"] != old["model.yaml"]
-        assert after["federation.yaml"] == old["federation.yaml"] != new["federation.yaml"]
-        assert sorted(p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")) == []
+        # The write failed before the commit was recorded, so every file is old.
+        assert _docs(tmp_path) == old != new
+        assert _leftovers(tmp_path) == []
+
+
+def _leftovers(root: pathlib.Path) -> list[str]:
+    """Temporary files and commit records left in ``root``."""
+    return sorted(p.name for p in root.iterdir()
+                  if p.name.endswith(".tmp") or p.name == statefile.COMMIT_RECORD)
+
+
+CRASHED = 70  # the exit status of a child that died mid-commit
+
+
+class _Faults:
+    """Stands in for ``os`` inside ``statefile`` and wraps ``Path.write_text``,
+    counting the file operations of a commit: writes, fsyncs, renames and
+    removals.  The ``at``-th calls ``interrupt`` instead of completing; a
+    write first writes half its text, as a full disk would."""
+
+    COUNTED = ("fsync", "replace", "unlink")
+
+    def __init__(self, at: int = 0, interrupt=None) -> None:
+        self.at = at
+        self.interrupt = interrupt
+        self.count = 0
+
+    def _due(self) -> bool:
+        self.count += 1
+        return self.count == self.at
+
+    def __getattr__(self, name):
+        real = getattr(os, name)
+        if name not in self.COUNTED:
+            return real
+
+        def operation(*args, **kwargs):
+            if self._due():
+                self.interrupt()
+            return real(*args, **kwargs)
+
+        return operation
+
+    def install(self, monkeypatch) -> None:
+        write_text = pathlib.Path.write_text
+
+        def counted_write_text(path, text, *args, **kwargs):
+            if self._due():
+                write_text(path, text[: len(text) // 2], *args, **kwargs)
+                self.interrupt()
+            return write_text(path, text, *args, **kwargs)
+
+        monkeypatch.setattr(statefile, "os", self)
+        monkeypatch.setattr(pathlib.Path, "write_text", counted_write_text)
+
+
+def _out_of_space() -> None:
+    raise OSError(28, "No space left on device")
+
+
+def _crash(root: pathlib.Path, argv: tuple[str, ...], at: int) -> int:
+    """Run ``argv`` in a forked child that dies by ``os._exit`` at the
+    ``at``-th file operation of its commit; the child's exit status."""
+    pid = os.fork()
+    if pid == 0:
+        try:
+            with pytest.MonkeyPatch.context() as patch:
+                _Faults(at, lambda: os._exit(CRASHED)).install(patch)
+                run_command(["-w", str(root), *argv])
+        finally:
+            os._exit(0)
+    _, status = os.waitpid(pid, 0)
+    return os.waitstatus_to_exitcode(status)
+
+
+class TestCommit:
+    COMMAND = ("add-unit", "moodle")
+
+    @pytest.mark.parametrize("interruption", ["exception", "exit"])
+    def test_interrupted_commit_leaves_all_old_or_all_new(
+        self, deployed, tmp_path, tmp_path_factory, interruption
+    ):
+        old = (_docs(tmp_path), _hash(deployed("status")[1]))
+        twin = tmp_path_factory.mktemp("twin")
+        shutil.copytree(tmp_path, twin, dirs_exist_ok=True)
+        with pytest.MonkeyPatch.context() as patch:
+            counter = _Faults()
+            counter.install(patch)
+            code, out, err = deployed(*self.COMMAND, root=twin)
+        assert code == 0, err
+        new = (_docs(twin), _hash(out))
+        assert [name for name in STATE_FILES if new[0][name] != old[0][name]] == [
+            "model.yaml", "federation.yaml", "projects.yaml"
+        ]
+
+        for at in range(1, counter.count + 1):
+            workspace = tmp_path_factory.mktemp(f"at-{at}")
+            shutil.copytree(tmp_path, workspace, dirs_exist_ok=True)
+            if interruption == "exception":
+                with pytest.MonkeyPatch.context() as patch:
+                    _Faults(at, _out_of_space).install(patch)
+                    code, _, err = deployed(*self.COMMAND, root=workspace)
+                assert code == 1 and "No space left on device" in err, (at, err)
+            else:
+                assert _crash(workspace, self.COMMAND, at) == CRASHED, at
+                # The dead invocation still holds the lock; its error says to remove it.
+                (workspace / ".fedweave-lock").unlink()
+            code, out, err = deployed("status", root=workspace)
+            assert code == 0, (at, err)
+            assert (_docs(workspace), _hash(out)) in (old, new), at
+            assert _leftovers(workspace) == [], at
+
+    def test_config_rewrites_only_the_model(self, deployed, tmp_path):
+        def files() -> dict:
+            return {name: ((tmp_path / name).read_bytes(), (tmp_path / name).stat().st_ino,
+                           (tmp_path / name).stat().st_mtime_ns) for name in STATE_FILES}
+
+        before = files()
+        code, out, err = deployed("config", "moodle", "site_name=Campus")
+        assert code == 0, err
+        assert "changed: site_name" in out
+        after = files()
+        assert [name for name in STATE_FILES if after[name] != before[name]] == ["model.yaml"]
