@@ -23,6 +23,8 @@ The package is organised around a small number of cooperating parts:
 ``quota``
     Hierarchical projects with nested quota enforcement and role
     inheritance.
+``statefile``
+    The one YAML reader, state-file text and the all-or-nothing commit.
 ``cli``
     The ``fedweave`` command-line front end over a workspace directory.
 """

@@ -48,6 +48,7 @@ from dataclasses import dataclass, field
 
 import yaml
 
+from . import statefile
 from .errors import FedweaveError
 
 #: Container kinds understood by placement directives.
@@ -69,15 +70,8 @@ class BundleError(FedweaveError):
     module = "bundle"
 
 
-class BundleParseError(BundleError):
+class BundleParseError(BundleError, statefile.DecodeError):
     """Syntactic problem in a bundle document; carries the source position."""
-
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
-        self.line = line
-        self.column = column
-        if line is not None:
-            message = f"{message} (line {line}, column {column})"
-        super().__init__(message)
 
 
 class ConstraintError(BundleError):
@@ -308,90 +302,6 @@ def parse_endpoint(text: str) -> EndpointRef:
 
 
 # ---------------------------------------------------------------------------
-# YAML loading with duplicate-key detection
-
-
-class _StrictLoader(yaml.SafeLoader):
-    """SafeLoader that rejects duplicate mapping keys instead of silently
-    keeping the last one.
-
-    This pure-Python loader is the reference: what it accepts, the value it
-    builds and the error it raises define how a bundle reads.  ``_load_yaml``
-    parses with libyaml when PyYAML was built with it, and falls back to this
-    loader wherever the two could differ."""
-
-
-def _construct_mapping(loader: _StrictLoader, node, deep: bool = False):
-    mapping = {}
-    for key_node, value_node in node.value:
-        mark = key_node.start_mark
-        if not isinstance(key_node, yaml.ScalarNode):
-            raise BundleParseError(
-                "mapping key must be a scalar", line=mark.line + 1, column=mark.column + 1
-            )
-        key = loader.construct_object(key_node, deep=deep)
-        if key in mapping:
-            raise BundleParseError(
-                f"duplicate key {key!r}", line=mark.line + 1, column=mark.column + 1
-            )
-        mapping[key] = loader.construct_object(value_node, deep=deep)
-    return mapping
-
-
-_StrictLoader.add_constructor(
-    yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, _construct_mapping
-)
-
-if yaml.__with_libyaml__:
-
-    class _CStrictLoader(yaml.CSafeLoader):
-        """``_StrictLoader`` with libyaml's scanner and parser."""
-
-    _CStrictLoader.add_constructor(
-        yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, _construct_mapping
-    )
-else:
-    _CStrictLoader = None
-
-#: Text outside the subset where libyaml and the pure-Python parser were seen
-#: to agree: anything but printable ASCII and newline (tabs, CR, BOM,
-#: non-ASCII line breaks), and the indicators of tags, anchors, aliases,
-#: complex keys, block scalars, directives and reserved characters.
-_LIBYAML_UNSAFE = re.compile(r"[^\n -~]|[!&*?|>%@`]")
-
-
-def _load_yaml(text: str):
-    """Parse one YAML document, rejecting duplicate keys.
-
-    libyaml parses text inside the safe subset.  Anything outside it, and
-    anything libyaml rejects, is parsed again by ``_load_reference``, so
-    every result and every error message is the reference loader's."""
-    if _CStrictLoader is not None and not _LIBYAML_UNSAFE.search(text):
-        try:
-            return yaml.load(text, Loader=_CStrictLoader)
-        except (yaml.YAMLError, BundleParseError):
-            pass  # the reference loader words the rejection
-    return _load_reference(text)
-
-
-def _load_reference(text: str):
-    """Parse one YAML document with the pure-Python ``_StrictLoader``."""
-    try:
-        return yaml.load(text, Loader=_StrictLoader)
-    except BundleParseError:
-        raise
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        if mark is not None:
-            raise BundleParseError(
-                getattr(exc, "problem", None) or str(exc),
-                line=mark.line + 1,
-                column=mark.column + 1,
-            ) from exc
-        raise BundleParseError(str(exc)) from exc
-
-
-# ---------------------------------------------------------------------------
 # Bundle parsing
 
 
@@ -403,7 +313,10 @@ def parse_bundle(text: str) -> Bundle:
     machine ends up with a series, placement lists are no longer than
     num_units, and names are unique.
     """
-    doc = _load_yaml(text)
+    try:
+        doc = statefile.load_yaml(text)
+    except statefile.DecodeError as exc:
+        raise BundleParseError(exc.problem, exc.line, exc.column) from exc
     if doc is None:
         doc = {}
     if not isinstance(doc, dict):
@@ -582,14 +495,16 @@ def validate_bundle(bundle: Bundle, store) -> list[Diagnostic]:
 
     Error diagnostics cover unresolvable charms, incompatible or unknown
     relation endpoints, unknown option names, uncoercible option values,
-    and placements on a machine (or in a container on a host) whose series
-    the charm does not support.
+    placements on a machine (or in a container on a host) whose series
+    the charm does not support, and fresh machines whose series
+    (``app_series``) the charm does not support.
     A warning is flagged when an application declares fewer placements than
     num_units while placing some units explicitly; the extras fall back to
     fresh machines.
     """
     diagnostics: list[Diagnostic] = []
     specs = {}
+    store.refs()  # a charm file that does not parse fails the store, not each application
     for name in sorted(bundle.applications):
         app = bundle.applications[name]
         try:
@@ -617,6 +532,11 @@ def validate_bundle(bundle: Bundle, store) -> list[Diagnostic]:
                     f"charm {spec.name!r} does not support series {machine.series!r} "
                     f"of machine {placement.machine!r}",
                 ))
+        series = app_series(bundle, app, spec)
+        fresh = len(app.placements) < app.num_units or Placement.fresh() in app.placements
+        if fresh and series not in spec.series:
+            diagnostics.append(Diagnostic("error", f"applications.{name}", (
+                f"charm {spec.name!r} does not support series {series!r} for fresh machines")))
         if app.placements and len(app.placements) < app.num_units:
             diagnostics.append(
                 Diagnostic(
@@ -636,6 +556,17 @@ def validate_bundle(bundle: Bundle, store) -> list[Diagnostic]:
         if problem:
             diagnostics.append(Diagnostic("error", path, problem))
     return diagnostics
+
+
+def app_series(bundle: Bundle, app: ApplicationSpec, charm) -> str:
+    """The series of an application and of its fresh machines: that of the
+    first machine it is placed on, else the bundle's, else the charm's first."""
+    for placement in app.placements:
+        if placement.machine is not None:
+            return bundle.machines[placement.machine].series
+    if bundle.default_series:
+        return bundle.default_series
+    return sorted(charm.series)[0]
 
 
 def _relation_problem(left, left_spec, right, right_spec) -> str | None:

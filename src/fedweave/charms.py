@@ -122,10 +122,6 @@ class EventKind:
     def storage_attached(cls, pool: str) -> "EventKind":
         return cls("storage-attached", pool)
 
-    @classmethod
-    def storage_detaching(cls, pool: str) -> "EventKind":
-        return cls("storage-detaching", pool)
-
     def is_relation_event(self) -> bool:
         return self.kind in RELATION_EVENTS
 
@@ -234,12 +230,6 @@ class HookHandler:
     on: EventKind
     actions: tuple[HookAction, ...]
     when_states: frozenset[str] = frozenset()
-
-    def matches(self, kind: EventKind) -> bool:
-        return self.on == kind
-
-    def guard_satisfied(self, states: set[str] | frozenset[str]) -> bool:
-        return self.when_states <= states
 
 
 @dataclass(frozen=True)
@@ -484,12 +474,7 @@ def parse_charm_ref(ref: str) -> tuple[str | None, str]:
 
 def load_charm(text: str) -> tuple[CharmSpec, str | None]:
     """Parse a charm definition document; returns (spec, owner)."""
-    try:
-        doc = statefile.load(text)
-    except statefile.DecodeError as exc:
-        raise CharmError(f"malformed charm document: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise CharmError("charm document must be a mapping")
+    doc = statefile.load_mapping(text, "charm", CharmError, yaml_only=True, allow_empty=False)
     known = {"name", "owner", "series", "provides", "requires", "options", "handlers", "storage"}
     unknown = set(doc) - known
     if unknown:

@@ -14,7 +14,9 @@ far faster than YAML.  They keep their ``.yaml`` names because JSON is
 valid YAML, so scripts, docs and tools that read those paths keep
 working.  Workspaces written as YAML by earlier versions, and
 hand-written inventories, are still read, and are rewritten as JSON by
-the next command that changes state.
+the next command that changes state.  Charm files and hand-written state
+are read by the bundles' strict loader: a duplicate, non-scalar or merge
+key is an error, with its line and column.
 
 A ``Workspace`` loads each file at most once per invocation.  A command
 that changes state ends in one ``commit``, which rewrites only the files
@@ -153,12 +155,8 @@ class Workspace:
             return self.model
         if not self.model_path.exists():
             raise CliError("no model in this workspace (deploy a bundle first)")
-        try:
-            doc = statefile.load(self.model_path.read_text())
-        except statefile.DecodeError as exc:
-            raise CliError(f"malformed model document: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise CliError("malformed model document: not a mapping")
+        doc = statefile.load_mapping(self.model_path.read_text(), "model", CliError,
+                                     allow_empty=False)
         self.provider_ref = doc.get("provider_ref", "local")
         if self.provider_ref == "local":
             inventory = self.inventory()

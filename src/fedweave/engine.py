@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import NamedTuple
 
-from .bundle import Bundle, Constraints, Placement, render_constraints
+from .bundle import Bundle, Constraints, Placement, app_series, render_constraints
 from .charms import (
     CharmSpec,
     CharmStore,
@@ -316,7 +316,7 @@ def deploy_bundle(model: Model, bundle: Bundle) -> DeploymentResult:
         for name in sorted(bundle.applications):
             app_spec = bundle.applications[name]
             charm = model.store.resolve_charm(app_spec.charm)
-            series = _app_series(bundle, app_spec, charm)
+            series = app_series(bundle, app_spec, charm)
             app = _create_application(
                 model, log, name, app_spec.charm, charm, series, app_spec.options, app_spec.expose
             )
@@ -337,15 +337,6 @@ def deploy_bundle(model: Model, bundle: Bundle) -> DeploymentResult:
             relation_ids.append(relation.id)
 
     return DeploymentResult(machine_map, tuple(unit.id for unit in new_units), tuple(relation_ids))
-
-
-def _app_series(bundle: Bundle, app_spec, charm: CharmSpec) -> str:
-    for placement in app_spec.placements:
-        if placement.machine is not None:
-            return bundle.machines[placement.machine].series
-    if bundle.default_series:
-        return bundle.default_series
-    return sorted(charm.series)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -268,8 +268,6 @@ class Federation:
 
     @classmethod
     def load(cls, doc: dict) -> "Federation":
-        if not doc:
-            return cls()
         fed = cls(frozenset(doc.get("required_services") or DEFAULT_REQUIRED_SERVICES))
         fed.default_domain = doc.get("default_domain", "default")
         for name, body in (doc.get("regions") or {}).items():
@@ -302,11 +300,7 @@ class Federation:
 
     @classmethod
     def load_yaml(cls, text: str) -> "Federation":
-        try:
-            doc = statefile.load(text)
-        except statefile.DecodeError as exc:
-            raise FederationError(f"malformed federation document: {exc}") from exc
-        return cls.load(doc or {})
+        return cls.load(statefile.load_mapping(text, "federation", FederationError))
 
 
 def normalise_eppn(eppn: str) -> str:

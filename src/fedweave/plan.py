@@ -36,7 +36,8 @@ import shlex
 from dataclasses import dataclass, field
 from functools import partial
 
-from .bundle import Bundle, Constraints, _canonical_document, parse_constraints, render_constraints
+from .bundle import (Bundle, Constraints, _canonical_document, app_series, parse_constraints,
+                     render_constraints)
 from .charms import EventKind
 from .engine import (
     DEFAULT_BUDGET,
@@ -46,7 +47,6 @@ from .engine import (
     UndoLog,
     UnknownEntityError,
     _acquire,
-    _app_series,
     _charge,
     _check_series,
     _create_application,
@@ -197,7 +197,7 @@ def compile_plan(bundle: Bundle, store) -> ImperativePlan:
         app_spec = bundle.applications[name]
         charm = store.resolve_charm(app_spec.charm)
         charm_refs.add(app_spec.charm)
-        series = _app_series(bundle, app_spec, charm)
+        series = app_series(bundle, app_spec, charm)
         for index in range(app_spec.num_units):
             unit_id = f"{name}/{index}"
             if index < len(app_spec.placements):

@@ -427,8 +427,4 @@ class Inventory:
 
     @classmethod
     def load_yaml(cls, text: str) -> "Inventory":
-        try:
-            doc = statefile.load(text)
-        except statefile.DecodeError as exc:
-            raise ProviderError(f"malformed inventory document: {exc}") from exc
-        return cls.load(doc or {})
+        return cls.load(statefile.load_mapping(text, "inventory", ProviderError))

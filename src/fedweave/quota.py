@@ -267,8 +267,6 @@ class ProjectTree:
     @classmethod
     def load(cls, doc: dict) -> "ProjectTree":
         tree = cls()
-        if not doc:
-            return tree
         tree.domains = [str(d) for d in doc.get("domains") or []]
         for body in doc.get("nodes") or []:
             node = ProjectNode(
@@ -297,11 +295,7 @@ class ProjectTree:
 
     @classmethod
     def load_yaml(cls, text: str) -> "ProjectTree":
-        try:
-            doc = statefile.load(text)
-        except statefile.DecodeError as exc:
-            raise QuotaError(f"malformed project document: {exc}") from exc
-        return cls.load(doc or {})
+        return cls.load(statefile.load_mapping(text, "project", QuotaError))
 
 
 def _check_name(name: str) -> None:

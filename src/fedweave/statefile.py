@@ -1,13 +1,17 @@
-"""How a state document becomes text and back, and how it reaches disk.
+"""How a document becomes text and back, and how state reaches disk.
+
+This module is the one YAML reader of the package: bundles, charm files
+and hand-written state parse through ``load_yaml``, which rejects
+duplicate, non-scalar and merge keys with their line and column.
 
 The workspace files (``model.yaml``, ``inventory.yaml``,
 ``federation.yaml``, ``projects.yaml``) are written by the program and
 read by it on every command, so they are compact JSON: stdlib ``json``
 parses them about two orders of magnitude faster than PyYAML parses the
 same document.  JSON is also YAML, so the historic ``.yaml`` names stay
-true and any YAML reader still reads them.  ``load`` falls back to a YAML
-parser for workspaces written before the switch and for documents people
-write by hand (seed inventories, charm definitions).
+true and any YAML reader still reads them.  ``load`` falls back to
+``load_yaml`` for workspaces written before the switch and for
+hand-written state.
 
 ``commit`` replaces several files of one directory as a set: after a crash
 at any point, the next ``recover`` leaves every one of them old or every
@@ -19,16 +23,22 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import re
 from collections.abc import Iterable
 from pathlib import Path
 
 import yaml
 
-# libyaml's loader when PyYAML was built with it; the pure-Python one otherwise.
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
-#: What ``load`` raises for text that is neither JSON nor YAML.
-DecodeError = yaml.YAMLError
+class DecodeError(ValueError):
+    """Text that does not parse as a document: the problem, and its line
+    and column (counted from 1) when the parser knows them."""
+
+    def __init__(self, problem: str, line: int | None = None, column: int | None = None):
+        self.problem, self.line, self.column = problem, line, column
+        if line is not None:
+            problem = f"{problem} (line {line}, column {column})"
+        super().__init__(problem)
 
 
 def dump(doc) -> str:
@@ -38,14 +48,111 @@ def dump(doc) -> str:
 
 
 def load(text: str):
-    """Parse a state document: JSON first, then YAML.
-
-    Raises ``DecodeError`` (``yaml.YAMLError``) when the text is neither.
-    """
+    """Parse a state document: JSON first, then ``load_yaml``, which raises
+    ``DecodeError`` when the text is neither."""
     try:
         return json.loads(text)
     except ValueError:
-        return yaml.load(text, Loader=_YAML_LOADER)
+        return load_yaml(text)
+
+
+def load_mapping(text: str, what: str, error: type[Exception], *, yaml_only: bool = False,
+                 allow_empty: bool = True) -> dict:
+    """The mapping a document holds, parsed by ``load`` (``load_yaml`` when
+    ``yaml_only``); an empty document holds ``{}`` when ``allow_empty``.
+    Anything else raises ``error("malformed <what> document: <reason>")``,
+    one line."""
+    try:
+        doc = load_yaml(text) if yaml_only else load(text)
+    except DecodeError as exc:
+        raise error(f"malformed {what} document: {exc}") from exc
+    if doc is None and allow_empty:
+        return {}
+    if not isinstance(doc, dict):
+        raise error(f"malformed {what} document: not a mapping")
+    return doc
+
+
+# ---------------------------------------------------------------------------
+# The strict YAML loader
+
+
+class _StrictLoader(yaml.SafeLoader):
+    """SafeLoader that rejects duplicate and non-scalar mapping keys, and
+    merge keys, whose tag no constructor of it knows.
+
+    This pure-Python loader is the reference: what it accepts, the value it
+    builds and the error it raises define how a document reads.
+    ``load_yaml`` parses with libyaml when PyYAML was built with it, and
+    falls back to this loader wherever the two could differ."""
+
+
+def _construct_mapping(loader: _StrictLoader, node, deep: bool = False):
+    mapping = {}
+    for key_node, value_node in node.value:
+        mark = key_node.start_mark
+        if not isinstance(key_node, yaml.ScalarNode):
+            raise DecodeError("mapping key must be a scalar", mark.line + 1, mark.column + 1)
+        key = loader.construct_object(key_node, deep=deep)
+        if key in mapping:
+            raise DecodeError(f"duplicate key {key!r}", mark.line + 1, mark.column + 1)
+        mapping[key] = loader.construct_object(value_node, deep=deep)
+    return mapping
+
+
+_StrictLoader.add_constructor(
+    yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, _construct_mapping
+)
+
+if yaml.__with_libyaml__:
+
+    class _CStrictLoader(yaml.CSafeLoader):
+        """``_StrictLoader`` with libyaml's scanner and parser."""
+
+        yaml_constructors = _StrictLoader.yaml_constructors
+else:
+    _CStrictLoader = None
+
+#: Text outside the subset where libyaml and the pure-Python parser were seen
+#: to agree: anything but printable ASCII and newline (tabs, CR, BOM,
+#: non-ASCII line breaks), and the indicators of tags, anchors, aliases,
+#: complex keys, block scalars, directives and reserved characters.
+_LIBYAML_UNSAFE = re.compile(r"[^\n -~]|[!&*?|>%@`]")
+
+
+def load_yaml(text: str):
+    """Parse one YAML document strictly.
+
+    libyaml parses text inside the safe subset.  Anything outside it, and
+    anything libyaml rejects, is parsed again by ``_load_reference``, so
+    every result and every error message is the reference loader's."""
+    if _CStrictLoader is not None and not _LIBYAML_UNSAFE.search(text):
+        try:
+            return yaml.load(text, Loader=_CStrictLoader)
+        except (yaml.YAMLError, ValueError, RecursionError):
+            pass  # the reference loader words the rejection
+    return _load_reference(text)
+
+
+def _load_reference(text: str):
+    """Parse one YAML document with the pure-Python ``_StrictLoader``."""
+    try:
+        return yaml.load(text, Loader=_StrictLoader)
+    except DecodeError:
+        raise
+    except yaml.reader.ReaderError as exc:
+        line = text.count("\n", 0, exc.position) + 1
+        column = exc.position - text.rfind("\n", 0, exc.position)
+        raise DecodeError(f"unacceptable character #x{exc.character:04x}: {exc.reason}",
+                          line, column) from exc
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        if mark is None:
+            raise DecodeError(str(exc)) from exc
+        raise DecodeError(exc.problem or str(exc), mark.line + 1, mark.column + 1) from exc
+    except (ValueError, RecursionError) as exc:
+        # a scalar of a type it does not build as (``2020-13-01``), or too deep a nesting
+        raise DecodeError(str(exc)) from exc
 
 
 #: Names the files of a commit that is decided but maybe not yet carried out.

@@ -322,13 +322,23 @@ def shadow_delta_oracle(model, unit, event, handler) -> int:
 # Handler dispatch and redelivery, by linear scan
 
 
+def handler_matches(handler, kind) -> bool:
+    """Whether ``handler`` fires on events of ``kind``."""
+    return handler.on == kind
+
+
+def guard_satisfied(handler, states) -> bool:
+    """Whether every flag ``handler`` is guarded on is among ``states``."""
+    return handler.when_states <= states
+
+
 def matching_oracle(charm, kind, states) -> list:
     """Every ``(index, handler)`` of the charm that fires on ``kind`` while
     ``states`` are set, in declaration order: a scan of all its handlers."""
     return [
         (index, handler)
         for index, handler in enumerate(charm.handlers)
-        if handler.matches(kind) and handler.guard_satisfied(states)
+        if handler_matches(handler, kind) and guard_satisfied(handler, states)
     ]
 
 
@@ -343,9 +353,9 @@ def redeliver_oracle(charm, unit_id: str, seen, states, flags_before: frozenset)
     for kind, name, payload, remote in sorted(seen):
         event = Event(EventKind(kind, name), unit_id, payload, remote)
         for handler in charm.handlers:
-            if not handler.matches(event.kind):
+            if not handler_matches(handler, event.kind):
                 continue
-            if handler.guard_satisfied(states) and not handler.guard_satisfied(flags_before):
+            if guard_satisfied(handler, states) and not guard_satisfied(handler, flags_before):
                 events.append(event)
                 break
     return events

@@ -7,8 +7,9 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fedweave import bundle as bundle_module
-from fedweave.builtin import MOODLE_BUNDLE, SCALED_BUNDLE
+from fedweave import statefile
+from fedweave.builtin import (HAPROXY_CHARM, MOODLE_BUNDLE, MOODLE_CHARM, POSTGRESQL_CHARM,
+                              SCALED_BUNDLE)
 from fedweave.bundle import (
     BundleError,
     BundleParseError,
@@ -23,7 +24,10 @@ from fedweave.bundle import (
     render_constraints,
     validate_bundle,
 )
-from fedweave.bundle import _load_reference, _load_yaml
+from fedweave.charms import load_charm
+from fedweave.engine import DeploymentError, Model, deploy_bundle
+from fedweave.plan import PlanError, compile_plan
+from fedweave.statefile import _load_reference, load_yaml
 
 MOODLE_CONSTRAINTS = "arch=amd64 cpu-cores=1 mem=2048 root-disk=20480"
 
@@ -372,28 +376,37 @@ def _bundle_text(draw) -> str:
 
 
 class TestLoader:
-    """Bundles parse with libyaml where it reads like the pure-Python
-    reference loader, and with the reference loader everywhere else."""
+    """Bundles and charm files parse with libyaml where it reads like the
+    pure-Python reference loader, and with the reference loader everywhere
+    else."""
 
     @given(st.one_of(_free_text, _bundle_text()))
     @example("{[a]: b}")
     @example("applications: {[a]: b}\n")
     @example("applications:\n  {x: 1}: b\n")
+    @example(MOODLE_CHARM)
+    @example(POSTGRESQL_CHARM)
+    @example(HAPROXY_CHARM)
     @settings(deadline=None, max_examples=400)
     def test_load_yaml_matches_the_reference_loader(self, text):
-        assert _outcome(_load_yaml, text) == _outcome(_load_reference, text)
+        assert _outcome(load_yaml, text) == _outcome(_load_reference, text)
 
-    @pytest.mark.skipif(bundle_module._CStrictLoader is None,
+    @pytest.mark.skipif(statefile._CStrictLoader is None,
                         reason="PyYAML is built without libyaml")
-    @pytest.mark.parametrize("text", [MOODLE_BUNDLE, SCALED_BUNDLE], ids=["moodle", "scaled"])
-    def test_fixtures_take_the_libyaml_path(self, monkeypatch, text):
-        expected = parse_bundle(text)
+    @pytest.mark.parametrize(
+        ("parse", "text"),
+        [(parse_bundle, MOODLE_BUNDLE), (parse_bundle, SCALED_BUNDLE),
+         (load_charm, MOODLE_CHARM), (load_charm, POSTGRESQL_CHARM), (load_charm, HAPROXY_CHARM)],
+        ids=["moodle", "scaled", "moodle-charm", "postgresql-charm", "haproxy-charm"],
+    )
+    def test_fixtures_take_the_libyaml_path(self, monkeypatch, parse, text):
+        expected = parse(text)
 
         def refuse(_text):
             raise AssertionError("the reference loader ran")
 
-        monkeypatch.setattr(bundle_module, "_load_reference", refuse)
-        assert parse_bundle(text) == expected
+        monkeypatch.setattr(statefile, "_load_reference", refuse)
+        assert parse(text) == expected
 
     @pytest.mark.parametrize(
         "text",
@@ -404,7 +417,7 @@ class TestLoader:
     )
     def test_fixtures_parse_alike_without_libyaml(self, monkeypatch, text):
         fast = parse_bundle(text)
-        monkeypatch.setattr(bundle_module, "_CStrictLoader", None)
+        monkeypatch.setattr(statefile, "_CStrictLoader", None)
         reference = parse_bundle(text)
         assert repr(reference) == repr(fast)
         assert render_bundle(reference) == render_bundle(fast)
@@ -414,7 +427,7 @@ class TestLoader:
     def test_malformed_bundles_keep_their_messages(self, monkeypatch, libyaml, text, error,
                                                    message):
         if not libyaml:
-            monkeypatch.setattr(bundle_module, "_CStrictLoader", None)
+            monkeypatch.setattr(statefile, "_CStrictLoader", None)
         with pytest.raises(BundleError) as err:
             parse_bundle(text)
         assert type(err.value) is error
@@ -460,6 +473,22 @@ class TestValidateBundle:
             "error: applications.postgresql.to[0]: "
             "charm 'postgresql' does not support series 'bionic' of machine '0'"
         ]
+
+    def test_fresh_machine_on_unsupported_series(self, store, make_inventory):
+        """validate, deploy and compile_plan all refuse a fresh machine whose
+        series, the bundle default, the charm does not support."""
+        bundle = parse_bundle(
+            "series: bionic\napplications:\n  postgresql: {charm: cs:postgresql, num_units: 1}\n"
+        )
+        error = ("error: applications.postgresql: "
+                 "charm 'postgresql' does not support series 'bionic' for fresh machines")
+        assert [d.render() for d in validate_bundle(bundle, store)] == [error]
+        with pytest.raises(DeploymentError) as deploy_error:
+            deploy_bundle(Model(store, make_inventory()), bundle)
+        assert str(deploy_error.value) == f"bundle does not validate: {error}"
+        with pytest.raises(PlanError) as plan_error:
+            compile_plan(bundle, store)
+        assert str(plan_error.value) == f"bundle does not validate: {error}"
 
     def test_partial_placement_warns(self, store):
         text = (

@@ -28,6 +28,7 @@ from fedweave.charms import (
     resolve_template,
     template_references,
 )
+from oracles import guard_satisfied, handler_matches
 
 
 class TestEventKind:
@@ -148,14 +149,14 @@ class TestHandlers:
             actions=(SetUnitStatus("active"),),
             when_states=frozenset({"installed", "database.connected"}),
         )
-        assert handler.guard_satisfied({"installed", "database.connected", "extra"})
-        assert not handler.guard_satisfied({"installed"})
-        assert HookHandler(on=EventKind.start(), actions=(Fail("x"),)).guard_satisfied(set())
+        assert guard_satisfied(handler, {"installed", "database.connected", "extra"})
+        assert not guard_satisfied(handler, {"installed"})
+        assert guard_satisfied(HookHandler(on=EventKind.start(), actions=(Fail("x"),)), set())
 
     def test_matches(self):
         handler = HookHandler(on=EventKind.relation_joined("db"), actions=(SetState("f"),))
-        assert handler.matches(EventKind.relation_joined("db"))
-        assert not handler.matches(EventKind.relation_changed("db"))
+        assert handler_matches(handler, EventKind.relation_joined("db"))
+        assert not handler_matches(handler, EventKind.relation_changed("db"))
 
 
 class TestLoadCharm:
@@ -231,6 +232,23 @@ class TestLoadCharm:
     def test_yaml_syntax_error(self):
         with pytest.raises(CharmError, match="malformed charm document"):
             load_charm("name: [unclosed\n")
+
+    @pytest.mark.parametrize(
+        ("text", "message"),
+        [
+            ("name: a\nname: b\n", "duplicate key 'name' (line 2, column 1)"),
+            ("name: a\n[x]: y\n", "mapping key must be a scalar (line 2, column 1)"),
+            ("name: a\noptions:\n  a: &o {type: int}\n  b:\n    <<: *o\n",
+             "could not determine a constructor for the tag 'tag:yaml.org,2002:merge'"
+             " (line 5, column 5)"),
+            ("", "not a mapping"),
+        ],
+        ids=["duplicate-key", "sequence-key", "merge-key", "empty"],
+    )
+    def test_strict_yaml(self, text, message):
+        with pytest.raises(CharmError) as err:
+            load_charm(text)
+        assert str(err.value) == f"malformed charm document: {message}"
 
 
 class TestSpecValidation:

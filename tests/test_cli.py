@@ -468,6 +468,53 @@ class TestCharmFilesParsedOnFirstUse:
         assert _state_files(tmp_path) == files
 
 
+class TestHandWrittenDocuments:
+    """Charm files and hand-written state parse with the bundles' strict
+    loader: a malformed one fails its command with exit 1 and one line."""
+
+    @pytest.fixture
+    def deployed(self, demo, tmp_path):
+        code, _, err = demo("deploy", str(tmp_path / "moodle-bundle.yaml"))
+        assert code == 0, err
+        return demo
+
+    @pytest.mark.parametrize(
+        ("extra", "message"),
+        [("name: haproxy2\n", "duplicate key 'name' (line 25, column 1)"),
+         ("[series]: x\n", "mapping key must be a scalar (line 25, column 1)")],
+        ids=["duplicate-key", "sequence-key"],
+    )
+    @pytest.mark.parametrize(
+        "argv", [("validate", "moodle-bundle.yaml"), ("add-unit", "moodle")],
+        ids=["validate", "add-unit"],
+    )
+    def test_malformed_charm_file(self, deployed, tmp_path, monkeypatch, argv, extra, message):
+        (tmp_path / "charms" / "haproxy.yaml").write_text(builtin.HAPROXY_CHARM + extra)
+        files = _state_files(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = deployed(*argv)
+        assert (code, out, err) == (1, "", f"charm-store: malformed charm document: {message}\n")
+        assert _state_files(tmp_path) == files
+
+    @pytest.mark.parametrize(
+        ("name", "text", "argv", "expected"),
+        [
+            ("inventory.yaml", "zones:\n  - {region: garr-01, az: az1}\nzones: []\n",
+             ("machine", "list"),
+             "provider: malformed inventory document: duplicate key 'zones' (line 3, column 1)"),
+            ("federation.yaml", "[1, 2]\n", ("region", "catalog"),
+             "federation: malformed federation document: not a mapping"),
+            ("projects.yaml", "[1, 2]\n", ("quota", "show"),
+             "quota: malformed project document: not a mapping"),
+        ],
+        ids=["inventory-duplicate-key", "federation-list", "projects-list"],
+    )
+    def test_malformed_state_file(self, invoke, tmp_path, name, text, argv, expected):
+        invoke("init")
+        (tmp_path / name).write_text(text)
+        assert invoke(*argv) == (1, "", f"{expected}\n")
+
+
 class TestStatusText:
     def test_tables(self, demo, tmp_path):
         demo("deploy", str(tmp_path / "moodle-bundle.yaml"))

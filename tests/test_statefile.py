@@ -111,6 +111,25 @@ class TestFormat:
         (tmp_path / "model.yaml").write_text(text)
         assert deployed("status") == (1, "", "cli: malformed model document: not a mapping\n")
 
+    @pytest.mark.parametrize(
+        ("text", "problem", "line", "column"),
+        [
+            ("a: 1\na: 2\n", "duplicate key 'a'", 2, 1),
+            ("a: [1\n", "expected ',' or ']', but got '<stream end>'", 2, 1),
+            ("a: 1\nb: x\x01\n", "unacceptable character #x0001: special characters are not allowed",
+             2, 5),
+            ("a: 2020-13-01\n", "month must be in 1..12", None, None),
+            ("a: " + "[" * 3000, "maximum recursion depth exceeded", None, None),
+        ],
+        ids=["duplicate-key", "syntax", "control-character", "impossible-date", "deep-nesting"],
+    )
+    def test_decode_error_is_one_line_with_its_position(self, text, problem, line, column):
+        with pytest.raises(statefile.DecodeError) as err:
+            statefile.load(text)
+        assert err.value.problem.startswith(problem)
+        assert (err.value.line, err.value.column) == (line, column)
+        assert "\n" not in str(err.value)
+
     def test_load_rejects_text_that_is_neither(self):
         with pytest.raises(statefile.DecodeError):
             statefile.load('{"machines": [')
