@@ -1202,11 +1202,20 @@ def checkpoint(model: Model, include_inventory: bool = True) -> dict:
     and relations that the state hash covers, plus what resuming needs
     (``seen``, ``unit_counter``, the queue, the machine list and any
     machine charges).  Charm bodies are not embedded; a restored
-    application resolves its reference against the store."""
+    application resolves its reference against the store.
+
+    A unit's ``seen`` is written as groups ``[kind, name, payload,
+    [remote, ...]]``, one per event kind, endpoint and relation id, in
+    sorted order with their remotes sorted, so the text depends neither on
+    set order nor on ``PYTHONHASHSEED``.  A relation event is seen once
+    per remote unit, and a fleet unit related to 600 others would repeat
+    its first three fields 600 times in flat ``[kind, name, payload,
+    remote]`` entries.  ``load_checkpoint`` still reads such flat entries,
+    which older checkpoints hold."""
     units = {}
     for unit_id, unit in sorted(model.units.items()):
         units[unit_id] = body = _unit_doc(unit)
-        body["seen"] = [list(key) for key in sorted(unit.seen)]
+        body["seen"] = _seen_groups(unit.seen)
     doc: dict = {
         "generation": model.generation,
         "project": model.project,
@@ -1243,6 +1252,30 @@ def checkpoint(model: Model, include_inventory: bool = True) -> dict:
     if include_inventory:
         doc["inventory"] = model.inventory.dump()
     return doc
+
+
+def _seen_groups(seen: set[tuple[str, str, str, str]]) -> list[list]:
+    """``seen`` as the sorted groups ``checkpoint`` writes."""
+    groups: dict[tuple[str, str, str], list[str]] = {}
+    for kind, name, payload, remote in seen:
+        groups.setdefault((kind, name, payload), []).append(remote)
+    return [[*key, sorted(groups[key])] for key in sorted(groups)]
+
+
+def _load_seen(entries) -> set[tuple[str, str, str, str]]:
+    """The keys of ``checkpoint``'s groups, or of flat ``[kind, name,
+    payload, remote]`` entries.  Most groups hold one or two remotes, for
+    which a plain loop builds the set about three times as fast as
+    ``set.update(zip(repeat(kind), ...))``."""
+    seen: set[tuple[str, str, str, str]] = set()
+    add = seen.add
+    for kind, name, payload, remotes in entries:
+        if isinstance(remotes, str):
+            add((kind, name, payload, remotes))
+        else:
+            for remote in remotes:
+                add((kind, name, payload, remote))
+    return seen
 
 
 def load_checkpoint(
@@ -1288,7 +1321,7 @@ def load_checkpoint(
             leader=bool(body.get("leader", False)),
             states=set(body.get("states") or ()),
             open_ports=set(body.get("open_ports") or ()),
-            seen=set(map(tuple, body.get("seen") or ())),
+            seen=_load_seen(body.get("seen") or ()),
         )
         model.units[unit_id] = unit
     for unit_id in sorted(model.units, key=_unit_sort_key):

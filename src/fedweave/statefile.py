@@ -52,7 +52,7 @@ def load(text: str):
     ``DecodeError`` when the text is neither."""
     try:
         return json.loads(text)
-    except ValueError:
+    except (ValueError, RecursionError):
         return load_yaml(text)
 
 
@@ -119,14 +119,24 @@ else:
 #: complex keys, block scalars, directives and reserved characters.
 _LIBYAML_UNSAFE = re.compile(r"[^\n -~]|[!&*?|>%@`]")
 
+#: The most ``[``, ``{`` and ``- `` a text libyaml parses may hold.  Their
+#: count bounds how deep its flow collections and one-line block sequences
+#: nest, and libyaml's recursive composer overflows an 8 MiB C stack
+#: (SIGSEGV) between 20,000 and 40,000 levels; nesting by indentation alone
+#: takes text quadratic in the depth.  The demo and benchmark bundles and
+#: charms hold at most 28.
+_LIBYAML_MAX_NESTING = 10_000
+
 
 def load_yaml(text: str):
     """Parse one YAML document strictly.
 
-    libyaml parses text inside the safe subset.  Anything outside it, and
-    anything libyaml rejects, is parsed again by ``_load_reference``, so
-    every result and every error message is the reference loader's."""
-    if _CStrictLoader is not None and not _LIBYAML_UNSAFE.search(text):
+    libyaml parses text inside the safe subset that cannot nest deeper than
+    ``_LIBYAML_MAX_NESTING``.  Anything else, and anything libyaml rejects,
+    is parsed by ``_load_reference``, so every result and every error
+    message is the reference loader's."""
+    if (_CStrictLoader is not None and not _LIBYAML_UNSAFE.search(text)
+            and text.count("[") + text.count("{") + text.count("- ") <= _LIBYAML_MAX_NESTING):
         try:
             return yaml.load(text, Loader=_CStrictLoader)
         except (yaml.YAMLError, ValueError, RecursionError):

@@ -36,6 +36,16 @@ def reported_hash(out: str) -> str:
     return lines[-1].removeprefix("state hash: ")
 
 
+def _fedweave_child(workspace, *argv: str) -> subprocess.CompletedProcess:
+    """Run one invocation in a child process."""
+    source = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "fedweave.cli", "-w", str(workspace), *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 @pytest.fixture
 def invoke(tmp_path, capsys):
     """Run one CLI invocation against this test's workspace."""
@@ -195,6 +205,21 @@ class TestValidate:
         path.write_text(text)
         code, out, err = demo("validate", str(path))
         assert (code, out, err) == (1, "", f"bundle: {message}\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["a: " + "[" * 100_000 + "]" * 100_000,
+         "a: " + "{b: " * 100_000 + "1" + "}" * 100_000,
+         "- " * 100_000 + "a"],
+        ids=["flow-sequences", "flow-mappings", "block-sequences"],
+    )
+    def test_deeply_nested_bundle_is_a_one_line_error(self, demo, tmp_path, text):
+        # In a child: a parser that overflows the C stack would take pytest with it.
+        path = tmp_path / "deep.yaml"
+        path.write_text(text)
+        child = _fedweave_child(tmp_path, "validate", str(path))
+        assert (child.returncode, child.stdout) == (1, "")
+        assert re.fullmatch(r"bundle: maximum recursion depth exceeded[^\n]*\n", child.stderr)
 
     def test_missing_bundle_file(self, demo):
         code, _, err = demo("validate", "nowhere.yaml")
@@ -513,6 +538,14 @@ class TestHandWrittenDocuments:
         invoke("init")
         (tmp_path / name).write_text(text)
         assert invoke(*argv) == (1, "", f"{expected}\n")
+
+    def test_deeply_nested_json_state_file(self, invoke, tmp_path):
+        invoke("init")
+        (tmp_path / "inventory.yaml").write_text("[" * 100_000 + "]" * 100_000)
+        child = _fedweave_child(tmp_path, "machine", "list")
+        assert (child.returncode, child.stdout) == (1, "")
+        assert re.fullmatch(r"provider: malformed inventory document: "
+                            r"maximum recursion depth exceeded[^\n]*\n", child.stderr)
 
 
 class TestStatusText:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedweave import engine, statefile
@@ -18,6 +18,7 @@ from fedweave.engine import (
     Event,
     Model,
     UnknownEntityError,
+    Unit,
     add_relation,
     add_unit,
     checkpoint,
@@ -729,7 +730,11 @@ class TestCheckpoint:
         restored = load_checkpoint(doc, store)
         for unit_id, body in doc["units"].items():
             assert body["seen"]
-            assert restored.units[unit_id].seen == {tuple(key) for key in body["seen"]}
+            assert restored.units[unit_id].seen == {
+                (kind, name, payload, remote)
+                for kind, name, payload, remotes in body["seen"]
+                for remote in remotes
+            }
         assert statefile.dump(checkpoint(restored)) == text
 
     def test_restoring_resolves_no_charm(self, store, make_inventory):
@@ -755,6 +760,52 @@ class TestCheckpoint:
             load_checkpoint(doc, store)
         restored = load_checkpoint(doc, store, inventory=model.inventory)
         assert state_hash(restored) == state_hash(model)
+
+
+# A field of a seen key: relation ids and payloads hold spaces and colons.
+_seen_field = st.text(alphabet="ab-/: 0", max_size=8)
+_seen_remotes = st.sets(
+    st.one_of(st.just(""), st.from_regex(r"[a-z]{1,6}/[0-9]{1,3}", fullmatch=True)),
+    min_size=1, max_size=600,
+)
+# One unit's seen events: remotes by kind, name and payload.
+_unit_seen = st.dictionaries(
+    st.tuples(_seen_field, _seen_field, _seen_field), _seen_remotes, max_size=5
+)
+_FLEET_GROUP = {
+    ("relation-joined", "reverseproxy", "moodle:website haproxy:reverseproxy"):
+        {f"moodle/{i}" for i in range(600)},
+    ("install", "", ""): {""},
+}
+
+
+class TestGroupedSeen:
+    """``checkpoint`` writes a unit's seen keys as sorted groups
+    ``[kind, name, payload, [remote, ...]]``, and ``load_checkpoint``
+    restores the same set."""
+
+    @given(units=st.lists(_unit_seen, min_size=1, max_size=3))
+    @example(units=[_FLEET_GROUP])
+    @settings(deadline=None, max_examples=60)
+    def test_grouped_seen_round_trips(self, units):
+        store = builtin_store()
+        model = Model(store, Inventory())
+        expected = {}
+        for index, groups in enumerate(units):
+            unit_id = f"app/{index}"
+            expected[unit_id] = {(*key, remote) for key, remotes in groups.items()
+                                 for remote in remotes}
+            model.units[unit_id] = Unit(id=unit_id, app="app", machine=str(index),
+                                        seen=set(expected[unit_id]))
+        text = statefile.dump(checkpoint(model))
+        doc = statefile.load(text)
+        for index, groups in enumerate(units):
+            assert doc["units"][f"app/{index}"]["seen"] == sorted(
+                [*key, sorted(remotes)] for key, remotes in groups.items()
+            )
+        restored = load_checkpoint(doc, store)
+        assert {unit_id: unit.seen for unit_id, unit in restored.units.items()} == expected
+        assert statefile.dump(checkpoint(restored)) == text
 
 
 class TestStatusSnapshot:

@@ -13,12 +13,14 @@ import json
 import os
 import pathlib
 import shutil
+import subprocess
+import sys
 
 import pytest
 import yaml
 
 from fedweave import statefile
-from fedweave.cli import run_command
+from fedweave.cli import Workspace, run_command
 
 STATE_FILES = ("model.yaml", "inventory.yaml", "federation.yaml", "projects.yaml")
 ENDPOINTS = (
@@ -135,6 +137,75 @@ class TestFormat:
             statefile.load('{"machines": [')
         assert statefile.load("") is None
         assert statefile.load("machines: []\n") == {"machines": []}
+
+
+# A workspace written before ``seen`` was grouped: SCALED_BUNDLE deployed
+# with ``--budget 12`` onto four machines, two events still queued.  Its
+# ``status`` hash, and the hash ``converge`` reached from it, as that
+# version printed them.
+FLAT_SEEN = pathlib.Path(__file__).parent / "data" / "flat-seen"
+FLAT_SEEN_HASH = "7f9b80987d5977c3db8518a5f9c983e00a1c9e0d8ef806d6d45d65df44022cdc"
+FLAT_SEEN_CONVERGED_HASH = "423ab3c6e76708dcb05ad13891cfbcf7bb16f781abd9dda79e345a161710d5e1"
+
+
+class TestFlatSeen:
+    @pytest.fixture
+    def legacy(self, tmp_path, capsys):
+        def invoke(*argv: str) -> tuple[int, str, str]:
+            code = run_command(["-w", str(tmp_path), *argv])
+            out, err = capsys.readouterr()
+            return code, out, err
+
+        assert invoke("init", "--demo")[0] == 0
+        for name in ("model.yaml", "inventory.yaml"):
+            shutil.copyfile(FLAT_SEEN / name, tmp_path / name)
+        return invoke
+
+    def test_flat_seen_loads_unchanged(self, legacy, tmp_path):
+        text = (tmp_path / "model.yaml").read_bytes()
+        units = json.loads(text)["model"]["units"]
+        code, out, err = legacy("status")
+        assert code == 0, err
+        assert _hash(out) == FLAT_SEEN_HASH
+        assert (tmp_path / "model.yaml").read_bytes() == text
+        model = Workspace(tmp_path).load_model()
+        assert {unit_id: unit.seen for unit_id, unit in model.units.items()} == {
+            unit_id: {tuple(entry) for entry in body["seen"]} for unit_id, body in units.items()
+        }
+
+    def test_converge_rewrites_flat_seen_grouped(self, legacy, tmp_path):
+        code, out, err = legacy("converge")
+        assert code == 0, err
+        assert _hash(out) == FLAT_SEEN_CONVERGED_HASH
+        units = json.loads((tmp_path / "model.yaml").read_text())["model"]["units"]
+        for body in units.values():
+            assert body["seen"] and all(isinstance(entry[3], list) for entry in body["seen"])
+        assert _hash(legacy("status")[1]) == FLAT_SEEN_CONVERGED_HASH
+
+    def test_model_text_does_not_depend_on_the_hash_seed(self, tmp_path):
+        script = (
+            "import sys\n"
+            "from fedweave.cli import run_command\n"
+            "ws = sys.argv[1]\n"
+            "for argv in (['init', '--demo'], ['machine', 'add-zone', 'garr-01', 'az1'],\n"
+            "             ['machine', 'enlist', '--zone', 'garr-01/az1', '--cores', '4',\n"
+            "              '--mem', '8192', '--disk', '102400', '-n', '6'],\n"
+            "             ['deploy', ws + '/scaled-bundle.yaml'], ['add-unit', 'moodle', '-n', '3']):\n"
+            "    assert run_command(['-w', ws, *argv]) == 0, argv\n"
+        )
+        source = os.path.dirname(os.path.dirname(statefile.__file__))
+        path = os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))
+        texts = []
+        for seed in ("1", "2"):
+            workspace = tmp_path / seed
+            subprocess.run([sys.executable, "-c", script, str(workspace)], check=True,
+                           capture_output=True,
+                           env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed})
+            texts.append((workspace / "model.yaml").read_bytes())
+        assert texts[0] == texts[1]
+        haproxy = json.loads(texts[0])["model"]["units"]["haproxy/0"]
+        assert ["relation-joined", "reverseproxy", "moodle:website haproxy:reverseproxy",
+                ["moodle/0", "moodle/1", "moodle/2", "moodle/3"]] in haproxy["seen"]
 
 
 class TestAtomicSave:
