@@ -15,6 +15,8 @@ import sys
 
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fedweave import builtin, cli
 from fedweave.charms import CharmError, CharmStore, load_charm
@@ -950,3 +952,41 @@ class TestQuotaCommands:
 
         code, out, _ = demo("quota", "show", "cloud")
         assert "usage[vcpus=0 ram=0 disk=0 instances=0]" in out
+
+
+# Every JSON document: strings with non-ASCII and control characters (and
+# lone surrogates), ints far past 64 bits, non-finite floats, and empty and
+# nested containers.
+JSON_DOCUMENTS = st.recursive(
+    st.none() | st.booleans() | st.floats()
+    | st.integers(min_value=-(10**60), max_value=10**60)
+    | st.text(st.characters(exclude_categories=())),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=30,
+)
+
+
+def _nested(depth: int):
+    document: object = {"leaf": [1.5, "x"]}
+    for level in range(depth):
+        document = [document] if level % 2 else {"k": document, "": {}}
+    return document
+
+
+class TestJsonText:
+    """``status``, ``machine list``, ``region list`` and ``quota show``
+    print ``--format json`` through ``cli._json_text``, which must give
+    ``json.dumps(indent=2, sort_keys=True)`` byte for byte."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(document=JSON_DOCUMENTS)
+    @example(document=_nested(200))
+    @example(document={"b": [], "a": {}, "\x00\u00e9\U0001f600": float("-inf")})
+    @example(document=[float("nan"), float("inf"), -0.0, 2**200, True, None])
+    def test_same_text_as_json_dumps(self, document):
+        assert cli._json_text(document) == json.dumps(document, indent=2, sort_keys=True)
+
+    def test_rejects_what_json_rejects(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            cli._json_text({"a": {1, 2}})
