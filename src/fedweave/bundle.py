@@ -305,8 +305,9 @@ def parse_endpoint(text: str) -> EndpointRef:
 # Bundle parsing
 
 
-def parse_bundle(text: str) -> Bundle:
-    """Parse and structurally check a bundle document.
+def parse_bundle(text: str | bytes) -> Bundle:
+    """Parse and structurally check a bundle document; bytes are read as
+    UTF-8.
 
     Structural invariants enforced here: placements reference declared
     machines, relation endpoints reference declared applications, every

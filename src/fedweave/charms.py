@@ -37,6 +37,7 @@ Charm definition files are YAML documents::
 
 from __future__ import annotations
 
+import math
 import re
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
@@ -407,6 +408,11 @@ class CharmStore:
     ``len``).  So a command that never reads a charm never runs it.  A
     loader that raises, or yields a spec that does not register, leaves
     the store as it was, unloaded, and the next use fails the same way.
+    The store asks a loader for its next pair only after it has registered
+    the last one.  Whether a loader parses charm files or rebuilds specs
+    from their compiled form (``uncompile_charm``), every spec goes through
+    ``register_charm``, so it is checked, and a reference defined twice
+    fails, just as for a spec parsed from its file.
     """
 
     def __init__(
@@ -472,8 +478,9 @@ def parse_charm_ref(ref: str) -> tuple[str | None, str]:
 # Charm definition files
 
 
-def load_charm(text: str) -> tuple[CharmSpec, str | None]:
-    """Parse a charm definition document; returns (spec, owner)."""
+def load_charm(text: str | bytes) -> tuple[CharmSpec, str | None]:
+    """Parse a charm definition document, bytes read as UTF-8; returns
+    (spec, owner)."""
     doc = statefile.load_mapping(text, "charm", CharmError, yaml_only=True, allow_empty=False)
     known = {"name", "owner", "series", "provides", "requires", "options", "handlers", "storage"}
     unknown = set(doc) - known
@@ -562,3 +569,62 @@ def _parse_action(charm_name: str, raw) -> HookAction:
             value=_option_str(body["value"]),
         )
     raise CharmError(f"charm {charm_name!r}: unknown action {verb!r}")
+
+
+# ---------------------------------------------------------------------------
+# The compiled form
+
+
+#: The hook action classes by name, as ``compile_charm`` writes them.
+_ACTIONS = {cls.__name__: cls for cls in (SetUnitStatus, SetState, ClearState, SetRelationData,
+                                          OpenPort, Fail)}
+
+
+def _json_exact(value) -> bool:
+    """Whether JSON gives ``value`` back with the same type and value."""
+    return (value is None or type(value) in (bool, int, str)
+            or (type(value) is float and math.isfinite(value)))
+
+
+def compile_charm(spec: CharmSpec, owner: str | None) -> dict | None:
+    """``(spec, owner)`` as plain JSON data, from which ``uncompile_charm``
+    builds an equal spec and owner; None when an option default is not
+    None, a bool, an int, a finite float or a str (a date, a list,
+    ``.nan``), which JSON would not give back as it was."""
+    if not all(_json_exact(schema.default) for schema in spec.config.values()):
+        return None
+    return {
+        "owner": owner,
+        "name": spec.name,
+        "series": sorted(spec.series),
+        "provides": spec.provides,
+        "requires": spec.requires,
+        "options": [[name, schema.type, schema.default, schema.description]
+                    for name, schema in spec.config.items()],
+        "handlers": [[handler.on.kind, handler.on.name, sorted(handler.when_states),
+                      [[type(action).__name__, *vars(action).values()]
+                       for action in handler.actions]]
+                     for handler in spec.handlers],
+        "storage": list(spec.storage_pools),
+    }
+
+
+def uncompile_charm(form: dict) -> tuple[CharmSpec, str | None]:
+    """The ``(spec, owner)`` that ``compile_charm`` made ``form`` from."""
+    handlers = tuple(
+        HookHandler(on=EventKind(kind, name),
+                    actions=tuple(_ACTIONS[verb](*fields) for verb, *fields in actions),
+                    when_states=frozenset(when))
+        for kind, name, when, actions in form["handlers"]
+    )
+    spec = CharmSpec(
+        name=form["name"],
+        series=frozenset(form["series"]),
+        provides=form["provides"],
+        requires=form["requires"],
+        config={name: OptionSchema(option_type, default, description)
+                for name, option_type, default, description in form["options"]},
+        handlers=handlers,
+        storage_pools=tuple(form["storage"]),
+    )
+    return spec, form["owner"]

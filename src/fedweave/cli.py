@@ -28,10 +28,14 @@ anything, finishes a commit an earlier one recorded but did not finish
 and deletes temporary files that no record names, so after a crash the
 files are all old or all new.  Read commands write nothing.
 
-Charm files are parsed on first use: all of them, once, by the first
-part of a command that needs a charm (a handler to run, an option schema,
-an endpoint).  A read such as ``status`` parses none, and a charm file
-that is malformed or missing fails only the commands that need a charm.
+The charm store is loaded on first use, by the first part of a command
+that needs a charm (a handler to run, an option schema, an endpoint).  A
+read such as ``status`` loads none, and a charm file that is malformed or
+missing fails only the commands that need a charm.  It is loaded from
+``.fedweave-charms.json``, a compiled copy keyed by the charm files'
+content, when the files are as they were when it was made; otherwise all
+charm files are parsed, once, and a command that commits also writes the
+new compiled copy.  Every file is read as bytes and decoded as UTF-8.
 
 A lock file (``.fedweave-lock``, holding the pid and start time of the
 invocation that took it) guards each invocation; a second concurrent
@@ -54,7 +58,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
+import hashlib
+import json
 import os
 import sys
 import time
@@ -62,9 +67,9 @@ from collections.abc import Iterator
 from json.encoder import INFINITY, encode_basestring_ascii
 from pathlib import Path
 
-from . import builtin, statefile
+from . import __version__, builtin, statefile
 from .bundle import parse_bundle, parse_placement, validate_bundle
-from .charms import CharmSpec, CharmStore, load_charm
+from .charms import CharmSpec, CharmStore, compile_charm, load_charm, uncompile_charm
 from .engine import (
     DEFAULT_BUDGET,
     DEFAULT_SEED,
@@ -89,6 +94,10 @@ from .quota import COMPONENTS, ProjectTree, QuotaSet
 
 LOCK_FILE = ".fedweave-lock"
 STATE_FILES = ("model.yaml", "inventory.yaml", "federation.yaml", "projects.yaml")
+#: The compiled copy of the charm store (see ``_CharmFiles``): derived data,
+#: committed with the state files but not one of them.
+CHARM_STORE_FILE = ".fedweave-charms.json"
+CHARM_STORE_FORMAT = 1
 
 
 class CliError(FedweaveError):
@@ -122,6 +131,7 @@ class Workspace:
         self.model: Model | None = None
         self.provider_ref = "local"
         self._documents: dict[Path, Inventory | Federation | ProjectTree] = {}
+        self._charm_files = _CharmFiles(root)
 
     def require_init(self) -> None:
         if not self.inventory_path.exists():
@@ -130,18 +140,20 @@ class Workspace:
             )
 
     def store(self) -> CharmStore:
-        """The charm store of ``charms/*.yaml``, parsed on first use."""
-        # Not a bound method: the model holds its store, and a store that
-        # held the workspace would keep the model alive until the next
-        # garbage collection.
-        return CharmStore(functools.partial(_charm_files, self.charms_dir))
+        """The charm store of ``charms/*.yaml``, loaded on first use: from
+        the compiled copy when it was made from the same file contents,
+        else parsed, and then compiled for this command's commit."""
+        # The loader's holder is not the workspace: the model holds its
+        # store, and a store that held the workspace would keep the model
+        # alive until the next garbage collection.
+        return CharmStore(self._charm_files.load)
 
     def _document(self, path: Path, kind):
         """The ``kind`` loaded from ``path`` on first use; empty when the
         file does not exist, and then created by the commit."""
         if path not in self._documents:
-            text = _read(path)
-            self._documents[path] = kind() if text is None else kind.load_yaml(text)
+            data = _read(path)
+            self._documents[path] = kind() if data is None else kind.load_yaml(data)
         return self._documents[path]
 
     def inventory(self) -> Inventory:
@@ -160,7 +172,7 @@ class Workspace:
             return self.model
         if not self.model_path.exists():
             raise CliError("no model in this workspace (deploy a bundle first)")
-        doc = statefile.load_mapping(self.model_path.read_text(), "model", CliError,
+        doc = statefile.load_mapping(self.model_path.read_bytes(), "model", CliError,
                                      allow_empty=False)
         self.provider_ref = doc.get("provider_ref", "local")
         if self.provider_ref == "local":
@@ -201,33 +213,84 @@ class Workspace:
         )
 
     def commit(self) -> None:
-        """Write back every loaded document whose text changed, all or
-        nothing."""
+        """Write back every loaded document whose text changed, and a newly
+        compiled charm store, all or nothing."""
         statefile.commit(self.root, self._changed_texts())
 
     def _changed_texts(self) -> Iterator[tuple[str, str]]:
         """The file name and new text of each loaded document whose text
-        differs from its file's.  A file read as YAML counts as changed,
-        so it is rewritten as JSON."""
+        differs from its file's, then of the compiled charm store when the
+        command parsed the charm files.  A file read as YAML counts as
+        changed, so it is rewritten as JSON."""
         renders = [(path, document.dump_yaml) for path, document in self._documents.items()]
         if self.model is not None:
             renders.append((self.model_path, self.save_model))
         for path, render in renders:
             text = render()
-            if text != _read(path):
+            if text.encode("utf-8") != _read(path):
                 yield path.name, text
+        if self._charm_files.compiled is not None:
+            yield CHARM_STORE_FILE, self._charm_files.compiled
 
 
-def _charm_files(charms_dir: Path) -> Iterator[tuple[CharmSpec, str | None]]:
-    if charms_dir.is_dir():
-        for path in sorted(charms_dir.glob("*.yaml")):
-            yield load_charm(path.read_text())
+class _CharmFiles:
+    """The source of a workspace's charm store: ``charms/*.yaml``, or the
+    compiled copy of them in ``CHARM_STORE_FILE``.
+
+    The copy holds a format number, the package version, one SHA-256 over
+    the sorted ``(file name, bytes)`` pairs of the charm files, and each
+    spec's ``compile_charm`` form.  When all three match, ``load`` rebuilds
+    the specs from it instead of parsing YAML; any edit to a charm file,
+    a file added or removed, or a copy that does not read, misses, and the
+    files are parsed exactly as without a copy.  A store that had to be
+    parsed, and whose every spec registered, leaves its new copy in
+    ``compiled`` for the command's commit; one with an option default
+    JSON cannot hold exactly leaves none, and is parsed by every command.
+    """
+
+    def __init__(self, root: Path) -> None:
+        self.charms_dir = root / "charms"
+        self.path = root / CHARM_STORE_FILE
+        self.compiled: str | None = None
+
+    def load(self) -> Iterator[tuple[CharmSpec, str | None]]:
+        """The ``(spec, owner)`` pairs of the charm files, in file order."""
+        files = ([(path.name, path.read_bytes()) for path in sorted(self.charms_dir.glob("*.yaml"))]
+                 if self.charms_dir.is_dir() else [])
+        digest = hashlib.sha256()
+        for name, data in files:
+            digest.update(b"%s\0%d\0%s" % (os.fsencode(name), len(data), data))
+        key = {"format": CHARM_STORE_FORMAT, "version": __version__, "digest": digest.hexdigest()}
+        specs = self._cached(key)
+        if specs is not None:
+            yield from specs
+            return
+        specs = []
+        for _, data in files:
+            specs.append(load_charm(data))
+            yield specs[-1]
+        # The store asks for the next pair only after registering the last,
+        # so this runs only when every spec registered.
+        forms = [compile_charm(spec, owner) for spec, owner in specs]
+        if None not in forms:
+            self.compiled = json.dumps({**key, "charms": forms}, separators=(",", ":"))
+
+    def _cached(self, key: dict) -> list[tuple[CharmSpec, str | None]] | None:
+        """The pairs of the compiled copy when it has ``key``'s format,
+        version and digest, else None."""
+        try:
+            doc = json.loads(self.path.read_bytes())
+            if {name: doc[name] for name in key} == key:
+                return [uncompile_charm(form) for form in doc["charms"]]
+        except (OSError, ValueError, LookupError, TypeError, RecursionError):
+            pass  # missing, cut short or edited: parse the files
+        return None
 
 
-def _read(path: Path) -> str | None:
-    """The text of ``path``, or None when it does not exist."""
+def _read(path: Path) -> bytes | None:
+    """The bytes of ``path``, or None when it does not exist."""
     try:
-        return path.read_text()
+        return path.read_bytes()
     except FileNotFoundError:
         return None
 
@@ -376,7 +439,7 @@ def _read_bundle(path_text: str):
     path = Path(path_text)
     if not path.exists():
         raise CliError(f"no such bundle file: {path}")
-    return parse_bundle(path.read_text())
+    return parse_bundle(path.read_bytes())
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +458,9 @@ def cmd_init(ws: Workspace, args) -> int:
         (builtin.POSTGRESQL_CHARM, "postgresql"),
         (builtin.HAPROXY_CHARM, "haproxy"),
     ):
-        (ws.charms_dir / f"{name}.yaml").write_text(text)
-    (ws.root / "moodle-bundle.yaml").write_text(builtin.MOODLE_BUNDLE)
-    (ws.root / "scaled-bundle.yaml").write_text(builtin.SCALED_BUNDLE)
+        (ws.charms_dir / f"{name}.yaml").write_text(text, encoding="utf-8")
+    (ws.root / "moodle-bundle.yaml").write_text(builtin.MOODLE_BUNDLE, encoding="utf-8")
+    (ws.root / "scaled-bundle.yaml").write_text(builtin.SCALED_BUNDLE, encoding="utf-8")
     return _commit(ws, [f"initialised {ws.root} with demo charms and bundles"])
 
 
@@ -556,7 +619,7 @@ def cmd_plan_compile(ws: Workspace, args) -> int:
     plan = compile_plan(bundle, ws.store())
     text = plan.render()
     if args.output:
-        Path(args.output).write_text(text)
+        Path(args.output).write_text(text, encoding="utf-8")
         print(f"{len(plan.steps)} steps -> {args.output}")
     else:
         print(text, end="")
@@ -569,7 +632,7 @@ def cmd_plan_execute(ws: Workspace, args) -> int:
     path = Path(args.plan)
     if not path.exists():
         raise CliError(f"no such plan file: {path}")
-    plan = parse_plan(path.read_text())
+    plan = parse_plan(path.read_bytes())
     tree = ws.projects() if args.project else None
     project_id = tree.find(args.project).id if args.project else None
     ws.model = execute_plan(
@@ -1084,7 +1147,7 @@ def run_command(argv: list[str] | None = None) -> int:
         if args.func is cmd_init:
             root.mkdir(parents=True, exist_ok=True)
         with _locked(root):
-            statefile.recover(root, STATE_FILES)
+            statefile.recover(root, (*STATE_FILES, CHARM_STORE_FILE))
             ws = Workspace(root)
             if args.func is not cmd_init:
                 ws.require_init()

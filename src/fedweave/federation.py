@@ -299,7 +299,7 @@ class Federation:
         return statefile.dump(self.dump())
 
     @classmethod
-    def load_yaml(cls, text: str) -> "Federation":
+    def load_yaml(cls, text: str | bytes) -> "Federation":
         return cls.load(statefile.load_mapping(text, "federation", FederationError))
 
 

@@ -36,6 +36,7 @@ import shlex
 from dataclasses import dataclass, field
 from functools import partial
 
+from . import statefile
 from .bundle import (Bundle, Constraints, _canonical_document, app_series, parse_constraints,
                      render_constraints)
 from .charms import EventKind
@@ -431,8 +432,13 @@ def render_plan(plan: ImperativePlan) -> str:
     return plan.render()
 
 
-def parse_plan(text: str) -> ImperativePlan:
-    """Parse the one-step-per-line form produced by ``render_plan``."""
+def parse_plan(text: str | bytes) -> ImperativePlan:
+    """Parse the one-step-per-line form produced by ``render_plan``; bytes
+    are read as UTF-8."""
+    try:
+        text = statefile.decode(text)
+    except statefile.DecodeError as exc:
+        raise PlanError(f"malformed plan document: {exc}") from None
     bundle_dig = ""
     charm_dig = ""
     steps: list[PlanStep] = []

@@ -426,5 +426,5 @@ class Inventory:
         return statefile.dump(self.dump())
 
     @classmethod
-    def load_yaml(cls, text: str) -> "Inventory":
+    def load_yaml(cls, text: str | bytes) -> "Inventory":
         return cls.load(statefile.load_mapping(text, "inventory", ProviderError))

@@ -294,7 +294,7 @@ class ProjectTree:
         return statefile.dump(self.dump())
 
     @classmethod
-    def load_yaml(cls, text: str) -> "ProjectTree":
+    def load_yaml(cls, text: str | bytes) -> "ProjectTree":
         return cls.load(statefile.load_mapping(text, "project", QuotaError))
 
 

@@ -2,7 +2,10 @@
 
 This module is the one YAML reader of the package: bundles, charm files
 and hand-written state parse through ``load_yaml``, which rejects
-duplicate, non-scalar and merge keys with their line and column.
+duplicate, non-scalar and merge keys with their line and column.  Files
+are read as bytes and decoded as UTF-8 whatever the locale: ``decode``
+turns a byte that is not UTF-8 into a ``DecodeError`` with its line and
+column, which each reader reports as its own one-line error.
 
 The workspace files (``model.yaml``, ``inventory.yaml``,
 ``federation.yaml``, ``projects.yaml``) are written by the program and
@@ -47,16 +50,32 @@ def dump(doc) -> str:
     return json.dumps(doc, separators=(",", ":"))
 
 
-def load(text: str):
+def decode(data: str | bytes) -> str:
+    """``data`` read as UTF-8, or as it is when it is already text.  A byte
+    sequence that is not UTF-8 raises ``DecodeError`` at the line and
+    column of its first bad byte."""
+    if isinstance(data, str):
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        start = data.rfind(b"\n", 0, exc.start) + 1
+        raise DecodeError(f"byte 0x{data[exc.start]:02x} is not UTF-8: {exc.reason}",
+                          data.count(b"\n", 0, start) + 1,
+                          len(data[start:exc.start].decode("utf-8")) + 1) from None
+
+
+def load(text: str | bytes):
     """Parse a state document: JSON first, then ``load_yaml``, which raises
-    ``DecodeError`` when the text is neither."""
+    ``DecodeError`` when the text is neither.  Bytes are read as UTF-8."""
+    text = decode(text)
     try:
         return json.loads(text)
     except (ValueError, RecursionError):
         return load_yaml(text)
 
 
-def load_mapping(text: str, what: str, error: type[Exception], *, yaml_only: bool = False,
+def load_mapping(text: str | bytes, what: str, error: type[Exception], *, yaml_only: bool = False,
                  allow_empty: bool = True) -> dict:
     """The mapping a document holds, parsed by ``load`` (``load_yaml`` when
     ``yaml_only``); an empty document holds ``{}`` when ``allow_empty``.
@@ -128,13 +147,14 @@ _LIBYAML_UNSAFE = re.compile(r"[^\n -~]|[!&*?|>%@`]")
 _LIBYAML_MAX_NESTING = 10_000
 
 
-def load_yaml(text: str):
-    """Parse one YAML document strictly.
+def load_yaml(text: str | bytes):
+    """Parse one YAML document strictly; bytes are read as UTF-8.
 
     libyaml parses text inside the safe subset that cannot nest deeper than
     ``_LIBYAML_MAX_NESTING``.  Anything else, and anything libyaml rejects,
     is parsed by ``_load_reference``, so every result and every error
     message is the reference loader's."""
+    text = decode(text)
     if (_CStrictLoader is not None and not _LIBYAML_UNSAFE.search(text)
             and text.count("[") + text.count("{") + text.count("- ") <= _LIBYAML_MAX_NESTING):
         try:
@@ -186,10 +206,10 @@ def commit(root: Path, texts: Iterable[tuple[str, str]]) -> None:
     try:
         for name, text in texts:
             temps[name] = root / _temporary(name)
-            temps[name].write_text(text)
+            temps[name].write_text(text, encoding="utf-8")
             _fsync(temps[name])
         if len(temps) > 1:
-            record.write_text(json.dumps(sorted(temps)))
+            record.write_text(json.dumps(sorted(temps)), encoding="utf-8")
             _fsync(record)
             _fsync(root)
     except BaseException:
@@ -211,7 +231,7 @@ def recover(root: Path, names) -> None:
     if COMMIT_RECORD in present:
         record = root / COMMIT_RECORD
         try:
-            committed = json.loads(record.read_text())
+            committed = json.loads(record.read_bytes())
         except ValueError:
             committed = []
         _rename(root, {name: temps.pop(name) for name in committed if name in temps},

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 
@@ -414,8 +415,9 @@ def _state_files(root) -> dict[str, bytes]:
 
 
 class TestCharmFilesParsedOnFirstUse:
-    """The workspace's charm files are parsed when a command first needs a
-    charm, all of them once; a command that needs none parses none."""
+    """The workspace's charm store is loaded when a command first needs a
+    charm: from its compiled copy when that matches the charm files, else
+    by parsing each file once; a command that needs none parses none."""
 
     @pytest.fixture
     def pending(self, demo, tmp_path):
@@ -437,14 +439,25 @@ class TestCharmFilesParsedOnFirstUse:
     @pytest.mark.parametrize(
         "argv", [("config", "haproxy", "default_timeout=45"), ("converge",)]
     )
-    def test_writes_parse_each_charm_file_once(self, pending, demo, tmp_path, monkeypatch, argv):
-        parsed = _spy_charm_parses(monkeypatch)
-        code, out, err = demo(*argv)
-        assert code == 0, err
-        assert "converged after" in out
-        files = sorted(path.read_text() for path in (tmp_path / "charms").glob("*.yaml"))
+    def test_writes_parse_each_charm_file_once(
+        self, pending, demo, tmp_path, tmp_path_factory, capsys, monkeypatch, argv
+    ):
+        """At most once: not at all when the compiled store the deploy
+        committed matches the files, and each once in a copy without it."""
+        twin = tmp_path_factory.mktemp("twin")
+        shutil.copytree(tmp_path, twin, dirs_exist_ok=True)
+        (twin / cli.CHARM_STORE_FILE).unlink()
+        files = sorted(path.read_bytes() for path in (tmp_path / "charms").glob("*.yaml"))
         assert len(files) == 3
-        assert sorted(parsed) == files
+        for root, expected in ((tmp_path, []), (twin, files)):
+            parsed = _spy_charm_parses(monkeypatch)
+            code = run_command(["-w", str(root), *argv])
+            out, err = capsys.readouterr()
+            assert code == 0, err
+            assert "converged after" in out
+            assert sorted(parsed) == expected
+        assert (twin / cli.CHARM_STORE_FILE).read_bytes() == (
+            tmp_path / cli.CHARM_STORE_FILE).read_bytes()
 
     def test_builtin_and_plain_stores_are_unchanged(self, monkeypatch):
         parsed = _spy_charm_parses(monkeypatch, builtin)
@@ -522,6 +535,37 @@ class TestHandWrittenDocuments:
         code, out, err = deployed(*argv)
         assert (code, out, err) == (1, "", f"charm-store: malformed charm document: {message}\n")
         assert _state_files(tmp_path) == files
+
+    @pytest.mark.parametrize(
+        ("name", "data", "argv", "expected"),
+        [
+            ("charms/bad.yaml", b"name: x\n\xff\xfe\n", ("config", "moodle", "site_name=A"),
+             "charm-store: malformed charm document: byte 0xff is not UTF-8: invalid start byte "
+             "(line 2, column 1)"),
+            ("bad-bundle.yaml", b"series: xenial\n# caf\xe9\n", ("validate", "bad-bundle.yaml"),
+             "bundle: byte 0xe9 is not UTF-8: invalid continuation byte (line 2, column 6)"),
+            ("inventory.yaml", b'{"zones": [], "machines": {"\xff": 1}}', ("machine", "list"),
+             "provider: malformed inventory document: byte 0xff is not UTF-8: invalid start byte "
+             "(line 1, column 29)"),
+            ("model.yaml", b"\xc3\xa9\xff", ("status",),
+             "cli: malformed model document: byte 0xff is not UTF-8: invalid start byte "
+             "(line 1, column 2)"),
+        ],
+        ids=["charm", "bundle", "inventory", "model"],
+    )
+    def test_non_utf8_file_is_a_one_line_error(self, deployed, tmp_path, monkeypatch, name, data,
+                                               argv, expected):
+        (tmp_path / name).write_bytes(data)
+        files = _state_files(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert deployed(*argv) == (1, "", f"{expected}\n")
+        assert _state_files(tmp_path) == files
+
+    def test_non_utf8_plan_is_a_one_line_error(self, demo, tmp_path):
+        (tmp_path / "bad.plan").write_bytes(b"# charm-digest: x\n\x80\n")
+        assert demo("plan", "execute", str(tmp_path / "bad.plan")) == (
+            1, "", "plan: malformed plan document: byte 0x80 is not UTF-8: invalid start byte "
+                   "(line 2, column 1)\n")
 
     @pytest.mark.parametrize(
         ("name", "text", "argv", "expected"),

@@ -20,7 +20,7 @@ import pytest
 import yaml
 
 from fedweave import statefile
-from fedweave.cli import Workspace, run_command
+from fedweave.cli import CHARM_STORE_FILE, Workspace, run_command
 
 STATE_FILES = ("model.yaml", "inventory.yaml", "federation.yaml", "projects.yaml")
 ENDPOINTS = (
@@ -131,6 +131,21 @@ class TestFormat:
         assert err.value.problem.startswith(problem)
         assert (err.value.line, err.value.column) == (line, column)
         assert "\n" not in str(err.value)
+
+    @pytest.mark.parametrize(
+        ("data", "problem", "line", "column"),
+        [
+            (b"a: 1\n# \xc3\xa9\xff\n", "byte 0xff is not UTF-8: invalid start byte", 2, 4),
+            (b"\xe2\x82", "byte 0xe2 is not UTF-8: unexpected end of data", 1, 1),
+        ],
+        ids=["after-a-two-byte-character", "cut-short"],
+    )
+    def test_bytes_that_are_not_utf8_are_a_decode_error(self, data, problem, line, column):
+        for read in (statefile.load, statefile.load_yaml):
+            with pytest.raises(statefile.DecodeError) as err:
+                read(data)
+            assert (err.value.problem, err.value.line, err.value.column) == (problem, line, column)
+        assert statefile.load("a: é\n".encode()) == {"a": "é"}
 
     def test_load_rejects_text_that_is_neither(self):
         with pytest.raises(statefile.DecodeError):
@@ -320,7 +335,32 @@ class TestCommit:
     def test_interrupted_commit_leaves_all_old_or_all_new(
         self, deployed, tmp_path, tmp_path_factory, interruption
     ):
-        old = (_docs(tmp_path), _hash(deployed("status")[1]))
+        self._interrupt_everywhere(deployed, tmp_path, tmp_path_factory, interruption,
+                                   ["model.yaml", "federation.yaml", "projects.yaml"])
+
+    @pytest.mark.parametrize("interruption", ["exception", "exit"])
+    def test_interrupted_commit_with_compiled_store_leaves_all_old_or_all_new(
+        self, deployed, tmp_path, tmp_path_factory, interruption
+    ):
+        """Without a compiled charm store, the command parses the charm
+        files and commits the new store with the state files, as one set.
+        ``recover`` deletes its temporary file like theirs."""
+        (tmp_path / CHARM_STORE_FILE).unlink()
+        self._interrupt_everywhere(deployed, tmp_path, tmp_path_factory, interruption,
+                                   ["model.yaml", "federation.yaml", "projects.yaml",
+                                    CHARM_STORE_FILE])
+
+    def _interrupt_everywhere(self, deployed, tmp_path, tmp_path_factory, interruption, changed):
+        """End ``COMMAND`` at each file operation of its commit, which
+        rewrites the ``changed`` files, and check that every file is then
+        old or every one new."""
+
+        def snapshot(root, out) -> tuple:
+            files = {name: (root / name).read_bytes() for name in (*STATE_FILES, CHARM_STORE_FILE)
+                     if (root / name).exists()}
+            return files, _hash(out)
+
+        old = snapshot(tmp_path, deployed("status")[1])
         twin = tmp_path_factory.mktemp("twin")
         shutil.copytree(tmp_path, twin, dirs_exist_ok=True)
         with pytest.MonkeyPatch.context() as patch:
@@ -328,10 +368,9 @@ class TestCommit:
             counter.install(patch)
             code, out, err = deployed(*self.COMMAND, root=twin)
         assert code == 0, err
-        new = (_docs(twin), _hash(out))
-        assert [name for name in STATE_FILES if new[0][name] != old[0][name]] == [
-            "model.yaml", "federation.yaml", "projects.yaml"
-        ]
+        new = snapshot(twin, out)
+        assert sorted(name for name in {*old[0], *new[0]}
+                      if old[0].get(name) != new[0].get(name)) == sorted(changed)
 
         for at in range(1, counter.count + 1):
             workspace = tmp_path_factory.mktemp(f"at-{at}")
@@ -347,7 +386,7 @@ class TestCommit:
                 (workspace / ".fedweave-lock").unlink()
             code, out, err = deployed("status", root=workspace)
             assert code == 0, (at, err)
-            assert (_docs(workspace), _hash(out)) in (old, new), at
+            assert snapshot(workspace, out) in (old, new), at
             assert _leftovers(workspace) == [], at
 
     def test_config_rewrites_only_the_model(self, deployed, tmp_path):
