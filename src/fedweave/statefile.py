@@ -2,10 +2,10 @@
 
 This module is the one YAML reader of the package: bundles, charm files
 and hand-written state parse through ``load_yaml``, which rejects
-duplicate, non-scalar and merge keys with their line and column.  Files
-are read as bytes and decoded as UTF-8 whatever the locale: ``decode``
-turns a byte that is not UTF-8 into a ``DecodeError`` with its line and
-column, which each reader reports as its own one-line error.
+duplicate, non-scalar and merge keys with their line and column.  The
+readers take a file's bytes and decode them as UTF-8 whatever the locale:
+``decode`` turns a byte that is not UTF-8 into a ``DecodeError`` with its
+line and column, which each caller reports as its own one-line error.
 
 The workspace files (``model.yaml``, ``inventory.yaml``,
 ``federation.yaml``, ``projects.yaml``) are written by the program and
