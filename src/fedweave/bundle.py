@@ -488,7 +488,28 @@ def _canonical_document(bundle: Bundle) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Validation against a charm store
+# Validation and lowering against a charm store: validation, the reactive
+# deploy and the plan compiler all read the unit targets that
+# ``_lower_application`` gives.
+
+_FRESH = Placement.fresh()  # the target of a unit the bundle places nowhere
+
+
+@dataclass(frozen=True)
+class LoweredApplication:
+    name: str
+    charm_ref: str
+    charm: object  # the resolved CharmSpec
+    series: str  # of the application and of its fresh machines
+    options: dict
+    expose: bool
+    # Each unit's placement (a declared machine, a container on one, or a
+    # fresh machine) and the alias a plan gives that machine: the declared
+    # id, ``N/lxd/k`` for the k-th container of its kind on N, or
+    # ``fresh:<unit>``.
+    units: tuple[tuple[Placement, str], ...]
+
+
 
 
 def validate_bundle(bundle: Bundle, store) -> list[Diagnostic]:
@@ -496,15 +517,16 @@ def validate_bundle(bundle: Bundle, store) -> list[Diagnostic]:
 
     Error diagnostics cover unresolvable charms, incompatible or unknown
     relation endpoints, unknown option names, uncoercible option values,
-    placements on a machine (or in a container on a host) whose series
-    the charm does not support, and fresh machines whose series
-    (``app_series``) the charm does not support.
+    units targeted at a machine (or at a container on a host) whose series
+    the charm does not support, and fresh machines whose series the charm
+    does not support.
     A warning is flagged when an application declares fewer placements than
     num_units while placing some units explicitly; the extras fall back to
     fresh machines.
     """
     diagnostics: list[Diagnostic] = []
     specs = {}
+    slots: dict[tuple[str, str], int] = {}
     store.refs()  # a charm file that does not parse fails the store, not each application
     for name in sorted(bundle.applications):
         app = bundle.applications[name]
@@ -524,7 +546,8 @@ def validate_bundle(bundle: Bundle, store) -> list[Diagnostic]:
                 schema.coerce(app.options[opt_name])
             except FedweaveError as exc:
                 diagnostics.append(Diagnostic("error", path, str(exc)))
-        for index, placement in enumerate(app.placements):
+        lowered = _lower_application(bundle, name, app, spec, slots)
+        for index, (placement, _) in enumerate(lowered.units):
             machine = bundle.machines.get(placement.machine)
             if machine is not None and machine.series not in spec.series:
                 diagnostics.append(Diagnostic(
@@ -533,8 +556,8 @@ def validate_bundle(bundle: Bundle, store) -> list[Diagnostic]:
                     f"charm {spec.name!r} does not support series {machine.series!r} "
                     f"of machine {placement.machine!r}",
                 ))
-        series = app_series(bundle, app, spec)
-        fresh = len(app.placements) < app.num_units or Placement.fresh() in app.placements
+        series = lowered.series
+        fresh = any(placement.kind == "fresh" for placement, _ in lowered.units)
         if fresh and series not in spec.series:
             diagnostics.append(Diagnostic("error", f"applications.{name}", (
                 f"charm {spec.name!r} does not support series {series!r} for fresh machines")))
@@ -553,10 +576,52 @@ def validate_bundle(bundle: Bundle, store) -> list[Diagnostic]:
         right_spec = specs.get(right.application)
         if left_spec is None or right_spec is None:
             continue  # the charm diagnostic already covers it
-        problem = _relation_problem(left, left_spec, right, right_spec)
-        if problem:
-            diagnostics.append(Diagnostic("error", path, problem))
+        try:
+            orient_relation(left, left_spec, right, right_spec)
+        except BundleError as exc:
+            diagnostics.append(Diagnostic("error", path, str(exc)))
     return diagnostics
+
+
+def lower_bundle(bundle: Bundle, store, error: type[FedweaveError] = BundleError) -> tuple:
+    """The records every path from a bundle to a deployment reads: the
+    declared ``(id, MachineSpec)`` pairs by numeric id, the
+    ``LoweredApplication``s by name, and the relations in bundle order as
+    ``(provider, requirer, interface)``.  Raises ``error`` naming every
+    error diagnostic of ``validate_bundle``."""
+    errors = [d for d in validate_bundle(bundle, store) if d.severity == "error"]
+    if errors:
+        raise error("bundle does not validate: " + "; ".join(d.render() for d in errors))
+    slots: dict[tuple[str, str], int] = {}
+    applications = tuple(
+        _lower_application(bundle, name, app, store.resolve_charm(app.charm), slots)
+        for name, app in sorted(bundle.applications.items()))
+    specs = {app.name: app.charm for app in applications}
+    relations = tuple(
+        orient_relation(left, specs[left.application], right, specs[right.application])
+        for left, right in bundle.relations)
+    return (tuple(sorted(bundle.machines.items(), key=lambda item: int(item[0]))),
+            applications, relations)
+
+
+def _lower_application(
+    bundle: Bundle, name: str, app: ApplicationSpec, charm, slots: dict[tuple[str, str], int]
+) -> LoweredApplication:
+    """One application and its unit targets.  ``slots`` counts the
+    containers given out per host and kind so far, over applications in
+    name order and units in index order."""
+    units = []
+    for index in range(app.num_units):
+        placement = app.placements[index] if index < len(app.placements) else _FRESH
+        if placement.kind == "container":
+            key = (placement.machine, placement.container_kind)
+            slots[key] = slot = slots.get(key, -1) + 1
+            alias = f"{placement.machine}/{placement.container_kind}/{slot}"
+        else:
+            alias = placement.machine or f"fresh:{name}/{index}"
+        units.append((placement, alias))
+    return LoweredApplication(name, app.charm, charm, app_series(bundle, app, charm), app.options,
+                              app.expose, tuple(units))
 
 
 def app_series(bundle: Bundle, app: ApplicationSpec, charm) -> str:
@@ -570,24 +635,32 @@ def app_series(bundle: Bundle, app: ApplicationSpec, charm) -> str:
     return sorted(charm.series)[0]
 
 
-def _relation_problem(left, left_spec, right, right_spec) -> str | None:
-    """Return a description of why the endpoint pair cannot relate, else None."""
+def orient_relation(
+    left: EndpointRef, left_spec, right: EndpointRef, right_spec,
+    error: type[FedweaveError] = BundleError,
+) -> tuple[EndpointRef, EndpointRef, str]:
+    """The relation of two endpoints as (provider, requirer, interface);
+    ``error`` says why they cannot relate."""
+    if left.application == right.application:
+        raise error(f"cannot relate application {left.application!r} to itself")
     for ref, spec in ((left, left_spec), (right, right_spec)):
         if ref.endpoint not in spec.provides and ref.endpoint not in spec.requires:
-            return f"charm {spec.name!r} has no endpoint {ref.endpoint!r}"
+            raise error(f"charm {spec.name!r} has no endpoint {ref.endpoint!r}")
     if left.endpoint in left_spec.provides and right.endpoint in right_spec.requires:
+        provider, requirer = left, right
         provider_iface = left_spec.provides[left.endpoint]
         requirer_iface = right_spec.requires[right.endpoint]
     elif right.endpoint in right_spec.provides and left.endpoint in left_spec.requires:
+        provider, requirer = right, left
         provider_iface = right_spec.provides[right.endpoint]
         requirer_iface = left_spec.requires[left.endpoint]
     else:
-        return (
+        raise error(
             f"{left.render()} and {right.render()} do not form a provider/requirer pair"
         )
     if provider_iface != requirer_iface:
-        return (
+        raise error(
             f"interface mismatch: {left.render()} and {right.render()} "
             f"speak {provider_iface!r} vs {requirer_iface!r}"
         )
-    return None
+    return provider, requirer, provider_iface

@@ -119,10 +119,6 @@ class EventKind:
     def relation_departed(cls, endpoint: str) -> "EventKind":
         return cls("relation-departed", endpoint)
 
-    @classmethod
-    def storage_attached(cls, pool: str) -> "EventKind":
-        return cls("storage-attached", pool)
-
     def is_relation_event(self) -> bool:
         return self.kind in RELATION_EVENTS
 
@@ -322,11 +318,6 @@ class CharmSpec:
             self, "guarded_kinds", {flag: frozenset(kinds) for flag, kinds in guarded.items()}
         )
 
-    def endpoints(self) -> dict[str, str]:
-        merged = dict(self.provides)
-        merged.update(self.requires)
-        return merged
-
     def default_config(self) -> dict:
         return {name: schema.coerce(schema.default) for name, schema in self.config.items()}
 
@@ -348,7 +339,7 @@ def _check_spec(spec: CharmSpec) -> None:
             schema.coerce(schema.default)
         except OptionTypeError as exc:
             raise CharmError(f"option {name!r}: default does not conform: {exc}") from None
-    endpoints = spec.endpoints()
+    endpoints = {**spec.provides, **spec.requires}
     for handler in spec.handlers:
         _check_handler(spec, handler, endpoints)
 
@@ -508,7 +499,7 @@ def load_charm(text: str | bytes) -> tuple[CharmSpec, str | None]:
     )
     spec = CharmSpec(
         name=name,
-        series=frozenset(str(s) for s in series_raw),
+        series=frozenset(sorted(str(s) for s in series_raw)),
         provides={str(k): str(v) for k, v in (doc.get("provides") or {}).items()},
         requires={str(k): str(v) for k, v in (doc.get("requires") or {}).items()},
         config=options,
@@ -539,7 +530,7 @@ def _parse_handler(charm_name: str, entry) -> HookHandler:
     actions = tuple(_parse_action(charm_name, raw) for raw in (entry.get("do") or []))
     if not actions:
         raise CharmError(f"charm {charm_name!r}: handler on {on.render()!r} has no actions")
-    return HookHandler(on=on, actions=actions, when_states=frozenset(str(f) for f in when))
+    return HookHandler(on=on, actions=actions, when_states=frozenset(sorted(str(f) for f in when)))
 
 
 def _parse_action(charm_name: str, raw) -> HookAction:

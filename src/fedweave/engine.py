@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import NamedTuple
 
-from .bundle import Bundle, Constraints, Placement, app_series, render_constraints
+from .bundle import Bundle, Constraints, EndpointRef, Placement, lower_bundle, orient_relation
 from .charms import (
     CharmSpec,
     CharmStore,
@@ -294,36 +294,26 @@ def deploy_bundle(model: Model, bundle: Bundle) -> DeploymentResult:
     charged one per unit, and a deploy that fails at any point rolls back
     completely.
     """
-    from .bundle import validate_bundle
-
-    diagnostics = [d for d in validate_bundle(bundle, model.store) if d.severity == "error"]
-    if diagnostics:
-        raise DeploymentError(
-            "bundle does not validate: " + "; ".join(d.render() for d in diagnostics)
-        )
+    machines, applications, relations = lower_bundle(bundle, model.store, DeploymentError)
     for name in bundle.applications:
         if name in model.applications:
             raise DeploymentError(f"application {name!r} already deployed")
 
     with _undo_on_failure(model) as log:
-        units = sum(app_spec.num_units for app_spec in bundle.applications.values())
+        units = sum(len(lowered.units) for lowered in applications)
         _charge(model, log, QuotaSet(instances=units))
         machine_map = {
             bundle_id: _acquire(model, log, spec.constraints, spec.series)
-            for bundle_id, spec in sorted(bundle.machines.items(), key=lambda i: int(i[0]))
+            for bundle_id, spec in machines
         }
         new_units: list[Unit] = []
-        for name in sorted(bundle.applications):
-            app_spec = bundle.applications[name]
-            charm = model.store.resolve_charm(app_spec.charm)
-            series = app_series(bundle, app_spec, charm)
+        for lowered in applications:
             app = _create_application(
-                model, log, name, app_spec.charm, charm, series, app_spec.options, app_spec.expose
+                model, log, lowered.name, lowered.charm_ref, lowered.charm, lowered.series,
+                lowered.options, lowered.expose,
             )
-            for index in range(app_spec.num_units):
-                placement = app_spec.placements[index] if index < len(app_spec.placements) else None
-                machine_id = _place(model, log, placement, series, machine_map)
-                _check_series(model, machine_id, charm)
+            for placement, _ in lowered.units:
+                machine_id = _place(model, log, placement, lowered.series, machine_map)
                 new_units.append(_create_unit(model, log, app, machine_id))
 
         for unit in new_units:
@@ -331,8 +321,8 @@ def deploy_bundle(model: Model, bundle: Bundle) -> DeploymentResult:
             _ensure_leader(model, unit.app)
 
         relation_ids = []
-        for left, right in bundle.relations:
-            relation = add_relation(model, left.render(), right.render())
+        for provider, requirer, _ in relations:
+            relation = add_relation(model, provider.render(), requirer.render())
             log.append(partial(model.relations.pop, relation.id))
             relation_ids.append(relation.id)
 
@@ -603,74 +593,40 @@ def set_config(model: Model, app_name: str, options: dict) -> list[str]:
 
 def add_relation(model: Model, left: str, right: str) -> Relation:
     """Relate two endpoints.  One side must provide and the other require
-    the same interface; every existing unit on both sides receives a
-    relation-joined event (provider side first)."""
-    left_app, left_ep = _split_endpoint(model, left)
-    right_app, right_ep = _split_endpoint(model, right)
-    if left_app == right_app:
-        raise EngineError(f"cannot relate application {left_app!r} to itself")
-    provider, requirer = _orient(model, left_app, left_ep, right_app, right_ep)
-    relation_id = f"{provider[0]}:{provider[1]} {requirer[0]}:{requirer[1]}"
+    the same interface (``bundle.orient_relation``); every existing unit on
+    both sides receives a relation-joined event (provider side first)."""
+    provider, requirer, interface = orient_relation(
+        *_endpoint(model, left), *_endpoint(model, right), EngineError)
+    relation_id = f"{provider.render()} {requirer.render()}"
     if relation_id in model.relations:
         raise EngineError(f"relation {relation_id!r} already exists")
-    interface = model.applications[provider[0]].charm.provides[provider[1]]
-    relation = Relation(
-        id=relation_id,
-        provider=f"{provider[0]}:{provider[1]}",
-        requirer=f"{requirer[0]}:{requirer[1]}",
-        interface=interface,
-    )
+    relation = Relation(relation_id, provider.render(), requirer.render(), interface)
     model.relations[relation_id] = relation
-    provider_units = model.unit_ids_of(provider[0])
-    requirer_units = model.unit_ids_of(requirer[0])
+    provider_units = model.unit_ids_of(provider.application)
+    requirer_units = model.unit_ids_of(requirer.application)
     for unit_id in provider_units + requirer_units:
         relation.data.setdefault(unit_id, {})
     queue = model.event_queue
-    for (_, endpoint), units, remotes in (
+    for side, units, remotes in (
         (provider, provider_units, requirer_units),
         (requirer, requirer_units, provider_units),
     ):
-        kind = EventKind.relation_joined(endpoint)
+        kind = EventKind.relation_joined(side.endpoint)
         for unit_id in units:
             for remote_id in remotes:
                 queue.append(Event(kind, unit_id, relation_id, remote_id))
     return relation
 
 
-def _split_endpoint(model: Model, text: str) -> tuple[str, str]:
+def _endpoint(model: Model, text: str) -> tuple[EndpointRef, CharmSpec]:
+    """An ``application:endpoint`` of the model, and the application's charm."""
     app_name, sep, endpoint = text.partition(":")
     if not sep or not app_name or not endpoint:
         raise EngineError(f"malformed endpoint {text!r} (want application:endpoint)")
     app = model.applications.get(app_name)
     if app is None:
         raise UnknownEntityError(f"unknown application {app_name!r}")
-    if endpoint not in app.charm.endpoints():
-        raise EngineError(f"charm {app.charm.name!r} has no endpoint {endpoint!r}")
-    return app_name, endpoint
-
-
-def _orient(model, left_app, left_ep, right_app, right_ep):
-    """Return ((provider app, endpoint), (requirer app, endpoint))."""
-    left_charm = model.applications[left_app].charm
-    right_charm = model.applications[right_app].charm
-    if left_ep in left_charm.provides and right_ep in right_charm.requires:
-        provider, requirer = (left_app, left_ep), (right_app, right_ep)
-        provider_iface = left_charm.provides[left_ep]
-        requirer_iface = right_charm.requires[right_ep]
-    elif right_ep in right_charm.provides and left_ep in left_charm.requires:
-        provider, requirer = (right_app, right_ep), (left_app, left_ep)
-        provider_iface = right_charm.provides[right_ep]
-        requirer_iface = left_charm.requires[left_ep]
-    else:
-        raise EngineError(
-            f"{left_app}:{left_ep} and {right_app}:{right_ep} do not form a "
-            "provider/requirer pair"
-        )
-    if provider_iface != requirer_iface:
-        raise EngineError(
-            f"interface mismatch: {provider_iface!r} vs {requirer_iface!r}"
-        )
-    return provider, requirer
+    return EndpointRef(app_name, endpoint), app.charm
 
 
 def remove_unit(model: Model, unit_id: str) -> None:

@@ -219,9 +219,6 @@ class Federation:
         region = self._region(name)
         return self.replicas.get(region.name, ([], 0))
 
-    def catalog_entries(self) -> list[tuple[str, str, str]]:
-        return [entry.as_tuple() for entry in self.master_catalog]
-
     # -- identity --------------------------------------------------------
 
     def map_identity(self, eppn: str) -> str:

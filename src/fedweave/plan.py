@@ -3,14 +3,20 @@
 Where the reactive engine converges on a bundle, a plan spells out the
 equivalent fixed step sequence up front, phase by phase::
 
-    acquire-machine* create-container* install-unit* configure*
-    join-relation* start-unit*
+    acquire-machine* create-container* add-application* install-unit*
+    configure* join-relation* start-unit*
 
-Steps are deterministic: sorted by entity id within each phase, with
-declared machines before fresh ones and the provider side named first in
-every relation pair.  Executing a plan against a fresh inventory produces
-a model whose converged state hash equals what deploy-and-converge yields
-for the source bundle.
+An application's first ``install-unit`` creates it and a later
+``configure`` sets its options and expose flag; ``add-application``
+creates it with both instead, and is emitted only for an application with
+no units and for one related to such an application.  Steps are
+deterministic: sorted by entity id within each phase, with declared
+machines before fresh ones and the provider side named first in every
+relation pair.  ``compile_plan`` renders the records of
+``bundle.lower_bundle``, which ``engine.deploy_bundle`` applies, so
+executing a plan against a fresh inventory produces a model whose
+converged state hash equals what deploy-and-converge yields for the
+source bundle.
 
 A plan is a snapshot: it embeds digests of the source bundle and of the
 charm specs it compiled against.  Executing it against a store whose
@@ -33,13 +39,13 @@ import json
 import logging
 import re
 import shlex
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 from . import statefile
-from .bundle import (Bundle, Constraints, _canonical_document, app_series, parse_constraints,
+from .bundle import (Bundle, Constraints, _canonical_document, lower_bundle, parse_constraints,
                      render_constraints)
-from .charms import EventKind
+from .charms import EventKind, _option_str
 from .engine import (
     DEFAULT_BUDGET,
     DEFAULT_SEED,
@@ -109,6 +115,19 @@ class CreateContainer:
 
 
 @dataclass(frozen=True)
+class AddApplication:
+    application: str
+    charm: str
+    series: str
+    options: tuple[tuple[str, str], ...] = ()
+    expose: bool = False
+
+    def render(self) -> str:
+        return " ".join([f"add-application {self.application} {self.charm} series={self.series}",
+                         *_config_tokens(self.options, self.expose)])
+
+
+@dataclass(frozen=True)
 class InstallUnit:
     unit: str
     charm: str
@@ -125,12 +144,12 @@ class Configure:
     expose: bool = False
 
     def render(self) -> str:
-        parts = [f"configure {self.application}"]
-        if self.expose:
-            parts.append("expose=true")
-        for key, value in self.options:
-            parts.append(f"{key}={shlex.quote(value)}")
-        return " ".join(parts)
+        return " ".join([f"configure {self.application}",
+                         *_config_tokens(self.options, self.expose)])
+
+
+def _config_tokens(options: tuple[tuple[str, str], ...], expose: bool) -> list[str]:
+    return (["expose=true"] if expose else []) + [f"{key}={shlex.quote(v)}" for key, v in options]
 
 
 @dataclass(frozen=True)
@@ -151,7 +170,8 @@ class StartUnit:
         return f"start-unit {self.unit}"
 
 
-PlanStep = AcquireMachine | CreateContainer | InstallUnit | Configure | JoinRelation | StartUnit
+PlanStep = (AcquireMachine | CreateContainer | AddApplication | InstallUnit | Configure
+            | JoinRelation | StartUnit)
 
 
 @dataclass(frozen=True)
@@ -175,104 +195,50 @@ class ImperativePlan:
 
 def compile_plan(bundle: Bundle, store) -> ImperativePlan:
     """Compile a validated bundle into its imperative step sequence."""
-    from .bundle import validate_bundle
-
-    errors = [d for d in validate_bundle(bundle, store) if d.severity == "error"]
-    if errors:
-        raise PlanError(
-            "bundle does not validate: " + "; ".join(d.render() for d in errors)
-        )
-
-    acquire_steps: list[AcquireMachine] = []
-    for bundle_id in sorted(bundle.machines, key=int):
-        spec = bundle.machines[bundle_id]
-        acquire_steps.append(
-            AcquireMachine(machine=bundle_id, series=spec.series, constraints=spec.constraints)
-        )
-
-    container_steps: list[CreateContainer] = []
-    install_steps: list[InstallUnit] = []
-    container_counters: dict[tuple[str, str], int] = {}
-    charm_refs: set[str] = set()
-    for name in sorted(bundle.applications):
-        app_spec = bundle.applications[name]
-        charm = store.resolve_charm(app_spec.charm)
-        charm_refs.add(app_spec.charm)
-        series = app_series(bundle, app_spec, charm)
-        for index in range(app_spec.num_units):
-            unit_id = f"{name}/{index}"
-            if index < len(app_spec.placements):
-                placement = app_spec.placements[index]
-            else:
-                placement = None
-            if placement is not None and placement.kind == "machine":
-                machine = placement.machine
-            elif placement is not None and placement.kind == "container":
-                key = (placement.machine, placement.container_kind)
-                slot = container_counters.get(key, 0)
-                container_counters[key] = slot + 1
-                alias = f"{placement.machine}/{placement.container_kind}/{slot}"
-                container_steps.append(
-                    CreateContainer(
-                        host=placement.machine, kind=placement.container_kind, alias=alias
-                    )
-                )
-                machine = alias
-            else:
-                machine = f"fresh:{unit_id}"
-                acquire_steps.append(
-                    AcquireMachine(machine=machine, series=series, constraints=Constraints())
-                )
-            install_steps.append(InstallUnit(unit=unit_id, charm=app_spec.charm, machine=machine))
-
-    configure_steps: list[Configure] = []
-    for name in sorted(bundle.applications):
-        app_spec = bundle.applications[name]
-        if not app_spec.options and not app_spec.expose:
-            continue
-        options = tuple(
-            (key, _scalar_str(app_spec.options[key])) for key in sorted(app_spec.options, key=str)
-        )
-        configure_steps.append(
-            Configure(application=name, options=options, expose=app_spec.expose)
-        )
-
-    join_steps: list[JoinRelation] = []
-    for left, right in bundle.relations:
-        provider, requirer, interface = _orient_endpoints(bundle, store, left, right)
-        join_steps.append(
-            JoinRelation(provider=provider, requirer=requirer, interface=interface)
-        )
-    join_steps.sort(key=lambda s: (s.provider, s.requirer))
-
-    start_steps = [StartUnit(unit=s.unit) for s in sorted(install_steps, key=lambda s: s.unit)]
-
+    machines, applications, relations = lower_bundle(bundle, store, PlanError)
+    acquire_steps = [AcquireMachine(bundle_id, spec.series, spec.constraints)
+                     for bundle_id, spec in machines]
+    # A configure step sends config-changed, which deploy_bundle does not;
+    # a relation-joined handler republishes what config-changed wrote, save
+    # in a relation with no remote units.  So add-application creates an
+    # application with no units, or related to one, already configured.
+    unitless = {app.name for app in applications if not app.units}
+    ends = [{provider.application, requirer.application} for provider, requirer, _ in relations]
+    added = unitless.union(*(pair for pair in ends if pair & unitless))
     # Container steps keep their enumeration order (applications sorted by
     # name, then unit index) — that is already canonical, and it is the
     # order the reactive path creates them in.
-    steps: tuple[PlanStep, ...] = tuple(
-        [*acquire_steps, *container_steps, *install_steps,
-         *configure_steps, *join_steps, *start_steps]
+    container_steps: list[CreateContainer] = []
+    application_steps: list[AddApplication] = []
+    install_steps: list[InstallUnit] = []
+    configure_steps: list[Configure] = []
+    for app in applications:
+        options = tuple(
+            (key, _option_str(app.options[key])) for key in sorted(app.options, key=str))
+        if app.name in added:
+            application_steps.append(
+                AddApplication(app.name, app.charm_ref, app.series, options, app.expose))
+        elif options or app.expose:
+            configure_steps.append(Configure(app.name, options, app.expose))
+        for index, (placement, alias) in enumerate(app.units):
+            if placement.kind == "fresh":
+                acquire_steps.append(AcquireMachine(alias, app.series))
+            elif placement.kind == "container":
+                container_steps.append(
+                    CreateContainer(placement.machine, placement.container_kind, alias))
+            install_steps.append(InstallUnit(f"{app.name}/{index}", app.charm_ref, alias))
+    join_steps = sorted(
+        (JoinRelation(provider.render(), requirer.render(), interface)
+         for provider, requirer, interface in relations),
+        key=lambda s: (s.provider, s.requirer),
     )
+    start_steps = [StartUnit(unit=s.unit) for s in sorted(install_steps, key=lambda s: s.unit)]
     return ImperativePlan(
-        steps=steps,
+        steps=(*acquire_steps, *container_steps, *application_steps, *install_steps,
+               *configure_steps, *join_steps, *start_steps),
         bundle_digest=bundle_digest(bundle),
-        charm_digest=charm_digest(store, sorted(charm_refs)),
+        charm_digest=charm_digest(store, {app.charm_ref for app in applications}),
     )
-
-
-def _orient_endpoints(bundle: Bundle, store, left, right) -> tuple[str, str, str]:
-    left_charm = store.resolve_charm(bundle.applications[left.application].charm)
-    right_charm = store.resolve_charm(bundle.applications[right.application].charm)
-    if left.endpoint in left_charm.provides:
-        return left.render(), right.render(), left_charm.provides[left.endpoint]
-    return right.render(), left.render(), right_charm.provides[right.endpoint]
-
-
-def _scalar_str(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
 
 
 def bundle_digest(bundle: Bundle) -> str:
@@ -337,19 +303,20 @@ def execute_plan(
 
     Raises PlanExecutionError naming the failing step on placement or
     quota problems, on a machine, application or unit no earlier step
-    made, and on an ``install-unit`` that names any unit but its
-    application's next one (``app/0``, then ``app/1``, ...).  Raises
-    QuotaExceededError when the plan's units do not fit the project's
-    instance quota.  Quota follows the engine's
-    accounting rule: a machine's declared constraints are charged when it
-    is acquired and released when it is released, instances are charged
-    one per unit, and a failed execution, convergence included, rolls back
-    completely, leaving the inventory and the quota tree as they were.
-    When the store's charms no longer match the digest
-    recorded at compile time, a divergence warning is logged and the stale
-    steps are executed as written.
+    made, on an ``add-application`` of an application that exists, and on
+    an ``install-unit`` that names any unit but its application's next one
+    (``app/0``, then ``app/1``, ...).  Raises QuotaExceededError when the
+    plan's units do not fit the project's instance quota.  Quota follows
+    the engine's accounting rule: a machine's declared constraints are
+    charged when it is acquired and released when it is released,
+    instances are charged one per unit, and a failed execution,
+    convergence included, rolls back completely, leaving the inventory and
+    the quota tree as they were.  When the store's charms named by
+    ``add-application`` and ``install-unit`` steps no longer match the
+    digest recorded at compile time, a divergence warning is logged and the
+    stale steps are executed as written.
     """
-    refs = sorted({s.charm for s in plan.steps if isinstance(s, InstallUnit)})
+    refs = {s.charm for s in plan.steps if isinstance(s, (AddApplication, InstallUnit))}
     current_digest = charm_digest(store, refs)
     if current_digest != plan.charm_digest:
         logger.warning(
@@ -379,6 +346,13 @@ def _execute_step(model: Model, log: UndoLog, planned: PlanStep, machine_map: di
     elif isinstance(planned, CreateContainer):
         host = _machine(machine_map, planned.host)
         machine_map[planned.alias] = _create_container(model, log, host, planned.kind)
+    elif isinstance(planned, AddApplication):
+        if planned.application in model.applications:
+            raise PlanError(f"application {planned.application!r} already exists")
+        charm = model.store.resolve_charm(planned.charm)
+        _create_application(model, log, planned.application, planned.charm, charm,
+                            planned.series, {})
+        _configure(model, planned.application, planned.options, planned.expose)
     elif isinstance(planned, InstallUnit):
         app_name = planned.unit.partition("/")[0]
         machine_id = _machine(machine_map, planned.machine)
@@ -398,13 +372,7 @@ def _execute_step(model: Model, log: UndoLog, planned: PlanStep, machine_map: di
         model.event_queue.append(Event(EventKind.install(), unit.id))
         _ensure_leader(model, app_name)
     elif isinstance(planned, Configure):
-        app = model.applications.get(planned.application)
-        if app is None:
-            raise UnknownEntityError(f"unknown application {planned.application!r}")
-        if planned.options:
-            set_config(model, planned.application, dict(planned.options))
-        if planned.expose:
-            app.exposed = True
+        _configure(model, planned.application, planned.options, planned.expose)
     elif isinstance(planned, JoinRelation):
         relation = add_relation(model, planned.provider, planned.requirer)
         log.append(partial(model.relations.pop, relation.id))
@@ -414,6 +382,16 @@ def _execute_step(model: Model, log: UndoLog, planned: PlanStep, machine_map: di
         model.event_queue.append(Event(EventKind.start(), planned.unit))
     else:  # pragma: no cover - the step language is closed
         raise PlanError(f"unknown step {planned!r}")
+
+
+def _configure(model: Model, name: str, options: tuple[tuple[str, str], ...], expose: bool) -> None:
+    app = model.applications.get(name)
+    if app is None:
+        raise UnknownEntityError(f"unknown application {name!r}")
+    if options:
+        set_config(model, name, dict(options))
+    if expose:
+        app.exposed = True
 
 
 def _machine(machine_map: dict[str, str], alias: str) -> str:
@@ -484,13 +462,13 @@ def _parse_step_line(line: str) -> PlanStep:
             )
         if verb == "create-container":
             return CreateContainer(host=args[0], kind=args[1], alias=args[2])
+        if verb == "add-application":
+            return AddApplication(args[0], args[1], _kv(args[2:3])["series"],
+                                  *_config_fields(args[3:]))
         if verb == "install-unit":
             return InstallUnit(unit=args[0], charm=args[1], machine=args[2])
         if verb == "configure":
-            fields = _kv(args[1:])
-            expose = fields.pop("expose", "false") == "true"
-            options = tuple(sorted(fields.items()))
-            return Configure(application=args[0], options=options, expose=expose)
+            return Configure(args[0], *_config_fields(args[1:]))
         if verb == "join-relation":
             fields = _kv(args[2:])
             return JoinRelation(
@@ -501,6 +479,13 @@ def _parse_step_line(line: str) -> PlanStep:
     except (IndexError, KeyError) as exc:
         raise PlanError(f"malformed plan line {line!r}") from exc
     raise PlanError(f"unknown plan step {verb!r}")
+
+
+def _config_fields(tokens: list[str]) -> tuple[tuple[tuple[str, str], ...], bool]:
+    """The options and the expose flag of ``configure`` and ``add-application``."""
+    fields = _kv(tokens)
+    expose = fields.pop("expose", "false") == "true"
+    return tuple(sorted(fields.items())), expose
 
 
 def _kv(tokens: list[str]) -> dict[str, str]:
@@ -578,6 +563,7 @@ def _topology_of_model(model: Model):
 
 def _topology_of_plan(plan: ImperativePlan):
     apps = set()
+    edges = set()
     units: dict[str, list[str]] = {}
     machines: set[str] = set()
     containers: dict[str, list[str]] = {}
@@ -586,17 +572,12 @@ def _topology_of_plan(plan: ImperativePlan):
             machines.add(planned.machine)
         elif isinstance(planned, CreateContainer):
             containers.setdefault(planned.host, []).append(planned.alias)
+        elif isinstance(planned, AddApplication):
+            apps.add(planned.application)
         elif isinstance(planned, InstallUnit):
             apps.add(planned.unit.partition("/")[0])
             units.setdefault(planned.machine, []).append(planned.unit)
-    edges = set()
-    for planned in plan.steps:
-        if isinstance(planned, JoinRelation):
-            edges.add(
-                (
-                    planned.provider.partition(":")[0],
-                    planned.requirer.partition(":")[0],
-                    planned.interface,
-                )
-            )
+        elif isinstance(planned, JoinRelation):
+            edges.add((planned.provider.partition(":")[0], planned.requirer.partition(":")[0],
+                       planned.interface))
     return apps, units, machines, containers, edges

@@ -80,9 +80,6 @@ class QuotaSet:
     def subtract(self, other: "QuotaSet") -> "QuotaSet":
         return QuotaSet(*(max(0, getattr(self, c) - getattr(other, c)) for c in COMPONENTS))
 
-    def fits_within(self, other: "QuotaSet") -> bool:
-        return all(getattr(self, c) <= getattr(other, c) for c in COMPONENTS)
-
     def exceeding_components(self, bound: "QuotaSet") -> list[str]:
         return [c for c in COMPONENTS if getattr(self, c) > getattr(bound, c)]
 

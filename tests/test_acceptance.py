@@ -510,4 +510,29 @@ machines:
   "1":
     series: xenial
 """,
+    # a related, configured and exposed proxy with no units yet
+    """
+series: xenial
+applications:
+  haproxy:
+    charm: "cs:haproxy"
+    num_units: 0
+    expose: true
+    options:
+      default_timeout: 45
+  moodle:
+    charm: "cs:~csd-garr/moodle"
+    num_units: 1
+    to: [0]
+  postgresql:
+    charm: "cs:postgresql"
+    num_units: 1
+    to: [lxd:0]
+relations:
+  - ["postgresql:db", "moodle:database"]
+  - ["haproxy:reverseproxy", "moodle:website"]
+machines:
+  "0":
+    series: xenial
+""",
 )

@@ -71,7 +71,7 @@ class TestEventKind:
     def test_is_relation_event(self):
         assert EventKind.relation_joined("db").is_relation_event()
         assert not EventKind.install().is_relation_event()
-        assert not EventKind.storage_attached("data").is_relation_event()
+        assert not EventKind("storage-attached", "data").is_relation_event()
 
 
 class TestOptionSchema:
@@ -290,7 +290,7 @@ class TestSpecValidation:
             name="app",
             series=frozenset({"xenial"}),
             handlers=(
-                HookHandler(on=EventKind.storage_attached("data"), actions=(SetState("x"),)),
+                HookHandler(on=EventKind("storage-attached", "data"), actions=(SetState("x"),)),
             ),
         )
         with pytest.raises(CharmError, match="undeclared pool"):

@@ -28,6 +28,10 @@ def _with_machine(fed, name):
     )
 
 
+def _catalog(fed):
+    return [entry.as_tuple() for entry in fed.master_catalog]
+
+
 def _production_region(fed=None, name="garr-02"):
     fed = fed or Federation()
     fed.register_region(name, GOOD_ENDPOINTS)
@@ -42,14 +46,14 @@ class TestRegionLifecycle:
         fed = Federation()
         region = fed.register_region("garr-02", GOOD_ENDPOINTS)
         assert region.status == "validating"
-        assert fed.catalog_entries() == []
+        assert _catalog(fed) == []
         assert fed.master_generation == 0
 
     def test_promotion_inserts_catalog_entries(self):
         fed = _production_region()
         assert fed.regions["garr-02"].status == "production"
         assert fed.master_generation == 1
-        assert fed.catalog_entries() == [
+        assert _catalog(fed) == [
             ("garr-02", "compute", GOOD_ENDPOINTS["compute"]),
             ("garr-02", "image", GOOD_ENDPOINTS["image"]),
             ("garr-02", "volume", GOOD_ENDPOINTS["volume"]),
@@ -63,7 +67,7 @@ class TestRegionLifecycle:
         report = fed.validate_region("garr-03")
         assert not report.promoted
         assert fed.regions["garr-03"].status == "validating"
-        assert fed.catalog_entries() == []
+        assert _catalog(fed) == []
         failed = [c for c in report.checks if not c.passed]
         assert [c.check for c in failed] == ["required-services"]
         assert "volume" in failed[0].detail

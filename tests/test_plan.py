@@ -6,6 +6,7 @@ import logging
 import shlex
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,11 +18,12 @@ from fedweave.builtin import (
     SCALED_BUNDLE,
     builtin_store,
 )
-from fedweave.bundle import parse_bundle, render_bundle
+from fedweave.bundle import parse_bundle, render_bundle, validate_bundle
 from fedweave.charms import CharmStore, load_charm
-from fedweave.engine import Model, deploy_bundle, run_to_convergence, state_hash
+from fedweave.engine import DeploymentError, Model, deploy_bundle, run_to_convergence, state_hash
 from fedweave.plan import (
     AcquireMachine,
+    AddApplication,
     Configure,
     CreateContainer,
     ImperativePlan,
@@ -38,6 +40,7 @@ from fedweave.plan import (
     parse_plan,
     render_plan,
 )
+from fedweave.provider import Inventory
 from fedweave.quota import ProjectTree, QuotaExceededError, QuotaSet
 
 GOLDEN_MOODLE_STEPS = [
@@ -384,6 +387,15 @@ class TestExecution:
         assert inventory.dump() == before
         assert tree.find(project).usage == QuotaSet()
 
+    def test_a_null_string_option_is_the_empty_string(self, store, make_inventory):
+        bundle = parse_bundle("series: xenial\napplications:\n"
+                              "  moodle: {charm: 'cs:~csd-garr/moodle', options: {site_name: }}\n")
+        rendered = compile_plan(bundle, store).render()
+        assert "configure moodle site_name=''" in rendered.splitlines()
+        replayed = execute_plan(parse_plan(rendered), make_inventory(), store)
+        assert replayed.applications["moodle"].config["site_name"] == ""
+        assert state_hash(replayed) == state_hash(_deployed(store, make_inventory(), bundle))
+
 
 class TestDotExport:
     def test_empty_model(self, store, make_inventory):
@@ -417,3 +429,231 @@ class TestDotExport:
         plan_edges = {l for l in plan_dot.splitlines() if "->" in l}
         model_edges = {l for l in model_dot.splitlines() if "->" in l}
         assert plan_edges == model_edges
+
+
+# ---------------------------------------------------------------------------
+# Applications with no units, and generated bundles: the reactive deploy and
+# the plan replay read one lowering, so they agree on every bundle.
+
+ZERO_UNIT_BUNDLES = {
+    "alone": """\
+series: xenial
+applications:
+  postgresql: {charm: cs:postgresql, num_units: 0}
+""",
+    "beside-unrelated": """\
+series: xenial
+applications:
+  moodle: {charm: "cs:~csd-garr/moodle", num_units: 1}
+  postgresql: {charm: cs:postgresql, num_units: 0}
+""",
+    "related": """\
+series: xenial
+applications:
+  moodle: {charm: "cs:~csd-garr/moodle", num_units: 1}
+  postgresql: {charm: cs:postgresql, num_units: 0}
+relations:
+  - [postgresql:db, moodle:database]
+""",
+    "options-and-expose": """\
+series: xenial
+applications:
+  haproxy:
+    charm: cs:haproxy
+    num_units: 0
+    expose: true
+    options: {default_timeout: 15}
+  moodle: {charm: "cs:~csd-garr/moodle", num_units: 1, to: [0]}
+relations:
+  - [haproxy:reverseproxy, moodle:website]
+machines:
+  "0": {series: xenial}
+""",
+}
+
+
+def _deployed(store, inventory, bundle):
+    model = Model(store, inventory)
+    deploy_bundle(model, bundle)
+    assert run_to_convergence(model).converged
+    return model
+
+
+class TestZeroUnitApplications:
+    @pytest.mark.parametrize("text", ZERO_UNIT_BUNDLES.values(), ids=ZERO_UNIT_BUNDLES.keys())
+    def test_deploy_and_replay_agree(self, store, make_inventory, text, caplog):
+        bundle = parse_bundle(text)
+        reactive = _deployed(store, make_inventory(), bundle)
+        compiled = compile_plan(bundle, store)
+        rendered = compiled.render()
+        assert parse_plan(rendered) == compiled
+        assert parse_plan(rendered).render() == rendered
+        with caplog.at_level(logging.WARNING, logger="fedweave.plan"):
+            replayed = execute_plan(parse_plan(rendered), make_inventory(), store)
+        assert not caplog.records
+        assert replayed.converged
+        assert sorted(replayed.applications) == sorted(reactive.applications)
+        assert state_hash(replayed) == state_hash(reactive)
+
+    def test_add_application_creates_unitless_applications_and_their_partners(self, store):
+        """An application related to one with no units is created configured,
+        so its units get no config-changed that would publish relation data
+        no remote unit asked for."""
+        plan = compile_plan(parse_bundle(ZERO_UNIT_BUNDLES["related"]), store)
+        assert [s.render() for s in plan.steps] == [
+            "acquire-machine fresh:moodle/0 series=xenial",
+            "add-application moodle cs:~csd-garr/moodle series=xenial",
+            "add-application postgresql cs:postgresql series=xenial",
+            "install-unit moodle/0 cs:~csd-garr/moodle fresh:moodle/0",
+            "join-relation postgresql:db moodle:database interface=pgsql",
+            "start-unit moodle/0",
+        ]
+        plan = compile_plan(parse_bundle(ZERO_UNIT_BUNDLES["options-and-expose"]), store)
+        added = [s for s in plan.steps if isinstance(s, AddApplication)]
+        assert [s.render() for s in added] == [
+            "add-application haproxy cs:haproxy series=xenial expose=true default_timeout=15",
+            "add-application moodle cs:~csd-garr/moodle series=xenial",
+        ]
+        assert not [s for s in plan.steps if isinstance(s, Configure)]
+        assert parse_plan(plan.render()).steps == plan.steps
+
+    def test_unrelated_applications_keep_their_configure_steps(self, store):
+        text = ZERO_UNIT_BUNDLES["beside-unrelated"].replace(
+            'num_units: 1}', 'num_units: 1, options: {site_name: Campus}}')
+        plan = compile_plan(parse_bundle(text), store)
+        assert [s.render() for s in plan.steps] == [
+            "acquire-machine fresh:moodle/0 series=xenial",
+            "add-application postgresql cs:postgresql series=xenial",
+            "install-unit moodle/0 cs:~csd-garr/moodle fresh:moodle/0",
+            "configure moodle site_name=Campus",
+            "start-unit moodle/0",
+        ]
+
+    def test_adding_an_existing_application_fails(self, store, make_inventory):
+        plan = parse_plan(
+            "add-application haproxy cs:haproxy series=xenial\n"
+            "add-application haproxy cs:haproxy series=xenial\n"
+        )
+        inventory = make_inventory()
+        before = inventory.dump()
+        with pytest.raises(PlanExecutionError,
+                           match=r"step 1 \(add-application haproxy cs:haproxy series=xenial\): "
+                                 r"application 'haproxy' already exists") as err:
+            execute_plan(plan, inventory, store)
+        assert err.value.index == 1
+        assert inventory.dump() == before
+
+    def test_add_application_checks_its_options(self, store, make_inventory):
+        plan = parse_plan("add-application haproxy cs:haproxy series=xenial colour=red\n")
+        inventory = make_inventory()
+        before = inventory.dump()
+        with pytest.raises(PlanExecutionError, match=r"step 0 .*has no option 'colour'"):
+            execute_plan(plan, inventory, store)
+        assert inventory.dump() == before
+
+    def test_installed_application_cannot_be_added(self, store, make_inventory):
+        plan = parse_plan(
+            "acquire-machine 0 series=xenial\n"
+            "install-unit haproxy/0 cs:haproxy 0\n"
+            "add-application haproxy cs:haproxy series=xenial\n"
+        )
+        with pytest.raises(PlanExecutionError, match="application 'haproxy' already exists"):
+            execute_plan(plan, make_inventory(), store)
+
+    @pytest.mark.parametrize("text", ZERO_UNIT_BUNDLES.values(), ids=ZERO_UNIT_BUNDLES.keys())
+    def test_dot_lists_the_same_applications(self, store, make_inventory, text):
+        bundle = parse_bundle(text)
+        model = _deployed(store, make_inventory(), bundle)
+
+        def app_nodes(dot):
+            return [line for line in dot.splitlines() if line.startswith('  "app:') and "->" not in line]
+
+        assert app_nodes(export_dot(compile_plan(bundle, store))) == app_nodes(export_dot(model))
+        assert len(app_nodes(export_dot(model))) == len(bundle.applications)
+
+
+_DEMO_CHARMS = {"moodle": "cs:~csd-garr/moodle", "postgresql": "cs:postgresql",
+                "haproxy": "cs:haproxy"}
+#: Pairs over the demo charms; the last speaks two interfaces, so it never validates.
+_PAIRS = (("postgresql:db", "moodle:database"), ("haproxy:reverseproxy", "moodle:website"),
+          ("haproxy:reverseproxy", "postgresql:db"))
+_OPTIONS = {
+    "moodle": st.fixed_dictionaries({"site_name": st.sampled_from(["Campus", "x y", None])}),
+    "postgresql": st.fixed_dictionaries({"listen_port": st.sampled_from([5433, "fast"])}),
+    "haproxy": st.fixed_dictionaries({"default_timeout": st.integers(1, 90)}),
+}
+
+
+@st.composite
+def demo_bundles(draw):
+    """Bundle text over the demo charms: 0-3 units an application on
+    declared machines, ``lxd:`` containers and fresh machines, with
+    relations, options and ``expose``.  Machines and the bundle default
+    may name a series the charms do not support."""
+    doc = {}
+    default_series = draw(st.sampled_from([None, "xenial", "bionic"]))
+    if default_series:
+        doc["series"] = default_series
+    machine_ids = [str(n) for n in range(draw(st.integers(0, 2)))]
+    if machine_ids:
+        doc["machines"] = {
+            machine_id: {"series": draw(st.sampled_from(["xenial", "xenial", "bionic"])),
+                         **draw(st.sampled_from([{}, {"constraints": "cpu-cores=1 mem=2048"}]))}
+            for machine_id in machine_ids
+        }
+    names = draw(st.lists(st.sampled_from(sorted(_DEMO_CHARMS)), min_size=1, max_size=3,
+                          unique=True))
+    directives = st.sampled_from([None, *machine_ids, *(f"lxd:{m}" for m in machine_ids)])
+    applications = {}
+    for name in names:
+        num_units = draw(st.integers(0, 3))
+        body = {"charm": _DEMO_CHARMS[name], "num_units": num_units}
+        placements = draw(st.lists(directives, max_size=num_units))
+        if placements:
+            body["to"] = placements
+        if draw(st.booleans()):
+            body["options"] = draw(_OPTIONS[name])
+        if draw(st.booleans()):
+            body["expose"] = True
+        applications[name] = body
+    doc["applications"] = applications
+    relations = []
+    for pair in _PAIRS:
+        if {endpoint.partition(":")[0] for endpoint in pair} <= set(names) and draw(st.booleans()):
+            relations.append(list(pair) if draw(st.booleans()) else list(reversed(pair)))
+    if relations:
+        doc["relations"] = relations
+    return yaml.safe_dump(doc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(demo_bundles())
+def test_validate_deploy_and_replay_agree(text):
+    """``validate_bundle`` has an error exactly when ``deploy_bundle`` on an
+    ample pool raises, and a valid bundle gives one state hash through the
+    reactive deploy and through its replayed plan text."""
+    store = builtin_store()
+
+    def ample_pool():
+        inventory = Inventory()
+        inventory.add_zone("garr-01", "az1")
+        for _ in range(16):
+            inventory.enlist(region="garr-01", az="az1", arch="amd64", cores=8, mem=16384,
+                             disk=204800, series="xenial")
+        return inventory
+
+    bundle = parse_bundle(text)
+    invalid = any(d.severity == "error" for d in validate_bundle(bundle, store))
+    try:
+        reactive = _deployed(store, ample_pool(), bundle)
+    except DeploymentError:
+        assert invalid
+        with pytest.raises(PlanError, match="bundle does not validate"):
+            compile_plan(bundle, store)
+        return
+    assert not invalid
+    rendered = compile_plan(bundle, store).render()
+    assert parse_plan(rendered).render() == rendered
+    replayed = execute_plan(parse_plan(rendered), ample_pool(), store)
+    assert replayed.converged
+    assert state_hash(replayed) == state_hash(reactive)

@@ -43,10 +43,6 @@ class TestQuotaSet:
     def test_subtract_saturates_at_zero(self):
         assert QuotaSet(vcpus=1).subtract(QuotaSet(vcpus=5)) == QuotaSet()
 
-    def test_fits_within(self):
-        assert QuotaSet(ram=512).fits_within(QuotaSet(ram=512, vcpus=1))
-        assert not QuotaSet(ram=513).fits_within(QuotaSet(ram=512))
-
     def test_exceeding_components(self):
         over = QuotaSet(vcpus=9, disk=99).exceeding_components(QuotaSet(vcpus=8, disk=99))
         assert over == ["vcpus"]
