@@ -510,8 +510,6 @@ class LoweredApplication:
     units: tuple[tuple[Placement, str], ...]
 
 
-
-
 def validate_bundle(bundle: Bundle, store) -> list[Diagnostic]:
     """Semantic validation against a charm store.
 
