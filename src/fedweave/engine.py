@@ -1167,7 +1167,9 @@ def checkpoint(model: Model, include_inventory: bool = True) -> dict:
     per remote unit, and a fleet unit related to 600 others would repeat
     its first three fields 600 times in flat ``[kind, name, payload,
     remote]`` entries.  ``load_checkpoint`` still reads such flat entries,
-    which older checkpoints hold."""
+    which older checkpoints hold.  Each queued event is written as
+    ``[kind, name, target, payload, remote]``; older checkpoints hold one
+    object per event with those keys, and ``load_checkpoint`` reads both."""
     units = {}
     for unit_id, unit in sorted(model.units.items()):
         units[unit_id] = body = _unit_doc(unit)
@@ -1189,13 +1191,7 @@ def checkpoint(model: Model, include_inventory: bool = True) -> dict:
         "units": units,
         "relations": _relation_docs(model),
         "queue": [
-            {
-                "kind": event.kind.kind,
-                "name": event.kind.name,
-                "target": event.target,
-                "payload": event.payload,
-                "remote": event.remote,
-            }
+            [event.kind.kind, event.kind.name, event.target, event.payload, event.remote]
             for event in model.event_queue
         ],
         "machines": sorted(model.machines, key=machine_sort_key),
@@ -1294,14 +1290,11 @@ def load_checkpoint(
             },
         )
     for body in doc.get("queue") or []:
-        model.event_queue.append(
-            Event(
-                EventKind(body["kind"], body.get("name", "")),
-                body["target"],
-                body.get("payload", ""),
-                body.get("remote", ""),
-            )
-        )
+        if isinstance(body, dict):
+            body = (body["kind"], body.get("name", ""), body["target"], body.get("payload", ""),
+                    body.get("remote", ""))
+        kind, name, target, payload, remote = body
+        model.event_queue.append(Event(EventKind(kind, name), target, payload, remote))
     model.machines = set(doc.get("machines") or ())
     model.machine_charges = {
         machine_id: QuotaSet.from_dict(body)

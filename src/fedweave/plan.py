@@ -4,19 +4,17 @@ Where the reactive engine converges on a bundle, a plan spells out the
 equivalent fixed step sequence up front, phase by phase::
 
     acquire-machine* create-container* add-application* install-unit*
-    configure* join-relation* start-unit*
+    join-relation*
 
-An application's first ``install-unit`` creates it and a later
-``configure`` sets its options and expose flag; ``add-application``
-creates it with both instead, and is emitted only for an application with
-no units and for one related to such an application.  Steps are
-deterministic: sorted by entity id within each phase, with declared
-machines before fresh ones and the provider side named first in every
-relation pair.  ``compile_plan`` renders the records of
-``bundle.lower_bundle``, which ``engine.deploy_bundle`` applies, so
-executing a plan against a fresh inventory produces a model whose
-converged state hash equals what deploy-and-converge yields for the
-source bundle.
+These are the steps ``engine.deploy_bundle`` takes, in its order:
+``add-application`` creates each application with its options and expose
+flag, and ``install-unit`` adds one unit to a machine and enqueues its
+install event.  Steps are deterministic: sorted by entity id within each
+phase, with declared machines before fresh ones and the provider side
+named first in every relation pair.  ``compile_plan`` renders the records
+of ``bundle.lower_bundle``, which ``deploy_bundle`` applies, so executing a
+plan against a fresh inventory processes the same events as
+deploy-and-converge and reaches the same converged state hash.
 
 A plan is a snapshot: it embeds digests of the source bundle and of the
 charm specs it compiled against.  Executing it against a store whose
@@ -124,32 +122,17 @@ class AddApplication:
 
     def render(self) -> str:
         return " ".join([f"add-application {self.application} {self.charm} series={self.series}",
-                         *_config_tokens(self.options, self.expose)])
+                         *(["expose=true"] if self.expose else []),
+                         *(f"{key}={shlex.quote(value)}" for key, value in self.options)])
 
 
 @dataclass(frozen=True)
 class InstallUnit:
     unit: str
-    charm: str
     machine: str  # bundle-local machine or container alias
 
     def render(self) -> str:
-        return f"install-unit {self.unit} {self.charm} {self.machine}"
-
-
-@dataclass(frozen=True)
-class Configure:
-    application: str
-    options: tuple[tuple[str, str], ...] = ()
-    expose: bool = False
-
-    def render(self) -> str:
-        return " ".join([f"configure {self.application}",
-                         *_config_tokens(self.options, self.expose)])
-
-
-def _config_tokens(options: tuple[tuple[str, str], ...], expose: bool) -> list[str]:
-    return (["expose=true"] if expose else []) + [f"{key}={shlex.quote(v)}" for key, v in options]
+        return f"install-unit {self.unit} {self.machine}"
 
 
 @dataclass(frozen=True)
@@ -162,16 +145,7 @@ class JoinRelation:
         return f"join-relation {self.provider} {self.requirer} interface={self.interface}"
 
 
-@dataclass(frozen=True)
-class StartUnit:
-    unit: str
-
-    def render(self) -> str:
-        return f"start-unit {self.unit}"
-
-
-PlanStep = (AcquireMachine | CreateContainer | AddApplication | InstallUnit | Configure
-            | JoinRelation | StartUnit)
+PlanStep = AcquireMachine | CreateContainer | AddApplication | InstallUnit | JoinRelation
 
 
 @dataclass(frozen=True)
@@ -198,44 +172,31 @@ def compile_plan(bundle: Bundle, store) -> ImperativePlan:
     machines, applications, relations = lower_bundle(bundle, store, PlanError)
     acquire_steps = [AcquireMachine(bundle_id, spec.series, spec.constraints)
                      for bundle_id, spec in machines]
-    # A configure step sends config-changed, which deploy_bundle does not;
-    # a relation-joined handler republishes what config-changed wrote, save
-    # in a relation with no remote units.  So add-application creates an
-    # application with no units, or related to one, already configured.
-    unitless = {app.name for app in applications if not app.units}
-    ends = [{provider.application, requirer.application} for provider, requirer, _ in relations]
-    added = unitless.union(*(pair for pair in ends if pair & unitless))
     # Container steps keep their enumeration order (applications sorted by
     # name, then unit index) — that is already canonical, and it is the
     # order the reactive path creates them in.
     container_steps: list[CreateContainer] = []
     application_steps: list[AddApplication] = []
     install_steps: list[InstallUnit] = []
-    configure_steps: list[Configure] = []
     for app in applications:
         options = tuple(
             (key, _option_str(app.options[key])) for key in sorted(app.options, key=str))
-        if app.name in added:
-            application_steps.append(
-                AddApplication(app.name, app.charm_ref, app.series, options, app.expose))
-        elif options or app.expose:
-            configure_steps.append(Configure(app.name, options, app.expose))
+        application_steps.append(
+            AddApplication(app.name, app.charm_ref, app.series, options, app.expose))
         for index, (placement, alias) in enumerate(app.units):
             if placement.kind == "fresh":
                 acquire_steps.append(AcquireMachine(alias, app.series))
             elif placement.kind == "container":
                 container_steps.append(
                     CreateContainer(placement.machine, placement.container_kind, alias))
-            install_steps.append(InstallUnit(f"{app.name}/{index}", app.charm_ref, alias))
+            install_steps.append(InstallUnit(f"{app.name}/{index}", alias))
     join_steps = sorted(
         (JoinRelation(provider.render(), requirer.render(), interface)
          for provider, requirer, interface in relations),
         key=lambda s: (s.provider, s.requirer),
     )
-    start_steps = [StartUnit(unit=s.unit) for s in sorted(install_steps, key=lambda s: s.unit)]
     return ImperativePlan(
-        steps=(*acquire_steps, *container_steps, *application_steps, *install_steps,
-               *configure_steps, *join_steps, *start_steps),
+        steps=(*acquire_steps, *container_steps, *application_steps, *install_steps, *join_steps),
         bundle_digest=bundle_digest(bundle),
         charm_digest=charm_digest(store, {app.charm_ref for app in applications}),
     )
@@ -302,9 +263,9 @@ def execute_plan(
     """Replay a plan against a fresh inventory and converge the result.
 
     Raises PlanExecutionError naming the failing step on placement or
-    quota problems, on a machine, application or unit no earlier step
-    made, on an ``add-application`` of an application that exists, and on
-    an ``install-unit`` that names any unit but its application's next one
+    quota problems, on a machine or application no earlier step made, on
+    an ``add-application`` of an application that exists, and on an
+    ``install-unit`` that names any unit but its application's next one
     (``app/0``, then ``app/1``, ...).  Raises QuotaExceededError when the
     plan's units do not fit the project's instance quota.  Quota follows
     the engine's accounting rule: a machine's declared constraints are
@@ -312,11 +273,11 @@ def execute_plan(
     instances are charged one per unit, and a failed execution,
     convergence included, rolls back completely, leaving the inventory and
     the quota tree as they were.  When the store's charms named by
-    ``add-application`` and ``install-unit`` steps no longer match the
-    digest recorded at compile time, a divergence warning is logged and the
-    stale steps are executed as written.
+    ``add-application`` steps no longer match the digest recorded at
+    compile time, a divergence warning is logged and the stale steps are
+    executed as written.
     """
-    refs = {s.charm for s in plan.steps if isinstance(s, (AddApplication, InstallUnit))}
+    refs = {s.charm for s in plan.steps if isinstance(s, AddApplication)}
     current_digest = charm_digest(store, refs)
     if current_digest != plan.charm_digest:
         logger.warning(
@@ -351,47 +312,30 @@ def _execute_step(model: Model, log: UndoLog, planned: PlanStep, machine_map: di
             raise PlanError(f"application {planned.application!r} already exists")
         charm = model.store.resolve_charm(planned.charm)
         _create_application(model, log, planned.application, planned.charm, charm,
-                            planned.series, {})
-        _configure(model, planned.application, planned.options, planned.expose)
+                            planned.series, {}, planned.expose)
+        set_config(model, planned.application, dict(planned.options))
     elif isinstance(planned, InstallUnit):
         app_name = planned.unit.partition("/")[0]
         machine_id = _machine(machine_map, planned.machine)
         app = model.applications.get(app_name)
-        next_unit = f"{app_name}/{app.unit_counter if app is not None else 0}"
+        if app is None:
+            raise UnknownEntityError(
+                f"unknown application {app_name!r}: no earlier step adds it")
+        next_unit = f"{app_name}/{app.unit_counter}"
         if planned.unit != next_unit:
             raise PlanError(
                 f"unit {planned.unit!r} is out of order: "
                 f"the next unit of {app_name!r} is {next_unit!r}"
             )
-        if app is None:
-            charm = model.store.resolve_charm(planned.charm)
-            series = model.inventory.machines[machine_id].series
-            app = _create_application(model, log, app_name, planned.charm, charm, series, {})
         _check_series(model, machine_id, app.charm)
         unit = _create_unit(model, log, app, machine_id)
         model.event_queue.append(Event(EventKind.install(), unit.id))
         _ensure_leader(model, app_name)
-    elif isinstance(planned, Configure):
-        _configure(model, planned.application, planned.options, planned.expose)
     elif isinstance(planned, JoinRelation):
         relation = add_relation(model, planned.provider, planned.requirer)
         log.append(partial(model.relations.pop, relation.id))
-    elif isinstance(planned, StartUnit):
-        if planned.unit not in model.units:
-            raise UnknownEntityError(f"unknown unit {planned.unit!r}")
-        model.event_queue.append(Event(EventKind.start(), planned.unit))
     else:  # pragma: no cover - the step language is closed
         raise PlanError(f"unknown step {planned!r}")
-
-
-def _configure(model: Model, name: str, options: tuple[tuple[str, str], ...], expose: bool) -> None:
-    app = model.applications.get(name)
-    if app is None:
-        raise UnknownEntityError(f"unknown application {name!r}")
-    if options:
-        set_config(model, name, dict(options))
-    if expose:
-        app.exposed = True
 
 
 def _machine(machine_map: dict[str, str], alias: str) -> str:
@@ -406,13 +350,9 @@ def _machine(machine_map: dict[str, str], alias: str) -> str:
 # Serialization
 
 
-def render_plan(plan: ImperativePlan) -> str:
-    return plan.render()
-
-
 def parse_plan(text: str | bytes) -> ImperativePlan:
-    """Parse the one-step-per-line form produced by ``render_plan``; bytes
-    are read as UTF-8."""
+    """Parse the one-step-per-line form produced by
+    ``ImperativePlan.render``; bytes are read as UTF-8."""
     try:
         text = statefile.decode(text)
     except statefile.DecodeError as exc:
@@ -463,29 +403,21 @@ def _parse_step_line(line: str) -> PlanStep:
         if verb == "create-container":
             return CreateContainer(host=args[0], kind=args[1], alias=args[2])
         if verb == "add-application":
+            fields = _kv(args[3:])
+            expose = fields.pop("expose", "false") == "true"
             return AddApplication(args[0], args[1], _kv(args[2:3])["series"],
-                                  *_config_fields(args[3:]))
+                                  tuple(sorted(fields.items())), expose)
         if verb == "install-unit":
-            return InstallUnit(unit=args[0], charm=args[1], machine=args[2])
-        if verb == "configure":
-            return Configure(args[0], *_config_fields(args[1:]))
+            unit, machine = args  # exactly two, so no third field is read as the machine
+            return InstallUnit(unit, machine)
         if verb == "join-relation":
             fields = _kv(args[2:])
             return JoinRelation(
                 provider=args[0], requirer=args[1], interface=fields["interface"]
             )
-        if verb == "start-unit":
-            return StartUnit(unit=args[0])
-    except (IndexError, KeyError) as exc:
+    except (IndexError, KeyError, ValueError) as exc:
         raise PlanError(f"malformed plan line {line!r}") from exc
-    raise PlanError(f"unknown plan step {verb!r}")
-
-
-def _config_fields(tokens: list[str]) -> tuple[tuple[tuple[str, str], ...], bool]:
-    """The options and the expose flag of ``configure`` and ``add-application``."""
-    fields = _kv(tokens)
-    expose = fields.pop("expose", "false") == "true"
-    return tuple(sorted(fields.items())), expose
+    raise PlanError(f"unknown plan step {verb!r} in line {line!r}")
 
 
 def _kv(tokens: list[str]) -> dict[str, str]:
@@ -575,7 +507,6 @@ def _topology_of_plan(plan: ImperativePlan):
         elif isinstance(planned, AddApplication):
             apps.add(planned.application)
         elif isinstance(planned, InstallUnit):
-            apps.add(planned.unit.partition("/")[0])
             units.setdefault(planned.machine, []).append(planned.unit)
         elif isinstance(planned, JoinRelation):
             edges.add((planned.provider.partition(":")[0], planned.requirer.partition(":")[0],

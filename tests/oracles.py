@@ -208,10 +208,7 @@ def _memo_key(doc: dict) -> str:
     trimmed = {
         k: v for k, v in doc.items() if k not in ("generation", "inventory", "queue")
     }
-    trimmed["queue"] = sorted(
-        (e["kind"], e["name"], e["target"], e["payload"], e["remote"])
-        for e in doc["queue"]
-    )
+    trimmed["queue"] = sorted(tuple(e) for e in doc["queue"])
     return json.dumps(trimmed, sort_keys=True)
 
 
@@ -254,8 +251,7 @@ def explore_interleavings(model, branch_limit: int = 8, max_states: int = 250_00
         branches: list[str] = []
         chosen = set()
         for index, entry in enumerate(doc["queue"]):
-            identity = (entry["kind"], entry["name"], entry["target"],
-                        entry["payload"], entry["remote"])
+            identity = tuple(entry)
             if identity in chosen:  # duplicate pending events are equivalent picks
                 continue
             chosen.add(identity)

@@ -32,6 +32,8 @@ from fedweave.engine import (
 )
 from fedweave.plan import compile_plan
 
+from test_plan import OLD_FORMAT_MOODLE_STEPS
+
 
 def reported_hash(out: str) -> str:
     lines = [line for line in out.splitlines() if line.startswith("state hash: ")]
@@ -620,7 +622,7 @@ class TestPlanCommands:
             "plan", "compile", str(tmp_path / "moodle-bundle.yaml"), "-o", str(target)
         )
         assert code == 0
-        assert out == f"8 steps -> {target}\n"
+        assert out == f"7 steps -> {target}\n"
         assert target.read_text().startswith("# bundle-digest: ")
 
     def test_execute_reaches_deploy_hash(self, demo, tmp_path, moodle_hash):
@@ -628,7 +630,7 @@ class TestPlanCommands:
         demo("plan", "compile", str(tmp_path / "moodle-bundle.yaml"), "-o", str(target))
         code, out, err = demo("plan", "execute", str(target))
         assert code == 0, err
-        assert "executed 8 steps" in out
+        assert "executed 7 steps" in out
         assert reported_hash(out) == moodle_hash
         # the executed model is saved and queryable like any other
         code, status_out, _ = demo("status", "--format", "json")
@@ -645,15 +647,26 @@ class TestPlanCommands:
 
     def test_execute_unknown_machine_is_a_one_line_error(self, demo, tmp_path):
         target = tmp_path / "bad.plan"
-        target.write_text("acquire-machine 0 series=xenial\ninstall-unit haproxy/0 cs:haproxy 7\n")
+        target.write_text("acquire-machine 0 series=xenial\n"
+                          "add-application haproxy cs:haproxy series=xenial\n"
+                          "install-unit haproxy/0 7\n")
         files = _state_files(tmp_path)
         code, out, err = demo("plan", "execute", str(target))
         assert code == 1
         assert out == ""
         assert err == (
-            "plan: step 1 (install-unit haproxy/0 cs:haproxy 7): unknown machine '7': "
+            "plan: step 2 (install-unit haproxy/0 7): unknown machine '7': "
             "no earlier step acquires or creates it\n"
         )
+        assert _state_files(tmp_path) == files
+
+    def test_execute_an_older_plan_text_is_a_one_line_error(self, demo, tmp_path):
+        target = tmp_path / "old.plan"
+        target.write_text("\n".join(OLD_FORMAT_MOODLE_STEPS) + "\n")
+        files = _state_files(tmp_path)
+        code, out, err = demo("plan", "execute", str(target))
+        assert (code, out) == (1, "")
+        assert err == "plan: malformed plan line 'install-unit moodle/0 cs:~csd-garr/moodle 0'\n"
         assert _state_files(tmp_path) == files
 
     def test_execute_unbalanced_quote_is_a_one_line_error(self, demo, tmp_path):

@@ -24,26 +24,37 @@ from fedweave.engine import DeploymentError, Model, deploy_bundle, run_to_conver
 from fedweave.plan import (
     AcquireMachine,
     AddApplication,
-    Configure,
     CreateContainer,
     ImperativePlan,
     InstallUnit,
     JoinRelation,
     PlanError,
     PlanExecutionError,
-    StartUnit,
     _split_line,
     bundle_digest,
     compile_plan,
     execute_plan,
     export_dot,
     parse_plan,
-    render_plan,
 )
 from fedweave.provider import Inventory
 from fedweave.quota import ProjectTree, QuotaExceededError, QuotaSet
 
 GOLDEN_MOODLE_STEPS = [
+    "acquire-machine 0 series=xenial constraints='arch=amd64 cpu-cores=1 mem=2048 root-disk=20480'",
+    "create-container 0 lxd 0/lxd/0",
+    "add-application moodle cs:~csd-garr/moodle series=xenial",
+    "add-application postgresql cs:postgresql series=xenial"
+    " extra_pg_auth='host moodle juju_moodle 10.0.0.1/24 md5'",
+    "install-unit moodle/0 0",
+    "install-unit postgresql/0 0/lxd/0",
+    "join-relation postgresql:db moodle:database interface=pgsql",
+]
+
+#: The same plan in the older step language, where the first install-unit
+#: named the charm and created the application, configure sent
+#: config-changed and start-unit enqueued a second start.  It is refused.
+OLD_FORMAT_MOODLE_STEPS = [
     "acquire-machine 0 series=xenial constraints='arch=amd64 cpu-cores=1 mem=2048 root-disk=20480'",
     "create-container 0 lxd 0/lxd/0",
     "install-unit moodle/0 cs:~csd-garr/moodle 0",
@@ -91,7 +102,7 @@ class TestCompilation:
 
     def test_render_carries_digests(self, store, moodle_bundle):
         plan = compile_plan(moodle_bundle, store)
-        text = render_plan(plan)
+        text = plan.render()
         lines = text.splitlines()
         assert lines[0] == f"# bundle-digest: {plan.bundle_digest}"
         assert lines[1] == f"# charm-digest: {plan.charm_digest}"
@@ -101,11 +112,13 @@ class TestCompilation:
     def test_phases_are_ordered(self, store, scaled_bundle):
         plan = compile_plan(scaled_bundle, store)
         phase_of = {
-            AcquireMachine: 0, CreateContainer: 1, InstallUnit: 2,
-            Configure: 3, JoinRelation: 4, StartUnit: 5,
+            AcquireMachine: 0, CreateContainer: 1, AddApplication: 2, InstallUnit: 3,
+            JoinRelation: 4,
         }
         phases = [phase_of[type(s)] for s in plan.steps]
         assert phases == sorted(phases)
+        added = [s.application for s in plan.steps if isinstance(s, AddApplication)]
+        assert added == sorted(scaled_bundle.applications)
 
     def test_declared_machines_precede_fresh(self, store, scaled_bundle):
         plan = compile_plan(scaled_bundle, store)
@@ -120,12 +133,14 @@ class TestCompilation:
         acquires = [s for s in plan.steps if isinstance(s, AcquireMachine)]
         assert [a.machine for a in acquires] == ["fresh:web/0", "fresh:web/1"]
 
-    def test_expose_is_a_configure_field(self, store, scaled_bundle):
+    def test_expose_is_an_add_application_field(self, store, scaled_bundle):
         plan = compile_plan(scaled_bundle, store)
-        configures = {s.application: s for s in plan.steps if isinstance(s, Configure)}
-        assert configures["haproxy"].expose
-        assert configures["haproxy"].options == ()
-        assert not configures["postgresql"].expose
+        added = {s.application: s for s in plan.steps if isinstance(s, AddApplication)}
+        assert added["haproxy"].expose
+        assert added["haproxy"].options == ()
+        assert not added["postgresql"].expose
+        assert "add-application haproxy cs:haproxy series=xenial expose=true" in (
+            plan.render().splitlines())
 
     def test_relations_are_provider_first(self, store, scaled_bundle):
         plan = compile_plan(scaled_bundle, store)
@@ -219,11 +234,11 @@ class TestRoundTrip:
     def test_parse_render_identity(self, store, moodle_bundle, scaled_bundle):
         for bundle in (moodle_bundle, scaled_bundle):
             plan = compile_plan(bundle, store)
-            assert parse_plan(render_plan(plan)) == plan
+            assert parse_plan(plan.render()) == plan
 
     def test_parse_ignores_blanks_and_comments(self):
-        plan = parse_plan("\n# a comment\n\nstart-unit web/0\n")
-        assert plan.steps == (StartUnit(unit="web/0"),)
+        plan = parse_plan("\n# a comment\n\ninstall-unit web/0 0\n")
+        assert plan.steps == (InstallUnit(unit="web/0", machine="0"),)
         assert plan.bundle_digest == ""
 
     @pytest.mark.parametrize(
@@ -235,11 +250,23 @@ class TestRoundTrip:
             ("join-relation a:x b:y", "malformed plan line"),    # missing interface
             ("acquire-machine 0 series=xenial constraints='mem=1", "malformed plan line"),
             ("start-unit web/0\\", "malformed plan line"),      # nothing to escape
+            # Lines of the older step language, and an install-unit short of a field,
+            # are refused with the whole line.
+            ("install-unit web/0 cs:haproxy 0", "malformed plan line 'install-unit web/0 cs:haproxy 0'"),
+            ("install-unit web/0", "malformed plan line 'install-unit web/0'"),
+            ("configure web expose=true",
+             "unknown plan step 'configure' in line 'configure web expose=true'"),
+            ("start-unit web/0", "unknown plan step 'start-unit' in line 'start-unit web/0'"),
         ],
     )
     def test_malformed_lines(self, line, match):
         with pytest.raises(PlanError, match=match):
             parse_plan(line + "\n")
+
+    def test_the_older_step_language_is_refused(self):
+        with pytest.raises(PlanError) as err:
+            parse_plan("\n".join(OLD_FORMAT_MOODLE_STEPS) + "\n")
+        assert str(err.value) == "malformed plan line 'install-unit moodle/0 cs:~csd-garr/moodle 0'"
 
     @given(st.lists(st.sampled_from([
         "start-unit", "configure", "web/0", "a", "=", "mem=1", "#", "é", "'", '"', "\\",
@@ -277,7 +304,7 @@ class TestExecution:
         assert model.applications["haproxy"].exposed
 
     def test_execution_survives_a_text_round_trip(self, store, make_inventory, scaled_bundle):
-        plan = parse_plan(render_plan(compile_plan(scaled_bundle, store)))
+        plan = parse_plan(compile_plan(scaled_bundle, store).render())
         direct = execute_plan(compile_plan(scaled_bundle, store), make_inventory(), store)
         replayed = execute_plan(plan, make_inventory(), store)
         assert state_hash(replayed) == state_hash(direct)
@@ -358,18 +385,17 @@ class TestExecution:
     @pytest.mark.parametrize(
         ("bad_step", "message"),
         [
-            ("install-unit haproxy/0 cs:haproxy 7", r"step 1 \(install-unit haproxy/0 cs:haproxy 7\): "
+            ("install-unit haproxy/0 7", r"step 2 \(install-unit haproxy/0 7\): "
              r"unknown machine '7'"),
-            ("create-container 7 lxd 7/lxd/0", r"step 1 \(create-container 7 lxd 7/lxd/0\): "
+            ("create-container 7 lxd 7/lxd/0", r"step 2 \(create-container 7 lxd 7/lxd/0\): "
              r"unknown machine '7'"),
-            ("configure nosuch expose=true", r"step 1 \(configure nosuch expose=true\): "
-             r"unknown application 'nosuch'"),
-            ("install-unit haproxy/5 cs:haproxy 0",
-             r"step 1 \(install-unit haproxy/5 cs:haproxy 0\): unit 'haproxy/5' is out of order: "
+            ("install-unit moodle/0 0", r"step 2 \(install-unit moodle/0 0\): "
+             r"unknown application 'moodle': no earlier step adds it"),
+            ("install-unit haproxy/5 0",
+             r"step 2 \(install-unit haproxy/5 0\): unit 'haproxy/5' is out of order: "
              r"the next unit of 'haproxy' is 'haproxy/0'"),
-            ("start-unit nosuch/0", r"step 1 \(start-unit nosuch/0\): unknown unit 'nosuch/0'"),
         ],
-        ids=["install-unit", "create-container", "configure", "install-unit-name", "start-unit"],
+        ids=["install-unit", "create-container", "application", "install-unit-name"],
     )
     def test_unknown_name_fails_its_step_and_rolls_back(self, store, make_inventory,
                                                        bad_step, message):
@@ -378,12 +404,13 @@ class TestExecution:
         project = tree.create_project("cloud", "garr")
         tree.set_quota("garr", QuotaSet(vcpus=8, ram=16384, disk=100, instances=10))
         tree.set_quota(project, QuotaSet(vcpus=8, ram=16384, disk=100, instances=10))
-        plan = parse_plan(f"acquire-machine 0 series=xenial constraints='cpu-cores=1'\n{bad_step}\n")
+        plan = parse_plan("acquire-machine 0 series=xenial constraints='cpu-cores=1'\n"
+                          f"add-application haproxy cs:haproxy series=xenial\n{bad_step}\n")
         inventory = make_inventory()
         before = inventory.dump()
         with pytest.raises(PlanExecutionError, match=message) as err:
             execute_plan(plan, inventory, store, project=project, quota_tree=tree)
-        assert err.value.index == 1
+        assert err.value.index == 2
         assert inventory.dump() == before
         assert tree.find(project).usage == QuotaSet()
 
@@ -391,7 +418,8 @@ class TestExecution:
         bundle = parse_bundle("series: xenial\napplications:\n"
                               "  moodle: {charm: 'cs:~csd-garr/moodle', options: {site_name: }}\n")
         rendered = compile_plan(bundle, store).render()
-        assert "configure moodle site_name=''" in rendered.splitlines()
+        assert "add-application moodle cs:~csd-garr/moodle series=xenial site_name=''" in (
+            rendered.splitlines())
         replayed = execute_plan(parse_plan(rendered), make_inventory(), store)
         assert replayed.applications["moodle"].config["site_name"] == ""
         assert state_hash(replayed) == state_hash(_deployed(store, make_inventory(), bundle))
@@ -496,17 +524,16 @@ class TestZeroUnitApplications:
         assert state_hash(replayed) == state_hash(reactive)
 
     def test_add_application_creates_unitless_applications_and_their_partners(self, store):
-        """An application related to one with no units is created configured,
-        so its units get no config-changed that would publish relation data
-        no remote unit asked for."""
+        """Every application, with units or without, is added with its
+        options and expose flag before any unit is installed, as
+        ``deploy_bundle`` creates it."""
         plan = compile_plan(parse_bundle(ZERO_UNIT_BUNDLES["related"]), store)
         assert [s.render() for s in plan.steps] == [
             "acquire-machine fresh:moodle/0 series=xenial",
             "add-application moodle cs:~csd-garr/moodle series=xenial",
             "add-application postgresql cs:postgresql series=xenial",
-            "install-unit moodle/0 cs:~csd-garr/moodle fresh:moodle/0",
+            "install-unit moodle/0 fresh:moodle/0",
             "join-relation postgresql:db moodle:database interface=pgsql",
-            "start-unit moodle/0",
         ]
         plan = compile_plan(parse_bundle(ZERO_UNIT_BUNDLES["options-and-expose"]), store)
         added = [s for s in plan.steps if isinstance(s, AddApplication)]
@@ -514,19 +541,17 @@ class TestZeroUnitApplications:
             "add-application haproxy cs:haproxy series=xenial expose=true default_timeout=15",
             "add-application moodle cs:~csd-garr/moodle series=xenial",
         ]
-        assert not [s for s in plan.steps if isinstance(s, Configure)]
         assert parse_plan(plan.render()).steps == plan.steps
 
-    def test_unrelated_applications_keep_their_configure_steps(self, store):
+    def test_unrelated_applications_are_added_with_their_options(self, store):
         text = ZERO_UNIT_BUNDLES["beside-unrelated"].replace(
             'num_units: 1}', 'num_units: 1, options: {site_name: Campus}}')
         plan = compile_plan(parse_bundle(text), store)
         assert [s.render() for s in plan.steps] == [
             "acquire-machine fresh:moodle/0 series=xenial",
+            "add-application moodle cs:~csd-garr/moodle series=xenial site_name=Campus",
             "add-application postgresql cs:postgresql series=xenial",
-            "install-unit moodle/0 cs:~csd-garr/moodle fresh:moodle/0",
-            "configure moodle site_name=Campus",
-            "start-unit moodle/0",
+            "install-unit moodle/0 fresh:moodle/0",
         ]
 
     def test_adding_an_existing_application_fails(self, store, make_inventory):
@@ -553,8 +578,9 @@ class TestZeroUnitApplications:
 
     def test_installed_application_cannot_be_added(self, store, make_inventory):
         plan = parse_plan(
+            "add-application haproxy cs:haproxy series=xenial\n"
             "acquire-machine 0 series=xenial\n"
-            "install-unit haproxy/0 cs:haproxy 0\n"
+            "install-unit haproxy/0 0\n"
             "add-application haproxy cs:haproxy series=xenial\n"
         )
         with pytest.raises(PlanExecutionError, match="application 'haproxy' already exists"):
@@ -572,21 +598,65 @@ class TestZeroUnitApplications:
         assert len(app_nodes(export_dot(model))) == len(bundle.applications)
 
 
+#: A haproxy copy on two series whose config-changed handler sets a flag, so
+#: a replay that sent config-changed would reach another state hash.
+PROXY2_CHARM = HAPROXY_CHARM.replace("name: haproxy", "name: proxy2").replace(
+    "series: [xenial]", "series: [xenial, bionic]") + """\
+  - on: config-changed
+    do:
+      - set-state: configured
+"""
+
+
+def _store_with_proxy2():
+    store = builtin_store()
+    spec, owner = load_charm(PROXY2_CHARM)
+    store.register_charm(spec, owner=owner)
+    return store
+
+
+def _ample_pool():
+    """Sixteen idle machines of each series the charms speak."""
+    inventory = Inventory()
+    inventory.add_zone("garr-01", "az1")
+    for series in ("xenial", "bionic"):
+        for _ in range(16):
+            inventory.enlist(region="garr-01", az="az1", arch="amd64", cores=8, mem=16384,
+                             disk=204800, series=series)
+    return inventory
+
+
+def test_a_config_changed_flag_is_not_set_by_the_replay():
+    """``deploy_bundle`` sends no config-changed, and neither does the plan."""
+    store = _store_with_proxy2()
+    bundle = parse_bundle("series: xenial\napplications:\n"
+                          "  proxy2: {charm: cs:proxy2, num_units: 1,"
+                          " options: {default_timeout: 5}}\n")
+    reactive = _deployed(store, _ample_pool(), bundle)
+    replayed = execute_plan(parse_plan(compile_plan(bundle, store).render()), _ample_pool(), store)
+    assert reactive.units["proxy2/0"].states == {"installed", "started"}
+    assert replayed.units["proxy2/0"].states == {"installed", "started"}
+    assert replayed.applications["proxy2"].config["default_timeout"] == 5
+    assert replayed.generation == reactive.generation
+    assert state_hash(replayed) == state_hash(reactive)
+
+
 _DEMO_CHARMS = {"moodle": "cs:~csd-garr/moodle", "postgresql": "cs:postgresql",
-                "haproxy": "cs:haproxy"}
-#: Pairs over the demo charms; the last speaks two interfaces, so it never validates.
+                "haproxy": "cs:haproxy", "proxy2": "cs:proxy2"}
+#: Pairs over the demo charms; the third speaks two interfaces, so it never validates.
 _PAIRS = (("postgresql:db", "moodle:database"), ("haproxy:reverseproxy", "moodle:website"),
-          ("haproxy:reverseproxy", "postgresql:db"))
+          ("haproxy:reverseproxy", "postgresql:db"), ("proxy2:reverseproxy", "moodle:website"))
 _OPTIONS = {
     "moodle": st.fixed_dictionaries({"site_name": st.sampled_from(["Campus", "x y", None])}),
     "postgresql": st.fixed_dictionaries({"listen_port": st.sampled_from([5433, "fast"])}),
     "haproxy": st.fixed_dictionaries({"default_timeout": st.integers(1, 90)}),
+    "proxy2": st.fixed_dictionaries({"default_timeout": st.integers(1, 90)}),
 }
 
 
 @st.composite
 def demo_bundles(draw):
-    """Bundle text over the demo charms: 0-3 units an application on
+    """Bundle text over the demo charms and ``proxy2``: 0-3 units an application on
     declared machines, ``lxd:`` containers and fresh machines, with
     relations, options and ``expose``.  Machines and the bundle default
     may name a series the charms do not support."""
@@ -601,7 +671,7 @@ def demo_bundles(draw):
                          **draw(st.sampled_from([{}, {"constraints": "cpu-cores=1 mem=2048"}]))}
             for machine_id in machine_ids
         }
-    names = draw(st.lists(st.sampled_from(sorted(_DEMO_CHARMS)), min_size=1, max_size=3,
+    names = draw(st.lists(st.sampled_from(sorted(_DEMO_CHARMS)), min_size=1, max_size=4,
                           unique=True))
     directives = st.sampled_from([None, *machine_ids, *(f"lxd:{m}" for m in machine_ids)])
     applications = {}
@@ -631,21 +701,13 @@ def demo_bundles(draw):
 def test_validate_deploy_and_replay_agree(text):
     """``validate_bundle`` has an error exactly when ``deploy_bundle`` on an
     ample pool raises, and a valid bundle gives one state hash through the
-    reactive deploy and through its replayed plan text."""
-    store = builtin_store()
-
-    def ample_pool():
-        inventory = Inventory()
-        inventory.add_zone("garr-01", "az1")
-        for _ in range(16):
-            inventory.enlist(region="garr-01", az="az1", arch="amd64", cores=8, mem=16384,
-                             disk=204800, series="xenial")
-        return inventory
-
+    reactive deploy and through its replayed plan text, after processing
+    the same number of events."""
+    store = _store_with_proxy2()
     bundle = parse_bundle(text)
     invalid = any(d.severity == "error" for d in validate_bundle(bundle, store))
     try:
-        reactive = _deployed(store, ample_pool(), bundle)
+        reactive = _deployed(store, _ample_pool(), bundle)
     except DeploymentError:
         assert invalid
         with pytest.raises(PlanError, match="bundle does not validate"):
@@ -654,6 +716,7 @@ def test_validate_deploy_and_replay_agree(text):
     assert not invalid
     rendered = compile_plan(bundle, store).render()
     assert parse_plan(rendered).render() == rendered
-    replayed = execute_plan(parse_plan(rendered), ample_pool(), store)
+    replayed = execute_plan(parse_plan(rendered), _ample_pool(), store)
     assert replayed.converged
     assert state_hash(replayed) == state_hash(reactive)
+    assert replayed.generation == reactive.generation

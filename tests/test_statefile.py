@@ -21,6 +21,7 @@ import yaml
 
 from fedweave import statefile
 from fedweave.cli import CHARM_STORE_FILE, Workspace, run_command
+from fedweave.engine import checkpoint, load_checkpoint
 
 STATE_FILES = ("model.yaml", "inventory.yaml", "federation.yaml", "projects.yaml")
 ENDPOINTS = (
@@ -187,6 +188,16 @@ class TestFlatSeen:
         assert {unit_id: unit.seen for unit_id, unit in model.units.items()} == {
             unit_id: {tuple(entry) for entry in body["seen"]} for unit_id, body in units.items()
         }
+
+    def test_queued_events_load_from_objects_and_save_as_lists(self, legacy, tmp_path):
+        queue = json.loads((tmp_path / "model.yaml").read_bytes())["model"]["queue"]
+        model = Workspace(tmp_path).load_model()
+        doc = checkpoint(model, include_inventory=False)
+        assert doc["queue"] == [[e["kind"], e["name"], e["target"], e["payload"], e["remote"]]
+                                for e in queue]
+        resumed = load_checkpoint(json.loads(json.dumps(doc)), model.store,
+                                  inventory=model.inventory)
+        assert list(resumed.event_queue) == list(model.event_queue)
 
     def test_converge_rewrites_flat_seen_grouped(self, legacy, tmp_path):
         code, out, err = legacy("converge")
