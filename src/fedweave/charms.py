@@ -41,6 +41,7 @@ import math
 import re
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import statefile
 from .errors import FedweaveError
@@ -76,12 +77,15 @@ class OptionTypeError(CharmError):
 # Event kinds
 
 
-@dataclass(frozen=True)
-class EventKind:
+class EventKind(NamedTuple):
     """What happened: a lifecycle, relation, or storage event.
 
     ``name`` carries the endpoint name for relation events and the pool
     name for storage events; it is empty for lifecycle events.
+
+    A named tuple: the engine looks every event's kind up in a charm's
+    dispatch table and compares it with ``install``, and a tuple hashes
+    and compares in C where a frozen dataclass runs Python code.
     """
 
     kind: str
@@ -193,8 +197,11 @@ def resolve_template(value: str, config: dict, remote_data: dict | None) -> str:
 
     Unresolvable ``{remote:...}`` references expand to the empty string so
     that re-running a handler is stable regardless of what the remote unit
-    has published so far.
+    has published so far.  A value with no ``{`` has no reference, and is
+    returned as it is.
     """
+    if "{" not in value:
+        return value
 
     def _sub(match: re.Match) -> str:
         source, name = match.group(1), match.group(2)

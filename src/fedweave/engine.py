@@ -83,6 +83,9 @@ UNIT_STATUSES = ("allocating", "installing", "active", "blocked", "error")
 _INSTALL = EventKind.install()
 _START = EventKind.start()
 
+# The action types, which ``_apply_action`` tests by exact type.
+_ACTION_TYPES = (SetState, SetUnitStatus, SetRelationData, ClearState, OpenPort, Fail)
+
 
 class EngineError(FedweaveError):
     module = "engine"
@@ -104,8 +107,12 @@ class DeploymentError(EngineError):
 # Model state
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
+    """One queued event.  A named tuple, like its ``EventKind``: every
+    step builds one or more, and a tuple is built and read in C where a
+    frozen dataclass's ``__init__`` goes through ``object.__setattr__``.
+    ``checkpoint`` writes its fields as an explicit list."""
+
     kind: EventKind
     target: str  # unit id
     payload: str = ""  # relation id or storage pool
@@ -784,6 +791,12 @@ def step(model: Model, rng_seed: int | None = None, _rng: random.Random | None =
     records the event as seen, seeds ``start`` after ``install`` and
     traces the event, and does nothing else.  The seeded shuffle is still
     called on its empty handler list, which draws no random number.
+
+    A step with one matching handler runs it without conflict tracking.
+    A conflict is two different handlers writing different values to one
+    location, so a lone handler cannot conflict, even in strict mode: it
+    may set one status and then another.  Two or more handlers are
+    tracked.
     """
     if model._leader_check:
         for app_name in sorted(model._leader_check):
@@ -819,7 +832,7 @@ def step(model: Model, rng_seed: int | None = None, _rng: random.Random | None =
         return StepReport(event.render())
 
     flags_before = frozenset(states)
-    tracker = _ConflictTracker(model.strict_conflicts)
+    tracker = _ConflictTracker(model.strict_conflicts) if len(matching) > 1 else None
     changed_bags: set[tuple[str, str]] = set()  # (relation id, writer unit id)
     actions_applied = 0
     for index, handler in matching:
@@ -855,7 +868,7 @@ def _run_handler(
     event: Event,
     handler_index: int,
     handler: HookHandler,
-    tracker: _ConflictTracker,
+    tracker: _ConflictTracker | None,
     changed_bags: set[tuple[str, str]],
 ) -> int:
     applied = 0
@@ -874,27 +887,37 @@ def _apply_action(
     event: Event,
     handler_index: int,
     action,
-    tracker: _ConflictTracker,
+    tracker: _ConflictTracker | None,
     changed_bags: set[tuple[str, str]],
 ) -> None:
-    if isinstance(action, SetUnitStatus):
-        tracker.record(handler_index, ("status", unit.id), action.status)
+    """Apply one action to ``unit``, recording its writes with ``tracker``
+    unless that is None.  The action is dispatched on its exact type, and
+    only an instance of a subclass is matched by ``isinstance``."""
+    cls = type(action)
+    if cls not in _ACTION_TYPES:
+        cls = next((base for base in _ACTION_TYPES if isinstance(action, base)), cls)
+    if cls is SetState:
+        if tracker is not None:
+            tracker.record(handler_index, ("state", unit.id, action.flag), True)
+        unit.states.add(action.flag)
+    elif cls is SetUnitStatus:
+        if tracker is not None:
+            tracker.record(handler_index, ("status", unit.id), action.status)
         unit.status = action.status
         unit.message = ""
-    elif isinstance(action, SetState):
-        tracker.record(handler_index, ("state", unit.id, action.flag), True)
-        unit.states.add(action.flag)
-    elif isinstance(action, ClearState):
-        tracker.record(handler_index, ("state", unit.id, action.flag), False)
+    elif cls is ClearState:
+        if tracker is not None:
+            tracker.record(handler_index, ("state", unit.id, action.flag), False)
         unit.states.discard(action.flag)
-    elif isinstance(action, OpenPort):
+    elif cls is OpenPort:
         unit.open_ports.add(action.port)
-    elif isinstance(action, Fail):
-        tracker.record(handler_index, ("status", unit.id), "error")
+    elif cls is Fail:
+        if tracker is not None:
+            tracker.record(handler_index, ("status", unit.id), "error")
         unit.status = "error"
         unit.message = action.message
         raise _HandlerFailed()
-    elif isinstance(action, SetRelationData):
+    elif cls is SetRelationData:
         remote_bag = None
         if event.payload and event.remote:
             relation = model.relations.get(event.payload)
@@ -904,9 +927,10 @@ def _apply_action(
         value = resolve_template(action.value, config, remote_bag)
         targets = _data_targets(model, unit, event, action.endpoint)
         for relation in targets:
-            tracker.record(
-                handler_index, ("relation-data", relation.id, unit.id, action.key), value
-            )
+            if tracker is not None:
+                tracker.record(
+                    handler_index, ("relation-data", relation.id, unit.id, action.key), value
+                )
             bag = relation.data.setdefault(unit.id, {})
             if bag.get(action.key) != value:
                 bag[action.key] = value
@@ -1004,10 +1028,9 @@ def _shadow_delta(model: Model, unit: Unit, event: Event, handler: HookHandler) 
         return (unit.status, unit.message, set(unit.states), set(unit.open_ports), bags)
 
     before = snapshot()
-    tracker = _ConflictTracker(strict=False)
     try:
         for action in handler.actions:
-            _apply_action(model, unit, event, 0, action, tracker, set())
+            _apply_action(model, unit, event, 0, action, None, set())
     except _HandlerFailed:
         pass
     if snapshot() == before:

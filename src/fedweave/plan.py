@@ -43,7 +43,7 @@ from functools import partial
 from . import statefile
 from .bundle import (Bundle, Constraints, _canonical_document, lower_bundle, parse_constraints,
                      render_constraints)
-from .charms import EventKind, _option_str
+from .charms import CharmNotFoundError, EventKind, _option_str
 from .engine import (
     DEFAULT_BUDGET,
     DEFAULT_SEED,
@@ -264,7 +264,8 @@ def execute_plan(
 
     Raises PlanExecutionError naming the failing step on placement or
     quota problems, on a machine or application no earlier step made, on
-    an ``add-application`` of an application that exists, and on an
+    an ``add-application`` of an application that exists or of a charm
+    the store does not hold (before any step runs), and on an
     ``install-unit`` that names any unit but its application's next one
     (``app/0``, then ``app/1``, ...).  Raises QuotaExceededError when the
     plan's units do not fit the project's instance quota.  Quota follows
@@ -277,7 +278,14 @@ def execute_plan(
     compile time, a divergence warning is logged and the stale steps are
     executed as written.
     """
-    refs = {s.charm for s in plan.steps if isinstance(s, AddApplication)}
+    refs = set()
+    for index, planned in enumerate(plan.steps):
+        if isinstance(planned, AddApplication):
+            try:
+                store.resolve_charm(planned.charm)
+            except CharmNotFoundError as exc:
+                raise PlanExecutionError(index, planned, exc) from exc
+            refs.add(planned.charm)
     current_digest = charm_digest(store, refs)
     if current_digest != plan.charm_digest:
         logger.warning(

@@ -660,6 +660,16 @@ class TestPlanCommands:
         )
         assert _state_files(tmp_path) == files
 
+    def test_execute_unknown_charm_is_a_one_line_error(self, demo, tmp_path):
+        target = tmp_path / "bad.plan"
+        target.write_text("add-application web cs:nosuch series=xenial\n")
+        files = _state_files(tmp_path)
+        code, out, err = demo("plan", "execute", str(target))
+        assert (code, out) == (1, "")
+        assert err == ("plan: step 0 (add-application web cs:nosuch series=xenial): "
+                       "unknown charm reference 'cs:nosuch'\n")
+        assert _state_files(tmp_path) == files
+
     def test_execute_an_older_plan_text_is_a_one_line_error(self, demo, tmp_path):
         target = tmp_path / "old.plan"
         target.write_text("\n".join(OLD_FORMAT_MOODLE_STEPS) + "\n")

@@ -573,6 +573,15 @@ class TestConflicts:
         "    do:\n"
         "      - set-status: active\n"
     )
+    RESTLESS = (
+        "name: restless\n"
+        "series: [xenial]\n"
+        "handlers:\n"
+        "  - on: install\n"
+        "    do:\n"
+        "      - set-status: blocked\n"
+        "      - set-status: active\n"
+    )
     BUNDLE = "applications:\n  app:\n    charm: cs:{name}\n    num_units: 1\n"
 
     def test_strict_mode_raises(self, make_inventory):
@@ -593,6 +602,13 @@ class TestConflicts:
         store = _store_with(self.AGREEING)
         model = Model(store, make_inventory(), strict_conflicts=True)
         deploy_bundle(model, parse_bundle(self.BUNDLE.format(name="agreeing")))
+        assert run_to_convergence(model).converged
+        assert model.units["app/0"].status == "active"
+
+    def test_one_handler_setting_two_statuses_is_not_a_conflict(self, make_inventory):
+        store = _store_with(self.RESTLESS)
+        model = Model(store, make_inventory(), strict_conflicts=True)
+        deploy_bundle(model, parse_bundle(self.BUNDLE.format(name="restless")))
         assert run_to_convergence(model).converged
         assert model.units["app/0"].status == "active"
 
@@ -736,6 +752,25 @@ class TestCheckpoint:
                 for remote in remotes
             }
         assert statefile.dump(checkpoint(restored)) == text
+
+    def test_restored_events_equal_and_hash_like_the_engines(self, store, make_inventory):
+        model = Model(store, make_inventory())
+        deploy_bundle(model, parse_bundle(SCALED_BUNDLE))
+        for _ in range(6):
+            step(model)
+        doc = statefile.load(statefile.dump(checkpoint(model)))
+        restored = load_checkpoint(doc, store)
+        assert list(restored.event_queue) == list(model.event_queue)
+        dispatched = 0
+        for built, loaded in zip(model.event_queue, restored.event_queue):
+            assert (type(loaded), type(loaded.kind)) == (Event, EventKind)
+            assert hash(loaded) == hash(built) and hash(loaded.kind) == hash(built.kind)
+            charm = restored.applications[loaded.target.partition("/")[0]].charm
+            handlers = [(index, handler) for index, handler in enumerate(charm.handlers)
+                        if handler.on == built.kind]
+            assert list(charm.dispatch.get(loaded.kind, ())) == handlers, loaded.render()
+            dispatched += bool(handlers)
+        assert dispatched
 
     def test_restoring_resolves_no_charm(self, store, make_inventory):
         model = Model(store, make_inventory())

@@ -414,6 +414,20 @@ class TestExecution:
         assert inventory.dump() == before
         assert tree.find(project).usage == QuotaSet()
 
+    @pytest.mark.parametrize("lead", ["", "acquire-machine 0 series=xenial\n"],
+                             ids=["first", "after-acquire"])
+    def test_unknown_charm_fails_its_step(self, store, make_inventory, lead):
+        plan = parse_plan(f"{lead}add-application web cs:nosuch series=xenial\n")
+        index = len(plan.steps) - 1
+        inventory = make_inventory()
+        before = inventory.dump()
+        with pytest.raises(PlanExecutionError) as err:
+            execute_plan(plan, inventory, store)
+        assert str(err.value) == (f"step {index} (add-application web cs:nosuch series=xenial): "
+                                  "unknown charm reference 'cs:nosuch'")
+        assert err.value.index == index
+        assert inventory.dump() == before
+
     def test_a_null_string_option_is_the_empty_string(self, store, make_inventory):
         bundle = parse_bundle("series: xenial\napplications:\n"
                               "  moodle: {charm: 'cs:~csd-garr/moodle', options: {site_name: }}\n")

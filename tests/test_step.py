@@ -113,6 +113,54 @@ class TestStepMatchesReference:
             report.handlers_run = 3
 
 
+# A 200-unit moodle fleet on fresh machines, its database and its proxies
+# in containers on two declared machines.
+FLEET_UNITS = 200
+FLEET_BUNDLE = f"""\
+series: xenial
+applications:
+  moodle:
+    charm: "cs:~csd-garr/moodle"
+    num_units: {FLEET_UNITS}
+  postgresql:
+    charm: "cs:postgresql"
+    num_units: 2
+    to: ["lxd:0", "lxd:0"]
+  haproxy:
+    charm: "cs:haproxy"
+    num_units: 2
+    expose: true
+    to: ["lxd:1", "lxd:1"]
+relations:
+  - ["postgresql:db", "moodle:database"]
+  - ["haproxy:reverseproxy", "moodle:website"]
+machines:
+  "0": {{series: xenial}}
+  "1": {{series: xenial}}
+"""
+
+
+def test_fleet_deploy_processes_the_pinned_events(store, make_inventory):
+    """A faster step must process, run, emit, re-deliver and drop exactly
+    the events the engine did when these totals were taken, and reach the
+    same state."""
+    model = Model(store, make_inventory(FLEET_UNITS + 2))
+    deploy_bundle(model, parse_bundle(FLEET_BUNDLE))
+    rng = random.Random(engine.DEFAULT_SEED)
+    totals = {"events": 0, "handlers_run": 0, "emitted": 0, "redelivered": 0, "dropped": 0}
+    while (report := engine.step(model, _rng=rng)).event is not None:
+        totals["events"] += 1
+        totals["handlers_run"] += report.handlers_run
+        totals["emitted"] += report.emitted
+        totals["redelivered"] += report.redelivered
+        totals["dropped"] += report.dropped
+    assert totals == {"events": 3011, "handlers_run": 1608, "emitted": 800,
+                      "redelivered": 200, "dropped": 0}
+    assert engine.state_hash(model) == (
+        "efa34b092ff9f0bd1c1611de80ba1801b0cb9415562b162d73fff18ad230c4a3")
+    assert {unit.status for unit in model.units.values()} == {"active"}
+
+
 class TestTracerHook:
     """``run_to_convergence`` looks ``step`` up as a module global on every
     event, so wrapping ``engine.step`` sees each event and the final empty
