@@ -83,9 +83,6 @@ UNIT_STATUSES = ("allocating", "installing", "active", "blocked", "error")
 _INSTALL = EventKind.install()
 _START = EventKind.start()
 
-# The action types, which ``_apply_action`` tests by exact type.
-_ACTION_TYPES = (SetState, SetUnitStatus, SetRelationData, ClearState, OpenPort, Fail)
-
 
 class EngineError(FedweaveError):
     module = "engine"
@@ -756,15 +753,14 @@ class _ConflictTracker:
     """Detects two handlers writing different values to one location
     within a single step."""
 
-    def __init__(self, strict: bool) -> None:
-        self.strict = strict
+    def __init__(self) -> None:
         self._writes: dict[tuple, tuple[int, object]] = {}
 
     def record(self, handler_index: int, location: tuple, value: object) -> None:
         previous = self._writes.get(location)
         if previous is not None:
             prev_handler, prev_value = previous
-            if prev_handler != handler_index and prev_value != value and self.strict:
+            if prev_handler != handler_index and prev_value != value:
                 raise CharmConflictError(
                     f"handlers wrote conflicting values to {location}: "
                     f"{prev_value!r} vs {value!r}"
@@ -796,7 +792,7 @@ def step(model: Model, rng_seed: int | None = None, _rng: random.Random | None =
     A conflict is two different handlers writing different values to one
     location, so a lone handler cannot conflict, even in strict mode: it
     may set one status and then another.  Two or more handlers are
-    tracked.
+    tracked in strict mode, the only mode in which a conflict raises.
     """
     if model._leader_check:
         for app_name in sorted(model._leader_check):
@@ -832,7 +828,7 @@ def step(model: Model, rng_seed: int | None = None, _rng: random.Random | None =
         return StepReport(event.render())
 
     flags_before = frozenset(states)
-    tracker = _ConflictTracker(model.strict_conflicts) if len(matching) > 1 else None
+    tracker = _ConflictTracker() if model.strict_conflicts and len(matching) > 1 else None
     changed_bags: set[tuple[str, str]] = set()  # (relation id, writer unit id)
     actions_applied = 0
     for index, handler in matching:
@@ -891,33 +887,29 @@ def _apply_action(
     changed_bags: set[tuple[str, str]],
 ) -> None:
     """Apply one action to ``unit``, recording its writes with ``tracker``
-    unless that is None.  The action is dispatched on its exact type, and
-    only an instance of a subclass is matched by ``isinstance``."""
-    cls = type(action)
-    if cls not in _ACTION_TYPES:
-        cls = next((base for base in _ACTION_TYPES if isinstance(action, base)), cls)
-    if cls is SetState:
-        if tracker is not None:
-            tracker.record(handler_index, ("state", unit.id, action.flag), True)
-        unit.states.add(action.flag)
-    elif cls is SetUnitStatus:
+    unless that is None."""
+    if isinstance(action, SetUnitStatus):
         if tracker is not None:
             tracker.record(handler_index, ("status", unit.id), action.status)
         unit.status = action.status
         unit.message = ""
-    elif cls is ClearState:
+    elif isinstance(action, SetState):
+        if tracker is not None:
+            tracker.record(handler_index, ("state", unit.id, action.flag), True)
+        unit.states.add(action.flag)
+    elif isinstance(action, ClearState):
         if tracker is not None:
             tracker.record(handler_index, ("state", unit.id, action.flag), False)
         unit.states.discard(action.flag)
-    elif cls is OpenPort:
+    elif isinstance(action, OpenPort):
         unit.open_ports.add(action.port)
-    elif cls is Fail:
+    elif isinstance(action, Fail):
         if tracker is not None:
             tracker.record(handler_index, ("status", unit.id), "error")
         unit.status = "error"
         unit.message = action.message
         raise _HandlerFailed()
-    elif cls is SetRelationData:
+    elif isinstance(action, SetRelationData):
         remote_bag = None
         if event.payload and event.remote:
             relation = model.relations.get(event.payload)

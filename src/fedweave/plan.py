@@ -265,35 +265,31 @@ def execute_plan(
     Raises PlanExecutionError naming the failing step on placement or
     quota problems, on a machine or application no earlier step made, on
     an ``add-application`` of an application that exists or of a charm
-    the store does not hold (before any step runs), and on an
-    ``install-unit`` that names any unit but its application's next one
-    (``app/0``, then ``app/1``, ...).  Raises QuotaExceededError when the
-    plan's units do not fit the project's instance quota.  Quota follows
-    the engine's accounting rule: a machine's declared constraints are
-    charged when it is acquired and released when it is released,
-    instances are charged one per unit, and a failed execution,
-    convergence included, rolls back completely, leaving the inventory and
-    the quota tree as they were.  When the store's charms named by
+    the store does not hold, and on an ``install-unit`` that names any
+    unit but its application's next one (``app/0``, then ``app/1``,
+    ...).  Raises QuotaExceededError when the plan's units do not fit the
+    project's instance quota.  Quota follows the engine's accounting
+    rule: a machine's declared constraints are charged when it is acquired
+    and released when it is released, instances are charged one per unit,
+    and a failed execution, convergence included, rolls back completely,
+    leaving the inventory and the quota tree as they were.  When the store's charms named by
     ``add-application`` steps no longer match the digest recorded at
     compile time, a divergence warning is logged and the stale steps are
     executed as written.
     """
-    refs = set()
-    for index, planned in enumerate(plan.steps):
-        if isinstance(planned, AddApplication):
-            try:
-                store.resolve_charm(planned.charm)
-            except CharmNotFoundError as exc:
-                raise PlanExecutionError(index, planned, exc) from exc
-            refs.add(planned.charm)
-    current_digest = charm_digest(store, refs)
-    if current_digest != plan.charm_digest:
-        logger.warning(
-            "plan was compiled against charm digest %s but the store now holds %s; "
-            "executing stale steps",
-            plan.charm_digest[:12],
-            current_digest[:12],
-        )
+    refs = {s.charm for s in plan.steps if isinstance(s, AddApplication)}
+    try:
+        current_digest = charm_digest(store, refs)
+    except CharmNotFoundError:
+        pass  # a divergence already: the step that adds the charm fails below
+    else:
+        if current_digest != plan.charm_digest:
+            logger.warning(
+                "plan was compiled against charm digest %s but the store now holds %s; "
+                "executing stale steps",
+                plan.charm_digest[:12],
+                current_digest[:12],
+            )
 
     model = Model(store, inventory, project=project, quota_tree=quota_tree)
     machine_map: dict[str, str] = {}

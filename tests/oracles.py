@@ -304,10 +304,9 @@ def shadow_delta_oracle(model, unit, event, handler) -> int:
     baseline = checkpoint(model, include_inventory=True)
     twin = load_checkpoint(baseline, model.store)
     twin_unit = twin.units[unit.id]
-    tracker = _ConflictTracker(strict=False)
     try:
         for action in handler.actions:
-            _apply_action(twin, twin_unit, event, 0, action, tracker, set())
+            _apply_action(twin, twin_unit, event, 0, action, None, set())
     except _HandlerFailed:
         pass
     after = checkpoint(twin, include_inventory=True)
@@ -400,7 +399,7 @@ def step_oracle(model: Model, rng_seed: int | None = None, _rng: random.Random |
     ]
     rng.shuffle(matching)
 
-    tracker = _ConflictTracker(model.strict_conflicts)
+    tracker = _ConflictTracker() if model.strict_conflicts else None
     changed_bags: set[tuple[str, str]] = set()  # (relation id, writer unit id)
     actions_applied = 0
     for index, handler in matching:

@@ -428,6 +428,16 @@ class TestExecution:
         assert err.value.index == index
         assert inventory.dump() == before
 
+    def test_an_earlier_failing_step_is_named_before_an_unknown_charm(self, store, make_inventory):
+        plan = parse_plan("acquire-machine 0 series=xenial\ninstall-unit web/0 0\n"
+                          "add-application web cs:nosuch series=xenial\n")
+        inventory = make_inventory()
+        before = inventory.dump()
+        with pytest.raises(PlanExecutionError, match="no earlier step adds it") as err:
+            execute_plan(plan, inventory, store)
+        assert err.value.index == 1
+        assert inventory.dump() == before
+
     def test_a_null_string_option_is_the_empty_string(self, store, make_inventory):
         bundle = parse_bundle("series: xenial\napplications:\n"
                               "  moodle: {charm: 'cs:~csd-garr/moodle', options: {site_name: }}\n")
