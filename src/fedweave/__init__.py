@@ -4,7 +4,8 @@ The package is organised around a small number of cooperating parts:
 
 ``bundle``
     The declarative bundle language: applications, machines, placements,
-    constraints and relations, with parsing, validation and rendering.
+    constraints and relations, with parsing, validation, rendering and
+    lowering to the steps of a deployment, whose text a plan is.
 ``charms``
     Charm specifications and the charm store: event kinds, guarded hook
     handlers and the closed, idempotent hook-action language.
@@ -13,7 +14,8 @@ The package is organised around a small number of cooperating parts:
     acquisition, containers and capacity reservations.
 ``engine``
     The reactive model: units, relations, the FIFO event queue and
-    convergence, plus checkpoint/restore.
+    convergence, the one function applying lowered steps, plus
+    checkpoint/restore.
 ``plan``
     Compilation of bundles into imperative plans, plan execution and
     DOT export of deployment topologies.

@@ -44,11 +44,13 @@ or absent, which means a fresh machine.
 from __future__ import annotations
 
 import re
+import shlex
 from dataclasses import dataclass, field
 
 import yaml
 
 from . import statefile
+from .charms import _option_str
 from .errors import FedweaveError
 
 #: Container kinds understood by placement directives.
@@ -80,6 +82,12 @@ class ConstraintError(BundleError):
 
 class PlacementError(BundleError):
     """Malformed or invalid placement directive."""
+
+
+class PlanError(FedweaveError):
+    """A malformed, uncompilable or failed plan; ``plan`` re-exports it."""
+
+    module = "plan"
 
 
 # ---------------------------------------------------------------------------
@@ -488,26 +496,130 @@ def _canonical_document(bundle: Bundle) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Validation and lowering against a charm store: validation, the reactive
-# deploy and the plan compiler all read the unit targets that
-# ``_lower_application`` gives.
-
-_FRESH = Placement.fresh()  # the target of a unit the bundle places nowhere
+# Steps: the lowered form of a bundle.  ``lower_bundle`` gives them, a plan
+# is their text, one ``render()`` a line, and ``engine.apply_step`` applies
+# them for ``deploy_bundle`` and ``plan.execute_plan`` alike.
 
 
 @dataclass(frozen=True)
-class LoweredApplication:
-    name: str
-    charm_ref: str
-    charm: object  # the resolved CharmSpec
-    series: str  # of the application and of its fresh machines
-    options: dict
-    expose: bool
-    # Each unit's placement (a declared machine, a container on one, or a
-    # fresh machine) and the alias a plan gives that machine: the declared
-    # id, ``N/lxd/k`` for the k-th container of its kind on N, or
-    # ``fresh:<unit>``.
-    units: tuple[tuple[Placement, str], ...]
+class AcquireMachine:
+    machine: str  # bundle-local id, or "fresh:<unit>" for implicit machines
+    series: str
+    constraints: Constraints = Constraints()
+
+    def render(self) -> str:
+        text = f"acquire-machine {self.machine} series={self.series}"
+        rendered = render_constraints(self.constraints)
+        if rendered:
+            text += f" constraints={shlex.quote(rendered)}"
+        return text
+
+
+@dataclass(frozen=True)
+class CreateContainer:
+    host: str  # bundle-local machine id
+    kind: str
+    alias: str  # bundle-local container id, e.g. "0/lxd/0"
+
+    def render(self) -> str:
+        return f"create-container {self.host} {self.kind} {self.alias}"
+
+
+@dataclass(frozen=True)
+class AddApplication:
+    application: str
+    charm: str
+    series: str
+    options: tuple[tuple[str, str], ...] = ()
+    expose: bool = False
+
+    def render(self) -> str:
+        return " ".join([f"add-application {self.application} {self.charm} series={self.series}",
+                         *(["expose=true"] if self.expose else []),
+                         *(f"{key}={shlex.quote(value)}" for key, value in self.options)])
+
+
+@dataclass(frozen=True)
+class InstallUnit:
+    unit: str
+    machine: str  # bundle-local machine or container alias
+
+    def render(self) -> str:
+        return f"install-unit {self.unit} {self.machine}"
+
+
+@dataclass(frozen=True)
+class JoinRelation:
+    provider: str  # "app:endpoint", provider side first
+    requirer: str
+    interface: str
+
+    def render(self) -> str:
+        return f"join-relation {self.provider} {self.requirer} interface={self.interface}"
+
+
+PlanStep = AcquireMachine | CreateContainer | AddApplication | InstallUnit | JoinRelation
+
+#: A quote, a backslash, or whitespace that ``str.split`` splits on and
+#: ``shlex.split`` does not; a line without any is split alike by both.
+_NEEDS_SHLEX = re.compile(r"['\"\\]|[^\S \t\r\n]")
+
+
+def _split_line(line: str) -> list[str]:
+    """``shlex.split(line)``, by ``str.split`` where that gives the same."""
+    return shlex.split(line) if _NEEDS_SHLEX.search(line) else line.split()
+
+
+def _parse_step_line(line: str) -> PlanStep:
+    """The step a ``render()`` line spells."""
+    try:
+        tokens = _split_line(line)
+    except ValueError as exc:  # an unbalanced quote or a trailing backslash
+        raise PlanError(f"malformed plan line {line!r}") from exc
+    try:
+        verb, args = tokens[0], tokens[1:]
+        if verb == "acquire-machine":
+            machine = args[0]
+            fields = _kv(args[1:])
+            return AcquireMachine(
+                machine=machine,
+                series=fields["series"],
+                constraints=parse_constraints(fields.get("constraints", "")),
+            )
+        if verb == "create-container":
+            return CreateContainer(host=args[0], kind=args[1], alias=args[2])
+        if verb == "add-application":
+            fields = _kv(args[3:])
+            expose = fields.pop("expose", "false") == "true"
+            return AddApplication(args[0], args[1], _kv(args[2:3])["series"],
+                                  tuple(sorted(fields.items())), expose)
+        if verb == "install-unit":
+            unit, machine = args  # exactly two, so no third field is read as the machine
+            return InstallUnit(unit, machine)
+        if verb == "join-relation":
+            fields = _kv(args[2:])
+            return JoinRelation(
+                provider=args[0], requirer=args[1], interface=fields["interface"]
+            )
+    except (IndexError, KeyError, ValueError) as exc:
+        raise PlanError(f"malformed plan line {line!r}") from exc
+    raise PlanError(f"unknown plan step {verb!r} in line {line!r}")
+
+
+def _kv(tokens: list[str]) -> dict[str, str]:
+    fields = {}
+    for token in tokens:
+        key, sep, value = token.partition("=")
+        if not sep:
+            raise PlanError(f"malformed field {token!r}")
+        fields[key] = value
+    return fields
+
+
+# ---------------------------------------------------------------------------
+# Validation and lowering against a charm store
+
+_FRESH = Placement.fresh()  # the target of a unit the bundle places nowhere
 
 
 def validate_bundle(bundle: Bundle, store) -> list[Diagnostic]:
@@ -524,7 +636,6 @@ def validate_bundle(bundle: Bundle, store) -> list[Diagnostic]:
     """
     diagnostics: list[Diagnostic] = []
     specs = {}
-    slots: dict[tuple[str, str], int] = {}
     store.refs()  # a charm file that does not parse fails the store, not each application
     for name in sorted(bundle.applications):
         app = bundle.applications[name]
@@ -544,8 +655,7 @@ def validate_bundle(bundle: Bundle, store) -> list[Diagnostic]:
                 schema.coerce(app.options[opt_name])
             except FedweaveError as exc:
                 diagnostics.append(Diagnostic("error", path, str(exc)))
-        lowered = _lower_application(bundle, name, app, spec, slots)
-        for index, (placement, _) in enumerate(lowered.units):
+        for index, placement in enumerate(app.placements):
             machine = bundle.machines.get(placement.machine)
             if machine is not None and machine.series not in spec.series:
                 diagnostics.append(Diagnostic(
@@ -554,8 +664,8 @@ def validate_bundle(bundle: Bundle, store) -> list[Diagnostic]:
                     f"charm {spec.name!r} does not support series {machine.series!r} "
                     f"of machine {placement.machine!r}",
                 ))
-        series = lowered.series
-        fresh = any(placement.kind == "fresh" for placement, _ in lowered.units)
+        series = app_series(bundle, app, spec)
+        fresh = len(app.placements) < app.num_units or _FRESH in app.placements
         if fresh and series not in spec.series:
             diagnostics.append(Diagnostic("error", f"applications.{name}", (
                 f"charm {spec.name!r} does not support series {series!r} for fresh machines")))
@@ -581,45 +691,49 @@ def validate_bundle(bundle: Bundle, store) -> list[Diagnostic]:
     return diagnostics
 
 
-def lower_bundle(bundle: Bundle, store, error: type[FedweaveError] = BundleError) -> tuple:
-    """The records every path from a bundle to a deployment reads: the
-    declared ``(id, MachineSpec)`` pairs by numeric id, the
-    ``LoweredApplication``s by name, and the relations in bundle order as
-    ``(provider, requirer, interface)``.  Raises ``error`` naming every
-    error diagnostic of ``validate_bundle``."""
+def lower_bundle(
+    bundle: Bundle, store, error: type[FedweaveError] = BundleError
+) -> tuple[PlanStep, ...]:
+    """The steps that turn a validated bundle into a deployment, phase by
+    phase: declared machines by numeric id, then fresh ones
+    (``fresh:<unit>``); containers (``N/lxd/k``, the k-th of its kind on
+    N); applications by name; units by index; relations, provider first,
+    in bundle order.  Raises ``error`` naming every error diagnostic of
+    ``validate_bundle``."""
     errors = [d for d in validate_bundle(bundle, store) if d.severity == "error"]
     if errors:
         raise error("bundle does not validate: " + "; ".join(d.render() for d in errors))
-    slots: dict[tuple[str, str], int] = {}
-    applications = tuple(
-        _lower_application(bundle, name, app, store.resolve_charm(app.charm), slots)
-        for name, app in sorted(bundle.applications.items()))
-    specs = {app.name: app.charm for app in applications}
-    relations = tuple(
-        orient_relation(left, specs[left.application], right, specs[right.application])
-        for left, right in bundle.relations)
-    return (tuple(sorted(bundle.machines.items(), key=lambda item: int(item[0]))),
-            applications, relations)
-
-
-def _lower_application(
-    bundle: Bundle, name: str, app: ApplicationSpec, charm, slots: dict[tuple[str, str], int]
-) -> LoweredApplication:
-    """One application and its unit targets.  ``slots`` counts the
-    containers given out per host and kind so far, over applications in
-    name order and units in index order."""
-    units = []
-    for index in range(app.num_units):
-        placement = app.placements[index] if index < len(app.placements) else _FRESH
-        if placement.kind == "container":
-            key = (placement.machine, placement.container_kind)
-            slots[key] = slot = slots.get(key, -1) + 1
-            alias = f"{placement.machine}/{placement.container_kind}/{slot}"
-        else:
-            alias = placement.machine or f"fresh:{name}/{index}"
-        units.append((placement, alias))
-    return LoweredApplication(name, app.charm, charm, app_series(bundle, app, charm), app.options,
-                              app.expose, tuple(units))
+    acquire = [AcquireMachine(machine_id, spec.series, spec.constraints)
+               for machine_id, spec in sorted(bundle.machines.items(), key=lambda i: int(i[0]))]
+    containers: list[CreateContainer] = []
+    applications: list[AddApplication] = []
+    installs: list[InstallUnit] = []
+    specs = {}
+    slots: dict[tuple[str, str], int] = {}  # containers given out per host and kind
+    for name, app in sorted(bundle.applications.items()):
+        specs[name] = charm = store.resolve_charm(app.charm)
+        series = app_series(bundle, app, charm)
+        options = tuple((key, _option_str(app.options[key])) for key in sorted(app.options, key=str))
+        applications.append(AddApplication(name, app.charm, series, options, app.expose))
+        placements = app.placements + (_FRESH,) * (app.num_units - len(app.placements))
+        for index, placement in enumerate(placements):
+            if placement.kind == "container":
+                key = (placement.machine, placement.container_kind)
+                slots[key] = slot = slots.get(key, -1) + 1
+                alias = f"{placement.machine}/{placement.container_kind}/{slot}"
+                containers.append(CreateContainer(placement.machine, placement.container_kind, alias))
+            elif placement.kind == "fresh":
+                alias = f"fresh:{name}/{index}"
+                acquire.append(AcquireMachine(alias, series))
+            else:
+                alias = placement.machine
+            installs.append(InstallUnit(f"{name}/{index}", alias))
+    joins = []
+    for left, right in bundle.relations:
+        provider, requirer, interface = orient_relation(
+            left, specs[left.application], right, specs[right.application])
+        joins.append(JoinRelation(provider.render(), requirer.render(), interface))
+    return (*acquire, *containers, *applications, *installs, *joins)
 
 
 def app_series(bundle: Bundle, app: ApplicationSpec, charm) -> str:

@@ -53,7 +53,8 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import NamedTuple
 
-from .bundle import Bundle, Constraints, EndpointRef, Placement, lower_bundle, orient_relation
+from .bundle import (AcquireMachine, AddApplication, Bundle, Constraints, CreateContainer, EndpointRef,
+                     InstallUnit, JoinRelation, Placement, PlanStep, lower_bundle, orient_relation)
 from .charms import (
     CharmSpec,
     CharmStore,
@@ -256,9 +257,10 @@ def _unit_sort_key(unit_id: str):
 
 class StepReport(NamedTuple):
     """What one ``step`` did.  A named tuple: it is built once per event,
-    and costs about half what a frozen dataclass does."""
+    and costs about half what a frozen dataclass does.  ``event`` is the
+    event processed, or None on an empty queue."""
 
-    event: str | None
+    event: Event | None
     handlers_run: int = 0
     actions_applied: int = 0
     dropped: bool = False
@@ -288,8 +290,8 @@ class DeploymentResult:
 
 
 def deploy_bundle(model: Model, bundle: Bundle) -> DeploymentResult:
-    """Apply a bundle to the model: acquire its machines, create
-    containers, applications and units, and add relations.
+    """Apply a bundle to the model: apply each step of
+    ``bundle.lower_bundle`` with ``apply_step``, relations in bundle order.
 
     Enqueues install (and leader-elected / relation-joined) events; it does
     not run the engine.  Quota follows the accounting rule of
@@ -298,46 +300,27 @@ def deploy_bundle(model: Model, bundle: Bundle) -> DeploymentResult:
     charged one per unit, and a deploy that fails at any point rolls back
     completely.
     """
-    machines, applications, relations = lower_bundle(bundle, model.store, DeploymentError)
+    steps = lower_bundle(bundle, model.store, DeploymentError)
     for name in bundle.applications:
         if name in model.applications:
             raise DeploymentError(f"application {name!r} already deployed")
 
+    machine_map: dict[str, str] = {}
     with _undo_on_failure(model) as log:
-        units = sum(len(lowered.units) for lowered in applications)
-        _charge(model, log, QuotaSet(instances=units))
-        machine_map = {
-            bundle_id: _acquire(model, log, spec.constraints, spec.series)
-            for bundle_id, spec in machines
-        }
-        new_units: list[Unit] = []
-        for lowered in applications:
-            app = _create_application(
-                model, log, lowered.name, lowered.charm_ref, lowered.charm, lowered.series,
-                lowered.options, lowered.expose,
-            )
-            for placement, _ in lowered.units:
-                machine_id = _place(model, log, placement, lowered.series, machine_map)
-                new_units.append(_create_unit(model, log, app, machine_id))
-
-        for unit in new_units:
-            model.event_queue.append(Event(_INSTALL, unit.id))
-            _ensure_leader(model, unit.app)
-
-        relation_ids = []
-        for provider, requirer, _ in relations:
-            relation = add_relation(model, provider.render(), requirer.render())
-            log.append(partial(model.relations.pop, relation.id))
-            relation_ids.append(relation.id)
-
-    return DeploymentResult(machine_map, tuple(unit.id for unit in new_units), tuple(relation_ids))
+        _charge(model, log, QuotaSet(instances=sum(isinstance(s, InstallUnit) for s in steps)))
+        made = [apply_step(model, log, planned, machine_map) for planned in steps]
+    return DeploymentResult(
+        {alias: machine_id for alias, machine_id in machine_map.items() if alias in bundle.machines},
+        tuple(made_id for planned, made_id in zip(steps, made) if isinstance(planned, InstallUnit)),
+        tuple(made_id for planned, made_id in zip(steps, made) if isinstance(planned, JoinRelation)),
+    )
 
 
 # ---------------------------------------------------------------------------
 # Materialising applications: machines, containers and units, with quota
-# and undo.  ``deploy_bundle``, ``add_unit`` and ``plan.execute_plan``
-# create machines, containers, applications and units only through these
-# helpers, and each helper logs how to undo what it did.
+# and undo.  ``apply_step`` (for ``deploy_bundle`` and ``plan.execute_plan``)
+# and ``add_unit`` create machines, containers, applications and units only
+# through these helpers, and each helper logs how to undo what it did.
 
 UndoLog = list[Callable[[], None]]
 
@@ -432,22 +415,15 @@ def _create_container(model: Model, log: UndoLog, host_id: str, kind: str) -> st
     return _hold(model, log, container.id)
 
 
-def _place(
-    model: Model, log: UndoLog, placement: Placement | None, series: str,
-    machine_map: dict[str, str] | None = None,
-) -> str:
-    """The machine a new unit goes on.  A bundle's placements name its own
-    machines, which ``machine_map`` maps to provider ids; other placements
-    name provider machines.  Without a placement the unit gets a fresh
-    unconstrained machine."""
+def _place(model: Model, log: UndoLog, placement: Placement | None, series: str) -> str:
+    """The machine a new unit goes on: a provider machine or a container
+    on one.  Without a placement the unit gets a fresh unconstrained
+    machine."""
     if placement is None or placement.kind == "fresh":
         return _acquire(model, log, Constraints(), series)
-    if machine_map is not None:
-        target = machine_map[placement.machine]
-    elif placement.machine in model.inventory.machines:
-        target = placement.machine
-    else:
-        raise UnknownEntityError(f"unknown machine {placement.machine!r}")
+    target = placement.machine
+    if target not in model.inventory.machines:
+        raise UnknownEntityError(f"unknown machine {target!r}")
     if placement.kind == "container":
         return _create_container(model, log, target, placement.container_kind)
     if model.inventory.machines[target].state == "ready":
@@ -466,15 +442,11 @@ def _check_series(model: Model, machine_id: str, charm: CharmSpec) -> None:
 
 def _create_application(
     model: Model, log: UndoLog, name: str, charm_ref: str, charm: CharmSpec, series: str,
-    options: dict, exposed: bool = False,
+    exposed: bool,
 ) -> Application:
-    """Add an application with the charm's default config, overridden by
-    ``options`` coerced against the charm schema."""
-    config = charm.default_config()
-    for opt_name, raw in options.items():
-        config[opt_name] = charm.config[opt_name].coerce(raw)
+    """Add an application with the charm's default config."""
     app = Application(name=name, charm_ref=charm_ref, series=series, store=model.store,
-                      config=config, exposed=exposed)
+                      config=charm.default_config(), exposed=exposed)
     app.charm = charm
     model.applications[name] = app
 
@@ -510,6 +482,58 @@ def _discard_unit(model: Model, unit_id: str) -> Unit:
     unit = model.units.pop(unit_id)
     model._unit_index[unit.app].remove(unit_id)
     return unit
+
+
+def apply_step(model: Model, log: UndoLog, planned: PlanStep, machine_map: dict[str, str]) -> str:
+    """Apply one lowered step: the only code that turns a step into
+    machines, containers, applications, units and relations.  Returns the
+    id of what it made; ``machine_map`` maps earlier steps' machine aliases
+    to provider ids.  A name no earlier step made, an existing application
+    or a unit out of index order (``app/0``, then ``app/1``, ...) raises."""
+    if isinstance(planned, AcquireMachine):
+        machine_map[planned.machine] = _acquire(model, log, planned.constraints, planned.series)
+        return machine_map[planned.machine]
+    if isinstance(planned, CreateContainer):
+        host = _machine(machine_map, planned.host)
+        machine_map[planned.alias] = _create_container(model, log, host, planned.kind)
+        return machine_map[planned.alias]
+    if isinstance(planned, AddApplication):
+        if planned.application in model.applications:
+            raise EngineError(f"application {planned.application!r} already exists")
+        charm = model.store.resolve_charm(planned.charm)
+        _create_application(model, log, planned.application, planned.charm, charm,
+                            planned.series, planned.expose)
+        set_config(model, planned.application, dict(planned.options))
+        return planned.application
+    if isinstance(planned, InstallUnit):
+        app_name = planned.unit.partition("/")[0]
+        machine_id = _machine(machine_map, planned.machine)
+        app = model.applications.get(app_name)
+        if app is None:
+            raise UnknownEntityError(
+                f"unknown application {app_name!r}: no earlier step adds it")
+        next_unit = f"{app_name}/{app.unit_counter}"
+        if planned.unit != next_unit:
+            raise EngineError(f"unit {planned.unit!r} is out of order: "
+                              f"the next unit of {app_name!r} is {next_unit!r}")
+        _check_series(model, machine_id, app.charm)
+        unit = _create_unit(model, log, app, machine_id)
+        model.event_queue.append(Event(_INSTALL, unit.id))
+        _ensure_leader(model, app_name)
+        return unit.id
+    if isinstance(planned, JoinRelation):
+        relation = add_relation(model, planned.provider, planned.requirer)
+        log.append(partial(model.relations.pop, relation.id))
+        return relation.id
+    raise EngineError(f"unknown step {planned!r}")  # pragma: no cover - the step language is closed
+
+
+def _machine(machine_map: dict[str, str], alias: str) -> str:
+    """The provider machine an earlier step made under ``alias``."""
+    machine_id = machine_map.get(alias)
+    if machine_id is None:
+        raise UnknownEntityError(f"unknown machine {alias!r}: no earlier step acquires or creates it")
+    return machine_id
 
 
 def add_unit(model: Model, app_name: str, count: int = 1, placement: Placement | None = None) -> list[str]:
@@ -810,7 +834,7 @@ def step(model: Model, rng_seed: int | None = None, _rng: random.Random | None =
     model.generation += 1
     if unit is None:
         logger.info("dropping %s: target unit no longer exists", event.render())
-        return StepReport(event.render(), 0, 0, True)
+        return StepReport(event, 0, 0, True)
 
     unit.seen.add(event.key())
     states = unit.states
@@ -825,7 +849,7 @@ def step(model: Model, rng_seed: int | None = None, _rng: random.Random | None =
             queue.append(Event(_START, unit.id))
         if model.trace is not None:
             _trace_step(model, event, unit, 0, ())
-        return StepReport(event.render())
+        return StepReport(event)
 
     flags_before = frozenset(states)
     tracker = _ConflictTracker() if model.strict_conflicts and len(matching) > 1 else None
@@ -843,7 +867,7 @@ def step(model: Model, rng_seed: int | None = None, _rng: random.Random | None =
     redelivered = _redeliver(model, unit, charm, added, flags_before) if added else 0
     if model.trace is not None:
         _trace_step(model, event, unit, len(matching), changed_bags)
-    return StepReport(event.render(), len(matching), actions_applied, False, emitted, redelivered)
+    return StepReport(event, len(matching), actions_applied, False, emitted, redelivered)
 
 
 def _trace_step(model: Model, event: Event, unit: Unit, handlers: int, changed_bags) -> None:

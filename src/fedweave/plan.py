@@ -6,15 +6,16 @@ equivalent fixed step sequence up front, phase by phase::
     acquire-machine* create-container* add-application* install-unit*
     join-relation*
 
-These are the steps ``engine.deploy_bundle`` takes, in its order:
-``add-application`` creates each application with its options and expose
-flag, and ``install-unit`` adds one unit to a machine and enqueues its
-install event.  Steps are deterministic: sorted by entity id within each
-phase, with declared machines before fresh ones and the provider side
-named first in every relation pair.  ``compile_plan`` renders the records
-of ``bundle.lower_bundle``, which ``deploy_bundle`` applies, so executing a
-plan against a fresh inventory processes the same events as
-deploy-and-converge and reaches the same converged state hash.
+The steps, their text and ``PlanError`` are ``bundle``'s, re-exported
+here.  ``add-application`` creates each application with its options and
+expose flag, and ``install-unit`` adds one unit to a machine and enqueues
+its install event.  ``engine.apply_step`` applies each step of
+``bundle.lower_bundle`` for ``engine.deploy_bundle`` and ``execute_plan``
+alike, so a plan replayed on a fresh inventory processes the events of
+deploy-and-converge and reaches its state hash.  Steps are deterministic:
+sorted by entity id within each phase, with declared machines before
+fresh ones and the provider side named first in every relation pair; only
+``compile_plan`` sorts the relations, which deploy joins in bundle order.
 
 A plan is a snapshot: it embeds digests of the source bundle and of the
 charm specs it compiled against.  Executing it against a store whose
@@ -35,34 +36,15 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import re
-import shlex
 from dataclasses import dataclass
-from functools import partial
 
 from . import statefile
-from .bundle import (Bundle, Constraints, _canonical_document, lower_bundle, parse_constraints,
-                     render_constraints)
-from .charms import CharmNotFoundError, EventKind, _option_str
-from .engine import (
-    DEFAULT_BUDGET,
-    DEFAULT_SEED,
-    Event,
-    Model,
-    UndoLog,
-    UnknownEntityError,
-    _acquire,
-    _charge,
-    _check_series,
-    _create_application,
-    _create_container,
-    _create_unit,
-    _ensure_leader,
-    _undo_on_failure,
-    add_relation,
-    run_to_convergence,
-    set_config,
-)
+from .bundle import (AcquireMachine, AddApplication, Bundle, CreateContainer, InstallUnit, JoinRelation,
+                     PlanError, PlanStep, _canonical_document, _parse_step_line, _split_line,
+                     lower_bundle)
+from .charms import CharmError
+from .engine import (DEFAULT_BUDGET, DEFAULT_SEED, Model, _charge, _undo_on_failure, apply_step,
+                     run_to_convergence)
 from .errors import FedweaveError
 from .provider import Inventory, machine_sort_key
 from .quota import QuotaSet
@@ -70,82 +52,14 @@ from .quota import QuotaSet
 logger = logging.getLogger(__name__)
 
 
-class PlanError(FedweaveError):
-    module = "plan"
-
-
 class PlanExecutionError(PlanError):
     """A step failed; carries the index of the failing step."""
 
-    def __init__(self, index: int, step: "PlanStep", cause: Exception):
+    def __init__(self, index: int, step: PlanStep, cause: Exception):
         self.index = index
         self.step = step
         self.cause = cause
         super().__init__(f"step {index} ({step.render()}): {cause}")
-
-
-# ---------------------------------------------------------------------------
-# Steps
-
-
-@dataclass(frozen=True)
-class AcquireMachine:
-    machine: str  # bundle-local id, or "fresh:<unit>" for implicit machines
-    series: str
-    constraints: Constraints = Constraints()
-
-    def render(self) -> str:
-        text = f"acquire-machine {self.machine} series={self.series}"
-        rendered = render_constraints(self.constraints)
-        if rendered:
-            text += f" constraints={shlex.quote(rendered)}"
-        return text
-
-
-@dataclass(frozen=True)
-class CreateContainer:
-    host: str  # bundle-local machine id
-    kind: str
-    alias: str  # bundle-local container id, e.g. "0/lxd/0"
-
-    def render(self) -> str:
-        return f"create-container {self.host} {self.kind} {self.alias}"
-
-
-@dataclass(frozen=True)
-class AddApplication:
-    application: str
-    charm: str
-    series: str
-    options: tuple[tuple[str, str], ...] = ()
-    expose: bool = False
-
-    def render(self) -> str:
-        return " ".join([f"add-application {self.application} {self.charm} series={self.series}",
-                         *(["expose=true"] if self.expose else []),
-                         *(f"{key}={shlex.quote(value)}" for key, value in self.options)])
-
-
-@dataclass(frozen=True)
-class InstallUnit:
-    unit: str
-    machine: str  # bundle-local machine or container alias
-
-    def render(self) -> str:
-        return f"install-unit {self.unit} {self.machine}"
-
-
-@dataclass(frozen=True)
-class JoinRelation:
-    provider: str  # "app:endpoint", provider side first
-    requirer: str
-    interface: str
-
-    def render(self) -> str:
-        return f"join-relation {self.provider} {self.requirer} interface={self.interface}"
-
-
-PlanStep = AcquireMachine | CreateContainer | AddApplication | InstallUnit | JoinRelation
 
 
 @dataclass(frozen=True)
@@ -168,37 +82,15 @@ class ImperativePlan:
 
 
 def compile_plan(bundle: Bundle, store) -> ImperativePlan:
-    """Compile a validated bundle into its imperative step sequence."""
-    machines, applications, relations = lower_bundle(bundle, store, PlanError)
-    acquire_steps = [AcquireMachine(bundle_id, spec.series, spec.constraints)
-                     for bundle_id, spec in machines]
-    # Container steps keep their enumeration order (applications sorted by
-    # name, then unit index) — that is already canonical, and it is the
-    # order the reactive path creates them in.
-    container_steps: list[CreateContainer] = []
-    application_steps: list[AddApplication] = []
-    install_steps: list[InstallUnit] = []
-    for app in applications:
-        options = tuple(
-            (key, _option_str(app.options[key])) for key in sorted(app.options, key=str))
-        application_steps.append(
-            AddApplication(app.name, app.charm_ref, app.series, options, app.expose))
-        for index, (placement, alias) in enumerate(app.units):
-            if placement.kind == "fresh":
-                acquire_steps.append(AcquireMachine(alias, app.series))
-            elif placement.kind == "container":
-                container_steps.append(
-                    CreateContainer(placement.machine, placement.container_kind, alias))
-            install_steps.append(InstallUnit(f"{app.name}/{index}", alias))
-    join_steps = sorted(
-        (JoinRelation(provider.render(), requirer.render(), interface)
-         for provider, requirer, interface in relations),
-        key=lambda s: (s.provider, s.requirer),
-    )
+    """Compile a validated bundle into its imperative step sequence: the
+    steps ``deploy_bundle`` applies, with the relations sorted."""
+    steps = lower_bundle(bundle, store, PlanError)
+    joins = sorted((s for s in steps if isinstance(s, JoinRelation)),
+                   key=lambda s: (s.provider, s.requirer))
     return ImperativePlan(
-        steps=(*acquire_steps, *container_steps, *application_steps, *install_steps, *join_steps),
+        steps=(*(s for s in steps if not isinstance(s, JoinRelation)), *joins),
         bundle_digest=bundle_digest(bundle),
-        charm_digest=charm_digest(store, {app.charm_ref for app in applications}),
+        charm_digest=charm_digest(store, {s.charm for s in steps if isinstance(s, AddApplication)}),
     )
 
 
@@ -265,7 +157,7 @@ def execute_plan(
     Raises PlanExecutionError naming the failing step on placement or
     quota problems, on a machine or application no earlier step made, on
     an ``add-application`` of an application that exists or of a charm
-    the store does not hold, and on an ``install-unit`` that names any
+    the store does not hold or cannot name, and on an ``install-unit`` that names any
     unit but its application's next one (``app/0``, then ``app/1``,
     ...).  Raises QuotaExceededError when the plan's units do not fit the
     project's instance quota.  Quota follows the engine's accounting
@@ -275,13 +167,15 @@ def execute_plan(
     leaving the inventory and the quota tree as they were.  When the store's charms named by
     ``add-application`` steps no longer match the digest recorded at
     compile time, a divergence warning is logged and the stale steps are
-    executed as written.
+    executed as written.  Each step is applied by ``engine.apply_step``.
     """
     refs = {s.charm for s in plan.steps if isinstance(s, AddApplication)}
+    if refs:
+        store.refs()  # a charm file that does not parse fails the store, not a step
     try:
         current_digest = charm_digest(store, refs)
-    except CharmNotFoundError:
-        pass  # a divergence already: the step that adds the charm fails below
+    except CharmError:
+        pass  # an unknown or malformed reference: the step that adds it fails below
     else:
         if current_digest != plan.charm_digest:
             logger.warning(
@@ -298,56 +192,11 @@ def execute_plan(
         _charge(model, log, QuotaSet(instances=units))
         for index, planned in enumerate(plan.steps):
             try:
-                _execute_step(model, log, planned, machine_map)
+                apply_step(model, log, planned, machine_map)
             except FedweaveError as exc:
                 raise PlanExecutionError(index, planned, exc) from exc
         run_to_convergence(model, budget=budget, rng_seed=rng_seed)
     return model
-
-
-def _execute_step(model: Model, log: UndoLog, planned: PlanStep, machine_map: dict[str, str]) -> None:
-    if isinstance(planned, AcquireMachine):
-        machine_map[planned.machine] = _acquire(model, log, planned.constraints, planned.series)
-    elif isinstance(planned, CreateContainer):
-        host = _machine(machine_map, planned.host)
-        machine_map[planned.alias] = _create_container(model, log, host, planned.kind)
-    elif isinstance(planned, AddApplication):
-        if planned.application in model.applications:
-            raise PlanError(f"application {planned.application!r} already exists")
-        charm = model.store.resolve_charm(planned.charm)
-        _create_application(model, log, planned.application, planned.charm, charm,
-                            planned.series, {}, planned.expose)
-        set_config(model, planned.application, dict(planned.options))
-    elif isinstance(planned, InstallUnit):
-        app_name = planned.unit.partition("/")[0]
-        machine_id = _machine(machine_map, planned.machine)
-        app = model.applications.get(app_name)
-        if app is None:
-            raise UnknownEntityError(
-                f"unknown application {app_name!r}: no earlier step adds it")
-        next_unit = f"{app_name}/{app.unit_counter}"
-        if planned.unit != next_unit:
-            raise PlanError(
-                f"unit {planned.unit!r} is out of order: "
-                f"the next unit of {app_name!r} is {next_unit!r}"
-            )
-        _check_series(model, machine_id, app.charm)
-        unit = _create_unit(model, log, app, machine_id)
-        model.event_queue.append(Event(EventKind.install(), unit.id))
-        _ensure_leader(model, app_name)
-    elif isinstance(planned, JoinRelation):
-        relation = add_relation(model, planned.provider, planned.requirer)
-        log.append(partial(model.relations.pop, relation.id))
-    else:  # pragma: no cover - the step language is closed
-        raise PlanError(f"unknown step {planned!r}")
-
-
-def _machine(machine_map: dict[str, str], alias: str) -> str:
-    """The provider machine an earlier step made under ``alias``."""
-    machine_id = machine_map.get(alias)
-    if machine_id is None:
-        raise PlanError(f"unknown machine {alias!r}: no earlier step acquires or creates it")
-    return machine_id
 
 
 # ---------------------------------------------------------------------------
@@ -377,61 +226,6 @@ def parse_plan(text: str | bytes) -> ImperativePlan:
             continue
         steps.append(_parse_step_line(line))
     return ImperativePlan(steps=tuple(steps), bundle_digest=bundle_dig, charm_digest=charm_dig)
-
-
-#: A quote, a backslash, or whitespace that ``str.split`` splits on and
-#: ``shlex.split`` does not; a line without any is split alike by both.
-_NEEDS_SHLEX = re.compile(r"['\"\\]|[^\S \t\r\n]")
-
-
-def _split_line(line: str) -> list[str]:
-    """``shlex.split(line)``, by ``str.split`` where that gives the same."""
-    return shlex.split(line) if _NEEDS_SHLEX.search(line) else line.split()
-
-
-def _parse_step_line(line: str) -> PlanStep:
-    try:
-        tokens = _split_line(line)
-    except ValueError as exc:  # an unbalanced quote or a trailing backslash
-        raise PlanError(f"malformed plan line {line!r}") from exc
-    try:
-        verb, args = tokens[0], tokens[1:]
-        if verb == "acquire-machine":
-            machine = args[0]
-            fields = _kv(args[1:])
-            return AcquireMachine(
-                machine=machine,
-                series=fields["series"],
-                constraints=parse_constraints(fields.get("constraints", "")),
-            )
-        if verb == "create-container":
-            return CreateContainer(host=args[0], kind=args[1], alias=args[2])
-        if verb == "add-application":
-            fields = _kv(args[3:])
-            expose = fields.pop("expose", "false") == "true"
-            return AddApplication(args[0], args[1], _kv(args[2:3])["series"],
-                                  tuple(sorted(fields.items())), expose)
-        if verb == "install-unit":
-            unit, machine = args  # exactly two, so no third field is read as the machine
-            return InstallUnit(unit, machine)
-        if verb == "join-relation":
-            fields = _kv(args[2:])
-            return JoinRelation(
-                provider=args[0], requirer=args[1], interface=fields["interface"]
-            )
-    except (IndexError, KeyError, ValueError) as exc:
-        raise PlanError(f"malformed plan line {line!r}") from exc
-    raise PlanError(f"unknown plan step {verb!r} in line {line!r}")
-
-
-def _kv(tokens: list[str]) -> dict[str, str]:
-    fields = {}
-    for token in tokens:
-        key, sep, value = token.partition("=")
-        if not sep:
-            raise PlanError(f"malformed field {token!r}")
-        fields[key] = value
-    return fields
 
 
 # ---------------------------------------------------------------------------

@@ -387,7 +387,7 @@ def step_oracle(model: Model, rng_seed: int | None = None, _rng: random.Random |
     model.generation += 1
     if unit is None:
         logger.info("dropping %s: target unit no longer exists", event.render())
-        return StepReport(event=event.render(), dropped=True)
+        return StepReport(event=event, dropped=True)
 
     unit.seen.add(event.key())
     states = unit.states
@@ -423,7 +423,7 @@ def step_oracle(model: Model, rng_seed: int | None = None, _rng: random.Random |
             }
         )
     return StepReport(
-        event=event.render(),
+        event=event,
         handlers_run=len(matching),
         actions_applied=actions_applied,
         emitted=emitted,

@@ -10,6 +10,8 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedweave import engine
+from fedweave import plan as plan_module
 from fedweave.builtin import (
     HAPROXY_CHARM,
     MOODLE_BUNDLE,
@@ -303,6 +305,31 @@ class TestExecution:
         assert state_hash(model) == state_hash(reference)
         assert model.applications["haproxy"].exposed
 
+    def test_deploy_and_execution_apply_the_plan_steps(self, store, make_inventory, scaled_bundle,
+                                                       monkeypatch):
+        """Both paths apply the compiled steps through ``engine.apply_step``;
+        deploy joins the relations in bundle order, the plan sorts them."""
+        applied = []
+        apply_step = engine.apply_step
+
+        def spy(model, log, planned, machine_map):
+            applied.append(planned)
+            return apply_step(model, log, planned, machine_map)
+
+        monkeypatch.setattr(engine, "apply_step", spy)
+        monkeypatch.setattr(plan_module, "apply_step", spy)
+        deploy_bundle(Model(store, make_inventory()), scaled_bundle)
+        plan = compile_plan(scaled_bundle, store)
+        assert applied[:-2] == list(plan.steps[:-2])
+        assert [s.render() for s in applied[-2:]] == [
+            "join-relation postgresql:db moodle:database interface=pgsql",
+            "join-relation moodle:website haproxy:reverseproxy interface=http",
+        ]
+        assert applied[-2:] == list(reversed(plan.steps[-2:]))
+        applied.clear()
+        execute_plan(plan, make_inventory(), store)
+        assert applied == list(plan.steps)
+
     def test_execution_survives_a_text_round_trip(self, store, make_inventory, scaled_bundle):
         plan = parse_plan(compile_plan(scaled_bundle, store).render())
         direct = execute_plan(compile_plan(scaled_bundle, store), make_inventory(), store)
@@ -414,17 +441,23 @@ class TestExecution:
         assert inventory.dump() == before
         assert tree.find(project).usage == QuotaSet()
 
-    @pytest.mark.parametrize("lead", ["", "acquire-machine 0 series=xenial\n"],
-                             ids=["first", "after-acquire"])
-    def test_unknown_charm_fails_its_step(self, store, make_inventory, lead):
-        plan = parse_plan(f"{lead}add-application web cs:nosuch series=xenial\n")
+    @pytest.mark.parametrize(
+        ("lead", "ref", "message"),
+        [(lead, ref, message)
+         for ref, message in (
+             ("cs:nosuch", "unknown charm reference 'cs:nosuch'"),
+             ("nosuch", "malformed charm reference 'nosuch' (want cs:[~owner/]name)"))
+         for lead in ("", "acquire-machine 0 series=xenial\n")],
+        ids=["first", "after-acquire", "first-malformed", "after-acquire-malformed"],
+    )
+    def test_unknown_charm_fails_its_step(self, store, make_inventory, lead, ref, message):
+        plan = parse_plan(f"{lead}add-application web {ref} series=xenial\n")
         index = len(plan.steps) - 1
         inventory = make_inventory()
         before = inventory.dump()
         with pytest.raises(PlanExecutionError) as err:
             execute_plan(plan, inventory, store)
-        assert str(err.value) == (f"step {index} (add-application web cs:nosuch series=xenial): "
-                                  "unknown charm reference 'cs:nosuch'")
+        assert str(err.value) == f"step {index} (add-application web {ref} series=xenial): {message}"
         assert err.value.index == index
         assert inventory.dump() == before
 
@@ -524,10 +557,11 @@ machines:
 }
 
 
-def _deployed(store, inventory, bundle):
+def _deployed(store, inventory, bundle, shadow_check=False, rng_seed=1):
     model = Model(store, inventory)
+    model.shadow_check = shadow_check
     deploy_bundle(model, bundle)
-    assert run_to_convergence(model).converged
+    assert run_to_convergence(model, rng_seed=rng_seed).converged
     return model
 
 
@@ -726,12 +760,14 @@ def test_validate_deploy_and_replay_agree(text):
     """``validate_bundle`` has an error exactly when ``deploy_bundle`` on an
     ample pool raises, and a valid bundle gives one state hash through the
     reactive deploy and through its replayed plan text, after processing
-    the same number of events."""
+    the same number of events.  The deploy runs with the shadow check on
+    and finds every handler idempotent, and a deploy converged under
+    another reactive seed reaches the same hash."""
     store = _store_with_proxy2()
     bundle = parse_bundle(text)
     invalid = any(d.severity == "error" for d in validate_bundle(bundle, store))
     try:
-        reactive = _deployed(store, _ample_pool(), bundle)
+        reactive = _deployed(store, _ample_pool(), bundle, shadow_check=True)
     except DeploymentError:
         assert invalid
         with pytest.raises(PlanError, match="bundle does not validate"):
@@ -744,3 +780,5 @@ def test_validate_deploy_and_replay_agree(text):
     assert replayed.converged
     assert state_hash(replayed) == state_hash(reactive)
     assert replayed.generation == reactive.generation
+    assert reactive.shadow_deltas == 0
+    assert state_hash(_deployed(store, _ample_pool(), bundle, rng_seed=7)) == state_hash(reactive)
