@@ -713,15 +713,16 @@ def lower_bundle(
     for name, app in sorted(bundle.applications.items()):
         specs[name] = charm = store.resolve_charm(app.charm)
         series = app_series(bundle, app, charm)
-        options = tuple((key, _option_str(app.options[key])) for key in sorted(app.options, key=str))
+        options = tuple((key, _option_str(app.options[key]))
+                        for key in sorted(app.options, key=str))
         applications.append(AddApplication(name, app.charm, series, options, app.expose))
         placements = app.placements + (_FRESH,) * (app.num_units - len(app.placements))
         for index, placement in enumerate(placements):
             if placement.kind == "container":
-                key = (placement.machine, placement.container_kind)
-                slots[key] = slot = slots.get(key, -1) + 1
-                alias = f"{placement.machine}/{placement.container_kind}/{slot}"
-                containers.append(CreateContainer(placement.machine, placement.container_kind, alias))
+                host, kind = placement.machine, placement.container_kind
+                slots[host, kind] = slot = slots.get((host, kind), -1) + 1
+                alias = f"{host}/{kind}/{slot}"
+                containers.append(CreateContainer(host, kind, alias))
             elif placement.kind == "fresh":
                 alias = f"fresh:{name}/{index}"
                 acquire.append(AcquireMachine(alias, series))

@@ -53,8 +53,9 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import NamedTuple
 
-from .bundle import (AcquireMachine, AddApplication, Bundle, Constraints, CreateContainer, EndpointRef,
-                     InstallUnit, JoinRelation, Placement, PlanStep, lower_bundle, orient_relation)
+from .bundle import (AcquireMachine, AddApplication, Bundle, Constraints, CreateContainer,
+                     EndpointRef, InstallUnit, JoinRelation, Placement, PlanStep, lower_bundle,
+                     orient_relation)
 from .charms import (
     CharmSpec,
     CharmStore,
@@ -310,9 +311,9 @@ def deploy_bundle(model: Model, bundle: Bundle) -> DeploymentResult:
         _charge(model, log, QuotaSet(instances=sum(isinstance(s, InstallUnit) for s in steps)))
         made = [apply_step(model, log, planned, machine_map) for planned in steps]
     return DeploymentResult(
-        {alias: machine_id for alias, machine_id in machine_map.items() if alias in bundle.machines},
-        tuple(made_id for planned, made_id in zip(steps, made) if isinstance(planned, InstallUnit)),
-        tuple(made_id for planned, made_id in zip(steps, made) if isinstance(planned, JoinRelation)),
+        {alias: machine_map[alias] for alias in machine_map if alias in bundle.machines},
+        tuple(ident for planned, ident in zip(steps, made) if isinstance(planned, InstallUnit)),
+        tuple(ident for planned, ident in zip(steps, made) if isinstance(planned, JoinRelation)),
     )
 
 
@@ -532,7 +533,8 @@ def _machine(machine_map: dict[str, str], alias: str) -> str:
     """The provider machine an earlier step made under ``alias``."""
     machine_id = machine_map.get(alias)
     if machine_id is None:
-        raise UnknownEntityError(f"unknown machine {alias!r}: no earlier step acquires or creates it")
+        raise UnknownEntityError(
+            f"unknown machine {alias!r}: no earlier step acquires or creates it")
     return machine_id
 
 

@@ -39,9 +39,9 @@ import logging
 from dataclasses import dataclass
 
 from . import statefile
-from .bundle import (AcquireMachine, AddApplication, Bundle, CreateContainer, InstallUnit, JoinRelation,
-                     PlanError, PlanStep, _canonical_document, _parse_step_line, _split_line,
-                     lower_bundle)
+from .bundle import (AcquireMachine, AddApplication, Bundle, CreateContainer, InstallUnit,
+                     JoinRelation, PlanError, PlanStep, _canonical_document, _parse_step_line,
+                     _split_line, lower_bundle)
 from .charms import CharmError
 from .engine import (DEFAULT_BUDGET, DEFAULT_SEED, Model, _charge, _undo_on_failure, apply_step,
                      run_to_convergence)

@@ -457,7 +457,8 @@ class TestExecution:
         before = inventory.dump()
         with pytest.raises(PlanExecutionError) as err:
             execute_plan(plan, inventory, store)
-        assert str(err.value) == f"step {index} (add-application web {ref} series=xenial): {message}"
+        assert str(err.value) == (
+            f"step {index} (add-application web {ref} series=xenial): {message}")
         assert err.value.index == index
         assert inventory.dump() == before
 
