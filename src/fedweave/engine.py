@@ -158,8 +158,27 @@ class Unit:
     states: set[str] = field(default_factory=set)
     open_ports: set[int] = field(default_factory=set)
     # Keys (``Event.key()``) of the events this unit has processed, for
-    # guard-triggered re-delivery; the event targets the unit itself.
+    # guard-triggered re-delivery; the event targets the unit itself.  A
+    # unit restored by ``load_checkpoint`` has no ``seen`` until it is
+    # first read: ``_RestoredSeen`` then builds it from the checkpoint's
+    # entries, kept in ``_seen_entries``.  A ``status`` builds none.
     seen: set[tuple[str, str, str, str]] = field(default_factory=set)
+
+
+class _RestoredSeen:
+    """A non-data descriptor: the built set sits in the unit's ``__dict__``,
+    which attribute lookup reads first, so a built unit pays nothing.  A
+    ``Unit.__getattr__`` would slow every attribute read of every unit."""
+
+    def __get__(self, unit: Unit | None, owner: type | None = None):
+        if unit is None:
+            return self
+        unit.seen = seen = _load_seen(unit.__dict__.pop("_seen_entries", ()))
+        return seen
+
+
+# Set after ``@dataclass``, which removes a factory field's class attribute.
+Unit.seen = _RestoredSeen()
 
 
 @dataclass
@@ -416,20 +435,24 @@ def _create_container(model: Model, log: UndoLog, host_id: str, kind: str) -> st
     return _hold(model, log, container.id)
 
 
-def _place(model: Model, log: UndoLog, placement: Placement | None, series: str) -> str:
-    """The machine a new unit goes on: a provider machine or a container
-    on one.  Without a placement the unit gets a fresh unconstrained
-    machine."""
+def _place(model: Model, log: UndoLog, placement: Placement | None, app: Application) -> str:
+    """The machine a new unit of ``app`` goes on: a provider machine or a
+    container on one, whose series its charm must support.  Without a
+    placement the unit gets a fresh unconstrained machine of the
+    application's series, which its deploy checked, so no charm is read."""
     if placement is None or placement.kind == "fresh":
-        return _acquire(model, log, Constraints(), series)
+        return _acquire(model, log, Constraints(), app.series)
     target = placement.machine
     if target not in model.inventory.machines:
         raise UnknownEntityError(f"unknown machine {target!r}")
     if placement.kind == "container":
-        return _create_container(model, log, target, placement.container_kind)
-    if model.inventory.machines[target].state == "ready":
-        return _acquire(model, log, Constraints(), machine=target)
-    return _hold(model, log, target)
+        machine_id = _create_container(model, log, target, placement.container_kind)
+    elif model.inventory.machines[target].state == "ready":
+        machine_id = _acquire(model, log, Constraints(), machine=target)
+    else:
+        machine_id = _hold(model, log, target)
+    _check_series(model, machine_id, app.charm)
+    return machine_id
 
 
 def _check_series(model: Model, machine_id: str, charm: CharmSpec) -> None:
@@ -543,10 +566,12 @@ def add_unit(model: Model, app_name: str, count: int = 1, placement: Placement |
 
     Placements reference live provider machines (``lxd:3`` means a
     container on provider machine 3); without one, each unit gets a fresh
-    unconstrained machine.  New units receive install events, and every
-    relation of the application gains relation-joined events on both
-    sides; data already published by remote units is re-delivered to the
-    newcomers as relation-changed events.
+    unconstrained machine.  A placement on a machine or container whose
+    series the charm does not support is refused, as ``apply_step``
+    refuses it.  New units receive
+    install events, and every relation of the application gains
+    relation-joined events on both sides; data already published by remote
+    units is re-delivered to the newcomers as relation-changed events.
 
     Quota follows the accounting rule of ``_undo_on_failure``: a
     machine's declared constraints are charged when it is acquired and
@@ -562,7 +587,7 @@ def add_unit(model: Model, app_name: str, count: int = 1, placement: Placement |
     with _undo_on_failure(model) as log:
         _charge(model, log, QuotaSet(instances=count))
         new_ids = [
-            _create_unit(model, log, app, _place(model, log, placement, app.series)).id
+            _create_unit(model, log, app, _place(model, log, placement, app)).id
             for _ in range(count)
         ]
     remote_ids: dict[str, list[str]] = {}
@@ -1280,7 +1305,12 @@ def load_checkpoint(
     """Rebuild a model from a checkpoint.  The inventory is taken from the
     checkpoint when embedded, else it must be supplied.  No charm is
     resolved here: each application resolves its own on first use, so an
-    unknown reference fails the first command or step that needs it."""
+    unknown reference fails the first command or step that needs it.
+
+    Each unit keeps its ``seen`` entries as the checkpoint holds them, and
+    builds the set on the first read of ``unit.seen``: by the unit's first
+    step, a re-delivery or the next ``checkpoint``.  ``status_snapshot``
+    and ``state_hash`` read none, so a ``status`` builds no set."""
     if inventory is None:
         embedded = doc.get("inventory")
         if embedded is None:
@@ -1314,8 +1344,9 @@ def load_checkpoint(
             leader=bool(body.get("leader", False)),
             states=set(body.get("states") or ()),
             open_ports=set(body.get("open_ports") or ()),
-            seen=_load_seen(body.get("seen") or ()),
         )
+        del unit.seen
+        unit._seen_entries = body.get("seen") or ()
         model.units[unit_id] = unit
     for unit_id in sorted(model.units, key=_unit_sort_key):
         model._unit_index.setdefault(model.units[unit_id].app, []).append(unit_id)

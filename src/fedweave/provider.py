@@ -88,6 +88,11 @@ def machine_sort_key(machine_id: str):
     return tuple(int(part) if part.isdigit() else part for part in machine_id.split("/"))
 
 
+def _ready_entry(record: MachineRecord) -> tuple:
+    """A ready machine's entry in the ready index, in best-fit order."""
+    return (record.free_mem(), record.free_disk(), machine_sort_key(record.id), record.id)
+
+
 class Inventory:
     """A pool of machines spanning one or more regions."""
 
@@ -102,7 +107,7 @@ class Inventory:
 
     def _index_ready(self, record: MachineRecord) -> None:
         self._unindex(record.id)
-        entry = (record.free_mem(), record.free_disk(), machine_sort_key(record.id), record.id)
+        entry = _ready_entry(record)
         self._ready_entries[record.id] = entry
         bisect.insort(self._ready, entry)
 
@@ -347,15 +352,18 @@ class Inventory:
     @classmethod
     def load(cls, doc: dict) -> "Inventory":
         """Restore an inventory from a dump, or seed one from a hand-written
-        document (state defaults to ready, zones are inferred)."""
+        document (state defaults to ready, zones are inferred).  Each record
+        is built in one call; then containers join their hosts, hosts
+        reserve what their containers reserve, and one sort builds the
+        ready index."""
         inv = cls()
         if not isinstance(doc, dict):
             raise ProviderError("inventory document must be a mapping")
         for zone in doc.get("zones") or []:
             inv.add_zone(str(zone["region"]), str(zone["az"]))
-        machines = doc.get("machines") or []
+        machines = inv.machines
         max_seen = -1
-        for body in machines:
+        for body in doc.get("machines") or []:
             region, az = str(body["region"]), str(body["az"])
             inv.zones.add((region, az))
             constraints_text = body.get("constraints")
@@ -366,7 +374,11 @@ class Inventory:
                 disk = parsed.root_disk or 10240
             else:
                 cores, mem, disk = int(body["cores"]), int(body["mem"]), int(body["disk"])
-            machine_id = str(body.get("id", len(inv.machines)))
+            machine_id = str(body.get("id", len(machines)))
+            properties = body.get("properties")
+            reserved = body.get("reserved")
+            containers = body.get("containers")
+            counters = body.get("container_counters")
             record = MachineRecord(
                 id=machine_id,
                 region=region,
@@ -376,49 +388,51 @@ class Inventory:
                 mem=mem,
                 disk=disk,
                 series=str(body.get("series", "xenial")),
-                properties=set(body.get("properties") or ()),
+                properties=set(properties) if properties else set(),
                 state=str(body.get("state", "ready")),
                 parent=body.get("parent"),
                 kind=body.get("kind"),
+                reserved_cores=int(reserved.get("cores", 0)) if reserved else 0,
+                reserved_mem=int(reserved.get("mem", 0)) if reserved else 0,
+                reserved_disk=int(reserved.get("disk", 0)) if reserved else 0,
+                containers=list(containers) if containers else [],
+                container_counters=(
+                    {str(k): int(v) for k, v in counters.items()} if counters else {}
+                ),
             )
-            reserved = body.get("reserved") or {}
-            record.reserved_cores = int(reserved.get("cores", 0))
-            record.reserved_mem = int(reserved.get("mem", 0))
-            record.reserved_disk = int(reserved.get("disk", 0))
-            record.containers = list(body.get("containers") or ())
-            record.container_counters = {
-                str(k): int(v) for k, v in (body.get("container_counters") or {}).items()
-            }
             if record.state not in MACHINE_STATES:
                 raise ProviderError(f"machine {machine_id!r} has unknown state {record.state!r}")
-            inv.machines[machine_id] = record
+            machines[machine_id] = record
             if machine_id.isdigit():
                 max_seen = max(max_seen, int(machine_id))
         inv._next_id = int(doc.get("next_id", max_seen + 1))
-        # Reconstruct host reservations from container records.
-        for record in inv.machines.values():
-            if record.is_container():
-                host = inv.machines.get(record.parent)
+        for record in machines.values():
+            if record.parent is not None:
+                host = machines.get(record.parent)
                 if host is None:
                     raise ProviderError(
                         f"container {record.id!r} references unknown host {record.parent!r}"
                     )
                 if record.id not in host.containers:
                     host.containers.append(record.id)
-        for record in inv.machines.values():
-            if not record.is_container() and record.containers:
-                record.reserved_cores = sum(
-                    inv.machines[c].reserved_cores for c in record.containers
-                )
-                record.reserved_mem = sum(
-                    inv.machines[c].reserved_mem for c in record.containers
-                )
-                record.reserved_disk = sum(
-                    inv.machines[c].reserved_disk for c in record.containers
-                )
-        for record in inv.machines.values():
-            if not record.is_container() and record.state == "ready":
-                inv._index_ready(record)
+        ready = []
+        for record in machines.values():
+            if record.parent is not None:
+                continue
+            if record.containers:
+                for container_id in record.containers:
+                    if container_id not in machines:
+                        raise ProviderError(
+                            f"machine {record.id!r} lists unknown container {container_id!r}")
+                hosted = [machines[c] for c in record.containers]
+                record.reserved_cores = sum(c.reserved_cores for c in hosted)
+                record.reserved_mem = sum(c.reserved_mem for c in hosted)
+                record.reserved_disk = sum(c.reserved_disk for c in hosted)
+            if record.state == "ready":
+                ready.append(_ready_entry(record))
+        ready.sort()
+        inv._ready = ready
+        inv._ready_entries = {entry[3]: entry for entry in ready}
         return inv
 
     def dump_yaml(self) -> str:

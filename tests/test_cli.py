@@ -20,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedweave import builtin, cli
+from fedweave.bundle import parse_bundle
 from fedweave.charms import CharmError, CharmStore, load_charm
 from fedweave.cli import _locked, run_command
 from fedweave.engine import (
@@ -29,10 +30,12 @@ from fedweave.engine import (
     remove_unit,
     run_to_convergence,
     state_hash,
+    status_snapshot,
 )
 from fedweave.plan import compile_plan
 
 from test_plan import OLD_FORMAT_MOODLE_STEPS
+from test_step import FLEET_BUNDLE, FLEET_UNITS
 
 
 def reported_hash(out: str) -> str:
@@ -363,6 +366,18 @@ class TestMutations:
         code, out, _ = demo("add-unit", "moodle", "--to", "lxd:0")
         assert code == 0
         assert "unit moodle/1 on 0/lxd/1" in out
+
+    def test_add_unit_onto_an_unsupported_series_is_a_one_line_error(self, demo, tmp_path):
+        code, _, err = demo("machine", "enlist", "--zone", "garr-01/az1", "--cores", "4",
+                            "--mem", "8192", "--disk", "102400", "--series", "bionic")
+        assert code == 0, err
+        code, _, err = demo("deploy", str(tmp_path / "moodle-bundle.yaml"))
+        assert code == 0, err
+        files = _state_files(tmp_path)
+        code, out, err = demo("add-unit", "moodle", "--to", "4")
+        assert (code, out) == (1, "")
+        assert err == "engine: charm 'moodle' does not support series 'bionic' of machine '4'\n"
+        assert _state_files(tmp_path) == files
 
     def test_add_relation(self, demo, tmp_path):
         bundle = tmp_path / "unrelated.yaml"
@@ -1041,6 +1056,14 @@ def _nested(depth: int):
     return document
 
 
+class _Record(dict):
+    pass
+
+
+class _Rows(list):
+    pass
+
+
 class TestJsonText:
     """``status``, ``machine list``, ``region list`` and ``quota show``
     print ``--format json`` through ``cli._json_text``, which must give
@@ -1051,8 +1074,18 @@ class TestJsonText:
     @example(document=_nested(200))
     @example(document={"b": [], "a": {}, "\x00\u00e9\U0001f600": float("-inf")})
     @example(document=[float("nan"), float("inf"), -0.0, 2**200, True, None])
+    @example(document=("a", ("b", 1), (), ["c", "d"]))
+    @example(document=_Record(b=_Record(), a=[_Record(y="1", x=2), {"x": 2, "y": "1"}]))
+    @example(document=_Rows(["x", "y", _Rows(["z", 1]), _Rows()]))
     def test_same_text_as_json_dumps(self, document):
         assert cli._json_text(document) == json.dumps(document, indent=2, sort_keys=True)
+
+    def test_fleet_status(self, store, make_inventory):
+        model = Model(store, make_inventory(FLEET_UNITS + 2))
+        deploy_bundle(model, parse_bundle(FLEET_BUNDLE))
+        run_to_convergence(model)
+        snapshot = status_snapshot(model)
+        assert cli._json_text(snapshot) == json.dumps(snapshot, indent=2, sort_keys=True)
 
     def test_rejects_what_json_rejects(self):
         with pytest.raises(TypeError, match="not JSON serializable"):

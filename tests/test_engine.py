@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from fedweave import engine, statefile
 from fedweave import plan as plan_module
 from fedweave.builtin import MOODLE_BUNDLE, SCALED_BUNDLE, builtin_store
-from fedweave.bundle import Placement, parse_bundle
+from fedweave.bundle import Constraints, Placement, parse_bundle
 from fedweave.charms import CharmNotFoundError, CharmStore, EventKind, load_charm
 from fedweave.engine import (
     CharmConflictError,
@@ -843,6 +843,64 @@ class TestGroupedSeen:
         assert statefile.dump(checkpoint(restored)) == text
 
 
+def _eager_seen(entries) -> set[tuple[str, str, str, str]]:
+    """The keys of grouped or flat checkpoint ``seen`` entries."""
+    return {(kind, name, payload, remote)
+            for kind, name, payload, remotes in entries
+            for remote in ([remotes] if isinstance(remotes, str) else remotes)}
+
+
+class TestLazySeen:
+    """``load_checkpoint`` keeps each unit's ``seen`` entries as loaded and
+    builds the set on the first read of ``unit.seen``."""
+
+    @pytest.fixture
+    def model(self, store, make_inventory):
+        """Mid-flight, with postgresql/0 joined by several moodle units."""
+        model = Model(store, make_inventory(6))
+        deploy_bundle(model, parse_bundle(SCALED_BUNDLE))
+        add_unit(model, "moodle", count=2)
+        for _ in range(14):
+            step(model)
+        return model
+
+    @pytest.fixture
+    def doc(self, model):
+        return statefile.load(statefile.dump(checkpoint(model)))
+
+    @pytest.mark.parametrize("flat", [False, True])
+    def test_seen_equals_the_eager_set(self, store, doc, flat):
+        assert any(len(remotes) > 1 for body in doc["units"].values()
+                   for *_, remotes in body["seen"])
+        if flat:  # the older ``[kind, name, payload, remote]`` entries
+            for body in doc["units"].values():
+                body["seen"] = [[kind, name, payload, remote]
+                                for kind, name, payload, remotes in body["seen"]
+                                for remote in remotes]
+        restored = load_checkpoint(doc, store)
+        for unit_id, body in doc["units"].items():
+            assert restored.units[unit_id].seen == _eager_seen(body["seen"])
+
+    def test_checkpoint_text_is_unchanged(self, store, model, doc):
+        assert statefile.dump(checkpoint(load_checkpoint(doc, store))) == statefile.dump(doc)
+        restored = load_checkpoint(doc, store)
+        step(model)
+        step(restored)
+        assert statefile.dump(checkpoint(restored)) == statefile.dump(checkpoint(model))
+
+    def test_status_builds_no_seen_set(self, store, doc, monkeypatch):
+        built = []
+        real = engine._load_seen
+        monkeypatch.setattr(engine, "_load_seen", lambda entries: built.append(1) or real(entries))
+        restored = load_checkpoint(doc, store)
+        status_snapshot(restored)
+        state_hash(restored)
+        assert built == []
+        unit = restored.units["moodle/0"]
+        assert unit.seen is unit.seen
+        assert built == [1]
+
+
 class TestStatusSnapshot:
     def test_snapshot_shape(self, deploy_fixture):
         model, _ = deploy_fixture(MOODLE_BUNDLE)
@@ -905,6 +963,39 @@ class TestDeploymentErrors:
         assert model.units == {}
         assert model.machines == set()
         assert all(r.state == "ready" for r in model.inventory.machines.values())
+
+    @pytest.mark.parametrize("kind", ["machine", "lxd"])
+    def test_add_unit_refuses_an_unsupported_series(self, store, kind):
+        """``add_unit`` refuses a target whose series the charm lacks, with
+        ``apply_step``'s message, and rolls back the acquisition, the
+        container and the instance charge."""
+        inventory = Inventory()
+        inventory.add_zone("garr-01", "az1")
+        for series in ("xenial",) * 3 + ("bionic",) * 3:
+            inventory.enlist(region="garr-01", az="az1", arch="amd64", cores=4,
+                             mem=8192, disk=102400, series=series)
+        tree = ProjectTree()
+        tree.add_domain("garr")
+        project = tree.create_project("cloud", "garr")
+        for node in ("garr", project):
+            tree.set_quota(node, QuotaSet(vcpus=8, ram=16384, disk=100, instances=8))
+        model = Model(store, inventory, project=project, quota_tree=tree)
+        deploy_bundle(model, parse_bundle(MOODLE_BUNDLE))
+        run_to_convergence(model)
+        assert inventory.machines["0"].series == "xenial"
+        if kind == "machine":  # a ready bionic machine, acquired by the placement
+            placement, target = Placement.on_machine("3"), "3"
+        else:  # a container on an acquired bionic host inherits its series
+            inventory.acquire(Constraints(), machine="4")
+            placement, target = Placement.in_container("lxd", "4"), "4/lxd/0"
+        before = (state_hash(model), inventory.dump(), tree.dump(), checkpoint(model))
+        with pytest.raises(DeploymentError) as raised:
+            add_unit(model, "moodle", placement=placement)
+        assert str(raised.value) == (
+            f"charm 'moodle' does not support series 'bionic' of machine '{target}'")
+        assert (state_hash(model), inventory.dump(), tree.dump(), checkpoint(model)) == before
+        assert add_unit(model, "moodle", placement=Placement.on_machine("1")) == ["moodle/1"]
+        assert tree.nodes[project].usage.instances == 3
 
     def test_placement_failure_rolls_back(self, store):
         inventory = Inventory()

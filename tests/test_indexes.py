@@ -14,13 +14,15 @@ plus one instance per unit, and every machine the model holds must be
 acquired.  Commands fail on purpose (a full pool, a spent quota, an
 unknown machine, a plan larger than the pool); a failed command must
 leave the state hash, the inventory and the quota tree exactly as they
-were.
+were.  After every command, ``Inventory.load`` of the inventory's dump
+must give the same dump and the same ready index.
 """
 
 from __future__ import annotations
 
 import json
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
@@ -28,6 +30,7 @@ from oracles import best_fit_oracle, machines_doc
 
 from fedweave.builtin import SCALED_BUNDLE, builtin_store
 from fedweave.bundle import Bundle, Constraints, Placement, parse_bundle
+from fedweave.cli import run_command
 from fedweave.engine import (
     Model,
     add_unit,
@@ -42,7 +45,7 @@ from fedweave.engine import (
 )
 from fedweave.errors import FedweaveError
 from fedweave.plan import compile_plan, execute_plan
-from fedweave.provider import Inventory
+from fedweave.provider import Inventory, ProviderError
 from fedweave.quota import ProjectTree, QuotaSet
 
 APPS = ("haproxy", "moodle", "postgresql")
@@ -254,6 +257,14 @@ class UnitAndReadyIndexes(RuleBasedStateMachine):
         assert self.tree.nodes[self.project].usage == expected
 
     @invariant()
+    def inventory_reloads_the_same(self):
+        inventory = self.model.inventory
+        restored = Inventory.load(inventory.dump())
+        assert restored.dump() == inventory.dump()
+        assert restored._ready == inventory._ready
+        assert restored._ready_entries == inventory._ready_entries
+
+    @invariant()
     def one_step_leaves_one_leader(self):
         # Processes one event: leader upkeep runs at the start of a step.
         step(self.model)
@@ -267,3 +278,71 @@ UnitAndReadyIndexes.TestCase.settings = settings(
     max_examples=40, stateful_step_count=15, deadline=None
 )
 TestUnitAndReadyIndexes = UnitAndReadyIndexes.TestCase
+
+
+# A hand-written inventory: no next_id, no zones and an id on the container
+# only; a machine given by constraints text, machines without a state, and
+# a container that its host does not list.
+HAND_WRITTEN = """\
+machines:
+  - {region: garr-01, az: az1, constraints: 'cpu-cores=8 mem=16384'}
+  - {region: garr-01, az: az2, cores: 2, mem: 4096, disk: 20480, state: acquired}
+  - {id: 1/lxd/0, region: garr-01, az: az2, cores: 1, mem: 1024, disk: 10240,
+     parent: '1', kind: lxd, state: acquired, reserved: {cores: 1, mem: 1024}}
+  - {region: garr-02, az: az1, cores: 4, mem: 8192, disk: 40960, series: bionic,
+     properties: [ssd]}
+"""
+
+
+def _machine(machine_id: str, az: str, cores: int, mem: int, disk: int, state: str,
+             **extra) -> dict:
+    return {"id": machine_id, "region": extra.pop("region", "garr-01"), "az": az,
+            "arch": "amd64", "cores": cores, "mem": mem, "disk": disk,
+            "series": extra.pop("series", "xenial"), "properties": extra.pop("properties", []),
+            "state": state, **extra}
+
+
+def test_hand_written_inventory_loads_with_defaults():
+    inventory = Inventory.load_yaml(HAND_WRITTEN)
+    assert inventory.dump() == {
+        "zones": [{"region": "garr-01", "az": "az1"}, {"region": "garr-01", "az": "az2"},
+                  {"region": "garr-02", "az": "az1"}],
+        "next_id": 4,
+        "machines": [
+            _machine("0", "az1", 8, 16384, 10240, "ready"),
+            _machine("1", "az2", 2, 4096, 20480, "acquired", containers=["1/lxd/0"]),
+            _machine("1/lxd/0", "az2", 1, 1024, 10240, "acquired", parent="1", kind="lxd",
+                     reserved={"cores": 1, "mem": 1024, "disk": 0}),
+            _machine("3", "az1", 4, 8192, 40960, "ready", region="garr-02", series="bionic",
+                     properties=["ssd"]),
+        ],
+    }
+    host = inventory.machines["1"]
+    assert (host.free_cores(), host.free_mem(), host.free_disk()) == (1, 3072, 20480)
+    assert inventory._ready == [(8192, 40960, (3,), "3"), (16384, 10240, (0,), "0")]
+    assert inventory._ready_entries == {entry[3]: entry for entry in inventory._ready}
+    reloaded = Inventory.load(inventory.dump())
+    assert (reloaded.dump(), reloaded._ready) == (inventory.dump(), inventory._ready)
+
+
+@pytest.mark.parametrize(
+    ("body", "message"),
+    [("{id: '0', region: r, az: a, cores: 1, mem: 1, disk: 1, state: limbo}",
+      "machine '0' has unknown state 'limbo'"),
+     ("{id: 9/lxd/0, region: r, az: a, cores: 1, mem: 1, disk: 1, state: acquired, "
+      "parent: '9', kind: lxd}",
+      "container '9/lxd/0' references unknown host '9'"),
+     ("{id: '1', region: r, az: a, cores: 1, mem: 1, disk: 1, state: acquired, "
+      "containers: [1/lxd/0]}",
+      "machine '1' lists unknown container '1/lxd/0'")],
+    ids=["unknown-state", "unknown-host", "unknown-container"],
+)
+def test_hand_written_inventory_errors_are_one_line(tmp_path, capsys, body, message):
+    with pytest.raises(ProviderError) as raised:
+        Inventory.load_yaml(f"machines:\n  - {body}\n")
+    assert str(raised.value) == message
+    assert run_command(["-w", str(tmp_path), "init"]) == 0
+    capsys.readouterr()
+    (tmp_path / "inventory.yaml").write_text(f"machines:\n  - {body}\n")
+    assert run_command(["-w", str(tmp_path), "machine", "list"]) == 1
+    assert capsys.readouterr() == ("", f"provider: {message}\n")
