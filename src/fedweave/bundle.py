@@ -46,6 +46,7 @@ from __future__ import annotations
 import re
 import shlex
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import yaml
 
@@ -499,10 +500,15 @@ def _canonical_document(bundle: Bundle) -> dict:
 # Steps: the lowered form of a bundle.  ``lower_bundle`` gives them, a plan
 # is their text, one ``render()`` a line, and ``engine.apply_step`` applies
 # them for ``deploy_bundle`` and ``plan.execute_plan`` alike.
+#
+# Each step is a named tuple, built and compared in C where a frozen
+# dataclass runs Python code.  Equality is by value alone, so two steps of
+# different kinds can be equal (a ``CreateContainer`` and a
+# ``JoinRelation`` both hold three strings): test a step's kind with
+# ``isinstance``, and sort steps by an explicit key.
 
 
-@dataclass(frozen=True)
-class AcquireMachine:
+class AcquireMachine(NamedTuple):
     machine: str  # bundle-local id, or "fresh:<unit>" for implicit machines
     series: str
     constraints: Constraints = Constraints()
@@ -515,8 +521,7 @@ class AcquireMachine:
         return text
 
 
-@dataclass(frozen=True)
-class CreateContainer:
+class CreateContainer(NamedTuple):
     host: str  # bundle-local machine id
     kind: str
     alias: str  # bundle-local container id, e.g. "0/lxd/0"
@@ -525,8 +530,7 @@ class CreateContainer:
         return f"create-container {self.host} {self.kind} {self.alias}"
 
 
-@dataclass(frozen=True)
-class AddApplication:
+class AddApplication(NamedTuple):
     application: str
     charm: str
     series: str
@@ -539,8 +543,7 @@ class AddApplication:
                          *(f"{key}={shlex.quote(value)}" for key, value in self.options)])
 
 
-@dataclass(frozen=True)
-class InstallUnit:
+class InstallUnit(NamedTuple):
     unit: str
     machine: str  # bundle-local machine or container alias
 
@@ -548,8 +551,7 @@ class InstallUnit:
         return f"install-unit {self.unit} {self.machine}"
 
 
-@dataclass(frozen=True)
-class JoinRelation:
+class JoinRelation(NamedTuple):
     provider: str  # "app:endpoint", provider side first
     requirer: str
     interface: str

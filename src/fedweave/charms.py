@@ -37,6 +37,7 @@ Charm definition files are YAML documents::
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from collections.abc import Callable, Iterable
@@ -189,7 +190,7 @@ HookAction = SetUnitStatus | SetState | ClearState | SetRelationData | OpenPort 
 
 def template_references(value: str) -> list[tuple[str, str]]:
     """Return the (source, name) pairs referenced by a value template."""
-    return [(m.group(1), m.group(2)) for m in _TEMPLATE_RE.finditer(value)]
+    return [(source, name) for source, name, _ in _parse_template(value)[1]]
 
 
 def resolve_template(value: str, config: dict, remote_data: dict | None) -> str:
@@ -198,20 +199,26 @@ def resolve_template(value: str, config: dict, remote_data: dict | None) -> str:
     Unresolvable ``{remote:...}`` references expand to the empty string so
     that re-running a handler is stable regardless of what the remote unit
     has published so far.  A value with no ``{`` has no reference, and is
-    returned as it is.
+    returned as it is.  Each template is parsed once (``_parse_template``).
     """
     if "{" not in value:
         return value
-
-    def _sub(match: re.Match) -> str:
-        source, name = match.group(1), match.group(2)
+    text, references = _parse_template(value)
+    for source, name, tail in references:
         if source == "config":
-            return _option_str(config.get(name))
-        if remote_data is None:
-            return ""
-        return str(remote_data.get(name, ""))
+            text += _option_str(config.get(name))
+        elif remote_data is not None:
+            text += str(remote_data.get(name, ""))
+        text += tail
+    return text
 
-    return _TEMPLATE_RE.sub(_sub, value)
+
+@functools.lru_cache(maxsize=256)
+def _parse_template(value: str) -> tuple[str, tuple[tuple[str, str, str], ...]]:
+    """The literal text before a template's first reference, and a
+    (source, name, literal text after it) triple per reference."""
+    pieces = _TEMPLATE_RE.split(value)
+    return pieces[0], tuple(zip(pieces[1::3], pieces[2::3], pieces[3::3]))
 
 
 def _option_str(value) -> str:

@@ -352,10 +352,11 @@ class Inventory:
     @classmethod
     def load(cls, doc: dict) -> "Inventory":
         """Restore an inventory from a dump, or seed one from a hand-written
-        document (state defaults to ready, zones are inferred).  Each record
-        is built in one call; then containers join their hosts, hosts
-        reserve what their containers reserve, and one sort builds the
-        ready index."""
+        document (state defaults to ready, zones are inferred, and a machine
+        with no id takes its position in the list).  A machine id given
+        twice is an error.  Each record is built in one call; then
+        containers join their hosts, hosts reserve what their containers
+        reserve, and one sort builds the ready index."""
         inv = cls()
         if not isinstance(doc, dict):
             raise ProviderError("inventory document must be a mapping")
@@ -374,7 +375,13 @@ class Inventory:
                 disk = parsed.root_disk or 10240
             else:
                 cores, mem, disk = int(body["cores"]), int(body["mem"]), int(body["disk"])
-            machine_id = str(body.get("id", len(machines)))
+            named = "id" in body
+            machine_id = str(body["id"] if named else len(machines))
+            if machine_id in machines:
+                raise ProviderError(
+                    f"machine id {machine_id!r} is listed twice" if named else
+                    f"a machine with no id would take its position {machine_id!r} as its id, "
+                    "which an earlier machine has")
             properties = body.get("properties")
             reserved = body.get("reserved")
             containers = body.get("containers")

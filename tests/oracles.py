@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 from fedweave.charms import CharmSpec, EventKind
 from fedweave.engine import (
@@ -29,6 +30,34 @@ from fedweave.engine import (
     state_hash,
     step,
 )
+
+# ---------------------------------------------------------------------------
+# Value templates, by regular expression substitution
+
+
+_TEMPLATE_RE = re.compile(r"\{(config|remote):([A-Za-z0-9_.-]+)\}")
+
+
+def resolve_template_oracle(value: str, config: dict, remote_data: dict | None) -> str:
+    """The regular-expression resolver ``charms.resolve_template`` replaced:
+    every ``{config:name}`` becomes the option's text (None empty, a bool
+    ``true``/``false``), every ``{remote:name}`` the remote's value or ""."""
+
+    def substitute(match: re.Match) -> str:
+        source, name = match.group(1), match.group(2)
+        if source == "config":
+            option = config.get(name)
+            if option is None:
+                return ""
+            if isinstance(option, bool):
+                return "true" if option else "false"
+            return str(option)
+        if remote_data is None:
+            return ""
+        return str(remote_data.get(name, ""))
+
+    return _TEMPLATE_RE.sub(substitute, value)
+
 
 # ---------------------------------------------------------------------------
 # Best-fit placement, by brute force

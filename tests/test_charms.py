@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedweave.builtin import MOODLE_CHARM, POSTGRESQL_CHARM, builtin_store
@@ -28,7 +28,7 @@ from fedweave.charms import (
     resolve_template,
     template_references,
 )
-from oracles import guard_satisfied, handler_matches
+from oracles import guard_satisfied, handler_matches, resolve_template_oracle
 
 
 class TestEventKind:
@@ -140,6 +140,32 @@ class TestTemplates:
 
     def test_untemplated_braces_pass_through(self):
         assert resolve_template("{not:a-template}", {}, None) == "{not:a-template}"
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        value=st.lists(st.one_of(
+            st.text(max_size=6),
+            st.sampled_from(["{", "}", ":", "{config:", "{remote:", "{config:}", "config:a}",
+                             "{config:a", "{remote:host", "{Config:a}", "{config:a b}"]),
+            st.builds("{{{}:{}}}".format, st.sampled_from(["config", "remote"]),
+                      st.sampled_from(["a", "b", "host", "x.y-z_1", "missing"])),
+        ), max_size=8).map("".join),
+        config=st.dictionaries(
+            st.sampled_from(["a", "b", "x.y-z_1"]),
+            st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=4))),
+        remote_data=st.one_of(st.none(), st.dictionaries(
+            st.sampled_from(["a", "host", "x.y-z_1"]),
+            st.one_of(st.text(max_size=4), st.integers()))),
+    )
+    @example(value="{config:a}{config:a}", config={"a": 1}, remote_data=None)
+    @example(value="{remote:host}{remote:a}", config={}, remote_data={"host": "h"})
+    @example(value="{{config:a}}", config={"a": False}, remote_data=None)
+    @example(value="{config:a", config={"a": None}, remote_data={})
+    def test_parse_once_resolver_agrees_with_the_regex_resolver(self, value, config, remote_data):
+        want = resolve_template_oracle(value, config, remote_data)
+        assert resolve_template(value, config, remote_data) == want
+        # A second call reads the parse the first one made.
+        assert resolve_template(value, config, remote_data) == want
 
 
 class TestHandlers:

@@ -334,8 +334,16 @@ def test_hand_written_inventory_loads_with_defaults():
       "container '9/lxd/0' references unknown host '9'"),
      ("{id: '1', region: r, az: a, cores: 1, mem: 1, disk: 1, state: acquired, "
       "containers: [1/lxd/0]}",
-      "machine '1' lists unknown container '1/lxd/0'")],
-    ids=["unknown-state", "unknown-host", "unknown-container"],
+      "machine '1' lists unknown container '1/lxd/0'"),
+     # Two machines given one id: the second no longer replaces the first.
+     ("{id: '1', region: r, az: a, cores: 2, mem: 1, disk: 1}\n"
+      "  - {id: 1, region: r, az: a, cores: 1, mem: 1, disk: 1}",
+      "machine id '1' is listed twice"),
+     ("{id: '1', region: r, az: a, cores: 2, mem: 1, disk: 1}\n"
+      "  - {region: r, az: a, cores: 1, mem: 1, disk: 1}",
+      "a machine with no id would take its position '1' as its id, "
+      "which an earlier machine has")],
+    ids=["unknown-state", "unknown-host", "unknown-container", "duplicate-id", "position-id"],
 )
 def test_hand_written_inventory_errors_are_one_line(tmp_path, capsys, body, message):
     with pytest.raises(ProviderError) as raised:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import shlex
 
@@ -41,6 +42,8 @@ from fedweave.plan import (
 )
 from fedweave.provider import Inventory
 from fedweave.quota import ProjectTree, QuotaExceededError, QuotaSet
+
+from test_step import FLEET_BUNDLE
 
 GOLDEN_MOODLE_STEPS = [
     "acquire-machine 0 series=xenial constraints='arch=amd64 cpu-cores=1 mem=2048 root-disk=20480'",
@@ -110,6 +113,28 @@ class TestCompilation:
         assert lines[1] == f"# charm-digest: {plan.charm_digest}"
         assert lines[2:] == GOLDEN_MOODLE_STEPS
         assert len(plan.bundle_digest) == len(plan.charm_digest) == 64
+
+    @pytest.mark.parametrize(("text", "steps", "digest"), [
+        (MOODLE_BUNDLE, 7, "09a4bd7bf15e21c97c372efffe17cadb4c39493dca11c3f6ab7908cc5e88432c"),
+        (SCALED_BUNDLE, 11, "9b9382a860e0695499025dcde499530816d2e8ab461343ff24b3ddec09b1778c"),
+        (FLEET_BUNDLE, 415, "b73a7e38020d79397fcef23e0466270bfbe4ed2e0e73557ed9f280463120d693"),
+    ], ids=["moodle", "scaled", "fleet"])
+    def test_plan_text_is_pinned(self, store, text, steps, digest):
+        # The SHA-256 of each plan's text, taken when steps were frozen dataclasses.
+        plan = compile_plan(parse_bundle(text), store)
+        assert len(plan.steps) == steps
+        assert hashlib.sha256(plan.render().encode("utf-8")).hexdigest() == digest
+        assert parse_plan(plan.render()) == plan
+
+    def test_steps_of_two_kinds_can_be_equal(self, store, scaled_bundle):
+        # Steps are named tuples, equal by value alone: their kind is told
+        # with isinstance, and the plan sorts its joins by their fields.
+        assert CreateContainer("0", "lxd", "0/lxd/0") == JoinRelation("0", "lxd", "0/lxd/0")
+        assert not isinstance(JoinRelation("0", "lxd", "0/lxd/0"), CreateContainer)
+        plan = compile_plan(scaled_bundle, store)
+        joins = [s for s in plan.steps if isinstance(s, JoinRelation)]
+        assert [(s.provider, s.requirer) for s in joins] == sorted(
+            (s.provider, s.requirer) for s in joins)
 
     def test_phases_are_ordered(self, store, scaled_bundle):
         plan = compile_plan(scaled_bundle, store)
