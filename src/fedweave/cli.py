@@ -1074,12 +1074,15 @@ def _plain_parse(argv: list[str]) -> argparse.Namespace | None:
     in the plain form, and the full tree must answer.
 
     The plain form is: at most one workspace option (``-w X``, ``-wX``,
-    ``--workspace X`` or ``--workspace=X``), the command words, the
-    positionals, then options spelled in full (``--opt value``,
-    ``--opt=value``, ``-n value`` or a bare flag), each at most once.  No
-    value may start with ``-``, and every value must convert and be one of
-    its choices.  Everything else (help, abbreviations, an option before a
-    positional, a repeat, ``--``, a usage error) returns None.
+    ``--workspace X`` or ``--workspace=X``), the command words, then the
+    positionals and options spelled in full (``--opt value``,
+    ``--opt=value``, ``-n value`` or a bare flag), each option at most
+    once.  Options may stand before or between the positionals only when
+    each positional takes exactly one value; otherwise they follow them
+    all.  No value may start with ``-``, and every value must convert and
+    be one of its choices.  Everything else (help, abbreviations, an
+    option before an optional or variadic positional, a repeat, ``--``, a
+    usage error) returns None.
     """
     words = _command_words(argv)
     if words is None:
@@ -1101,10 +1104,45 @@ def _plain_parse(argv: list[str]) -> argparse.Namespace | None:
     if len(words) == 2:
         values[f"{words[0]}_command"] = words[1]
 
-    tokens = argv[end:]
-    split = next((i for i, token in enumerate(tokens) if token.startswith("-")), len(tokens))
-    positionals = tokens[:split]
     specs = [(_dest(flags), spec) for flags, spec in arguments if not flags[0].startswith("-")]
+    # Argparse matches a positional of one value wherever it stands between
+    # options; an optional or variadic one is matched greedily, from the
+    # first run of positionals, so it must come before every option.
+    interleaved = not any("nargs" in spec for _, spec in specs)
+    options = {}
+    for flags, spec in arguments:
+        if flags[0].startswith("-"):
+            dest = _dest(flags)
+            options.update(dict.fromkeys(flags, (dest, spec)))
+            is_flag = spec.get("action") == "store_true"
+            values[dest] = spec.get("default", False if is_flag else None)
+    positionals = []
+    seen = set()
+    tokens = iter(argv[end:])
+    for token in tokens:
+        if not token.startswith("-"):
+            if seen and not interleaved:
+                return None
+            positionals.append(token)
+            continue
+        name, eq, value = token.partition("=") if token.startswith("--") else (token, "", "")
+        if name not in options or options[name][0] in seen:
+            return None
+        dest, spec = options[name]
+        seen.add(dest)
+        if spec.get("action") == "store_true":
+            if eq:
+                return None
+            values[dest] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                return None
+        values[dest] = _plain_value(spec, value)
+        if values[dest] is _INVALID:
+            return None
+
     for index, (dest, spec) in enumerate(specs):
         # Greedy, as argparse matches positionals: each takes what those
         # after it leave, and at least one unless it is optional.
@@ -1123,34 +1161,6 @@ def _plain_parse(argv: list[str]) -> argparse.Namespace | None:
         positionals = positionals[count:]
     if positionals:
         return None
-
-    options = {}
-    for flags, spec in arguments:
-        if flags[0].startswith("-"):
-            dest = _dest(flags)
-            options.update(dict.fromkeys(flags, (dest, spec)))
-            is_flag = spec.get("action") == "store_true"
-            values[dest] = spec.get("default", False if is_flag else None)
-    seen = set()
-    option_tokens = iter(tokens[split:])
-    for token in option_tokens:
-        name, eq, value = token.partition("=") if token.startswith("--") else (token, "", "")
-        if name not in options or options[name][0] in seen:
-            return None
-        dest, spec = options[name]
-        seen.add(dest)
-        if spec.get("action") == "store_true":
-            if eq:
-                return None
-            values[dest] = True
-            continue
-        if not eq:
-            value = next(option_tokens, None)
-            if value is None:
-                return None
-        values[dest] = _plain_value(spec, value)
-        if values[dest] is _INVALID:
-            return None
     if any(spec.get("required") and dest not in seen for dest, spec in options.values()):
         return None
     values["func"] = handler

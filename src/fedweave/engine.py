@@ -7,7 +7,9 @@ looks its kind up in the charm's dispatch table (``CharmSpec.dispatch``),
 keeps the handlers whose state-flag guard is satisfied, runs them in a
 seed-determined pseudo-random order, applies their actions, and enqueues
 follow-on events.  ``run_to_convergence`` steps until the queue drains or
-a budget is exhausted.
+a budget is exhausted, with one generator for the whole run; a step
+called on its own builds a generator only when two or more handlers
+match, the one case with an order to choose.
 
 Three rules make convergence insensitive to ordering:
 
@@ -190,12 +192,17 @@ class Relation:
     # unit id -> that unit's data bag in this relation
     data: dict[str, dict[str, str]] = field(default_factory=dict)
 
+    @cached_property
+    def _endpoints(self) -> dict[str, str]:
+        """Each side's application -> its endpoint, built on first use:
+        the engine asks for an endpoint on most relation events, and
+        neither side is reassigned.  The provider is written last, so when
+        both sides name one application, its endpoint wins."""
+        sides = (self.requirer.partition(":"), self.provider.partition(":"))
+        return {app: endpoint for app, _, endpoint in sides}
+
     def endpoint_of(self, app: str) -> str | None:
-        for side in (self.provider, self.requirer):
-            side_app, _, endpoint = side.partition(":")
-            if side_app == app:
-                return endpoint
-        return None
+        return self._endpoints.get(app)
 
     def apps(self) -> tuple[str, str]:
         return (self.provider.partition(":")[0], self.requirer.partition(":")[0])
@@ -836,8 +843,14 @@ def step(model: Model, rng_seed: int | None = None, _rng: random.Random | None =
     emit no relation-changed event (those follow a changed bag) and
     re-deliver nothing (redelivery follows an added flag).  Such a step
     records the event as seen, seeds ``start`` after ``install`` and
-    traces the event, and does nothing else.  The seeded shuffle is still
-    called on its empty handler list, which draws no random number.
+    traces the event, and does nothing else.  A generator passed as
+    ``_rng`` is still asked to shuffle its empty handler list, which draws
+    no random number.
+
+    Only two or more matching handlers have an order to choose.  Without
+    ``_rng``, the step builds its ``random.Random(rng_seed)`` for those
+    alone: shuffling fewer draws nothing, and the generator is thrown away
+    when the step returns, so building it would change no result.
 
     A step with one matching handler runs it without conflict tracking.
     A conflict is two different handlers writing different values to one
@@ -852,7 +865,6 @@ def step(model: Model, rng_seed: int | None = None, _rng: random.Random | None =
     queue = model.event_queue
     if not queue:
         return StepReport(None)
-    rng = _rng if _rng is not None else random.Random(DEFAULT_SEED if rng_seed is None else rng_seed)
     # The charm is read before the event is taken: a charm that fails to
     # resolve on first use leaves the queue and the model as they were.
     unit = model.units.get(queue[0].target)
@@ -863,16 +875,21 @@ def step(model: Model, rng_seed: int | None = None, _rng: random.Random | None =
         logger.info("dropping %s: target unit no longer exists", event.render())
         return StepReport(event, 0, 0, True)
 
-    unit.seen.add(event.key())
+    kind = event.kind
+    unit.seen.add((kind.kind, kind.name, event.payload, event.remote))  # ``Event.key``, inline
     states = unit.states
-    matching = [
-        (index, handler)
-        for index, handler in charm.dispatch.get(event.kind, ())
-        if handler.when_states <= states
-    ]
-    rng.shuffle(matching)
+    handlers = charm.dispatch.get(kind)
+    if handlers is None:
+        matching = []
+    else:
+        matching = [(index, handler) for index, handler in handlers
+                    if handler.when_states <= states]
+    if _rng is not None:
+        _rng.shuffle(matching)
+    elif len(matching) > 1:
+        random.Random(DEFAULT_SEED if rng_seed is None else rng_seed).shuffle(matching)
     if not matching:
-        if event.kind == _INSTALL:
+        if kind == _INSTALL:
             queue.append(Event(_START, unit.id))
         if model.trace is not None:
             _trace_step(model, event, unit, 0, ())
@@ -888,7 +905,7 @@ def step(model: Model, rng_seed: int | None = None, _rng: random.Random | None =
             model.shadow_deltas += _shadow_delta(model, unit, event, handler)
 
     emitted = _emit_changed(model, changed_bags) if changed_bags else 0
-    if event.kind == _INSTALL:
+    if kind == _INSTALL:
         queue.append(Event(_START, unit.id))
     added = states - flags_before
     redelivered = _redeliver(model, unit, charm, added, flags_before) if added else 0

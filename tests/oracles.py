@@ -460,6 +460,17 @@ def step_oracle(model: Model, rng_seed: int | None = None, _rng: random.Random |
     )
 
 
+def endpoint_of_oracle(relation, app: str) -> str | None:
+    """The endpoint ``app`` has in ``relation``: both sides partitioned on
+    every call, the provider's first, so it wins when both sides name
+    ``app``."""
+    for side in (relation.provider, relation.requirer):
+        side_app, _, endpoint = side.partition(":")
+        if side_app == app:
+            return endpoint
+    return None
+
+
 def _emit_changed(model: Model, changed_bags: set[tuple[str, str]]) -> int:
     """One relation-changed event per remote unit per changed bag."""
     emitted = 0
@@ -467,7 +478,7 @@ def _emit_changed(model: Model, changed_bags: set[tuple[str, str]]) -> int:
         relation = model.relations[relation_id]
         writer_app = model.units[writer_id].app
         other_app = next(a for a in relation.apps() if a != writer_app)
-        other_endpoint = relation.endpoint_of(other_app)
+        other_endpoint = endpoint_of_oracle(relation, other_app)
         for remote_unit in model.unit_ids_of(other_app):
             if remote_unit == writer_id:
                 continue

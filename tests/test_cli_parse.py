@@ -39,6 +39,9 @@ VALID = [
     ["config", "postgresql", "listen_port=6432"],
     ["--work", "ws", "config", "moodle", "a=1", "b=2", "--seed", "9"],
     ["add-relation", "haproxy:reverseproxy", "moodle:website"],
+    ["add-relation", "a:x", "--budget", "5", "b:y", "--no-converge"],
+    ["deploy", "--project", "cloud", "b.yaml"],
+    ["add-unit", "--to", "lxd:0", "moodle", "-n", "2"],
     ["converge"],
     ["converge", "--budget", "5"],
     ["status"],
@@ -208,9 +211,10 @@ def spelled_in_full(flags: tuple[str, ...], spec: dict):
 @st.composite
 def entry_argv(draw) -> list[str]:
     """An argv shaped like a call of one ``COMMANDS`` entry: a workspace
-    spelling, the words, about as many values as it has positionals, then
-    options.  Half the options are the entry's own, spelled in full; the
-    rest are any spelling of them, alone or with any value."""
+    spelling, the words, then about as many values as it has positionals,
+    with options after them, or before or between them.  Half the options
+    are the entry's own, spelled in full; the rest are any spelling of
+    them, alone or with any value."""
     words, _, arguments, _ = draw(st.sampled_from(COMMANDS))
     options = [(flags, spec) for flags, spec in arguments if flags[0].startswith("-")]
     any_option = st.sampled_from([*spellings([f for flags, _ in options for f in flags]), "-w"])
@@ -223,12 +227,18 @@ def entry_argv(draw) -> list[str]:
     positionals = len(arguments) - len(options)
     count = draw(st.one_of(st.just(positionals),
                            st.integers(max(0, positionals - 1), positionals + 1)))
-    return [
-        *draw(WORKSPACE),
-        *words,
-        *draw(st.lists(st.sampled_from(ORDINARY), min_size=count, max_size=count)),
-        *(token for tokens in uses for token in tokens),
-    ]
+    values = draw(st.lists(st.sampled_from(ORDINARY), min_size=count, max_size=count))
+    # Each use takes a slot: 0 is before every value, i is after the i-th.
+    # Half of them take the last, after every value.
+    slots = [draw(st.one_of(st.just(count), st.integers(0, count))) for _ in uses]
+    argv = [*draw(WORKSPACE), *words]
+    for slot in range(count + 1):
+        if slot:
+            argv.append(values[slot - 1])
+        for tokens, taken in zip(uses, slots):
+            if taken == slot:
+                argv += tokens
+    return argv
 
 
 def full_tree_outcome(argv: list[str]) -> dict | tuple[int, str, str]:
@@ -256,6 +266,11 @@ def full_tree_outcome(argv: list[str]) -> dict | tuple[int, str, str]:
 @example(argv=["init", "--demo=ws"])
 @example(argv=["machine", "enlist", "--zone", "r/a", "--cores", "1", "--mem", "1"])
 @example(argv=["-w=ws", "status"])
+# Options before and between positionals that each take one value, and
+# an option that splits a variadic positional, which argparse rejects.
+@example(argv=["deploy", "--project", "cloud", "b.yaml"])
+@example(argv=["add-relation", "a:x", "--budget", "5", "b:y"])
+@example(argv=["config", "moodle", "a=1", "--seed", "9", "b=2"])
 def test_generated_argv_gets_the_full_tree_result(argv, tmp_path, monkeypatch):
     # An argv parsed where the full tree exits would run its command here.
     monkeypatch.chdir(tmp_path)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import endpoint_of_oracle
 
 from fedweave import engine, statefile
 from fedweave import plan as plan_module
@@ -238,6 +239,24 @@ class TestAddRelation:
         assert relation.provider == "moodle:website"
         assert relation.requirer == "haproxy:reverseproxy"
         assert relation.interface == "http"
+
+    @given(provider=st.sampled_from(["a:x", "a:y", "b:x", "a", "b:", ":x", "a:b:c"]),
+           requirer=st.sampled_from(["a:z", "b:y", "c:x", "a", "c", "a:b:c"]))
+    @example(provider="a:x", requirer="a:y")
+    def test_endpoints_match_the_partition_of_each_side(self, provider, requirer):
+        relation = engine.Relation("r", provider, requirer, "http")
+        # Asked twice: the second answer comes from the map the first built.
+        for _ in range(2):
+            for app in ("a", "b", "c", "", "x", "a:b"):
+                assert relation.endpoint_of(app) == endpoint_of_oracle(relation, app), app
+        if provider == "a:x" and requirer == "a:y":
+            assert relation.endpoint_of("a") == "x"
+
+    def test_endpoints_of_deployed_relations(self, deploy_fixture):
+        model, _ = deploy_fixture(SCALED_BUNDLE)
+        for relation in model.relations.values():
+            for app in (*relation.apps(), "nosuch"):
+                assert relation.endpoint_of(app) == endpoint_of_oracle(relation, app)
 
     def test_duplicate_relation(self, deploy_fixture):
         model, _ = deploy_fixture(MOODLE_BUNDLE)

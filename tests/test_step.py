@@ -76,6 +76,27 @@ def _commands(bundle_text: str):
     )
 
 
+def _agreeing_steps(lean: Model, reference: Model, bundle_text: str, step_lean, step_reference):
+    """Apply each command to both models and step both to an empty queue,
+    one ``step_lean()`` against one ``step_reference()``; after each pair,
+    assert that the report, the queue, the trace and the whole checkpoint
+    agree, and yield the lean step's report."""
+    lean.trace, reference.trace = [], []
+    for command in _commands(bundle_text):
+        command(lean)
+        command(reference)
+        while True:
+            got = step_lean()
+            want = step_reference()
+            assert got._asdict() == want._asdict()
+            assert list(lean.event_queue) == list(reference.event_queue), got.event
+            assert lean.trace == reference.trace, got.event
+            assert checkpoint(lean) == checkpoint(reference), got.event
+            yield got
+            if got.event is None:
+                break
+
+
 class TestStepMatchesReference:
     @pytest.mark.parametrize(
         "bundle_text", CORPUS, ids=[f"bundle{i}" for i in range(len(CORPUS))]
@@ -83,25 +104,52 @@ class TestStepMatchesReference:
     @pytest.mark.parametrize("seed", [1, 7])
     def test_every_step_agrees(self, charm_store, make_inventory, bundle_text, seed):
         lean, reference = (Model(charm_store, make_inventory(8)) for _ in range(2))
-        lean.trace, reference.trace = [], []
         lean_rng, reference_rng = random.Random(seed), random.Random(seed)
         steps = skipped = 0
-        for command in _commands(bundle_text):
-            command(lean)
-            command(reference)
-            while True:
-                got = engine.step(lean, _rng=lean_rng)
-                want = step_oracle(reference, _rng=reference_rng)
-                assert got._asdict() == want._asdict()
-                assert list(lean.event_queue) == list(reference.event_queue), got.event
-                assert lean.trace == reference.trace, got.event
-                assert lean_rng.getstate() == reference_rng.getstate(), got.event
-                assert checkpoint(lean) == checkpoint(reference), got.event
-                if got.event is None:
-                    break
+        for got in _agreeing_steps(lean, reference, bundle_text,
+                                   lambda: engine.step(lean, _rng=lean_rng),
+                                   lambda: step_oracle(reference, _rng=reference_rng)):
+            assert lean_rng.getstate() == reference_rng.getstate(), got.event
+            if got.event is not None:
                 steps += 1
                 skipped += got.handlers_run == 0
         assert 0 < skipped < steps
+
+    @pytest.mark.parametrize(
+        "bundle_text", CORPUS, ids=[f"bundle{i}" for i in range(len(CORPUS))]
+    )
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_every_direct_step_agrees(self, monkeypatch, charm_store, make_inventory,
+                                      bundle_text, seed):
+        """Stepped one call at a time with only a seed, as a library caller
+        does, the step builds ``random.Random(seed)`` on exactly the steps
+        that match two or more handlers, and still agrees with the
+        reference, which builds one on every step."""
+        built = []
+
+        class CountedRandom(random.Random):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(engine.random, "Random", CountedRandom)
+        lean, reference = (Model(charm_store, make_inventory(8)) for _ in range(2))
+
+        def direct_step():
+            before = len(built)
+            report = engine.step(lean, rng_seed=seed)
+            assert built[before:] == ([(seed,)] if report.handlers_run > 1 else []), report
+            return report
+
+        multi = sum(
+            got.handlers_run > 1
+            for got in _agreeing_steps(lean, reference, bundle_text, direct_step,
+                                       lambda: step_oracle(reference, rng_seed=seed))
+        )
+        if bundle_text == TWIN_BUNDLE:
+            assert multi > 0
+        if bundle_text == MOODLE_BUNDLE:
+            assert multi == 0
 
     def test_report_keeps_its_fields_and_immutability(self):
         report = StepReport("install@moodle/0", handlers_run=2)
