@@ -53,6 +53,16 @@ pays for what it prints: it parses no charm, loads the inventory in one
 pass, and leaves each unit's seen events packed as ``model.yaml`` holds
 them (``engine.load_checkpoint``).
 
+A command that changes the model hashes it after the commit and then
+writes ``.fedweave-seal.json``: the hash, sealed to the SHA-256 of
+``model.yaml`` and of the file holding the model's inventory as the
+commit left them.  ``status`` prints the sealed hash when the seal
+matches the bytes it loaded, and otherwise computes it, so its output is
+the same either way.  The seal is derived data: written without fsync,
+never by a read, and read as no seal when stale, missing or cut short.
+A state document of the wrong shape fails the command with one
+``<module>: malformed <what> document`` line.
+
 ``run_command`` runs a command with the cyclic garbage collector off: a
 command's objects form no reference cycles, so reference counting frees
 them all (``tests/test_gc.py`` checks every command).  An argv left to
@@ -108,6 +118,11 @@ STATE_FILES = ("model.yaml", "inventory.yaml", "federation.yaml", "projects.yaml
 #: committed with the state files but not one of them.
 CHARM_STORE_FILE = ".fedweave-charms.json"
 CHARM_STORE_FORMAT = 1
+#: The state hash the last model write printed, sealed to the files it was
+#: computed from (see ``Workspace.seal``): derived data, written after the
+#: commit and not one of the state files.
+SEAL_FILE = ".fedweave-seal.json"
+SEAL_FORMAT = 1
 
 
 class CliError(FedweaveError):
@@ -126,9 +141,10 @@ class Workspace:
     on a region acquires machines from the inventory inside the loaded
     ``Federation``.  ``commit`` writes back, as one all-or-nothing set,
     every loaded document whose text differs from its file's.  The lock
-    keeps each file as it was read, so the file is read again to compare
-    rather than held through the command: for a 600-unit fleet that text
-    is most of a megabyte.
+    keeps each file as it was read, so the workspace keeps the SHA-256 of
+    the bytes it loaded and compares the new text's against it, rather
+    than holding the text, most of a megabyte for a 600-unit fleet, through
+    the command or reading the file again.
     """
 
     def __init__(self, root: Path) -> None:
@@ -141,6 +157,9 @@ class Workspace:
         self.model: Model | None = None
         self.provider_ref = "local"
         self._documents: dict[Path, Inventory | Federation | ProjectTree] = {}
+        # The SHA-256 of each loaded file's bytes (None when it does not
+        # exist); once committed, of the text the commit left in it.
+        self._digests: dict[Path, str | None] = {}
         self._charm_files = _CharmFiles(root)
 
     def require_init(self) -> None:
@@ -162,9 +181,16 @@ class Workspace:
         """The ``kind`` loaded from ``path`` on first use; empty when the
         file does not exist, and then created by the commit."""
         if path not in self._documents:
-            data = _read(path)
+            data = self._read_state(path)
             self._documents[path] = kind() if data is None else kind.load_yaml(data)
         return self._documents[path]
+
+    def _read_state(self, path: Path) -> bytes | None:
+        """The bytes of ``path`` (None when it does not exist), whose
+        SHA-256 the workspace keeps."""
+        data = _read(path)
+        self._digests[path] = _sha256(data)
+        return data
 
     def inventory(self) -> Inventory:
         return self._document(self.inventory_path, Inventory)
@@ -182,19 +208,21 @@ class Workspace:
             return self.model
         if not self.model_path.exists():
             raise CliError("no model in this workspace (deploy a bundle first)")
-        doc = statefile.load_mapping(self.model_path.read_bytes(), "model", CliError,
+        doc = statefile.load_mapping(self._read_state(self.model_path), "model", CliError,
                                      allow_empty=False)
-        self.provider_ref = doc.get("provider_ref", "local")
-        if self.provider_ref == "local":
-            inventory = self.inventory()
-        else:
-            region = self.federation().regions.get(self.provider_ref)
-            if region is None:
-                raise CliError(f"model references unknown region {self.provider_ref!r}")
-            inventory = region.inventory
-        body = doc.get("model") or {}
-        tree = self.projects() if body.get("project") else None
-        self.model = load_checkpoint(body, self.store(), inventory=inventory, quota_tree=tree)
+        with statefile.malformed("model", CliError):
+            self.provider_ref = doc.get("provider_ref", "local")
+            if self.provider_ref == "local":
+                inventory = self.inventory()
+            else:
+                region = self.federation().regions.get(self.provider_ref)
+                if region is None:
+                    raise CliError(f"model references unknown region {self.provider_ref!r}")
+                inventory = region.inventory
+            body = doc.get("model") or {}
+            tree = self.projects() if body.get("project") else None
+            self.model = load_checkpoint(body, self.store(), inventory=inventory,
+                                         quota_tree=tree)
         return self.model
 
     def new_model(self, region: str | None, project: str | None, strict_conflicts: bool) -> Model:
@@ -231,16 +259,57 @@ class Workspace:
         """The file name and new text of each loaded document whose text
         differs from its file's, then of the compiled charm store when the
         command parsed the charm files.  A file read as YAML counts as
-        changed, so it is rewritten as JSON."""
+        changed, so it is rewritten as JSON.  A new model's file was never
+        loaded, so it is read to compare."""
         renders = [(path, document.dump_yaml) for path, document in self._documents.items()]
         if self.model is not None:
             renders.append((self.model_path, self.save_model))
         for path, render in renders:
             text = render()
-            if text.encode("utf-8") != _read(path):
+            digest = _sha256(text.encode("utf-8"))
+            if digest != (self._digests[path] if path in self._digests else _sha256(_read(path))):
                 yield path.name, text
+            self._digests[path] = digest
         if self._charm_files.compiled is not None:
             yield CHARM_STORE_FILE, self._charm_files.compiled
+
+    # -- the seal ---------------------------------------------------------
+
+    def _seal_text(self, digest: str) -> str:
+        """The seal of state hash ``digest``: the format, the version, the
+        SHA-256 of ``model.yaml`` and of the file holding the model's
+        inventory (``inventory.yaml``, or ``federation.yaml`` for a model
+        placed on a region) as the workspace knows them, the hash, and a
+        SHA-256 over all of these."""
+        inventory_path = (self.inventory_path if self.provider_ref == "local"
+                          else self.federation_path)
+        fields = {"format": SEAL_FORMAT, "version": __version__,
+                  "model": self._digests[self.model_path],
+                  "inventory": [inventory_path.name, self._digests[inventory_path]],
+                  "state_hash": digest}
+        text = json.dumps(fields, sort_keys=True, separators=(",", ":"))
+        return json.dumps({**fields, "check": _sha256(text.encode("utf-8"))},
+                          sort_keys=True, separators=(",", ":"))
+
+    def seal(self, digest: str) -> None:
+        """Record that the committed files hash to ``digest``.  The seal is
+        written in place, without fsync or commit record: after a crash it
+        may be stale, missing, cut short or end in its old text, and each
+        of those reads as no seal."""
+        statefile.overwrite(self.root / SEAL_FILE, self._seal_text(digest))
+
+    def sealed_hash(self) -> str | None:
+        """The state hash of the loaded model, taken from the seal when the
+        seal is whole and names the very bytes this command loaded; None
+        when there is no such seal and the hash must be computed."""
+        try:
+            data = (self.root / SEAL_FILE).read_bytes()
+            digest = json.loads(data)["state_hash"]
+        except (OSError, ValueError, LookupError, TypeError, RecursionError):
+            return None  # missing, cut short or not a seal
+        if isinstance(digest, str) and data == self._seal_text(digest).encode("utf-8"):
+            return digest
+        return None
 
 
 class _CharmFiles:
@@ -303,6 +372,10 @@ def _read(path: Path) -> bytes | None:
         return path.read_bytes()
     except FileNotFoundError:
         return None
+
+
+def _sha256(data: bytes | None) -> str | None:
+    return None if data is None else hashlib.sha256(data).hexdigest()
 
 
 @contextlib.contextmanager
@@ -552,8 +625,11 @@ def _finish(
         lines.append(f"{outcome.outcome} after {outcome.events_processed} events")
     ws.commit()
     # Hash after the commit, so that the hash reuses memory the commit freed:
-    # hashing first raised a 600-unit deploy's peak RSS by about 0.5 MB.
-    lines.append(f"state hash: {state_hash(ws.model)}")
+    # hashing first raised a 600-unit deploy's peak RSS by about 0.5 MB.  The
+    # seal then lets a ``status`` of these files print the hash unrecomputed.
+    digest = state_hash(ws.model)
+    ws.seal(digest)
+    lines.append(f"state hash: {digest}")
     print("\n".join(lines))
     return outcome
 
@@ -590,7 +666,8 @@ def cmd_converge(ws: Workspace, args) -> int:
 
 
 def cmd_status(ws: Workspace, args) -> int:
-    snapshot = status_snapshot(ws.load_model())
+    model = ws.load_model()
+    snapshot = status_snapshot(model, ws.sealed_hash())
     if args.format == "json":
         print(_json_text(snapshot))
         return 0

@@ -1139,11 +1139,13 @@ def _maintenance_pending(model: Model) -> bool:
 # Status and hashing
 
 
-def status_snapshot(model: Model) -> dict:
+def status_snapshot(model: Model, digest: str | None = None) -> dict:
     """An immutable point-in-time view: applications, units, machines,
-    relations, pending event count, and the canonical state hash."""
+    relations, pending event count, and the canonical state hash, which is
+    ``digest`` when the caller already knows it."""
     doc = _canonical_state(model)
-    digest = _digest(doc)
+    if digest is None:
+        digest = _digest(doc)
     doc["generation"] = model.generation
     doc["state_hash"] = digest
     return doc

@@ -297,7 +297,9 @@ class Federation:
 
     @classmethod
     def load_yaml(cls, text: str | bytes) -> "Federation":
-        return cls.load(statefile.load_mapping(text, "federation", FederationError))
+        doc = statefile.load_mapping(text, "federation", FederationError)
+        with statefile.malformed("federation", FederationError):
+            return cls.load(doc)
 
 
 def normalise_eppn(eppn: str) -> str:

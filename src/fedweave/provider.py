@@ -354,9 +354,10 @@ class Inventory:
         """Restore an inventory from a dump, or seed one from a hand-written
         document (state defaults to ready, zones are inferred, and a machine
         with no id takes its position in the list).  A machine id given
-        twice is an error.  Each record is built in one call; then
-        containers join their hosts, hosts reserve what their containers
-        reserve, and one sort builds the ready index."""
+        twice or neither a string nor an integer, and cores, mem or disk
+        that is not positive, are errors.  Each record is built in one
+        call; then containers join their hosts, hosts reserve what their
+        containers reserve, and one sort builds the ready index."""
         inv = cls()
         if not isinstance(doc, dict):
             raise ProviderError("inventory document must be a mapping")
@@ -375,8 +376,20 @@ class Inventory:
                 disk = parsed.root_disk or 10240
             else:
                 cores, mem, disk = int(body["cores"]), int(body["mem"]), int(body["disk"])
-            named = "id" in body
-            machine_id = str(body["id"] if named else len(machines))
+            machine_id = body.get("id")
+            named = machine_id is not None or "id" in body
+            if type(machine_id) is not str:
+                if not named:
+                    machine_id = str(len(machines))
+                elif type(machine_id) is int:
+                    machine_id = str(machine_id)
+                else:
+                    raise ProviderError("malformed inventory document: machine id "
+                                        f"{machine_id!r} is neither a string nor an integer")
+            if cores <= 0 or mem <= 0 or disk <= 0:
+                raise ProviderError(
+                    f"malformed inventory document: machine {machine_id!r} has cores {cores}, "
+                    f"mem {mem} and disk {disk}; each must be positive")
             if machine_id in machines:
                 raise ProviderError(
                     f"machine id {machine_id!r} is listed twice" if named else
@@ -448,4 +461,6 @@ class Inventory:
 
     @classmethod
     def load_yaml(cls, text: str | bytes) -> "Inventory":
-        return cls.load(statefile.load_mapping(text, "inventory", ProviderError))
+        doc = statefile.load_mapping(text, "inventory", ProviderError)
+        with statefile.malformed("inventory", ProviderError):
+            return cls.load(doc)

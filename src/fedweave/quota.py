@@ -292,7 +292,9 @@ class ProjectTree:
 
     @classmethod
     def load_yaml(cls, text: str | bytes) -> "ProjectTree":
-        return cls.load(statefile.load_mapping(text, "project", QuotaError))
+        doc = statefile.load_mapping(text, "project", QuotaError)
+        with statefile.malformed("project", QuotaError):
+            return cls.load(doc)
 
 
 def _check_name(name: str) -> None:

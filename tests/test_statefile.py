@@ -20,7 +20,7 @@ import pytest
 import yaml
 
 from fedweave import statefile
-from fedweave.cli import CHARM_STORE_FILE, Workspace, run_command
+from fedweave.cli import CHARM_STORE_FILE, SEAL_FILE, Workspace, run_command
 from fedweave.engine import checkpoint, load_checkpoint
 
 STATE_FILES = ("model.yaml", "inventory.yaml", "federation.yaml", "projects.yaml")
@@ -184,6 +184,7 @@ class TestFlatSeen:
         assert code == 0, err
         assert _hash(out) == FLAT_SEEN_HASH
         assert (tmp_path / "model.yaml").read_bytes() == text
+        assert not (tmp_path / SEAL_FILE).exists()  # a read writes no seal
         model = Workspace(tmp_path).load_model()
         assert {unit_id: unit.seen for unit_id, unit in model.units.items()} == {
             unit_id: {tuple(entry) for entry in body["seen"]} for unit_id, body in units.items()
@@ -280,16 +281,18 @@ CRASHED = 70  # the exit status of a child that died mid-commit
 
 class _Faults:
     """Stands in for ``os`` inside ``statefile`` and wraps ``Path.write_text``,
-    counting the file operations of a commit: writes, fsyncs, renames and
-    removals.  The ``at``-th calls ``interrupt`` instead of completing; a
-    write first writes half its text, as a full disk would."""
+    counting the file operations of a commit and of the seal's write after
+    it: writes, fsyncs, renames and removals.  The ``at``-th calls
+    ``interrupt`` instead of completing; a write first writes half its
+    text, as a full disk would.  ``last`` names the last operation."""
 
-    COUNTED = ("fsync", "replace", "unlink")
+    COUNTED = ("write", "fsync", "replace", "unlink")
 
     def __init__(self, at: int = 0, interrupt=None) -> None:
         self.at = at
         self.interrupt = interrupt
         self.count = 0
+        self.last = None
 
     def _due(self) -> bool:
         self.count += 1
@@ -301,7 +304,10 @@ class _Faults:
             return real
 
         def operation(*args, **kwargs):
+            self.last = name
             if self._due():
+                if name == "write":
+                    real(args[0], args[1][: len(args[1]) // 2])
                 self.interrupt()
             return real(*args, **kwargs)
 
@@ -311,6 +317,7 @@ class _Faults:
         write_text = pathlib.Path.write_text
 
         def counted_write_text(path, text, *args, **kwargs):
+            self.last = "write_text"
             if self._due():
                 write_text(path, text[: len(text) // 2], *args, **kwargs)
                 self.interrupt()
@@ -382,6 +389,8 @@ class TestCommit:
         new = snapshot(twin, out)
         assert sorted(name for name in {*old[0], *new[0]}
                       if old[0].get(name) != new[0].get(name)) == sorted(changed)
+        # The last operation is the seal's in-place write, after the commit.
+        assert counter.last == "write"
 
         for at in range(1, counter.count + 1):
             workspace = tmp_path_factory.mktemp(f"at-{at}")
@@ -399,6 +408,11 @@ class TestCommit:
             assert code == 0, (at, err)
             assert snapshot(workspace, out) in (old, new), at
             assert _leftovers(workspace) == [], at
+        # Cut short at the last operation, the seal is no seal: status
+        # recomputed the new state's hash.
+        seal = (workspace / SEAL_FILE).read_bytes()
+        assert seal and snapshot(workspace, out) == new
+        assert seal != (twin / SEAL_FILE).read_bytes()
 
     def test_config_rewrites_only_the_model(self, deployed, tmp_path):
         def files() -> dict:
@@ -411,3 +425,98 @@ class TestCommit:
         assert "changed: site_name" in out
         after = files()
         assert [name for name in STATE_FILES if after[name] != before[name]] == ["model.yaml"]
+
+
+# ---------------------------------------------------------------------------
+# A state document of the wrong shape fails with one line
+
+
+def _machine(index: int, **fields):
+    """A mutation setting ``fields`` of the inventory's ``index``-th machine,
+    deleting each whose value is ``...``."""
+    def mutate(doc: dict) -> None:
+        body = doc["machines"][index]
+        for name, value in fields.items():
+            if value is ...:
+                del body[name]
+            else:
+                body[name] = value
+    return mutate
+
+
+def _container(doc: dict) -> None:
+    next(body for body in doc["machines"] if "parent" in body)["reserved"] = 5
+
+
+def _set(path: tuple, value):
+    def mutate(doc: dict) -> None:
+        for key in path[:-1]:
+            doc = doc[key]
+        if value is ...:
+            del doc[path[-1]]
+        else:
+            doc[path[-1]] = value
+    return mutate
+
+
+ADD_UNIT = ("add-unit", "moodle")
+MALFORMED = {
+    # name: (file, mutation, a command that loads the file and would write)
+    "machine-no-region": ("inventory.yaml", _machine(1, region=...), ADD_UNIT),
+    "machine-no-cores": ("inventory.yaml", _machine(1, cores=...), ADD_UNIT),
+    "cores-not-a-number": ("inventory.yaml", _machine(1, cores="x"), ADD_UNIT),
+    "cores-a-list": ("inventory.yaml", _machine(1, cores=[1]), ADD_UNIT),
+    "cores-zero": ("inventory.yaml", _machine(1, cores=0), ADD_UNIT),
+    "disk-negative": ("inventory.yaml", _machine(2, disk=-1), ADD_UNIT),
+    "reserved-a-number": ("inventory.yaml", _container, ADD_UNIT),
+    "zone-no-region": ("inventory.yaml", _set(("zones", 0, "region"), ...), ADD_UNIT),
+    "id-null": ("inventory.yaml", _machine(3, id=None), ADD_UNIT),
+    "id-boolean": ("inventory.yaml", _machine(3, id=True), ADD_UNIT),
+    "id-list": ("inventory.yaml", _machine(3, id=[3]), ADD_UNIT),
+    "id-mapping": ("inventory.yaml", _machine(3, id={"3": 3}), ADD_UNIT),
+    "nodes-a-number": ("projects.yaml", _set(("nodes",), 5), ("quota", "create", "other")),
+    "nodes-of-numbers": ("projects.yaml", _set(("nodes",), [1]), ("quota", "create", "other")),
+    "nodes-a-mapping": ("projects.yaml", _set(("nodes",), {"x": {}}),
+                        ("quota", "create", "other")),
+    "region-a-number": ("federation.yaml", _set(("regions", "garr-pa"), 5),
+                        ("identity", "map", "alice@garr.it")),
+    "unit-no-application": ("model.yaml", _set(("model", "units", "moodle/0", "application"),
+                                                ...), ADD_UNIT),
+}
+WHAT = {"inventory.yaml": "provider: malformed inventory document: ",
+        "projects.yaml": "quota: malformed project document: ",
+        "federation.yaml": "federation: malformed federation document: ",
+        "model.yaml": "cli: malformed model document: "}
+
+
+@pytest.fixture
+def local(tmp_path, capsys):
+    """The demo bundle deployed on four local machines, with a project tree
+    and a candidate region, so that all four state files exist."""
+
+    def invoke(*argv: str) -> tuple[int, str, str]:
+        code = run_command(["-w", str(tmp_path), *argv])
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    for argv in (("init", "--demo"), ("machine", "add-zone", "garr-01", "az1"),
+                 ("machine", "enlist", "--zone", "garr-01/az1", "--cores", "4", "--mem", "8192",
+                  "--disk", "102400", "-n", "4"),
+                 ("quota", "create", "garr"), ("region", "register", "garr-pa", *ENDPOINTS),
+                 ("deploy", str(tmp_path / "moodle-bundle.yaml"))):
+        code, _, err = invoke(*argv)
+        assert code == 0, (argv, err)
+    return invoke
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_document_fails_with_one_line(local, tmp_path, case):
+    name, mutate, argv = MALFORMED[case]
+    doc = json.loads((tmp_path / name).read_bytes())
+    mutate(doc)
+    (tmp_path / name).write_text(statefile.dump(doc))
+    files = {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+    code, out, err = local(*argv)
+    assert (code, out) == (1, ""), err
+    assert err.startswith(WHAT[name]) and err.count("\n") == 1, err
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()} == files
