@@ -16,6 +16,9 @@ The package is organised around a small number of cooperating parts:
     The reactive model: units, relations, the FIFO event queue and
     convergence, the one function applying lowered steps, plus
     checkpoint/restore.
+``seen``
+    The one form of a unit's seen events, in memory and in checkpoints:
+    sorted groups, their check, and the normalizer for any other form.
 ``plan``
     Compilation of bundles into imperative plans, plan execution and
     DOT export of deployment topologies.

@@ -50,8 +50,8 @@ and its exit code are argparse's own.  ``--format json`` output is
 rendered by ``_json_text``, byte for byte as ``json.dumps(indent=2,
 sort_keys=True)``, by the shape of each object and list.  A ``status``
 pays for what it prints: it parses no charm, loads the inventory in one
-pass, and leaves each unit's seen events packed as ``model.yaml`` holds
-them (``engine.load_checkpoint``).
+pass, and keeps each unit's seen groups as ``model.yaml`` holds them,
+looking at the first alone (``engine.load_checkpoint``).
 
 A command that changes the model hashes it after the commit and then
 writes ``.fedweave-seal.json``: the hash, sealed to the SHA-256 of

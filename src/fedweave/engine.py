@@ -55,6 +55,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import NamedTuple
 
+from . import seen as seen_groups
 from .bundle import (AcquireMachine, AddApplication, Bundle, Constraints, CreateContainer,
                      EndpointRef, InstallUnit, JoinRelation, Placement, PlanStep, lower_bundle,
                      orient_relation)
@@ -159,28 +160,12 @@ class Unit:
     leader: bool = False
     states: set[str] = field(default_factory=set)
     open_ports: set[int] = field(default_factory=set)
-    # Keys (``Event.key()``) of the events this unit has processed, for
-    # guard-triggered re-delivery; the event targets the unit itself.  A
-    # unit restored by ``load_checkpoint`` has no ``seen`` until it is
-    # first read: ``_RestoredSeen`` then builds it from the checkpoint's
-    # entries, kept in ``_seen_entries``.  A ``status`` builds none.
-    seen: set[tuple[str, str, str, str]] = field(default_factory=set)
-
-
-class _RestoredSeen:
-    """A non-data descriptor: the built set sits in the unit's ``__dict__``,
-    which attribute lookup reads first, so a built unit pays nothing.  A
-    ``Unit.__getattr__`` would slow every attribute read of every unit."""
-
-    def __get__(self, unit: Unit | None, owner: type | None = None):
-        if unit is None:
-            return self
-        unit.seen = seen = _load_seen(unit.__dict__.pop("_seen_entries", ()))
-        return seen
-
-
-# Set after ``@dataclass``, which removes a factory field's class attribute.
-Unit.seen = _RestoredSeen()
+    # The events this unit has processed, in the form ``checkpoint`` writes
+    # (see ``fedweave.seen``).  ``step`` changes them in place only while
+    # ``seen_owned``: a loaded document or a returned checkpoint shares
+    # them until the unit's next step copies them.
+    seen: list[list] = field(default_factory=list)
+    seen_owned: bool = field(default=True, repr=False, compare=False)
 
 
 @dataclass
@@ -865,10 +850,15 @@ def step(model: Model, rng_seed: int | None = None, _rng: random.Random | None =
     queue = model.event_queue
     if not queue:
         return StepReport(None)
-    # The charm is read before the event is taken: a charm that fails to
-    # resolve on first use leaves the queue and the model as they were.
+    # The charm is read, and the unit's seen groups are taken over, before
+    # the event is taken: a charm that fails to resolve on first use, or a
+    # malformed ``seen``, leaves the queue and the model as they were.
     unit = model.units.get(queue[0].target)
     charm = model.applications[unit.app].charm if unit is not None else None
+    if unit is not None and not unit.seen_owned:  # copy what a load or checkpoint shares
+        unit.seen = [[*group[:3], group[3].copy()]
+                     for group in seen_groups.normalized(unit.id, unit.seen)]
+        unit.seen_owned = True
     event = queue.popleft()
     model.generation += 1
     if unit is None:
@@ -876,7 +866,19 @@ def step(model: Model, rng_seed: int | None = None, _rng: random.Random | None =
         return StepReport(event, 0, 0, True)
 
     kind = event.kind
-    unit.seen.add((kind.kind, kind.name, event.payload, event.remote))  # ``Event.key``, inline
+    # Record the event as seen: ``bisect`` finds its group, and its
+    # remote's place in the group.
+    seen, remote = unit.seen, event.remote
+    key = [kind.kind, kind.name, event.payload]
+    at = bisect.bisect_left(seen, key)  # a 3-list sorts just before its group
+    if at < len(seen) and seen[at][:3] == key:
+        remotes = seen[at][3]
+        place = bisect.bisect_left(remotes, remote)
+        if place == len(remotes) or remotes[place] != remote:
+            remotes.insert(place, remote)
+    else:
+        key.append([remote])
+        seen.insert(at, key)
     states = unit.states
     handlers = charm.dispatch.get(kind)
     if handlers is None:
@@ -1038,9 +1040,10 @@ def _redeliver(
     satisfiable after this step added the flags ``added``.
 
     A guard that holds now and did not before names a flag this step
-    added, so only the seen events of the kinds the charm guards with an
-    added flag are visited, in key order, each against its own handlers.
-    An event is rebuilt from its key only when it is re-enqueued.
+    added, so only the groups of the kinds the charm guards with an added
+    flag are visited, in key order.  Whether an event is re-delivered does
+    not depend on its payload or remote, so each kind's handlers are
+    looked at once.
     """
     states = unit.states
     wanted = {
@@ -1048,15 +1051,25 @@ def _redeliver(
         for flag in added
         for kind in charm.guarded_kinds.get(flag, ())
     }
+    seen = unit.seen
     redelivered = 0
-    for key in sorted(key for key in unit.seen if key[:2] in wanted):
-        kind = wanted[key[:2]]
+    for key in sorted(wanted):
+        prefix = list(key)
+        at = bisect.bisect_left(seen, prefix)  # the first group of this kind, if any
+        if at == len(seen) or seen[at][:2] != prefix:
+            continue
+        kind = wanted[key]
         for _, handler in charm.dispatch[kind]:
-            guard = handler.when_states
-            if guard <= states and not guard <= flags_before:
-                model.event_queue.append(Event(kind, unit.id, key[2], key[3]))
-                redelivered += 1
+            if handler.when_states <= states and not handler.when_states <= flags_before:
                 break
+        else:
+            continue  # no handler of this kind became ready
+        while at < len(seen) and seen[at][:2] == prefix:
+            _, _, payload, remotes = seen[at]
+            for remote in remotes:
+                model.event_queue.append(Event(kind, unit.id, payload, remote))
+            redelivered += len(remotes)
+            at += 1
     return redelivered
 
 
@@ -1247,20 +1260,18 @@ def checkpoint(model: Model, include_inventory: bool = True) -> dict:
     machine charges).  Charm bodies are not embedded; a restored
     application resolves its reference against the store.
 
-    A unit's ``seen`` is written as groups ``[kind, name, payload,
-    [remote, ...]]``, one per event kind, endpoint and relation id, in
-    sorted order with their remotes sorted, so the text depends neither on
-    set order nor on ``PYTHONHASHSEED``.  A relation event is seen once
-    per remote unit, and a fleet unit related to 600 others would repeat
-    its first three fields 600 times in flat ``[kind, name, payload,
-    remote]`` entries.  ``load_checkpoint`` still reads such flat entries,
-    which older checkpoints hold.  Each queued event is written as
-    ``[kind, name, target, payload, remote]``; older checkpoints hold one
-    object per event with those keys, and ``load_checkpoint`` reads both."""
+    A unit's ``seen`` is written as held (see ``Unit.seen``), checked first
+    when the unit has not been stepped since the model was loaded or last
+    checkpointed, and each queued event as ``[kind, name, target, payload,
+    remote]``.  ``load_checkpoint`` also reads the flat ``[kind, name,
+    payload, remote]`` seen entries and the one object per queued event of
+    older checkpoints."""
     units = {}
     for unit_id, unit in sorted(model.units.items()):
-        units[unit_id] = body = _unit_doc(unit)
-        body["seen"] = _seen_groups(unit.seen)
+        if not unit.seen_owned:
+            unit.seen = seen_groups.normalized(unit_id, unit.seen)
+        unit.seen_owned = False  # shared with the document from now on
+        units[unit_id] = {**_unit_doc(unit), "seen": unit.seen}
     doc: dict = {
         "generation": model.generation,
         "project": model.project,
@@ -1293,30 +1304,6 @@ def checkpoint(model: Model, include_inventory: bool = True) -> dict:
     return doc
 
 
-def _seen_groups(seen: set[tuple[str, str, str, str]]) -> list[list]:
-    """``seen`` as the sorted groups ``checkpoint`` writes."""
-    groups: dict[tuple[str, str, str], list[str]] = {}
-    for kind, name, payload, remote in seen:
-        groups.setdefault((kind, name, payload), []).append(remote)
-    return [[*key, sorted(groups[key])] for key in sorted(groups)]
-
-
-def _load_seen(entries) -> set[tuple[str, str, str, str]]:
-    """The keys of ``checkpoint``'s groups, or of flat ``[kind, name,
-    payload, remote]`` entries.  Most groups hold one or two remotes, for
-    which a plain loop builds the set about three times as fast as
-    ``set.update(zip(repeat(kind), ...))``."""
-    seen: set[tuple[str, str, str, str]] = set()
-    add = seen.add
-    for kind, name, payload, remotes in entries:
-        if isinstance(remotes, str):
-            add((kind, name, payload, remotes))
-        else:
-            for remote in remotes:
-                add((kind, name, payload, remote))
-    return seen
-
-
 def load_checkpoint(
     doc: dict,
     store,
@@ -1328,10 +1315,10 @@ def load_checkpoint(
     resolved here: each application resolves its own on first use, so an
     unknown reference fails the first command or step that needs it.
 
-    Each unit keeps its ``seen`` entries as the checkpoint holds them, and
-    builds the set on the first read of ``unit.seen``: by the unit's first
-    step, a re-delivery or the next ``checkpoint``.  ``status_snapshot``
-    and ``state_hash`` read none, so a ``status`` builds no set."""
+    Each unit keeps its ``seen`` groups as read, after a look at the first,
+    which tells them from the flat entries of older checkpoints.  The
+    unit's first step, or the next ``checkpoint``, checks them all, so a
+    ``status`` does not."""
     if inventory is None:
         embedded = doc.get("inventory")
         if embedded is None:
@@ -1356,7 +1343,11 @@ def load_checkpoint(
             config=dict(body.get("config") or {}),
         )
     for unit_id, body in (doc.get("units") or {}).items():
-        unit = Unit(
+        seen = body.get("seen") or []
+        if type(seen) is not list or seen and not (type(seen[0]) is list and len(seen[0]) == 4
+                                                   and type(seen[0][3]) is list):
+            seen = seen_groups.normalized(unit_id, seen)  # flat entries, or a fault in the first
+        model.units[unit_id] = Unit(
             id=unit_id,
             app=body["application"],
             machine=body["machine"],
@@ -1365,10 +1356,9 @@ def load_checkpoint(
             leader=bool(body.get("leader", False)),
             states=set(body.get("states") or ()),
             open_ports=set(body.get("open_ports") or ()),
+            seen=seen,
+            seen_owned=False,
         )
-        del unit.seen
-        unit._seen_entries = body.get("seen") or ()
-        model.units[unit_id] = unit
     for unit_id in sorted(model.units, key=_unit_sort_key):
         model._unit_index.setdefault(model.units[unit_id].app, []).append(unit_id)
     model._leader_check.update(model.applications)

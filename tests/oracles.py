@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import random
 import re
+import weakref
 
 from fedweave.charms import CharmSpec, EventKind
 from fedweave.engine import (
@@ -343,6 +344,37 @@ def shadow_delta_oracle(model, unit, event, handler) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Seen events, as a set of keys regrouped whole
+
+
+def flatten_seen(entries) -> set[tuple[str, str, str, str]]:
+    """The ``(kind, name, payload, remote)`` keys of a unit's ``seen``:
+    ``checkpoint``'s groups, or the flat entries of older checkpoints."""
+    return {(kind, name, payload, remote)
+            for kind, name, payload, remotes in entries
+            for remote in ([remotes] if isinstance(remotes, str) else remotes)}
+
+
+def seen_groups_oracle(keys) -> list[list]:
+    """A set of seen keys as the groups ``checkpoint`` writes: the keys
+    gathered by their first three fields, then everything sorted."""
+    groups: dict[tuple[str, str, str], list[str]] = {}
+    for kind, name, payload, remote in keys:
+        groups.setdefault((kind, name, payload), []).append(remote)
+    return [[*key, sorted(groups[key])] for key in sorted(groups)]
+
+
+_SEEN_KEYS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def seen_keys(model: Model) -> dict[str, set[tuple[str, str, str, str]]]:
+    """Unit id -> the set of seen keys ``step_oracle`` keeps for a unit of
+    ``model``, beside the model.  A unit's set starts from what the unit
+    held when the oracle first stepped it."""
+    return _SEEN_KEYS.setdefault(model, {})
+
+
+# ---------------------------------------------------------------------------
 # Handler dispatch and redelivery, by linear scan
 
 
@@ -390,7 +422,10 @@ def redeliver_oracle(charm, unit_id: str, seen, states, flags_before: frozenset)
 # handler skipped the conflict tracker, the flag snapshot, emission and
 # redelivery, kept verbatim with the two helpers whose text has changed
 # since.  Every step pays for every part here, so the two agreeing after
-# every event shows that the skipped work never did anything.
+# every event shows that the skipped work never did anything.  It keeps
+# each unit's seen events as a set of keys (``seen_keys``), as the engine
+# did before it held the checkpoint's groups, and regroups the whole set
+# into ``unit.seen`` after each add.
 
 
 def step_oracle(model: Model, rng_seed: int | None = None, _rng: random.Random | None = None) -> StepReport:
@@ -418,7 +453,9 @@ def step_oracle(model: Model, rng_seed: int | None = None, _rng: random.Random |
         logger.info("dropping %s: target unit no longer exists", event.render())
         return StepReport(event=event, dropped=True)
 
-    unit.seen.add(event.key())
+    keys = seen_keys(model).setdefault(unit.id, flatten_seen(unit.seen))
+    keys.add(event.key())
+    unit.seen = seen_groups_oracle(keys)
     states = unit.states
     flags_before = frozenset(states)
     matching = [
@@ -513,7 +550,7 @@ def _redeliver(model: Model, unit: Unit, charm: CharmSpec, flags_before: frozens
         for kind in charm.guarded_kinds.get(flag, ())
     }
     redelivered = 0
-    for key in sorted(key for key in unit.seen if key[:2] in wanted):
+    for key in sorted(key for key in seen_keys(model)[unit.id] if key[:2] in wanted):
         kind = wanted[key[:2]]
         for _, handler in charm.dispatch[kind]:
             guard = handler.when_states

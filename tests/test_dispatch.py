@@ -20,7 +20,7 @@ from unittest import mock
 import pytest
 from hypothesis import settings
 from hypothesis.stateful import rule
-from oracles import matching_oracle, redeliver_oracle
+from oracles import flatten_seen, matching_oracle, redeliver_oracle
 from test_acceptance import FIXTURES
 from test_indexes import UnitAndReadyIndexes
 
@@ -136,7 +136,8 @@ def _checked_step(stats: dict):
             queue = model.event_queue
             appended = list(islice(queue, len(queue) - report.redelivered, None))
             expected = redeliver_oracle(
-                shuffled["charm"], unit.id, unit.seen, unit.states, shuffled["before"]
+                shuffled["charm"], unit.id, flatten_seen(unit.seen), unit.states,
+                shuffled["before"]
             )
             assert appended == expected, report.event
             stats["redelivered"] += len(expected)

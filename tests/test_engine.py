@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import endpoint_of_oracle
+from oracles import endpoint_of_oracle, flatten_seen, seen_groups_oracle
 
-from fedweave import engine, statefile
+from fedweave import engine, seen, statefile
 from fedweave import plan as plan_module
 from fedweave.builtin import MOODLE_BUNDLE, SCALED_BUNDLE, builtin_store
 from fedweave.bundle import Constraints, Placement, parse_bundle
@@ -37,6 +39,7 @@ from fedweave.engine import (
 from fedweave.plan import compile_plan, execute_plan
 from fedweave.provider import Inventory, UnsatisfiableError
 from fedweave.quota import ProjectTree, QuotaExceededError, QuotaSet, ReleaseExceedsUsageError
+from fedweave.seen import MalformedSeenError
 
 REL_ID = "postgresql:db moodle:database"
 
@@ -751,7 +754,7 @@ class TestCheckpoint:
         for _ in range(8):
             step(model)
         restored = load_checkpoint(checkpoint(model), store)
-        assert ("start", "", "", "") in restored.units["moodle/0"].seen
+        assert ("start", "", "", "") in flatten_seen(restored.units["moodle/0"].seen)
         run_to_convergence(restored)
         assert restored.units["moodle/0"].status == "active"
 
@@ -765,7 +768,7 @@ class TestCheckpoint:
         restored = load_checkpoint(doc, store)
         for unit_id, body in doc["units"].items():
             assert body["seen"]
-            assert restored.units[unit_id].seen == {
+            assert flatten_seen(restored.units[unit_id].seen) == {
                 (kind, name, payload, remote)
                 for kind, name, payload, remotes in body["seen"]
                 for remote in remotes
@@ -834,9 +837,10 @@ _FLEET_GROUP = {
 
 
 class TestGroupedSeen:
-    """``checkpoint`` writes a unit's seen keys as sorted groups
-    ``[kind, name, payload, [remote, ...]]``, and ``load_checkpoint``
-    restores the same set."""
+    """A unit's seen keys are held as sorted groups ``[kind, name, payload,
+    [remote, ...]]``, which ``checkpoint`` writes as held and
+    ``load_checkpoint`` restores.  ``tests/test_step.py`` checks that
+    ``step`` builds the groups the reference regroups from its set."""
 
     @given(units=st.lists(_unit_seen, min_size=1, max_size=3))
     @example(units=[_FLEET_GROUP])
@@ -850,7 +854,7 @@ class TestGroupedSeen:
             expected[unit_id] = {(*key, remote) for key, remotes in groups.items()
                                  for remote in remotes}
             model.units[unit_id] = Unit(id=unit_id, app="app", machine=str(index),
-                                        seen=set(expected[unit_id]))
+                                        seen=seen_groups_oracle(expected[unit_id]))
         text = statefile.dump(checkpoint(model))
         doc = statefile.load(text)
         for index, groups in enumerate(units):
@@ -858,20 +862,23 @@ class TestGroupedSeen:
                 [*key, sorted(remotes)] for key, remotes in groups.items()
             )
         restored = load_checkpoint(doc, store)
-        assert {unit_id: unit.seen for unit_id, unit in restored.units.items()} == expected
+        assert {unit_id: flatten_seen(unit.seen)
+                for unit_id, unit in restored.units.items()} == expected
         assert statefile.dump(checkpoint(restored)) == text
 
 
-def _eager_seen(entries) -> set[tuple[str, str, str, str]]:
-    """The keys of grouped or flat checkpoint ``seen`` entries."""
-    return {(kind, name, payload, remote)
-            for kind, name, payload, remotes in entries
-            for remote in ([remotes] if isinstance(remotes, str) else remotes)}
+def _shuffled(doc: dict) -> dict:
+    """``doc`` with every unit's seen groups, and each group's remotes, in
+    reverse order."""
+    for body in doc["units"].values():
+        body["seen"] = [[*key, remotes[::-1]] for *key, remotes in reversed(body["seen"])]
+    return doc
 
 
 class TestLazySeen:
-    """``load_checkpoint`` keeps each unit's ``seen`` entries as loaded and
-    builds the set on the first read of ``unit.seen``."""
+    """``load_checkpoint`` keeps each unit's seen groups as read and looks
+    only at the first; the unit's first step, or the next checkpoint,
+    checks them all."""
 
     @pytest.fixture
     def model(self, store, make_inventory):
@@ -898,26 +905,65 @@ class TestLazySeen:
                                 for remote in remotes]
         restored = load_checkpoint(doc, store)
         for unit_id, body in doc["units"].items():
-            assert restored.units[unit_id].seen == _eager_seen(body["seen"])
+            assert flatten_seen(restored.units[unit_id].seen) == flatten_seen(body["seen"])
 
-    def test_checkpoint_text_is_unchanged(self, store, model, doc):
-        assert statefile.dump(checkpoint(load_checkpoint(doc, store))) == statefile.dump(doc)
-        restored = load_checkpoint(doc, store)
+    @pytest.mark.parametrize("order", ["sorted", "shuffled"])
+    def test_checkpoint_text_is_unchanged(self, store, model, doc, order):
+        text = statefile.dump(doc)
+        loaded = statefile.load(text)
+        if order == "shuffled":
+            assert statefile.dump(_shuffled(loaded)) != text
+        assert statefile.dump(checkpoint(load_checkpoint(loaded, store))) == text
+        restored = load_checkpoint(loaded, store)
         step(model)
-        step(restored)
+        stepped = restored.units[step(restored).event.target]
+        assert stepped.seen == seen_groups_oracle(flatten_seen(stepped.seen))
         assert statefile.dump(checkpoint(restored)) == statefile.dump(checkpoint(model))
+        converged, reference = load_checkpoint(loaded, store), load_checkpoint(doc, store)
+        for each in (converged, reference):
+            assert run_to_convergence(each).converged
+        assert statefile.dump(checkpoint(converged)) == statefile.dump(checkpoint(reference))
+        assert state_hash(converged) == state_hash(reference)
 
     def test_status_builds_no_seen_set(self, store, doc, monkeypatch):
-        built = []
-        real = engine._load_seen
-        monkeypatch.setattr(engine, "_load_seen", lambda entries: built.append(1) or real(entries))
+        calls = []
+        for name in ("normalized", "in_order"):
+            def spy(*args, real=getattr(seen, name), name=name):
+                calls.append(name)
+                return real(*args)
+            monkeypatch.setattr(seen, name, spy)
         restored = load_checkpoint(doc, store)
         status_snapshot(restored)
         state_hash(restored)
-        assert built == []
-        unit = restored.units["moodle/0"]
-        assert unit.seen is unit.seen
-        assert built == [1]
+        assert calls == []
+        step(restored)  # checks the stepped unit's groups before it adds to them
+        assert calls == ["normalized", "in_order"]
+        checkpoint(restored)  # and every other unit's
+        assert calls == ["normalized", "in_order"] * len(restored.units)
+
+    def test_a_malformed_group_fails_a_step_before_it_takes_its_event(self, store, doc):
+        target = doc["queue"][0][2]
+        groups = doc["units"][target]["seen"]
+        assert len(groups) > 1  # the load looks at the first group only
+        groups[-1] = groups[-1][:3]
+        restored = load_checkpoint(doc, store)
+        with pytest.raises(MalformedSeenError, match=f"seen of unit '{target}'"):
+            step(restored)
+        assert restored.generation == doc["generation"]
+        assert [list(event.kind) + list(event[1:]) for event in restored.event_queue] == doc["queue"]
+
+    def test_steps_change_neither_the_document_nor_a_checkpoint(self, store, model, doc):
+        text = statefile.dump(doc)
+        stepped, other = load_checkpoint(doc, store), load_checkpoint(doc, store)
+        run_to_convergence(stepped)
+        assert statefile.dump(checkpoint(stepped)) != text
+        assert statefile.dump(doc) == text
+        assert statefile.dump(checkpoint(other)) == text
+        taken = checkpoint(model)
+        before = copy.deepcopy(taken)
+        run_to_convergence(model)
+        assert checkpoint(model)["units"] != before["units"]
+        assert taken == before
 
 
 class TestStatusSnapshot:

@@ -18,6 +18,7 @@ import sys
 
 import pytest
 import yaml
+from oracles import flatten_seen
 
 from fedweave import statefile
 from fedweave.cli import CHARM_STORE_FILE, SEAL_FILE, Workspace, run_command
@@ -186,7 +187,7 @@ class TestFlatSeen:
         assert (tmp_path / "model.yaml").read_bytes() == text
         assert not (tmp_path / SEAL_FILE).exists()  # a read writes no seal
         model = Workspace(tmp_path).load_model()
-        assert {unit_id: unit.seen for unit_id, unit in model.units.items()} == {
+        assert {unit_id: flatten_seen(unit.seen) for unit_id, unit in model.units.items()} == {
             unit_id: {tuple(entry) for entry in body["seen"]} for unit_id, body in units.items()
         }
 
@@ -459,6 +460,15 @@ def _set(path: tuple, value):
     return mutate
 
 
+def _seen_group(index: int, rewrite):
+    """A mutation replacing moodle/0's ``index``-th seen group by
+    ``rewrite(group)``."""
+    def mutate(doc: dict) -> None:
+        seen = doc["model"]["units"]["moodle/0"]["seen"]
+        seen[index] = rewrite(seen[index])
+    return mutate
+
+
 ADD_UNIT = ("add-unit", "moodle")
 MALFORMED = {
     # name: (file, mutation, a command that loads the file and would write)
@@ -482,6 +492,11 @@ MALFORMED = {
                         ("identity", "map", "alice@garr.it")),
     "unit-no-application": ("model.yaml", _set(("model", "units", "moodle/0", "application"),
                                                 ...), ADD_UNIT),
+    "seen-a-number": ("model.yaml", _set(("model", "units", "moodle/0", "seen"), 5), ADD_UNIT),
+    "seen-group-of-three-fields": ("model.yaml", _seen_group(0, lambda group: group[:3]),
+                                   ADD_UNIT),
+    "seen-remotes-a-number": ("model.yaml", _seen_group(0, lambda group: [*group[:3], 5]),
+                              ADD_UNIT),
 }
 WHAT = {"inventory.yaml": "provider: malformed inventory document: ",
         "projects.yaml": "quota: malformed project document: ",
@@ -519,4 +534,33 @@ def test_malformed_document_fails_with_one_line(local, tmp_path, case):
     code, out, err = local(*argv)
     assert (code, out) == (1, ""), err
     assert err.startswith(WHAT[name]) and err.count("\n") == 1, err
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()} == files
+
+
+# A fault in a seen group past the first is found by the unit's first step,
+# or by the checkpoint, each of which checks every group; the load looks at
+# the first alone.  The middle group is the first that a bisection over the
+# groups compares with.
+MALFORMED_LATER_SEEN = {
+    "group-of-three-fields": lambda group: group[:3],
+    "remotes-a-number": lambda group: [*group[:3], 5],
+    "a-remote-a-number": lambda group: [*group[:3], [*group[3], 5]],
+    "kind-a-number": lambda group: [5, *group[1:]],
+}
+
+
+@pytest.mark.parametrize("argv", [ADD_UNIT, ("config", "moodle", "site_name=X")],
+                         ids=["add-unit", "config"])
+@pytest.mark.parametrize("case", MALFORMED_LATER_SEEN)
+def test_malformed_later_seen_group_fails_with_one_line(local, tmp_path, case, argv):
+    doc = json.loads((tmp_path / "model.yaml").read_bytes())
+    middle = len(doc["model"]["units"]["moodle/0"]["seen"]) // 2
+    assert middle > 0
+    _seen_group(middle, MALFORMED_LATER_SEEN[case])(doc)
+    (tmp_path / "model.yaml").write_text(statefile.dump(doc))
+    files = {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+    code, out, err = local(*argv)
+    assert (code, out) == (1, ""), err
+    assert err == ("engine: seen of unit 'moodle/0' is not a list of "
+                   "[kind, name, payload, [remote, ...]] groups\n"), err
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()} == files

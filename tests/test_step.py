@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from oracles import step_oracle
+from oracles import seen_groups_oracle, seen_keys, step_oracle
 from test_acceptance import FIXTURES
 from test_dispatch import TWIN_BUNDLE, TWIN_CHARM
 
@@ -79,8 +79,9 @@ def _commands(bundle_text: str):
 def _agreeing_steps(lean: Model, reference: Model, bundle_text: str, step_lean, step_reference):
     """Apply each command to both models and step both to an empty queue,
     one ``step_lean()`` against one ``step_reference()``; after each pair,
-    assert that the report, the queue, the trace and the whole checkpoint
-    agree, and yield the lean step's report."""
+    assert that the report, the queue, the trace, each unit's seen groups
+    against the reference's set of keys regrouped, and the whole
+    checkpoint agree, and yield the lean step's report."""
     lean.trace, reference.trace = [], []
     for command in _commands(bundle_text):
         command(lean)
@@ -91,6 +92,10 @@ def _agreeing_steps(lean: Model, reference: Model, bundle_text: str, step_lean, 
             assert got._asdict() == want._asdict()
             assert list(lean.event_queue) == list(reference.event_queue), got.event
             assert lean.trace == reference.trace, got.event
+            keys = seen_keys(reference)
+            assert {unit_id: unit.seen for unit_id, unit in lean.units.items()} == {
+                unit_id: seen_groups_oracle(keys.get(unit_id, ())) for unit_id in lean.units
+            }, got.event
             assert checkpoint(lean) == checkpoint(reference), got.event
             yield got
             if got.event is None:
