@@ -29,7 +29,7 @@ The package is organised around a small number of cooperating parts:
     Hierarchical projects with nested quota enforcement and role
     inheritance.
 ``statefile``
-    The one YAML reader, state-file text and the all-or-nothing commit.
+    The one YAML reader, state-file text, the commit and derived files.
 ``cli``
     The ``fedweave`` command-line front end over a workspace directory.
 """

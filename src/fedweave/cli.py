@@ -19,10 +19,10 @@ are read by the bundles' strict loader: a duplicate, non-scalar or merge
 key is an error, with its line and column.
 
 A ``Workspace`` loads each file at most once per invocation.  A command
-that changes state ends in one ``commit``, which rewrites only the files
-whose text changed (a ``config`` on a model placed on a region rewrites
-``model.yaml`` alone) and rewrites them as one set: a commit of several
-files is recorded in ``.fedweave-commit`` before any of them is
+that changes state ends in one ``commit``, which rewrites only the state
+files whose text changed (a ``config`` on a model placed on a region
+rewrites ``model.yaml`` alone) and rewrites them as one set: a commit of
+several files is recorded in ``.fedweave-commit`` before any of them is
 replaced.  Every invocation, under the lock and before it loads
 anything, finishes a commit an earlier one recorded but did not finish
 and deletes temporary files that no record names, so after a crash the
@@ -34,7 +34,7 @@ read such as ``status`` loads none, and a charm file that is malformed or
 missing fails only the commands that need a charm.  It is loaded from
 ``.fedweave-charms.json``, a compiled copy keyed by the charm files'
 content, when the files are as they were when it was made; otherwise all
-charm files are parsed, once, and a command that commits also writes the
+charm files are parsed, once, and a command that commits then writes the
 new compiled copy.  Every file is read as bytes and decoded as UTF-8.
 
 A lock file (``.fedweave-lock``, holding the pid and start time of the
@@ -58,8 +58,8 @@ writes ``.fedweave-seal.json``: the hash, sealed to the SHA-256 of
 ``model.yaml`` and of the file holding the model's inventory as the
 commit left them.  ``status`` prints the sealed hash when the seal
 matches the bytes it loaded, and otherwise computes it, so its output is
-the same either way.  The seal is derived data: written without fsync,
-never by a read, and read as no seal when stale, missing or cut short.
+the same either way.  The seal and the compiled store are derived files,
+written after the commit and never by a read, and absent when damaged.
 A state document of the wrong shape fails the command with one
 ``<module>: malformed <what> document`` line.
 
@@ -79,7 +79,6 @@ import argparse
 import contextlib
 import gc
 import hashlib
-import json
 import os
 import sys
 import time
@@ -87,7 +86,7 @@ from collections.abc import Iterator
 from json.encoder import INFINITY, encode_basestring_ascii
 from pathlib import Path
 
-from . import __version__, builtin, statefile
+from . import builtin, statefile
 from .bundle import parse_bundle, parse_placement, validate_bundle
 from .charms import CharmSpec, CharmStore, compile_charm, load_charm, uncompile_charm
 from .engine import (
@@ -114,15 +113,12 @@ from .quota import COMPONENTS, ProjectTree, QuotaSet
 
 LOCK_FILE = ".fedweave-lock"
 STATE_FILES = ("model.yaml", "inventory.yaml", "federation.yaml", "projects.yaml")
-#: The compiled copy of the charm store (see ``_CharmFiles``): derived data,
-#: committed with the state files but not one of them.
+#: Derived files (see ``statefile.derived_text``), written after the commit
+#: and not state files: the compiled copy of the charm store (see
+#: ``_CharmFiles``), and the state hash the last model write printed, sealed
+#: to the files it was computed from (see ``Workspace.seal``).
 CHARM_STORE_FILE = ".fedweave-charms.json"
-CHARM_STORE_FORMAT = 1
-#: The state hash the last model write printed, sealed to the files it was
-#: computed from (see ``Workspace.seal``): derived data, written after the
-#: commit and not one of the state files.
 SEAL_FILE = ".fedweave-seal.json"
-SEAL_FORMAT = 1
 
 
 class CliError(FedweaveError):
@@ -171,7 +167,7 @@ class Workspace:
     def store(self) -> CharmStore:
         """The charm store of ``charms/*.yaml``, loaded on first use: from
         the compiled copy when it was made from the same file contents,
-        else parsed, and then compiled for this command's commit."""
+        else parsed, and then compiled to be written after the commit."""
         # The loader's holder is not the workspace: the model holds its
         # store, and a store that held the workspace would keep the model
         # alive until the next garbage collection.
@@ -251,16 +247,17 @@ class Workspace:
         )
 
     def commit(self) -> None:
-        """Write back every loaded document whose text changed, and a newly
-        compiled charm store, all or nothing."""
+        """Write back every loaded document whose text changed, all or
+        nothing, and then a newly compiled charm store."""
         statefile.commit(self.root, self._changed_texts())
+        if self._charm_files.compiled is not None:
+            statefile.overwrite(self._charm_files.path, self._charm_files.compiled)
 
     def _changed_texts(self) -> Iterator[tuple[str, str]]:
         """The file name and new text of each loaded document whose text
-        differs from its file's, then of the compiled charm store when the
-        command parsed the charm files.  A file read as YAML counts as
-        changed, so it is rewritten as JSON.  A new model's file was never
-        loaded, so it is read to compare."""
+        differs from its file's.  A file read as YAML counts as changed, so
+        it is rewritten as JSON.  A new model's file was never loaded, so
+        it is read to compare."""
         renders = [(path, document.dump_yaml) for path, document in self._documents.items()]
         if self.model is not None:
             renders.append((self.model_path, self.save_model))
@@ -270,61 +267,45 @@ class Workspace:
             if digest != (self._digests[path] if path in self._digests else _sha256(_read(path))):
                 yield path.name, text
             self._digests[path] = digest
-        if self._charm_files.compiled is not None:
-            yield CHARM_STORE_FILE, self._charm_files.compiled
 
     # -- the seal ---------------------------------------------------------
 
-    def _seal_text(self, digest: str) -> str:
-        """The seal of state hash ``digest``: the format, the version, the
-        SHA-256 of ``model.yaml`` and of the file holding the model's
-        inventory (``inventory.yaml``, or ``federation.yaml`` for a model
-        placed on a region) as the workspace knows them, the hash, and a
-        SHA-256 over all of these."""
+    def _seal_sources(self) -> list[list]:
+        """What the state hash is computed from: ``model.yaml`` and the file
+        holding the model's inventory (``inventory.yaml``, or
+        ``federation.yaml`` for a model placed on a region), each with the
+        SHA-256 the workspace knows for it."""
         inventory_path = (self.inventory_path if self.provider_ref == "local"
                           else self.federation_path)
-        fields = {"format": SEAL_FORMAT, "version": __version__,
-                  "model": self._digests[self.model_path],
-                  "inventory": [inventory_path.name, self._digests[inventory_path]],
-                  "state_hash": digest}
-        text = json.dumps(fields, sort_keys=True, separators=(",", ":"))
-        return json.dumps({**fields, "check": _sha256(text.encode("utf-8"))},
-                          sort_keys=True, separators=(",", ":"))
+        return [[path.name, self._digests[path]] for path in (self.model_path, inventory_path)]
 
     def seal(self, digest: str) -> None:
-        """Record that the committed files hash to ``digest``.  The seal is
-        written in place, without fsync or commit record: after a crash it
-        may be stale, missing, cut short or end in its old text, and each
-        of those reads as no seal."""
-        statefile.overwrite(self.root / SEAL_FILE, self._seal_text(digest))
+        """Record, in a derived file, that the committed files hash to
+        ``digest``.  After a crash it may be stale, missing, cut short or
+        end in its old text, and each of those reads as no seal."""
+        statefile.overwrite(self.root / SEAL_FILE,
+                            statefile.derived_text(self._seal_sources(), digest))
 
     def sealed_hash(self) -> str | None:
         """The state hash of the loaded model, taken from the seal when the
         seal is whole and names the very bytes this command loaded; None
         when there is no such seal and the hash must be computed."""
-        try:
-            data = (self.root / SEAL_FILE).read_bytes()
-            digest = json.loads(data)["state_hash"]
-        except (OSError, ValueError, LookupError, TypeError, RecursionError):
-            return None  # missing, cut short or not a seal
-        if isinstance(digest, str) and data == self._seal_text(digest).encode("utf-8"):
-            return digest
-        return None
+        return statefile.read_derived(self.root / SEAL_FILE, self._seal_sources())
 
 
 class _CharmFiles:
     """The source of a workspace's charm store: ``charms/*.yaml``, or the
     compiled copy of them in ``CHARM_STORE_FILE``.
 
-    The copy holds a format number, the package version, one SHA-256 over
-    the sorted ``(file name, bytes)`` pairs of the charm files, and each
-    spec's ``compile_charm`` form.  When all three match, ``load`` rebuilds
-    the specs from it instead of parsing YAML; any edit to a charm file,
-    a file added or removed, or a copy that does not read, misses, and the
-    files are parsed exactly as without a copy.  A store that had to be
-    parsed, and whose every spec registered, leaves its new copy in
-    ``compiled`` for the command's commit; one with an option default
-    JSON cannot hold exactly leaves none, and is parsed by every command.
+    The copy is a derived file whose sources are the charm files and whose
+    value is each spec's ``compile_charm`` form.  While it reads, ``load``
+    rebuilds the specs from it instead of parsing YAML; any edit to a charm
+    file, a file added or removed, or a copy that does not read, misses,
+    and the files are parsed exactly as without a copy.  A store that had
+    to be parsed, and whose every spec registered, leaves its new copy's
+    text in ``compiled`` for the command to write after its commit; one
+    with an option default JSON cannot hold exactly leaves none, and is
+    parsed by every command.
     """
 
     def __init__(self, root: Path) -> None:
@@ -336,13 +317,10 @@ class _CharmFiles:
         """The ``(spec, owner)`` pairs of the charm files, in file order."""
         files = ([(path.name, path.read_bytes()) for path in sorted(self.charms_dir.glob("*.yaml"))]
                  if self.charms_dir.is_dir() else [])
-        digest = hashlib.sha256()
-        for name, data in files:
-            digest.update(b"%s\0%d\0%s" % (os.fsencode(name), len(data), data))
-        key = {"format": CHARM_STORE_FORMAT, "version": __version__, "digest": digest.hexdigest()}
-        specs = self._cached(key)
-        if specs is not None:
-            yield from specs
+        sources = [[name, _sha256(data)] for name, data in files]
+        forms = statefile.read_derived(self.path, sources)
+        if forms is not None:
+            yield from map(uncompile_charm, forms)
             return
         specs = []
         for _, data in files:
@@ -352,18 +330,7 @@ class _CharmFiles:
         # so this runs only when every spec registered.
         forms = [compile_charm(spec, owner) for spec, owner in specs]
         if None not in forms:
-            self.compiled = json.dumps({**key, "charms": forms}, separators=(",", ":"))
-
-    def _cached(self, key: dict) -> list[tuple[CharmSpec, str | None]] | None:
-        """The pairs of the compiled copy when it has ``key``'s format,
-        version and digest, else None."""
-        try:
-            doc = json.loads(self.path.read_bytes())
-            if {name: doc[name] for name in key} == key:
-                return [uncompile_charm(form) for form in doc["charms"]]
-        except (OSError, ValueError, LookupError, TypeError, RecursionError):
-            pass  # missing, cut short or edited: parse the files
-        return None
+            self.compiled = statefile.derived_text(sources, forms)
 
 
 def _read(path: Path) -> bytes | None:
@@ -1280,7 +1247,7 @@ def _run_command(argv: list[str] | None) -> int:
         if args.func is cmd_init:
             root.mkdir(parents=True, exist_ok=True)
         with _locked(root):
-            statefile.recover(root, (*STATE_FILES, CHARM_STORE_FILE))
+            statefile.recover(root, STATE_FILES)
             ws = Workspace(root)
             if args.func is not cmd_init:
                 ws.require_init()

@@ -81,8 +81,6 @@ logger = logging.getLogger(__name__)
 DEFAULT_BUDGET = 10_000
 DEFAULT_SEED = 1
 
-UNIT_STATUSES = ("allocating", "installing", "active", "blocked", "error")
-
 # The kind ``step`` compares every event with, and the kind it enqueues
 # after each install: built once, not per event.
 _INSTALL = EventKind.install()

@@ -91,8 +91,11 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-class Federation:
+class Federation(statefile.Document):
     """The federation control plane: regions, catalog, identities."""
+
+    what = "federation"
+    error = FederationError
 
     def __init__(self, required_services: frozenset[str] = DEFAULT_REQUIRED_SERVICES) -> None:
         self.required_services = frozenset(required_services)
@@ -290,16 +293,6 @@ class Federation:
         fed.users = {str(k): dict(v) for k, v in (doc.get("users") or {}).items()}
         fed._next_user = int(doc.get("next_user", len(fed.users)))
         return fed
-
-    def dump_yaml(self) -> str:
-        """The state-file text: compact JSON, which YAML readers also read."""
-        return statefile.dump(self.dump())
-
-    @classmethod
-    def load_yaml(cls, text: str | bytes) -> "Federation":
-        doc = statefile.load_mapping(text, "federation", FederationError)
-        with statefile.malformed("federation", FederationError):
-            return cls.load(doc)
 
 
 def normalise_eppn(eppn: str) -> str:

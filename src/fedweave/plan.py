@@ -100,16 +100,18 @@ def bundle_digest(bundle: Bundle) -> str:
     An option value JSON has no type for (a YAML date, timestamp or binary)
     is written as a one-key object naming its type, so it never digests
     like a string."""
-    blob = json.dumps(
-        _canonical_document(bundle),
-        separators=(",", ":"),
-        default=lambda value: {type(value).__name__: str(value)},
-    )
+    blob = json.dumps(_canonical_document(bundle), separators=(",", ":"), default=_tagged)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def _tagged(value) -> dict:
+    """A value JSON has no type for, as a one-key object naming its type."""
+    return {type(value).__name__: str(value)}
+
+
 def charm_digest(store, refs) -> str:
-    """Digest over the canonical serialization of the named charm specs."""
+    """Digest over the canonical serialization of the named charm specs;
+    an option default JSON has no type for is tagged with its type."""
     canonical = []
     for ref in sorted(refs):
         spec = store.resolve_charm(ref)
@@ -135,7 +137,7 @@ def charm_digest(store, refs) -> str:
                 "storage": list(spec.storage_pools),
             }
         )
-    blob = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
+    blob = json.dumps(canonical, sort_keys=True, separators=(",", ":"), default=_tagged)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 

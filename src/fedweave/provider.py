@@ -93,8 +93,11 @@ def _ready_entry(record: MachineRecord) -> tuple:
     return (record.free_mem(), record.free_disk(), machine_sort_key(record.id), record.id)
 
 
-class Inventory:
+class Inventory(statefile.Document):
     """A pool of machines spanning one or more regions."""
+
+    what = "inventory"
+    error = ProviderError
 
     def __init__(self) -> None:
         self.machines: dict[str, MachineRecord] = {}
@@ -454,13 +457,3 @@ class Inventory:
         inv._ready = ready
         inv._ready_entries = {entry[3]: entry for entry in ready}
         return inv
-
-    def dump_yaml(self) -> str:
-        """The state-file text: compact JSON, which YAML readers also read."""
-        return statefile.dump(self.dump())
-
-    @classmethod
-    def load_yaml(cls, text: str | bytes) -> "Inventory":
-        doc = statefile.load_mapping(text, "inventory", ProviderError)
-        with statefile.malformed("inventory", ProviderError):
-            return cls.load(doc)

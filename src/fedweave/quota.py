@@ -115,8 +115,11 @@ class AdmissionDecision:
     reason: str = ""
 
 
-class ProjectTree:
+class ProjectTree(statefile.Document):
     """Domain-rooted project hierarchies with nested quotas and roles."""
+
+    what = "project"
+    error = QuotaError
 
     def __init__(self) -> None:
         self.nodes: dict[str, ProjectNode] = {}
@@ -285,16 +288,6 @@ class ProjectTree:
         for node in tree.nodes.values():
             node.children.sort()
         return tree
-
-    def dump_yaml(self) -> str:
-        """The state-file text: compact JSON, which YAML readers also read."""
-        return statefile.dump(self.dump())
-
-    @classmethod
-    def load_yaml(cls, text: str | bytes) -> "ProjectTree":
-        doc = statefile.load_mapping(text, "project", QuotaError)
-        with statefile.malformed("project", QuotaError):
-            return cls.load(doc)
 
 
 def _check_name(name: str) -> None:

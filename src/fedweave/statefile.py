@@ -14,16 +14,20 @@ parses them about two orders of magnitude faster than PyYAML parses the
 same document.  JSON is also YAML, so the historic ``.yaml`` names stay
 true and any YAML reader still reads them.  ``load`` falls back to
 ``load_yaml`` for workspaces written before the switch and for
-hand-written state.
+hand-written state.  Their classes share ``Document``'s text methods.
 
-``commit`` replaces several files of one directory as a set: after a crash
-at any point, the next ``recover`` leaves every one of them old or every
-one new.
+``commit`` replaces several state files of one directory as a set: after
+a crash at any point, the next ``recover`` leaves every one of them old
+or every one new.  Derived files are not committed: ``overwrite`` writes
+their ``derived_text``, and ``read_derived`` reads one back only when it
+is byte for byte that text for the caller's key, so a missing, cut short,
+stale, edited or old-layout file reads as absent.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import json
 import os
 import re
@@ -31,6 +35,8 @@ from collections.abc import Iterable
 from pathlib import Path
 
 import yaml
+
+from . import __version__
 
 
 class DecodeError(ValueError):
@@ -107,6 +113,25 @@ def malformed(what: str, error: type[Exception]):
         else:
             reason = str(exc)
         raise error(f"malformed {what} document: {reason}") from exc
+
+
+class Document:
+    """A state document behind one workspace file: a subclass names the
+    ``what`` and the ``error`` of its one-line load failures and defines
+    ``load`` and ``dump`` over plain data."""
+
+    what: str
+    error: type[Exception]
+
+    def dump_yaml(self) -> str:
+        """The state-file text: compact JSON, which YAML readers also read."""
+        return dump(self.dump())
+
+    @classmethod
+    def load_yaml(cls, text: str | bytes):
+        doc = load_mapping(text, cls.what, cls.error)
+        with malformed(cls.what, cls.error):
+            return cls.load(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -238,23 +263,22 @@ def commit(root: Path, texts: Iterable[tuple[str, str]]) -> None:
 
 
 def recover(root: Path, names) -> None:
-    """Finish the commit an interrupted invocation recorded, and delete the
-    temporary files of ``names`` that no record names.
+    """Finish the commit an interrupted invocation recorded, renaming every
+    temporary file its record names, and delete the temporary files of
+    ``names`` that no record names.
 
     A record that does not parse was cut short while it was written, so
     none of its renames had begun: it is discarded like its files."""
     present = set(os.listdir(root))
-    temps = {name: root / _temporary(name) for name in names if _temporary(name) in present}
+    committed = []
     if COMMIT_RECORD in present:
-        record = root / COMMIT_RECORD
-        try:
-            committed = json.loads(record.read_bytes())
-        except ValueError:
-            committed = []
-        _rename(root, {name: temps.pop(name) for name in committed if name in temps},
-                recorded=True)
-    for path in temps.values():
-        os.unlink(path)
+        with contextlib.suppress(ValueError):
+            committed = json.loads((root / COMMIT_RECORD).read_bytes())
+        _rename(root, {name: root / _temporary(name) for name in committed
+                       if _temporary(name) in present}, recorded=True)
+    for name in names:
+        if _temporary(name) in present and name not in committed:
+            os.unlink(root / _temporary(name))
 
 
 def _rename(root: Path, temps: dict[str, Path], recorded: bool) -> None:
@@ -281,6 +305,31 @@ def overwrite(path: Path, text: str) -> None:
         os.ftruncate(fd, len(data))
     finally:
         os.close(fd)
+
+
+#: The layout of a derived file; another number reads as absent.
+DERIVED_FORMAT = 1
+
+
+def derived_text(sources: list, value) -> str:
+    """The text of a derived file holding ``value`` (plain JSON data, not
+    None) for its key: an object of the format number, the package version
+    and the ``[name, SHA-256]`` pair of each source, then the value and a
+    SHA-256 of the text before it, as compact JSON in that order."""
+    text = json.dumps({"format": DERIVED_FORMAT, "version": __version__, "sources": sources,
+                       "value": value}, separators=(",", ":"))
+    return f'{text[:-1]},"check":"{hashlib.sha256(text.encode("utf-8")).hexdigest()}"}}'
+
+
+def read_derived(path: Path, sources: list):
+    """The value of the derived file ``path`` when it is byte for byte
+    ``derived_text`` of that value for these ``sources``; else None."""
+    try:
+        data = path.read_bytes()
+        value = json.loads(data)["value"]
+    except (OSError, ValueError, LookupError, TypeError, RecursionError):
+        return None  # missing, cut short or not a derived file
+    return value if data == derived_text(sources, value).encode("utf-8") else None
 
 
 def _temporary(name: str) -> str:

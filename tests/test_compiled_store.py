@@ -10,6 +10,7 @@ charm-file edit or damage has made stale.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
@@ -18,10 +19,10 @@ import types
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fedweave import builtin, cli
+from fedweave import __version__, builtin, cli, statefile
 from fedweave.charms import (
     LIFECYCLE_EVENTS,
     OPTION_TYPES,
@@ -97,11 +98,14 @@ def _digest(spec, owner) -> str:
 
 @settings(max_examples=300, deadline=None)
 @given(charm_documents())
+@example(("name: x\nseries: [xenial]\noptions:\n  since: {type: string, default: 2020-01-01}\n",
+          False))
 def test_compiled_form_round_trips_through_json(document):
     text, exact = document
     spec, owner = load_charm(text)
     form = compile_charm(spec, owner)
     assert (form is not None) == exact
+    digest = _digest(spec, owner)  # every spec digests, its defaults JSON-exact or not
     if form is None:
         return
     back, back_owner = uncompile_charm(json.loads(json.dumps(form)))
@@ -112,7 +116,7 @@ def test_compiled_form_round_trips_through_json(document):
     assert back.dispatch == spec.dispatch
     assert back.guarded_kinds == spec.guarded_kinds
     assert repr(back) == repr(spec)
-    assert _digest(back, back_owner) == _digest(spec, owner)
+    assert _digest(back, back_owner) == digest
 
 
 @pytest.mark.parametrize("text", [builtin.MOODLE_CHARM, builtin.POSTGRESQL_CHARM,
@@ -215,20 +219,38 @@ def _fill_with_garbage(path):
     path.write_bytes(b"\xff\x00 not json {[")
 
 
-def _edit_digest(path):
-    doc = json.loads(path.read_bytes())
-    doc["digest"] = "0" * 64
-    path.write_text(json.dumps(doc))
+def _rekey(edit):
+    """Edit the copy's key and write it back with its check recomputed, as
+    a writer with that key would: the copy is whole, but for other files
+    or another version."""
+    def rekeyed(path):
+        doc = json.loads(path.read_bytes())
+        del doc["check"]
+        edit(doc)
+        text = json.dumps(doc, separators=(",", ":"))
+        path.write_text(f'{text[:-1]},"check":"{hashlib.sha256(text.encode()).hexdigest()}"}}')
+    return rekeyed
 
 
-def _edit_version(path):
-    doc = json.loads(path.read_bytes())
+def _edit_form(path):
+    """Make every handler that sets a unit active set it blocked instead,
+    leaving the rest of the copy's bytes, its check among them, as they are."""
+    data = path.read_bytes()
+    assert data.count(b'["SetUnitStatus","active"]') == 3
+    path.write_bytes(data.replace(b'["SetUnitStatus","active"]', b'["SetUnitStatus","blocked"]'))
+
+
+def _zero_a_digest(doc):
+    doc["sources"][0][1] = "0" * 64
+
+
+def _older_version(doc):
     doc["version"] = "0.0.0"
-    path.write_text(json.dumps(doc))
 
 
 STORE_EDITS = {"truncated": _truncate, "garbage": _fill_with_garbage,
-               "digest-edited": _edit_digest, "version-edited": _edit_version}
+               "digest-edited": _rekey(_zero_a_digest), "version-edited": _rekey(_older_version),
+               "form-edited": _edit_form}
 
 
 @pytest.mark.parametrize("argv", [("config", "moodle", "site_name=X"), ("add-unit", "moodle")],
@@ -292,6 +314,27 @@ def test_inexact_default_leaves_the_store_uncompiled(cached, capsys, monkeypatch
     assert len(parsed) == 2 * 4  # every file, on every write
 
 
+def test_inexact_default_compiles_and_executes_a_plan(tmp_path, capsys):
+    """A charm whose option default JSON cannot hold digests into a plan's
+    header, and the plan runs, as the bundle deploys."""
+    for argv in (("init", "--demo"), ("machine", "add-zone", "garr-01", "az1"),
+                 ("machine", "enlist", "--zone", "garr-01/az1", "--cores", "4",
+                  "--mem", "8192", "--disk", "102400", "-n", "4")):
+        assert _invoke(tmp_path, capsys, *argv)[0] == 0, argv
+    path = tmp_path / "charms" / "moodle.yaml"
+    text = path.read_text()
+    assert text.count("options:\n") == 1
+    path.write_text(text.replace("options:\n",
+                                 "options:\n  since: {type: string, default: 2020-01-01}\n"))
+    plan = str(tmp_path / "moodle.plan")
+    code, _, err = _invoke(tmp_path, capsys, "plan", "compile", str(tmp_path / "moodle-bundle.yaml"),
+                          "-o", plan)
+    assert code == 0, err
+    code, out, err = _invoke(tmp_path, capsys, "plan", "execute", plan)
+    assert (code, err) == (0, ""), err
+    assert "state hash: " in out
+
+
 # ---------------------------------------------------------------------------
 # Differential: the same day-2 sequence with and without the compiled store
 
@@ -332,7 +375,8 @@ def test_day2_sequence_is_the_same_without_the_compiled_store(
 
 def test_compiled_store_names_its_key(cached):
     doc = json.loads(_compiled(cached))
-    assert (doc["format"], doc["version"]) == (cli.CHARM_STORE_FORMAT, cli.__version__)
-    assert len(doc["digest"]) == 64
-    assert [(form["owner"], form["name"]) for form in doc["charms"]] == [
+    assert (doc["format"], doc["version"]) == (statefile.DERIVED_FORMAT, __version__)
+    assert doc["sources"] == [[path.name, hashlib.sha256(path.read_bytes()).hexdigest()]
+                              for path in sorted((cached / "charms").glob("*.yaml"))]
+    assert [(form["owner"], form["name"]) for form in doc["value"]] == [
         (None, "haproxy"), ("csd-garr", "moodle"), (None, "postgresql")]

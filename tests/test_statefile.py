@@ -20,7 +20,8 @@ import pytest
 import yaml
 from oracles import flatten_seen
 
-from fedweave import statefile
+from fedweave import cli, statefile
+from fedweave.charms import load_charm
 from fedweave.cli import CHARM_STORE_FILE, SEAL_FILE, Workspace, run_command
 from fedweave.engine import checkpoint, load_checkpoint
 
@@ -155,6 +156,30 @@ class TestFormat:
         assert statefile.load("") is None
         assert statefile.load("machines: []\n") == {"machines": []}
 
+    def test_derived_file_reads_back_only_as_written(self, tmp_path):
+        """A derived file gives back its value for the key it was written
+        for, and reads as absent when missing, for another key, cut short
+        anywhere, or with any one byte changed."""
+        path = tmp_path / "derived.json"
+        sources = [["a.yaml", "0" * 64], ["b.yaml", "f" * 64]]
+        value = {"text": "é\u2028", "numbers": [1, -0.0, 1e300, True, None],
+                 "order": {"z": 1, "a": 2}}
+        text = statefile.derived_text(sources, value)
+        assert list(json.loads(text)) == ["format", "version", "sources", "value", "check"]
+        assert statefile.read_derived(path, sources) is None
+        path.write_text(text)
+        back = statefile.read_derived(path, sources)
+        assert back == value and list(back["order"]) == ["z", "a"]
+        for other in (sources[:1], [*sources, ["c.yaml", "1" * 64]], [["a.yaml", "1" * 64]]):
+            assert statefile.read_derived(path, other) is None, other
+        data = text.encode("utf-8")
+        for end in range(len(data)):
+            path.write_bytes(data[:end])
+            assert statefile.read_derived(path, sources) is None, end
+        for index in range(len(data)):
+            path.write_bytes(data[:index] + bytes([data[index] ^ 1]) + data[index + 1:])
+            assert statefile.read_derived(path, sources) is None, index
+
 
 # A workspace written before ``seen`` was grouped: SCALED_BUNDLE deployed
 # with ``--budget 12`` onto four machines, two events still queued.  Its
@@ -282,10 +307,11 @@ CRASHED = 70  # the exit status of a child that died mid-commit
 
 class _Faults:
     """Stands in for ``os`` inside ``statefile`` and wraps ``Path.write_text``,
-    counting the file operations of a commit and of the seal's write after
-    it: writes, fsyncs, renames and removals.  The ``at``-th calls
-    ``interrupt`` instead of completing; a write first writes half its
-    text, as a full disk would.  ``last`` names the last operation."""
+    counting the file operations of a commit and of the derived files'
+    writes after it: writes, fsyncs, renames and removals.  The ``at``-th
+    calls ``interrupt`` instead of completing; a write first writes half its
+    text, as a full disk would.  ``last`` names the last operation, and
+    ``opened`` the file ``os.open`` opened last."""
 
     COUNTED = ("write", "fsync", "replace", "unlink")
 
@@ -294,6 +320,7 @@ class _Faults:
         self.interrupt = interrupt
         self.count = 0
         self.last = None
+        self.opened = None
 
     def _due(self) -> bool:
         self.count += 1
@@ -301,6 +328,11 @@ class _Faults:
 
     def __getattr__(self, name):
         real = getattr(os, name)
+        if name == "open":
+            def opened(path, *args, **kwargs):
+                self.opened = pathlib.Path(path).name
+                return real(path, *args, **kwargs)
+            return opened
         if name not in self.COUNTED:
             return real
 
@@ -354,30 +386,42 @@ class TestCommit:
     def test_interrupted_commit_leaves_all_old_or_all_new(
         self, deployed, tmp_path, tmp_path_factory, interruption
     ):
-        self._interrupt_everywhere(deployed, tmp_path, tmp_path_factory, interruption,
-                                   ["model.yaml", "federation.yaml", "projects.yaml"])
+        outcomes = self._interrupt_everywhere(deployed, tmp_path, tmp_path_factory, interruption,
+                                              ["model.yaml", "federation.yaml", "projects.yaml"])
+        assert outcomes == {("old", "whole"), ("new", "whole")}
 
     @pytest.mark.parametrize("interruption", ["exception", "exit"])
     def test_interrupted_commit_with_compiled_store_leaves_all_old_or_all_new(
         self, deployed, tmp_path, tmp_path_factory, interruption
     ):
         """Without a compiled charm store, the command parses the charm
-        files and commits the new store with the state files, as one set.
-        ``recover`` deletes its temporary file like theirs."""
+        files, commits the state files and only then writes the new store,
+        before the seal.  Interrupted anywhere, it leaves the state files
+        all old with no store, or all new with no store or the whole one."""
         (tmp_path / CHARM_STORE_FILE).unlink()
-        self._interrupt_everywhere(deployed, tmp_path, tmp_path_factory, interruption,
-                                   ["model.yaml", "federation.yaml", "projects.yaml",
-                                    CHARM_STORE_FILE])
+        outcomes = self._interrupt_everywhere(deployed, tmp_path, tmp_path_factory, interruption,
+                                              ["model.yaml", "federation.yaml", "projects.yaml"])
+        assert outcomes == {("old", "absent"), ("new", "absent"), ("new", "whole")}
 
     def _interrupt_everywhere(self, deployed, tmp_path, tmp_path_factory, interruption, changed):
         """End ``COMMAND`` at each file operation of its commit, which
-        rewrites the ``changed`` files, and check that every file is then
-        old or every one new."""
+        rewrites the ``changed`` state files, and of the derived files'
+        writes after it.  Check that every state file is then old or every
+        one new, and that the compiled charm store either reads as absent
+        or is the whole store of the uninterrupted command.  Returns which
+        of those each interruption left."""
 
         def snapshot(root, out) -> tuple:
-            files = {name: (root / name).read_bytes() for name in (*STATE_FILES, CHARM_STORE_FILE)
+            files = {name: (root / name).read_bytes() for name in STATE_FILES
                      if (root / name).exists()}
             return files, _hash(out)
+
+        def store(root) -> str:
+            path = root / CHARM_STORE_FILE
+            if path.exists() and path.read_bytes() == whole:
+                return "whole"
+            assert statefile.read_derived(path, json.loads(whole)["sources"]) is None
+            return "absent"
 
         old = snapshot(tmp_path, deployed("status")[1])
         twin = tmp_path_factory.mktemp("twin")
@@ -388,11 +432,13 @@ class TestCommit:
             code, out, err = deployed(*self.COMMAND, root=twin)
         assert code == 0, err
         new = snapshot(twin, out)
+        whole = (twin / CHARM_STORE_FILE).read_bytes()
         assert sorted(name for name in {*old[0], *new[0]}
                       if old[0].get(name) != new[0].get(name)) == sorted(changed)
         # The last operation is the seal's in-place write, after the commit.
-        assert counter.last == "write"
+        assert (counter.last, counter.opened) == ("write", SEAL_FILE)
 
+        outcomes = set()
         for at in range(1, counter.count + 1):
             workspace = tmp_path_factory.mktemp(f"at-{at}")
             shutil.copytree(tmp_path, workspace, dirs_exist_ok=True)
@@ -407,13 +453,49 @@ class TestCommit:
                 (workspace / ".fedweave-lock").unlink()
             code, out, err = deployed("status", root=workspace)
             assert code == 0, (at, err)
-            assert snapshot(workspace, out) in (old, new), at
+            state = snapshot(workspace, out)
+            assert state in (old, new), at
             assert _leftovers(workspace) == [], at
+            outcomes.add(("old" if state == old else "new", store(workspace)))
         # Cut short at the last operation, the seal is no seal: status
         # recomputed the new state's hash.
         seal = (workspace / SEAL_FILE).read_bytes()
         assert seal and snapshot(workspace, out) == new
         assert seal != (twin / SEAL_FILE).read_bytes()
+        return outcomes
+
+    def test_record_naming_the_compiled_store_is_finished(
+        self, deployed, tmp_path, tmp_path_factory, capsys
+    ):
+        """A commit record as earlier versions wrote it, naming the compiled
+        charm store with the state files: the next invocation renames every
+        file it names and leaves no temporary file.  The store, in its old
+        layout, reads as absent, so the next write parses the charm files
+        and writes the store anew."""
+        twin = tmp_path_factory.mktemp("twin")
+        shutil.copytree(tmp_path, twin, dirs_exist_ok=True)
+        code, out, err = deployed(*self.COMMAND, root=twin)
+        assert code == 0, err
+        committed = ["model.yaml", "federation.yaml", "projects.yaml"]
+        for name in committed:
+            (tmp_path / f".{name}.tmp").write_bytes((twin / name).read_bytes())
+        (tmp_path / f".{CHARM_STORE_FILE}.tmp").write_text(
+            '{"format":1,"version":"0.1.0","digest":"%s","charms":[]}' % ("0" * 64))
+        (tmp_path / statefile.COMMIT_RECORD).write_text(
+            json.dumps(sorted([*committed, CHARM_STORE_FILE])))
+
+        code, status, err = deployed("status")
+        assert code == 0, err
+        assert _hash(status) == _hash(out)
+        assert _docs(tmp_path) == _docs(twin)
+        assert _leftovers(tmp_path) == []
+        parsed = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "load_charm", lambda text: parsed.append(text) or load_charm(text))
+            code, _, err = deployed("config", "moodle", "site_name=Campus")
+        assert code == 0, err
+        assert len(parsed) == 3
+        assert json.loads((tmp_path / CHARM_STORE_FILE).read_bytes())["sources"]
 
     def test_config_rewrites_only_the_model(self, deployed, tmp_path):
         def files() -> dict:
