@@ -556,6 +556,10 @@ def cmd_deploy(ws: Workspace, args) -> int:
                 f"model already charges project {model.project!r}; "
                 f"cannot switch to {args.project!r}"
             )
+        if args.lax_conflicts and model.strict_conflicts:
+            raise CliError(
+                "model already fails on write conflicts; cannot deploy with --lax-conflicts"
+            )
     else:
         model = ws.new_model(args.region, args.project, strict_conflicts=not args.lax_conflicts)
     result = deploy_bundle(model, bundle)
@@ -779,6 +783,15 @@ def cmd_machine_list(ws: Workspace, args) -> int:
 
 def cmd_machine_release(ws: Workspace, args) -> int:
     ws.inventory().release(args.machine)
+    if ws.model_path.exists():
+        doc = statefile.load_mapping(_read(ws.model_path), "model", CliError, allow_empty=False)
+        with statefile.malformed("model", CliError):
+            held = (doc.get("provider_ref", "local") == "local"
+                    and args.machine in ((doc.get("model") or {}).get("machines") or ()))
+        if held:  # refused before the commit, so nothing is written
+            raise CliError(
+                f"machine {args.machine!r} is held by the model; remove its units first"
+            )
     return _commit(ws, [f"released {args.machine}"])
 
 

@@ -34,7 +34,8 @@ from fedweave.engine import (
 )
 from fedweave.plan import compile_plan
 
-from test_plan import OLD_FORMAT_MOODLE_STEPS
+from test_entry_point import fedweave_child
+from test_plan import OLD_FORMAT_MOODLE_STEPS, ZERO_UNIT_BUNDLES
 from test_step import FLEET_BUNDLE, FLEET_UNITS
 
 
@@ -42,16 +43,6 @@ def reported_hash(out: str) -> str:
     lines = [line for line in out.splitlines() if line.startswith("state hash: ")]
     assert lines, f"no state hash in output:\n{out}"
     return lines[-1].removeprefix("state hash: ")
-
-
-def _fedweave_child(workspace, *argv: str) -> subprocess.CompletedProcess:
-    """Run one invocation in a child process."""
-    source = os.path.dirname(os.path.dirname(cli.__file__))
-    path = os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))
-    return subprocess.run(
-        [sys.executable, "-m", "fedweave.cli", "-w", str(workspace), *argv],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-    )
 
 
 @pytest.fixture
@@ -225,7 +216,7 @@ class TestValidate:
         # In a child: a parser that overflows the C stack would take pytest with it.
         path = tmp_path / "deep.yaml"
         path.write_text(text)
-        child = _fedweave_child(tmp_path, "validate", str(path))
+        child = fedweave_child("-w", str(tmp_path), "validate", str(path))
         assert (child.returncode, child.stdout) == (1, "")
         assert re.fullmatch(r"bundle: maximum recursion depth exceeded[^\n]*\n", child.stderr)
 
@@ -273,9 +264,11 @@ class TestDeploy:
 
     def test_converge_when_idle_processes_nothing(self, demo, tmp_path):
         demo("deploy", str(tmp_path / "moodle-bundle.yaml"))
+        model = (tmp_path / "model.yaml").read_bytes()
         code, out, _ = demo("converge")
         assert code == 0
         assert "converged after 0 events" in out
+        assert (tmp_path / "model.yaml").read_bytes() == model
 
     def test_redeploy_to_other_region_refused(self, demo, tmp_path):
         demo("deploy", str(tmp_path / "moodle-bundle.yaml"))
@@ -284,6 +277,15 @@ class TestDeploy:
         )
         assert code == 1
         assert "model already placed on 'local'" in err
+
+    def test_redeploy_with_lax_conflicts_refused(self, demo, tmp_path):
+        demo("deploy", str(tmp_path / "moodle-bundle.yaml"))
+        files = _state_files(tmp_path)
+        code, out, err = demo("deploy", "--lax-conflicts", str(tmp_path / "moodle-bundle.yaml"))
+        assert (code, out, err) == (
+            1, "",
+            "cli: model already fails on write conflicts; cannot deploy with --lax-conflicts\n")
+        assert _state_files(tmp_path) == files
 
     def test_deploy_missing_bundle(self, demo):
         code, _, err = demo("deploy", "missing.yaml")
@@ -605,7 +607,7 @@ class TestHandWrittenDocuments:
     def test_deeply_nested_json_state_file(self, invoke, tmp_path):
         invoke("init")
         (tmp_path / "inventory.yaml").write_text("[" * 100_000 + "]" * 100_000)
-        child = _fedweave_child(tmp_path, "machine", "list")
+        child = fedweave_child("-w", str(tmp_path), "machine", "list")
         assert (child.returncode, child.stdout) == (1, "")
         assert re.fullmatch(r"provider: malformed inventory document: "
                             r"maximum recursion depth exceeded[^\n]*\n", child.stderr)
@@ -640,17 +642,26 @@ class TestPlanCommands:
         assert out == f"7 steps -> {target}\n"
         assert target.read_text().startswith("# bundle-digest: ")
 
-    def test_execute_reaches_deploy_hash(self, demo, tmp_path, moodle_hash):
-        target = tmp_path / "moodle.plan"
-        demo("plan", "compile", str(tmp_path / "moodle-bundle.yaml"), "-o", str(target))
+    @pytest.mark.parametrize(
+        "text",
+        [builtin.MOODLE_BUNDLE, builtin.SCALED_BUNDLE, *ZERO_UNIT_BUNDLES.values()],
+        ids=["moodle", "scaled", *(f"zero-units-{name}" for name in ZERO_UNIT_BUNDLES)],
+    )
+    def test_execute_reaches_deploy_hash(self, demo, tmp_path, store, make_inventory, text):
+        deployed = Model(store, make_inventory())
+        deploy_bundle(deployed, parse_bundle(text))
+        run_to_convergence(deployed)
+        (tmp_path / "bundle.yaml").write_text(text)
+        target = tmp_path / "bundle.plan"
+        demo("plan", "compile", str(tmp_path / "bundle.yaml"), "-o", str(target))
         code, out, err = demo("plan", "execute", str(target))
-        assert code == 0, err
-        assert "executed 7 steps" in out
-        assert reported_hash(out) == moodle_hash
+        assert (code, err) == (0, "")  # and so no stale-steps warning
+        assert f"executed {len(compile_plan(parse_bundle(text), store).steps)} steps" in out
+        assert reported_hash(out) == state_hash(deployed)
         # the executed model is saved and queryable like any other
         code, status_out, _ = demo("status", "--format", "json")
         assert code == 0
-        assert json.loads(status_out)["state_hash"] == moodle_hash
+        assert json.loads(status_out)["state_hash"] == state_hash(deployed)
 
     def test_execute_refuses_existing_model(self, demo, tmp_path):
         target = tmp_path / "moodle.plan"
@@ -677,13 +688,16 @@ class TestPlanCommands:
 
     def test_execute_unknown_charm_is_a_one_line_error(self, demo, tmp_path):
         target = tmp_path / "bad.plan"
-        target.write_text("add-application web cs:nosuch series=xenial\n")
-        files = _state_files(tmp_path)
-        code, out, err = demo("plan", "execute", str(target))
-        assert (code, out) == (1, "")
-        assert err == ("plan: step 0 (add-application web cs:nosuch series=xenial): "
-                       "unknown charm reference 'cs:nosuch'\n")
-        assert _state_files(tmp_path) == files
+        for ref, message in (
+            ("cs:nosuch", "unknown charm reference 'cs:nosuch'"),
+            ("nosuch", "malformed charm reference 'nosuch' (want cs:[~owner/]name)"),
+        ):
+            target.write_text(f"add-application web {ref} series=xenial\n")
+            files = _state_files(tmp_path)
+            code, out, err = demo("plan", "execute", str(target))
+            assert (code, out) == (1, "")
+            assert err == f"plan: step 0 (add-application web {ref} series=xenial): {message}\n"
+            assert _state_files(tmp_path) == files
 
     def test_execute_an_older_plan_text_is_a_one_line_error(self, demo, tmp_path):
         target = tmp_path / "old.plan"
@@ -784,6 +798,18 @@ class TestMachineCommands:
         assert code == 1
         assert err.startswith("provider:")
         assert "container" in err
+
+    @pytest.mark.parametrize("machine", ["1", "0/lxd/0"], ids=["machine", "container"])
+    def test_release_refuses_a_machine_the_model_holds(self, demo, tmp_path, machine):
+        demo("deploy", str(tmp_path / "moodle-bundle.yaml"))
+        code, out, err = demo("add-unit", "postgresql")
+        assert (code, err) == (0, "")
+        assert "unit postgresql/1 on 1\n" in out
+        files = _state_files(tmp_path)
+        code, out, err = demo("machine", "release", machine)
+        assert (code, out, err) == (
+            1, "", f"cli: machine {machine!r} is held by the model; remove its units first\n")
+        assert _state_files(tmp_path) == files
 
 
 class TestRegionCommands:

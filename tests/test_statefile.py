@@ -204,13 +204,15 @@ class TestFlatSeen:
         return invoke
 
     def test_flat_seen_loads_unchanged(self, legacy, tmp_path):
-        text = (tmp_path / "model.yaml").read_bytes()
-        units = json.loads(text)["model"]["units"]
+        def files() -> dict[str, bytes]:
+            return {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+
+        before = files()
+        units = json.loads(before["model.yaml"])["model"]["units"]
         code, out, err = legacy("status")
         assert code == 0, err
         assert _hash(out) == FLAT_SEEN_HASH
-        assert (tmp_path / "model.yaml").read_bytes() == text
-        assert not (tmp_path / SEAL_FILE).exists()  # a read writes no seal
+        assert files() == before  # a read writes no file: no model, seal or compiled store
         model = Workspace(tmp_path).load_model()
         assert {unit_id: flatten_seen(unit.seen) for unit_id, unit in model.units.items()} == {
             unit_id: {tuple(entry) for entry in body["seen"]} for unit_id, body in units.items()
@@ -232,7 +234,12 @@ class TestFlatSeen:
         assert _hash(out) == FLAT_SEEN_CONVERGED_HASH
         units = json.loads((tmp_path / "model.yaml").read_text())["model"]["units"]
         for body in units.values():
-            assert body["seen"] and all(isinstance(entry[3], list) for entry in body["seen"])
+            # [kind, name, payload, [remote, ...]] groups, strictly increasing by their first
+            # three fields, each with its remotes strictly increasing.
+            keys = [entry[:3] for entry in body["seen"]]
+            assert keys and all(a < b for a, b in zip(keys, keys[1:])), keys
+            for *_, remotes in body["seen"]:
+                assert remotes and remotes == sorted(set(remotes)), remotes
         assert _hash(legacy("status")[1]) == FLAT_SEEN_CONVERGED_HASH
 
     def test_model_text_does_not_depend_on_the_hash_seed(self, tmp_path):
@@ -508,6 +515,7 @@ class TestCommit:
         assert "changed: site_name" in out
         after = files()
         assert [name for name in STATE_FILES if after[name] != before[name]] == ["model.yaml"]
+        assert _leftovers(tmp_path) == []
 
 
 # ---------------------------------------------------------------------------
