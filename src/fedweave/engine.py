@@ -7,9 +7,10 @@ looks its kind up in the charm's dispatch table (``CharmSpec.dispatch``),
 keeps the handlers whose state-flag guard is satisfied, runs them in a
 seed-determined pseudo-random order, applies their actions, and enqueues
 follow-on events.  ``run_to_convergence`` steps until the queue drains or
-a budget is exhausted, with one generator for the whole run; a step
-called on its own builds a generator only when two or more handlers
-match, the one case with an order to choose.
+a budget is exhausted, with one generator for the whole run.  A step asks
+a generator to shuffle only when two or more handlers match, the one case
+with an order to choose, and a step called on its own builds one for that
+case alone.
 
 Three rules make convergence insensitive to ordering:
 
@@ -101,6 +102,12 @@ class UnknownEntityError(EngineError):
 
 class DeploymentError(EngineError):
     """A deploy or add-unit command could not be satisfied."""
+
+
+class MalformedCheckpointError(EngineError, ValueError):
+    """A checkpoint whose units contradict their applications.  A
+    ``ValueError`` too, so a load reports it like any other value of the
+    wrong shape."""
 
 
 # ---------------------------------------------------------------------------
@@ -196,11 +203,16 @@ class Model:
 
     Units are created only by ``_create_unit`` and removed only by
     ``remove_unit`` (or by the rollback of a failed command).  Those paths
-    keep two pieces of derived state, which are never serialized and which
-    ``load_checkpoint`` rebuilds: each application's unit ids in index
-    order, which ``unit_ids_of`` reads, and the applications that may have
-    lost their leader, which the next ``step`` re-elects.  ``units`` stays
-    the source of truth: an indexed id whose unit is gone is skipped.
+    keep three pieces of derived state, which are never serialized and
+    which ``load_checkpoint`` rebuilds: each application's unit ids in
+    index order, which ``unit_ids_of`` reads; each machine's unit ids,
+    which ``remove_unit`` reads to find the machines it frees; and the
+    applications that may have lost their leader, which the next ``step``
+    re-elects.  ``units`` stays the source of truth: an indexed id whose
+    unit is gone is skipped.  A new unit takes its application's
+    ``unit_counter`` as its index, which is above every index the
+    application has used (``load_checkpoint`` refuses a counter that is
+    not), so it goes at the end of the unit index.
 
     ``machine_charges`` holds, for each held machine acquired with
     constraints, what its acquisition charged the project; releasing the
@@ -231,6 +243,7 @@ class Model:
         self.shadow_deltas = 0
         self.trace: list[dict] | None = None
         self._unit_index: dict[str, list[str]] = {}
+        self._machine_units: dict[str, set[str]] = {}
         self._leader_check: set[str] = set()
 
     @property
@@ -276,6 +289,12 @@ class StepReport(NamedTuple):
     dropped: bool = False
     emitted: int = 0
     redelivered: int = 0
+
+
+# ``step`` builds its reports with ``tuple.__new__``, which skips the named
+# tuple's Python-level ``__new__``, and shares one report for an empty queue.
+_new_report = tuple.__new__
+_NO_EVENT = StepReport(None)
 
 
 @dataclass(frozen=True)
@@ -476,7 +495,8 @@ def _create_unit(model: Model, log: UndoLog, app: Application, machine_id: str) 
     unit = Unit(id=f"{app.name}/{app.unit_counter}", app=app.name, machine=machine_id)
     app.unit_counter += 1
     model.units[unit.id] = unit
-    bisect.insort(model._unit_index.setdefault(app.name, []), unit.id, key=_unit_sort_key)
+    model._unit_index.setdefault(app.name, []).append(unit.id)
+    model._machine_units.setdefault(machine_id, set()).add(unit.id)
     for relation in model.relations_of(app.name):
         relation.data.setdefault(unit.id, {})
 
@@ -491,10 +511,14 @@ def _create_unit(model: Model, log: UndoLog, app: Application, machine_id: str) 
 
 
 def _discard_unit(model: Model, unit_id: str) -> Unit:
-    """Take a unit out of the model and the unit index; relation data
-    bags are the caller's to drop."""
+    """Take a unit out of the model, the unit index and the machine
+    occupancy index; relation data bags are the caller's to drop."""
     unit = model.units.pop(unit_id)
     model._unit_index[unit.app].remove(unit_id)
+    occupants = model._machine_units[unit.machine]
+    occupants.discard(unit_id)
+    if not occupants:
+        del model._machine_units[unit.machine]
     return unit
 
 
@@ -725,7 +749,7 @@ def _freed_machines(model: Model, unit: Unit) -> list[str]:
         record = model.inventory.machines.get(machine_id)
         if record is None or any(c not in freed for c in record.containers):
             return freed
-        if any(u.machine == machine_id and u is not unit for u in model.units.values()):
+        if any(u != unit.id for u in model._machine_units.get(machine_id, ())):
             return freed
         freed.append(machine_id)
         if record.parent is None or record.parent not in model.machines:
@@ -826,14 +850,15 @@ def step(model: Model, rng_seed: int | None = None, _rng: random.Random | None =
     emit no relation-changed event (those follow a changed bag) and
     re-deliver nothing (redelivery follows an added flag).  Such a step
     records the event as seen, seeds ``start`` after ``install`` and
-    traces the event, and does nothing else.  A generator passed as
-    ``_rng`` is still asked to shuffle its empty handler list, which draws
-    no random number.
+    traces the event, and does nothing else.
 
-    Only two or more matching handlers have an order to choose.  Without
-    ``_rng``, the step builds its ``random.Random(rng_seed)`` for those
-    alone: shuffling fewer draws nothing, and the generator is thrown away
-    when the step returns, so building it would change no result.
+    Only two or more matching handlers have an order to choose, so only
+    they are shuffled: by ``_rng`` when one is passed, else by a
+    ``random.Random(rng_seed)`` built for them.  Shuffling fewer draws no
+    random number, so skipping it leaves ``_rng`` in the state it would
+    have reached, and a generator built for one step is thrown away when
+    the step returns.  An event kind with one handler has its guard tested
+    without building a list.
 
     A step with one matching handler runs it without conflict tracking.
     A conflict is two different handlers writing different values to one
@@ -847,7 +872,7 @@ def step(model: Model, rng_seed: int | None = None, _rng: random.Random | None =
         model._leader_check.clear()
     queue = model.event_queue
     if not queue:
-        return StepReport(None)
+        return _NO_EVENT
     # The charm is read, and the unit's seen groups are taken over, before
     # the event is taken: a charm that fails to resolve on first use, or a
     # malformed ``seen``, leaves the queue and the model as they were.
@@ -861,16 +886,18 @@ def step(model: Model, rng_seed: int | None = None, _rng: random.Random | None =
     model.generation += 1
     if unit is None:
         logger.info("dropping %s: target unit no longer exists", event.render())
-        return StepReport(event, 0, 0, True)
+        return _new_report(StepReport, (event, 0, 0, True, 0, 0))
 
     kind = event.kind
     # Record the event as seen: ``bisect`` finds its group, and its
     # remote's place in the group.
-    seen, remote = unit.seen, event.remote
-    key = [kind.kind, kind.name, event.payload]
+    seen, remote, payload = unit.seen, event.remote, event.payload
+    key = [kind.kind, kind.name, payload]
     at = bisect.bisect_left(seen, key)  # a 3-list sorts just before its group
-    if at < len(seen) and seen[at][:3] == key:
-        remotes = seen[at][3]
+    group = seen[at] if at < len(seen) else None
+    if (group is not None and group[2] == payload and group[1] == kind.name
+            and group[0] == kind.kind):
+        remotes = group[3]
         place = bisect.bisect_left(remotes, remote)
         if place == len(remotes) or remotes[place] != remote:
             remotes.insert(place, remote)
@@ -880,27 +907,33 @@ def step(model: Model, rng_seed: int | None = None, _rng: random.Random | None =
     states = unit.states
     handlers = charm.dispatch.get(kind)
     if handlers is None:
-        matching = []
+        matching = ()
+    elif len(handlers) == 1:
+        matching = handlers if handlers[0][1].when_states <= states else ()
     else:
-        matching = [(index, handler) for index, handler in handlers
-                    if handler.when_states <= states]
-    if _rng is not None:
-        _rng.shuffle(matching)
-    elif len(matching) > 1:
-        random.Random(DEFAULT_SEED if rng_seed is None else rng_seed).shuffle(matching)
+        matching = [pair for pair in handlers if pair[1].when_states <= states]
+        if len(matching) > 1:
+            if _rng is None:
+                _rng = random.Random(DEFAULT_SEED if rng_seed is None else rng_seed)
+            _rng.shuffle(matching)
     if not matching:
         if kind == _INSTALL:
             queue.append(Event(_START, unit.id))
         if model.trace is not None:
             _trace_step(model, event, unit, 0, ())
-        return StepReport(event)
+        return _new_report(StepReport, (event, 0, 0, False, 0, 0))
 
-    flags_before = frozenset(states)
+    flags_before = states.copy()
     tracker = _ConflictTracker() if model.strict_conflicts and len(matching) > 1 else None
     changed_bags: set[tuple[str, str]] = set()  # (relation id, writer unit id)
     actions_applied = 0
     for index, handler in matching:
-        actions_applied += _run_handler(model, unit, event, index, handler, tracker, changed_bags)
+        try:
+            for action in handler.actions:
+                actions_applied += 1
+                _apply_action(model, unit, event, index, action, tracker, changed_bags)
+        except _HandlerFailed:
+            pass
         if model.shadow_check:
             model.shadow_deltas += _shadow_delta(model, unit, event, handler)
 
@@ -911,7 +944,8 @@ def step(model: Model, rng_seed: int | None = None, _rng: random.Random | None =
     redelivered = _redeliver(model, unit, charm, added, flags_before) if added else 0
     if model.trace is not None:
         _trace_step(model, event, unit, len(matching), changed_bags)
-    return StepReport(event, len(matching), actions_applied, False, emitted, redelivered)
+    return _new_report(StepReport,
+                       (event, len(matching), actions_applied, False, emitted, redelivered))
 
 
 def _trace_step(model: Model, event: Event, unit: Unit, handlers: int, changed_bags) -> None:
@@ -924,25 +958,6 @@ def _trace_step(model: Model, event: Event, unit: Unit, handlers: int, changed_b
             "writes": sorted(changed_bags),
         }
     )
-
-
-def _run_handler(
-    model: Model,
-    unit: Unit,
-    event: Event,
-    handler_index: int,
-    handler: HookHandler,
-    tracker: _ConflictTracker | None,
-    changed_bags: set[tuple[str, str]],
-) -> int:
-    applied = 0
-    try:
-        for action in handler.actions:
-            _apply_action(model, unit, event, handler_index, action, tracker, changed_bags)
-            applied += 1
-    except _HandlerFailed:
-        applied += 1
-    return applied
 
 
 def _apply_action(
@@ -959,15 +974,15 @@ def _apply_action(
     first: the action classes are final, and a fleet deploy runs thousands."""
     kind = type(action)
     if kind is SetRelationData:
-        remote_bag = None
-        if event.payload and event.remote:
-            relation = model.relations.get(event.payload)
-            if relation is not None:
-                remote_bag = relation.data.get(event.remote)
-        config = model.applications[unit.app].config
-        value = resolve_template(action.value, config, remote_bag)
-        targets = _data_targets(model, unit, event, action.endpoint)
-        for relation in targets:
+        value = action.value
+        if "{" in value:  # a template: ``resolve_template`` returns any other value as it is
+            remote_bag = None
+            if event.payload and event.remote:
+                relation = model.relations.get(event.payload)
+                if relation is not None:
+                    remote_bag = relation.data.get(event.remote)
+            value = resolve_template(value, model.applications[unit.app].config, remote_bag)
+        for relation in _data_targets(model, unit, event, action.endpoint):
             if tracker is not None:
                 tracker.record(
                     handler_index, ("relation-data", relation.id, unit.id, action.key), value
@@ -1316,7 +1331,10 @@ def load_checkpoint(
     Each unit keeps its ``seen`` groups as read, after a look at the first,
     which tells them from the flat entries of older checkpoints.  The
     unit's first step, or the next ``checkpoint``, checks them all, so a
-    ``status`` does not."""
+    ``status`` does not.  A unit whose id does not name its application,
+    or whose index is not below its application's ``unit_counter``, raises
+    ``MalformedCheckpointError``: the next unit added would take a live
+    unit's id."""
     if inventory is None:
         embedded = doc.get("inventory")
         if embedded is None:
@@ -1358,7 +1376,18 @@ def load_checkpoint(
             seen_owned=False,
         )
     for unit_id in sorted(model.units, key=_unit_sort_key):
-        model._unit_index.setdefault(model.units[unit_id].app, []).append(unit_id)
+        unit = model.units[unit_id]
+        app_name, _, index = unit_id.partition("/")
+        app = model.applications.get(app_name)
+        if app_name != unit.app:
+            raise MalformedCheckpointError(
+                f"unit {unit_id!r} is not a unit of application {unit.app!r}")
+        if app is not None and int(index) >= app.unit_counter:
+            raise MalformedCheckpointError(
+                f"application {app_name!r} has unit_counter {app.unit_counter}, "
+                f"not above unit {unit_id!r}")
+        model._unit_index.setdefault(app_name, []).append(unit_id)
+        model._machine_units.setdefault(unit.machine, set()).add(unit_id)
     model._leader_check.update(model.applications)
     for relation_id, body in (doc.get("relations") or {}).items():
         model.relations[relation_id] = Relation(

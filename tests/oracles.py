@@ -12,18 +12,29 @@ import random
 import re
 import weakref
 
-from fedweave.charms import CharmSpec, EventKind
+from fedweave.charms import (
+    CharmSpec,
+    ClearState,
+    EventKind,
+    Fail,
+    HookHandler,
+    OpenPort,
+    SetRelationData,
+    SetState,
+    SetUnitStatus,
+    resolve_template,
+)
 from fedweave.engine import (
     DEFAULT_SEED,
+    EngineError,
     Event,
     Model,
+    Relation,
     StepReport,
     Unit,
-    _apply_action,
     _ConflictTracker,
     _ensure_leader,
     _HandlerFailed,
-    _run_handler,
     _shadow_delta,
     checkpoint,
     load_checkpoint,
@@ -31,6 +42,7 @@ from fedweave.engine import (
     state_hash,
     step,
 )
+from fedweave.engine import _apply_action as engine_apply_action
 
 # ---------------------------------------------------------------------------
 # Value templates, by regular expression substitution
@@ -326,8 +338,9 @@ def shadow_delta_oracle(model, unit, event, handler) -> int:
     The copy is rebuilt from a checkpoint with its inventory, so this sees
     a difference anywhere in the model, not only where an action is known
     to write; the model passed in is never touched.  It reuses the
-    engine's action semantics (``_apply_action``) because idempotence is
-    a property of those semantics: what it checks independently is the
+    engine's action semantics (the engine's ``_apply_action``, not the
+    reference step's copy below) because idempotence is a property of
+    those semantics: what it checks independently is the
     scope of the comparison and the restore.  Returns 0 when the copy's
     checkpoint is unchanged, else 1.
     """
@@ -336,7 +349,7 @@ def shadow_delta_oracle(model, unit, event, handler) -> int:
     twin_unit = twin.units[unit.id]
     try:
         for action in handler.actions:
-            _apply_action(twin, twin_unit, event, 0, action, None, set())
+            engine_apply_action(twin, twin_unit, event, 0, action, None, set())
     except _HandlerFailed:
         pass
     after = checkpoint(twin, include_inventory=True)
@@ -421,11 +434,14 @@ def redeliver_oracle(charm, unit_id: str, seen, states, flags_before: frozenset)
 # The reference step: ``engine.step`` as it was before events that match no
 # handler skipped the conflict tracker, the flag snapshot, emission and
 # redelivery, kept verbatim with the two helpers whose text has changed
-# since.  Every step pays for every part here, so the two agreeing after
-# every event shows that the skipped work never did anything.  It keeps
-# each unit's seen events as a set of keys (``seen_keys``), as the engine
-# did before it held the checkpoint's groups, and regroups the whole set
-# into ``unit.seen`` after each add.
+# since, and with its own copy of the action path (``_run_handler``,
+# ``_apply_action`` and ``_data_targets``), so that a fault in the
+# engine's action path cannot hide in the reference.  Every step pays for
+# every part here, so the two agreeing after every event shows that the
+# skipped work never did anything.  It keeps each unit's seen events as a
+# set of keys (``seen_keys``), as the engine did before it held the
+# checkpoint's groups, and regroups the whole set into ``unit.seen`` after
+# each add.
 
 
 def step_oracle(model: Model, rng_seed: int | None = None, _rng: random.Random | None = None) -> StepReport:
@@ -495,6 +511,95 @@ def step_oracle(model: Model, rng_seed: int | None = None, _rng: random.Random |
         emitted=emitted,
         redelivered=redelivered,
     )
+
+
+def _run_handler(
+    model: Model,
+    unit: Unit,
+    event: Event,
+    handler_index: int,
+    handler: HookHandler,
+    tracker: _ConflictTracker | None,
+    changed_bags: set[tuple[str, str]],
+) -> int:
+    applied = 0
+    try:
+        for action in handler.actions:
+            _apply_action(model, unit, event, handler_index, action, tracker, changed_bags)
+            applied += 1
+    except _HandlerFailed:
+        applied += 1
+    return applied
+
+
+def _apply_action(
+    model: Model,
+    unit: Unit,
+    event: Event,
+    handler_index: int,
+    action,
+    tracker: _ConflictTracker | None,
+    changed_bags: set[tuple[str, str]],
+) -> None:
+    """Apply one action to ``unit``, recording its writes with ``tracker``
+    unless that is None.  Actions are tested by exact type, most frequent
+    first: the action classes are final, and a fleet deploy runs thousands."""
+    kind = type(action)
+    if kind is SetRelationData:
+        remote_bag = None
+        if event.payload and event.remote:
+            relation = model.relations.get(event.payload)
+            if relation is not None:
+                remote_bag = relation.data.get(event.remote)
+        config = model.applications[unit.app].config
+        value = resolve_template(action.value, config, remote_bag)
+        targets = _data_targets(model, unit, event, action.endpoint)
+        for relation in targets:
+            if tracker is not None:
+                tracker.record(
+                    handler_index, ("relation-data", relation.id, unit.id, action.key), value
+                )
+            bag = relation.data.setdefault(unit.id, {})
+            if bag.get(action.key) != value:
+                bag[action.key] = value
+                changed_bags.add((relation.id, unit.id))
+    elif kind is SetState:
+        if tracker is not None:
+            tracker.record(handler_index, ("state", unit.id, action.flag), True)
+        unit.states.add(action.flag)
+    elif kind is SetUnitStatus:
+        if tracker is not None:
+            tracker.record(handler_index, ("status", unit.id), action.status)
+        unit.status = action.status
+        unit.message = ""
+    elif kind is ClearState:
+        if tracker is not None:
+            tracker.record(handler_index, ("state", unit.id, action.flag), False)
+        unit.states.discard(action.flag)
+    elif kind is OpenPort:
+        unit.open_ports.add(action.port)
+    elif kind is Fail:
+        if tracker is not None:
+            tracker.record(handler_index, ("status", unit.id), "error")
+        unit.status = "error"
+        unit.message = action.message
+        raise _HandlerFailed()
+    else:  # pragma: no cover - the action language is closed
+        raise EngineError(f"unknown action {action!r}")
+
+
+def _data_targets(model: Model, unit: Unit, event: Event, endpoint: str) -> list[Relation]:
+    """Relations a set-relation-data action writes to.
+
+    Inside a relation event whose relation sits on the named endpoint, the
+    write targets that relation only; otherwise it targets every current
+    relation on the endpoint (a re-publish, e.g. from config-changed).
+    """
+    if event.payload:
+        relation = model.relations.get(event.payload)
+        if relation is not None and relation.endpoint_of(unit.app) == endpoint:
+            return [relation]
+    return model.relations_of(unit.app, endpoint)
 
 
 def endpoint_of_oracle(relation, app: str) -> str | None:

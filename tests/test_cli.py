@@ -19,7 +19,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fedweave import builtin, cli
+from fedweave import builtin, cli, statefile
 from fedweave.bundle import parse_bundle
 from fedweave.charms import CharmError, CharmStore, load_charm
 from fedweave.cli import _locked, run_command
@@ -553,6 +553,21 @@ class TestHandWrittenDocuments:
         monkeypatch.chdir(tmp_path)
         code, out, err = deployed(*argv)
         assert (code, out, err) == (1, "", f"charm-store: malformed charm document: {message}\n")
+        assert _state_files(tmp_path) == files
+
+    @pytest.mark.parametrize("counter", [1, 2])
+    def test_stale_unit_counter_is_a_one_line_error(self, deployed, tmp_path, counter):
+        """A ``unit_counter`` not above every unit's index would give the
+        next unit a live unit's id: that unit would move to the new
+        machine and leave its own machine held with no unit on it."""
+        assert deployed("add-unit", "moodle", "-n", "2")[0] == 0
+        doc = json.loads((tmp_path / "model.yaml").read_bytes())
+        doc["model"]["applications"]["moodle"]["unit_counter"] = counter
+        (tmp_path / "model.yaml").write_text(statefile.dump(doc))
+        files = _state_files(tmp_path)
+        assert deployed("add-unit", "moodle") == (
+            1, "", f"cli: malformed model document: application 'moodle' has unit_counter "
+                   f"{counter}, not above unit 'moodle/{counter}'\n")
         assert _state_files(tmp_path) == files
 
     @pytest.mark.parametrize(

@@ -5,9 +5,12 @@ against the linear scans they replace.
 ``_redeliver`` visits only the seen events of kinds the charm guards with
 a newly set flag.  ``oracles.matching_oracle`` and
 ``oracles.redeliver_oracle`` scan every handler and every seen event
-instead.  On every step the list handed to the seeded shuffle must equal
-the oracle's, pair for pair and in order, and the events the step
-re-enqueues must equal the oracle's.
+instead.  On every step the handlers that run must equal the oracle's,
+pair for pair and in the order the seeded shuffle gave them, and the
+events the step re-enqueues must equal the oracle's.  The step hands the
+generator only two or more handlers, in declaration order, so the
+handlers run are read from the handler index each ``_apply_action`` call
+carries: that sees a step that matched none or one as well.
 """
 
 from __future__ import annotations
@@ -92,55 +95,78 @@ CORPUS = list(dict.fromkeys((MOODLE_BUNDLE, SCALED_BUNDLE, *FIXTURES, TWIN_BUNDL
 
 
 class _PopRecorder(deque):
-    """The event queue, remembering the event the last ``popleft`` took."""
+    """The event queue, remembering the event the last ``popleft`` took and
+    its target's flags at that moment, before any handler ran."""
 
-    popped = None
+    popped = flags = None
+
+    def __init__(self, queue, units: dict) -> None:
+        super().__init__(queue)
+        self.units = units
 
     def popleft(self):
         self.popped = super().popleft()
+        unit = self.units.get(self.popped.target)
+        self.flags = None if unit is None else frozenset(unit.states)
         return self.popped
 
 
 def _checked_step(stats: dict):
     """``engine.step``, asserting on every processed event that the
-    pre-shuffle handler list and the re-enqueued events equal the
-    oracles'.  ``stats`` counts steps, multi-handler steps and
-    redeliveries, so a test can tell it checked something."""
+    handlers it runs equal the oracle's, pair for pair and in order, and
+    that the events it re-enqueues equal the oracle's.  Every handler has
+    an action, and each ``_apply_action`` call carries its handler's
+    index, so the calls show which handlers ran, whether the event matched
+    none, one or more.  Two or more must also go through the seeded
+    shuffle, which sees them in declaration order.  ``stats`` counts
+    steps, multi-handler steps and redeliveries, so a test can tell it
+    checked something."""
     real_step = engine.step
+    real_apply = engine._apply_action
 
     def checked(model, rng_seed=None, _rng=None):
         rng = _rng if _rng is not None else random.Random(
             DEFAULT_SEED if rng_seed is None else rng_seed
         )
         if not isinstance(model.event_queue, _PopRecorder):
-            model.event_queue = _PopRecorder(model.event_queue)
-        shuffled: dict = {}
+            model.event_queue = _PopRecorder(model.event_queue, model.units)
+        queue = model.event_queue
+        shuffled: list = []
+        applied: list = []
 
         class Spy:
             def shuffle(self, matching):
-                event = model.event_queue.popped
-                unit = model.units[event.target]
+                unit = model.units[queue.popped.target]
                 charm = model.applications[unit.app].charm
-                assert matching == matching_oracle(charm, event.kind, unit.states), event.render()
-                shuffled.update(unit=unit, charm=charm, before=frozenset(unit.states))
-                stats["steps"] += 1
-                stats["multi"] += len(matching) > 1
+                assert matching == matching_oracle(charm, queue.popped.kind, queue.flags), \
+                    queue.popped.render()
                 rng.shuffle(matching)
+                shuffled.append(list(matching))
 
-        report = real_step(model, _rng=Spy())
-        # Every event that reached a unit went through the spy, even with
-        # no handler to shuffle.
-        assert bool(shuffled) == (report.event is not None and not report.dropped), report
-        if shuffled:
-            unit = shuffled["unit"]
-            queue = model.event_queue
-            appended = list(islice(queue, len(queue) - report.redelivered, None))
-            expected = redeliver_oracle(
-                shuffled["charm"], unit.id, flatten_seen(unit.seen), unit.states,
-                shuffled["before"]
-            )
-            assert appended == expected, report.event
-            stats["redelivered"] += len(expected)
+        def spy_apply(model, unit, event, handler_index, action, *rest):
+            applied.append((handler_index, action))
+            return real_apply(model, unit, event, handler_index, action, *rest)
+
+        with mock.patch.object(engine, "_apply_action", spy_apply):
+            report = real_step(model, _rng=Spy())
+        if report.event is None or report.dropped:
+            assert not shuffled and not applied, report
+            return report
+        event, before = queue.popped, queue.flags
+        unit = model.units[event.target]
+        charm = model.applications[unit.app].charm
+        matching = matching_oracle(charm, event.kind, before)
+        assert len(shuffled) == (len(matching) > 1), report
+        ran = shuffled[0] if shuffled else matching
+        assert applied == [(index, action) for index, handler in ran
+                           for action in handler.actions], event.render()
+        assert report.handlers_run == len(matching), report
+        stats["steps"] += 1
+        stats["multi"] += len(matching) > 1
+        appended = list(islice(queue, len(queue) - report.redelivered, None))
+        expected = redeliver_oracle(charm, unit.id, flatten_seen(unit.seen), unit.states, before)
+        assert appended == expected, event.render()
+        stats["redelivered"] += len(expected)
         return report
 
     return checked

@@ -396,6 +396,27 @@ class TestRemoveUnit:
         with pytest.raises(UnknownEntityError, match="unknown unit"):
             remove_unit(model, "moodle/9")
 
+    def test_removal_reads_the_occupancy_index_not_every_unit(self, deploy_fixture, monkeypatch):
+        """``remove_unit`` finds the machines it frees from the machine
+        occupancy index, so it works without walking ``model.units``."""
+        model, result = deploy_fixture(MOODLE_BUNDLE)
+        host = result.machine_map["0"]
+        add_unit(model, "moodle", placement=Placement.on_machine(host))
+        add_unit(model, "moodle")
+        run_to_convergence(model)
+        lone = model.units["moodle/2"].machine
+
+        class Unwalkable(dict):
+            def values(self):
+                raise AssertionError("remove_unit walked every unit")
+
+        monkeypatch.setattr(model, "units", Unwalkable(model.units))
+        remove_unit(model, "moodle/1")  # shares the host with moodle/0
+        remove_unit(model, "moodle/2")  # alone on its machine
+        assert model.inventory.machines[host].state == "acquired"
+        assert lone not in model.machines
+        assert model.inventory.machines[lone].state == "ready"
+
 
 class TestRemovalOrder:
     """MOODLE puts moodle/0 on machine 0 and postgresql/0 in a container
@@ -834,6 +855,41 @@ _FLEET_GROUP = {
         {f"moodle/{i}" for i in range(600)},
     ("install", "", ""): {""},
 }
+
+
+class TestUnitCounter:
+    """A unit takes its application's ``unit_counter`` as its index, so a
+    checkpoint whose counter is not above every unit's index would give the
+    next unit a live unit's id: the load refuses it."""
+
+    @pytest.mark.parametrize("counter", [0, 1, 2])
+    def test_stale_counter_is_refused(self, deploy_fixture, counter):
+        model, _ = deploy_fixture(MOODLE_BUNDLE)
+        add_unit(model, "moodle", count=2)
+        doc = checkpoint(model)
+        doc["applications"]["moodle"]["unit_counter"] = counter
+        with pytest.raises(engine.MalformedCheckpointError) as err:
+            load_checkpoint(doc, builtin_store())
+        assert str(err.value) == (f"application 'moodle' has unit_counter {counter}, "
+                                  f"not above unit 'moodle/{counter}'")
+
+    def test_unit_of_another_application_is_refused(self, deploy_fixture):
+        model, _ = deploy_fixture(MOODLE_BUNDLE)
+        doc = checkpoint(model)
+        doc["units"]["moodle/0"]["application"] = "postgresql"
+        with pytest.raises(engine.MalformedCheckpointError,
+                           match="unit 'moodle/0' is not a unit of application 'postgresql'"):
+            load_checkpoint(doc, builtin_store())
+
+    def test_counter_above_every_index_loads_and_numbers_on(self, deploy_fixture):
+        model, _ = deploy_fixture(MOODLE_BUNDLE)
+        add_unit(model, "moodle", count=2)
+        remove_unit(model, "moodle/2")
+        doc = checkpoint(model)
+        doc["applications"]["moodle"]["unit_counter"] = 7
+        restored = load_checkpoint(doc, builtin_store())
+        assert add_unit(restored, "moodle") == ["moodle/7"]
+        assert restored.unit_ids_of("moodle") == ["moodle/0", "moodle/1", "moodle/7"]
 
 
 class TestGroupedSeen:

@@ -235,6 +235,13 @@ class UnitAndReadyIndexes(RuleBasedStateMachine):
             assert self.model.unit_ids_of(app) == scanned
 
     @invariant()
+    def occupancy_index_matches_scan(self):
+        scanned: dict[str, set[str]] = {}
+        for unit in self.model.units.values():
+            scanned.setdefault(unit.machine, set()).add(unit.id)
+        assert self.model._machine_units == scanned
+
+    @invariant()
     def ready_index_matches_oracle(self):
         inventory = self.model.inventory
         for want in REQUESTS:

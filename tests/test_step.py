@@ -4,9 +4,12 @@
 matches no handler builds no conflict tracker or flag snapshot and looks
 for neither relation-changed emission nor redelivery, and leader upkeep,
 emission and redelivery run only when there is something for them to do.
-``oracles.step_oracle`` does all of it on every step.  Two copies of a
-model, one stepped by each, must agree after every event: the report, the
-queue, the trace, the random state and the whole checkpoint.
+``oracles.step_oracle`` does all of it on every step, through its own
+copy of the action path.  Two copies of a model, one stepped by each,
+must agree after every event: the report, the queue, the trace, the
+random state and the whole checkpoint.  The engine hands a generator only
+the steps with two or more handlers to order, the reference every step;
+shuffling fewer draws no random number, so the random states still agree.
 
 The benchmark's tracer wraps the module global ``engine.step``, which
 ``run_to_convergence`` must therefore call once per event.
@@ -220,6 +223,46 @@ def test_fleet_deploy_processes_the_pinned_events(store, make_inventory):
     assert engine.state_hash(model) == (
         "efa34b092ff9f0bd1c1611de80ba1801b0cb9415562b162d73fff18ad230c4a3")
     assert {unit.status for unit in model.units.values()} == {"active"}
+
+
+@pytest.mark.parametrize(
+    ("bundle_text", "machines", "digest"),
+    [(TWIN_BUNDLE, 8, "f7257835cdf374b86f419c3e47b63f437a89ef3abe725760447dbd51151179b1"),
+     (FLEET_BUNDLE, FLEET_UNITS + 2,
+      "efa34b092ff9f0bd1c1611de80ba1801b0cb9415562b162d73fff18ad230c4a3")],
+    ids=["twin", "fleet"],
+)
+def test_the_generator_shuffles_only_competing_handlers(monkeypatch, charm_store, make_inventory,
+                                                        bundle_text, machines, digest):
+    """``run_to_convergence``'s generator is asked to shuffle on exactly the
+    steps that run two or more handlers, and the run reaches the hash it
+    reached when every step asked it."""
+    shuffles = []
+
+    class CountedRandom(random.Random):
+        def shuffle(self, x):
+            shuffles.append(len(x))
+            super().shuffle(x)
+
+    monkeypatch.setattr(engine.random, "Random", CountedRandom)
+    real_step = engine.step
+    steps = []  # (handlers run, shuffles asked for), per step
+
+    def counted_step(*args, **kwargs):
+        before = len(shuffles)
+        report = real_step(*args, **kwargs)
+        steps.append((report.handlers_run, len(shuffles) - before))
+        return report
+
+    monkeypatch.setattr(engine, "step", counted_step)
+    model = Model(charm_store, make_inventory(machines))
+    deploy_bundle(model, parse_bundle(bundle_text))
+    assert run_to_convergence(model).converged
+    assert [asked for _, asked in steps] == [int(run > 1) for run, _ in steps]
+    assert all(length > 1 for length in shuffles)
+    if bundle_text == TWIN_BUNDLE:
+        assert shuffles
+    assert engine.state_hash(model) == digest
 
 
 class TestTracerHook:
