@@ -563,13 +563,53 @@ class JoinRelation(NamedTuple):
 PlanStep = AcquireMachine | CreateContainer | AddApplication | InstallUnit | JoinRelation
 
 #: A quote, a backslash, or whitespace that ``str.split`` splits on and
-#: ``shlex.split`` does not; a line without any is split alike by both.
-_NEEDS_SHLEX = re.compile(r"['\"\\]|[^\S \t\r\n]")
+#: ``shlex.split`` does not; a line without any is plain: both split it alike.
+_NOT_PLAIN = re.compile(r"['\"\\]|[^\S \t\r\n]")
+
+#: One piece of a line as POSIX ``shlex.split`` reads it, by group: 1 a run
+#: of its blanks, 2 a run of other characters, 3 the character a backslash
+#: escapes, 4 the text of a single-quoted span, 5 the text of a
+#: double-quoted one, and 6 a quote never closed or a backslash that ends
+#: the line.
+_SHELL_PIECE = re.compile(r"""([ \t\r\n]+)|([^ \t\r\n'"\\]+)|\\(.)"""
+                          r"""|'([^']*)'|"((?:[^"\\]|\\.)*)"|(.)""", re.DOTALL)
 
 
 def _split_line(line: str) -> list[str]:
-    """``shlex.split(line)``, by ``str.split`` where that gives the same."""
-    return shlex.split(line) if _NEEDS_SHLEX.search(line) else line.split()
+    """The words POSIX ``shlex.split(line)`` gives: by ``str.split`` when
+    the line is plain, else from the ``_SHELL_PIECE`` pieces, adjacent ones
+    making one word.  An open quote or a trailing backslash raises
+    ``ValueError``."""
+    if not _NOT_PLAIN.search(line):
+        return line.split()
+    words = []
+    word = None
+    for piece in _SHELL_PIECE.finditer(line):
+        kind = piece.lastindex
+        if kind == 1:
+            if word is not None:
+                words.append(word)
+                word = None
+            continue
+        if kind == 6:
+            raise ValueError("No escaped character" if piece[6] == "\\" else "No closing quotation")
+        text = piece[kind]
+        if kind == 5:  # a backslash there escapes only a double quote or a backslash
+            text = text.replace("\\\\", "\\").replace('\\"', '"')
+        word = text if word is None else word + text
+    if word is not None:
+        words.append(word)
+    return words
+
+
+def _quote_open(text: str) -> bool:
+    """Whether ``text`` ends inside a quote that ``_split_line`` finds open."""
+    if '"' not in text and "\\" not in text:
+        return text.count("'") % 2 == 1  # each single quote opens or closes a span
+    for piece in _SHELL_PIECE.finditer(text):
+        if piece.lastindex == 6:
+            return piece[6] != "\\"
+    return False
 
 
 def _parse_step_line(line: str) -> PlanStep:

@@ -1332,9 +1332,10 @@ def load_checkpoint(
     which tells them from the flat entries of older checkpoints.  The
     unit's first step, or the next ``checkpoint``, checks them all, so a
     ``status`` does not.  A unit whose id does not name its application,
-    or whose index is not below its application's ``unit_counter``, raises
-    ``MalformedCheckpointError``: the next unit added would take a live
-    unit's id."""
+    whose application the model lacks, or whose index is not below its
+    application's ``unit_counter``, raises ``MalformedCheckpointError``:
+    the first step would find no application, or the next unit added
+    would take a live unit's id."""
     if inventory is None:
         embedded = doc.get("inventory")
         if embedded is None:
@@ -1382,7 +1383,10 @@ def load_checkpoint(
         if app_name != unit.app:
             raise MalformedCheckpointError(
                 f"unit {unit_id!r} is not a unit of application {unit.app!r}")
-        if app is not None and int(index) >= app.unit_counter:
+        if app is None:
+            raise MalformedCheckpointError(
+                f"unit {unit_id!r} is a unit of application {app_name!r}, which the model lacks")
+        if int(index) >= app.unit_counter:
             raise MalformedCheckpointError(
                 f"application {app_name!r} has unit_counter {app.unit_counter}, "
                 f"not above unit {unit_id!r}")

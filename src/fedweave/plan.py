@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from . import statefile
 from .bundle import (AcquireMachine, AddApplication, Bundle, CreateContainer, InstallUnit,
                      JoinRelation, PlanError, PlanStep, _canonical_document, _parse_step_line,
-                     _split_line, lower_bundle)
+                     _quote_open, _split_line, lower_bundle)
 from .charms import CharmError
 from .engine import (DEFAULT_BUDGET, DEFAULT_SEED, Model, _charge, _undo_on_failure, apply_step,
                      run_to_convergence)
@@ -206,8 +206,9 @@ def execute_plan(
 
 
 def parse_plan(text: str | bytes) -> ImperativePlan:
-    """Parse the one-step-per-line form produced by
-    ``ImperativePlan.render``; bytes are read as UTF-8."""
+    """Parse the form ``ImperativePlan.render`` produces, one step a line
+    (more where a quoted option value holds line breaks); bytes are read
+    as UTF-8."""
     try:
         text = statefile.decode(text)
     except statefile.DecodeError as exc:
@@ -215,8 +216,7 @@ def parse_plan(text: str | bytes) -> ImperativePlan:
     bundle_dig = ""
     charm_dig = ""
     steps: list[PlanStep] = []
-    for raw_line in text.splitlines():
-        line = raw_line.strip()
+    for line in _plan_lines(text):
         if not line:
             continue
         if line.startswith("#"):
@@ -228,6 +228,21 @@ def parse_plan(text: str | bytes) -> ImperativePlan:
             continue
         steps.append(_parse_step_line(line))
     return ImperativePlan(steps=tuple(steps), bundle_digest=bundle_dig, charm_digest=charm_dig)
+
+
+def _plan_lines(text: str):
+    """The lines of a plan text, stripped.  A step line whose quote is still
+    open at a line break goes on over the next line, keeping the break:
+    ``render`` quotes an option value that holds one, of any kind
+    ``str.splitlines`` knows."""
+    line = ""
+    for physical in text.splitlines(keepends=True):
+        line += physical
+        if not _quote_open(line) or line.lstrip().startswith("#"):
+            yield line.strip()
+            line = ""
+    if line:
+        yield line.strip()
 
 
 # ---------------------------------------------------------------------------

@@ -151,14 +151,18 @@ class _StrictLoader(yaml.SafeLoader):
 def _construct_mapping(loader: _StrictLoader, node, deep: bool = False):
     mapping = {}
     for key_node, value_node in node.value:
-        mark = key_node.start_mark
         if not isinstance(key_node, yaml.ScalarNode):
-            raise DecodeError("mapping key must be a scalar", mark.line + 1, mark.column + 1)
+            raise _key_error("mapping key must be a scalar", key_node)
         key = loader.construct_object(key_node, deep=deep)
         if key in mapping:
-            raise DecodeError(f"duplicate key {key!r}", mark.line + 1, mark.column + 1)
+            raise _key_error(f"duplicate key {key!r}", key_node)
         mapping[key] = loader.construct_object(value_node, deep=deep)
     return mapping
+
+
+def _key_error(problem: str, key_node) -> DecodeError:
+    mark = key_node.start_mark
+    return DecodeError(problem, mark.line + 1, mark.column + 1)
 
 
 _StrictLoader.add_constructor(
@@ -193,17 +197,64 @@ def load_yaml(text: str | bytes):
     """Parse one YAML document strictly; bytes are read as UTF-8.
 
     libyaml parses text inside the safe subset that cannot nest deeper than
-    ``_LIBYAML_MAX_NESTING``.  Anything else, and anything libyaml rejects,
-    is parsed by ``_load_reference``, so every result and every error
-    message is the reference loader's."""
+    ``_LIBYAML_MAX_NESTING``, and ``_build`` makes the value from the node
+    tree it composes.  Anything else, and anything libyaml or the builder
+    rejects, is parsed by ``_load_reference``, so every result and every
+    error message is the reference loader's."""
     text = decode(text)
     if (_CStrictLoader is not None and not _LIBYAML_UNSAFE.search(text)
             and text.count("[") + text.count("{") + text.count("- ") <= _LIBYAML_MAX_NESTING):
+        loader = _CStrictLoader(text)
         try:
-            return yaml.load(text, Loader=_CStrictLoader)
+            node = loader.get_single_node()
+            if node is None:
+                return None
+            try:
+                return _build(loader, node)
+            except RecursionError:
+                # PyYAML's constructor builds sequences without recursing,
+                # so what nests too deep for the builder may still be built.
+                # A construction the error cut short left its node marked.
+                loader.recursive_objects.clear()
+                return loader.construct_document(node)
         except (yaml.YAMLError, ValueError, RecursionError):
             pass  # the reference loader words the rejection
+        finally:
+            loader.dispose()
     return _load_reference(text)
+
+
+_STR_TAG = yaml.resolver.BaseResolver.DEFAULT_SCALAR_TAG
+_SEQ_TAG = yaml.resolver.BaseResolver.DEFAULT_SEQUENCE_TAG
+_MAP_TAG = yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG
+
+
+def _build(loader: _CStrictLoader, node):
+    """The value ``loader.construct_document(node)`` gives, without its
+    per-node bookkeeping: a string is the scalar's text, a sequence a list,
+    a mapping a dict checked as ``_construct_mapping`` checks it, and any
+    other node (a number, boolean, null or timestamp, or a key it rejects)
+    is what the loader constructs.  Safe text holds no tag, anchor or
+    alias, so every node is implicitly tagged and appears once."""
+    tag = node.tag
+    if tag == _STR_TAG:
+        return node.value
+    if tag == _SEQ_TAG:
+        return [_build(loader, child) for child in node.value]
+    if tag != _MAP_TAG:
+        return loader.construct_object(node)
+    mapping = {}
+    for key_node, value_node in node.value:
+        if key_node.tag == _STR_TAG:
+            key = key_node.value
+        elif isinstance(key_node, yaml.ScalarNode):
+            key = loader.construct_object(key_node)
+        else:
+            raise _key_error("mapping key must be a scalar", key_node)
+        if key in mapping:
+            raise _key_error(f"duplicate key {key!r}", key_node)
+        mapping[key] = _build(loader, value_node)
+    return mapping
 
 
 def _load_reference(text: str):

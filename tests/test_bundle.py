@@ -29,6 +29,8 @@ from fedweave.engine import DeploymentError, Model, deploy_bundle
 from fedweave.plan import PlanError, compile_plan
 from fedweave.statefile import _load_reference, load_yaml
 
+from test_plan import AUDIT_STYLE_BUNDLE
+
 MOODLE_CONSTRAINTS = "arch=amd64 cpu-cores=1 mem=2048 root-disk=20480"
 
 
@@ -387,6 +389,18 @@ class TestLoader:
     @example(MOODLE_CHARM)
     @example(POSTGRESQL_CHARM)
     @example(HAPROXY_CHARM)
+    # each kind of node the builder hands to the loader, and the smallest documents
+    @example("n: 3\nhex: 0x1F\n")
+    @example("ratio: 0.5\nbig: 1e3\n")
+    @example("on: yes\noff: False\n")
+    @example("none: ~\nnull: null\n")
+    @example("day: 2020-01-01\nat: 2001-12-14 21:59:43.10 -5\n")
+    @example("{<<: {a: 1}, b: 2}\n")
+    @example("a:\n  =: 1\n")
+    @example("")
+    @example("just a scalar\n")
+    @example("{}\n")
+    @example("[]\n")
     @settings(deadline=None, max_examples=400)
     def test_load_yaml_matches_the_reference_loader(self, text):
         assert _outcome(load_yaml, text) == _outcome(_load_reference, text)
@@ -396,17 +410,35 @@ class TestLoader:
     @pytest.mark.parametrize(
         ("parse", "text"),
         [(parse_bundle, MOODLE_BUNDLE), (parse_bundle, SCALED_BUNDLE),
+         (parse_bundle, AUDIT_STYLE_BUNDLE),
          (load_charm, MOODLE_CHARM), (load_charm, POSTGRESQL_CHARM), (load_charm, HAPROXY_CHARM)],
-        ids=["moodle", "scaled", "moodle-charm", "postgresql-charm", "haproxy-charm"],
+        ids=["moodle", "scaled", "audit-style", "moodle-charm", "postgresql-charm",
+             "haproxy-charm"],
     )
     def test_fixtures_take_the_libyaml_path(self, monkeypatch, parse, text):
+        """The fixtures parse with libyaml, and their values are built from
+        its node tree without PyYAML's constructor."""
         expected = parse(text)
 
-        def refuse(_text):
-            raise AssertionError("the reference loader ran")
+        def refuse(*_args):
+            raise AssertionError("the reference loader or PyYAML's constructor ran")
 
         monkeypatch.setattr(statefile, "_load_reference", refuse)
+        monkeypatch.setattr(yaml.constructor.BaseConstructor, "construct_document", refuse)
         assert parse(text) == expected
+
+    def test_deep_nesting_reads_as_before(self):
+        """A list nested deeper than the builder recurses is built by
+        PyYAML's constructor, which builds lists without recursing; a
+        mapping nested deeper than both recurse is a one-line error."""
+        value = load_yaml("[" * 1200 + "x" + "]" * 1200)
+        for _ in range(1200):
+            (value,) = value
+        assert value == "x"
+        with pytest.raises(statefile.DecodeError) as err:
+            load_yaml("{a: " * 3000 + "x" + "}" * 3000)
+        assert str(err.value).startswith("maximum recursion depth exceeded")
+        assert "\n" not in str(err.value)
 
     @pytest.mark.parametrize(
         "text",

@@ -570,6 +570,20 @@ class TestHandWrittenDocuments:
                    f"{counter}, not above unit 'moodle/{counter}'\n")
         assert _state_files(tmp_path) == files
 
+    @pytest.mark.parametrize("argv", [("status",), ("add-unit", "postgresql")],
+                             ids=["status", "add-unit"])
+    def test_unit_without_its_application_is_a_one_line_error(self, deployed, tmp_path, argv):
+        """A unit whose application is gone would fail its first step with
+        a traceback: the load refuses it, for a read as for a write."""
+        doc = json.loads((tmp_path / "model.yaml").read_bytes())
+        del doc["model"]["applications"]["moodle"]
+        (tmp_path / "model.yaml").write_text(statefile.dump(doc))
+        files = _state_files(tmp_path)
+        assert deployed(*argv) == (
+            1, "", "cli: malformed model document: unit 'moodle/0' is a unit of application "
+                   "'moodle', which the model lacks\n")
+        assert _state_files(tmp_path) == files
+
     @pytest.mark.parametrize(
         ("name", "data", "argv", "expected"),
         [
@@ -642,6 +656,18 @@ class TestStatusText:
         assert "active" in out
 
 
+#: ``extra_pg_auth`` takes one rule a line, so its plan line quotes a line break.
+PG_AUTH_BUNDLE = """\
+series: xenial
+applications:
+  postgresql:
+    charm: cs:postgresql
+    num_units: 1
+    options:
+      extra_pg_auth: "host all all 10.0.0.0/8 md5\\nhost all all 192.168.0.0/16 md5"
+"""
+
+
 class TestPlanCommands:
     def test_compile_matches_library(self, demo, tmp_path, store, moodle_bundle):
         code, out, _ = demo("plan", "compile", str(tmp_path / "moodle-bundle.yaml"))
@@ -659,8 +685,10 @@ class TestPlanCommands:
 
     @pytest.mark.parametrize(
         "text",
-        [builtin.MOODLE_BUNDLE, builtin.SCALED_BUNDLE, *ZERO_UNIT_BUNDLES.values()],
-        ids=["moodle", "scaled", *(f"zero-units-{name}" for name in ZERO_UNIT_BUNDLES)],
+        [builtin.MOODLE_BUNDLE, builtin.SCALED_BUNDLE, *ZERO_UNIT_BUNDLES.values(),
+         PG_AUTH_BUNDLE],
+        ids=["moodle", "scaled", *(f"zero-units-{name}" for name in ZERO_UNIT_BUNDLES),
+             "multi-line-option"],
     )
     def test_execute_reaches_deploy_hash(self, demo, tmp_path, store, make_inventory, text):
         deployed = Model(store, make_inventory())

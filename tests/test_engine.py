@@ -881,6 +881,15 @@ class TestUnitCounter:
                            match="unit 'moodle/0' is not a unit of application 'postgresql'"):
             load_checkpoint(doc, builtin_store())
 
+    def test_unit_of_a_missing_application_is_refused(self, deploy_fixture):
+        model, _ = deploy_fixture(MOODLE_BUNDLE)
+        doc = checkpoint(model)
+        del doc["applications"]["moodle"]
+        with pytest.raises(engine.MalformedCheckpointError) as err:
+            load_checkpoint(doc, builtin_store())
+        assert str(err.value) == ("unit 'moodle/0' is a unit of application 'moodle', "
+                                  "which the model lacks")
+
     def test_counter_above_every_index_loads_and_numbers_on(self, deploy_fixture):
         model, _ = deploy_fixture(MOODLE_BUNDLE)
         add_unit(model, "moodle", count=2)
@@ -904,6 +913,8 @@ class TestGroupedSeen:
     def test_grouped_seen_round_trips(self, units):
         store = builtin_store()
         model = Model(store, Inventory())
+        model.applications["app"] = engine.Application("app", "cs:haproxy", "xenial", store,
+                                                       unit_counter=len(units))
         expected = {}
         for index, groups in enumerate(units):
             unit_id = f"app/{index}"

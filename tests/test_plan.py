@@ -8,7 +8,7 @@ import shlex
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedweave import engine
@@ -21,7 +21,7 @@ from fedweave.builtin import (
     SCALED_BUNDLE,
     builtin_store,
 )
-from fedweave.bundle import parse_bundle, render_bundle, validate_bundle
+from fedweave.bundle import Constraints, parse_bundle, render_bundle, validate_bundle
 from fedweave.charms import CharmStore, load_charm
 from fedweave.engine import DeploymentError, Model, deploy_bundle, run_to_convergence, state_hash
 from fedweave.plan import (
@@ -69,6 +69,10 @@ OLD_FORMAT_MOODLE_STEPS = [
     "start-unit moodle/0",
     "start-unit postgresql/0",
 ]
+
+#: Every line break ``str.splitlines`` splits on.
+LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+               "\u2029"]
 
 #: A bundle shaped like the benchmark's plan-audit corpus: constrained
 #: hosts, machine, ``lxd:`` and fresh placements, options and expose.
@@ -299,6 +303,9 @@ class TestRoundTrip:
         "start-unit", "configure", "web/0", "a", "=", "mem=1", "#", "é", "'", '"', "\\",
         " ", "  ", "\t", "\r", "\n", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028", "\u3000",
     ]), max_size=16).map("".join))
+    # a backslash in double quotes escapes only a double quote or a backslash
+    @example('x="a\\"b\\\\c\\d" \'e\\f\' g\\ h')
+    @example('"open\\"')
     @settings(deadline=None, max_examples=500)
     def test_split_line_matches_shlex(self, line):
         try:
@@ -308,6 +315,40 @@ class TestRoundTrip:
                 _split_line(line)
         else:
             assert _split_line(line) == expected
+
+    @pytest.mark.parametrize("text", [SCALED_BUNDLE, AUDIT_STYLE_BUNDLE],
+                             ids=["scaled", "audit-style"])
+    def test_quoted_lines_split_without_shlex(self, monkeypatch, store, text):
+        plan = compile_plan(parse_bundle(text), store)
+        rendered = plan.render()
+        assert "='" in rendered
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("shlex.split ran")
+
+        monkeypatch.setattr(shlex, "split", refuse)
+        assert parse_plan(rendered) == plan
+
+    @given(st.lists(st.dictionaries(
+        st.sampled_from(["extra_pg_auth", "site_name", "n"]),
+        st.lists(st.sampled_from(["'", '"', "\\", " ", "\t", "#", "=", "a", "é", "\u3000",
+                                  *LINE_BREAKS]) | st.characters(codec="utf-8"),
+                 max_size=12).map("".join),
+    ), min_size=1, max_size=3))
+    @example([{"extra_pg_auth": "host all all 10.0.0.0/8 md5\nhost all all 192.168.0.0/16 md5"}])
+    @example([{"n": "'\r\n'"}, {"n": "\\\n", "site_name": "\n# charm-digest: x\n"}])
+    @settings(deadline=None, max_examples=300)
+    def test_every_option_value_round_trips(self, options):
+        """``render`` quotes an option value, and ``parse_plan`` reads it
+        back, whatever it holds, line breaks of every kind among it."""
+        steps = []
+        for index, values in enumerate(options):
+            app = f"app{index}"
+            steps += [AcquireMachine(str(index), "xenial", Constraints(arch="amd64", mem=1024)),
+                      AddApplication(app, "cs:postgresql", "xenial", tuple(sorted(values.items()))),
+                      InstallUnit(f"{app}/0", str(index))]
+        plan = ImperativePlan(tuple(steps), "b" * 64, "c" * 64)
+        assert parse_plan(plan.render()) == plan
 
 
 class TestExecution:
