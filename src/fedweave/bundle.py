@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import re
 import shlex
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -498,7 +499,8 @@ def _canonical_document(bundle: Bundle) -> dict:
 
 # ---------------------------------------------------------------------------
 # Steps: the lowered form of a bundle.  ``lower_bundle`` gives them, a plan
-# is their text, one ``render()`` a line, and ``engine.apply_step`` applies
+# is their text, one ``render()`` a line (more where a quoted option value
+# holds line breaks), and ``engine.apply_step`` applies
 # them for ``deploy_bundle`` and ``plan.execute_plan`` alike.
 #
 # Each step is a named tuple, built and compared in C where a frozen
@@ -602,22 +604,26 @@ def _split_line(line: str) -> list[str]:
     return words
 
 
-def _quote_open(text: str) -> bool:
-    """Whether ``text`` ends inside a quote that ``_split_line`` finds open."""
-    if '"' not in text and "\\" not in text:
-        return text.count("'") % 2 == 1  # each single quote opens or closes a span
-    for piece in _SHELL_PIECE.finditer(text):
-        if piece.lastindex == 6:
-            return piece[6] != "\\"
-    return False
-
-
-def _parse_step_line(line: str) -> PlanStep:
-    """The step a ``render()`` line spells."""
-    try:
-        tokens = _split_line(line)
-    except ValueError as exc:  # an unbalanced quote or a trailing backslash
-        raise PlanError(f"malformed plan line {line!r}") from exc
+def _parse_step_line(first: str, more: Iterator[str]) -> PlanStep:
+    """The step a ``render()`` line spells.  An ``add-application`` line
+    whose quote is open at its end goes on over the lines ``more`` yields,
+    with their break characters, as ``render`` writes an option value that
+    holds a line break of any kind ``str.splitlines`` knows; the step must
+    then render as exactly that text.  A quote that never closes, or closes
+    where ``render`` would not have put it, is reported at the first line."""
+    text = first
+    while True:
+        try:
+            tokens = _split_line(text.strip())
+            break
+        except ValueError as exc:  # an unbalanced quote or a trailing backslash
+            following = None
+            if exc.args == ("No closing quotation",) and first.lstrip().startswith("add-application "):
+                following = next(more, None)
+            if following is None:
+                raise PlanError(f"malformed plan line {first.strip()!r}") from exc
+            text += following
+    line = text.strip()
     try:
         verb, args = tokens[0], tokens[1:]
         if verb == "acquire-machine":
@@ -633,8 +639,11 @@ def _parse_step_line(line: str) -> PlanStep:
         if verb == "add-application":
             fields = _kv(args[3:])
             expose = fields.pop("expose", "false") == "true"
-            return AddApplication(args[0], args[1], _kv(args[2:3])["series"],
+            step = AddApplication(args[0], args[1], _kv(args[2:3])["series"],
                                   tuple(sorted(fields.items())), expose)
+            if text is not first and step.render() != line:  # a stray quote closed by another
+                raise PlanError(f"malformed plan line {first.strip()!r}")
+            return step
         if verb == "install-unit":
             unit, machine = args  # exactly two, so no third field is read as the machine
             return InstallUnit(unit, machine)

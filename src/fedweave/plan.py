@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from . import statefile
 from .bundle import (AcquireMachine, AddApplication, Bundle, CreateContainer, InstallUnit,
                      JoinRelation, PlanError, PlanStep, _canonical_document, _parse_step_line,
-                     _quote_open, _split_line, lower_bundle)
+                     _split_line, lower_bundle)
 from .charms import CharmError
 from .engine import (DEFAULT_BUDGET, DEFAULT_SEED, Model, _charge, _undo_on_failure, apply_step,
                      run_to_convergence)
@@ -216,7 +216,9 @@ def parse_plan(text: str | bytes) -> ImperativePlan:
     bundle_dig = ""
     charm_dig = ""
     steps: list[PlanStep] = []
-    for line in _plan_lines(text):
+    lines = iter(text.splitlines(keepends=True))
+    for physical in lines:
+        line = physical.strip()
         if not line:
             continue
         if line.startswith("#"):
@@ -226,23 +228,8 @@ def parse_plan(text: str | bytes) -> ImperativePlan:
             elif comment.startswith("charm-digest:"):
                 charm_dig = comment.partition(":")[2].strip()
             continue
-        steps.append(_parse_step_line(line))
+        steps.append(_parse_step_line(physical, lines))
     return ImperativePlan(steps=tuple(steps), bundle_digest=bundle_dig, charm_digest=charm_dig)
-
-
-def _plan_lines(text: str):
-    """The lines of a plan text, stripped.  A step line whose quote is still
-    open at a line break goes on over the next line, keeping the break:
-    ``render`` quotes an option value that holds one, of any kind
-    ``str.splitlines`` knows."""
-    line = ""
-    for physical in text.splitlines(keepends=True):
-        line += physical
-        if not _quote_open(line) or line.lstrip().startswith("#"):
-            yield line.strip()
-            line = ""
-    if line:
-        yield line.strip()
 
 
 # ---------------------------------------------------------------------------

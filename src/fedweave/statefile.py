@@ -151,18 +151,14 @@ class _StrictLoader(yaml.SafeLoader):
 def _construct_mapping(loader: _StrictLoader, node, deep: bool = False):
     mapping = {}
     for key_node, value_node in node.value:
+        mark = key_node.start_mark
         if not isinstance(key_node, yaml.ScalarNode):
-            raise _key_error("mapping key must be a scalar", key_node)
+            raise DecodeError("mapping key must be a scalar", mark.line + 1, mark.column + 1)
         key = loader.construct_object(key_node, deep=deep)
         if key in mapping:
-            raise _key_error(f"duplicate key {key!r}", key_node)
+            raise DecodeError(f"duplicate key {key!r}", mark.line + 1, mark.column + 1)
         mapping[key] = loader.construct_object(value_node, deep=deep)
     return mapping
-
-
-def _key_error(problem: str, key_node) -> DecodeError:
-    mark = key_node.start_mark
-    return DecodeError(problem, mark.line + 1, mark.column + 1)
 
 
 _StrictLoader.add_constructor(
@@ -232,7 +228,8 @@ _MAP_TAG = yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG
 def _build(loader: _CStrictLoader, node):
     """The value ``loader.construct_document(node)`` gives, without its
     per-node bookkeeping: a string is the scalar's text, a sequence a list,
-    a mapping a dict checked as ``_construct_mapping`` checks it, and any
+    a mapping a dict checked as ``_construct_mapping`` checks it (a failed
+    check is a plain ``ValueError``: the reference loader words it), and any
     other node (a number, boolean, null or timestamp, or a key it rejects)
     is what the loader constructs.  Safe text holds no tag, anchor or
     alias, so every node is implicitly tagged and appears once."""
@@ -250,9 +247,9 @@ def _build(loader: _CStrictLoader, node):
         elif isinstance(key_node, yaml.ScalarNode):
             key = loader.construct_object(key_node)
         else:
-            raise _key_error("mapping key must be a scalar", key_node)
+            raise ValueError("mapping key must be a scalar")
         if key in mapping:
-            raise _key_error(f"duplicate key {key!r}", key_node)
+            raise ValueError(f"duplicate key {key!r}")
         mapping[key] = _build(loader, value_node)
     return mapping
 

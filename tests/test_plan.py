@@ -74,6 +74,11 @@ OLD_FORMAT_MOODLE_STEPS = [
 LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
                "\u2029"]
 
+#: Steps after a line whose quote is left open, one with a stray quote.
+STEPS_AFTER_OPEN_QUOTE = ("install-unit web/0 0\n"
+                          "acquire-machine 1 series=xenial constraints='arch=amd64\n"
+                          "install-unit web/1 1")
+
 #: A bundle shaped like the benchmark's plan-audit corpus: constrained
 #: hosts, machine, ``lxd:`` and fresh placements, options and expose.
 AUDIT_STYLE_BUNDLE = """\
@@ -281,6 +286,16 @@ class TestRoundTrip:
             ("join-relation a:x b:y", "malformed plan line"),    # missing interface
             ("acquire-machine 0 series=xenial constraints='mem=1", "malformed plan line"),
             ("start-unit web/0\\", "malformed plan line"),      # nothing to escape
+            # A quote left open before further steps is refused with its own line
+            # alone.  Only add-application steps go on over lines, and only as
+            # render writes them, so a later stray quote closing it mid-value
+            # does not hide the steps between.
+            (f"add-application web cs:haproxy series=xenial n='v\n{STEPS_AFTER_OPEN_QUOTE}",
+             """malformed plan line "add-application web cs:haproxy series=xenial n='v"$"""),
+            (f'add-application web cs:haproxy series=xenial n="v\n{STEPS_AFTER_OPEN_QUOTE}',
+             """malformed plan line 'add-application web cs:haproxy series=xenial n="v'$"""),
+            (f"acquire-machine 0 series=xenial constraints='mem=1\n{STEPS_AFTER_OPEN_QUOTE}",
+             """malformed plan line "acquire-machine 0 series=xenial constraints='mem=1"$"""),
             # Lines of the older step language, and an install-unit short of a field,
             # are refused with the whole line.
             ("install-unit web/0 cs:haproxy 0", "malformed plan line 'install-unit web/0 cs:haproxy 0'"),
