@@ -54,12 +54,16 @@ pass, and keeps each unit's seen groups as ``model.yaml`` holds them,
 looking at the first alone (``engine.load_checkpoint``).
 
 A command that changes the model hashes it after the commit and then
-writes ``.fedweave-seal.json``: the hash, sealed to the SHA-256 of
-``model.yaml`` and of the file holding the model's inventory as the
-commit left them.  ``status`` prints the sealed hash when the seal
-matches the bytes it loaded, and otherwise computes it, so its output is
-the same either way.  The seal and the compiled store are derived files,
-written after the commit and never by a read, and absent when damaged.
+writes ``.fedweave-seal.json``: the hash, the generation and the
+canonical state text the hash was computed over, sealed to the SHA-256
+of every file ``load_model`` reads as the commit left them
+(``model.yaml``, the file holding the model's inventory, and
+``projects.yaml`` when the model charges a project).  ``status`` hashes
+those files and, when the seal names their very bytes, builds its
+snapshot from the seal and parses no state file; otherwise it loads the
+model, so its output and exit code are the same either way.  The seal
+and the compiled store are derived files, written after the commit and
+never by a read, and absent when damaged.
 A state document of the wrong shape fails the command with one
 ``<module>: malformed <what> document`` line.
 
@@ -102,8 +106,10 @@ from .engine import (
     remove_unit,
     run_to_convergence,
     set_config,
+    snapshot_of,
     state_hash,
     status_snapshot,
+    unit_sort_key,
 )
 from .errors import FedweaveError
 from .federation import Federation
@@ -113,10 +119,11 @@ from .quota import COMPONENTS, ProjectTree, QuotaSet
 
 LOCK_FILE = ".fedweave-lock"
 STATE_FILES = ("model.yaml", "inventory.yaml", "federation.yaml", "projects.yaml")
-#: Derived files (see ``statefile.derived_text``), written after the commit
+#: Derived files (see ``statefile.write_derived``), written after the commit
 #: and not state files: the compiled copy of the charm store (see
-#: ``_CharmFiles``), and the state hash the last model write printed, sealed
-#: to the files it was computed from (see ``Workspace.seal``).
+#: ``_CharmFiles``), and the state the last model write hashed, with the
+#: hash it printed, sealed to the files the model was loaded from (see
+#: ``Workspace.seal``).
 CHARM_STORE_FILE = ".fedweave-charms.json"
 SEAL_FILE = ".fedweave-seal.json"
 
@@ -156,6 +163,8 @@ class Workspace:
         # The SHA-256 of each loaded file's bytes (None when it does not
         # exist); once committed, of the text the commit left in it.
         self._digests: dict[Path, str | None] = {}
+        # The bytes of state files the seal check read, until they are loaded.
+        self._checked: dict[Path, bytes | None] = {}
         self._charm_files = _CharmFiles(root)
 
     def require_init(self) -> None:
@@ -184,7 +193,7 @@ class Workspace:
     def _read_state(self, path: Path) -> bytes | None:
         """The bytes of ``path`` (None when it does not exist), whose
         SHA-256 the workspace keeps."""
-        data = _read(path)
+        data = self._checked.pop(path) if path in self._checked else _read(path)
         self._digests[path] = _sha256(data)
         return data
 
@@ -251,7 +260,7 @@ class Workspace:
         nothing, and then a newly compiled charm store."""
         statefile.commit(self.root, self._changed_texts())
         if self._charm_files.compiled is not None:
-            statefile.overwrite(self._charm_files.path, self._charm_files.compiled)
+            statefile.write_derived(self._charm_files.path, *self._charm_files.compiled)
 
     def _changed_texts(self) -> Iterator[tuple[str, str]]:
         """The file name and new text of each loaded document whose text
@@ -271,26 +280,49 @@ class Workspace:
     # -- the seal ---------------------------------------------------------
 
     def _seal_sources(self) -> list[list]:
-        """What the state hash is computed from: ``model.yaml`` and the file
-        holding the model's inventory (``inventory.yaml``, or
-        ``federation.yaml`` for a model placed on a region), each with the
-        SHA-256 the workspace knows for it."""
-        inventory_path = (self.inventory_path if self.provider_ref == "local"
-                          else self.federation_path)
-        return [[path.name, self._digests[path]] for path in (self.model_path, inventory_path)]
+        """Every file ``load_model`` reads: ``model.yaml``, the file holding
+        the model's inventory (``inventory.yaml``, or ``federation.yaml``
+        for a model placed on a region) and ``projects.yaml`` when the
+        model charges a project, each with the SHA-256 the workspace knows
+        for it."""
+        paths = [self.model_path, self.inventory_path if self.provider_ref == "local"
+                 else self.federation_path]
+        if self.model.project:
+            paths.append(self.projects_path)
+        return [[path.name, self._digests[path]] for path in paths]
 
-    def seal(self, digest: str) -> None:
-        """Record, in a derived file, that the committed files hash to
-        ``digest``.  After a crash it may be stale, missing, cut short or
-        end in its old text, and each of those reads as no seal."""
-        statefile.overwrite(self.root / SEAL_FILE,
-                            statefile.derived_text(self._seal_sources(), digest))
+    def seal(self, digest: str, text: bytes) -> None:
+        """Record, in a derived file, that the committed files hold a model
+        whose canonical state is ``text``, with its state hash ``digest``
+        and its generation.  After a crash the seal may be stale, missing,
+        cut short or end in its old text, and each of those reads as no
+        seal."""
+        head = f'{{"generation":{self.model.generation},"hash":"{digest}","state":'
+        statefile.write_derived(self.root / SEAL_FILE, self._seal_sources(),
+                                head.encode("utf-8"), text, b"}")
 
-    def sealed_hash(self) -> str | None:
-        """The state hash of the loaded model, taken from the seal when the
-        seal is whole and names the very bytes this command loaded; None
-        when there is no such seal and the hash must be computed."""
-        return statefile.read_derived(self.root / SEAL_FILE, self._seal_sources())
+    def sealed_snapshot(self) -> dict | None:
+        """The status snapshot the seal holds, when the seal is whole and
+        every file it names is byte for byte as the write that sealed it
+        left it; None when the model must be loaded instead."""
+        sealed = statefile.read_derived(self.root / SEAL_FILE, self._sources_current)
+        if type(sealed) is not dict or sealed.keys() != {"generation", "hash", "state"}:
+            return None  # none, or of an older layout
+        self._checked.clear()
+        return snapshot_of(sealed["state"], sealed["generation"], sealed["hash"])
+
+    def _sources_current(self, sources: list) -> bool:
+        """Whether each ``[name, SHA-256]`` of a seal names a state file
+        whose bytes have that SHA-256.  The bytes read are kept for
+        ``load_model``, which a seal that does not hold leaves to run."""
+        for source in sources:
+            if type(source) is not list or len(source) != 2 or source[0] not in STATE_FILES:
+                return False
+            path = self.root / source[0]
+            self._checked[path] = _read(path)
+            if _sha256(self._checked[path]) != source[1]:
+                return False
+        return True
 
 
 class _CharmFiles:
@@ -311,14 +343,14 @@ class _CharmFiles:
     def __init__(self, root: Path) -> None:
         self.charms_dir = root / "charms"
         self.path = root / CHARM_STORE_FILE
-        self.compiled: str | None = None
+        self.compiled: tuple[list, bytes] | None = None
 
     def load(self) -> Iterator[tuple[CharmSpec, str | None]]:
         """The ``(spec, owner)`` pairs of the charm files, in file order."""
         files = ([(path.name, path.read_bytes()) for path in sorted(self.charms_dir.glob("*.yaml"))]
                  if self.charms_dir.is_dir() else [])
         sources = [[name, _sha256(data)] for name, data in files]
-        forms = statefile.read_derived(self.path, sources)
+        forms = statefile.read_derived(self.path, lambda recorded: recorded == sources)
         if forms is not None:
             yield from map(uncompile_charm, forms)
             return
@@ -330,7 +362,7 @@ class _CharmFiles:
         # so this runs only when every spec registered.
         forms = [compile_charm(spec, owner) for spec, owner in specs]
         if None not in forms:
-            self.compiled = statefile.derived_text(sources, forms)
+            self.compiled = (sources, statefile.dump(forms).encode("utf-8"))
 
 
 def _read(path: Path) -> bytes | None:
@@ -597,9 +629,10 @@ def _finish(
     ws.commit()
     # Hash after the commit, so that the hash reuses memory the commit freed:
     # hashing first raised a 600-unit deploy's peak RSS by about 0.5 MB.  The
-    # seal then lets a ``status`` of these files print the hash unrecomputed.
-    digest = state_hash(ws.model)
-    ws.seal(digest)
+    # seal then holds the hashed text, so a ``status`` of these files loads
+    # no state document.
+    digest, text = state_hash(ws.model, text=True)
+    ws.seal(digest, text)
     lines.append(f"state hash: {digest}")
     print("\n".join(lines))
     return outcome
@@ -637,8 +670,7 @@ def cmd_converge(ws: Workspace, args) -> int:
 
 
 def cmd_status(ws: Workspace, args) -> int:
-    model = ws.load_model()
-    snapshot = status_snapshot(model, ws.sealed_hash())
+    snapshot = ws.sealed_snapshot() or status_snapshot(ws.load_model())
     if args.format == "json":
         print(_json_text(snapshot))
         return 0
@@ -656,7 +688,8 @@ def cmd_status(ws: Workspace, args) -> int:
         print(_table(rows))
     if snapshot["units"]:
         rows = [("UNIT", "MACHINE", "STATUS", "LEADER", "PORTS", "STATES")]
-        for unit_id, unit in snapshot["units"].items():
+        for unit_id in sorted(snapshot["units"], key=unit_sort_key):
+            unit = snapshot["units"][unit_id]
             rows.append(
                 (
                     unit_id,
@@ -671,7 +704,8 @@ def cmd_status(ws: Workspace, args) -> int:
         print(_table(rows))
     if snapshot["machines"]:
         rows = [("MACHINE", "STATE", "SERIES", "ARCH", "CORES", "MEM", "DISK")]
-        for machine_id, rec in snapshot["machines"].items():
+        for machine_id in sorted(snapshot["machines"], key=machine_sort_key):
+            rec = snapshot["machines"][machine_id]
             rows.append(
                 (machine_id, rec["state"], rec["series"], rec["arch"],
                  rec["cores"], rec["mem"], rec["disk"])

@@ -269,7 +269,9 @@ class Model:
         return found
 
 
-def _unit_sort_key(unit_id: str):
+def unit_sort_key(unit_id: str):
+    """Orders unit ids by application, then by index: ``moodle/2`` before
+    ``moodle/10``."""
     app, _, index = unit_id.partition("/")
     return (app, int(index))
 
@@ -801,7 +803,7 @@ def update_status(model: Model, app_name: str | None = None) -> int:
     or of the whole model).  Returns the number of events enqueued."""
     if app_name is not None and app_name not in model.applications:
         raise UnknownEntityError(f"unknown application {app_name!r}")
-    unit_ids = sorted(model.units, key=_unit_sort_key)
+    unit_ids = sorted(model.units, key=unit_sort_key)
     if app_name is not None:
         unit_ids = [u for u in unit_ids if model.units[u].app == app_name]
     kind = EventKind.update_status()
@@ -1165,70 +1167,89 @@ def _maintenance_pending(model: Model) -> bool:
 # Status and hashing
 
 
-def status_snapshot(model: Model, digest: str | None = None) -> dict:
+def status_snapshot(model: Model) -> dict:
     """An immutable point-in-time view: applications, units, machines,
-    relations, pending event count, and the canonical state hash, which is
-    ``digest`` when the caller already knows it."""
-    doc = _canonical_state(model)
-    if digest is None:
-        digest = _digest(doc)
-    doc["generation"] = model.generation
-    doc["state_hash"] = digest
-    return doc
+    relations, pending event count, generation and canonical state hash."""
+    state = _canonical_state(model)
+    return snapshot_of(state, model.generation, hashlib.sha256(_canonical_text(state)).hexdigest())
+
+
+def snapshot_of(state: dict, generation: int, digest: str) -> dict:
+    """The status snapshot of a model whose canonical state is ``state``,
+    as ``_canonical_state`` builds it or as its canonical text parses: the
+    state, with the model's generation and state hash added."""
+    state["generation"] = generation
+    state["state_hash"] = digest
+    return state
 
 
 def _canonical_state(model: Model) -> dict:
-    applications = {}
-    for name in sorted(model.applications):
-        app = model.applications[name]
-        applications[name] = {
-            "charm": app.charm_ref,
-            "series": app.series,
-            "exposed": app.exposed,
-            "config": {k: app.config[k] for k in sorted(app.config)},
-            "units": model.unit_ids_of(name),
-        }
-    units = {
-        unit_id: _unit_doc(model.units[unit_id])
-        for unit_id in sorted(model.units, key=_unit_sort_key)
-    }
+    """The observable state the state hash covers.  Every mapping is built
+    with its keys in sorted order, so ``_canonical_text`` writes what
+    ``json.dumps(sort_keys=True)`` would, without sorting."""
+    records = model.inventory.machines
     machines = {}
-    for machine_id in sorted(model.machines, key=machine_sort_key):
-        record = model.inventory.machines.get(machine_id)
+    for machine_id in sorted(model.machines):
+        record = records.get(machine_id)
         if record is None:
             continue
         machines[machine_id] = {
-            "state": record.state,
-            "region": record.region,
-            "az": record.az,
             "arch": record.arch,
-            "cores": record.cores,
-            "mem": record.mem,
-            "disk": record.disk,
-            "series": record.series,
-            "properties": sorted(record.properties),
+            "az": record.az,
             "containers": sorted(record.containers, key=machine_sort_key),
+            "cores": record.cores,
+            "disk": record.disk,
+            "mem": record.mem,
+            "properties": sorted(record.properties),
+            "region": record.region,
+            "series": record.series,
+            "state": record.state,
         }
     return {
-        "applications": applications,
-        "units": units,
+        "applications": {
+            name: {
+                "charm": app.charm_ref,
+                "config": {k: app.config[k] for k in sorted(app.config)},
+                "exposed": app.exposed,
+                "series": app.series,
+                "units": model.unit_ids_of(name),
+            }
+            for name, app in sorted(model.applications.items())
+        },
         "machines": machines,
-        "relations": _relation_docs(model),
         "pending_events": len(model.event_queue),
+        "relations": {
+            relation_id: {
+                "data": _relation_data(relation),
+                "interface": relation.interface,
+                "provider": relation.provider,
+                "requirer": relation.requirer,
+            }
+            for relation_id, relation in sorted(model.relations.items())
+        },
+        "units": {
+            unit_id: {
+                "application": unit.app,
+                "leader": unit.leader,
+                "machine": unit.machine,
+                "message": unit.message,
+                "open_ports": sorted(unit.open_ports),
+                "states": sorted(unit.states),
+                "status": unit.status,
+            }
+            for unit_id, unit in sorted(model.units.items())
+        },
     }
 
 
-def _unit_doc(unit: Unit) -> dict:
-    """A unit's observable state, as the state hash and checkpoints see it."""
-    return {
-        "application": unit.app,
-        "machine": unit.machine,
-        "status": unit.status,
-        "message": unit.message,
-        "leader": unit.leader,
-        "states": sorted(unit.states),
-        "open_ports": sorted(unit.open_ports),
-    }
+def _canonical_text(state: dict) -> bytes:
+    """The canonical text of a ``_canonical_state`` document: compact
+    JSON, encoded once."""
+    return json.dumps(state, separators=(",", ":")).encode("utf-8")
+
+
+def _relation_data(relation: Relation) -> dict:
+    return {unit_id: {k: bag[k] for k in sorted(bag)} for unit_id, bag in sorted(relation.data.items())}
 
 
 def _relation_docs(model: Model) -> dict:
@@ -1237,29 +1258,23 @@ def _relation_docs(model: Model) -> dict:
             "provider": relation.provider,
             "requirer": relation.requirer,
             "interface": relation.interface,
-            "data": {
-                unit_id: {k: bag[k] for k in sorted(bag)}
-                for unit_id, bag in sorted(relation.data.items())
-            },
+            "data": _relation_data(relation),
         }
         for relation_id, relation in sorted(model.relations.items())
     }
 
 
-def state_hash(model: Model) -> str:
+def state_hash(model: Model, *, text: bool = False):
     """Digest over the canonical sorted serialization of observable state.
 
     The step counter is excluded: equivalent deployments reached through
     different event histories (e.g. a compiled plan versus a reactive
-    deploy) must hash identically.
+    deploy) must hash identically.  With ``text``, returns the digest and
+    the canonical text it is the SHA-256 of, as UTF-8 bytes.
     """
-    return _digest(_canonical_state(model))
-
-
-def _digest(canonical: dict) -> str:
-    """The state hash of a document built by ``_canonical_state``."""
-    text = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    data = _canonical_text(_canonical_state(model))
+    digest = hashlib.sha256(data).hexdigest()
+    return (digest, data) if text else digest
 
 
 # ---------------------------------------------------------------------------
@@ -1284,7 +1299,16 @@ def checkpoint(model: Model, include_inventory: bool = True) -> dict:
         if not unit.seen_owned:
             unit.seen = seen_groups.normalized(unit_id, unit.seen)
         unit.seen_owned = False  # shared with the document from now on
-        units[unit_id] = {**_unit_doc(unit), "seen": unit.seen}
+        units[unit_id] = {
+            "application": unit.app,
+            "machine": unit.machine,
+            "status": unit.status,
+            "message": unit.message,
+            "leader": unit.leader,
+            "states": sorted(unit.states),
+            "open_ports": sorted(unit.open_ports),
+            "seen": unit.seen,
+        }
     doc: dict = {
         "generation": model.generation,
         "project": model.project,
@@ -1335,7 +1359,8 @@ def load_checkpoint(
     whose application the model lacks, or whose index is not below its
     application's ``unit_counter``, raises ``MalformedCheckpointError``:
     the first step would find no application, or the next unit added
-    would take a live unit's id."""
+    would take a live unit's id.  The counter is checked once per
+    application, against its highest index."""
     if inventory is None:
         embedded = doc.get("inventory")
         if embedded is None:
@@ -1376,22 +1401,25 @@ def load_checkpoint(
             seen=seen,
             seen_owned=False,
         )
-    for unit_id in sorted(model.units, key=_unit_sort_key):
+    for unit_id in sorted(model.units, key=unit_sort_key):
         unit = model.units[unit_id]
-        app_name, _, index = unit_id.partition("/")
-        app = model.applications.get(app_name)
+        app_name = unit_id.partition("/")[0]
         if app_name != unit.app:
             raise MalformedCheckpointError(
                 f"unit {unit_id!r} is not a unit of application {unit.app!r}")
-        if app is None:
-            raise MalformedCheckpointError(
-                f"unit {unit_id!r} is a unit of application {app_name!r}, which the model lacks")
-        if int(index) >= app.unit_counter:
-            raise MalformedCheckpointError(
-                f"application {app_name!r} has unit_counter {app.unit_counter}, "
-                f"not above unit {unit_id!r}")
         model._unit_index.setdefault(app_name, []).append(unit_id)
         model._machine_units.setdefault(unit.machine, set()).add(unit_id)
+    for app_name, unit_ids in model._unit_index.items():
+        app = model.applications.get(app_name)
+        if app is None:
+            raise MalformedCheckpointError(
+                f"unit {unit_ids[0]!r} is a unit of application {app_name!r}, "
+                "which the model lacks")
+        if unit_sort_key(unit_ids[-1])[1] >= app.unit_counter:  # the index is sorted
+            stale = next(u for u in unit_ids if unit_sort_key(u)[1] >= app.unit_counter)
+            raise MalformedCheckpointError(
+                f"application {app_name!r} has unit_counter {app.unit_counter}, "
+                f"not above unit {stale!r}")
     model._leader_check.update(model.applications)
     for relation_id, body in (doc.get("relations") or {}).items():
         model.relations[relation_id] = Relation(

@@ -42,7 +42,7 @@ from . import statefile
 from .bundle import (AcquireMachine, AddApplication, Bundle, CreateContainer, InstallUnit,
                      JoinRelation, PlanError, PlanStep, _canonical_document, _parse_step_line,
                      _split_line, lower_bundle)
-from .charms import CharmError
+from .charms import CharmError, tagged
 from .engine import (DEFAULT_BUDGET, DEFAULT_SEED, Model, _charge, _undo_on_failure, apply_step,
                      run_to_convergence)
 from .errors import FedweaveError
@@ -100,44 +100,20 @@ def bundle_digest(bundle: Bundle) -> str:
     An option value JSON has no type for (a YAML date, timestamp or binary)
     is written as a one-key object naming its type, so it never digests
     like a string."""
-    blob = json.dumps(_canonical_document(bundle), separators=(",", ":"), default=_tagged)
+    blob = json.dumps(_canonical_document(bundle), separators=(",", ":"), default=tagged)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _tagged(value) -> dict:
-    """A value JSON has no type for, as a one-key object naming its type."""
-    return {type(value).__name__: str(value)}
-
-
 def charm_digest(store, refs) -> str:
-    """Digest over the canonical serialization of the named charm specs;
-    an option default JSON has no type for is tagged with its type."""
-    canonical = []
+    """Digest over the canonical serialization of the named charm specs,
+    sorted by reference: each spec's sorted-key JSON object with its
+    ``ref`` added.  A spec serializes itself once (``CharmSpec.digest_text``);
+    only its reference is written per plan."""
+    entries = []
     for ref in sorted(refs):
-        spec = store.resolve_charm(ref)
-        canonical.append(
-            {
-                "ref": ref,
-                "name": spec.name,
-                "series": sorted(spec.series),
-                "provides": dict(sorted(spec.provides.items())),
-                "requires": dict(sorted(spec.requires.items())),
-                "options": {
-                    name: {"type": schema.type, "default": schema.default}
-                    for name, schema in sorted(spec.config.items())
-                },
-                "handlers": [
-                    {
-                        "on": handler.on.render(),
-                        "when": sorted(handler.when_states),
-                        "do": [repr(action) for action in handler.actions],
-                    }
-                    for handler in spec.handlers
-                ],
-                "storage": list(spec.storage_pools),
-            }
-        )
-    blob = json.dumps(canonical, sort_keys=True, separators=(",", ":"), default=_tagged)
+        before, after = store.resolve_charm(ref).digest_text
+        entries.append(f'{before},"ref":{json.dumps(ref)},{after}')
+    blob = f"[{','.join(entries)}]"
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 

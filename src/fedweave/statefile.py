@@ -18,10 +18,11 @@ hand-written state.  Their classes share ``Document``'s text methods.
 
 ``commit`` replaces several state files of one directory as a set: after
 a crash at any point, the next ``recover`` leaves every one of them old
-or every one new.  Derived files are not committed: ``overwrite`` writes
-their ``derived_text``, and ``read_derived`` reads one back only when it
-is byte for byte that text for the caller's key, so a missing, cut short,
-stale, edited or old-layout file reads as absent.
+or every one new.  Derived files are not committed: ``write_derived``
+writes one in place, with a SHA-256 over its text, and ``read_derived``
+reads one back only when that check holds and the caller finds its
+sources current, so a missing, cut short, stale, edited or old-layout
+file reads as absent.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import hashlib
 import json
 import os
 import re
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from pathlib import Path
 
 import yaml
@@ -339,45 +340,65 @@ def _rename(root: Path, temps: dict[str, Path], recorded: bool) -> None:
         os.unlink(root / COMMIT_RECORD)
 
 
-def overwrite(path: Path, text: str) -> None:
-    """Write ``text`` over ``path`` in place: no temporary file, no fsync.
-    Only for derived data that checks itself, since a crash can leave the
-    file cut short or ending in its old text.  Truncating after the write
-    rather than on open spares the flush that ext4 starts when a file
-    truncated to zero is closed: 0.01 ms instead of 0.14 ms for a small
-    file."""
-    data = text.encode("utf-8")
+#: The layout of a derived file; another number reads as absent.
+DERIVED_FORMAT = 1
+
+#: The end of a derived file: the check, a SHA-256 of the text before it.
+_CHECK_TAIL = len(',"check":"') + 64 + len('"}')
+
+
+def write_derived(path: Path, sources: list, *value: bytes) -> None:
+    """Write over ``path`` the derived file holding a value for these
+    ``sources``: an object of the format number, the package version, the
+    ``[name, SHA-256]`` pair of each source, the value, and a SHA-256 of
+    the text before it, as compact JSON in that order.  ``value`` is the
+    value's compact JSON, already encoded, in pieces that are hashed and
+    written one by one, so a large value is never copied into one text.
+
+    The file is written in place: no temporary file, no fsync.  A crash
+    can leave it cut short or ending in its old text, and each of those
+    reads as absent.  Truncating after the write rather than on open
+    spares the flush that ext4 starts when a file truncated to zero is
+    closed: 0.01 ms instead of 0.14 ms for a small file."""
+    head = (f'{{"format":{DERIVED_FORMAT},"version":{json.dumps(__version__)},'
+            f'"sources":{dump(sources)},"value":').encode("utf-8")
+    check = hashlib.sha256(head)
+    for piece in value:
+        check.update(piece)
+    check.update(b"}")
+    pieces = (head, *value, f',"check":"{check.hexdigest()}"}}'.encode("utf-8"))
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
-        os.write(fd, data)
-        os.ftruncate(fd, len(data))
+        for piece in pieces:
+            os.write(fd, piece)
+        os.ftruncate(fd, sum(map(len, pieces)))
     finally:
         os.close(fd)
 
 
-#: The layout of a derived file; another number reads as absent.
-DERIVED_FORMAT = 1
-
-
-def derived_text(sources: list, value) -> str:
-    """The text of a derived file holding ``value`` (plain JSON data, not
-    None) for its key: an object of the format number, the package version
-    and the ``[name, SHA-256]`` pair of each source, then the value and a
-    SHA-256 of the text before it, as compact JSON in that order."""
-    text = json.dumps({"format": DERIVED_FORMAT, "version": __version__, "sources": sources,
-                       "value": value}, separators=(",", ":"))
-    return f'{text[:-1]},"check":"{hashlib.sha256(text.encode("utf-8")).hexdigest()}"}}'
-
-
-def read_derived(path: Path, sources: list):
-    """The value of the derived file ``path`` when it is byte for byte
-    ``derived_text`` of that value for these ``sources``; else None."""
+def read_derived(path: Path, current: Callable[[list], bool]):
+    """The value of the derived file ``path`` when it is whole, of this
+    layout and version, and ``current`` holds for the sources it names;
+    else None.  The check is verified over the bytes as they are, and the
+    value is parsed only once its sources are known to be current."""
     try:
         data = path.read_bytes()
-        value = json.loads(data)["value"]
-    except (OSError, ValueError, LookupError, TypeError, RecursionError):
-        return None  # missing, cut short or not a derived file
-    return value if data == derived_text(sources, value).encode("utf-8") else None
+    except OSError:
+        return None  # missing
+    check = hashlib.sha256(memoryview(data)[:-_CHECK_TAIL])
+    check.update(b"}")
+    if data[-_CHECK_TAIL:] != f',"check":"{check.hexdigest()}"}}'.encode("utf-8"):
+        return None  # cut short, edited, or not a derived file
+    start = data.find(b',"value":')
+    try:
+        head = json.loads(data[:start] + b"}") if start > 0 else None
+        if (type(head) is not dict or list(head) != ["format", "version", "sources"]
+                or head["format"] != DERIVED_FORMAT or head["version"] != __version__
+                or not current(head["sources"])):
+            return None
+        return json.loads(data[start + len(b',"value":'):-_CHECK_TAIL])
+    except (ValueError, RecursionError):
+        return None
 
 
 def _temporary(name: str) -> str:

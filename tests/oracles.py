@@ -7,6 +7,7 @@ code under test, so an implementation bug cannot hide in its own oracle.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import re
@@ -664,3 +665,97 @@ def _redeliver(model: Model, unit: Unit, charm: CharmSpec, flags_before: frozens
                 redelivered += 1
                 break
     return redelivered
+
+
+# ---------------------------------------------------------------------------
+# The canonical state text, sorted by the encoder
+
+
+def canonical_text_oracle(model: Model) -> bytes:
+    """The canonical state text as the state hash first defined it: a
+    document built in whatever key order, written by ``json.dumps`` with
+    ``sort_keys`` as compact JSON."""
+    doc = {
+        "applications": {
+            name: {
+                "charm": app.charm_ref,
+                "series": app.series,
+                "exposed": app.exposed,
+                "config": dict(app.config),
+                "units": sorted((unit_id for unit_id, unit in model.units.items() if unit.app == name),
+                                key=lambda unit_id: int(unit_id.split("/")[1])),
+            }
+            for name, app in model.applications.items()
+        },
+        "units": {
+            unit_id: {
+                "application": unit.app,
+                "machine": unit.machine,
+                "status": unit.status,
+                "message": unit.message,
+                "leader": unit.leader,
+                "states": sorted(unit.states),
+                "open_ports": sorted(unit.open_ports),
+            }
+            for unit_id, unit in model.units.items()
+        },
+        "machines": {
+            machine_id: {
+                "state": record.state,
+                "region": record.region,
+                "az": record.az,
+                "arch": record.arch,
+                "cores": record.cores,
+                "mem": record.mem,
+                "disk": record.disk,
+                "series": record.series,
+                "properties": sorted(record.properties),
+                "containers": sorted(record.containers, key=_natural_key),
+            }
+            for machine_id in model.machines
+            if (record := model.inventory.machines.get(machine_id)) is not None
+        },
+        "relations": {
+            relation_id: {
+                "provider": relation.provider,
+                "requirer": relation.requirer,
+                "interface": relation.interface,
+                "data": {unit_id: dict(bag) for unit_id, bag in relation.data.items()},
+            }
+            for relation_id, relation in model.relations.items()
+        },
+        "pending_events": len(model.event_queue),
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+# ---------------------------------------------------------------------------
+# The charm digest, serialized whole
+
+
+def charm_digest_oracle(specs: dict) -> str:
+    """``plan.charm_digest`` as it was first defined, over ``{ref: spec}``:
+    one document of every spec with its reference, sorted by reference, written
+    by ``json.dumps`` with ``sort_keys``; a default JSON has no type for
+    becomes ``{type name: str(value)}``."""
+    canonical = [
+        {
+            "ref": ref,
+            "name": spec.name,
+            "series": sorted(spec.series),
+            "provides": dict(spec.provides),
+            "requires": dict(spec.requires),
+            "options": {name: {"type": schema.type, "default": schema.default}
+                        for name, schema in spec.config.items()},
+            "handlers": [
+                {"on": handler.on.render(), "when": sorted(handler.when_states),
+                 "do": [repr(action) for action in handler.actions]}
+                for handler in spec.handlers
+            ],
+            "storage": list(spec.storage_pools),
+        }
+        for ref, spec in sorted(specs.items())
+    ]
+    blob = json.dumps(canonical, sort_keys=True, separators=(",", ":"),
+                      default=lambda value: {type(value).__name__: str(value)})
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()

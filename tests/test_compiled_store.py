@@ -33,6 +33,7 @@ from fedweave.charms import (
 )
 from fedweave.cli import CHARM_STORE_FILE, run_command
 from fedweave.plan import charm_digest
+from oracles import charm_digest_oracle
 
 # ---------------------------------------------------------------------------
 # The compiled form round-trips every spec
@@ -117,6 +118,25 @@ def test_compiled_form_round_trips_through_json(document):
     assert back.guarded_kinds == spec.guarded_kinds
     assert repr(back) == repr(spec)
     assert _digest(back, back_owner) == digest
+
+
+@settings(max_examples=200, deadline=None)
+@given(charm_documents(), charm_documents())
+@example(("name: x\nseries: [xenial]\nprovides: {requires: http, ref: pgsql}\n"
+          "requires: {provides: http}\noptions:\n  ref: {type: string, default: 2020-01-01}\n"
+          "  requires: {type: int, default: 1}\n", False),
+         ("name: y\nseries: [bionic, xenial]\n", True))
+def test_charm_digest_is_the_whole_sorted_document(first, second):
+    """Each spec serialized once, with its reference put in by text, digests
+    as the one document of all of them written with ``sort_keys``, even
+    where an endpoint or option is named like a key of the document."""
+    (spec, owner), (other, _) = load_charm(first[0]), load_charm(second[0])
+    ref = f"cs:~{owner}/{spec.name}" if owner else f"cs:{spec.name}"
+    specs = {ref: spec, "cs:~z/other": other}
+    store = types.SimpleNamespace(resolve_charm=specs.__getitem__)
+    assert charm_digest(store, specs) == charm_digest_oracle(specs)
+    assert charm_digest(store, [ref]) == charm_digest_oracle({ref: spec})
+    assert charm_digest(store, []) == charm_digest_oracle({})
 
 
 @pytest.mark.parametrize("text", [builtin.MOODLE_CHARM, builtin.POSTGRESQL_CHARM,

@@ -1,17 +1,23 @@
 """The seal: ``.fedweave-seal.json`` holds the state hash that the last
-command to change the model printed, with the SHA-256 of ``model.yaml``
-and of the file holding the model's inventory as that command left them.
+command to change the model printed, the model's generation and the
+canonical state text that hash is the SHA-256 of.  Its sources are every
+file ``load_model`` reads, with their SHA-256 as that command left them:
+``model.yaml``, the file holding the model's inventory (``inventory.yaml``,
+or ``federation.yaml`` for a model placed on a region), and
+``projects.yaml`` when the model charges a project.
 
-The seal is derived data.  ``status`` takes the hash from it only when it
-names the very bytes ``status`` loaded, so with the seal, without it, or
-with a stale or damaged one, every answer and every file is the same; and
-the hash it holds is the one a model rebuilt from those files has, which
-the round-trip properties at the end check on generated bundles.
+The seal is derived data.  ``status`` answers from it, parsing no state
+file, only when every file it names is byte for byte as the seal says, so
+with the seal, without it, or with a stale or damaged one, every answer,
+exit code and file is the same; and the state it holds is the one a model
+rebuilt from those files has, which the round-trip properties at the end
+check on generated bundles.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import random
@@ -22,9 +28,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedweave import engine, statefile
+from fedweave import cli, engine, statefile
 from fedweave.bundle import parse_bundle
 from fedweave.cli import SEAL_FILE, Workspace, run_command
+from fedweave.federation import Federation
+from fedweave.provider import Inventory
+from fedweave.quota import ProjectTree
 from fedweave.engine import (
     DeploymentError,
     Model,
@@ -34,6 +43,7 @@ from fedweave.engine import (
     run_to_convergence,
     state_hash,
 )
+from oracles import canonical_text_oracle
 from test_compiled_store import _day2_commands, _files, _invoke, cached  # noqa: F401 (a fixture)
 from test_plan import PROXY2_CHARM, _ample_pool, _deployed, _store_with_proxy2, demo_bundles
 from test_statefile import ENDPOINTS
@@ -48,47 +58,74 @@ def _printed_hash(out: str) -> str | None:
 
 
 def _seal_verifies(root: Path) -> bool:
-    ws = Workspace(root)
-    ws.load_model()
-    return ws.sealed_hash() is not None
+    return Workspace(root).sealed_snapshot() is not None
 
 
 @pytest.fixture
 def digests(monkeypatch):
-    """The number of state hashes ``status`` computes rather than takes from
-    the seal."""
+    """One entry per ``status`` snapshot built from a loaded model, that is,
+    not from the seal."""
     calls = []
-    real = engine._digest
-    monkeypatch.setattr(engine, "_digest", lambda doc: calls.append(1) or real(doc))
+    real = engine._canonical_state
+    monkeypatch.setattr(engine, "_canonical_state", lambda model: calls.append(1) or real(model))
     return calls
 
 
-def _statuses(root: Path, capsys, digests) -> tuple[tuple[str, str], bool]:
-    """Both formats of ``status`` with the seal as it is, after checking
-    that they print the same bytes with the seal deleted and that neither
-    writes a file; and whether the seal gave the hash."""
+STATUSES = (("status",), ("status", "--format", "json"))
+
+
+def _answers(root: Path, capsys, digests) -> tuple[tuple[tuple[int, str, str], ...], bool]:
+    """The exit code, output and error of both formats of ``status`` with
+    the seal as it is, after checking that they are the same with the seal
+    deleted and that neither writes a file; and whether the seal answered
+    every one."""
     seal = root / SEAL_FILE
     kept = seal.read_bytes() if seal.exists() else None
     files = _files(root)
-    outputs = []
+    answers = []
     for present in (True, False):
         if not present:
             seal.unlink(missing_ok=True)
         digests.clear()
-        printed = []
-        for argv in (("status",), ("status", "--format", "json")):
-            code, out, err = _invoke(root, capsys, *argv)
-            assert (code, err) == (0, ""), argv
-            printed.append(out)
-        outputs.append((tuple(printed), not digests))
+        results = []
+        with pytest.MonkeyPatch.context() as patch:
+            sealed = _counting_seal_answers(patch)
+            for argv in STATUSES:
+                results.append(_invoke(root, capsys, *argv))
+        answers.append((tuple(results), len(sealed) == len(STATUSES)))
+        assert len(sealed) + len(digests) <= len(STATUSES), "a status read the seal and the model"
         assert not seal.exists() or present, "a read wrote the seal"
     if kept is not None:
         seal.write_bytes(kept)
     assert _files(root) == files
-    (with_seal, sealed), (without_seal, unsealed) = outputs
+    (with_seal, sealed), (without_seal, unsealed) = answers
     assert with_seal == without_seal
     assert not unsealed
     return with_seal, sealed
+
+
+def _counting_seal_answers(patch) -> list:
+    """One entry per ``status`` the seal answers, from now on."""
+    answered = []
+    real = Workspace.sealed_snapshot
+
+    def sealed_snapshot(self):
+        snapshot = real(self)
+        if snapshot is not None:
+            answered.append(1)
+        return snapshot
+
+    patch.setattr(Workspace, "sealed_snapshot", sealed_snapshot)
+    return answered
+
+
+def _statuses(root: Path, capsys, digests) -> tuple[tuple[str, str], bool]:
+    """What both formats of ``status`` print, each succeeding alike with
+    the seal and without it; and whether the seal answered them."""
+    answers, sealed = _answers(root, capsys, digests)
+    for argv, (code, _, err) in zip(STATUSES, answers):
+        assert (code, err) == (0, ""), argv
+    return tuple(out for _, out, _ in answers), sealed
 
 
 # ---------------------------------------------------------------------------
@@ -128,13 +165,8 @@ def test_day2_sequence_answers_alike_with_and_without_the_seal(
 def test_identity_map_on_a_region_unseals(tmp_path, capsys, digests):
     """On a model placed on a region the inventory lives in
     ``federation.yaml``, so rewriting that file unseals the hash."""
-    for argv in (("init", "--demo"), ("region", "register", "garr-pa", *ENDPOINTS),
-                 ("region", "enlist", "garr-pa", "--cores", "4", "--mem", "8192",
-                  "--disk", "102400", "-n", "6"),
-                 ("region", "validate", "garr-pa"),
-                 ("deploy", "--region", "garr-pa", str(tmp_path / "moodle-bundle.yaml"))):
-        code, _, err = _invoke(tmp_path, capsys, *argv)
-        assert code == 0, (argv, err)
+    _build(tmp_path, capsys, *REGION,
+           ("deploy", "--region", "garr-pa", str(tmp_path / "moodle-bundle.yaml")))
     seal = json.loads((tmp_path / SEAL_FILE).read_bytes())
     assert [name for name, _ in seal["sources"]] == ["model.yaml", "federation.yaml"]
     (_, json_text), sealed = _statuses(tmp_path, capsys, digests)
@@ -178,6 +210,28 @@ def _garble_seal(root: Path) -> None:
     (root / SEAL_FILE).write_bytes(b"\xff\x00 not json {[")
 
 
+def _edit_projects(root: Path) -> None:
+    path = root / "projects.yaml"
+    data = path.read_bytes()
+    path.write_bytes(data[:7] + b"\xff" + data[8:])
+
+
+def _old_layout_seal(root: Path) -> None:
+    """The seal as written before it held the state: a whole derived file
+    whose value is the bare hash, sealed to the model's and inventory's
+    files."""
+    path = root / SEAL_FILE
+    doc = json.loads(path.read_bytes())
+    statefile.write_derived(path, doc["sources"][:2], json.dumps(doc["value"]["hash"]).encode())
+
+
+def _edit_sealed_state(root: Path) -> None:
+    path = root / SEAL_FILE
+    data = path.read_bytes()
+    assert data.count(b'"pending_events":0') == 1
+    path.write_bytes(data.replace(b'"pending_events":0', b'"pending_events":1'))
+
+
 TAMPERS = {
     "model-byte": _edit_model,
     "unheld-machine-byte": _edit_unheld_machine,
@@ -185,17 +239,107 @@ TAMPERS = {
     "version": _edit_seal(version="0.0.0"),
     "cut-short": _cut_seal,
     "not-json": _garble_seal,
-    "hash-edited": _edit_seal(value="0" * 64),
+    "hash-edited": _edit_seal(value={"generation": 0, "hash": "0" * 64, "state": {}}),
+    "projects-byte": _edit_projects,
+    "old-layout": _old_layout_seal,
+    "state-edited": _edit_sealed_state,
 }
 
 
+def _build(root: Path, capsys, *commands: tuple[str, ...]) -> Path:
+    for argv in commands:
+        code, _, err = _invoke(root, capsys, *argv)
+        assert code == 0, (argv, err)
+    return root
+
+
+#: A demo workspace with twelve machines in a local zone and a project.
+CHARGED = (("init", "--demo"), ("machine", "add-zone", "garr-01", "az1"),
+           ("machine", "enlist", "--zone", "garr-01/az1", "--cores", "4", "--mem", "8192",
+            "--disk", "102400", "-n", "12"),
+           ("quota", "create", "garr"), ("quota", "create", "garr/edu"),
+           *(("quota", "set", path, "instances=40", "vcpus=200", "ram=1000000",
+              "disk=10000000") for path in ("garr", "garr/edu")))
+
+#: A demo workspace with a validated region of six machines.
+REGION = (("init", "--demo"), ("region", "register", "garr-pa", *ENDPOINTS),
+          ("region", "enlist", "garr-pa", "--cores", "4", "--mem", "8192",
+           "--disk", "102400", "-n", "6"),
+          ("region", "validate", "garr-pa"))
+
+
+@pytest.fixture
+def charged(tmp_path, capsys):
+    """The moodle bundle deployed onto a local zone, charged to a project."""
+    return _build(tmp_path, capsys, *CHARGED,
+                  ("deploy", str(tmp_path / "moodle-bundle.yaml"), "--project", "garr/edu"))
+
+
 @pytest.mark.parametrize("tamper", TAMPERS)
-def test_tampered_workspace_prints_the_recomputed_hash(cached, capsys, digests, tamper):
-    assert _statuses(cached, capsys, digests)[1]
-    TAMPERS[tamper](cached)
-    (_, json_text), sealed = _statuses(cached, capsys, digests)
+def test_tampered_workspace_prints_the_recomputed_hash(charged, capsys, digests, tamper):
+    """Each tamper reads as no seal.  ``status`` then loads the model and
+    prints what it prints without the seal: the recomputed hash, or, for a
+    ``projects.yaml`` that no longer decodes, the same one-line error."""
+    assert _statuses(charged, capsys, digests)[1]
+    TAMPERS[tamper](charged)
+    answers, sealed = _answers(charged, capsys, digests)
     assert not sealed
-    assert json.loads(json_text)["state_hash"] == state_hash(Workspace(cached).load_model())
+    if tamper == "projects-byte":
+        for code, out, err in answers:
+            assert (code, out) == (1, "")
+            assert err.startswith("quota: malformed project document: byte 0xff is not UTF-8")
+            assert err.count("\n") == 1
+        return
+    (code, _, _), (_, json_text, _) = answers
+    assert code == 0
+    assert json.loads(json_text)["state_hash"] == state_hash(Workspace(charged).load_model())
+
+
+@pytest.mark.parametrize("placement", ["local-project", "region"])
+def test_sealed_status_parses_no_state_file(tmp_path, capsys, monkeypatch, placement):
+    """With the seal whole, ``status`` builds no model, inventory, project
+    tree or federation, and prints the bytes it prints without the seal."""
+    if placement == "region":
+        root = _build(tmp_path, capsys, *REGION,
+                      ("deploy", "--region", "garr-pa", str(tmp_path / "moodle-bundle.yaml")))
+    else:
+        root = _build(tmp_path, capsys, *CHARGED,
+                      ("deploy", str(tmp_path / "moodle-bundle.yaml"), "--project", "garr/edu"))
+    seal = root / SEAL_FILE
+    kept = seal.read_bytes()
+    seal.unlink()
+    unsealed = [_invoke(root, capsys, *argv) for argv in STATUSES]
+    assert [code for code, _, _ in unsealed] == [0, 0]
+    seal.write_bytes(kept)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sealed status parsed a state document")
+
+    monkeypatch.setattr(engine, "load_checkpoint", refuse)
+    monkeypatch.setattr(cli, "load_checkpoint", refuse)
+    for kind in (Inventory, ProjectTree, Federation):
+        monkeypatch.setattr(kind, "load", classmethod(refuse))
+    assert [_invoke(root, capsys, *argv) for argv in STATUSES] == unsealed
+
+
+def test_plain_tables_order_units_and_machines_by_number(tmp_path, capsys, digests):
+    """The seal holds units and machines in the canonical text's order,
+    where ``moodle/10`` sorts before ``moodle/2``; the tables order them
+    by number whichever way ``status`` answers."""
+    root = _build(tmp_path, capsys, *CHARGED[:3],
+                  ("machine", "enlist", "--zone", "garr-01/az1", "--cores", "4", "--mem", "8192",
+                   "--disk", "102400", "-n", "2"),
+                  ("deploy", str(tmp_path / "moodle-bundle.yaml")),
+                  ("add-unit", "moodle", "-n", "10"))
+    (text, _), sealed = _statuses(root, capsys, digests)
+    assert sealed
+    tables = [block.splitlines() for block in text.split("\n\n")]
+    units = next(table for table in tables if table[0].startswith("UNIT "))
+    machines = next(table for table in tables if table[0].startswith("MACHINE "))
+    assert [row.split()[0] for row in units[1:]] == [
+        *(f"moodle/{index}" for index in range(11)), "postgresql/0"]
+    assert [row.split()[0] for row in machines[1:]] == [
+        "0", "0/lxd/0", *(str(index) for index in range(1, 11))]
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +364,7 @@ def test_resumed_deploy_keeps_the_live_hash(text, events):
     doc = statefile.load(statefile.dump(checkpoint(live)))
     resumed = load_checkpoint(doc, store)
     assert state_hash(resumed) == state_hash(live)
+    assert state_hash(resumed, text=True) == state_hash(live, text=True)
     assert run_to_convergence(resumed).converged and run_to_convergence(live).converged
     assert state_hash(resumed) == state_hash(live)
 
@@ -256,7 +401,29 @@ def test_cli_deploy_prints_the_library_hash_and_status_keeps_it(text):
             return
         assert (code, _printed_hash(out)) == (0, library), out
         assert _seal_verifies(root)
+        state = json.loads((root / SEAL_FILE).read_bytes())["value"]["state"]
+        assert (json.dumps(state, sort_keys=True, separators=(",", ":")).encode()
+                == canonical_text_oracle(Workspace(root).load_model()))
         for _ in ("sealed", "unsealed"):
             code, out = _cli(root, "status", "--format", "json")
             assert (code, json.loads(out)["state_hash"]) == (0, library)
             (root / SEAL_FILE).unlink(missing_ok=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(demo_bundles(), st.integers(0, 60))
+def test_sealed_text_is_the_sort_keys_text(text, events):
+    """The text a model write hashes and seals, built in key order, is the
+    text ``json.dumps(sort_keys=True)`` writes for the canonical state, at
+    any point of a deploy."""
+    live = Model(_store_with_proxy2(), _ample_pool())
+    try:
+        deploy_bundle(live, parse_bundle(text))
+    except DeploymentError:
+        return
+    for _ in range(events):
+        if engine.step(live).event is None:
+            break
+    digest, sealed = state_hash(live, text=True)
+    assert sealed == canonical_text_oracle(live)
+    assert digest == hashlib.sha256(sealed).hexdigest() == state_hash(live)

@@ -9,6 +9,7 @@ rewritten.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import pathlib
@@ -68,6 +69,11 @@ def _hash(out: str) -> str:
 
 def _docs(root: pathlib.Path) -> dict:
     return {name: statefile.load((root / name).read_text()) for name in STATE_FILES}
+
+
+def _naming(sources: list):
+    """A ``read_derived`` test that the file names exactly ``sources``."""
+    return lambda recorded: recorded == sources
 
 
 class TestFormat:
@@ -158,27 +164,33 @@ class TestFormat:
 
     def test_derived_file_reads_back_only_as_written(self, tmp_path):
         """A derived file gives back its value for the key it was written
-        for, and reads as absent when missing, for another key, cut short
-        anywhere, or with any one byte changed."""
+        for, whatever pieces its value was written in, and reads as absent
+        when missing, for another key, cut short anywhere, or with any one
+        byte changed."""
         path = tmp_path / "derived.json"
         sources = [["a.yaml", "0" * 64], ["b.yaml", "f" * 64]]
         value = {"text": "é\u2028", "numbers": [1, -0.0, 1e300, True, None],
                  "order": {"z": 1, "a": 2}}
-        text = statefile.derived_text(sources, value)
-        assert list(json.loads(text)) == ["format", "version", "sources", "value", "check"]
-        assert statefile.read_derived(path, sources) is None
-        path.write_text(text)
-        back = statefile.read_derived(path, sources)
+        encoded = json.dumps(value, separators=(",", ":")).encode("utf-8")
+        assert statefile.read_derived(path, _naming(sources)) is None
+        statefile.write_derived(path, sources, encoded)
+        data = path.read_bytes()
+        doc = json.loads(data)
+        assert list(doc) == ["format", "version", "sources", "value", "check"]
+        assert doc["check"] == hashlib.sha256(
+            data[:data.rindex(b',"check":')] + b"}").hexdigest()
+        statefile.write_derived(path, sources, encoded[:5], encoded[5:40], b"", encoded[40:])
+        assert path.read_bytes() == data
+        back = statefile.read_derived(path, _naming(sources))
         assert back == value and list(back["order"]) == ["z", "a"]
         for other in (sources[:1], [*sources, ["c.yaml", "1" * 64]], [["a.yaml", "1" * 64]]):
-            assert statefile.read_derived(path, other) is None, other
-        data = text.encode("utf-8")
+            assert statefile.read_derived(path, _naming(other)) is None, other
         for end in range(len(data)):
             path.write_bytes(data[:end])
-            assert statefile.read_derived(path, sources) is None, end
+            assert statefile.read_derived(path, _naming(sources)) is None, end
         for index in range(len(data)):
             path.write_bytes(data[:index] + bytes([data[index] ^ 1]) + data[index + 1:])
-            assert statefile.read_derived(path, sources) is None, index
+            assert statefile.read_derived(path, _naming(sources)) is None, index
 
 
 # A workspace written before ``seen`` was grouped: SCALED_BUNDLE deployed
@@ -427,7 +439,7 @@ class TestCommit:
             path = root / CHARM_STORE_FILE
             if path.exists() and path.read_bytes() == whole:
                 return "whole"
-            assert statefile.read_derived(path, json.loads(whole)["sources"]) is None
+            assert statefile.read_derived(path, _naming(json.loads(whole)["sources"])) is None
             return "absent"
 
         old = snapshot(tmp_path, deployed("status")[1])
