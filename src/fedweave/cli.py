@@ -47,23 +47,29 @@ options spelled in full) becomes the invoked command's namespace with no
 argparse parser built.  Every other argv, ``--help``, an abbreviation or a
 usage error among them, goes to the full argparse tree, so what it prints
 and its exit code are argparse's own.  ``--format json`` output is
-rendered by ``_json_text``, byte for byte as ``json.dumps(indent=2,
-sort_keys=True)``, by the shape of each object and list.  A ``status``
-pays for what it prints: it parses no charm, loads the inventory in one
-pass, and keeps each unit's seen groups as ``model.yaml`` holds them,
-looking at the first alone (``engine.load_checkpoint``).
+byte for byte ``json.dumps(indent=2, sort_keys=True)``: ``_json_text``
+renders it by the shape of each object and list, and ``status_text``,
+the one function that makes a status's JSON text, by the layout of a
+status snapshot.  A ``status`` pays for what it prints: it parses no
+charm, loads the inventory in one pass, and keeps each unit's seen
+groups as ``model.yaml`` holds them, looking at the first alone
+(``engine.load_checkpoint``).
 
-A command that changes the model hashes it after the commit and then
-writes ``.fedweave-seal.json``: the hash, the generation and the
-canonical state text the hash was computed over, sealed to the SHA-256
-of every file ``load_model`` reads as the commit left them
-(``model.yaml``, the file holding the model's inventory, and
-``projects.yaml`` when the model charges a project).  ``status`` hashes
-those files and, when the seal names their very bytes, builds its
-snapshot from the seal and parses no state file; otherwise it loads the
-model, so its output and exit code are the same either way.  The seal
-and the compiled store are derived files, written after the commit and
-never by a read, and absent when damaged.
+A command that changes the model builds its status snapshot after the
+commit, prints the snapshot's state hash, and writes
+``.fedweave-seal.json``: the exact text ``status --format json`` prints
+for that snapshot, sealed to the SHA-256 of every file ``load_model``
+reads as the commit left them (``model.yaml``, the file holding the
+model's inventory, and ``projects.yaml`` when the model charges a
+project).  ``status`` hashes those files and, when the seal names their
+very bytes, parses no state file: ``--format json`` prints the sealed
+text and parses or renders nothing, and the plain tables parse it once.
+Otherwise ``status`` loads the model, so its output and exit code are
+the same either way.  On the 600-unit fleet the seal is about 385 KB,
+up from about 240 KB when it held the compact canonical state; the
+benchmark's ``state_kb`` does not count it.  The seal and the compiled
+store are derived files, written after the commit and never by a read,
+and absent when damaged.
 A state document of the wrong shape fails the command with one
 ``<module>: malformed <what> document`` line.
 
@@ -83,6 +89,7 @@ import argparse
 import contextlib
 import gc
 import hashlib
+import json
 import os
 import sys
 import time
@@ -106,8 +113,7 @@ from .engine import (
     remove_unit,
     run_to_convergence,
     set_config,
-    snapshot_of,
-    state_hash,
+    state_hash,  # noqa: F401 (the benchmark's tracer wraps cli.state_hash)
     status_snapshot,
     unit_sort_key,
 )
@@ -121,9 +127,9 @@ LOCK_FILE = ".fedweave-lock"
 STATE_FILES = ("model.yaml", "inventory.yaml", "federation.yaml", "projects.yaml")
 #: Derived files (see ``statefile.write_derived``), written after the commit
 #: and not state files: the compiled copy of the charm store (see
-#: ``_CharmFiles``), and the state the last model write hashed, with the
-#: hash it printed, sealed to the files the model was loaded from (see
-#: ``Workspace.seal``).
+#: ``_CharmFiles``), and what ``status --format json`` printed of the model
+#: the last model write left, sealed to the files the model was loaded from
+#: (see ``Workspace.seal``).
 CHARM_STORE_FILE = ".fedweave-charms.json"
 SEAL_FILE = ".fedweave-seal.json"
 
@@ -291,25 +297,23 @@ class Workspace:
             paths.append(self.projects_path)
         return [[path.name, self._digests[path]] for path in paths]
 
-    def seal(self, digest: str, text: bytes) -> None:
+    def seal(self, text: bytes) -> None:
         """Record, in a derived file, that the committed files hold a model
-        whose canonical state is ``text``, with its state hash ``digest``
-        and its generation.  After a crash the seal may be stale, missing,
-        cut short or end in its old text, and each of those reads as no
-        seal."""
-        head = f'{{"generation":{self.model.generation},"hash":"{digest}","state":'
-        statefile.write_derived(self.root / SEAL_FILE, self._seal_sources(),
-                                head.encode("utf-8"), text, b"}")
+        whose ``status --format json`` prints ``text``.  After a crash the
+        seal may be stale, missing, cut short or end in its old text, and
+        each of those reads as no seal."""
+        statefile.write_derived(self.root / SEAL_FILE, self._seal_sources(), text)
 
-    def sealed_snapshot(self) -> dict | None:
-        """The status snapshot the seal holds, when the seal is whole and
-        every file it names is byte for byte as the write that sealed it
-        left it; None when the model must be loaded instead."""
+    def sealed_status(self) -> bytes | None:
+        """What ``status --format json`` prints, as the seal holds it, when
+        the seal is whole and every file it names is byte for byte as the
+        write that sealed it left it; None when the model must be loaded
+        instead."""
         sealed = statefile.read_derived(self.root / SEAL_FILE, self._sources_current)
-        if type(sealed) is not dict or sealed.keys() != {"generation", "hash", "state"}:
+        if sealed is None or not sealed.startswith(_SEALED_HEAD):
             return None  # none, or of an older layout
         self._checked.clear()
-        return snapshot_of(sealed["state"], sealed["generation"], sealed["hash"])
+        return sealed
 
     def _sources_current(self, sources: list) -> bool:
         """Whether each ``[name, SHA-256]`` of a seal names a state file
@@ -323,6 +327,12 @@ class Workspace:
             if _sha256(self._checked[path]) != source[1]:
                 return False
         return True
+
+
+#: How every ``status_text`` of a status snapshot starts, and no earlier
+#: seal value did: the bare hash, or compact ``generation``, ``hash`` and
+#: ``state`` fields.
+_SEALED_HEAD = b'{\n  "applications": '
 
 
 class _CharmFiles:
@@ -345,14 +355,21 @@ class _CharmFiles:
         self.path = root / CHARM_STORE_FILE
         self.compiled: tuple[list, bytes] | None = None
 
+    def names(self) -> list[str]:
+        """The names in ``charms/`` that end in ``.yaml``, sorted: what
+        ``sorted(glob("*.yaml"))`` finds, without compiling the pattern
+        that a glob compiles in every new process."""
+        if not self.charms_dir.is_dir():
+            return []
+        return sorted(name for name in os.listdir(self.charms_dir) if name.endswith(".yaml"))
+
     def load(self) -> Iterator[tuple[CharmSpec, str | None]]:
         """The ``(spec, owner)`` pairs of the charm files, in file order."""
-        files = ([(path.name, path.read_bytes()) for path in sorted(self.charms_dir.glob("*.yaml"))]
-                 if self.charms_dir.is_dir() else [])
+        files = [(name, (self.charms_dir / name).read_bytes()) for name in self.names()]
         sources = [[name, _sha256(data)] for name, data in files]
-        forms = statefile.read_derived(self.path, lambda recorded: recorded == sources)
-        if forms is not None:
-            yield from map(uncompile_charm, forms)
+        compiled = statefile.read_derived(self.path, lambda recorded: recorded == sources)
+        if compiled is not None:
+            yield from map(uncompile_charm, json.loads(compiled))
             return
         specs = []
         for _, data in files:
@@ -461,9 +478,9 @@ def _render_json(value, chunks: list[str], lead: str, indent: str, shapes: dict)
         keys = tuple(value)
         shape = shapes.get((indent, keys))
         if shape is None:
-            shape = shapes[indent, keys] = [
-                (key, f",\n{inner}{encode_basestring_ascii(key)}: ") for key in sorted(keys)
-            ]
+            shape = [(key, f",\n{inner}{_key_text(key)}: ") for key in sorted(keys)]
+            if all(isinstance(key, str) for key in keys):  # 1, 1.0 and True are one key
+                shapes[indent, keys] = shape
         opening = lead + "{"
         for key, head in shape:
             if opening is not None:
@@ -512,6 +529,171 @@ def _render_json(value, chunks: list[str], lead: str, indent: str, shapes: dict)
         chunks.append(close)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _key_text(key) -> str:
+    """An object key as ``json.dumps`` writes it: a string as it is, and
+    a number, boolean or null as its JSON text, in quotes."""
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError(f"keys must be str, int, float, bool or None, "
+                            f"not {type(key).__name__}")
+        text: list[str] = []
+        _render_json(key, text, "", "", {})
+        key = text[0]
+    return encode_basestring_ascii(key)
+
+
+def status_text(snapshot: dict) -> str:
+    """``json.dumps(snapshot, indent=2, sort_keys=True)``, byte for byte:
+    what ``status --format json`` prints, and what a model write seals.
+
+    It is written for the layout ``status_snapshot`` builds.  A unit or
+    machine record whose every field has the type the engine writes is
+    one f-string template, and a relation whose data bags hold strings is
+    one template around a ``str.join`` per bag.  The applications, and any
+    record holding a value of another type, as a hand-written
+    ``model.yaml`` can, go whole through ``_render_json``.  Every model
+    write pays for this text: on the 600-unit benchmark fleet it took
+    2.4-2.7 ms against 6.2-6.8 ms for ``_json_text`` (fastest of 81 runs
+    each, on a 2-core x86-64 host).
+    """
+    if type(snapshot) is not dict or snapshot.keys() != _STATUS_KEYS:
+        return _json_text(snapshot)
+    chunks: list[str] = []
+    shapes: dict = {}
+    try:
+        lead = "{\n  "
+        for key, record_text in _STATUS_SECTIONS:
+            value = snapshot[key]
+            head = f'{lead}"{key}": '
+            if record_text is not None and type(value) is dict and value:
+                _render_records(value, record_text, chunks, head, shapes)
+            else:
+                _render_json(value, chunks, head, "  ", shapes)
+            lead = ",\n  "
+    except TypeError:  # a key that is not a string, or a value JSON cannot hold
+        return _json_text(snapshot)
+    chunks.append("\n}")
+    return "".join(chunks)
+
+
+def _render_records(records: dict, record_text, chunks: list[str], head: str,
+                    shapes: dict) -> None:
+    """Append ``head`` and then ``records``, an object at indent 2: each
+    record as ``record_text`` writes it, or by ``_render_json`` when
+    ``record_text`` raises ``TypeError`` for it."""
+    lead = head + "{\n    "
+    texts: dict = {}
+    for key in sorted(records):
+        record = records[key]
+        record_head = f"{lead}{encode_basestring_ascii(key)}: "
+        try:
+            chunks.append(record_head + record_text(record, texts))
+        except TypeError:
+            _render_json(record, chunks, record_head, "    ", shapes)
+        lead = ",\n    "
+    chunks.append("\n  }")
+
+
+_UNIT_FIELDS = ("application", "leader", "machine", "message", "open_ports", "states", "status")
+_MACHINE_FIELDS = ("arch", "az", "containers", "cores", "disk", "mem", "properties", "region",
+                   "series", "state")
+_RELATION_FIELDS = ("data", "interface", "provider", "requirer")
+
+
+def _strings_text(items, texts: dict) -> str:
+    """A list of strings at indent 6.  ``texts`` keeps the text of each
+    list by its items, since a fleet's units share a few lists of states.
+    It holds only lists of strings, and no string equals another value."""
+    if type(items) is not list:
+        raise TypeError("not a list")
+    if not items:
+        return "[]"
+    key = tuple(items)
+    text = texts.get(key)
+    if text is None:
+        text = texts[key] = ("[\n        " + ",\n        ".join(map(encode_basestring_ascii, items))
+                             + "\n      ]")
+    return text
+
+
+def _ints_text(items) -> str:
+    """A list of ints at indent 6."""
+    if type(items) is not list:
+        raise TypeError("not a list")
+    if not items:
+        return "[]"
+    if any(type(item) is not int for item in items):
+        raise TypeError("not an int")
+    return "[\n        " + ",\n        ".join(map(int.__repr__, items)) + "\n      ]"
+
+
+def _unit_text(unit, texts: dict) -> str:
+    if type(unit) is not dict or tuple(unit) != _UNIT_FIELDS:
+        raise TypeError("not of the snapshot's layout")
+    application, leader, machine, message, ports, states, status = unit.values()
+    if type(leader) is not bool:
+        raise TypeError("not a bool")
+    return (f'{{\n      "application": {encode_basestring_ascii(application)},'
+            f'\n      "leader": {"true" if leader else "false"},'
+            f'\n      "machine": {encode_basestring_ascii(machine)},'
+            f'\n      "message": {encode_basestring_ascii(message)},'
+            f'\n      "open_ports": {_ints_text(ports)},'
+            f'\n      "states": {_strings_text(states, texts)},'
+            f'\n      "status": {encode_basestring_ascii(status)}\n    }}')
+
+
+def _machine_text(machine, texts: dict) -> str:
+    if type(machine) is not dict or tuple(machine) != _MACHINE_FIELDS:
+        raise TypeError("not of the snapshot's layout")
+    arch, az, containers, cores, disk, mem, properties, region, series, state = machine.values()
+    if type(cores) is not int or type(disk) is not int or type(mem) is not int:
+        raise TypeError("not an int")
+    # An int's str is its repr, as json.dumps writes it.
+    return (f'{{\n      "arch": {encode_basestring_ascii(arch)},'
+            f'\n      "az": {encode_basestring_ascii(az)},'
+            f'\n      "containers": {_strings_text(containers, texts)},'
+            f'\n      "cores": {cores},\n      "disk": {disk},\n      "mem": {mem},'
+            f'\n      "properties": {_strings_text(properties, texts)},'
+            f'\n      "region": {encode_basestring_ascii(region)},'
+            f'\n      "series": {encode_basestring_ascii(series)},'
+            f'\n      "state": {encode_basestring_ascii(state)}\n    }}')
+
+
+def _relation_text(relation, texts: dict) -> str:
+    if type(relation) is not dict or tuple(relation) != _RELATION_FIELDS:
+        raise TypeError("not of the snapshot's layout")
+    data, interface, provider, requirer = relation.values()
+    if type(data) is not dict:
+        raise TypeError("not a dict")
+    bags = "{}" if not data else "{\n        " + ",\n        ".join(
+        [f"{encode_basestring_ascii(unit_id)}: {_bag_text(data[unit_id])}"
+         for unit_id in sorted(data)]) + "\n      }"
+    return (f'{{\n      "data": {bags},'
+            f'\n      "interface": {encode_basestring_ascii(interface)},'
+            f'\n      "provider": {encode_basestring_ascii(provider)},'
+            f'\n      "requirer": {encode_basestring_ascii(requirer)}\n    }}')
+
+
+def _bag_text(bag) -> str:
+    """A relation data bag of strings at indent 8."""
+    if type(bag) is not dict:
+        raise TypeError("not a dict")
+    if not bag:
+        return "{}"
+    return "{\n          " + ",\n          ".join(
+        [f"{encode_basestring_ascii(key)}: {encode_basestring_ascii(bag[key])}"
+         for key in sorted(bag)]) + "\n        }"
+
+
+#: The keys of a status snapshot in sorted order, each with the function
+#: that writes one record of its value, when that value is an object of
+#: records.
+_STATUS_SECTIONS = (("applications", None), ("generation", None), ("machines", _machine_text),
+                    ("pending_events", None), ("relations", _relation_text),
+                    ("state_hash", None), ("units", _unit_text))
+_STATUS_KEYS = {key for key, _ in _STATUS_SECTIONS}
 
 
 def _parse_pairs(pairs: list[str], what: str) -> dict[str, str]:
@@ -629,11 +811,11 @@ def _finish(
     ws.commit()
     # Hash after the commit, so that the hash reuses memory the commit freed:
     # hashing first raised a 600-unit deploy's peak RSS by about 0.5 MB.  The
-    # seal then holds the hashed text, so a ``status`` of these files loads
-    # no state document.
-    digest, text = state_hash(ws.model, text=True)
-    ws.seal(digest, text)
-    lines.append(f"state hash: {digest}")
+    # seal then holds what ``status --format json`` prints of these files, so
+    # a ``status`` of them loads no state document.
+    snapshot = status_snapshot(ws.model)
+    ws.seal(status_text(snapshot).encode("ascii"))
+    lines.append(f"state hash: {snapshot['state_hash']}")
     print("\n".join(lines))
     return outcome
 
@@ -670,10 +852,12 @@ def cmd_converge(ws: Workspace, args) -> int:
 
 
 def cmd_status(ws: Workspace, args) -> int:
-    snapshot = ws.sealed_snapshot() or status_snapshot(ws.load_model())
+    sealed = ws.sealed_status()
     if args.format == "json":
-        print(_json_text(snapshot))
+        print(status_text(status_snapshot(ws.load_model())) if sealed is None
+              else sealed.decode("ascii"))
         return 0
+    snapshot = status_snapshot(ws.load_model()) if sealed is None else json.loads(sealed)
     print(f"state hash  {snapshot['state_hash']}")
     print(f"generation  {snapshot['generation']}")
     print(f"pending     {snapshot['pending_events']}")

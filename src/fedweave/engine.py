@@ -1171,14 +1171,8 @@ def status_snapshot(model: Model) -> dict:
     """An immutable point-in-time view: applications, units, machines,
     relations, pending event count, generation and canonical state hash."""
     state = _canonical_state(model)
-    return snapshot_of(state, model.generation, hashlib.sha256(_canonical_text(state)).hexdigest())
-
-
-def snapshot_of(state: dict, generation: int, digest: str) -> dict:
-    """The status snapshot of a model whose canonical state is ``state``,
-    as ``_canonical_state`` builds it or as its canonical text parses: the
-    state, with the model's generation and state hash added."""
-    state["generation"] = generation
+    digest = hashlib.sha256(_canonical_text(state)).hexdigest()
+    state["generation"] = model.generation
     state["state_hash"] = digest
     return state
 
@@ -1186,7 +1180,11 @@ def snapshot_of(state: dict, generation: int, digest: str) -> dict:
 def _canonical_state(model: Model) -> dict:
     """The observable state the state hash covers.  Every mapping is built
     with its keys in sorted order, so ``_canonical_text`` writes what
-    ``json.dumps(sort_keys=True)`` would, without sorting."""
+    ``json.dumps(sort_keys=True)`` would, without sorting: an option value
+    or relation-data value that is not a scalar, as a hand-written
+    ``model.yaml`` can hold, is copied with its keys sorted at every depth.
+    A scalar is taken as it is, without a call; a relation-data value is
+    tested for being a string, as every value the engine writes there is."""
     records = model.inventory.machines
     machines = {}
     for machine_id in sorted(model.machines):
@@ -1209,7 +1207,8 @@ def _canonical_state(model: Model) -> dict:
         "applications": {
             name: {
                 "charm": app.charm_ref,
-                "config": {k: app.config[k] for k in sorted(app.config)},
+                "config": {k: _sorted_value(v) if isinstance(v, _NESTED) else v
+                           for k, v in sorted(app.config.items())},
                 "exposed": app.exposed,
                 "series": app.series,
                 "units": model.unit_ids_of(name),
@@ -1220,7 +1219,11 @@ def _canonical_state(model: Model) -> dict:
         "pending_events": len(model.event_queue),
         "relations": {
             relation_id: {
-                "data": _relation_data(relation),
+                "data": {
+                    unit_id: {k: bag[k] if type(bag[k]) is str else _sorted_value(bag[k])
+                              for k in sorted(bag)}
+                    for unit_id, bag in sorted(relation.data.items())
+                },
                 "interface": relation.interface,
                 "provider": relation.provider,
                 "requirer": relation.requirer,
@@ -1248,6 +1251,19 @@ def _canonical_text(state: dict) -> bytes:
     return json.dumps(state, separators=(",", ":")).encode("utf-8")
 
 
+_NESTED = (dict, list, tuple)
+
+
+def _sorted_value(value):
+    """``value`` with the keys of every mapping in it in sorted order; a
+    scalar as it is."""
+    if isinstance(value, dict):
+        return {key: _sorted_value(value[key]) for key in sorted(value)}
+    if isinstance(value, (list, tuple)):
+        return [_sorted_value(item) for item in value]
+    return value
+
+
 def _relation_data(relation: Relation) -> dict:
     return {unit_id: {k: bag[k] for k in sorted(bag)} for unit_id, bag in sorted(relation.data.items())}
 
@@ -1264,17 +1280,14 @@ def _relation_docs(model: Model) -> dict:
     }
 
 
-def state_hash(model: Model, *, text: bool = False):
+def state_hash(model: Model) -> str:
     """Digest over the canonical sorted serialization of observable state.
 
     The step counter is excluded: equivalent deployments reached through
     different event histories (e.g. a compiled plan versus a reactive
-    deploy) must hash identically.  With ``text``, returns the digest and
-    the canonical text it is the SHA-256 of, as UTF-8 bytes.
+    deploy) must hash identically.
     """
-    data = _canonical_text(_canonical_state(model))
-    digest = hashlib.sha256(data).hexdigest()
-    return (digest, data) if text else digest
+    return hashlib.sha256(_canonical_text(_canonical_state(model))).hexdigest()
 
 
 # ---------------------------------------------------------------------------

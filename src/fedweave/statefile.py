@@ -351,9 +351,9 @@ def write_derived(path: Path, sources: list, *value: bytes) -> None:
     """Write over ``path`` the derived file holding a value for these
     ``sources``: an object of the format number, the package version, the
     ``[name, SHA-256]`` pair of each source, the value, and a SHA-256 of
-    the text before it, as compact JSON in that order.  ``value`` is the
-    value's compact JSON, already encoded, in pieces that are hashed and
-    written one by one, so a large value is never copied into one text.
+    the text before it, as JSON in that order.  ``value`` is the value's
+    JSON text, already encoded, in pieces that are hashed and written one
+    by one, so a large value is never copied into one text.
 
     The file is written in place: no temporary file, no fsync.  A crash
     can leave it cut short or ending in its old text, and each of those
@@ -376,11 +376,12 @@ def write_derived(path: Path, sources: list, *value: bytes) -> None:
         os.close(fd)
 
 
-def read_derived(path: Path, current: Callable[[list], bool]):
-    """The value of the derived file ``path`` when it is whole, of this
-    layout and version, and ``current`` holds for the sources it names;
-    else None.  The check is verified over the bytes as they are, and the
-    value is parsed only once its sources are known to be current."""
+def read_derived(path: Path, current: Callable[[list], bool]) -> bytes | None:
+    """The value of the derived file ``path``, as the bytes of its JSON
+    text, when the file is whole, of this layout and version, and
+    ``current`` holds for the sources it names; else None.  The check is
+    verified over the bytes as they are; the value is left to the caller
+    to parse, or to use as it is."""
     try:
         data = path.read_bytes()
     except OSError:
@@ -396,7 +397,7 @@ def read_derived(path: Path, current: Callable[[list], bool]):
                 or head["format"] != DERIVED_FORMAT or head["version"] != __version__
                 or not current(head["sources"])):
             return None
-        return json.loads(data[start + len(b',"value":'):-_CHECK_TAIL])
+        return data[start + len(b',"value":'):-_CHECK_TAIL]
     except (ValueError, RecursionError):
         return None
 

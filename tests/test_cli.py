@@ -1146,6 +1146,8 @@ class TestJsonText:
     @example(document=("a", ("b", 1), (), ["c", "d"]))
     @example(document=_Record(b=_Record(), a=[_Record(y="1", x=2), {"x": 2, "y": "1"}]))
     @example(document=_Rows(["x", "y", _Rows(["z", 1]), _Rows()]))
+    @example(document={1: {2.5: "a", -3.0: [], float("nan"): None}, 2: {}})
+    @example(document=[{1: "a"}, {True: "b"}, {1.0: "c"}, {None: "d"}, {False: {0: 0}}])
     def test_same_text_as_json_dumps(self, document):
         assert cli._json_text(document) == json.dumps(document, indent=2, sort_keys=True)
 
@@ -1159,3 +1161,5 @@ class TestJsonText:
     def test_rejects_what_json_rejects(self):
         with pytest.raises(TypeError, match="not JSON serializable"):
             cli._json_text({"a": {1, 2}})
+        with pytest.raises(TypeError, match="keys must be str, int, float, bool or None"):
+            cli._json_text({(1, 2): "a"})

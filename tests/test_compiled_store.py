@@ -400,3 +400,19 @@ def test_compiled_store_names_its_key(cached):
                               for path in sorted((cached / "charms").glob("*.yaml"))]
     assert [(form["owner"], form["name"]) for form in doc["value"]] == [
         (None, "haproxy"), ("csd-garr", "moodle"), (None, "postgresql")]
+
+
+def test_charm_files_are_listed_as_a_sorted_glob(tmp_path):
+    """``_CharmFiles`` lists ``charms/`` without a glob and finds the names
+    ``sorted(glob("*.yaml"))`` finds, in its order: dotfiles and a bare
+    ``.yaml`` among them, a directory too, and no other suffix or case."""
+    charms = tmp_path / "charms"
+    charms.mkdir()
+    for name in (".x.yaml", ".yaml", "B.YAML", "c.yml", "d.yaml~", "a b.yaml", "e.yaml",
+                 "A.yaml", "yaml", "f.yaml.bak"):
+        (charms / name).write_text("")
+    (charms / "sub.yaml").mkdir()
+    names = cli._CharmFiles(tmp_path).names()
+    assert names == [path.name for path in sorted(charms.glob("*.yaml"))]
+    assert names == [".x.yaml", ".yaml", "A.yaml", "a b.yaml", "e.yaml", "sub.yaml"]
+    assert cli._CharmFiles(tmp_path / "none").names() == []

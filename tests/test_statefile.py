@@ -163,10 +163,10 @@ class TestFormat:
         assert statefile.load("machines: []\n") == {"machines": []}
 
     def test_derived_file_reads_back_only_as_written(self, tmp_path):
-        """A derived file gives back its value for the key it was written
-        for, whatever pieces its value was written in, and reads as absent
-        when missing, for another key, cut short anywhere, or with any one
-        byte changed."""
+        """A derived file gives back its value's bytes for the key it was
+        written for, whatever pieces its value was written in, and reads as
+        absent when missing, for another key, cut short anywhere, or with
+        any one byte changed."""
         path = tmp_path / "derived.json"
         sources = [["a.yaml", "0" * 64], ["b.yaml", "f" * 64]]
         value = {"text": "é\u2028", "numbers": [1, -0.0, 1e300, True, None],
@@ -182,6 +182,8 @@ class TestFormat:
         statefile.write_derived(path, sources, encoded[:5], encoded[5:40], b"", encoded[40:])
         assert path.read_bytes() == data
         back = statefile.read_derived(path, _naming(sources))
+        assert back == encoded
+        back = json.loads(back)
         assert back == value and list(back["order"]) == ["z", "a"]
         for other in (sources[:1], [*sources, ["c.yaml", "1" * 64]], [["a.yaml", "1" * 64]]):
             assert statefile.read_derived(path, _naming(other)) is None, other
