@@ -47,13 +47,14 @@ options spelled in full) becomes the invoked command's namespace with no
 argparse parser built.  Every other argv, ``--help``, an abbreviation or a
 usage error among them, goes to the full argparse tree, so what it prints
 and its exit code are argparse's own.  ``--format json`` output is
-byte for byte ``json.dumps(indent=2, sort_keys=True)``: ``_json_text``
-renders it by the shape of each object and list, and ``status_text``,
-the one function that makes a status's JSON text, by the layout of a
-status snapshot.  A ``status`` pays for what it prints: it parses no
-charm, loads the inventory in one pass, and keeps each unit's seen
-groups as ``model.yaml`` holds them, looking at the first alone
-(``engine.load_checkpoint``).
+byte for byte ``json.dumps(indent=2, sort_keys=True)``, with no reference
+cycle left behind: ``_json_text`` writes a listing's text, and
+``status_text``, the one function that makes a status's JSON text,
+writes it by the layout of a status snapshot, whose values have the
+types ``engine.load_checkpoint`` admits.  A ``status`` pays for what it
+prints: it parses no charm, loads the inventory in one pass, and keeps
+each unit's seen groups as ``model.yaml`` holds them, looking at the
+first alone (``engine.load_checkpoint``).
 
 A command that changes the model builds its status snapshot after the
 commit, prints the snapshot's state hash, and writes
@@ -70,8 +71,9 @@ up from about 240 KB when it held the compact canonical state; the
 benchmark's ``state_kb`` does not count it.  The seal and the compiled
 store are derived files, written after the commit and never by a read,
 and absent when damaged.
-A state document of the wrong shape fails the command with one
-``<module>: malformed <what> document`` line.
+A state document of the wrong shape, such as a model field of a type the
+engine never writes, fails the command with one ``<module>: malformed
+<what> document`` line.
 
 ``run_command`` runs a command with the cyclic garbage collector off: a
 command's objects form no reference cycles, so reference counting frees
@@ -94,7 +96,7 @@ import os
 import sys
 import time
 from collections.abc import Iterator
-from json.encoder import INFINITY, encode_basestring_ascii
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import builtin, statefile
@@ -448,166 +450,61 @@ def _table(rows: list[tuple]) -> str:
     )
 
 
-def _json_text(value) -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte.
-
-    The pure-Python encoder that ``indent`` forces yields every separator,
-    key and value as a string of its own.  ``_render_json`` renders by
-    shape instead: it appends a scalar in one chunk with the text before
-    it, renders a list of strings in one ``join``, and sorts each object's
-    keys and makes their heads once per indent and key tuple, which the
-    600 unit and machine objects of a fleet ``status`` share.
-    """
-    chunks: list[str] = []
-    _render_json(value, chunks, "", "", {})
-    return "".join(chunks)
-
-
-def _render_json(value, chunks: list[str], lead: str, indent: str, shapes: dict) -> None:
-    """Append ``lead`` and then ``value``, indented below ``indent``, to
-    ``chunks``.  ``shapes`` caches, for each (indent, key tuple), the keys
-    in sorted order, each with its head: the separator before it, the
-    encoded key and ``": "``."""
+def _json_text(value, newline: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for
+    a document of string-keyed mappings, lists and scalars, written at
+    the indent of ``newline``: a line break and the indent of the line the
+    value starts on.  ``json.dumps`` with ``indent`` builds its pure-Python
+    encoder anew on every call, from closures that refer to each other: a
+    reference cycle, which a command must not leave (see ``run_command``).
+    This builds none, and has ``json.dumps``'s C encoder write each scalar
+    that is not a string."""
     if isinstance(value, str):
-        chunks.append(lead + encode_basestring_ascii(value))
-    elif isinstance(value, dict):
-        if not value:
-            chunks.append(lead + "{}")
-            return
-        inner = indent + "  "
-        keys = tuple(value)
-        shape = shapes.get((indent, keys))
-        if shape is None:
-            shape = [(key, f",\n{inner}{_key_text(key)}: ") for key in sorted(keys)]
-            if all(isinstance(key, str) for key in keys):  # 1, 1.0 and True are one key
-                shapes[indent, keys] = shape
-        opening = lead + "{"
-        for key, head in shape:
-            if opening is not None:
-                head = opening + head[1:]
-                opening = None
-            item = value[key]
-            if isinstance(item, str):
-                chunks.append(head + encode_basestring_ascii(item))
-            else:
-                _render_json(item, chunks, head, inner, shapes)
-        chunks.append("\n" + indent + "}")
-    elif value is None:
-        chunks.append(lead + "null")
-    elif value is True:
-        chunks.append(lead + "true")
-    elif value is False:
-        chunks.append(lead + "false")
-    elif isinstance(value, int):
-        chunks.append(lead + int.__repr__(value))
-    elif isinstance(value, float):
-        if value != value:
-            chunks.append(lead + "NaN")
-        elif value == INFINITY:
-            chunks.append(lead + "Infinity")
-        elif value == -INFINITY:
-            chunks.append(lead + "-Infinity")
-        else:
-            chunks.append(lead + float.__repr__(value))
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            chunks.append(lead + "[]")
-            return
-        inner = indent + "  "
-        lead += "[\n" + inner
-        close = "\n" + indent + "]"
-        if isinstance(value[0], str):
-            try:
-                chunks.append(lead + (",\n" + inner).join(map(encode_basestring_ascii, value))
-                              + close)
-                return
-            except TypeError:  # not all strings: render item by item
-                pass
-        for item in value:
-            _render_json(item, chunks, lead, inner, shapes)
-            lead = ",\n" + inner
-        chunks.append(close)
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _key_text(key) -> str:
-    """An object key as ``json.dumps`` writes it: a string as it is, and
-    a number, boolean or null as its JSON text, in quotes."""
-    if not isinstance(key, str):
-        if not (key is None or isinstance(key, (int, float))):
-            raise TypeError(f"keys must be str, int, float, bool or None, "
-                            f"not {type(key).__name__}")
-        text: list[str] = []
-        _render_json(key, text, "", "", {})
-        key = text[0]
-    return encode_basestring_ascii(key)
+        return encode_basestring_ascii(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        items = [f"{inner}{encode_basestring_ascii(key)}: {_json_text(value[key], inner)}"
+                 for key in sorted(value)]
+        return "{" + ",".join(items) + newline + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [inner + _json_text(item, inner) for item in value]
+        return "[" + ",".join(items) + newline + "]" if items else "[]"
+    return json.dumps(value)
 
 
 def status_text(snapshot: dict) -> str:
     """``json.dumps(snapshot, indent=2, sort_keys=True)``, byte for byte:
     what ``status --format json`` prints, and what a model write seals.
 
-    It is written for the layout ``status_snapshot`` builds.  A unit or
-    machine record whose every field has the type the engine writes is
-    one f-string template, and a relation whose data bags hold strings is
-    one template around a ``str.join`` per bag.  The applications, and any
-    record holding a value of another type, as a hand-written
-    ``model.yaml`` can, go whole through ``_render_json``.  Every model
-    write pays for this text: on the 600-unit benchmark fleet it took
-    2.4-2.7 ms against 6.2-6.8 ms for ``_json_text`` (fastest of 81 runs
-    each, on a 2-core x86-64 host).
+    It is written for the layout ``status_snapshot`` builds, whose values
+    have the types the engine writes (``load_checkpoint`` refuses any
+    other).  A unit or machine record is one f-string template, and a
+    relation one template around a ``str.join`` per data bag; the
+    applications and the scalars are ``_json_text``.  Every model write
+    pays for this text: on the 600-unit benchmark fleet it took 2.4 ms
+    against 12.3 ms for ``json.dumps`` (fastest of 81 runs each, on a
+    2-core x86-64 host).
     """
-    if type(snapshot) is not dict or snapshot.keys() != _STATUS_KEYS:
-        return _json_text(snapshot)
-    chunks: list[str] = []
-    shapes: dict = {}
-    try:
-        lead = "{\n  "
-        for key, record_text in _STATUS_SECTIONS:
-            value = snapshot[key]
-            head = f'{lead}"{key}": '
-            if record_text is not None and type(value) is dict and value:
-                _render_records(value, record_text, chunks, head, shapes)
-            else:
-                _render_json(value, chunks, head, "  ", shapes)
-            lead = ",\n  "
-    except TypeError:  # a key that is not a string, or a value JSON cannot hold
-        return _json_text(snapshot)
+    chunks = []
+    lead = "{\n  "
+    for key, record_text in _STATUS_SECTIONS:
+        value = snapshot[key]
+        if record_text is not None and value:
+            texts: dict = {}
+            text = "{\n    " + ",\n    ".join(
+                [f"{encode_basestring_ascii(name)}: {record_text(value[name], texts)}"
+                 for name in sorted(value)]) + "\n  }"
+        else:
+            text = _json_text(value, "\n  ")
+        chunks.append(f'{lead}"{key}": {text}')
+        lead = ",\n  "
     chunks.append("\n}")
     return "".join(chunks)
 
 
-def _render_records(records: dict, record_text, chunks: list[str], head: str,
-                    shapes: dict) -> None:
-    """Append ``head`` and then ``records``, an object at indent 2: each
-    record as ``record_text`` writes it, or by ``_render_json`` when
-    ``record_text`` raises ``TypeError`` for it."""
-    lead = head + "{\n    "
-    texts: dict = {}
-    for key in sorted(records):
-        record = records[key]
-        record_head = f"{lead}{encode_basestring_ascii(key)}: "
-        try:
-            chunks.append(record_head + record_text(record, texts))
-        except TypeError:
-            _render_json(record, chunks, record_head, "    ", shapes)
-        lead = ",\n    "
-    chunks.append("\n  }")
-
-
-_UNIT_FIELDS = ("application", "leader", "machine", "message", "open_ports", "states", "status")
-_MACHINE_FIELDS = ("arch", "az", "containers", "cores", "disk", "mem", "properties", "region",
-                   "series", "state")
-_RELATION_FIELDS = ("data", "interface", "provider", "requirer")
-
-
-def _strings_text(items, texts: dict) -> str:
+def _strings_text(items: list, texts: dict) -> str:
     """A list of strings at indent 6.  ``texts`` keeps the text of each
-    list by its items, since a fleet's units share a few lists of states.
-    It holds only lists of strings, and no string equals another value."""
-    if type(items) is not list:
-        raise TypeError("not a list")
+    list by its items, since a fleet's units share a few lists of states."""
     if not items:
         return "[]"
     key = tuple(items)
@@ -618,23 +515,15 @@ def _strings_text(items, texts: dict) -> str:
     return text
 
 
-def _ints_text(items) -> str:
+def _ints_text(items: list) -> str:
     """A list of ints at indent 6."""
-    if type(items) is not list:
-        raise TypeError("not a list")
     if not items:
         return "[]"
-    if any(type(item) is not int for item in items):
-        raise TypeError("not an int")
     return "[\n        " + ",\n        ".join(map(int.__repr__, items)) + "\n      ]"
 
 
-def _unit_text(unit, texts: dict) -> str:
-    if type(unit) is not dict or tuple(unit) != _UNIT_FIELDS:
-        raise TypeError("not of the snapshot's layout")
+def _unit_text(unit: dict, texts: dict) -> str:
     application, leader, machine, message, ports, states, status = unit.values()
-    if type(leader) is not bool:
-        raise TypeError("not a bool")
     return (f'{{\n      "application": {encode_basestring_ascii(application)},'
             f'\n      "leader": {"true" if leader else "false"},'
             f'\n      "machine": {encode_basestring_ascii(machine)},'
@@ -644,12 +533,8 @@ def _unit_text(unit, texts: dict) -> str:
             f'\n      "status": {encode_basestring_ascii(status)}\n    }}')
 
 
-def _machine_text(machine, texts: dict) -> str:
-    if type(machine) is not dict or tuple(machine) != _MACHINE_FIELDS:
-        raise TypeError("not of the snapshot's layout")
+def _machine_text(machine: dict, texts: dict) -> str:
     arch, az, containers, cores, disk, mem, properties, region, series, state = machine.values()
-    if type(cores) is not int or type(disk) is not int or type(mem) is not int:
-        raise TypeError("not an int")
     # An int's str is its repr, as json.dumps writes it.
     return (f'{{\n      "arch": {encode_basestring_ascii(arch)},'
             f'\n      "az": {encode_basestring_ascii(az)},'
@@ -661,12 +546,8 @@ def _machine_text(machine, texts: dict) -> str:
             f'\n      "state": {encode_basestring_ascii(state)}\n    }}')
 
 
-def _relation_text(relation, texts: dict) -> str:
-    if type(relation) is not dict or tuple(relation) != _RELATION_FIELDS:
-        raise TypeError("not of the snapshot's layout")
+def _relation_text(relation: dict, texts: dict) -> str:
     data, interface, provider, requirer = relation.values()
-    if type(data) is not dict:
-        raise TypeError("not a dict")
     bags = "{}" if not data else "{\n        " + ",\n        ".join(
         [f"{encode_basestring_ascii(unit_id)}: {_bag_text(data[unit_id])}"
          for unit_id in sorted(data)]) + "\n      }"
@@ -676,10 +557,8 @@ def _relation_text(relation, texts: dict) -> str:
             f'\n      "requirer": {encode_basestring_ascii(requirer)}\n    }}')
 
 
-def _bag_text(bag) -> str:
+def _bag_text(bag: dict) -> str:
     """A relation data bag of strings at indent 8."""
-    if type(bag) is not dict:
-        raise TypeError("not a dict")
     if not bag:
         return "{}"
     return "{\n          " + ",\n          ".join(
@@ -689,11 +568,11 @@ def _bag_text(bag) -> str:
 
 #: The keys of a status snapshot in sorted order, each with the function
 #: that writes one record of its value, when that value is an object of
-#: records.
+#: records.  Each unpacks a record's values in the sorted order of its
+#: keys, the order in which ``engine._canonical_state`` builds it.
 _STATUS_SECTIONS = (("applications", None), ("generation", None), ("machines", _machine_text),
                     ("pending_events", None), ("relations", _relation_text),
                     ("state_hash", None), ("units", _unit_text))
-_STATUS_KEYS = {key for key, _ in _STATUS_SECTIONS}
 
 
 def _parse_pairs(pairs: list[str], what: str) -> dict[str, str]:

@@ -54,6 +54,7 @@ from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from itertools import chain
 from typing import NamedTuple
 
 from . import seen as seen_groups
@@ -1180,11 +1181,9 @@ def status_snapshot(model: Model) -> dict:
 def _canonical_state(model: Model) -> dict:
     """The observable state the state hash covers.  Every mapping is built
     with its keys in sorted order, so ``_canonical_text`` writes what
-    ``json.dumps(sort_keys=True)`` would, without sorting: an option value
-    or relation-data value that is not a scalar, as a hand-written
-    ``model.yaml`` can hold, is copied with its keys sorted at every depth.
-    A scalar is taken as it is, without a call; a relation-data value is
-    tested for being a string, as every value the engine writes there is."""
+    ``json.dumps(sort_keys=True)`` would, without sorting.  Every value is
+    a scalar or a list of them, or a relation's data bags of strings:
+    ``load_checkpoint`` refuses a document holding anything else."""
     records = model.inventory.machines
     machines = {}
     for machine_id in sorted(model.machines):
@@ -1207,8 +1206,7 @@ def _canonical_state(model: Model) -> dict:
         "applications": {
             name: {
                 "charm": app.charm_ref,
-                "config": {k: _sorted_value(v) if isinstance(v, _NESTED) else v
-                           for k, v in sorted(app.config.items())},
+                "config": {k: app.config[k] for k in sorted(app.config)},
                 "exposed": app.exposed,
                 "series": app.series,
                 "units": model.unit_ids_of(name),
@@ -1219,11 +1217,7 @@ def _canonical_state(model: Model) -> dict:
         "pending_events": len(model.event_queue),
         "relations": {
             relation_id: {
-                "data": {
-                    unit_id: {k: bag[k] if type(bag[k]) is str else _sorted_value(bag[k])
-                              for k in sorted(bag)}
-                    for unit_id, bag in sorted(relation.data.items())
-                },
+                "data": _relation_data(relation),
                 "interface": relation.interface,
                 "provider": relation.provider,
                 "requirer": relation.requirer,
@@ -1249,19 +1243,6 @@ def _canonical_text(state: dict) -> bytes:
     """The canonical text of a ``_canonical_state`` document: compact
     JSON, encoded once."""
     return json.dumps(state, separators=(",", ":")).encode("utf-8")
-
-
-_NESTED = (dict, list, tuple)
-
-
-def _sorted_value(value):
-    """``value`` with the keys of every mapping in it in sorted order; a
-    scalar as it is."""
-    if isinstance(value, dict):
-        return {key: _sorted_value(value[key]) for key in sorted(value)}
-    if isinstance(value, (list, tuple)):
-        return [_sorted_value(item) for item in value]
-    return value
 
 
 def _relation_data(relation: Relation) -> dict:
@@ -1365,7 +1346,13 @@ def load_checkpoint(
     resolved here: each application resolves its own on first use, so an
     unknown reference fails the first command or step that needs it.
 
-    Each unit keeps its ``seen`` groups as read, after a look at the first,
+    Every field read must have the type ``checkpoint`` writes
+    (``_CHECKPOINT_TYPES``), so every command and renderer sees only what
+    the engine writes; a missing one takes its default.  Each loop tests
+    the fields it reads, and when one fails, ``_malformed`` finds the
+    field to name in a ``MalformedCheckpointError``.
+
+    A unit's ``seen`` groups are kept as read, after a look at the first,
     which tells them from the flat entries of older checkpoints.  The
     unit's first step, or the next ``checkpoint``, checks them all, so a
     ``status`` does not.  A unit whose id does not name its application,
@@ -1379,38 +1366,64 @@ def load_checkpoint(
         if embedded is None:
             raise EngineError("checkpoint has no embedded inventory and none was supplied")
         inventory = Inventory.load(embedded)
+    generation, strict_conflicts = doc.get("generation", 0), doc.get("strict_conflicts", True)
+    project, machines = doc.get("project"), doc.get("machines", _NO_ITEMS)
+    sections = applications, units, relations = [
+        doc.get(key, _NOTHING) for key in ("applications", "units", "relations")]
+    if not (type(generation) is int and type(strict_conflicts) is bool
+            and (project is None or type(project) is str) and type(machines) is list
+            and _strings(machines) and all(type(section) is dict and _strings(section)
+                                           and _DICT.issuperset(map(type, section.values()))
+                                           for section in sections)):
+        raise _malformed(doc)
     model = Model(
         store,
         inventory,
-        project=doc.get("project"),
+        project=project,
         quota_tree=quota_tree,
-        strict_conflicts=bool(doc.get("strict_conflicts", True)),
+        strict_conflicts=strict_conflicts,
     )
-    model.generation = int(doc.get("generation", 0))
-    for name, body in (doc.get("applications") or {}).items():
+    model.generation = generation
+    for name, body in applications.items():
+        charm_ref, series = body["charm"], body["series"]
+        exposed, unit_counter = body.get("exposed", False), body.get("unit_counter", 0)
+        config = body.get("config", _NOTHING)
+        if not (type(charm_ref) is str and type(series) is str and type(exposed) is bool
+                and type(unit_counter) is int and type(config) is dict and _strings(config)
+                and _SCALARS.issuperset(map(type, config.values()))):
+            raise _malformed(doc)
         model.applications[name] = Application(
             name=name,
-            charm_ref=body["charm"],
-            series=body["series"],
+            charm_ref=charm_ref,
+            series=series,
             store=store,
-            exposed=bool(body.get("exposed", False)),
-            unit_counter=int(body.get("unit_counter", 0)),
-            config=dict(body.get("config") or {}),
+            exposed=exposed,
+            unit_counter=unit_counter,
+            config=dict(config),
         )
-    for unit_id, body in (doc.get("units") or {}).items():
+    for unit_id, body in units.items():
+        app, machine = body["application"], body["machine"]
+        status, message = body.get("status", "allocating"), body.get("message", "")
+        leader, states = body.get("leader", False), body.get("states", _NO_ITEMS)
+        open_ports = body.get("open_ports", _NO_ITEMS)
+        if not (type(app) is str and type(machine) is str and type(status) is str
+                and type(message) is str and type(leader) is bool and type(states) is list
+                and type(open_ports) is list and _strings(states)
+                and (not open_ports or all(type(port) is int for port in open_ports))):
+            raise _malformed(doc)
         seen = body.get("seen") or []
         if type(seen) is not list or seen and not (type(seen[0]) is list and len(seen[0]) == 4
                                                    and type(seen[0][3]) is list):
             seen = seen_groups.normalized(unit_id, seen)  # flat entries, or a fault in the first
         model.units[unit_id] = Unit(
             id=unit_id,
-            app=body["application"],
-            machine=body["machine"],
-            status=body.get("status", "allocating"),
-            message=body.get("message", ""),
-            leader=bool(body.get("leader", False)),
-            states=set(body.get("states") or ()),
-            open_ports=set(body.get("open_ports") or ()),
+            app=app,
+            machine=machine,
+            status=status,
+            message=message,
+            leader=leader,
+            states=set(states),
+            open_ports=set(open_ports),
             seen=seen,
             seen_owned=False,
         )
@@ -1434,15 +1447,24 @@ def load_checkpoint(
                 f"application {app_name!r} has unit_counter {app.unit_counter}, "
                 f"not above unit {stale!r}")
     model._leader_check.update(model.applications)
-    for relation_id, body in (doc.get("relations") or {}).items():
+    for relation_id, body in relations.items():
+        provider, requirer, interface = body["provider"], body["requirer"], body["interface"]
+        try:  # ``dict.items`` and ``dict.copy`` refuse what is not a mapping
+            data = {unit_id: dict.copy(bag)
+                    for unit_id, bag in dict.items(body.get("data", _NOTHING))}
+        except TypeError:
+            raise _malformed(doc) from None
+        bags = data.values()
+        if not (type(provider) is str and type(requirer) is str and type(interface) is str
+                and _strings(data) and _strings(chain.from_iterable(bags))
+                and _strings(chain.from_iterable(map(dict.values, bags)))):
+            raise _malformed(doc)
         model.relations[relation_id] = Relation(
             id=relation_id,
-            provider=body["provider"],
-            requirer=body["requirer"],
-            interface=body["interface"],
-            data={
-                unit_id: dict(bag) for unit_id, bag in (body.get("data") or {}).items()
-            },
+            provider=provider,
+            requirer=requirer,
+            interface=interface,
+            data=data,
         )
     for body in doc.get("queue") or []:
         if isinstance(body, dict):
@@ -1450,9 +1472,71 @@ def load_checkpoint(
                     body.get("remote", ""))
         kind, name, target, payload, remote = body
         model.event_queue.append(Event(EventKind(kind, name), target, payload, remote))
-    model.machines = set(doc.get("machines") or ())
+    model.machines = set(machines)
     model.machine_charges = {
         machine_id: QuotaSet.from_dict(body)
         for machine_id, body in (doc.get("machine_charges") or {}).items()
     }
     return model
+
+
+_SCALARS = frozenset({str, int, bool, float})  # a float may be NaN or infinite
+#: The type of each field ``load_checkpoint`` reads, as ``checkpoint``
+#: writes it: a type (itself, not a subclass: an int is never a bool) or a
+#: frozenset of types; ``[t]``, a list of ``t``; ``{str: t}``, a mapping
+#: from strings to ``t``; or a record, whose fields may be missing.
+_CHECKPOINT_TYPES = {
+    "generation": int,
+    "strict_conflicts": bool,
+    "project": frozenset({str, type(None)}),
+    "applications": {str: {"charm": str, "series": str, "exposed": bool, "unit_counter": int,
+                           "config": {str: _SCALARS}}},
+    "units": {str: {"application": str, "machine": str, "status": str, "message": str,
+                    "leader": bool, "states": [str], "open_ports": [int]}},
+    "relations": {str: {"provider": str, "requirer": str, "interface": str,
+                        "data": {str: {str: str}}}},
+    "machines": [str],
+}
+# What a missing mapping or list reads as; the load copies what it keeps.
+_NOTHING: dict = {}
+_NO_ITEMS: list = []
+_DICT = frozenset({dict})
+_TYPE_NAMES = {str: "a string", int: "an integer", bool: "a boolean", float: "a float",
+               dict: "a mapping", list: "a list", type(None): "null"}
+
+
+def _strings(items) -> bool:
+    """Whether every item is a string, which ``str.join`` tests in C (a
+    subclass of ``str`` passes, and no parsed document holds one)."""
+    try:
+        "".join(items)
+    except TypeError:
+        return False
+    return True
+
+
+def _malformed(value, kind=_CHECKPOINT_TYPES, where: tuple = ()) -> MalformedCheckpointError:
+    """The error naming the first part of ``value``, a checkpoint or its
+    part at ``where``, that is not of type ``kind``; None if there is none."""
+    path = where and where[0] + "".join(f"[{key!r}]" for key in where[1:])
+    if type(kind) not in (list, dict):
+        kinds = kind if type(kind) is frozenset else frozenset({kind})
+        if type(value) in kinds:
+            return None
+        *others, last = [name for known, name in _TYPE_NAMES.items() if known in kinds]
+        found = _TYPE_NAMES.get(type(value), f"a {type(value).__name__}")
+        return MalformedCheckpointError(
+            f"{path} must be {', '.join(others) + ' or ' if others else ''}{last}, not {found}")
+    if type(value) is not type(kind):
+        return _malformed(value, type(kind), where)
+    if type(kind) is list:
+        parts = ((item, kind[0], index) for index, item in enumerate(value))
+    elif str not in kind:
+        parts = ((value[name], field, name) for name, field in kind.items() if name in value)
+    elif _strings(value):
+        parts = ((item, kind[str], key) for key, item in value.items())
+    else:
+        key = next(key for key in value if type(key) is not str)
+        return MalformedCheckpointError(f"{path} has a key that is not a string: {key!r}")
+    return next(filter(None, (_malformed(item, field, (*where, key))
+                              for item, field, key in parts)), None)

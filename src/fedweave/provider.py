@@ -357,10 +357,11 @@ class Inventory(statefile.Document):
         """Restore an inventory from a dump, or seed one from a hand-written
         document (state defaults to ready, zones are inferred, and a machine
         with no id takes its position in the list).  A machine id given
-        twice or neither a string nor an integer, and cores, mem or disk
-        that is not positive, are errors.  Each record is built in one
-        call; then containers join their hosts, hosts reserve what their
-        containers reserve, and one sort builds the ready index."""
+        twice or neither a string nor an integer, cores, mem or disk that
+        is not positive, and a property that is not a string are errors.
+        Each record is built in one call; then containers join their hosts,
+        hosts reserve what their containers reserve, and one sort builds
+        the ready index."""
         inv = cls()
         if not isinstance(doc, dict):
             raise ProviderError("inventory document must be a mapping")
@@ -399,6 +400,10 @@ class Inventory(statefile.Document):
                     f"a machine with no id would take its position {machine_id!r} as its id, "
                     "which an earlier machine has")
             properties = body.get("properties")
+            for tag in properties or ():
+                if type(tag) is not str:
+                    raise ProviderError(f"malformed inventory document: machine {machine_id!r} "
+                                        f"has property {tag!r}, which is not a string")
             reserved = body.get("reserved")
             containers = body.get("containers")
             counters = body.get("container_counters")

@@ -32,7 +32,10 @@ from fedweave.engine import (
     state_hash,
     status_snapshot,
 )
+from fedweave.federation import Federation
 from fedweave.plan import compile_plan
+from fedweave.provider import Inventory
+from fedweave.quota import ProjectTree
 
 from test_entry_point import fedweave_child
 from test_plan import OLD_FORMAT_MOODLE_STEPS, ZERO_UNIT_BUNDLES
@@ -1105,6 +1108,27 @@ class TestQuotaCommands:
         assert "usage[vcpus=0 ram=0 disk=0 instances=0]" in out
 
 
+@pytest.mark.parametrize(
+    ("argv", "path", "kind"),
+    [(("machine", "list"), "inventory.yaml", Inventory),
+     (("region", "list"), "federation.yaml", Federation),
+     (("quota", "show"), "projects.yaml", ProjectTree)],
+    ids=["machine-list", "region-list", "quota-show"],
+)
+def test_json_listings_print_the_sort_keys_text(demo, tmp_path, argv, path, kind):
+    """``machine list``, ``region list`` and ``quota show`` print their
+    document's dump as ``json.dumps(indent=2, sort_keys=True)`` writes it."""
+    for setup in (("machine", "enlist", "--zone", "garr-01/az1", "--cores", "2", "--mem", "4096",
+                   "--disk", "51200", "--tags", "ssd,gpu"),
+                  ("quota", "create", "garr"), ("quota", "create", "garr/cloud"),
+                  ("quota", "set", "garr", "vcpus=64", "instances=10"),
+                  ("region", "register", "garr-pa", *TestRegionCommands.ENDPOINTS)):
+        assert demo(*setup)[0] == 0, setup
+    dump = kind.load_yaml((tmp_path / path).read_bytes()).dump()
+    assert demo(*argv, "--format", "json") == (
+        0, json.dumps(dump, indent=2, sort_keys=True) + "\n", "")
+
+
 # Every JSON document: strings with non-ASCII and control characters (and
 # lone surrogates), ints far past 64 bits, non-finite floats, and empty and
 # nested containers.
@@ -1134,9 +1158,11 @@ class _Rows(list):
 
 
 class TestJsonText:
-    """``status``, ``machine list``, ``region list`` and ``quota show``
-    print ``--format json`` through ``cli._json_text``, which must give
-    ``json.dumps(indent=2, sort_keys=True)`` byte for byte."""
+    """``machine list``, ``region list`` and ``quota show`` print
+    ``--format json`` through ``cli._json_text``, and ``status_text``
+    writes a status's applications with it, which must give
+    ``json.dumps(indent=2, sort_keys=True)`` byte for byte for a document
+    with string keys."""
 
     @settings(deadline=None, max_examples=300)
     @given(document=JSON_DOCUMENTS)
@@ -1146,8 +1172,6 @@ class TestJsonText:
     @example(document=("a", ("b", 1), (), ["c", "d"]))
     @example(document=_Record(b=_Record(), a=[_Record(y="1", x=2), {"x": 2, "y": "1"}]))
     @example(document=_Rows(["x", "y", _Rows(["z", 1]), _Rows()]))
-    @example(document={1: {2.5: "a", -3.0: [], float("nan"): None}, 2: {}})
-    @example(document=[{1: "a"}, {True: "b"}, {1.0: "c"}, {None: "d"}, {False: {0: 0}}])
     def test_same_text_as_json_dumps(self, document):
         assert cli._json_text(document) == json.dumps(document, indent=2, sort_keys=True)
 
@@ -1156,10 +1180,9 @@ class TestJsonText:
         deploy_bundle(model, parse_bundle(FLEET_BUNDLE))
         run_to_convergence(model)
         snapshot = status_snapshot(model)
-        assert cli._json_text(snapshot) == json.dumps(snapshot, indent=2, sort_keys=True)
+        text = json.dumps(snapshot, indent=2, sort_keys=True)
+        assert cli._json_text(snapshot) == cli.status_text(snapshot) == text
 
     def test_rejects_what_json_rejects(self):
         with pytest.raises(TypeError, match="not JSON serializable"):
             cli._json_text({"a": {1, 2}})
-        with pytest.raises(TypeError, match="keys must be str, int, float, bool or None"):
-            cli._json_text({(1, 2): "a"})

@@ -13,6 +13,7 @@ it runs ``python -c "from fedweave.cli import main; main()"`` on the
 
 from __future__ import annotations
 
+import datetime
 import json
 import os
 import shutil
@@ -21,6 +22,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
 import fedweave
 from fedweave import cli
@@ -95,3 +97,24 @@ def test_deploy_and_status_print_one_hash(tmp_path, capsys):
     status = json.loads(plain.stdout)
     assert plain.stdout == json.dumps(status, indent=2, sort_keys=True) + "\n"
     assert [status["state_hash"]] == printed
+
+
+def test_a_date_option_is_one_line_without_a_traceback(tmp_path, capsys):
+    """A hand-written ``model.yaml`` holding a YAML date as an option
+    value: ``fedweave status`` exits 1 with one line naming the option."""
+    for argv in (("init", "--demo"), ("machine", "add-zone", "garr-01", "az1"),
+                 ("machine", "enlist", "--zone", "garr-01/az1", "--cores", "4",
+                  "--mem", "8192", "--disk", "102400", "-n", "4"),
+                 ("deploy", str(tmp_path / "moodle-bundle.yaml"))):
+        assert run_command(["-w", str(tmp_path), *argv]) == 0, argv
+    capsys.readouterr()
+    model = tmp_path / "model.yaml"
+    doc = json.loads(model.read_bytes())
+    doc["model"]["applications"]["moodle"]["config"]["site_name"] = datetime.date(2017, 1, 1)
+    model.write_text(yaml.safe_dump(doc))
+    child = fedweave_child("-w", str(tmp_path), "status")
+    assert (child.returncode, child.stdout) == (1, "")
+    assert "Traceback" not in child.stderr
+    assert child.stderr == (
+        "cli: malformed model document: applications['moodle']['config']['site_name'] must be "
+        "a string, an integer, a boolean or a float, not a date\n")

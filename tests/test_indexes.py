@@ -349,8 +349,11 @@ def test_hand_written_inventory_loads_with_defaults():
      ("{id: '1', region: r, az: a, cores: 2, mem: 1, disk: 1}\n"
       "  - {region: r, az: a, cores: 1, mem: 1, disk: 1}",
       "a machine with no id would take its position '1' as its id, "
-      "which an earlier machine has")],
-    ids=["unknown-state", "unknown-host", "unknown-container", "duplicate-id", "position-id"],
+      "which an earlier machine has"),
+     ("{id: '0', region: r, az: a, cores: 1, mem: 1, disk: 1, properties: [1, a]}",
+      "malformed inventory document: machine '0' has property 1, which is not a string")],
+    ids=["unknown-state", "unknown-host", "unknown-container", "duplicate-id", "position-id",
+         "property-not-a-string"],
 )
 def test_hand_written_inventory_errors_are_one_line(tmp_path, capsys, body, message):
     with pytest.raises(ProviderError) as raised:

@@ -324,8 +324,8 @@ def test_sealed_status_parses_no_state_file(tmp_path, capsys, monkeypatch, place
     """With the seal whole, ``status`` builds no model, inventory, project
     tree or federation, and prints the bytes it prints without the seal;
     ``status --format json`` also parses and renders no status: it runs
-    with ``status_text`` and ``_json_text`` raising, and ``json.loads``
-    refusing any text that holds a status."""
+    with ``status_text`` raising, and ``json.loads`` refusing any text that
+    holds a status."""
     if placement == "region":
         root = _build(tmp_path, capsys, *REGION,
                       ("deploy", "--region", "garr-pa", str(tmp_path / "moodle-bundle.yaml")))
@@ -357,36 +357,34 @@ def test_sealed_status_parses_no_state_file(tmp_path, capsys, monkeypatch, place
 
     monkeypatch.setattr(json, "loads", loads_no_status)
     monkeypatch.setattr(cli, "status_text", refuse)
-    monkeypatch.setattr(cli, "_json_text", refuse)
     assert _invoke(root, capsys, *STATUSES[1]) == unsealed[1]
 
 
 @pytest.mark.parametrize("where", ["option", "relation-data"])
-def test_mapping_values_hash_whatever_their_key_order(charged, capsys, digests, where):
+def test_mapping_values_are_refused(charged, capsys, where):
     """A hand-written mapping value in ``model.yaml``, as an option value
-    or a relation-data value, hashes as the oracle's ``sort_keys`` text
-    does whatever the order of its keys in the file, unsealed and then
-    sealed by a ``converge``."""
+    or a relation-data value, is no value the engine writes: both formats
+    of ``status``, sealed or not, and ``converge`` refuse it with one line
+    naming the field, and change no file."""
     path = charged / "model.yaml"
     text = path.read_text()
     scalar = '"site_name":"Moodle"' if where == "option" else '"connected":"10.0.0.1"'
     assert text.count(scalar) == 1
     name = scalar.split(":")[0]
-    hashes = []
-    for mapping in ('{"b":1,"a":{"d":[{"f":2,"e":3}],"c":null}}',
-                    '{"a":{"c":null,"d":[{"e":3,"f":2}]},"b":1}'):
-        path.write_text(text.replace(scalar, f"{name}:{mapping}"))
-        (_, json_text), sealed = _statuses(charged, capsys, digests)
-        assert not sealed
-        unsealed = json.loads(json_text)["state_hash"]
-        code, out, err = _invoke(charged, capsys, "converge")
-        assert code == 0, err
-        (_, json_text), sealed = _statuses(charged, capsys, digests)
-        assert sealed
-        oracle = hashlib.sha256(canonical_text_oracle(Workspace(charged).load_model())).hexdigest()
-        assert unsealed == _printed_hash(out) == json.loads(json_text)["state_hash"] == oracle
-        hashes.append(oracle)
-    assert hashes[0] == hashes[1]
+    path.write_text(text.replace(scalar, f'{name}:{{"b":1,"a":2}}'))
+    if where == "option":
+        field = "applications['moodle']['config']['site_name']"
+        expected = "a string, an integer, a boolean or a float"
+    else:
+        relation = next(iter(json.loads(text)["model"]["relations"]))
+        field = f"relations[{relation!r}]['data']['moodle/0']['connected']"
+        expected = "a string"
+    files = _files(charged)
+    for argv in (*STATUSES, ("converge",)):
+        assert _invoke(charged, capsys, *argv) == (
+            1, "", f"cli: malformed model document: {field} must be {expected}, "
+                   "not a mapping\n"), argv
+        assert _files(charged) == files
 
 
 def test_plain_tables_order_units_and_machines_by_number(tmp_path, capsys, digests):
@@ -506,13 +504,13 @@ def test_sealed_text_is_the_sort_keys_text(text, events):
     assert cli.status_text(snapshot) == json.dumps(snapshot, indent=2, sort_keys=True)
 
 
-#: Values no engine writes but a hand-written ``model.yaml`` can hold.
-ODD_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
-    lambda children: st.lists(children, max_size=3)
-    | st.dictionaries(st.text(max_size=3), children, max_size=3),
-    max_leaves=6,
-)
+#: Every string: non-ASCII and control characters, and lone surrogates,
+#: which a JSON state file can hold as escapes.
+TEXTS = st.text(st.characters(exclude_categories=()), max_size=6)
+#: Every option value ``load_checkpoint`` admits: floats with NaN, the
+#: infinities and -0.0, and ints far past 64 bits.
+OPTION_VALUES = (st.floats() | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0])
+                 | st.integers(-(10**60), 10**60) | st.booleans() | TEXTS)
 
 
 @functools.lru_cache(maxsize=1)
@@ -523,32 +521,36 @@ def _moodle_snapshot() -> dict:
 
 @st.composite
 def odd_snapshots(draw) -> dict:
-    """The moodle bundle's status snapshot with any of its fields, option
-    values and relation-data values replaced by an odd value."""
+    """The moodle bundle's status snapshot with any of its option values
+    and relation-data values, and its units' statuses, messages, states
+    and ports and its machines' properties, replaced by other values of
+    the types ``load_checkpoint`` and ``Inventory.load`` admit."""
     snapshot = copy.deepcopy(_moodle_snapshot())
 
-    def replace(mapping: dict) -> None:
+    def replace(mapping: dict, values) -> None:
         for key in mapping:
             if draw(st.booleans()):
-                mapping[key] = draw(ODD_VALUES)
+                mapping[key] = draw(values)
 
     for app in snapshot["applications"].values():
-        replace(app["config"])
+        replace(app["config"], OPTION_VALUES)
     for relation in snapshot["relations"].values():
         for bag in relation["data"].values():
-            replace(bag)
-    for section in ("applications", "machines", "relations", "units"):
-        for record in snapshot[section].values():
-            replace(record)
-    replace(snapshot)
+            replace(bag, TEXTS)
+    for unit in snapshot["units"].values():
+        unit.update(status=draw(TEXTS), message=draw(TEXTS),
+                    states=sorted(draw(st.sets(TEXTS, max_size=3))),
+                    open_ports=sorted(draw(st.sets(st.integers(-(10**30), 10**30), max_size=3))))
+    for machine in snapshot["machines"].values():
+        machine["properties"] = sorted(draw(st.sets(TEXTS, max_size=3)))
     return snapshot
 
 
 @settings(max_examples=300, deadline=None)
 @given(odd_snapshots())
 def test_status_text_is_the_sort_keys_text_for_odd_values(snapshot):
-    """Whatever a snapshot's fields hold (a status or message that is not
-    a string, an int ``leader``, mixed-type states, floats, NaN, nulls or
-    mapping-valued options), ``status_text`` writes what
+    """Whatever values of the admitted types a snapshot holds (floats with
+    NaN, the infinities and -0.0, huge ints, and strings with non-ASCII
+    and control characters), ``status_text`` writes what
     ``json.dumps(indent=2, sort_keys=True)`` writes."""
     assert cli.status_text(snapshot) == json.dumps(snapshot, indent=2, sort_keys=True)

@@ -9,16 +9,22 @@ rewritten.
 
 from __future__ import annotations
 
+import contextlib
+import datetime
 import hashlib
+import io
 import json
 import os
 import pathlib
 import shutil
 import subprocess
 import sys
+import tempfile
 
 import pytest
 import yaml
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from oracles import flatten_seen
 
 from fedweave import cli, statefile
@@ -668,3 +674,149 @@ def test_malformed_later_seen_group_fails_with_one_line(local, tmp_path, case, a
     assert err == ("engine: seen of unit 'moodle/0' is not a list of "
                    "[kind, name, payload, [remote, ...]] groups\n"), err
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()} == files
+
+
+# ---------------------------------------------------------------------------
+# A model field of a type the engine never writes is refused at the load
+
+#: Both formats of ``status`` and two commands that would write.
+REFUSING = (("status",), ("status", "--format", "json"), ("config", "moodle", "site_name=X"),
+            ("converge",))
+DATE = datetime.date(2017, 1, 1)
+#: For each type ``load_checkpoint`` wants, values of other types.
+WRONG = {
+    str: [DATE, {"a": [1]}, [["x"]], 5, True, None, 1.5],
+    int: [DATE, {"a": 1}, [1], "3", True, None, 3.0],
+    bool: [DATE, {"a": True}, [True], "yes", 1, None],
+    list: [DATE, {"a": []}, "x", 1, None],
+    dict: [DATE, [{"a": 1}], "x", 1, None],
+    "option": [DATE, {"b": 1, "a": 2}, [1, "a"], None],
+    "project": [DATE, {"a": 1}, ["x"], 5, True],
+}
+
+
+def _model_fields(model: dict) -> list[tuple[tuple, object]]:
+    """Every field of the engine-written ``model`` that ``load_checkpoint``
+    checks, as its path in the model and the type it must have (a ``WRONG``
+    key)."""
+    fields = [(("generation",), int), (("strict_conflicts",), bool), (("project",), "project"),
+              (("applications",), dict), (("units",), dict), (("relations",), dict),
+              (("machines",), list), *((("machines", i), str) for i in range(len(model["machines"])))]
+    for name, app in model["applications"].items():
+        fields += [(("applications", name, key), kind) for key, kind in
+                   (("charm", str), ("series", str), ("exposed", bool), ("unit_counter", int),
+                    ("config", dict))]
+        fields += [(("applications", name, "config", key), "option") for key in app["config"]]
+    for unit_id, unit in model["units"].items():
+        fields += [(("units", unit_id, key), kind) for key, kind in
+                   (("application", str), ("machine", str), ("status", str), ("message", str),
+                    ("leader", bool), ("states", list), ("open_ports", list))]
+        fields += [(("units", unit_id, "states", i), str) for i in range(len(unit["states"]))]
+        fields += [(("units", unit_id, "open_ports", i), int)
+                   for i in range(len(unit["open_ports"]))]
+    for relation_id, relation in model["relations"].items():
+        fields += [(("relations", relation_id, key), kind) for key, kind in
+                   (("provider", str), ("requirer", str), ("interface", str), ("data", dict))]
+        for unit_id, bag in relation["data"].items():
+            fields += [(("relations", relation_id, "data", unit_id), dict),
+                       *((("relations", relation_id, "data", unit_id, key), str) for key in bag)]
+    return fields
+
+
+def _field_text(path: tuple) -> str:
+    return path[0] + "".join(f"[{key!r}]" for key in path[1:])
+
+
+def _tree_files(root: pathlib.Path) -> dict[str, bytes]:
+    return {str(path.relative_to(root)): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+@pytest.fixture(scope="module")
+def engine_written(tmp_path_factory) -> pathlib.Path:
+    """The demo bundle deployed on four local machines, its ``status``
+    sealed: a workspace as the engine writes it."""
+    root = tmp_path_factory.mktemp("engine-written")
+    for argv in (("init", "--demo"), ("machine", "add-zone", "garr-01", "az1"),
+                 ("machine", "enlist", "--zone", "garr-01/az1", "--cores", "4", "--mem", "8192",
+                  "--disk", "102400", "-n", "4"),
+                 ("deploy", str(root / "moodle-bundle.yaml"))):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_command(["-w", str(root), *argv]) == 0, argv
+    return root
+
+
+def _refusals(root: pathlib.Path) -> list[tuple[int, str, str]]:
+    """What each ``REFUSING`` command exits with and prints, each checked
+    to leave every file of the workspace as it was."""
+    files = _tree_files(root)
+    results = []
+    for argv in REFUSING:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_command(["-w", str(root), *argv])
+        results.append((code, out.getvalue(), err.getvalue()))
+        assert _tree_files(root) == files, argv
+    return results
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_field_of_another_type_is_refused(engine_written, data):
+    """One field of an engine-written ``model.yaml``, drawn with a value
+    of another type, or one mapping key drawn as a number or a date: every
+    command that loads the model exits 1 with one line naming the field
+    and changes no file."""
+    with tempfile.TemporaryDirectory() as name:
+        root = pathlib.Path(name) / "ws"
+        shutil.copytree(engine_written, root)
+        doc = json.loads((root / "model.yaml").read_bytes())
+        model = doc["model"]
+        path, kind = data.draw(st.sampled_from(_model_fields(model)))
+        parent = model
+        for key in path[:-1]:
+            parent = parent[key]
+        if type(parent[path[-1]]) is dict and data.draw(st.booleans()):
+            # A key of a mapping of records or values, not a string.
+            mapping = parent[path[-1]]
+            old = data.draw(st.sampled_from(sorted(mapping))) if mapping else None
+            assume(old is not None)
+            mapping[data.draw(st.sampled_from([5, DATE]))] = mapping.pop(old)
+            problem = f"{_field_text(path)} has a key that is not a string"
+        else:
+            parent[path[-1]] = data.draw(st.sampled_from(WRONG[kind]))
+            problem = f"{_field_text(path)} must be "
+        (root / "model.yaml").write_text(yaml.safe_dump(doc))
+        for code, out, err in _refusals(root):
+            assert (code, out) == (1, ""), err
+            assert err.startswith(f"cli: malformed model document: {problem}"), err
+            assert err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    ("name", "mutate", "line"),
+    [("model.yaml", _set(("model", "applications", "moodle", "config", "site_name"), DATE),
+      "cli: malformed model document: applications['moodle']['config']['site_name'] must be "
+      "a string, an integer, a boolean or a float, not a date"),
+     ("model.yaml", _set(("model", "units", "moodle/0", "status"), 5),
+      "cli: malformed model document: units['moodle/0']['status'] must be a string, "
+      "not an integer"),
+     ("model.yaml", _set(("model", "applications", "moodle", "exposed"), "yes"),
+      "cli: malformed model document: applications['moodle']['exposed'] must be a boolean, "
+      "not a string"),
+     ("inventory.yaml", _machine(0, properties=[1, "a"]),
+      "provider: malformed inventory document: machine '0' has property 1, "
+      "which is not a string")],
+    ids=["date-option", "status-an-int", "exposed-a-string", "properties-mixed"],
+)
+def test_reproduced_hand_written_values_are_refused(engine_written, tmp_path, name, mutate,
+                                                    line):
+    """Values that once ended ``status`` or a write in a traceback: a YAML
+    date as an option, a number as a unit's status, a string as
+    ``exposed``, and a number among a machine's properties."""
+    root = tmp_path / "ws"
+    shutil.copytree(engine_written, root)
+    doc = json.loads((root / name).read_bytes())
+    mutate(doc)
+    (root / name).write_text(yaml.safe_dump(doc))
+    assert _refusals(root) == [(1, "", line + "\n")] * len(REFUSING)
