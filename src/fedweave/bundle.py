@@ -111,13 +111,7 @@ class Constraints:
     tags: frozenset[str] = frozenset()
 
     def is_unconstrained(self) -> bool:
-        return (
-            self.arch is None
-            and self.cpu_cores is None
-            and self.mem is None
-            and self.root_disk is None
-            and not self.tags
-        )
+        return self == Constraints()
 
 
 @dataclass(frozen=True)
@@ -206,42 +200,31 @@ def parse_constraints(text: str) -> Constraints:
     """
     if not isinstance(text, str):
         raise ConstraintError(f"constraint string expected, got {type(text).__name__}")
-    arch: str | None = None
-    cpu_cores: int | None = None
-    mem: int | None = None
-    root_disk: int | None = None
-    tags: frozenset[str] = frozenset()
-    seen: set[str] = set()
+    fields: dict = {}  # by field name: cpu_cores for the key cpu-cores
     for token in text.split():
         if "=" not in token:
             raise ConstraintError(f"malformed constraint pair {token!r}")
         key, _, value = token.partition("=")
         if key not in _CONSTRAINT_KEYS:
             raise ConstraintError(f"unknown constraint key {key!r}")
-        if key in seen:
+        name = key.replace("-", "_")
+        if name in fields:
             raise ConstraintError(f"duplicate constraint key {key!r}")
-        seen.add(key)
         if value == "":
             raise ConstraintError(f"empty value for constraint key {key!r}")
         if key == "arch":
             if not _TOKEN_RE.match(value):
                 raise ConstraintError(f"malformed arch value {value!r}")
-            arch = value
+            fields[name] = value
         elif key == "tags":
             labels = value.split(",")
             for label in labels:
                 if not _TOKEN_RE.match(label):
                     raise ConstraintError(f"malformed tag {label!r}")
-            tags = frozenset(labels)
+            fields[name] = frozenset(labels)
         else:
-            count = _parse_count(key, value)
-            if key == "cpu-cores":
-                cpu_cores = count
-            elif key == "mem":
-                mem = count
-            else:
-                root_disk = count
-    return Constraints(arch=arch, cpu_cores=cpu_cores, mem=mem, root_disk=root_disk, tags=tags)
+            fields[name] = _parse_count(key, value)
+    return Constraints(**fields)
 
 
 def _parse_count(key: str, value: str) -> int:
@@ -256,15 +239,9 @@ def _parse_count(key: str, value: str) -> int:
 
 def render_constraints(constraints: Constraints) -> str:
     """Render constraints canonically: fixed key order, tags sorted."""
-    parts: list[str] = []
-    if constraints.arch is not None:
-        parts.append(f"arch={constraints.arch}")
-    if constraints.cpu_cores is not None:
-        parts.append(f"cpu-cores={constraints.cpu_cores}")
-    if constraints.mem is not None:
-        parts.append(f"mem={constraints.mem}")
-    if constraints.root_disk is not None:
-        parts.append(f"root-disk={constraints.root_disk}")
+    parts = [f"{key}={value}" for key, value in
+             zip(_CONSTRAINT_KEYS, (constraints.arch, constraints.cpu_cores, constraints.mem,
+                                    constraints.root_disk)) if value is not None]
     if constraints.tags:
         parts.append("tags=" + ",".join(sorted(constraints.tags)))
     return " ".join(parts)

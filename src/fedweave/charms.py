@@ -253,11 +253,7 @@ class OptionSchema:
     def coerce(self, value):
         """Coerce a raw scalar (string or YAML native) to the schema type."""
         if self.type == "string":
-            if value is None:
-                return ""
-            if isinstance(value, bool):
-                return "true" if value else "false"
-            return str(value)
+            return _option_str(value)
         if self.type == "int":
             if isinstance(value, bool):
                 raise OptionTypeError(f"expected int, got boolean {value!r}")

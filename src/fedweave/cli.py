@@ -23,7 +23,7 @@ that changes state ends in one ``commit``, which rewrites only the state
 files whose text changed (a ``config`` on a model placed on a region
 rewrites ``model.yaml`` alone) and rewrites them as one set: a commit of
 several files is recorded in ``.fedweave-commit`` before any of them is
-replaced.  Every invocation, under the lock and before it loads
+replaced.  Every invocation that takes the lock, before it loads
 anything, finishes a commit an earlier one recorded but did not finish
 and deletes temporary files that no record names, so after a crash the
 files are all old or all new.  Read commands write nothing.
@@ -37,9 +37,10 @@ content, when the files are as they were when it was made; otherwise all
 charm files are parsed, once, and a command that commits then writes the
 new compiled copy.  Every file is read as bytes and decoded as UTF-8.
 
-A lock file (``.fedweave-lock``, holding the pid and start time of the
-invocation that took it) guards each invocation; a second concurrent
-invocation fails, naming the holder, rather than interleaving writes.
+The workspace lock is an ``flock`` on ``.fedweave-lock``, which holds the
+holder's pid and start time, and which the kernel lets go of when the
+holder dies.  A command that finds it held fails at once, naming the
+holder; a ``status`` polls for up to ``STATUS_LOCK_WAIT`` seconds first.
 
 Arguments are parsed straight from the one ``COMMANDS`` table: a plain
 argv (the workspace option, the command words, the positionals, then
@@ -63,12 +64,13 @@ for that snapshot, sealed to the SHA-256 of every file ``load_model``
 reads as the commit left them (``model.yaml``, the file holding the
 model's inventory, and ``projects.yaml`` when the model charges a
 project).  ``status`` hashes those files and, when the seal names their
-very bytes, parses no state file: ``--format json`` prints the sealed
-text and parses or renders nothing, and the plain tables parse it once.
-Otherwise ``status`` loads the model, so its output and exit code are
-the same either way.  On the 600-unit fleet the seal is about 385 KB,
-up from about 240 KB when it held the compact canonical state; the
-benchmark's ``state_kb`` does not count it.  The seal and the compiled
+very bytes, parses no state file and takes no lock: ``--format json``
+prints the sealed text and parses or renders nothing, and the plain
+tables parse it once.  Otherwise ``status`` loads the model under the
+lock, so its output and exit code are the same either way.  On the
+600-unit fleet the seal is about 385 KB, up from about 240 KB when it
+held the compact canonical state; the benchmark's ``state_kb`` does not
+count it.  The seal and the compiled
 store are derived files, written after the commit and never by a read,
 and absent when damaged.
 A state document of the wrong shape, such as a model field of a type the
@@ -89,6 +91,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import fcntl
 import gc
 import hashlib
 import json
@@ -126,6 +129,10 @@ from .provider import Inventory, machine_sort_key
 from .quota import COMPONENTS, ProjectTree, QuotaSet
 
 LOCK_FILE = ".fedweave-lock"
+#: How long, in seconds, a ``status`` that the seal cannot answer polls the
+#: seal and the lock; every other command fails at once on a held lock.
+STATUS_LOCK_WAIT = 10.0
+_LOCK_POLL = 0.02
 STATE_FILES = ("model.yaml", "inventory.yaml", "federation.yaml", "projects.yaml")
 #: Derived files (see ``statefile.write_derived``), written after the commit
 #: and not state files: the compiled copy of the charm store (see
@@ -171,8 +178,6 @@ class Workspace:
         # The SHA-256 of each loaded file's bytes (None when it does not
         # exist); once committed, of the text the commit left in it.
         self._digests: dict[Path, str | None] = {}
-        # The bytes of state files the seal check read, until they are loaded.
-        self._checked: dict[Path, bytes | None] = {}
         self._charm_files = _CharmFiles(root)
 
     def require_init(self) -> None:
@@ -201,7 +206,7 @@ class Workspace:
     def _read_state(self, path: Path) -> bytes | None:
         """The bytes of ``path`` (None when it does not exist), whose
         SHA-256 the workspace keeps."""
-        data = self._checked.pop(path) if path in self._checked else _read(path)
+        data = _read(path)
         self._digests[path] = _sha256(data)
         return data
 
@@ -308,33 +313,33 @@ class Workspace:
 
     def sealed_status(self) -> bytes | None:
         """What ``status --format json`` prints, as the seal holds it, when
-        the seal is whole and every file it names is byte for byte as the
-        write that sealed it left it; None when the model must be loaded
-        instead."""
+        the workspace is initialised, ``statefile.recover`` has nothing to
+        do, the seal is whole and every file it names is byte for byte as
+        the write that sealed it left it; None when the model must be
+        loaded instead.  It needs no lock: state files change only by
+        rename and the seal only after its commit, so files that match a
+        whole seal are the files of one committed state."""
+        if not self.inventory_path.exists() or not _UNRECOVERED.isdisjoint(os.listdir(self.root)):
+            return None
         sealed = statefile.read_derived(self.root / SEAL_FILE, self._sources_current)
         if sealed is None or not sealed.startswith(_SEALED_HEAD):
             return None  # none, or of an older layout
-        self._checked.clear()
         return sealed
 
     def _sources_current(self, sources: list) -> bool:
         """Whether each ``[name, SHA-256]`` of a seal names a state file
-        whose bytes have that SHA-256.  The bytes read are kept for
-        ``load_model``, which a seal that does not hold leaves to run."""
-        for source in sources:
-            if type(source) is not list or len(source) != 2 or source[0] not in STATE_FILES:
-                return False
-            path = self.root / source[0]
-            self._checked[path] = _read(path)
-            if _sha256(self._checked[path]) != source[1]:
-                return False
-        return True
+        whose bytes have that SHA-256."""
+        return all(type(source) is list and len(source) == 2 and source[0] in STATE_FILES
+                   and _sha256(_read(self.root / source[0])) == source[1] for source in sources)
 
 
 #: How every ``status_text`` of a status snapshot starts, and no earlier
 #: seal value did: the bare hash, or compact ``generation``, ``hash`` and
 #: ``state`` fields.
 _SEALED_HEAD = b'{\n  "applications": '
+#: What ``statefile.recover`` finishes or deletes; while one is present, a
+#: ``status`` takes the lock, under which it is recovered first.
+_UNRECOVERED = frozenset({statefile.COMMIT_RECORD, *map(statefile._temporary, STATE_FILES)})
 
 
 class _CharmFiles:
@@ -396,45 +401,43 @@ def _sha256(data: bytes | None) -> str | None:
     return None if data is None else hashlib.sha256(data).hexdigest()
 
 
+class _LockHeld(CliError):
+    """The workspace lock is held by another invocation."""
+
+
 @contextlib.contextmanager
 def _locked(root: Path):
+    """Hold the workspace lock: an exclusive ``flock`` on ``LOCK_FILE``,
+    which the kernel drops when its holder dies.  The holder writes its
+    pid and start time into the file and unlinks it before letting go, so
+    a lock taken on a file no longer linked is let go and taken again on
+    the file now at the path."""
     lock = root / LOCK_FILE
+    while True:
+        try:
+            fd = os.open(lock, os.O_RDWR | os.O_CREAT, 0o666)
+        except FileNotFoundError:
+            raise CliError(f"workspace directory {root} does not exist") from None
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            holder = os.read(fd, 100).decode("utf-8", "replace").split()
+            os.close(fd)
+            named = ": pid {}, started {}".format(*holder) if len(holder) == 2 else ""
+            raise _LockHeld(f"workspace {root} is locked by another invocation{named}") from None
+        if os.fstat(fd).st_nlink:
+            break
+        os.close(fd)
     try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise CliError(_lock_holder(root, lock)) from None
-    except FileNotFoundError:
-        raise CliError(f"workspace directory {root} does not exist") from None
-    started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(f"{os.getpid()} {started}\n")
+        # Over what a killed holder left, cut after writing: ext4 flushes a
+        # file truncated to zero and then written when it is closed.
+        line = f"{os.getpid()} {time.strftime('%Y-%m-%dT%H:%M:%SZ', time.gmtime())}\n"
+        os.ftruncate(fd, os.write(fd, line.encode("ascii")))
         yield
     finally:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(lock)
-
-
-def _lock_holder(root: Path, lock: Path) -> str:
-    """Why the lock is held, naming the holder when the lock file does.
-    The lock is never removed here: only the user can tell that a live
-    process with that pid is not a fedweave invocation."""
-    message = f"workspace {root} is locked by another invocation"
-    try:
-        pid_text, started = lock.read_text().split()
-        pid = int(pid_text)
-        if pid <= 0:
-            raise ValueError(pid)
-    except (OSError, ValueError):
-        return f"{message} (remove {LOCK_FILE} if stale)"
-    holder = f"{message}: pid {pid}, started {started},"
-    try:
-        os.kill(pid, 0)  # signal 0 only checks that the process exists
-    except (ProcessLookupError, OverflowError):
-        return f"{holder} is no longer running (the lock is stale: remove {LOCK_FILE})"
-    except PermissionError:
-        pass  # it exists, but belongs to another user
-    return f"{holder} is still running (remove {LOCK_FILE} only if it is not fedweave)"
+        os.close(fd)
 
 
 # ---------------------------------------------------------------------------
@@ -730,8 +733,7 @@ def cmd_converge(ws: Workspace, args) -> int:
     return 0 if _finish(ws, args, []).converged else 1
 
 
-def cmd_status(ws: Workspace, args) -> int:
-    sealed = ws.sealed_status()
+def cmd_status(ws: Workspace, args, sealed: bytes | None = None) -> int:
     if args.format == "json":
         print(status_text(status_snapshot(ws.load_model())) if sealed is None
               else sealed.decode("ascii"))
@@ -1356,12 +1358,22 @@ def _run_command(argv: list[str] | None) -> int:
     try:
         if args.func is cmd_init:
             root.mkdir(parents=True, exist_ok=True)
-        with _locked(root):
-            statefile.recover(root, STATE_FILES)
+        waited = time.monotonic() + (STATUS_LOCK_WAIT if args.func is cmd_status else 0)
+        while True:
             ws = Workspace(root)
-            if args.func is not cmd_init:
-                ws.require_init()
-            return args.func(ws, args)
+            sealed = ws.sealed_status() if args.func is cmd_status else None
+            if sealed is not None:
+                return cmd_status(ws, args, sealed)
+            try:
+                with _locked(root):
+                    statefile.recover(root, STATE_FILES)
+                    if args.func is not cmd_init:
+                        ws.require_init()
+                    return args.func(ws, args)
+            except _LockHeld:
+                if time.monotonic() >= waited:
+                    raise
+            time.sleep(_LOCK_POLL)
     except FedweaveError as exc:
         print(f"{exc.module}: {exc}", file=sys.stderr)
         return 1

@@ -1368,13 +1368,15 @@ def load_checkpoint(
         inventory = Inventory.load(embedded)
     generation, strict_conflicts = doc.get("generation", 0), doc.get("strict_conflicts", True)
     project, machines = doc.get("project"), doc.get("machines", _NO_ITEMS)
-    sections = applications, units, relations = [
-        doc.get(key, _NOTHING) for key in ("applications", "units", "relations")]
+    sections = applications, units, relations, charges = [
+        doc.get(key, _NOTHING) for key in ("applications", "units", "relations",
+                                           "machine_charges")]
+    queue = doc.get("queue", _NO_ITEMS)
     if not (type(generation) is int and type(strict_conflicts) is bool
             and (project is None or type(project) is str) and type(machines) is list
-            and _strings(machines) and all(type(section) is dict and _strings(section)
-                                           and _DICT.issuperset(map(type, section.values()))
-                                           for section in sections)):
+            and _strings(machines) and type(queue) is list
+            and all(type(section) is dict and _strings(section)
+                    and _DICT.issuperset(map(type, section.values())) for section in sections)):
         raise _malformed(doc)
     model = Model(
         store,
@@ -1466,17 +1468,21 @@ def load_checkpoint(
             interface=interface,
             data=data,
         )
-    for body in doc.get("queue") or []:
-        if isinstance(body, dict):
-            body = (body["kind"], body.get("name", ""), body["target"], body.get("payload", ""),
-                    body.get("remote", ""))
+    for index, body in enumerate(queue):
+        if type(body) is dict:  # one object per event, as older checkpoints wrote them
+            body = [body["kind"], body.get("name", ""), body["target"], body.get("payload", ""),
+                    body.get("remote", "")]
+        if not (type(body) is list and len(body) == 5 and _strings(body)):
+            raise (_malformed(body, [str], ("queue", index)) or MalformedCheckpointError(
+                f"queue[{index}] must hold 5 items, not {len(body)}"))
         kind, name, target, payload, remote = body
         model.event_queue.append(Event(EventKind(kind, name), target, payload, remote))
     model.machines = set(machines)
-    model.machine_charges = {
-        machine_id: QuotaSet.from_dict(body)
-        for machine_id, body in (doc.get("machine_charges") or {}).items()
-    }
+    if not all(_strings(body) and _INT.issuperset(map(type, body.values()))
+               for body in charges.values()):
+        raise _malformed(charges, _CHECKPOINT_TYPES["machine_charges"], ("machine_charges",))
+    model.machine_charges = {machine_id: QuotaSet.from_dict(body)
+                             for machine_id, body in charges.items()}
     return model
 
 
@@ -1496,11 +1502,14 @@ _CHECKPOINT_TYPES = {
     "relations": {str: {"provider": str, "requirer": str, "interface": str,
                         "data": {str: {str: str}}}},
     "machines": [str],
+    "machine_charges": {str: {str: int}},
+    "queue": [[str]],
 }
 # What a missing mapping or list reads as; the load copies what it keeps.
 _NOTHING: dict = {}
 _NO_ITEMS: list = []
 _DICT = frozenset({dict})
+_INT = frozenset({int})
 _TYPE_NAMES = {str: "a string", int: "an integer", bool: "a boolean", float: "a float",
                dict: "a mapping", list: "a list", type(None): "null"}
 

@@ -358,7 +358,8 @@ class Inventory(statefile.Document):
         document (state defaults to ready, zones are inferred, and a machine
         with no id takes its position in the list).  A machine id given
         twice or neither a string nor an integer, cores, mem or disk that
-        is not positive, and a property that is not a string are errors.
+        is not a positive integer, and an arch, series or property that is
+        not a string are errors.
         Each record is built in one call; then containers join their hosts,
         hosts reserve what their containers reserve, and one sort builds
         the ready index."""
@@ -379,7 +380,7 @@ class Inventory(statefile.Document):
                 mem = parsed.mem or 1024
                 disk = parsed.root_disk or 10240
             else:
-                cores, mem, disk = int(body["cores"]), int(body["mem"]), int(body["disk"])
+                cores, mem, disk = body["cores"], body["mem"], body["disk"]
             machine_id = body.get("id")
             named = machine_id is not None or "id" in body
             if type(machine_id) is not str:
@@ -390,10 +391,15 @@ class Inventory(statefile.Document):
                 else:
                     raise ProviderError("malformed inventory document: machine id "
                                         f"{machine_id!r} is neither a string nor an integer")
-            if cores <= 0 or mem <= 0 or disk <= 0:
+            if not (type(cores) is int and type(mem) is int and type(disk) is int
+                    and cores > 0 and mem > 0 and disk > 0):
                 raise ProviderError(
-                    f"malformed inventory document: machine {machine_id!r} has cores {cores}, "
-                    f"mem {mem} and disk {disk}; each must be positive")
+                    f"malformed inventory document: machine {machine_id!r} has cores {cores!r}, "
+                    f"mem {mem!r} and disk {disk!r}; each must be a positive integer")
+            arch, series = body.get("arch", "amd64"), body.get("series", "xenial")
+            if type(arch) is not str or type(series) is not str:
+                raise ProviderError(f"malformed inventory document: machine {machine_id!r} has "
+                                    f"arch {arch!r} and series {series!r}; each must be a string")
             if machine_id in machines:
                 raise ProviderError(
                     f"machine id {machine_id!r} is listed twice" if named else
@@ -411,11 +417,11 @@ class Inventory(statefile.Document):
                 id=machine_id,
                 region=region,
                 az=az,
-                arch=str(body.get("arch", "amd64")),
+                arch=arch,
                 cores=cores,
                 mem=mem,
                 disk=disk,
-                series=str(body.get("series", "xenial")),
+                series=series,
                 properties=set(properties) if properties else set(),
                 state=str(body.get("state", "ready")),
                 parent=body.get("parent"),

@@ -23,6 +23,7 @@ admin of its subprojects.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 from . import statefile
 from .errors import FedweaveError
@@ -183,26 +184,24 @@ class ProjectTree(statefile.Document):
             )
         if node.parent is not None:
             parent = self._node(node.parent)
-            sibling_sum = ZERO
-            for child_id in parent.children:
-                if child_id != project_id:
-                    sibling_sum = sibling_sum.add(self.nodes[child_id].quota)
-            over = sibling_sum.add(quota).exceeding_components(parent.quota)
+            over = self._total(parent.children, but=project_id).add(quota).exceeding_components(
+                parent.quota)
             if over:
                 raise SiblingSumExceedsParentError(
                     f"quota for {project_id!r} plus its siblings exceeds parent "
                     f"{node.parent!r} on: " + ", ".join(over)
                 )
-        child_sum = ZERO
-        for child_id in node.children:
-            child_sum = child_sum.add(self.nodes[child_id].quota)
-        over = child_sum.exceeding_components(quota)
+        over = self._total(node.children).exceeding_components(quota)
         if over:
             raise ChildSumExceedsQuotaError(
                 f"children of {project_id!r} already hold more than the new quota on: "
                 + ", ".join(over)
             )
         node.quota = quota
+
+    def _total(self, project_ids: list[str], but: str | None = None) -> QuotaSet:
+        """The sum of the quotas of ``project_ids``, leaving out ``but``."""
+        return reduce(QuotaSet.add, (self.nodes[p].quota for p in project_ids if p != but), ZERO)
 
     def check_admission(self, project_id: str, request: QuotaSet) -> AdmissionDecision:
         """Local admission: usage + request against this node's quota."""
@@ -221,9 +220,7 @@ class ProjectTree(statefile.Document):
 
     def release(self, project_id: str, amount: QuotaSet) -> None:
         node = self._node(project_id)
-        over = [
-            c for c in COMPONENTS if getattr(amount, c) > getattr(node.usage, c)
-        ]
+        over = amount.exceeding_components(node.usage)
         if over:
             raise ReleaseExceedsUsageError(
                 f"release from {project_id!r} exceeds usage on: " + ", ".join(over)

@@ -17,8 +17,10 @@ import datetime
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -33,9 +35,11 @@ CHECKOUT = Path(__file__).resolve().parent.parent
 INSTALLED = CHECKOUT not in Path(fedweave.__file__).resolve().parents
 
 
-def fedweave_child(*argv: str, env: dict[str, str] | None = None) -> subprocess.CompletedProcess:
+def fedweave_child(*argv: str, env: dict[str, str] | None = None, run=subprocess.run,
+                   **options) -> subprocess.CompletedProcess | subprocess.Popen:
     """Run ``fedweave argv...`` in a child process, with ``env`` added to
-    this process's environment."""
+    this process's environment, by ``run`` with ``options``: by default to
+    its end, capturing what it prints as text."""
     if INSTALLED:
         script = shutil.which("fedweave")
         assert script, f"fedweave is imported from {fedweave.__file__}, but no fedweave is on PATH"
@@ -45,8 +49,8 @@ def fedweave_child(*argv: str, env: dict[str, str] | None = None) -> subprocess.
         command = [sys.executable, "-c", "from fedweave.cli import main; main()"]
         path = os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))
         extra = {"PYTHONPATH": path}
-    return subprocess.run([*command, *argv], capture_output=True, text=True,
-                          env={**os.environ, **extra, **(env or {})})
+    return run([*command, *argv], env={**os.environ, **extra, **(env or {})},
+               **(options or {"capture_output": True, "text": True}))
 
 
 def test_child_imports_the_fedweave_this_process_imported(tmp_path):
@@ -118,3 +122,51 @@ def test_a_date_option_is_one_line_without_a_traceback(tmp_path, capsys):
     assert child.stderr == (
         "cli: malformed model document: applications['moodle']['config']['site_name'] must be "
         "a string, an integer, a boolean or a float, not a date\n")
+
+
+@pytest.mark.parametrize("after", ["write", "unsealed-status"])
+def test_a_killed_holder_never_blocks_the_next_command(tmp_path, capsys, after):
+    """A ``deploy`` reading its bundle from a pipe no one writes holds the
+    lock until it is killed.  Meanwhile a write fails at once, naming it,
+    and a sealed status answers without the lock.  Killed by SIGKILL, it
+    leaves its lock file, which locks nothing: the next write, or an
+    unsealed status, succeeds, and leaves no lock file."""
+    for argv in (("init", "--demo"), ("machine", "add-zone", "garr-01", "az1"),
+                 ("machine", "enlist", "--zone", "garr-01/az1", "--cores", "4",
+                  "--mem", "8192", "--disk", "102400", "-n", "4"),
+                 ("deploy", str(tmp_path / "moodle-bundle.yaml"))):
+        assert run_command(["-w", str(tmp_path), *argv]) == 0, argv
+    capsys.readouterr()
+    sealed = fedweave_child("-w", str(tmp_path), "status", "--format", "json")
+    assert (sealed.returncode, sealed.stderr) == (0, "")
+    lock, bundle = tmp_path / cli.LOCK_FILE, tmp_path / "bundle-pipe"
+    os.mkfifo(bundle)
+    holder = fedweave_child("-w", str(tmp_path), "deploy", str(bundle), run=subprocess.Popen,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 30
+        while not (lock.exists() and lock.read_text().startswith(f"{holder.pid} ")):
+            assert holder.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        started = lock.read_text().split()[1]
+        write = fedweave_child("-w", str(tmp_path), "config", "moodle", "site_name=X")
+        assert (write.returncode, write.stdout, write.stderr) == (
+            1, "", f"cli: workspace {tmp_path} is locked by another invocation: "
+                   f"pid {holder.pid}, started {started}\n")
+        assert fedweave_child("-w", str(tmp_path), "status", "--format", "json").stdout == (
+            sealed.stdout)
+    finally:
+        holder.kill()
+        holder.wait()
+    assert holder.returncode == -signal.SIGKILL
+    assert lock.read_text().startswith(f"{holder.pid} ")
+
+    if after == "write":
+        write = fedweave_child("-w", str(tmp_path), "config", "moodle", "site_name=X")
+        assert (write.returncode, write.stderr) == (0, "")
+        assert write.stdout.endswith("\n") and "state hash: " in write.stdout
+    else:
+        (tmp_path / cli.SEAL_FILE).unlink()
+        unsealed = fedweave_child("-w", str(tmp_path), "status", "--format", "json")
+        assert (unsealed.returncode, unsealed.stdout, unsealed.stderr) == (0, sealed.stdout, "")
+    assert not lock.exists()

@@ -351,9 +351,26 @@ def test_hand_written_inventory_loads_with_defaults():
       "a machine with no id would take its position '1' as its id, "
       "which an earlier machine has"),
      ("{id: '0', region: r, az: a, cores: 1, mem: 1, disk: 1, properties: [1, a]}",
-      "malformed inventory document: machine '0' has property 1, which is not a string")],
+      "malformed inventory document: machine '0' has property 1, which is not a string"),
+     # Once coerced: cores 2.5 loaded as 2, mem true as 1 and series 5 as '5'.
+     ("{id: '0', region: r, az: a, cores: 2.5, mem: 1, disk: 1}",
+      "malformed inventory document: machine '0' has cores 2.5, mem 1 and disk 1; "
+      "each must be a positive integer"),
+     ("{id: '0', region: r, az: a, cores: 1, mem: true, disk: 1}",
+      "malformed inventory document: machine '0' has cores 1, mem True and disk 1; "
+      "each must be a positive integer"),
+     ("{id: '0', region: r, az: a, cores: 1, mem: 1, disk: '4'}",
+      "malformed inventory document: machine '0' has cores 1, mem 1 and disk '4'; "
+      "each must be a positive integer"),
+     ("{id: '0', region: r, az: a, cores: 1, mem: 1, disk: 1, arch: [amd64]}",
+      "malformed inventory document: machine '0' has arch ['amd64'] and series 'xenial'; "
+      "each must be a string"),
+     ("{id: '0', region: r, az: a, cores: 1, mem: 1, disk: 1, series: 5}",
+      "malformed inventory document: machine '0' has arch 'amd64' and series 5; "
+      "each must be a string")],
     ids=["unknown-state", "unknown-host", "unknown-container", "duplicate-id", "position-id",
-         "property-not-a-string"],
+         "property-not-a-string", "cores-a-float", "mem-a-boolean", "disk-a-string",
+         "arch-a-list", "series-an-int"],
 )
 def test_hand_written_inventory_errors_are_one_line(tmp_path, capsys, body, message):
     with pytest.raises(ProviderError) as raised:

@@ -476,8 +476,6 @@ class TestCommit:
                 assert code == 1 and "No space left on device" in err, (at, err)
             else:
                 assert _crash(workspace, self.COMMAND, at) == CRASHED, at
-                # The dead invocation still holds the lock; its error says to remove it.
-                (workspace / ".fedweave-lock").unlink()
             code, out, err = deployed("status", root=workspace)
             assert code == 0, (at, err)
             state = snapshot(workspace, out)
@@ -806,14 +804,26 @@ def test_a_field_of_another_type_is_refused(engine_written, data):
       "not a string"),
      ("inventory.yaml", _machine(0, properties=[1, "a"]),
       "provider: malformed inventory document: machine '0' has property 1, "
-      "which is not a string")],
-    ids=["date-option", "status-an-int", "exposed-a-string", "properties-mixed"],
+      "which is not a string"),
+     ("model.yaml", _set(("model", "queue"), [[5, "x", "moodle/0", "", ""]]),
+      "cli: malformed model document: queue[0][0] must be a string, not an integer"),
+     ("model.yaml", _set(("model", "queue"), [["install", "", "moodle/0", "", 7]]),
+      "cli: malformed model document: queue[0][4] must be a string, not an integer"),
+     ("model.yaml", _set(("model", "queue"), [["install", "", "moodle/0", ""]]),
+      "cli: malformed model document: queue[0] must hold 5 items, not 4"),
+     ("model.yaml", _set(("model", "machine_charges"), {"0": {"vcpus": 1.5}}),
+      "cli: malformed model document: machine_charges['0']['vcpus'] must be an integer, "
+      "not a float")],
+    ids=["date-option", "status-an-int", "exposed-a-string", "properties-mixed",
+         "queue-kind-an-int", "queue-remote-an-int", "queue-entry-short", "charge-a-float"],
 )
 def test_reproduced_hand_written_values_are_refused(engine_written, tmp_path, name, mutate,
                                                     line):
-    """Values that once ended ``status`` or a write in a traceback: a YAML
-    date as an option, a number as a unit's status, a string as
-    ``exposed``, and a number among a machine's properties."""
+    """Values that once ended ``status`` or a write in a traceback, or
+    loaded as another value: a YAML date as an option, a number as a
+    unit's status, a string as ``exposed``, a number among a machine's
+    properties, a number in a queued event (``converge`` failed in its
+    sort), and a fraction as a machine's charge (loaded as its floor)."""
     root = tmp_path / "ws"
     shutil.copytree(engine_written, root)
     doc = json.loads((root / name).read_bytes())
