@@ -50,17 +50,17 @@ usage error among them, goes to the full argparse tree, so what it prints
 and its exit code are argparse's own.  ``--format json`` output is
 byte for byte ``json.dumps(indent=2, sort_keys=True)``, with no reference
 cycle left behind: ``_json_text`` writes a listing's text, and
-``status_text``, the one function that makes a status's JSON text,
-writes it by the layout of a status snapshot, whose values have the
-types ``engine.load_checkpoint`` admits.  A ``status`` pays for what it
+``status_text`` (``engine.status_text``), the one function that makes a
+status's JSON text, writes it straight from the model by the layout of
+a status snapshot, whose values have the types
+``engine.load_checkpoint`` admits.  A ``status`` pays for what it
 prints: it parses no charm, loads the inventory in one pass, and keeps
 each unit's seen groups as ``model.yaml`` holds them, looking at the
 first alone (``engine.load_checkpoint``).
 
-A command that changes the model builds its status snapshot after the
-commit, prints the snapshot's state hash, and writes
-``.fedweave-seal.json``: the exact text ``status --format json`` prints
-for that snapshot, sealed to the SHA-256 of every file ``load_model``
+A command that changes the model hashes it after the commit, prints
+that state hash, and writes ``.fedweave-seal.json``: the exact text
+``status --format json`` prints for the model, sealed to the SHA-256 of every file ``load_model``
 reads as the commit left them (``model.yaml``, the file holding the
 model's inventory, and ``projects.yaml`` when the model charges a
 project).  ``status`` hashes those files and, when the seal names their
@@ -112,14 +112,15 @@ from .engine import (
     Model,
     add_relation,
     add_unit,
-    checkpoint,
+    checkpoint_text,
     deploy_bundle,
     load_checkpoint,
     remove_unit,
     run_to_convergence,
     set_config,
-    state_hash,  # noqa: F401 (the benchmark's tracer wraps cli.state_hash)
+    state_hash,
     status_snapshot,
+    status_text,
     unit_sort_key,
 )
 from .errors import FedweaveError
@@ -262,11 +263,10 @@ class Workspace:
         return self.model
 
     def save_model(self) -> str:
-        """The text of ``model.yaml`` for the model as it is now."""
-        return statefile.dump(
-            {"provider_ref": self.provider_ref,
-             "model": checkpoint(self.model, include_inventory=False)}
-        )
+        """The text of ``model.yaml`` for the model as it is now, written
+        from the model by ``engine.checkpoint_text``."""
+        return (f'{{"provider_ref":{encode_basestring_ascii(self.provider_ref)},'
+                f'"model":{checkpoint_text(self.model)}}}')
 
     def commit(self) -> None:
         """Write back every loaded document whose text changed, all or
@@ -333,7 +333,7 @@ class Workspace:
                    and _sha256(_read(self.root / source[0])) == source[1] for source in sources)
 
 
-#: How every ``status_text`` of a status snapshot starts, and no earlier
+#: How every ``status_text`` starts, and no earlier
 #: seal value did: the bare hash, or compact ``generation``, ``hash`` and
 #: ``state`` fields.
 _SEALED_HEAD = b'{\n  "applications": '
@@ -475,109 +475,6 @@ def _json_text(value, newline: str = "\n") -> str:
     return json.dumps(value)
 
 
-def status_text(snapshot: dict) -> str:
-    """``json.dumps(snapshot, indent=2, sort_keys=True)``, byte for byte:
-    what ``status --format json`` prints, and what a model write seals.
-
-    It is written for the layout ``status_snapshot`` builds, whose values
-    have the types the engine writes (``load_checkpoint`` refuses any
-    other).  A unit or machine record is one f-string template, and a
-    relation one template around a ``str.join`` per data bag; the
-    applications and the scalars are ``_json_text``.  Every model write
-    pays for this text: on the 600-unit benchmark fleet it took 2.4 ms
-    against 12.3 ms for ``json.dumps`` (fastest of 81 runs each, on a
-    2-core x86-64 host).
-    """
-    chunks = []
-    lead = "{\n  "
-    for key, record_text in _STATUS_SECTIONS:
-        value = snapshot[key]
-        if record_text is not None and value:
-            texts: dict = {}
-            text = "{\n    " + ",\n    ".join(
-                [f"{encode_basestring_ascii(name)}: {record_text(value[name], texts)}"
-                 for name in sorted(value)]) + "\n  }"
-        else:
-            text = _json_text(value, "\n  ")
-        chunks.append(f'{lead}"{key}": {text}')
-        lead = ",\n  "
-    chunks.append("\n}")
-    return "".join(chunks)
-
-
-def _strings_text(items: list, texts: dict) -> str:
-    """A list of strings at indent 6.  ``texts`` keeps the text of each
-    list by its items, since a fleet's units share a few lists of states."""
-    if not items:
-        return "[]"
-    key = tuple(items)
-    text = texts.get(key)
-    if text is None:
-        text = texts[key] = ("[\n        " + ",\n        ".join(map(encode_basestring_ascii, items))
-                             + "\n      ]")
-    return text
-
-
-def _ints_text(items: list) -> str:
-    """A list of ints at indent 6."""
-    if not items:
-        return "[]"
-    return "[\n        " + ",\n        ".join(map(int.__repr__, items)) + "\n      ]"
-
-
-def _unit_text(unit: dict, texts: dict) -> str:
-    application, leader, machine, message, ports, states, status = unit.values()
-    return (f'{{\n      "application": {encode_basestring_ascii(application)},'
-            f'\n      "leader": {"true" if leader else "false"},'
-            f'\n      "machine": {encode_basestring_ascii(machine)},'
-            f'\n      "message": {encode_basestring_ascii(message)},'
-            f'\n      "open_ports": {_ints_text(ports)},'
-            f'\n      "states": {_strings_text(states, texts)},'
-            f'\n      "status": {encode_basestring_ascii(status)}\n    }}')
-
-
-def _machine_text(machine: dict, texts: dict) -> str:
-    arch, az, containers, cores, disk, mem, properties, region, series, state = machine.values()
-    # An int's str is its repr, as json.dumps writes it.
-    return (f'{{\n      "arch": {encode_basestring_ascii(arch)},'
-            f'\n      "az": {encode_basestring_ascii(az)},'
-            f'\n      "containers": {_strings_text(containers, texts)},'
-            f'\n      "cores": {cores},\n      "disk": {disk},\n      "mem": {mem},'
-            f'\n      "properties": {_strings_text(properties, texts)},'
-            f'\n      "region": {encode_basestring_ascii(region)},'
-            f'\n      "series": {encode_basestring_ascii(series)},'
-            f'\n      "state": {encode_basestring_ascii(state)}\n    }}')
-
-
-def _relation_text(relation: dict, texts: dict) -> str:
-    data, interface, provider, requirer = relation.values()
-    bags = "{}" if not data else "{\n        " + ",\n        ".join(
-        [f"{encode_basestring_ascii(unit_id)}: {_bag_text(data[unit_id])}"
-         for unit_id in sorted(data)]) + "\n      }"
-    return (f'{{\n      "data": {bags},'
-            f'\n      "interface": {encode_basestring_ascii(interface)},'
-            f'\n      "provider": {encode_basestring_ascii(provider)},'
-            f'\n      "requirer": {encode_basestring_ascii(requirer)}\n    }}')
-
-
-def _bag_text(bag: dict) -> str:
-    """A relation data bag of strings at indent 8."""
-    if not bag:
-        return "{}"
-    return "{\n          " + ",\n          ".join(
-        [f"{encode_basestring_ascii(key)}: {encode_basestring_ascii(bag[key])}"
-         for key in sorted(bag)]) + "\n        }"
-
-
-#: The keys of a status snapshot in sorted order, each with the function
-#: that writes one record of its value, when that value is an object of
-#: records.  Each unpacks a record's values in the sorted order of its
-#: keys, the order in which ``engine._canonical_state`` builds it.
-_STATUS_SECTIONS = (("applications", None), ("generation", None), ("machines", _machine_text),
-                    ("pending_events", None), ("relations", _relation_text),
-                    ("state_hash", None), ("units", _unit_text))
-
-
 def _parse_pairs(pairs: list[str], what: str) -> dict[str, str]:
     parsed = {}
     for pair in pairs:
@@ -695,9 +592,9 @@ def _finish(
     # hashing first raised a 600-unit deploy's peak RSS by about 0.5 MB.  The
     # seal then holds what ``status --format json`` prints of these files, so
     # a ``status`` of them loads no state document.
-    snapshot = status_snapshot(ws.model)
-    ws.seal(status_text(snapshot).encode("ascii"))
-    lines.append(f"state hash: {snapshot['state_hash']}")
+    digest = state_hash(ws.model)
+    ws.seal(status_text(ws.model, digest).encode("ascii"))
+    lines.append(f"state hash: {digest}")
     print("\n".join(lines))
     return outcome
 
@@ -735,8 +632,11 @@ def cmd_converge(ws: Workspace, args) -> int:
 
 def cmd_status(ws: Workspace, args, sealed: bytes | None = None) -> int:
     if args.format == "json":
-        print(status_text(status_snapshot(ws.load_model())) if sealed is None
-              else sealed.decode("ascii"))
+        if sealed is None:
+            model = ws.load_model()
+            print(status_text(model, state_hash(model)))
+        else:
+            print(sealed.decode("ascii"))
         return 0
     snapshot = status_snapshot(ws.load_model()) if sealed is None else json.loads(sealed)
     print(f"state hash  {snapshot['state_hash']}")

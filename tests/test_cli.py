@@ -1153,10 +1153,9 @@ class _Rows(list):
 
 class TestJsonText:
     """``machine list``, ``region list`` and ``quota show`` print
-    ``--format json`` through ``cli._json_text``, and ``status_text``
-    writes a status's applications with it, which must give
+    ``--format json`` through ``cli._json_text``, which must give
     ``json.dumps(indent=2, sort_keys=True)`` byte for byte for a document
-    with string keys."""
+    with string keys, as ``status_text`` must for a model's status."""
 
     @settings(deadline=None, max_examples=300)
     @given(document=JSON_DOCUMENTS)
@@ -1175,7 +1174,7 @@ class TestJsonText:
         run_to_convergence(model)
         snapshot = status_snapshot(model)
         text = json.dumps(snapshot, indent=2, sort_keys=True)
-        assert cli._json_text(snapshot) == cli.status_text(snapshot) == text
+        assert cli._json_text(snapshot) == cli.status_text(model, snapshot["state_hash"]) == text
 
     def test_rejects_what_json_rejects(self):
         with pytest.raises(TypeError, match="not JSON serializable"):

@@ -73,11 +73,12 @@ def _seal_verifies(root: Path) -> bool:
 
 @pytest.fixture
 def digests(monkeypatch):
-    """One entry per ``status`` snapshot built from a loaded model, that is,
-    not from the seal."""
+    """One entry per ``status`` answered from a loaded model, that is, not
+    from the seal: both formats load it, and neither builds a snapshot
+    from the seal."""
     calls = []
-    real = engine._canonical_state
-    monkeypatch.setattr(engine, "_canonical_state", lambda model: calls.append(1) or real(model))
+    real = Workspace.load_model
+    monkeypatch.setattr(Workspace, "load_model", lambda self: calls.append(1) or real(self))
     return calls
 
 
@@ -429,14 +430,9 @@ def test_resumed_deploy_keeps_the_live_hash(text, events):
     doc = statefile.load(statefile.dump(checkpoint(live)))
     resumed = load_checkpoint(doc, store)
     assert state_hash(resumed) == state_hash(live)
-    assert _canonical_text(resumed) == _canonical_text(live)
+    assert engine.canonical_text(resumed) == engine.canonical_text(live)
     assert run_to_convergence(resumed).converged and run_to_convergence(live).converged
     assert state_hash(resumed) == state_hash(live)
-
-
-def _canonical_text(model: Model) -> bytes:
-    """The text the state hash is the SHA-256 of."""
-    return engine._canonical_text(engine._canonical_state(model))
 
 
 def _cli(root: Path, *argv: str) -> tuple[int, str]:
@@ -482,26 +478,49 @@ def test_cli_deploy_prints_the_library_hash_and_status_keeps_it(text):
             (root / SEAL_FILE).unlink(missing_ok=True)
 
 
+def _assert_reference_texts(model: Model) -> None:
+    """The three texts a model write makes from the model are the texts
+    ``json.dumps`` writes for their reference documents: ``model.yaml``
+    for the checkpoint, the hashed text for the canonical state as the
+    state hash first defined it, and the seal for the status snapshot.  A
+    ``checkpoint`` after the text shares every unit's seen, and the text
+    stays the same."""
+    workspace = Workspace(Path("unused"))
+    workspace.model = model
+    text = workspace.save_model()
+    reference = statefile.dump({"provider_ref": "local",
+                                "model": checkpoint(model, include_inventory=False)})
+    assert text == reference
+    assert workspace.save_model() == reference
+    hashed = engine.canonical_text(model)
+    assert hashed == canonical_text_oracle(model)
+    assert hashlib.sha256(hashed).hexdigest() == state_hash(model)
+    assert (cli.status_text(model, state_hash(model))
+            == json.dumps(status_snapshot(model), indent=2, sort_keys=True))
+
+
 @settings(max_examples=60, deadline=None)
-@given(demo_bundles(), st.integers(0, 60))
-def test_sealed_text_is_the_sort_keys_text(text, events):
-    """At any point of a deploy, the text a model write hashes, built in
-    key order, is the text ``json.dumps(sort_keys=True)`` writes for the
-    canonical state, and the status text it seals is the text
-    ``json.dumps(indent=2, sort_keys=True)`` writes for the snapshot."""
-    live = Model(_store_with_proxy2(), _ample_pool())
+@given(demo_bundles(), st.integers(0, 60), st.booleans(), st.integers(0, 20))
+def test_sealed_text_is_the_sort_keys_text(text, events, resumed, more_events):
+    """At any point of a deploy, live or resumed from its checkpoint and
+    stepped again, so that some units are still sharing their seen with
+    the loaded document, each text of a model write is the text of its
+    reference document."""
+    store = _store_with_proxy2()
+    model = Model(store, _ample_pool())
     try:
-        deploy_bundle(live, parse_bundle(text))
+        deploy_bundle(model, parse_bundle(text))
     except DeploymentError:
         return
     for _ in range(events):
-        if engine.step(live).event is None:
+        if engine.step(model).event is None:
             break
-    hashed = _canonical_text(live)
-    assert hashed == canonical_text_oracle(live)
-    assert hashlib.sha256(hashed).hexdigest() == state_hash(live)
-    snapshot = status_snapshot(live)
-    assert cli.status_text(snapshot) == json.dumps(snapshot, indent=2, sort_keys=True)
+    if resumed:
+        model = load_checkpoint(statefile.load(statefile.dump(checkpoint(model))), store)
+        for _ in range(more_events):
+            if engine.step(model).event is None:
+                break
+    _assert_reference_texts(model)
 
 
 #: Every string: non-ASCII and control characters, and lone surrogates,
@@ -514,43 +533,87 @@ OPTION_VALUES = (st.floats() | st.sampled_from([float("nan"), float("inf"), floa
 
 
 @functools.lru_cache(maxsize=1)
-def _moodle_snapshot() -> dict:
-    return status_snapshot(_deployed(_store_with_proxy2(), _ample_pool(),
-                                     parse_bundle(MOODLE_BUNDLE)))
+def _moodle_documents() -> tuple[dict, dict]:
+    """The deployed moodle bundle's checkpoint and its inventory's document."""
+    model = _deployed(_store_with_proxy2(), _ample_pool(), parse_bundle(MOODLE_BUNDLE))
+    return checkpoint(model, include_inventory=False), model.inventory.dump()
 
 
 @st.composite
-def odd_snapshots(draw) -> dict:
-    """The moodle bundle's status snapshot with any of its option values
-    and relation-data values, and its units' statuses, messages, states
-    and ports and its machines' properties, replaced by other values of
-    the types ``load_checkpoint`` and ``Inventory.load`` admit."""
-    snapshot = copy.deepcopy(_moodle_snapshot())
+def odd_models(draw) -> Model:
+    """The deployed moodle bundle with any of its option values and
+    relation-data values, and its units' statuses, messages, states and
+    ports and its machines' properties, replaced by other values of the
+    types ``load_checkpoint`` and ``Inventory.load`` admit."""
+    doc, inventory = _moodle_documents()
+    model = load_checkpoint(copy.deepcopy(doc), _store_with_proxy2(),
+                            inventory=Inventory.load(copy.deepcopy(inventory)))
 
     def replace(mapping: dict, values) -> None:
         for key in mapping:
             if draw(st.booleans()):
                 mapping[key] = draw(values)
 
-    for app in snapshot["applications"].values():
-        replace(app["config"], OPTION_VALUES)
-    for relation in snapshot["relations"].values():
-        for bag in relation["data"].values():
+    for app in model.applications.values():
+        replace(app.config, OPTION_VALUES)
+    for relation in model.relations.values():
+        for bag in relation.data.values():
             replace(bag, TEXTS)
-    for unit in snapshot["units"].values():
-        unit.update(status=draw(TEXTS), message=draw(TEXTS),
-                    states=sorted(draw(st.sets(TEXTS, max_size=3))),
-                    open_ports=sorted(draw(st.sets(st.integers(-(10**30), 10**30), max_size=3))))
-    for machine in snapshot["machines"].values():
-        machine["properties"] = sorted(draw(st.sets(TEXTS, max_size=3)))
-    return snapshot
+    for unit in model.units.values():
+        unit.status, unit.message = draw(TEXTS), draw(TEXTS)
+        unit.states = draw(st.sets(TEXTS, max_size=3))
+        unit.open_ports = draw(st.sets(st.integers(-(10**30), 10**30), max_size=3))
+    for machine_id in model.machines:
+        model.inventory.machines[machine_id].properties = draw(st.sets(TEXTS, max_size=3))
+    return model
 
 
 @settings(max_examples=300, deadline=None)
-@given(odd_snapshots())
-def test_status_text_is_the_sort_keys_text_for_odd_values(snapshot):
-    """Whatever values of the admitted types a snapshot holds (floats with
+@given(odd_models())
+def test_status_text_is_the_sort_keys_text_for_odd_values(model):
+    """Whatever values of the admitted types a model holds (floats with
     NaN, the infinities and -0.0, huge ints, and strings with non-ASCII
-    and control characters), ``status_text`` writes what
-    ``json.dumps(indent=2, sort_keys=True)`` writes."""
-    assert cli.status_text(snapshot) == json.dumps(snapshot, indent=2, sort_keys=True)
+    and control characters), each text of a model write is the text
+    ``json.dumps`` writes for its reference document."""
+    _assert_reference_texts(model)
+
+
+#: The benchmark's fleet: 600 units on fresh machines, and two of each
+#: other application in containers on constrained hosts.
+FLEET_600 = """\
+series: xenial
+applications:
+  moodle: {charm: "cs:~csd-garr/moodle", num_units: 600, options: {site_name: Fleet}}
+  postgresql: {charm: "cs:postgresql", num_units: 2, to: ["lxd:0", "lxd:0"]}
+  haproxy: {charm: "cs:haproxy", num_units: 2, to: ["lxd:1", "lxd:2"], expose: true}
+machines:
+  "0": {constraints: "cpu-cores=2 mem=8192 root-disk=40960"}
+  "1": {constraints: "cpu-cores=4 mem=8192 root-disk=20480"}
+  "2": {constraints: "cpu-cores=2 mem=2048"}
+relations:
+  - ["postgresql:db", "moodle:database"]
+  - ["haproxy:reverseproxy", "moodle:website"]
+"""
+
+
+def test_fleet_deploy_writes_the_reference_texts(tmp_path, capsys):
+    """A 600-unit deploy charged to a project, as the benchmark writes it,
+    with containers, machine charges and seen groups of 600 remotes,
+    leaves the reference texts of the model it wrote, and the model the
+    workspace loads from them writes them again."""
+    (tmp_path / "fleet.yaml").write_text(FLEET_600)
+    _build(tmp_path, capsys, *CHARGED[:2],
+           ("machine", "enlist", "--zone", "garr-01/az1", "--cores", "4", "--mem", "8192",
+            "--disk", "102400", "-n", "603"),
+           *CHARGED[3:5], *(("quota", "set", path, "instances=1000", "vcpus=10000",
+                             "ram=100000000", "disk=10000000") for path in ("garr", "garr/edu")),
+           ("deploy", str(tmp_path / "fleet.yaml"), "--project", "garr/edu"))
+    model = Workspace(tmp_path).load_model()
+    assert len(model.units) == 604 and len(model.machine_charges) == 3
+    assert model.inventory.machines["0"].containers == ["0/lxd/0", "0/lxd/1"]
+    assert max(len(remotes) for *_, remotes in model.units["haproxy/0"].seen) == 600
+    assert (tmp_path / "model.yaml").read_text() == statefile.dump(
+        {"provider_ref": "local", "model": checkpoint(model, include_inventory=False)})
+    assert statefile.read_derived(tmp_path / SEAL_FILE, lambda sources: True).decode() == (
+        json.dumps(status_snapshot(model), indent=2, sort_keys=True))
+    _assert_reference_texts(Workspace(tmp_path).load_model())

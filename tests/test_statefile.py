@@ -208,6 +208,11 @@ class TestFormat:
 FLAT_SEEN = pathlib.Path(__file__).parent / "data" / "flat-seen"
 FLAT_SEEN_HASH = "7f9b80987d5977c3db8518a5f9c983e00a1c9e0d8ef806d6d45d65df44022cdc"
 FLAT_SEEN_CONVERGED_HASH = "423ab3c6e76708dcb05ad13891cfbcf7bb16f781abd9dda79e345a161710d5e1"
+# The SHA-256 of the ``model.yaml`` text this version writes for the
+# loaded workspace, and of the one ``converge`` writes, as the version
+# that wrote them through ``json.dumps`` of a checkpoint wrote them.
+FLAT_SEEN_TEXT_SHA256 = "50e86aa64d1ab943ee64af59e653170395e59e9aa1461a27092bf3095fccd191"
+FLAT_SEEN_CONVERGED_TEXT_SHA256 = "ee5d35f0ca7b136437e174bd096cdc8b950e45e625ee62e2b9ce02a66e9176e5"
 
 
 class TestFlatSeen:
@@ -261,6 +266,22 @@ class TestFlatSeen:
             for *_, remotes in body["seen"]:
                 assert remotes and remotes == sorted(set(remotes)), remotes
         assert _hash(legacy("status")[1]) == FLAT_SEEN_CONVERGED_HASH
+
+    def test_flat_seen_writes_the_grouped_text(self, legacy, tmp_path):
+        """The loaded flat entries are written as groups, and the text is
+        the text of the model's checkpoint, before and after ``converge``."""
+        workspace = Workspace(tmp_path)
+        model = workspace.load_model()
+        text = workspace.save_model()
+        assert hashlib.sha256(text.encode()).hexdigest() == FLAT_SEEN_TEXT_SHA256
+        assert text == statefile.dump({"provider_ref": "local",
+                                       "model": checkpoint(model, include_inventory=False)})
+        assert legacy("converge")[0] == 0
+        data = (tmp_path / "model.yaml").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == FLAT_SEEN_CONVERGED_TEXT_SHA256
+        model = Workspace(tmp_path).load_model()
+        assert data.decode() == statefile.dump(
+            {"provider_ref": "local", "model": checkpoint(model, include_inventory=False)})
 
     def test_model_text_does_not_depend_on_the_hash_seed(self, tmp_path):
         script = (
