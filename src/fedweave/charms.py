@@ -38,7 +38,6 @@ Charm definition files are YAML documents::
 from __future__ import annotations
 
 import functools
-import json
 import math
 import re
 from collections.abc import Callable, Iterable
@@ -331,46 +330,6 @@ class CharmSpec:
 
     def default_config(self) -> dict:
         return {name: schema.coerce(schema.default) for name, schema in self.config.items()}
-
-    @functools.cached_property
-    def digest_text(self) -> tuple[str, str]:
-        """This spec's part of ``plan.charm_digest``'s text, serialized once
-        per spec (see ``_digest_text``)."""
-        return _digest_text(self)
-
-
-def _digest_text(spec: CharmSpec) -> tuple[str, str]:
-    """The spec's canonical form as compact JSON with sorted keys, split
-    where its ``"ref"`` key goes: the object's text up to ``provides`` and
-    from ``requires`` on.  An option default JSON has no type for is
-    tagged with its type (``tagged``)."""
-    before = _DIGEST_JSON({
-        "name": spec.name,
-        "provides": spec.provides,
-        "options": {name: {"type": schema.type, "default": schema.default}
-                    for name, schema in spec.config.items()},
-        "handlers": [
-            {
-                "on": handler.on.render(),
-                "when": sorted(handler.when_states),
-                "do": [repr(action) for action in handler.actions],
-            }
-            for handler in spec.handlers
-        ],
-    })
-    after = _DIGEST_JSON({"requires": spec.requires, "series": sorted(spec.series),
-                          "storage": list(spec.storage_pools)})
-    return before[:-1], after[1:]
-
-
-def tagged(value) -> dict:
-    """A value JSON has no type for, as a one-key object naming its type."""
-    return {type(value).__name__: str(value)}
-
-
-#: ``json.dumps`` with sorted keys, compact, tagging; built once, since
-#: ``json.dumps`` with options builds an encoder on every call.
-_DIGEST_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=tagged).encode
 
 
 def _check_spec(spec: CharmSpec) -> None:

@@ -50,10 +50,10 @@ usage error among them, goes to the full argparse tree, so what it prints
 and its exit code are argparse's own.  ``--format json`` output is
 byte for byte ``json.dumps(indent=2, sort_keys=True)``, with no reference
 cycle left behind: ``_json_text`` writes a listing's text, and
-``status_text`` (``engine.status_text``), the one function that makes a
-status's JSON text, writes it straight from the model by the layout of
-a status snapshot, whose values have the types
-``engine.load_checkpoint`` admits.  A ``status`` pays for what it
+``engine.status_text`` writes a status's straight from the model, by the
+one template that also writes the text the state hash digests; an
+unsealed plain ``status`` prints its tables from ``status_snapshot``,
+that hash text parsed.  A ``status`` pays for what it
 prints: it parses no charm, loads the inventory in one pass, and keeps
 each unit's seen groups as ``model.yaml`` holds them, looking at the
 first alone (``engine.load_checkpoint``).
@@ -68,11 +68,9 @@ very bytes, parses no state file and takes no lock: ``--format json``
 prints the sealed text and parses or renders nothing, and the plain
 tables parse it once.  Otherwise ``status`` loads the model under the
 lock, so its output and exit code are the same either way.  On the
-600-unit fleet the seal is about 385 KB, up from about 240 KB when it
-held the compact canonical state; the benchmark's ``state_kb`` does not
-count it.  The seal and the compiled
-store are derived files, written after the commit and never by a read,
-and absent when damaged.
+600-unit fleet the seal is about 385 KB; the benchmark's ``state_kb``
+does not count it.  The seal and the compiled store are derived files,
+written after the commit and never by a read, and absent when damaged.
 A state document of the wrong shape, such as a model field of a type the
 engine never writes, fails the command with one ``<module>: malformed
 <what> document`` line.

@@ -1172,89 +1172,15 @@ def _maintenance_pending(model: Model) -> bool:
 def status_snapshot(model: Model) -> dict:
     """An immutable point-in-time view: applications, units, machines,
     relations, pending event count, generation and canonical state hash.
-    ``status_text`` writes this document's text from the model itself; the
-    dict is what an unsealed plain ``status`` prints its tables from, and
-    the reference the tests compare each text with."""
-    state = _canonical_state(model)
-    state["generation"] = model.generation
-    state["state_hash"] = state_hash(model)
-    return state
-
-
-def _canonical_state(model: Model) -> dict:
-    """The observable state the state hash covers, as a document whose
-    mappings are built with their keys in sorted order.  Every value is a
-    scalar or a list of them, or a relation's data bags of strings:
-    ``load_checkpoint`` refuses a document holding anything else."""
-    records = model.inventory.machines
-    machines = {}
-    for machine_id in sorted(model.machines):
-        record = records.get(machine_id)
-        if record is None:
-            continue
-        machines[machine_id] = {
-            "arch": record.arch,
-            "az": record.az,
-            "containers": sorted(record.containers, key=machine_sort_key),
-            "cores": record.cores,
-            "disk": record.disk,
-            "mem": record.mem,
-            "properties": sorted(record.properties),
-            "region": record.region,
-            "series": record.series,
-            "state": record.state,
-        }
-    return {
-        "applications": {
-            name: {
-                "charm": app.charm_ref,
-                "config": {k: app.config[k] for k in sorted(app.config)},
-                "exposed": app.exposed,
-                "series": app.series,
-                "units": model.unit_ids_of(name),
-            }
-            for name, app in sorted(model.applications.items())
-        },
-        "machines": machines,
-        "pending_events": len(model.event_queue),
-        "relations": {
-            relation_id: {
-                "data": _relation_data(relation),
-                "interface": relation.interface,
-                "provider": relation.provider,
-                "requirer": relation.requirer,
-            }
-            for relation_id, relation in sorted(model.relations.items())
-        },
-        "units": {
-            unit_id: {
-                "application": unit.app,
-                "leader": unit.leader,
-                "machine": unit.machine,
-                "message": unit.message,
-                "open_ports": sorted(unit.open_ports),
-                "states": sorted(unit.states),
-                "status": unit.status,
-            }
-            for unit_id, unit in sorted(model.units.items())
-        },
-    }
-
-
-def _relation_data(relation: Relation) -> dict:
-    return {unit_id: {k: bag[k] for k in sorted(bag)} for unit_id, bag in sorted(relation.data.items())}
-
-
-def _relation_docs(model: Model) -> dict:
-    return {
-        relation_id: {
-            "provider": relation.provider,
-            "requirer": relation.requirer,
-            "interface": relation.interface,
-            "data": _relation_data(relation),
-        }
-        for relation_id, relation in sorted(model.relations.items())
-    }
+    It is the parse of the text the state hash digests (``canonical_text``,
+    written by ``_state_text``), with the generation and that text's
+    digest added, so the model is walked once.  An unsealed plain
+    ``status`` prints its tables from it."""
+    text = canonical_text(model)
+    snapshot = json.loads(text)
+    snapshot["generation"] = model.generation
+    snapshot["state_hash"] = hashlib.sha256(text).hexdigest()
+    return snapshot
 
 
 def state_hash(model: Model) -> str:
@@ -1292,27 +1218,30 @@ _INDENTED = (*("\n" + "  " * depth for depth in range(6)), ": ")
 
 
 def canonical_text(model: Model) -> bytes:
-    """The text the state hash digests: ``_canonical_state(model)`` as
-    ``json.dumps(sort_keys=True, separators=(",", ":"))`` writes it,
-    encoded once."""
+    """The text the state hash digests, written by ``_state_text`` in the
+    compact layout (``json.dumps(sort_keys=True, separators=(",", ":"))``)
+    and encoded once.  ``status_snapshot`` is its parse."""
     return _state_text(model, _COMPACT).encode("ascii")
 
 
 def status_text(model: Model, digest: str) -> str:
     """``json.dumps(status_snapshot(model), indent=2, sort_keys=True)``,
     byte for byte, given the model's ``state_hash``: what ``status --format
-    json`` prints, and what a model write seals.  On the 600-unit
-    benchmark fleet it took 2.0 ms, where building the snapshot's
-    canonical state and writing its text by a template per record took
-    4.1 ms, and ``json.dumps`` of the snapshot 17.4 ms (fastest of 81 runs
-    each, on a 2-core x86-64 host)."""
+    json`` prints, and what a model write seals.  ``_state_text`` writes
+    it in the indented layout, as it writes ``canonical_text``.  On the
+    600-unit benchmark fleet it took 2.0 ms, and ``json.dumps`` of the
+    snapshot 17.4 ms (fastest of 81 runs each, on a 2-core x86-64 host)."""
     return _state_text(model, _INDENTED, digest)
 
 
 def _state_text(model: Model, layout: tuple[str, ...], digest: str | None = None) -> str:
-    """``_canonical_state(model)`` as ``json.dumps(sort_keys=True)`` writes
-    it in ``layout``, with a status snapshot's ``generation`` and
-    ``state_hash`` when ``digest`` is given."""
+    """The one writer of the canonical state: the observable state the
+    state hash covers (applications, machines, the pending event count,
+    relations and units, each mapping by sorted key) as
+    ``json.dumps(sort_keys=True)`` writes it in ``layout``, with a status
+    snapshot's ``generation`` and ``state_hash`` when ``digest`` is given.
+    Every value is a scalar or a list of them, an option value of a type
+    ``load_checkpoint`` admits, or a relation's data bags of strings."""
     n0, n1, n2, n3, n4, _, ks = layout
     texts: dict = {}
     k = _keys(layout, "charm", "config", "exposed", "series", "units")
@@ -1465,7 +1394,16 @@ def checkpoint(model: Model, include_inventory: bool = True) -> dict:
             for name, app in sorted(model.applications.items())
         },
         "units": units,
-        "relations": _relation_docs(model),
+        "relations": {
+            relation_id: {
+                "provider": relation.provider,
+                "requirer": relation.requirer,
+                "interface": relation.interface,
+                "data": {unit_id: {k: bag[k] for k in sorted(bag)}
+                         for unit_id, bag in sorted(relation.data.items())},
+            }
+            for relation_id, relation in sorted(model.relations.items())
+        },
         "queue": [
             [event.kind.kind, event.kind.name, event.target, event.payload, event.remote]
             for event in model.event_queue

@@ -27,8 +27,9 @@ The bundle digest is the SHA-256 of the bundle's canonical document (the
 document ``render_bundle`` writes as YAML: applications by name, machines
 by numeric id, options by name, constraints rendered) serialized as compact
 JSON.  It names the source a plan came from; nothing verifies it.  The
-charm digest is the SHA-256 of the named charm specs as sorted compact
-JSON, and execution compares it with the store's.
+charm digest is the SHA-256 of the named charm specs, each with its
+reference, as one sorted-key compact JSON list written by one encode, and
+execution compares it with the store's.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from . import statefile
 from .bundle import (AcquireMachine, AddApplication, Bundle, CreateContainer, InstallUnit,
                      JoinRelation, PlanError, PlanStep, _canonical_document, _parse_step_line,
                      _split_line, lower_bundle)
-from .charms import CharmError, tagged
+from .charms import CharmError
 from .engine import (DEFAULT_BUDGET, DEFAULT_SEED, Model, _charge, _undo_on_failure, apply_step,
                      run_to_convergence)
 from .errors import FedweaveError
@@ -94,6 +95,16 @@ def compile_plan(bundle: Bundle, store) -> ImperativePlan:
     )
 
 
+def tagged(value) -> dict:
+    """A value JSON has no type for, as a one-key object naming its type."""
+    return {type(value).__name__: str(value)}
+
+
+#: ``json.dumps`` with sorted keys, compact, tagging; built once, since
+#: ``json.dumps`` with options builds an encoder on every call.
+_DIGEST_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=tagged).encode
+
+
 def bundle_digest(bundle: Bundle) -> str:
     """SHA-256 of the bundle's canonical document as compact JSON.
 
@@ -105,16 +116,30 @@ def bundle_digest(bundle: Bundle) -> str:
 
 
 def charm_digest(store, refs) -> str:
-    """Digest over the canonical serialization of the named charm specs,
-    sorted by reference: each spec's sorted-key JSON object with its
-    ``ref`` added.  A spec serializes itself once (``CharmSpec.digest_text``);
-    only its reference is written per plan."""
-    entries = []
+    """Digest over the canonical serialization of the named charm specs:
+    the list of their documents, each with its ``ref``, sorted by
+    reference, written by one compact sorted-key encode (``_DIGEST_JSON``).
+    An option default JSON has no type for is tagged with its type
+    (``tagged``)."""
+    specs = []
     for ref in sorted(refs):
-        before, after = store.resolve_charm(ref).digest_text
-        entries.append(f'{before},"ref":{json.dumps(ref)},{after}')
-    blob = f"[{','.join(entries)}]"
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        spec = store.resolve_charm(ref)
+        specs.append({
+            "ref": ref,
+            "name": spec.name,
+            "series": sorted(spec.series),
+            "provides": spec.provides,
+            "requires": spec.requires,
+            "options": {name: {"type": schema.type, "default": schema.default}
+                        for name, schema in spec.config.items()},
+            "handlers": [
+                {"on": handler.on.render(), "when": sorted(handler.when_states),
+                 "do": [repr(action) for action in handler.actions]}
+                for handler in spec.handlers
+            ],
+            "storage": list(spec.storage_pools),
+        })
+    return hashlib.sha256(_DIGEST_JSON(specs).encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------

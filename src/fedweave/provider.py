@@ -307,7 +307,6 @@ class Inventory(statefile.Document):
             raise ProviderError(
                 f"machine {machine_id!r} still hosts containers: {sorted(record.containers)}"
             )
-        record.state = "released"
         record.state = "ready"  # the released hop is instantaneous
         self._index_ready(record)
 
@@ -358,8 +357,9 @@ class Inventory(statefile.Document):
         document (state defaults to ready, zones are inferred, and a machine
         with no id takes its position in the list).  A machine id given
         twice or neither a string nor an integer, cores, mem or disk that
-        is not a positive integer, and an arch, series or property that is
-        not a string are errors.
+        is not a positive integer, properties or containers that are not a
+        list, and an arch, series or property that is not a string are
+        errors.
         Each record is built in one call; then containers join their hosts,
         hosts reserve what their containers reserve, and one sort builds
         the ready index."""
@@ -405,13 +405,17 @@ class Inventory(statefile.Document):
                     f"machine id {machine_id!r} is listed twice" if named else
                     f"a machine with no id would take its position {machine_id!r} as its id, "
                     "which an earlier machine has")
-            properties = body.get("properties")
-            for tag in properties or ():
+            properties = body.get("properties") or []
+            containers = body.get("containers") or []
+            if type(properties) is not list or type(containers) is not list:
+                raise ProviderError(f"malformed inventory document: machine {machine_id!r} has "
+                                    f"properties {properties!r} and containers {containers!r}; "
+                                    "each must be a list")
+            for tag in properties:
                 if type(tag) is not str:
                     raise ProviderError(f"malformed inventory document: machine {machine_id!r} "
                                         f"has property {tag!r}, which is not a string")
             reserved = body.get("reserved")
-            containers = body.get("containers")
             counters = body.get("container_counters")
             record = MachineRecord(
                 id=machine_id,
@@ -422,14 +426,14 @@ class Inventory(statefile.Document):
                 mem=mem,
                 disk=disk,
                 series=series,
-                properties=set(properties) if properties else set(),
+                properties=set(properties),
                 state=str(body.get("state", "ready")),
                 parent=body.get("parent"),
                 kind=body.get("kind"),
                 reserved_cores=int(reserved.get("cores", 0)) if reserved else 0,
                 reserved_mem=int(reserved.get("mem", 0)) if reserved else 0,
                 reserved_disk=int(reserved.get("disk", 0)) if reserved else 0,
-                containers=list(containers) if containers else [],
+                containers=list(containers),
                 container_counters=(
                     {str(k): int(v) for k, v in counters.items()} if counters else {}
                 ),

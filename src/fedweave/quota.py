@@ -92,7 +92,10 @@ class QuotaSet:
         unknown = set(doc) - set(COMPONENTS)
         if unknown:
             raise QuotaError(f"unknown quota component {sorted(unknown)[0]!r}")
-        return cls(**{k: int(v) for k, v in doc.items()})
+        for component, amount in doc.items():
+            if type(amount) is not int:
+                raise TypeError(f"{component} is {amount!r}, which is not an integer")
+        return cls(**doc)
 
 
 ZERO = QuotaSet()
@@ -266,6 +269,10 @@ class ProjectTree(statefile.Document):
         tree = cls()
         tree.domains = [str(d) for d in doc.get("domains") or []]
         for body in doc.get("nodes") or []:
+            roles = body.get("roles") or {}
+            for user, names in roles.items():
+                if type(names) is not list or not all(type(name) is str for name in names):
+                    raise TypeError(f"user {user!r} has roles {names!r}; want a list of strings")
             node = ProjectNode(
                 id=str(body["id"]),
                 name=str(body["name"]),
@@ -273,7 +280,7 @@ class ProjectTree(statefile.Document):
                 parent=body.get("parent"),
                 quota=QuotaSet.from_dict(body.get("quota") or {}),
                 usage=QuotaSet.from_dict(body.get("usage") or {}),
-                roles={u: set(rs) for u, rs in (body.get("roles") or {}).items()},
+                roles={user: set(names) for user, names in roles.items()},
             )
             tree.nodes[node.id] = node
         for node in tree.nodes.values():

@@ -729,6 +729,17 @@ def canonical_text_oracle(model: Model) -> bytes:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
+def status_snapshot_oracle(model: Model) -> dict:
+    """A status snapshot from the canonical text as the state hash first
+    defined it: that text parsed, with the model's generation and the
+    text's digest added.  Compare snapshots by their JSON text, since a
+    NaN option value is not equal to itself."""
+    hashed = canonical_text_oracle(model)
+    snapshot = json.loads(hashed)
+    snapshot.update(generation=model.generation, state_hash=hashlib.sha256(hashed).hexdigest())
+    return snapshot
+
+
 # ---------------------------------------------------------------------------
 # The charm digest, serialized whole
 

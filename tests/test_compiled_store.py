@@ -127,9 +127,9 @@ def test_compiled_form_round_trips_through_json(document):
           "  requires: {type: int, default: 1}\n", False),
          ("name: y\nseries: [bionic, xenial]\n", True))
 def test_charm_digest_is_the_whole_sorted_document(first, second):
-    """Each spec serialized once, with its reference put in by text, digests
-    as the one document of all of them written with ``sort_keys``, even
-    where an endpoint or option is named like a key of the document."""
+    """The named specs digest as the one document of all of them, each with
+    its reference, written with ``sort_keys``, even where an endpoint or
+    option is named like a key of the document."""
     (spec, owner), (other, _) = load_charm(first[0]), load_charm(second[0])
     ref = f"cs:~{owner}/{spec.name}" if owner else f"cs:{spec.name}"
     specs = {ref: spec, "cs:~z/other": other}

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import copy
+import json
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import endpoint_of_oracle, flatten_seen, seen_groups_oracle
+from oracles import (endpoint_of_oracle, flatten_seen, seen_groups_oracle,
+                     status_snapshot_oracle)
 
 from fedweave import engine, seen, statefile
 from fedweave import plan as plan_module
@@ -1045,22 +1047,22 @@ class TestStatusSnapshot:
         assert snap["machines"][machine]["state"] == "acquired"
 
     @pytest.mark.parametrize("bundle_text", [MOODLE_BUNDLE, SCALED_BUNDLE])
-    def test_snapshot_builds_the_canonical_state_once(
-        self, deploy_fixture, monkeypatch, bundle_text
-    ):
+    def test_snapshot_is_the_parsed_hash_text(self, deploy_fixture, monkeypatch, bundle_text):
+        """The snapshot walks the model once, writing the hash text, and is
+        that text parsed, with the generation and the text's digest."""
         model, _ = deploy_fixture(bundle_text, machines=8)
-        builds = []
-        build = engine._canonical_state
+        walks = []
+        write = engine._state_text
 
-        def counting_build(model):
-            builds.append(model)
-            return build(model)
+        def counting_write(model, *layout):
+            walks.append(model)
+            return write(model, *layout)
 
-        monkeypatch.setattr(engine, "_canonical_state", counting_build)
+        monkeypatch.setattr(engine, "_state_text", counting_write)
         snap = status_snapshot(model)
-        assert len(builds) == 1
-        assert snap["state_hash"] == state_hash(model)
-        assert snap["generation"] == model.generation
+        assert len(walks) == 1
+        assert (json.dumps(snap, sort_keys=True)
+                == json.dumps(status_snapshot_oracle(model), sort_keys=True))
 
 
 class TestDeploymentErrors:

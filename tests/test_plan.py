@@ -11,7 +11,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fedweave import charms, engine
+from fedweave import engine
 from fedweave import plan as plan_module
 from fedweave.builtin import (
     HAPROXY_CHARM,
@@ -440,21 +440,6 @@ class TestExecution:
         # The stale plan runs to completion against the drifted store.
         assert model.units["postgresql/0"].status == "active"
         assert model.relations["postgresql:db moodle:database"].data["postgresql/0"]["port"] == "6543"
-
-    def test_compile_and_execute_serialize_each_spec_once(self, moodle_bundle, make_inventory,
-                                                          monkeypatch):
-        """The charm digest of a compile and of the execute's stale check
-        serializes each named spec once; each plan adds only its refs."""
-        serialized = []
-        real = charms._digest_text
-        monkeypatch.setattr(charms, "_digest_text",
-                            lambda spec: serialized.append(spec.name) or real(spec))
-        store = builtin_store()
-        plan = compile_plan(moodle_bundle, store)
-        assert sorted(serialized) == ["moodle", "postgresql"]
-        execute_plan(plan, make_inventory(), store)
-        assert compile_plan(moodle_bundle, store) == plan
-        assert sorted(serialized) == ["moodle", "postgresql"]
 
     def test_matching_digest_is_silent(self, store, moodle_bundle, make_inventory, caplog):
         plan = compile_plan(moodle_bundle, store)

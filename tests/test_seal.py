@@ -6,9 +6,8 @@ is the hash that command printed.  Its sources are every file
 ``model.yaml``, the file holding the model's inventory (``inventory.yaml``,
 or ``federation.yaml`` for a model placed on a region), and
 ``projects.yaml`` when the model charges a project.  On the 600-unit
-benchmark fleet the seal is about 385 KB, up from about 240 KB when it
-held the compact canonical state; the benchmark's ``state_kb`` does not
-count it.
+benchmark fleet the seal is about 385 KB; the benchmark's ``state_kb``
+does not count it.
 
 The seal is derived data.  ``status`` answers from it, parsing no state
 file, only when every file it names is byte for byte as the seal says: a
@@ -53,7 +52,7 @@ from fedweave.engine import (
     state_hash,
     status_snapshot,
 )
-from oracles import canonical_text_oracle
+from oracles import canonical_text_oracle, status_snapshot_oracle
 from test_compiled_store import _day2_commands, _files, _invoke, cached  # noqa: F401 (a fixture)
 from test_plan import PROXY2_CHARM, _ample_pool, _deployed, _store_with_proxy2, demo_bundles
 from test_statefile import ENDPOINTS
@@ -482,9 +481,10 @@ def _assert_reference_texts(model: Model) -> None:
     """The three texts a model write makes from the model are the texts
     ``json.dumps`` writes for their reference documents: ``model.yaml``
     for the checkpoint, the hashed text for the canonical state as the
-    state hash first defined it, and the seal for the status snapshot.  A
-    ``checkpoint`` after the text shares every unit's seen, and the text
-    stays the same."""
+    state hash first defined it, and the seal for that text parsed, with
+    the generation and digest added, which ``status_snapshot`` also
+    equals.  A ``checkpoint`` after the text shares every unit's seen, and
+    the text stays the same."""
     workspace = Workspace(Path("unused"))
     workspace.model = model
     text = workspace.save_model()
@@ -495,8 +495,9 @@ def _assert_reference_texts(model: Model) -> None:
     hashed = engine.canonical_text(model)
     assert hashed == canonical_text_oracle(model)
     assert hashlib.sha256(hashed).hexdigest() == state_hash(model)
-    assert (cli.status_text(model, state_hash(model))
-            == json.dumps(status_snapshot(model), indent=2, sort_keys=True))
+    reference = json.dumps(status_snapshot_oracle(model), indent=2, sort_keys=True)
+    assert cli.status_text(model, state_hash(model)) == reference
+    assert json.dumps(status_snapshot(model), indent=2, sort_keys=True) == reference
 
 
 @settings(max_examples=60, deadline=None)
@@ -573,8 +574,9 @@ def odd_models(draw) -> Model:
 def test_status_text_is_the_sort_keys_text_for_odd_values(model):
     """Whatever values of the admitted types a model holds (floats with
     NaN, the infinities and -0.0, huge ints, and strings with non-ASCII
-    and control characters), each text of a model write is the text
-    ``json.dumps`` writes for its reference document."""
+    and control characters), each text of a model write, and the status
+    snapshot's, is the text ``json.dumps`` writes for its reference
+    document."""
     _assert_reference_texts(model)
 
 
@@ -615,5 +617,5 @@ def test_fleet_deploy_writes_the_reference_texts(tmp_path, capsys):
     assert (tmp_path / "model.yaml").read_text() == statefile.dump(
         {"provider_ref": "local", "model": checkpoint(model, include_inventory=False)})
     assert statefile.read_derived(tmp_path / SEAL_FILE, lambda sources: True).decode() == (
-        json.dumps(status_snapshot(model), indent=2, sort_keys=True))
+        json.dumps(status_snapshot_oracle(model), indent=2, sort_keys=True))
     _assert_reference_texts(Workspace(tmp_path).load_model())

@@ -613,10 +613,18 @@ MALFORMED = {
     "id-boolean": ("inventory.yaml", _machine(3, id=True), ADD_UNIT),
     "id-list": ("inventory.yaml", _machine(3, id=[3]), ADD_UNIT),
     "id-mapping": ("inventory.yaml", _machine(3, id={"3": 3}), ADD_UNIT),
+    "properties-a-string": ("inventory.yaml", _machine(1, properties="ssd"), ADD_UNIT),
+    "containers-a-string": ("inventory.yaml", _machine(1, containers="0/lxd/0"), ADD_UNIT),
     "nodes-a-number": ("projects.yaml", _set(("nodes",), 5), ("quota", "create", "other")),
     "nodes-of-numbers": ("projects.yaml", _set(("nodes",), [1]), ("quota", "create", "other")),
     "nodes-a-mapping": ("projects.yaml", _set(("nodes",), {"x": {}}),
                         ("quota", "create", "other")),
+    "roles-a-string": ("projects.yaml", _set(("nodes", 0, "roles"), {"alice": "admin"}),
+                       ("quota", "create", "other")),
+    "amount-a-fraction": ("projects.yaml", _set(("nodes", 0, "quota", "vcpus"), 1.9),
+                          ("quota", "create", "other")),
+    "amount-a-boolean": ("projects.yaml", _set(("nodes", 0, "usage", "ram"), True),
+                         ("quota", "create", "other")),
     "region-a-number": ("federation.yaml", _set(("regions", "garr-pa"), 5),
                         ("identity", "map", "alice@garr.it")),
     "unit-no-application": ("model.yaml", _set(("model", "units", "moodle/0", "application"),
