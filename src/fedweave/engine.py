@@ -78,6 +78,7 @@ from .charms import (
 from .errors import FedweaveError
 from .provider import Inventory, machine_sort_key
 from .quota import ZERO, QuotaSet
+from .statefile import block, strings_text
 
 logger = logging.getLogger(__name__)
 
@@ -1249,16 +1250,16 @@ def _state_text(model: Model, layout: tuple[str, ...], digest: str | None = None
         f'{_str(name)}{k["charm"]}{_str(app.charm_ref)}'
         f'{k["config"]}{_config_text(app.config, layout)}'
         f'{k["exposed"]}{_BOOL[app.exposed]}{k["series"]}{_str(app.series)}'
-        f'{k["units"]}{_block(list(map(_str, model.unit_ids_of(name))), n4, n3, "[]")}{k["end"]}'
+        f'{k["units"]}{block(list(map(_str, model.unit_ids_of(name))), n4, n3, "[]")}{k["end"]}'
         for name, app in sorted(model.applications.items())]
     k = _keys(layout, "arch", "az", "containers", "cores", "disk", "mem", "properties", "region",
               "series", "state")
     records = model.inventory.machines
     machines = [
         f'{_str(machine_id)}{k["arch"]}{_str(record.arch)}{k["az"]}{_str(record.az)}'
-        f'{k["containers"]}{_strings_text(record.containers, texts, n4, n3, machine_sort_key)}'
+        f'{k["containers"]}{strings_text(record.containers, texts, n4, n3, machine_sort_key)}'
         f'{k["cores"]}{record.cores}{k["disk"]}{record.disk}{k["mem"]}{record.mem}'
-        f'{k["properties"]}{_strings_text(record.properties, texts, n4, n3)}'
+        f'{k["properties"]}{strings_text(record.properties, texts, n4, n3)}'
         f'{k["region"]}{_str(record.region)}{k["series"]}{_str(record.series)}'
         f'{k["state"]}{_str(record.state)}{k["end"]}'
         for machine_id in sorted(model.machines)
@@ -1275,15 +1276,15 @@ def _state_text(model: Model, layout: tuple[str, ...], digest: str | None = None
         f'{_str(unit_id)}{k["application"]}{_str(unit.app)}{k["leader"]}{_BOOL[unit.leader]}'
         f'{k["machine"]}{_str(unit.machine)}{k["message"]}{_str(unit.message)}'
         f'{k["open_ports"]}{_ints_text(unit.open_ports, n4, n3)}'
-        f'{k["states"]}{_strings_text(unit.states, texts, n4, n3)}'
+        f'{k["states"]}{strings_text(unit.states, texts, n4, n3)}'
         f'{k["status"]}{_str(unit.status)}{k["end"]}'
         for unit_id, unit in sorted(model.units.items())]
-    fields = {"applications": _block(applications, n2, n1), "machines": _block(machines, n2, n1),
-              "pending_events": len(model.event_queue), "relations": _block(relations, n2, n1),
-              "units": _block(units, n2, n1)}
+    fields = {"applications": block(applications, n2, n1), "machines": block(machines, n2, n1),
+              "pending_events": len(model.event_queue), "relations": block(relations, n2, n1),
+              "units": block(units, n2, n1)}
     if digest is not None:
         fields.update(generation=model.generation, state_hash=_str(digest))
-    return _block([f'"{key}"{ks}{fields[key]}' for key in sorted(fields)], n1, n0)
+    return block([f'"{key}"{ks}{fields[key]}' for key in sorted(fields)], n1, n0)
 
 
 def _keys(layout: tuple[str, ...], *names: str) -> dict[str, str]:
@@ -1298,37 +1299,15 @@ def _keys(layout: tuple[str, ...], *names: str) -> dict[str, str]:
     return keys
 
 
-def _block(items: list[str], inner: str, outer: str, brackets: str = "{}") -> str:
-    """An object's or a list's text around the text of its ``items``, each
-    after ``inner``, the closing bracket after ``outer``; bare ``brackets``
-    when there are none."""
-    if not items:
-        return brackets
-    return brackets[0] + inner + ("," + inner).join(items) + outer + brackets[1]
-
-
-def _strings_text(items, texts: dict, inner: str = "", outer: str = "", key=None) -> str:
-    """The strings of ``items``, sorted by ``key``, as a list laid out like
-    ``_block``.  ``texts`` keeps each list's text by its items for one text
-    of a model, whose units and machines share a few lists."""
-    if not items:
-        return "[]"
-    items = tuple(sorted(items, key=key))
-    text = texts.get(items)
-    if text is None:
-        text = texts[items] = _block(list(map(_str, items)), inner, outer, "[]")
-    return text
-
-
 def _ints_text(items, inner: str = "", outer: str = "") -> str:
-    """The ints of ``items``, sorted, as a list laid out like ``_block``."""
-    return _block(list(map(int.__repr__, sorted(items))), inner, outer, "[]") if items else "[]"
+    """The ints of ``items``, sorted, as a list laid out like ``block``."""
+    return block(list(map(int.__repr__, sorted(items))), inner, outer, "[]") if items else "[]"
 
 
 def _config_text(config: dict, layout: tuple[str, ...]) -> str:
     """An application's options, sorted, at depth 4 of ``layout``."""
     ks = layout[6]
-    return _block([f"{_str(key)}{ks}{json.dumps(config[key])}" for key in sorted(config)],
+    return block([f"{_str(key)}{ks}{json.dumps(config[key])}" for key in sorted(config)],
                   layout[4], layout[3])
 
 
@@ -1341,10 +1320,10 @@ def _data_text(data: dict, layout: tuple[str, ...]) -> str:
     for unit_id, bag in sorted(data.items()):
         text = texts.get(items := tuple(bag.items()))
         if text is None:
-            text = texts[items] = _block(
+            text = texts[items] = block(
                 [f"{_str(key)}{ks}{_str(value)}" for key, value in sorted(items)], n5, n4)
         bags.append(f"{_str(unit_id)}{ks}{text}")
-    return _block(bags, n4, n3)
+    return block(bags, n4, n3)
 
 
 # ---------------------------------------------------------------------------
@@ -1450,7 +1429,7 @@ def checkpoint_text(model: Model) -> str:
         units.append(
             f'{_str(unit_id)}:{{"application":{_str(unit.app)},"machine":{_str(unit.machine)},'
             f'"status":{_str(unit.status)},"message":{_str(unit.message)},'
-            f'"leader":{_BOOL[unit.leader]},"states":{_strings_text(unit.states, texts)},'
+            f'"leader":{_BOOL[unit.leader]},"states":{strings_text(unit.states, texts)},'
             f'"open_ports":{_ints_text(unit.open_ports)},'
             f'"seen":[{",".join(seen)}]}}')
     relations = ",".join([

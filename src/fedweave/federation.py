@@ -21,6 +21,7 @@ to locally created users in a single default domain.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from urllib.parse import urlparse
 
 from . import statefile
@@ -241,15 +242,31 @@ class Federation(statefile.Document):
     # -- serialization ---------------------------------------------------
 
     def dump(self) -> dict:
+        doc = self._fields()
+        for name, body in doc["regions"].items():
+            body["inventory"] = self.regions[name].inventory.dump()
+        return doc
+
+    def dump_yaml(self) -> str:
+        """``statefile.dump(self.dump())``, byte for byte: the compact text
+        of the other fields, with each region's inventory written into it
+        by the inventory's own template."""
+        doc = self._fields()
+        regions = statefile.block([
+            f'{encode_basestring_ascii(name)}:{statefile.dump(body)[:-1]},'
+            f'"inventory":{self.regions[name].inventory._text()}}}'
+            for name, body in doc.pop("regions").items()])
+        head = statefile.dump({key: doc.pop(key)
+                               for key in ("required_services", "default_domain")})
+        return f'{head[:-1]},"regions":{regions},{statefile.dump(doc)[1:]}'
+
+    def _fields(self) -> dict:
+        """``dump()`` without the regions' inventories."""
         return {
             "required_services": sorted(self.required_services),
             "default_domain": self.default_domain,
             "regions": {
-                name: {
-                    "endpoints": dict(sorted(region.endpoints.items())),
-                    "status": region.status,
-                    "inventory": region.inventory.dump(),
-                }
+                name: {"endpoints": dict(sorted(region.endpoints.items())), "status": region.status}
                 for name, region in sorted(self.regions.items())
             },
             "master_catalog": [list(entry.as_tuple()) for entry in self.master_catalog],
@@ -271,6 +288,9 @@ class Federation(statefile.Document):
         fed = cls(frozenset(doc.get("required_services") or DEFAULT_REQUIRED_SERVICES))
         fed.default_domain = doc.get("default_domain", "default")
         for name, body in (doc.get("regions") or {}).items():
+            if type(name) is not str:
+                raise FederationError(
+                    f"malformed federation document: region name {name!r} is not a string")
             region = Region(
                 name=name,
                 endpoints=dict(body.get("endpoints") or {}),

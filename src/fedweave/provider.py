@@ -11,16 +11,24 @@ the host (``0/lxd/1``); constrained containers reserve capacity on the
 host, unconstrained ones reserve nothing.  Top-level machines cycle
 ``new -> ready -> acquired -> released -> ready`` (commissioning and the
 released hop are instantaneous here); containers are destroyed on release.
+
+An inventory is loaded in one pass, one positional call per record, and
+its state-file text is one f-string template per record, the compact JSON
+that ``statefile.dump`` writes for ``dump()``.  The ready index that
+best-fit placement walks is built by the first ``select_machine``, so a
+command that places nothing never sorts the pool.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _str
 
 from . import statefile
 from .bundle import CONTAINER_KINDS, Constraints, parse_constraints, render_constraints
 from .errors import FedweaveError
+from .statefile import block, strings_text
 
 MACHINE_STATES = ("new", "ready", "acquired", "released")
 
@@ -105,16 +113,27 @@ class Inventory(statefile.Document):
         self._next_id = 0
         # Ready top-level machines in best-fit order: sorted entries
         # (free mem, free disk, natural id key, id), and each id's entry.
-        self._ready: list[tuple] = []
+        # None until the first placement builds them.
+        self._ready: list[tuple] | None = None
         self._ready_entries: dict[str, tuple] = {}
 
+    def _build_ready(self) -> list[tuple]:
+        self._ready = sorted(_ready_entry(record) for record in self.machines.values()
+                             if record.parent is None and record.state == "ready")
+        self._ready_entries = {entry[3]: entry for entry in self._ready}
+        return self._ready
+
     def _index_ready(self, record: MachineRecord) -> None:
+        if self._ready is None:
+            return
         self._unindex(record.id)
         entry = _ready_entry(record)
         self._ready_entries[record.id] = entry
         bisect.insort(self._ready, entry)
 
     def _unindex(self, machine_id: str) -> None:
+        if self._ready is None:
+            return
         entry = self._ready_entries.pop(machine_id, None)
         if entry is not None:
             del self._ready[bisect.bisect_left(self._ready, entry)]
@@ -182,14 +201,16 @@ class Inventory(statefile.Document):
         a container is created, which needs an acquired host, or released,
         which re-sorts a ready host; so that order is kept once, in the
         ready index, and the winner is its first entry that passes the
-        filters.  ``state`` is re-checked because callers may set it on a
-        record directly.
+        filters.  The first call builds the index from the records.
+        ``state`` is re-checked because callers may set it on a record
+        directly.
         """
         if machine is not None:
             record = self.machines.get(machine)
             candidates = [record] if record is not None else []
         else:
-            candidates = (self.machines[entry[3]] for entry in self._ready)
+            ready = self._ready if self._ready is not None else self._build_ready()
+            candidates = (self.machines[entry[3]] for entry in ready)
         for record in candidates:
             if record.is_container() or record.state != "ready":
                 continue
@@ -351,6 +372,47 @@ class Inventory(statefile.Document):
             "machines": machines,
         }
 
+    def dump_yaml(self) -> str:
+        """``statefile.dump(self.dump())``, byte for byte, written by
+        ``_text``: the text of ``inventory.yaml``."""
+        return self._text()
+
+    def _text(self) -> str:
+        """The compact text of ``dump()``, with no document built: one
+        f-string template per record, as ``engine.checkpoint_text`` writes
+        ``model.yaml``.  Strings are written by ``encode_basestring_ascii``
+        and ints by their repr (``load`` and the methods that change a
+        record admit no other type), and a list of properties that many
+        records share is written once.  ``Federation`` writes each
+        region's inventory by it."""
+        texts: dict = {}
+        machines = []
+        for machine_id in sorted(self.machines, key=machine_sort_key):
+            record = self.machines[machine_id]
+            text = (f'{{"id":{_str(record.id)},"region":{_str(record.region)},'
+                    f'"az":{_str(record.az)},"arch":{_str(record.arch)},"cores":{record.cores},'
+                    f'"mem":{record.mem},"disk":{record.disk},"series":{_str(record.series)},'
+                    f'"properties":{strings_text(record.properties, texts)},'
+                    f'"state":{_str(record.state)}')
+            if record.parent is not None:
+                kind = "null" if record.kind is None else _str(record.kind)
+                text += (f',"parent":{_str(record.parent)},"kind":{kind},"reserved":{{'
+                         f'"cores":{record.reserved_cores},"mem":{record.reserved_mem},'
+                         f'"disk":{record.reserved_disk}}}')
+            else:
+                if record.containers:
+                    text += (',"containers":'
+                             + strings_text(record.containers, texts, key=machine_sort_key))
+                if record.container_counters:
+                    text += ',"container_counters":' + block(
+                        [f"{_str(kind)}:{count}"
+                         for kind, count in sorted(record.container_counters.items())])
+            machines.append(text + "}")
+        zones = [f'{{"region":{_str(region)},"az":{_str(az)}}}'
+                 for region, az in sorted(self.zones)]
+        return (f'{{"zones":{block(zones, brackets="[]")},"next_id":{self._next_id},'
+                f'"machines":{block(machines, brackets="[]")}}}')
+
     @classmethod
     def load(cls, doc: dict) -> "Inventory":
         """Restore an inventory from a dump, or seed one from a hand-written
@@ -358,22 +420,28 @@ class Inventory(statefile.Document):
         with no id takes its position in the list).  A machine id given
         twice or neither a string nor an integer, cores, mem or disk that
         is not a positive integer, properties or containers that are not a
-        list, and an arch, series or property that is not a string are
-        errors.
-        Each record is built in one call; then containers join their hosts,
-        hosts reserve what their containers reserve, and one sort builds
-        the ready index."""
+        list, a region, az, arch, series, property, parent or container
+        kind that is not a string, a reservation, container counter or
+        ``next_id`` that is not an integer are errors.
+        Each record is built in one positional call; then containers join
+        their hosts, and hosts reserve what their containers reserve.  The
+        ready index is left for the first placement to build."""
         inv = cls()
         if not isinstance(doc, dict):
             raise ProviderError("inventory document must be a mapping")
+        zones = inv.zones
         for zone in doc.get("zones") or []:
-            inv.add_zone(str(zone["region"]), str(zone["az"]))
+            region, az = zone["region"], zone["az"]
+            if type(region) is not str or type(az) is not str:
+                raise ProviderError(f"malformed inventory document: a zone has region {region!r} "
+                                    f"and az {az!r}; each must be a string")
+            zones.add((region, az))
         machines = inv.machines
         max_seen = -1
         for body in doc.get("machines") or []:
-            region, az = str(body["region"]), str(body["az"])
-            inv.zones.add((region, az))
-            constraints_text = body.get("constraints")
+            get = body.get
+            region, az = body["region"], body["az"]
+            constraints_text = get("constraints")
             if constraints_text is not None:
                 parsed = parse_constraints(constraints_text)
                 cores = parsed.cpu_cores or 1
@@ -381,7 +449,7 @@ class Inventory(statefile.Document):
                 disk = parsed.root_disk or 10240
             else:
                 cores, mem, disk = body["cores"], body["mem"], body["disk"]
-            machine_id = body.get("id")
+            machine_id = get("id")
             named = machine_id is not None or "id" in body
             if type(machine_id) is not str:
                 if not named:
@@ -396,17 +464,25 @@ class Inventory(statefile.Document):
                 raise ProviderError(
                     f"malformed inventory document: machine {machine_id!r} has cores {cores!r}, "
                     f"mem {mem!r} and disk {disk!r}; each must be a positive integer")
-            arch, series = body.get("arch", "amd64"), body.get("series", "xenial")
+            arch, series = get("arch", "amd64"), get("series", "xenial")
             if type(arch) is not str or type(series) is not str:
                 raise ProviderError(f"malformed inventory document: machine {machine_id!r} has "
                                     f"arch {arch!r} and series {series!r}; each must be a string")
+            if type(region) is not str or type(az) is not str:
+                raise ProviderError(f"malformed inventory document: machine {machine_id!r} has "
+                                    f"region {region!r} and az {az!r}; each must be a string")
+            parent, kind = get("parent"), get("kind")
+            if not ((parent is None or type(parent) is str)
+                    and (kind is None or type(kind) is str)):
+                raise ProviderError(f"malformed inventory document: machine {machine_id!r} has "
+                                    f"parent {parent!r} and kind {kind!r}; each must be a string")
             if machine_id in machines:
                 raise ProviderError(
                     f"machine id {machine_id!r} is listed twice" if named else
                     f"a machine with no id would take its position {machine_id!r} as its id, "
                     "which an earlier machine has")
-            properties = body.get("properties") or []
-            containers = body.get("containers") or []
+            properties = get("properties") or []
+            containers = get("containers") or []
             if type(properties) is not list or type(containers) is not list:
                 raise ProviderError(f"malformed inventory document: machine {machine_id!r} has "
                                     f"properties {properties!r} and containers {containers!r}; "
@@ -415,35 +491,39 @@ class Inventory(statefile.Document):
                 if type(tag) is not str:
                     raise ProviderError(f"malformed inventory document: machine {machine_id!r} "
                                         f"has property {tag!r}, which is not a string")
-            reserved = body.get("reserved")
-            counters = body.get("container_counters")
-            record = MachineRecord(
-                id=machine_id,
-                region=region,
-                az=az,
-                arch=arch,
-                cores=cores,
-                mem=mem,
-                disk=disk,
-                series=series,
-                properties=set(properties),
-                state=str(body.get("state", "ready")),
-                parent=body.get("parent"),
-                kind=body.get("kind"),
-                reserved_cores=int(reserved.get("cores", 0)) if reserved else 0,
-                reserved_mem=int(reserved.get("mem", 0)) if reserved else 0,
-                reserved_disk=int(reserved.get("disk", 0)) if reserved else 0,
-                containers=list(containers),
-                container_counters=(
-                    {str(k): int(v) for k, v in counters.items()} if counters else {}
-                ),
-            )
-            if record.state not in MACHINE_STATES:
-                raise ProviderError(f"machine {machine_id!r} has unknown state {record.state!r}")
-            machines[machine_id] = record
+            reserved = get("reserved")
+            if reserved:
+                reservation = (reserved.get("cores", 0), reserved.get("mem", 0),
+                               reserved.get("disk", 0))
+                if not all(type(amount) is int for amount in reservation):
+                    raise ProviderError(
+                        f"malformed inventory document: machine {machine_id!r} has reserved "
+                        f"{reserved!r}; its cores, mem and disk must each be an integer")
+            else:
+                reservation = (0, 0, 0)
+            counters = get("container_counters")
+            if counters:
+                counters = {str(k): v for k, v in counters.items()}
+                if not all(type(count) is int for count in counters.values()):
+                    raise ProviderError(
+                        f"malformed inventory document: machine {machine_id!r} has "
+                        f"container_counters {counters!r}; each must be an integer")
+            else:
+                counters = {}
+            state = str(get("state", "ready"))
+            if state not in MACHINE_STATES:
+                raise ProviderError(f"machine {machine_id!r} has unknown state {state!r}")
+            machines[machine_id] = MachineRecord(
+                machine_id, region, az, arch, cores, mem, disk, series, set(properties), state,
+                parent, kind, *reservation, list(containers), counters)
+            zones.add((region, az))
             if machine_id.isdigit():
                 max_seen = max(max_seen, int(machine_id))
-        inv._next_id = int(doc.get("next_id", max_seen + 1))
+        next_id = doc.get("next_id", max_seen + 1)
+        if type(next_id) is not int:
+            raise ProviderError(
+                f"malformed inventory document: next_id {next_id!r} is not an integer")
+        inv._next_id = next_id
         for record in machines.values():
             if record.parent is not None:
                 host = machines.get(record.parent)
@@ -453,11 +533,8 @@ class Inventory(statefile.Document):
                     )
                 if record.id not in host.containers:
                     host.containers.append(record.id)
-        ready = []
         for record in machines.values():
-            if record.parent is not None:
-                continue
-            if record.containers:
+            if record.parent is None and record.containers:
                 for container_id in record.containers:
                     if container_id not in machines:
                         raise ProviderError(
@@ -466,9 +543,4 @@ class Inventory(statefile.Document):
                 record.reserved_cores = sum(c.reserved_cores for c in hosted)
                 record.reserved_mem = sum(c.reserved_mem for c in hosted)
                 record.reserved_disk = sum(c.reserved_disk for c in hosted)
-            if record.state == "ready":
-                ready.append(_ready_entry(record))
-        ready.sort()
-        inv._ready = ready
-        inv._ready_entries = {entry[3]: entry for entry in ready}
         return inv

@@ -267,16 +267,23 @@ class ProjectTree(statefile.Document):
     @classmethod
     def load(cls, doc: dict) -> "ProjectTree":
         tree = cls()
-        tree.domains = [str(d) for d in doc.get("domains") or []]
+        domains = doc.get("domains") or []
+        if type(domains) is not list or not all(type(domain) is str for domain in domains):
+            raise TypeError(f"domains is {domains!r}; want a list of strings")
+        tree.domains = list(domains)
         for body in doc.get("nodes") or []:
             roles = body.get("roles") or {}
             for user, names in roles.items():
                 if type(names) is not list or not all(type(name) is str for name in names):
                     raise TypeError(f"user {user!r} has roles {names!r}; want a list of strings")
+            fields = (body["id"], body["name"], body["domain"])
+            if not all(type(value) is str for value in fields):
+                raise TypeError("a project has id {!r}, name {!r} and domain {!r}; "
+                                "each must be a string".format(*fields))
             node = ProjectNode(
-                id=str(body["id"]),
-                name=str(body["name"]),
-                domain=str(body["domain"]),
+                id=body["id"],
+                name=body["name"],
+                domain=body["domain"],
                 parent=body.get("parent"),
                 quota=QuotaSet.from_dict(body.get("quota") or {}),
                 usage=QuotaSet.from_dict(body.get("usage") or {}),

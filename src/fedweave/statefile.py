@@ -33,6 +33,7 @@ import json
 import os
 import re
 from collections.abc import Callable, Iterable
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import yaml
@@ -55,6 +56,30 @@ def dump(doc) -> str:
     """Serialize a state document to compact JSON.  No indentation: even
     ``indent=1`` makes a 600-unit fleet's state about 1.5 times as large."""
     return json.dumps(doc, separators=(",", ":"))
+
+
+def block(items: list[str], inner: str = "", outer: str = "", brackets: str = "{}") -> str:
+    """An object's or a list's text around the text of its ``items``, each
+    after ``inner``, the closing bracket after ``outer``; bare ``brackets``
+    when there are none.  The empty ``inner`` and ``outer`` are the compact
+    layout of ``dump``."""
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + outer + brackets[1]
+
+
+def strings_text(items, texts: dict, inner: str = "", outer: str = "", key=None) -> str:
+    """The strings of ``items``, sorted by ``key``, as a list laid out like
+    ``block``.  ``texts`` keeps each list's text by its items for one text
+    of a document, whose records share a few lists."""
+    if not items:
+        return "[]"
+    items = tuple(sorted(items, key=key))
+    text = texts.get(items)
+    if text is None:
+        text = texts[items] = block(list(map(encode_basestring_ascii, items)), inner, outer,
+                                    "[]")
+    return text
 
 
 def decode(data: str | bytes) -> str:

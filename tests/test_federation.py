@@ -251,6 +251,13 @@ class TestSerialization:
         with pytest.raises(FederationError, match="unknown status"):
             Federation.load({"regions": {"x": {"endpoints": {}, "status": "limbo"}}})
 
+    def test_load_rejects_a_region_name_that_is_not_a_string(self):
+        # Only a YAML document can give a mapping key that is not a string.
+        with pytest.raises(FederationError) as raised:
+            Federation.load_yaml("regions:\n  5: {endpoints: {}, status: validating}\n")
+        assert str(raised.value) == ("malformed federation document: "
+                                     "region name 5 is not a string")
+
     def test_empty_document(self):
         fed = Federation.load_yaml("")
         assert fed.regions == {}

@@ -15,7 +15,8 @@ acquired.  Commands fail on purpose (a full pool, a spent quota, an
 unknown machine, a plan larger than the pool); a failed command must
 leave the state hash, the inventory and the quota tree exactly as they
 were.  After every command, ``Inventory.load`` of the inventory's dump
-must give the same dump and the same ready index.
+must give the same dump.  The ready index is built by the first
+placement; once built, it must equal a rebuild from scratch.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from fedweave.engine import (
 )
 from fedweave.errors import FedweaveError
 from fedweave.plan import compile_plan, execute_plan
-from fedweave.provider import Inventory, ProviderError
+from fedweave.provider import Inventory, ProviderError, machine_sort_key
 from fedweave.quota import ProjectTree, QuotaSet
 
 APPS = ("haproxy", "moodle", "postgresql")
@@ -268,8 +269,11 @@ class UnitAndReadyIndexes(RuleBasedStateMachine):
         inventory = self.model.inventory
         restored = Inventory.load(inventory.dump())
         assert restored.dump() == inventory.dump()
-        assert restored._ready == inventory._ready
-        assert restored._ready_entries == inventory._ready_entries
+        assert restored._ready is None
+        restored.select_machine(Constraints())
+        assert (restored._ready, restored._ready_entries) == rebuilt_ready(inventory)
+        if inventory._ready is not None:
+            assert (inventory._ready, inventory._ready_entries) == rebuilt_ready(inventory)
 
     @invariant()
     def one_step_leaves_one_leader(self):
@@ -279,6 +283,15 @@ class UnitAndReadyIndexes(RuleBasedStateMachine):
             unit_ids = self.model.unit_ids_of(app)
             if unit_ids:
                 assert sum(self.model.units[u].leader for u in unit_ids) == 1
+
+
+def rebuilt_ready(inventory: Inventory) -> tuple[list, dict]:
+    """The ready index and each id's entry, rebuilt from scratch: every
+    ready top-level machine in (free mem, free disk, natural id) order."""
+    ready = sorted((record.free_mem(), record.free_disk(), machine_sort_key(record.id), record.id)
+                   for record in inventory.machines.values()
+                   if not record.is_container() and record.state == "ready")
+    return ready, {entry[3]: entry for entry in ready}
 
 
 UnitAndReadyIndexes.TestCase.settings = settings(
@@ -326,10 +339,14 @@ def test_hand_written_inventory_loads_with_defaults():
     }
     host = inventory.machines["1"]
     assert (host.free_cores(), host.free_mem(), host.free_disk()) == (1, 3072, 20480)
+    assert inventory._ready is None  # until the first placement
+    assert inventory.select_machine(Constraints()).id == "3"
     assert inventory._ready == [(8192, 40960, (3,), "3"), (16384, 10240, (0,), "0")]
-    assert inventory._ready_entries == {entry[3]: entry for entry in inventory._ready}
+    assert (inventory._ready, inventory._ready_entries) == rebuilt_ready(inventory)
     reloaded = Inventory.load(inventory.dump())
-    assert (reloaded.dump(), reloaded._ready) == (inventory.dump(), inventory._ready)
+    assert reloaded.dump() == inventory.dump()
+    reloaded.select_machine(Constraints())
+    assert (reloaded._ready, reloaded._ready_entries) == rebuilt_ready(inventory)
 
 
 @pytest.mark.parametrize(

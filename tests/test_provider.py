@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fedweave import statefile
 from fedweave.bundle import Constraints, parse_constraints
+from fedweave.federation import REGION_STATUSES, Federation
 from fedweave.provider import (
+    MACHINE_STATES,
     Inventory,
     ProviderError,
     UnknownZoneError,
@@ -396,3 +402,101 @@ class TestBestFitAgainstOracle:
             )
             chosen = inv.select_machine(constraints, region=region, az=az)
             assert (chosen.id if chosen else None) == expected
+
+
+# ---------------------------------------------------------------------------
+# The state-file text is the compact text of the dump
+
+#: Strings that the text must escape as ``json.dumps`` does: quotes,
+#: backslashes, control characters and non-ASCII, with none of ``/``, which
+#: would split a container id.
+TEXTS = st.text(st.sampled_from('az09 "\\é✓ \x00\x7f') | st.characters(
+    blacklist_characters="/", blacklist_categories=("Cs",)), max_size=4)
+KINDS = st.sampled_from(["lxd", "kvm", 'l"x', "ké"])
+AMOUNTS = st.integers(0, 2048)
+
+
+@st.composite
+def inventory_docs(draw) -> dict:
+    """An inventory document with hosts (ids such as 9 and 10) and their
+    containers (ids such as ``0/lxd/10``), empty and non-empty properties
+    and counters, and zones and strings that need escaping."""
+    zones = draw(st.lists(st.tuples(TEXTS, TEXTS), min_size=1, max_size=3, unique=True))
+    machines = []
+    host_ids = draw(st.lists(st.integers(0, 12), max_size=5, unique=True))
+    for host_id in host_ids:
+        region, az = draw(st.sampled_from(zones))
+        counters = draw(st.dictionaries(KINDS, st.integers(0, 12), max_size=2))
+        containers = [f"{host_id}/{kind}/{index}" for kind, count in counters.items()
+                      for index in draw(st.sets(st.integers(0, 11), max_size=3)) if index < count]
+        host = {"id": str(host_id), "region": region, "az": az, "arch": draw(TEXTS),
+                "cores": draw(st.integers(1, 64)), "mem": draw(st.integers(1, 65536)),
+                "disk": draw(st.integers(1, 10**6)), "series": draw(TEXTS),
+                "properties": draw(st.lists(TEXTS, max_size=3)),
+                "state": "acquired" if containers else draw(st.sampled_from(MACHINE_STATES))}
+        if containers:
+            host["containers"] = containers
+        if counters:
+            host["container_counters"] = counters
+        machines.append(host)
+        machines += [{**host, "id": container_id, "properties": [], "state": "acquired",
+                      "parent": str(host_id), "kind": container_id.split("/")[1],
+                      "reserved": {"cores": draw(st.integers(0, 2)), "mem": draw(AMOUNTS),
+                                   "disk": draw(AMOUNTS)}}
+                     for container_id in containers]
+    for body in machines:
+        if "parent" in body:
+            del body["containers"], body["container_counters"]
+    return {"zones": [{"region": region, "az": az} for region, az in zones],
+            "next_id": max(host_ids, default=-1) + 1 + draw(st.integers(0, 2)),
+            "machines": machines}
+
+
+def _change(inventory: Inventory, data) -> None:
+    """One drawn ``enlist``, ``acquire``, ``create_container`` or
+    ``release``; one the inventory refuses changes nothing."""
+    records = inventory.machines
+    acquired = sorted(i for i, record in records.items() if record.state == "acquired")
+    hosts = [i for i in acquired if not records[i].is_container()]
+    action = data.draw(st.sampled_from(["enlist", "acquire", "container", "release"]))
+    want = Constraints(mem=data.draw(st.none() | st.integers(1, 4096)))
+    with contextlib.suppress(ProviderError):
+        if action == "enlist":
+            region, az = data.draw(st.sampled_from(sorted(inventory.zones)))
+            inventory.enlist(region, az, data.draw(TEXTS), data.draw(st.integers(1, 8)),
+                             data.draw(st.integers(1, 8192)), data.draw(st.integers(1, 10**5)),
+                             data.draw(TEXTS), set(data.draw(st.lists(TEXTS, max_size=2))))
+        elif action == "acquire":
+            inventory.acquire(want)
+        elif action == "container" and hosts:
+            inventory.create_container(data.draw(st.sampled_from(hosts)), "lxd", want)
+        elif action == "release" and acquired:
+            inventory.release(data.draw(st.sampled_from(acquired)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=inventory_docs(), data=st.data())
+def test_dump_yaml_is_the_compact_text_of_dump(doc, data):
+    inventory = Inventory.load(doc)
+    assert inventory.dump_yaml() == statefile.dump(inventory.dump())
+    for _ in range(data.draw(st.integers(0, 12))):
+        _change(inventory, data)
+        assert inventory.dump_yaml() == statefile.dump(inventory.dump())
+    assert Inventory.load_yaml(inventory.dump_yaml()).dump() == inventory.dump()
+
+
+@settings(max_examples=60, deadline=None)
+@given(docs=st.lists(inventory_docs(), max_size=3), data=st.data())
+def test_federation_dump_yaml_is_the_compact_text_of_dump(docs, data):
+    federation = Federation()
+    for index, doc in enumerate(docs):
+        name = data.draw(TEXTS.filter(lambda text: text not in federation.regions))
+        region = federation.register_region(
+            name or f"r{index}", data.draw(st.dictionaries(TEXTS, TEXTS, min_size=1, max_size=3)))
+        region.inventory = Inventory.load(doc)
+        region.status = data.draw(st.sampled_from(REGION_STATUSES))
+        if region.status == "production":
+            federation.sync_catalog(region.name)
+    federation.map_identity(data.draw(st.sampled_from(["a@b", "é@x"])))
+    assert federation.dump_yaml() == statefile.dump(federation.dump())
+    assert Federation.load_yaml(federation.dump_yaml()).dump_yaml() == federation.dump_yaml()

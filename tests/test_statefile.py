@@ -574,8 +574,20 @@ def _machine(index: int, **fields):
     return mutate
 
 
-def _container(doc: dict) -> None:
-    next(body for body in doc["machines"] if "parent" in body)["reserved"] = 5
+def _container(path: tuple, value):
+    """A mutation setting the field at ``path`` of the inventory's first
+    container."""
+    def mutate(doc: dict) -> None:
+        _set(path, value)(next(body for body in doc["machines"] if "parent" in body))
+    return mutate
+
+
+def _host(path: tuple, value):
+    """A mutation setting the field at ``path`` of the inventory's first
+    host of a container."""
+    def mutate(doc: dict) -> None:
+        _set(path, value)(next(body for body in doc["machines"] if "containers" in body))
+    return mutate
 
 
 def _set(path: tuple, value):
@@ -607,7 +619,7 @@ MALFORMED = {
     "cores-a-list": ("inventory.yaml", _machine(1, cores=[1]), ADD_UNIT),
     "cores-zero": ("inventory.yaml", _machine(1, cores=0), ADD_UNIT),
     "disk-negative": ("inventory.yaml", _machine(2, disk=-1), ADD_UNIT),
-    "reserved-a-number": ("inventory.yaml", _container, ADD_UNIT),
+    "reserved-a-number": ("inventory.yaml", _container(("reserved",), 5), ADD_UNIT),
     "zone-no-region": ("inventory.yaml", _set(("zones", 0, "region"), ...), ADD_UNIT),
     "id-null": ("inventory.yaml", _machine(3, id=None), ADD_UNIT),
     "id-boolean": ("inventory.yaml", _machine(3, id=True), ADD_UNIT),
@@ -615,12 +627,37 @@ MALFORMED = {
     "id-mapping": ("inventory.yaml", _machine(3, id={"3": 3}), ADD_UNIT),
     "properties-a-string": ("inventory.yaml", _machine(1, properties="ssd"), ADD_UNIT),
     "containers-a-string": ("inventory.yaml", _machine(1, containers="0/lxd/0"), ADD_UNIT),
+    # Values of a type the program never writes, each refused rather than converted.
+    "zone-region-a-number": ("inventory.yaml", _set(("zones", 0, "region"), 5), ADD_UNIT),
+    "zone-az-a-number": ("inventory.yaml", _set(("zones", 0, "az"), 5), ADD_UNIT),
+    "region-of-a-machine-a-number": ("inventory.yaml", _machine(1, region=5), ADD_UNIT),
+    "az-a-number": ("inventory.yaml", _machine(1, az=5), ADD_UNIT),
+    "reserved-cores-a-fraction": ("inventory.yaml", _container(("reserved", "cores"), 1.5),
+                                  ADD_UNIT),
+    "reserved-cores-a-boolean": ("inventory.yaml", _container(("reserved", "cores"), True),
+                                 ADD_UNIT),
+    "container-counter-a-string": ("inventory.yaml", _host(("container_counters", "lxd"), "2"),
+                                   ADD_UNIT),
+    "container-counter-a-fraction": ("inventory.yaml",
+                                     _host(("container_counters", "lxd"), 1.9), ADD_UNIT),
+    "next-id-a-string": ("inventory.yaml", _set(("next_id",), "9"), ADD_UNIT),
+    "next-id-a-fraction": ("inventory.yaml", _set(("next_id",), 2.5), ADD_UNIT),
+    "kind-a-number": ("inventory.yaml", _container(("kind",), 7), ADD_UNIT),
+    "parent-a-number": ("inventory.yaml", _container(("parent",), 0), ADD_UNIT),
     "nodes-a-number": ("projects.yaml", _set(("nodes",), 5), ("quota", "create", "other")),
     "nodes-of-numbers": ("projects.yaml", _set(("nodes",), [1]), ("quota", "create", "other")),
     "nodes-a-mapping": ("projects.yaml", _set(("nodes",), {"x": {}}),
                         ("quota", "create", "other")),
     "roles-a-string": ("projects.yaml", _set(("nodes", 0, "roles"), {"alice": "admin"}),
                        ("quota", "create", "other")),
+    "domains-a-string": ("projects.yaml", _set(("domains",), "garr"),
+                         ("quota", "create", "other")),
+    "project-id-a-number": ("projects.yaml", _set(("nodes", 0, "id"), 5),
+                            ("quota", "create", "other")),
+    "project-name-a-number": ("projects.yaml", _set(("nodes", 0, "name"), 5),
+                              ("quota", "create", "other")),
+    "project-domain-a-list": ("projects.yaml", _set(("nodes", 0, "domain"), ["garr"]),
+                              ("quota", "create", "other")),
     "amount-a-fraction": ("projects.yaml", _set(("nodes", 0, "quota", "vcpus"), 1.9),
                           ("quota", "create", "other")),
     "amount-a-boolean": ("projects.yaml", _set(("nodes", 0, "usage", "ram"), True),
