@@ -187,6 +187,37 @@ class Fail:
 
 HookAction = SetUnitStatus | SetState | ClearState | SetRelationData | OpenPort | Fail
 
+#: What a compiled write (``CharmSpec.writes``) writes: a state flag, the
+#: status and message, an open port, or a relation-data key whose value is
+#: a literal or a template.
+FLAG, STATUS, PORT, DATA, TEMPLATE = "flag", "status", "port", "data", "template"
+
+
+def compile_writes(actions: tuple[HookAction, ...]) -> tuple[tuple, ...]:
+    """A handler's actions as the writes they make, in order, one per
+    action, so the length is the count of actions a run applies.  Each is
+    ``(what, name, value, endpoint)``: ``(FLAG, flag, set?, None)``,
+    ``(STATUS, status, message, None)``, ``(PORT, port, None, None)`` or
+    ``(DATA or TEMPLATE, key, value, endpoint)``.  A ``fail`` is the status
+    ``error`` with its message, and the last write: the actions after it
+    never run."""
+    writes = []
+    for action in actions:
+        kind = type(action)
+        if kind is SetRelationData:
+            what = TEMPLATE if "{" in action.value else DATA
+            writes.append((what, action.key, action.value, action.endpoint))
+        elif kind is SetState or kind is ClearState:
+            writes.append((FLAG, action.flag, kind is SetState, None))
+        elif kind is SetUnitStatus:
+            writes.append((STATUS, action.status, "", None))
+        elif kind is OpenPort:
+            writes.append((PORT, action.port, None, None))
+        else:  # a ``Fail``: the action language is closed
+            writes.append((STATUS, "error", action.message, None))
+            break
+    return tuple(writes)
+
 
 def template_references(value: str) -> list[tuple[str, str]]:
     """Return the (source, name) pairs referenced by a value template."""
@@ -292,10 +323,11 @@ class OptionSchema:
 class CharmSpec:
     """A charm: endpoints, config schema, storage pools and handlers.
 
-    Construction also compiles the handlers into two lookup tables the
+    Construction also compiles the handlers into three lookup tables the
     engine reads on every step.  ``dispatch`` maps an event kind to its
     ``(index, handler)`` pairs in declaration order; ``guarded_kinds``
-    maps a flag to the event kinds whose handlers name it in their guard.
+    maps a flag to the event kinds whose handlers name it in their guard;
+    ``writes`` holds, at each handler's index, its ``compile_writes``.
     The spec is immutable, so the tables never go stale; they take no
     part in equality or ``repr`` and are never serialized.
     """
@@ -313,6 +345,7 @@ class CharmSpec:
     guarded_kinds: dict[str, frozenset[EventKind]] = field(
         init=False, compare=False, repr=False
     )
+    writes: tuple[tuple[tuple, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         dispatch: dict[EventKind, list[tuple[int, HookHandler]]] = {}
@@ -326,6 +359,9 @@ class CharmSpec:
         )
         object.__setattr__(
             self, "guarded_kinds", {flag: frozenset(kinds) for flag, kinds in guarded.items()}
+        )
+        object.__setattr__(
+            self, "writes", tuple(compile_writes(handler.actions) for handler in self.handlers)
         )
 
     def default_config(self) -> dict:

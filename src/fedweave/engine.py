@@ -5,12 +5,16 @@ Commands (deploy, add-unit, config, add-relation) mutate structure and
 enqueue events; they never run handlers.  ``step`` dequeues one event,
 looks its kind up in the charm's dispatch table (``CharmSpec.dispatch``),
 keeps the handlers whose state-flag guard is satisfied, runs them in a
-seed-determined pseudo-random order, applies their actions, and enqueues
-follow-on events.  ``run_to_convergence`` steps until the queue drains or
-a budget is exhausted, with one generator for the whole run.  A step asks
-a generator to shuffle only when two or more handlers match, the one case
-with an order to choose, and a step called on its own builds one for that
-case alone.
+seed-determined pseudo-random order, and enqueues follow-on events.  A
+handler runs as the writes its actions make, compiled once per charm
+(``CharmSpec.writes``) and applied by ``_run_handler``, the one code that
+applies a handler, for a step and for the shadow check.  Every enqueued
+event is built with ``tuple.__new__``, all four fields given.
+``run_to_convergence`` steps until the queue drains or a budget is
+exhausted, with one generator for the whole run.  A step asks a generator
+to shuffle only when two or more handlers match, the one case with an
+order to choose, and a step called on its own builds one for that case
+alone.
 
 Three rules make convergence insensitive to ordering:
 
@@ -62,19 +66,8 @@ from . import seen as seen_groups
 from .bundle import (AcquireMachine, AddApplication, Bundle, Constraints, CreateContainer,
                      EndpointRef, InstallUnit, JoinRelation, Placement, PlanStep, lower_bundle,
                      orient_relation)
-from .charms import (
-    CharmSpec,
-    CharmStore,
-    ClearState,
-    EventKind,
-    Fail,
-    HookHandler,
-    OpenPort,
-    SetRelationData,
-    SetState,
-    SetUnitStatus,
-    resolve_template,
-)
+from .charms import (DATA, FLAG, PORT, STATUS, TEMPLATE, CharmSpec, CharmStore, EventKind,
+                     resolve_template)
 from .errors import FedweaveError
 from .provider import Inventory, machine_sort_key
 from .quota import ZERO, QuotaSet
@@ -138,6 +131,12 @@ class Event(NamedTuple):
         return text
 
 
+# Every enqueued ``Event`` and every ``StepReport`` is built as
+# ``_tuple(cls, (field, ...))``, all fields given: ``tuple.__new__`` skips the
+# named tuple's Python-level ``__new__``, at about half its cost.
+_tuple = tuple.__new__
+
+
 @dataclass
 class Application:
     """A deployed application.  Its ``charm`` is resolved from ``store``
@@ -186,19 +185,26 @@ class Relation:
     data: dict[str, dict[str, str]] = field(default_factory=dict)
 
     @cached_property
-    def _endpoints(self) -> dict[str, str]:
-        """Each side's application -> its endpoint, built on first use:
-        the engine asks for an endpoint on most relation events, and
-        neither side is reassigned.  The provider is written last, so when
-        both sides name one application, its endpoint wins."""
-        sides = (self.requirer.partition(":"), self.provider.partition(":"))
-        return {app: endpoint for app, _, endpoint in sides}
+    def sides(self) -> dict[str, tuple[str, str, EventKind]]:
+        """Each side's application -> its endpoint, the other side's
+        application, and the relation-changed kind the other side's units
+        get when this side writes a bag (its name is the other side's
+        endpoint).  Built on first use: the engine asks on most relation
+        events, and neither side is reassigned.  ``load_checkpoint``
+        refuses a relation whose sides name one application; were one
+        built, the provider is written last, so its side would win."""
+        (provider, _, provider_endpoint), (requirer, _, requirer_endpoint) = (
+            self.provider.partition(":"), self.requirer.partition(":"))
+        return {
+            requirer: (requirer_endpoint, provider,
+                       EventKind.relation_changed(provider_endpoint)),
+            provider: (provider_endpoint, requirer,
+                       EventKind.relation_changed(requirer_endpoint)),
+        }
 
     def endpoint_of(self, app: str) -> str | None:
-        return self._endpoints.get(app)
-
-    def apps(self) -> tuple[str, str]:
-        return (self.provider.partition(":")[0], self.requirer.partition(":")[0])
+        side = self.sides.get(app)
+        return None if side is None else side[0]
 
 
 class Model:
@@ -296,9 +302,7 @@ class StepReport(NamedTuple):
     redelivered: int = 0
 
 
-# ``step`` builds its reports with ``tuple.__new__``, which skips the named
-# tuple's Python-level ``__new__``, and shares one report for an empty queue.
-_new_report = tuple.__new__
+# ``step`` shares one report for an empty queue.
 _NO_EVENT = StepReport(None)
 
 
@@ -561,7 +565,7 @@ def apply_step(model: Model, log: UndoLog, planned: PlanStep, machine_map: dict[
                               f"the next unit of {app_name!r} is {next_unit!r}")
         _check_series(model, machine_id, app.charm)
         unit = _create_unit(model, log, app, machine_id)
-        model.event_queue.append(Event(_INSTALL, unit.id))
+        model.event_queue.append(_tuple(Event, (_INSTALL, unit.id, "", "")))
         _ensure_leader(model, app_name)
         return unit.id
     if isinstance(planned, JoinRelation):
@@ -611,7 +615,7 @@ def add_unit(model: Model, app_name: str, count: int = 1, placement: Placement |
         ]
     remote_ids: dict[str, list[str]] = {}
     for unit_id in new_ids:
-        model.event_queue.append(Event(_INSTALL, unit_id))
+        model.event_queue.append(_tuple(Event, (_INSTALL, unit_id, "", "")))
         _ensure_leader(model, app_name)
         _join_existing_relations(model, app, unit_id, remote_ids)
     return new_ids
@@ -625,20 +629,19 @@ def _join_existing_relations(
     units join only their own application, never the remote side."""
     queue = model.event_queue
     for relation in model.relations_of(app.name):
-        own_endpoint = relation.endpoint_of(app.name)
-        other_app = next(a for a in relation.apps() if a != app.name)
+        own_endpoint, other_app, remote_changed = relation.sides[app.name]
         joined = EventKind.relation_joined(own_endpoint)
-        remote_joined = EventKind.relation_joined(relation.endpoint_of(other_app))
+        remote_joined = EventKind.relation_joined(remote_changed.name)
         changed = EventKind.relation_changed(own_endpoint)
         relation.data.setdefault(unit_id, {})
         remotes = remote_ids.get(other_app)
         if remotes is None:
             remotes = remote_ids[other_app] = model.unit_ids_of(other_app)
         for remote_id in remotes:
-            queue.append(Event(joined, unit_id, relation.id, remote_id))
-            queue.append(Event(remote_joined, remote_id, relation.id, unit_id))
+            queue.append(_tuple(Event, (joined, unit_id, relation.id, remote_id)))
+            queue.append(_tuple(Event, (remote_joined, remote_id, relation.id, unit_id)))
             if relation.data.get(remote_id):
-                queue.append(Event(changed, unit_id, relation.id, remote_id))
+                queue.append(_tuple(Event, (changed, unit_id, relation.id, remote_id)))
 
 
 def set_config(model: Model, app_name: str, options: dict) -> list[str]:
@@ -660,8 +663,8 @@ def set_config(model: Model, app_name: str, options: dict) -> list[str]:
         return []
     app.config.update(coerced)
     kind = EventKind.config_changed()
-    for unit_id in model.unit_ids_of(app_name):
-        model.event_queue.append(Event(kind, unit_id))
+    model.event_queue.extend([_tuple(Event, (kind, unit_id, "", ""))
+                              for unit_id in model.unit_ids_of(app_name)])
     return sorted(changed)
 
 
@@ -686,9 +689,8 @@ def add_relation(model: Model, left: str, right: str) -> Relation:
         (requirer, requirer_units, provider_units),
     ):
         kind = EventKind.relation_joined(side.endpoint)
-        for unit_id in units:
-            for remote_id in remotes:
-                queue.append(Event(kind, unit_id, relation_id, remote_id))
+        queue.extend([_tuple(Event, (kind, unit_id, relation_id, remote_id))
+                      for unit_id in units for remote_id in remotes])
     return relation
 
 
@@ -726,13 +728,12 @@ def remove_unit(model: Model, unit_id: str) -> None:
                 _release(model, log, charge)
     app = model.applications[unit.app]
     for relation in model.relations_of(app.name):
-        other_app = next(a for a in relation.apps() if a != app.name)
-        kind = EventKind.relation_departed(relation.endpoint_of(other_app))
+        _, other_app, remote_changed = relation.sides[app.name]
+        kind = EventKind.relation_departed(remote_changed.name)
         relation.data.pop(unit_id, None)
-        for remote_id in model.unit_ids_of(other_app):
-            if remote_id == unit_id:
-                continue
-            model.event_queue.append(Event(kind, remote_id, relation.id, unit_id))
+        model.event_queue.extend([_tuple(Event, (kind, remote_id, relation.id, unit_id))
+                                  for remote_id in model.unit_ids_of(other_app)
+                                  if remote_id != unit_id])
     _discard_unit(model, unit_id)
     if unit.leader:
         model._leader_check.add(app.name)
@@ -774,7 +775,7 @@ def elect_leader(model: Model, app_name: str) -> str:
         raise EngineError(f"application {app_name!r} already has a leader")
     leader_id = unit_ids[0]
     model.units[leader_id].leader = True
-    model.event_queue.append(Event(EventKind.leader_elected(), leader_id))
+    model.event_queue.append(_tuple(Event, (EventKind.leader_elected(), leader_id, "", "")))
     return leader_id
 
 
@@ -810,8 +811,7 @@ def update_status(model: Model, app_name: str | None = None) -> int:
     if app_name is not None:
         unit_ids = [u for u in unit_ids if model.units[u].app == app_name]
     kind = EventKind.update_status()
-    for unit_id in unit_ids:
-        model.event_queue.append(Event(kind, unit_id))
+    model.event_queue.extend([_tuple(Event, (kind, unit_id, "", "")) for unit_id in unit_ids])
     return len(unit_ids)
 
 
@@ -838,10 +838,6 @@ class _ConflictTracker:
         self._writes[location] = (handler_index, value)
 
 
-class _HandlerFailed(Exception):
-    """Internal: aborts the remaining actions of one handler."""
-
-
 def step(model: Model, rng_seed: int | None = None, _rng: random.Random | None = None) -> StepReport:
     """Process one event from the queue.
 
@@ -865,11 +861,13 @@ def step(model: Model, rng_seed: int | None = None, _rng: random.Random | None =
     the step returns.  An event kind with one handler has its guard tested
     without building a list.
 
-    A step with one matching handler runs it without conflict tracking.
-    A conflict is two different handlers writing different values to one
-    location, so a lone handler cannot conflict, even in strict mode: it
-    may set one status and then another.  Two or more handlers are
-    tracked in strict mode, the only mode in which a conflict raises.
+    Each matching handler runs as its compiled writes (``CharmSpec.writes``)
+    through ``_run_handler``.  A step with one matching handler runs it
+    without conflict tracking.  A conflict is two different handlers
+    writing different values to one location, so a lone handler cannot
+    conflict, even in strict mode: it may set one status and then another.
+    Two or more handlers are tracked in strict mode, the only mode in which
+    a conflict raises.
     """
     if model._leader_check:
         for app_name in sorted(model._leader_check):
@@ -891,7 +889,7 @@ def step(model: Model, rng_seed: int | None = None, _rng: random.Random | None =
     model.generation += 1
     if unit is None:
         logger.info("dropping %s: target unit no longer exists", event.render())
-        return _new_report(StepReport, (event, 0, 0, True, 0, 0))
+        return _tuple(StepReport, (event, 0, 0, True, 0, 0))
 
     kind = event.kind
     # Record the event as seen: ``bisect`` finds its group, and its
@@ -923,102 +921,96 @@ def step(model: Model, rng_seed: int | None = None, _rng: random.Random | None =
             _rng.shuffle(matching)
     if not matching:
         if kind == _INSTALL:
-            queue.append(Event(_START, unit.id))
+            queue.append(_tuple(Event, (_START, unit.id, "", "")))
         if model.trace is not None:
             _trace_step(model, event, unit, 0, ())
-        return _new_report(StepReport, (event, 0, 0, False, 0, 0))
+        return _tuple(StepReport, (event, 0, 0, False, 0, 0))
 
     flags_before = states.copy()
     tracker = _ConflictTracker() if model.strict_conflicts and len(matching) > 1 else None
-    changed_bags: set[tuple[str, str]] = set()  # (relation id, writer unit id)
+    changed: dict[str, Relation] = {}  # relation id -> relation, for each bag of the unit changed
     actions_applied = 0
-    for index, handler in matching:
-        try:
-            for action in handler.actions:
-                actions_applied += 1
-                _apply_action(model, unit, event, index, action, tracker, changed_bags)
-        except _HandlerFailed:
-            pass
+    compiled = charm.writes
+    for index, _ in matching:
+        writes = compiled[index]
+        actions_applied += len(writes)
+        _run_handler(model, unit, event, writes, index, tracker, changed)
         if model.shadow_check:
-            model.shadow_deltas += _shadow_delta(model, unit, event, handler)
+            model.shadow_deltas += _shadow_delta(model, unit, event, writes)
 
-    emitted = _emit_changed(model, changed_bags) if changed_bags else 0
+    emitted = _emit_changed(model, unit, changed) if changed else 0
     if kind == _INSTALL:
-        queue.append(Event(_START, unit.id))
+        queue.append(_tuple(Event, (_START, unit.id, "", "")))
     added = states - flags_before
     redelivered = _redeliver(model, unit, charm, added, flags_before) if added else 0
     if model.trace is not None:
-        _trace_step(model, event, unit, len(matching), changed_bags)
-    return _new_report(StepReport,
-                       (event, len(matching), actions_applied, False, emitted, redelivered))
+        _trace_step(model, event, unit, len(matching), changed)
+    return _tuple(StepReport, (event, len(matching), actions_applied, False, emitted, redelivered))
 
 
-def _trace_step(model: Model, event: Event, unit: Unit, handlers: int, changed_bags) -> None:
+def _trace_step(model: Model, event: Event, unit: Unit, handlers: int, changed) -> None:
     model.trace.append(
         {
             "generation": model.generation,
             "event": event.key(),
             "target": unit.id,
             "handlers": handlers,
-            "writes": sorted(changed_bags),
+            "writes": sorted((relation_id, unit.id) for relation_id in changed),
         }
     )
 
 
-def _apply_action(
+def _run_handler(
     model: Model,
     unit: Unit,
     event: Event,
+    writes: tuple[tuple, ...],
     handler_index: int,
-    action,
     tracker: _ConflictTracker | None,
-    changed_bags: set[tuple[str, str]],
+    changed: dict[str, Relation],
 ) -> None:
-    """Apply one action to ``unit``, recording its writes with ``tracker``
-    unless that is None.  Actions are tested by exact type, most frequent
-    first: the action classes are final, and a fleet deploy runs thousands."""
-    kind = type(action)
-    if kind is SetRelationData:
-        value = action.value
-        if "{" in value:  # a template: ``resolve_template`` returns any other value as it is
-            remote_bag = None
-            if event.payload and event.remote:
-                relation = model.relations.get(event.payload)
-                if relation is not None:
-                    remote_bag = relation.data.get(event.remote)
-            value = resolve_template(value, model.applications[unit.app].config, remote_bag)
-        for relation in _data_targets(model, unit, event, action.endpoint):
+    """Apply one handler's compiled writes (``charms.compile_writes``) to
+    ``unit``, in order, recording each with ``tracker`` unless that is
+    None: the one code that applies a handler, for a step and for
+    ``_shadow_delta``.  A relation-data write resolves its template against
+    live state, then writes the unit's bag in each relation
+    ``_data_targets`` returns, looked up once per endpoint in a run, and
+    notes in ``changed`` each relation whose bag took a new value."""
+    unit_id = unit.id
+    at = targets = None
+    for what, name, value, endpoint in writes:
+        if what is FLAG:
             if tracker is not None:
-                tracker.record(
-                    handler_index, ("relation-data", relation.id, unit.id, action.key), value
-                )
-            bag = relation.data.setdefault(unit.id, {})
-            if bag.get(action.key) != value:
-                bag[action.key] = value
-                changed_bags.add((relation.id, unit.id))
-    elif kind is SetState:
-        if tracker is not None:
-            tracker.record(handler_index, ("state", unit.id, action.flag), True)
-        unit.states.add(action.flag)
-    elif kind is SetUnitStatus:
-        if tracker is not None:
-            tracker.record(handler_index, ("status", unit.id), action.status)
-        unit.status = action.status
-        unit.message = ""
-    elif kind is ClearState:
-        if tracker is not None:
-            tracker.record(handler_index, ("state", unit.id, action.flag), False)
-        unit.states.discard(action.flag)
-    elif kind is OpenPort:
-        unit.open_ports.add(action.port)
-    elif kind is Fail:
-        if tracker is not None:
-            tracker.record(handler_index, ("status", unit.id), "error")
-        unit.status = "error"
-        unit.message = action.message
-        raise _HandlerFailed()
-    else:  # pragma: no cover - the action language is closed
-        raise EngineError(f"unknown action {action!r}")
+                tracker.record(handler_index, ("state", unit_id, name), value)
+            if value:
+                unit.states.add(name)
+            else:
+                unit.states.discard(name)
+        elif what is STATUS:
+            if tracker is not None:
+                tracker.record(handler_index, ("status", unit_id), name)
+            unit.status = name
+            unit.message = value
+        elif what is PORT:
+            unit.open_ports.add(name)
+        else:  # ``DATA`` or ``TEMPLATE``: ``name`` is the key
+            if what is TEMPLATE:
+                remote_bag = None
+                if event.payload and event.remote:
+                    relation = model.relations.get(event.payload)
+                    if relation is not None:
+                        remote_bag = relation.data.get(event.remote)
+                value = resolve_template(value, model.applications[unit.app].config, remote_bag)
+            if endpoint != at:
+                at, targets = endpoint, _data_targets(model, unit, event, endpoint)
+            for relation in targets:
+                if tracker is not None:
+                    tracker.record(
+                        handler_index, ("relation-data", relation.id, unit_id, name), value)
+                bag = relation.data.setdefault(unit_id, {})
+                if bag.get(name) != value:
+                    bag[name] = value
+                    changed[relation.id] = relation
 
 
 def _data_targets(model: Model, unit: Unit, event: Event, endpoint: str) -> list[Relation]:
@@ -1035,19 +1027,17 @@ def _data_targets(model: Model, unit: Unit, event: Event, endpoint: str) -> list
     return model.relations_of(unit.app, endpoint)
 
 
-def _emit_changed(model: Model, changed_bags: set[tuple[str, str]]) -> int:
-    """One relation-changed event per remote unit per changed bag."""
+def _emit_changed(model: Model, writer: Unit, changed: dict[str, Relation]) -> int:
+    """One relation-changed event per remote unit per bag of ``writer``
+    changed, in relation id order."""
+    queue, writer_id = model.event_queue, writer.id
     emitted = 0
-    for relation_id, writer_id in sorted(changed_bags):
-        relation = model.relations[relation_id]
-        writer_app = model.units[writer_id].app
-        other_app = next(a for a in relation.apps() if a != writer_app)
-        kind = EventKind.relation_changed(relation.endpoint_of(other_app))
-        for remote_unit in model.unit_ids_of(other_app):
-            if remote_unit == writer_id:
-                continue
-            model.event_queue.append(Event(kind, remote_unit, relation_id, writer_id))
-            emitted += 1
+    for relation_id in sorted(changed):
+        _, other_app, kind = changed[relation_id].sides[writer.app]
+        events = [_tuple(Event, (kind, remote_id, relation_id, writer_id))
+                  for remote_id in model.unit_ids_of(other_app) if remote_id != writer_id]
+        queue.extend(events)
+        emitted += len(events)
     return emitted
 
 
@@ -1063,20 +1053,15 @@ def _redeliver(
     not depend on its payload or remote, so each kind's handlers are
     looked at once.
     """
-    states = unit.states
-    wanted = {
-        (kind.kind, kind.name): kind
-        for flag in added
-        for kind in charm.guarded_kinds.get(flag, ())
-    }
-    seen = unit.seen
+    guarded = charm.guarded_kinds
+    kinds = sorted({kind for flag in added for kind in guarded.get(flag, ())})
+    states, seen, queue, unit_id = unit.states, unit.seen, model.event_queue, unit.id
     redelivered = 0
-    for key in sorted(wanted):
-        prefix = list(key)
+    for kind in kinds:
+        prefix = list(kind)
         at = bisect.bisect_left(seen, prefix)  # the first group of this kind, if any
         if at == len(seen) or seen[at][:2] != prefix:
             continue
-        kind = wanted[key]
         for _, handler in charm.dispatch[kind]:
             if handler.when_states <= states and not handler.when_states <= flags_before:
                 break
@@ -1084,33 +1069,33 @@ def _redeliver(
             continue  # no handler of this kind became ready
         while at < len(seen) and seen[at][:2] == prefix:
             _, _, payload, remotes = seen[at]
-            for remote in remotes:
-                model.event_queue.append(Event(kind, unit.id, payload, remote))
+            queue.extend([_tuple(Event, (kind, unit_id, payload, remote)) for remote in remotes])
             redelivered += len(remotes)
             at += 1
     return redelivered
 
 
-def _shadow_delta(model: Model, unit: Unit, event: Event, handler: HookHandler) -> int:
-    """Re-apply a handler's actions to the post-state and report whether
-    anything observable changed: 0 for an idempotent handler, else 1.
+def _shadow_delta(model: Model, unit: Unit, event: Event, writes: tuple[tuple, ...]) -> int:
+    """Re-apply a handler's compiled writes to the post-state and report
+    whether anything observable changed: 0 for an idempotent handler,
+    else 1.
 
-    The check covers exactly what an action can write.  ``_apply_action``
+    The check covers exactly what a write can change.  ``_run_handler``
     writes the target unit's ``status``, ``message``, ``states`` and
-    ``open_ports``, and, for ``set-relation-data``, that unit's own bag in
-    the relations ``_data_targets`` returns, all of them relations of the
+    ``open_ports``, and, for relation data, that unit's own bag in the
+    relations ``_data_targets`` returns, all of them relations of the
     unit's application.  It never writes the inventory, the queue,
     ``seen``, ``generation``, another unit's bag or a machine.  So only
     those fields are snapshotted (each bag copied, ``None`` where the unit
-    has no bag yet), the actions are re-applied in place, and the
+    has no bag yet), the writes are re-applied in place, and the
     snapshots are compared.  On a difference exactly what the handler left
     is restored: sets and bags in place, a bag the re-application created
     removed.  The model ends as the handler left it either way.
     """
     relations: dict[str, Relation] = {}
-    for action in handler.actions:
-        if isinstance(action, SetRelationData):
-            for relation in _data_targets(model, unit, event, action.endpoint):
+    for what, _, _, endpoint in writes:
+        if what is DATA or what is TEMPLATE:
+            for relation in _data_targets(model, unit, event, endpoint):
                 relations[relation.id] = relation
 
     def snapshot() -> tuple:
@@ -1121,11 +1106,7 @@ def _shadow_delta(model: Model, unit: Unit, event: Event, handler: HookHandler) 
         return (unit.status, unit.message, set(unit.states), set(unit.open_ports), bags)
 
     before = snapshot()
-    try:
-        for action in handler.actions:
-            _apply_action(model, unit, event, 0, action, None, set())
-    except _HandlerFailed:
-        pass
+    _run_handler(model, unit, event, writes, 0, None, {})
     if snapshot() == before:
         return 0
 
@@ -1580,13 +1561,18 @@ def load_checkpoint(
                 and _strings(data) and _strings(chain.from_iterable(bags))
                 and _strings(chain.from_iterable(map(dict.values, bags)))):
             raise _malformed(doc)
-        model.relations[relation_id] = Relation(
+        relation = Relation(
             id=relation_id,
             provider=provider,
             requirer=requirer,
             interface=interface,
             data=data,
         )
+        if len(relation.sides) != 2:  # ``orient_relation`` refuses it on every command
+            raise MalformedCheckpointError(
+                f"relation {relation_id!r} relates application "
+                f"{next(iter(relation.sides))!r} to itself")
+        model.relations[relation_id] = relation
     for index, body in enumerate(queue):
         if type(body) is dict:  # one object per event, as older checkpoints wrote them
             body = [body["kind"], body.get("name", ""), body["target"], body.get("payload", ""),

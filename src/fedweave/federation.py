@@ -303,16 +303,29 @@ class Federation(statefile.Document):
         fed.master_catalog = [
             CatalogEntry(*entry) for entry in doc.get("master_catalog") or []
         ]
-        fed.master_generation = int(doc.get("master_generation", 0))
+        fed.master_generation = _integer(doc.get("master_generation", 0), "master_generation")
         for name, body in (doc.get("replicas") or {}).items():
             fed.replicas[name] = (
                 [CatalogEntry(*entry) for entry in body.get("entries") or []],
-                int(body.get("generation", 0)),
+                _integer(body.get("generation", 0), f"replica {name!r} generation"),
             )
-        fed.identities = {str(k): str(v) for k, v in (doc.get("identities") or {}).items()}
+        identities = doc.get("identities") or {}
+        for eppn, user in identities.items():
+            if type(eppn) is not str or type(user) is not str:
+                raise FederationError(f"malformed federation document: identity {eppn!r} maps "
+                                      f"to {user!r}; each must be a string")
+        fed.identities = dict(identities)
         fed.users = {str(k): dict(v) for k, v in (doc.get("users") or {}).items()}
-        fed._next_user = int(doc.get("next_user", len(fed.users)))
+        fed._next_user = _integer(doc.get("next_user", len(fed.users)), "next_user")
         return fed
+
+
+def _integer(value, name: str) -> int:
+    """``value`` when it is an int (not a bool), else the one-line error."""
+    if type(value) is not int:
+        raise FederationError(
+            f"malformed federation document: {name} {value!r} is not an integer")
+    return value
 
 
 def normalise_eppn(eppn: str) -> str:

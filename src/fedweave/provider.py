@@ -422,7 +422,8 @@ class Inventory(statefile.Document):
         is not a positive integer, properties or containers that are not a
         list, a region, az, arch, series, property, parent or container
         kind that is not a string, a reservation, container counter or
-        ``next_id`` that is not an integer are errors.
+        ``next_id`` that is not an integer, and a ``next_id`` not above
+        every numeric machine id, are errors.
         Each record is built in one positional call; then containers join
         their hosts, and hosts reserve what their containers reserve.  The
         ready index is left for the first placement to build."""
@@ -517,12 +518,15 @@ class Inventory(statefile.Document):
                 machine_id, region, az, arch, cores, mem, disk, series, set(properties), state,
                 parent, kind, *reservation, list(containers), counters)
             zones.add((region, az))
-            if machine_id.isdigit():
-                max_seen = max(max_seen, int(machine_id))
+            if machine_id.isdigit() and int(machine_id) > max_seen:
+                max_seen, max_id = int(machine_id), machine_id
         next_id = doc.get("next_id", max_seen + 1)
         if type(next_id) is not int:
             raise ProviderError(
                 f"malformed inventory document: next_id {next_id!r} is not an integer")
+        if max_seen >= 0 and next_id <= max_seen:  # an enlist would take a listed id
+            raise ProviderError(f"malformed inventory document: next_id {next_id} is not "
+                                f"above machine id {max_id!r}")
         inv._next_id = next_id
         for record in machines.values():
             if record.parent is not None:

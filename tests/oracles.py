@@ -35,7 +35,7 @@ from fedweave.engine import (
     Unit,
     _ConflictTracker,
     _ensure_leader,
-    _HandlerFailed,
+    _run_handler,
     _shadow_delta,
     checkpoint,
     load_checkpoint,
@@ -43,7 +43,6 @@ from fedweave.engine import (
     state_hash,
     step,
 )
-from fedweave.engine import _apply_action as engine_apply_action
 
 # ---------------------------------------------------------------------------
 # Value templates, by regular expression substitution
@@ -333,13 +332,14 @@ def explore_interleavings(model, branch_limit: int = 8, max_states: int = 250_00
 # Idempotence (C04), by whole-model checkpoints
 
 
-def shadow_delta_oracle(model, unit, event, handler) -> int:
-    """Re-apply a handler's actions to a full copy of the model and compare.
+def shadow_delta_oracle(model, unit, event, writes) -> int:
+    """Re-apply a handler's compiled writes to a full copy of the model and
+    compare.
 
     The copy is rebuilt from a checkpoint with its inventory, so this sees
-    a difference anywhere in the model, not only where an action is known
-    to write; the model passed in is never touched.  It reuses the
-    engine's action semantics (the engine's ``_apply_action``, not the
+    a difference anywhere in the model, not only where a write is known
+    to land; the model passed in is never touched.  It reuses the
+    engine's handler semantics (the engine's ``_run_handler``, not the
     reference step's copy below) because idempotence is a property of
     those semantics: what it checks independently is the
     scope of the comparison and the restore.  Returns 0 when the copy's
@@ -347,12 +347,7 @@ def shadow_delta_oracle(model, unit, event, handler) -> int:
     """
     baseline = checkpoint(model, include_inventory=True)
     twin = load_checkpoint(baseline, model.store)
-    twin_unit = twin.units[unit.id]
-    try:
-        for action in handler.actions:
-            engine_apply_action(twin, twin_unit, event, 0, action, None, set())
-    except _HandlerFailed:
-        pass
+    _run_handler(twin, twin.units[unit.id], event, writes, 0, None, {})
     after = checkpoint(twin, include_inventory=True)
     return 0 if after == baseline else 1
 
@@ -435,14 +430,15 @@ def redeliver_oracle(charm, unit_id: str, seen, states, flags_before: frozenset)
 # The reference step: ``engine.step`` as it was before events that match no
 # handler skipped the conflict tracker, the flag snapshot, emission and
 # redelivery, kept verbatim with the two helpers whose text has changed
-# since, and with its own copy of the action path (``_run_handler``,
-# ``_apply_action`` and ``_data_targets``), so that a fault in the
-# engine's action path cannot hide in the reference.  Every step pays for
-# every part here, so the two agreeing after every event shows that the
-# skipped work never did anything.  It keeps each unit's seen events as a
-# set of keys (``seen_keys``), as the engine did before it held the
-# checkpoint's groups, and regroups the whole set into ``unit.seen`` after
-# each add.
+# since, and with its own action path, one action at a time
+# (``_run_actions``, ``_apply_action`` and ``_data_targets``) where the
+# engine applies each handler's compiled writes, so that a fault in the
+# engine's compiled form or its handler code cannot hide in the
+# reference.  Every step pays for every part here, so the two agreeing
+# after every event shows that the skipped work never did anything.  It
+# keeps each unit's seen events as a set of keys (``seen_keys``), as the
+# engine did before it held the checkpoint's groups, and regroups the
+# whole set into ``unit.seen`` after each add.
 
 
 def step_oracle(model: Model, rng_seed: int | None = None, _rng: random.Random | None = None) -> StepReport:
@@ -486,9 +482,9 @@ def step_oracle(model: Model, rng_seed: int | None = None, _rng: random.Random |
     changed_bags: set[tuple[str, str]] = set()  # (relation id, writer unit id)
     actions_applied = 0
     for index, handler in matching:
-        actions_applied += _run_handler(model, unit, event, index, handler, tracker, changed_bags)
+        actions_applied += _run_actions(model, unit, event, index, handler, tracker, changed_bags)
         if model.shadow_check:
-            model.shadow_deltas += _shadow_delta(model, unit, event, handler)
+            model.shadow_deltas += _shadow_delta(model, unit, event, charm.writes[index])
 
     emitted = _emit_changed(model, changed_bags)
     if event.kind == EventKind.install():
@@ -514,7 +510,11 @@ def step_oracle(model: Model, rng_seed: int | None = None, _rng: random.Random |
     )
 
 
-def _run_handler(
+class _HandlerFailed(Exception):
+    """Aborts the remaining actions of one handler."""
+
+
+def _run_actions(
     model: Model,
     unit: Unit,
     event: Event,
@@ -620,8 +620,8 @@ def _emit_changed(model: Model, changed_bags: set[tuple[str, str]]) -> int:
     for relation_id, writer_id in sorted(changed_bags):
         relation = model.relations[relation_id]
         writer_app = model.units[writer_id].app
-        other_app = next(a for a in relation.apps() if a != writer_app)
-        other_endpoint = endpoint_of_oracle(relation, other_app)
+        sides = [side.partition(":") for side in (relation.provider, relation.requirer)]
+        other_app, _, other_endpoint = next(side for side in sides if side[0] != writer_app)
         for remote_unit in model.unit_ids_of(other_app):
             if remote_unit == writer_id:
                 continue

@@ -9,8 +9,10 @@ instead.  On every step the handlers that run must equal the oracle's,
 pair for pair and in the order the seeded shuffle gave them, and the
 events the step re-enqueues must equal the oracle's.  The step hands the
 generator only two or more handlers, in declaration order, so the
-handlers run are read from the handler index each ``_apply_action`` call
-carries: that sees a step that matched none or one as well.
+handlers run are read from the handler index each ``_run_handler`` call
+carries: that sees a step that matched none or one as well.  Each call's
+compiled writes must number the actions the handler applies, up to and
+including its first ``fail``, counted from its action list.
 """
 
 from __future__ import annotations
@@ -30,7 +32,9 @@ from test_indexes import UnitAndReadyIndexes
 from fedweave import engine
 from fedweave.builtin import MOODLE_BUNDLE, SCALED_BUNDLE, builtin_store
 from fedweave.bundle import parse_bundle
-from fedweave.charms import load_charm
+from fedweave.charms import (DATA, FLAG, PORT, STATUS, TEMPLATE, ClearState, Fail, OpenPort,
+                             SetRelationData, SetState, SetUnitStatus, compile_writes,
+                             load_charm)
 from fedweave.engine import (
     DEFAULT_SEED,
     Model,
@@ -111,18 +115,27 @@ class _PopRecorder(deque):
         return self.popped
 
 
+def _actions_applied(handler) -> int:
+    """The actions a run of ``handler`` applies: all of them, or those up
+    to and including the first ``fail``."""
+    for count, action in enumerate(handler.actions, 1):
+        if isinstance(action, Fail):
+            return count
+    return len(handler.actions)
+
+
 def _checked_step(stats: dict):
     """``engine.step``, asserting on every processed event that the
     handlers it runs equal the oracle's, pair for pair and in order, and
-    that the events it re-enqueues equal the oracle's.  Every handler has
-    an action, and each ``_apply_action`` call carries its handler's
-    index, so the calls show which handlers ran, whether the event matched
-    none, one or more.  Two or more must also go through the seeded
-    shuffle, which sees them in declaration order.  ``stats`` counts
-    steps, multi-handler steps and redeliveries, so a test can tell it
-    checked something."""
+    that the events it re-enqueues equal the oracle's.  Each
+    ``_run_handler`` call carries its handler's index and compiled writes,
+    so the calls show which handlers ran, whether the event matched none,
+    one or more, and how many actions each applied.  Two or more must also
+    go through the seeded shuffle, which sees them in declaration order.
+    ``stats`` counts steps, multi-handler steps and redeliveries, so a
+    test can tell it checked something."""
     real_step = engine.step
-    real_apply = engine._apply_action
+    real_run = engine._run_handler
 
     def checked(model, rng_seed=None, _rng=None):
         rng = _rng if _rng is not None else random.Random(
@@ -143,11 +156,11 @@ def _checked_step(stats: dict):
                 rng.shuffle(matching)
                 shuffled.append(list(matching))
 
-        def spy_apply(model, unit, event, handler_index, action, *rest):
-            applied.append((handler_index, action))
-            return real_apply(model, unit, event, handler_index, action, *rest)
+        def spy_run(model, unit, event, writes, handler_index, *rest):
+            applied.append((handler_index, len(writes)))
+            return real_run(model, unit, event, writes, handler_index, *rest)
 
-        with mock.patch.object(engine, "_apply_action", spy_apply):
+        with mock.patch.object(engine, "_run_handler", spy_run):
             report = real_step(model, _rng=Spy())
         if report.event is None or report.dropped:
             assert not shuffled and not applied, report
@@ -158,8 +171,9 @@ def _checked_step(stats: dict):
         matching = matching_oracle(charm, event.kind, before)
         assert len(shuffled) == (len(matching) > 1), report
         ran = shuffled[0] if shuffled else matching
-        assert applied == [(index, action) for index, handler in ran
-                           for action in handler.actions], event.render()
+        assert applied == [(index, _actions_applied(handler)) for index, handler in ran], \
+            event.render()
+        assert report.actions_applied == sum(count for _, count in applied), report
         assert report.handlers_run == len(matching), report
         stats["steps"] += 1
         stats["multi"] += len(matching) > 1
@@ -225,6 +239,17 @@ class TestDispatchTable:
         assert {kind.render() for kind in charm.guarded_kinds["ready"]} == {
             "database-relation-joined", "database-relation-changed", "start"
         }
+        assert charm.writes == tuple(compile_writes(handler.actions)
+                                     for handler in charm.handlers)
+
+    def test_writes_follow_the_actions_up_to_the_first_fail(self):
+        actions = (SetState("a"), ClearState("b"), SetUnitStatus("active"), OpenPort(80),
+                   SetRelationData("db", "k", "{config:x}"), SetRelationData("db", "j", "v"),
+                   Fail("down"), SetState("c"))
+        assert compile_writes(actions) == (
+            (FLAG, "a", True, None), (FLAG, "b", False, None), (STATUS, "active", "", None),
+            (PORT, 80, None, None), (TEMPLATE, "k", "{config:x}", "db"),
+            (DATA, "j", "v", "db"), (STATUS, "error", "down", None))
 
     def test_tables_take_no_part_in_equality_or_repr(self, twin_store):
         charm = twin_store.resolve_charm("cs:twin")

@@ -260,8 +260,17 @@ class TestAddRelation:
     def test_endpoints_of_deployed_relations(self, deploy_fixture):
         model, _ = deploy_fixture(SCALED_BUNDLE)
         for relation in model.relations.values():
-            for app in (*relation.apps(), "nosuch"):
+            (provider, _, provider_endpoint), (requirer, _, requirer_endpoint) = (
+                relation.provider.partition(":"), relation.requirer.partition(":"))
+            for app in (provider, requirer, "nosuch"):
                 assert relation.endpoint_of(app) == endpoint_of_oracle(relation, app)
+            # Each side's other side, and the kind its units get when this side writes.
+            assert relation.sides == {
+                provider: (provider_endpoint, requirer,
+                           EventKind("relation-changed", requirer_endpoint)),
+                requirer: (requirer_endpoint, provider,
+                           EventKind("relation-changed", provider_endpoint)),
+            }
 
     def test_duplicate_relation(self, deploy_fixture):
         model, _ = deploy_fixture(MOODLE_BUNDLE)

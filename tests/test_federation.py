@@ -258,6 +258,13 @@ class TestSerialization:
         assert str(raised.value) == ("malformed federation document: "
                                      "region name 5 is not a string")
 
+    def test_load_rejects_an_identity_key_that_is_not_a_string(self):
+        # As for a region name, only a YAML document can give one.
+        with pytest.raises(FederationError) as raised:
+            Federation.load_yaml("identities:\n  5: user-0000\n")
+        assert str(raised.value) == ("malformed federation document: "
+                                     "identity 5 maps to 'user-0000'; each must be a string")
+
     def test_empty_document(self):
         fed = Federation.load_yaml("")
         assert fed.regions == {}

@@ -2,8 +2,8 @@
 whole-model oracle.
 
 ``engine._shadow_delta`` snapshots only the target unit's fields and its
-own relation bags, re-applies the handler in place and restores on a
-difference.  ``oracles.shadow_delta_oracle`` re-applies to a full copy
+own relation bags, re-applies the handler's compiled writes in place and
+restores on a difference.  ``oracles.shadow_delta_oracle`` re-applies to a full copy
 rebuilt from a checkpoint.  For every handler call they must agree, and
 the scoped check must leave ``checkpoint(model)`` exactly as it was.
 """
@@ -69,12 +69,12 @@ def _checked_shadow_delta(calls: list[int]):
     with the oracle and leaves the model's checkpoint unchanged."""
     scoped = engine._shadow_delta
 
-    def checked(model, unit, event, handler):
+    def checked(model, unit, event, writes):
         before = checkpoint(model, include_inventory=True)
-        expected = shadow_delta_oracle(model, unit, event, handler)
+        expected = shadow_delta_oracle(model, unit, event, writes)
         assert checkpoint(model, include_inventory=True) == before
-        got = scoped(model, unit, event, handler)
-        assert got == expected, f"{handler} on {event.render()}"
+        got = scoped(model, unit, event, writes)
+        assert got == expected, f"{writes} on {event.render()}"
         assert checkpoint(model, include_inventory=True) == before
         calls.append(got)
         return got

@@ -642,6 +642,8 @@ MALFORMED = {
                                      _host(("container_counters", "lxd"), 1.9), ADD_UNIT),
     "next-id-a-string": ("inventory.yaml", _set(("next_id",), "9"), ADD_UNIT),
     "next-id-a-fraction": ("inventory.yaml", _set(("next_id",), 2.5), ADD_UNIT),
+    # The next enlist would take machine "3"'s id.
+    "next-id-at-a-machine-id": ("inventory.yaml", _set(("next_id",), 3), ADD_UNIT),
     "kind-a-number": ("inventory.yaml", _container(("kind",), 7), ADD_UNIT),
     "parent-a-number": ("inventory.yaml", _container(("parent",), 0), ADD_UNIT),
     "nodes-a-number": ("projects.yaml", _set(("nodes",), 5), ("quota", "create", "other")),
@@ -664,8 +666,24 @@ MALFORMED = {
                          ("quota", "create", "other")),
     "region-a-number": ("federation.yaml", _set(("regions", "garr-pa"), 5),
                         ("identity", "map", "alice@garr.it")),
+    "master-generation-a-fraction": ("federation.yaml", _set(("master_generation",), 2.9),
+                                     ("identity", "map", "alice@garr.it")),
+    "master-generation-a-boolean": ("federation.yaml", _set(("master_generation",), True),
+                                    ("identity", "map", "alice@garr.it")),
+    "replica-generation-a-string": ("federation.yaml",
+                                    _set(("replicas",), {"garr-pa": {"entries": [],
+                                                                     "generation": "1"}}),
+                                    ("identity", "map", "alice@garr.it")),
+    "next-user-a-string": ("federation.yaml", _set(("next_user",), "7"),
+                           ("identity", "map", "alice@garr.it")),
+    "identity-a-number": ("federation.yaml", _set(("identities",), {"bob@garr.it": 5}),
+                          ("identity", "map", "alice@garr.it")),
     "unit-no-application": ("model.yaml", _set(("model", "units", "moodle/0", "application"),
                                                 ...), ADD_UNIT),
+    # ``orient_relation`` refuses such a relation on every command path.
+    "relation-to-itself": ("model.yaml",
+                           _set(("model", "relations", "postgresql:db moodle:database",
+                                 "requirer"), "postgresql:db"), ADD_UNIT),
     "seen-a-number": ("model.yaml", _set(("model", "units", "moodle/0", "seen"), 5), ADD_UNIT),
     "seen-group-of-three-fields": ("model.yaml", _seen_group(0, lambda group: group[:3]),
                                    ADD_UNIT),

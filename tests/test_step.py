@@ -10,6 +10,9 @@ must agree after every event: the report, the queue, the trace, the
 random state and the whole checkpoint.  The engine hands a generator only
 the steps with two or more handlers to order, the reference every step;
 shuffling fewer draws no random number, so the random states still agree.
+Generated two-application charms put the engine's compiled writes against
+the reference's one-action-at-a-time path, under strict and lax conflicts
+and with the shadow check on and off.
 
 The benchmark's tracer wraps the module global ``engine.step``, which
 ``run_to_convergence`` must therefore call once per event.
@@ -20,6 +23,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from oracles import seen_groups_oracle, seen_keys, step_oracle
 from test_acceptance import FIXTURES
 from test_dispatch import TWIN_BUNDLE, TWIN_CHARM
@@ -27,8 +32,11 @@ from test_dispatch import TWIN_BUNDLE, TWIN_CHARM
 from fedweave import engine
 from fedweave.builtin import MOODLE_BUNDLE, SCALED_BUNDLE, builtin_store
 from fedweave.bundle import parse_bundle
-from fedweave.charms import load_charm
+from fedweave.charms import (RELATION_EVENTS, SETTABLE_STATUSES, CharmSpec, ClearState,
+                             EventKind, Fail, HookHandler, OpenPort, OptionSchema,
+                             SetRelationData, SetState, SetUnitStatus, load_charm)
 from fedweave.engine import (
+    CharmConflictError,
     Model,
     StepReport,
     add_unit,
@@ -38,6 +46,7 @@ from fedweave.engine import (
     run_to_convergence,
     set_config,
 )
+from fedweave.provider import Inventory
 
 # No handler on install, so every install takes the short path and must
 # still be followed by start.
@@ -206,20 +215,20 @@ machines:
 
 def test_fleet_deploy_processes_the_pinned_events(store, make_inventory):
     """A faster step must process, run, emit, re-deliver and drop exactly
-    the events the engine did when these totals were taken, and reach the
-    same state."""
+    the events the engine did when these totals were taken, count the
+    actions its handlers apply as the engine did when it applied them one
+    at a time, and reach the same state."""
     model = Model(store, make_inventory(FLEET_UNITS + 2))
     deploy_bundle(model, parse_bundle(FLEET_BUNDLE))
     rng = random.Random(engine.DEFAULT_SEED)
-    totals = {"events": 0, "handlers_run": 0, "emitted": 0, "redelivered": 0, "dropped": 0}
+    totals = {"events": 0, "handlers_run": 0, "actions_applied": 0, "emitted": 0,
+              "redelivered": 0, "dropped": 0}
     while (report := engine.step(model, _rng=rng)).event is not None:
         totals["events"] += 1
-        totals["handlers_run"] += report.handlers_run
-        totals["emitted"] += report.emitted
-        totals["redelivered"] += report.redelivered
-        totals["dropped"] += report.dropped
-    assert totals == {"events": 3011, "handlers_run": 1608, "emitted": 800,
-                      "redelivered": 200, "dropped": 0}
+        for name in ("handlers_run", "actions_applied", "emitted", "redelivered", "dropped"):
+            totals[name] += getattr(report, name)
+    assert totals == {"events": 3011, "handlers_run": 1608, "actions_applied": 3218,
+                      "emitted": 800, "redelivered": 200, "dropped": 0}
     assert engine.state_hash(model) == (
         "efa34b092ff9f0bd1c1611de80ba1801b0cb9415562b162d73fff18ad230c4a3")
     assert {unit.status for unit in model.units.values()} == {"active"}
@@ -303,3 +312,145 @@ class TestTracerHook:
         result = run_to_convergence(model, budget=5)
         assert result.outcome == "budget-exhausted"
         assert len(calls) == result.events_processed == 5
+
+
+# ---------------------------------------------------------------------------
+# Generated charms: the engine applies each handler's compiled writes, the
+# reference its actions one at a time.
+
+_FLAGS = ("a", "b", "c")
+_LIFECYCLE = tuple(EventKind(kind) for kind in ("install", "start", "config-changed",
+                                                  "leader-elected"))
+_RELATION = tuple(EventKind(kind, "link") for kind in RELATION_EVENTS)
+_LITERALS = ("x", "y", "{config:opt}", "{config:opt}/x")
+_TEMPLATES = _LITERALS + ("{remote:k}", "<{remote:j}|{config:opt}>")  # relation events only
+_PAIR = """\
+series: xenial
+applications:
+  left: {charm: "cs:left", num_units: 2}
+  right: {charm: "cs:right", num_units: 2}
+relations:
+  - ["left:link", "right:link"]
+"""
+_STEPS = 150  # per command; a generated pair may echo data forever
+
+
+def _action(on: EventKind):
+    values = _TEMPLATES if on.kind in RELATION_EVENTS else _LITERALS
+    return st.one_of(
+        st.builds(SetUnitStatus, st.sampled_from(sorted(SETTABLE_STATUSES))),
+        st.builds(SetState, st.sampled_from(_FLAGS)),
+        st.builds(ClearState, st.sampled_from(_FLAGS)),
+        st.builds(SetRelationData, st.just("link"), st.sampled_from(("k", "j")),
+                  st.sampled_from(values)),
+        st.builds(OpenPort, st.sampled_from((80, 443))),
+        st.builds(Fail, st.sampled_from(("broken", "down"))),
+    )
+
+
+@st.composite
+def _handler(draw) -> HookHandler:
+    on = draw(st.sampled_from(_LIFECYCLE + _RELATION))
+    actions = draw(st.lists(_action(on), min_size=1, max_size=5))
+    return HookHandler(on, tuple(actions), draw(st.frozensets(st.sampled_from(_FLAGS),
+                                                               max_size=2)))
+
+
+_HANDLERS = st.lists(_handler(), min_size=1, max_size=6).map(tuple)
+
+
+def _pair_store(left: tuple, right: tuple):
+    store = builtin_store()
+    option = {"opt": OptionSchema("string", "v")}
+    store.register_charm(CharmSpec("left", frozenset({"xenial"}), provides={"link": "gen"},
+                                   config=option, handlers=left))
+    store.register_charm(CharmSpec("right", frozenset({"xenial"}), requires={"link": "gen"},
+                                   config=option, handlers=right))
+    return store
+
+
+def _pair_inventory() -> Inventory:
+    inventory = Inventory()
+    inventory.add_zone("garr-01", "az1")
+    for _ in range(6):
+        inventory.enlist(region="garr-01", az="az1", arch="amd64", cores=4, mem=8192,
+                         disk=102400, series="xenial")
+    return inventory
+
+
+def _outcome(step_one):
+    """What one step did: its report, or the conflict it raised."""
+    try:
+        return step_one()._asdict()
+    except CharmConflictError as exc:
+        return (type(exc), str(exc))
+
+
+_SET_TWICE = (
+    HookHandler(EventKind("install"), (SetRelationData("link", "k", "x"),
+                                       SetRelationData("link", "k", "y"), SetState("a"),
+                                       ClearState("a"), SetState("b"))),
+    HookHandler(EventKind("start"), (SetUnitStatus("active"), Fail("broken"),
+                                     SetUnitStatus("blocked"), SetState("c")),
+                frozenset({"b"})),
+    HookHandler(EventKind("relation-changed", "link"),
+                (SetRelationData("link", "j", "<{remote:k}|{config:opt}>"), OpenPort(80))),
+    HookHandler(EventKind("config-changed"), (SetRelationData("link", "k", "{config:opt}"),)),
+)
+# One step adds two flags, and each completes the guard of a kind already seen.
+_TWO_FLAGS = (
+    HookHandler(EventKind("relation-joined", "link"), (SetState("b"), SetState("a"))),
+    HookHandler(EventKind("install"), (SetUnitStatus("active"),), frozenset({"a"})),
+    HookHandler(EventKind("leader-elected"), (SetState("c"),), frozenset({"b"})),
+)
+_CONFLICTING = (
+    HookHandler(EventKind("install"), (SetUnitStatus("active"), SetState("a"))),
+    HookHandler(EventKind("install"), (SetState("a"), SetUnitStatus("blocked"))),
+    HookHandler(EventKind("relation-joined", "link"), (SetRelationData("link", "k", "x"),)),
+)
+
+
+def test_generated_charms_step_as_the_reference():
+    """Two copies of a generated two-application model, one stepped by
+    ``engine.step`` and one by ``oracles.step_oracle``, agree after every
+    step of a deploy, a reconfiguration, a scale-up and a removal: on the
+    report, ``shadow_deltas``, the state hash and the whole checkpoint, or
+    on the conflict raised, by type and message.  Each command has its own
+    step budget, and some examples must step the removal to its end."""
+    removals_converged = []
+
+    @example(left=_SET_TWICE, right=_CONFLICTING, strict=True, shadow=True, seed=1)
+    @example(left=_SET_TWICE, right=_CONFLICTING, strict=False, shadow=True, seed=2)
+    @example(left=_CONFLICTING, right=_SET_TWICE, strict=True, shadow=False, seed=3)
+    @example(left=_TWO_FLAGS, right=_SET_TWICE, strict=False, shadow=False, seed=0)
+    @given(left=_HANDLERS, right=_HANDLERS, strict=st.booleans(), shadow=st.booleans(),
+           seed=st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def check(left, right, strict, shadow, seed):
+        store = _pair_store(left, right)
+        lean, reference = (Model(store, _pair_inventory(), strict_conflicts=strict)
+                           for _ in range(2))
+        lean.shadow_check = reference.shadow_check = shadow
+        lean_rng, reference_rng = random.Random(seed), random.Random(seed)
+        commands = (lambda model: deploy_bundle(model, parse_bundle(_PAIR)),
+                    lambda model: set_config(model, "left", {"opt": "w"}),
+                    lambda model: add_unit(model, "right"),
+                    lambda model: remove_unit(model, "left/0"))
+        for command in commands:
+            command(lean)
+            command(reference)
+            for _ in range(_STEPS):
+                got = _outcome(lambda: engine.step(lean, _rng=lean_rng))
+                want = _outcome(lambda: step_oracle(reference, _rng=reference_rng))
+                assert got == want
+                if type(got) is tuple:
+                    return  # the same conflict, raised by both
+                assert lean.shadow_deltas == reference.shadow_deltas, got
+                assert engine.state_hash(lean) == engine.state_hash(reference), got
+                assert checkpoint(lean) == checkpoint(reference), got
+                if got["event"] is None:
+                    break
+        removals_converged.append(lean.converged)
+
+    check()
+    assert any(removals_converged)
